@@ -120,38 +120,6 @@ def gallery_meeting(
     return Problem({p: ladder for p in pubs}, bandwidth, edges)
 
 
-def cold_miss_meeting(
-    n_publishers: int,
-    n_subscribers: int,
-    total_levels: int,
-    seed: int = 1,
-    spacing_kbps: int = 37,
-) -> Problem:
-    """A gallery where every subscriber's MCKP instance is distinct.
-
-    Downlinks strictly increase by ``spacing_kbps`` per subscriber, so at
-    any DP granularity below the spacing every subscriber lands in its
-    own capacity bucket: no intra-step dedup, no instance-cache hit — a
-    pure cold cache-miss workload that measures raw kernel throughput.
-    Publisher uplinks are generous, so the KMR loop converges without
-    reductions and the measurement is one knapsack step over
-    ``n_subscribers`` distinct DP instances.
-    """
-    rng = random.Random(seed)
-    ladder = ladder_with_levels(total_levels)
-    pubs = [f"P{k}" for k in range(n_publishers)]
-    subs = [f"S{k}" for k in range(n_subscribers)]
-    bandwidth = {}
-    for p in pubs:
-        bandwidth[p] = Bandwidth(rng.choice([8000, 10_000, 12_000]), 500)
-    for k, s in enumerate(subs):
-        bandwidth[s] = Bandwidth(500, 2_000 + spacing_kbps * k)
-    edges = [
-        Subscription(s, p, Resolution.P720) for s in subs for p in pubs
-    ]
-    return Problem({p: ladder for p in pubs}, bandwidth, edges)
-
-
 def breakout_meeting(
     n_rooms: int,
     room_size: int,

@@ -1,6 +1,6 @@
-"""Incremental solve-engine + MCKP kernel speedup benchmarks (PR 5/6).
+"""Incremental solve-engine speedup benchmarks (PR 5).
 
-Three workloads, all byte-equivalence-enforced on every solve:
+Two workloads, both byte-equivalence-enforced on every solve:
 
 1. **fig6c_gallery** — one Fig. 6c-style gallery meeting (400
    subscribers x 18 bitrates, tight publisher uplinks forcing a
@@ -9,21 +9,18 @@ Three workloads, all byte-equivalence-enforced on every solve:
 2. **fig12_rounds** — the Fig. 12 repeated-round shape: one controller
    round per bandwidth report, where each round changes a single
    subscriber's downlink by one granularity step.  The whole-problem
-   fingerprint misses every round; the per-subscriber instance cache
-   must carry the load.  Floor: >= 1.5x.
-3. **cold_kernel** — a meeting where every subscriber's MCKP instance is
-   distinct (no dedup, no cache hit): the pure cold cache-miss path,
-   solved once per kernel with a cleared process cache.  Measures the
-   array kernel + batched entry point against the pure-Python oracle.
-   Floor: >= 10x.
+   fingerprint misses every round; the capacity-profile cache must
+   carry the load.  Floor: >= 1.5x.
+
+The cold path (every subscriber on its own downlink, nothing cached) is
+the ``webinar_large`` workload of ``bench/``, measured end to end.
 
 Results go to ``benchmarks/out/solver_speedup.txt`` plus
-``benchmarks/out/BENCH_PR5.json`` (engine workloads) and
-``benchmarks/out/BENCH_PR6.json`` (kernel workload); CI compares the
-speedups against the committed baselines in ``benchmarks/baselines/``
-(hard failure armed by ``REPRO_PERF_GATE=1``, same protocol as the PR4
-gate).  The floors are asserted unconditionally — equivalence and the
-speedup targets are correctness criteria, not regression telemetry.
+``benchmarks/out/BENCH_PR5.json``; CI compares the speedups against the
+committed baseline in ``benchmarks/baselines/`` (hard failure armed by
+``REPRO_PERF_GATE=1``, same protocol as the PR4 gate).  The floors are
+asserted unconditionally — equivalence and the speedup targets are
+correctness criteria, not regression telemetry.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from _harness import OUT_DIR, emit
-from _problems import cold_miss_meeting, gallery_meeting
+from _problems import gallery_meeting
 
 from repro.core.constraints import Bandwidth, Problem
 from repro.core.engine import default_mckp_cache
@@ -46,14 +43,9 @@ BENCH_SCHEMA = "repro.bench_pr5/v1"
 BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_PR5.json"
 RESULT_PATH = OUT_DIR / "BENCH_PR5.json"
 
-BENCH6_SCHEMA = "repro.bench_pr6/v1"
-BASELINE6_PATH = Path(__file__).parent / "baselines" / "BENCH_PR6.json"
-RESULT6_PATH = OUT_DIR / "BENCH_PR6.json"
-
 #: Hard speedup floors (acceptance criteria, asserted every run).
 GALLERY_FLOOR = 3.0
 ROUNDS_FLOOR = 1.5
-KERNEL_FLOOR = 10.0
 
 #: Maximum tolerated relative speedup regression vs the baseline.
 REGRESSION_BUDGET = 0.15
@@ -143,35 +135,6 @@ def _fig12_rounds() -> Dict[str, object]:
     }
 
 
-def _cold_kernel() -> Dict[str, object]:
-    """Workload 3: every instance a cold cache miss, one solve per kernel."""
-    make = lambda: cold_miss_meeting(12, 400, 18, seed=9)
-
-    def solve_with_kernel(kernel: str):
-        default_mckp_cache().clear()
-        cfg = SolverConfig(granularity_kbps=GRANULARITY, kernel=kernel)
-        start = time.perf_counter()
-        solution, stats = GsoSolver(cfg).solve_with_stats(make())
-        return solution, stats, time.perf_counter() - start
-
-    py_sol, py_stats, py_s = solve_with_kernel("python")
-    np_sol, np_stats, np_s = solve_with_kernel("numpy")
-    assert pickle.dumps(np_sol) == pickle.dumps(py_sol), (
-        "numpy kernel solution diverged from the python oracle"
-    )
-    assert np_stats.engine.cache_hits == 0, "workload is not cold"
-    assert np_stats.engine.deduped == 0, "workload is not dedup-free"
-    assert np_stats.engine.batched_solves == np_stats.engine.cache_misses
-    return {
-        "subscribers": 400,
-        "instances": np_stats.engine.cache_misses,
-        "batches": np_stats.engine.batches,
-        "python_s": round(py_s, 4),
-        "numpy_s": round(np_s, 4),
-        "speedup": round(py_s / np_s, 2),
-    }
-
-
 def _compare(
     result: dict, baseline: dict, workloads: tuple
 ) -> List[str]:
@@ -192,23 +155,14 @@ def _compare(
 def test_solver_speedup():
     gallery = _fig6c_gallery()
     rounds = _fig12_rounds()
-    kernel = _cold_kernel()
     result = {
         "schema": BENCH_SCHEMA,
         "granularity_kbps": GRANULARITY,
         "workloads": {"fig6c_gallery": gallery, "fig12_rounds": rounds},
     }
-    result6 = {
-        "schema": BENCH6_SCHEMA,
-        "granularity_kbps": GRANULARITY,
-        "workloads": {"cold_kernel": kernel},
-    }
     OUT_DIR.mkdir(exist_ok=True)
     RESULT_PATH.write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n"
-    )
-    RESULT6_PATH.write_text(
-        json.dumps(result6, indent=2, sort_keys=True) + "\n"
     )
 
     lines = [
@@ -222,29 +176,17 @@ def test_solver_speedup():
         f"(floor {ROUNDS_FLOOR:.1f}x; {rounds['rounds']} rounds, "
         f"{rounds['cache_hits']} cache hits / "
         f"{rounds['cache_misses']} misses)",
-        f"cold_kernel    : {kernel['python_s']:.3f} s -> "
-        f"{kernel['numpy_s']:.3f} s  = {kernel['speedup']:.2f}x  "
-        f"(floor {KERNEL_FLOOR:.1f}x; {kernel['instances']} cold instances "
-        f"in {kernel['batches']} batch(es), python kernel vs numpy kernel)",
         "equivalence    : every engine solution pickle-identical to the "
-        "incremental=False baseline; numpy kernel pickle-identical to "
-        "the python oracle",
-        f"wrote {RESULT_PATH.relative_to(OUT_DIR.parent)} and "
-        f"{RESULT6_PATH.relative_to(OUT_DIR.parent)}",
+        "incremental=False baseline",
+        f"wrote {RESULT_PATH.relative_to(OUT_DIR.parent)}",
     ]
 
     failures: List[str] = []
-    gates = [
-        (BASELINE_PATH, result, ("fig6c_gallery", "fig12_rounds")),
-        (BASELINE6_PATH, result6, ("cold_kernel",)),
-    ]
-    compared = False
-    for baseline_path, current, workloads in gates:
-        if baseline_path.exists():
-            compared = True
-            baseline = json.loads(baseline_path.read_text())
-            failures.extend(_compare(current, baseline, workloads))
-    if compared:
+    if BASELINE_PATH.exists():
+        baseline = json.loads(BASELINE_PATH.read_text())
+        failures = _compare(
+            result, baseline, ("fig6c_gallery", "fig12_rounds")
+        )
         lines.append(
             "gate: "
             + ("FAIL — " + "; ".join(failures) if failures else "PASS")
@@ -264,8 +206,4 @@ def test_solver_speedup():
     assert rounds["speedup"] >= ROUNDS_FLOOR, (
         f"fig12_rounds speedup {rounds['speedup']:.2f}x "
         f"below the {ROUNDS_FLOOR:.1f}x floor"
-    )
-    assert kernel["speedup"] >= KERNEL_FLOOR, (
-        f"cold_kernel speedup {kernel['speedup']:.2f}x "
-        f"below the {KERNEL_FLOOR:.1f}x floor"
     )

@@ -119,17 +119,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     eng = stats.engine
     cache = default_mckp_cache().snapshot()
     print(
-        f"(engine: {eng.step1_solved} step-1 solves, "
+        f"(engine: {eng.step1_solved} step-1 answers, "
         f"{eng.step1_skipped} skipped by dirty-set, "
-        f"{eng.deduped} deduped, "
-        f"{eng.cache_hits}/{eng.cache_hits + eng.cache_misses} cache hits; "
-        f"process cache {cache['entries']}/{cache['capacity']} entries, "
+        f"{eng.deduped} shared, "
+        f"{eng.cache_misses} DP table(s) built, "
+        f"{eng.cache_hits}/{eng.cache_hits + eng.cache_misses} profile cache "
+        f"hits; process cache {cache['entries']}/{cache['capacity']} entries, "
         f"hit rate {cache['hit_rate']:.2f})"
     )
-    print(
-        f"(kernel: {stats.kernel}, "
-        f"{eng.batched_solves} batched solve(s) in {eng.batches} batch(es))"
-    )
+    print(f"(kernel: {stats.kernel})")
     return 0
 
 

@@ -16,18 +16,17 @@ from .engine import (
     EngineStats,
     MckpInstanceCache,
     default_mckp_cache,
-    instance_key,
 )
 from .explain import ExplainedSolve, explain_solve
 from .hysteresis import UpgradeDamper
 from .ladder import coarse_ladder, make_ladder, paper_ladder, qoe_utility, scale_qoe
 from .mckp import (
     KERNELS,
+    CapacityProfile,
     MckpSolution,
     default_kernel,
     kernel_stats,
     solve_mckp_dp,
-    solve_mckp_dp_batch,
     solve_mckp_dp_mandatory,
     solve_mckp_exhaustive,
 )
@@ -47,6 +46,7 @@ from .virtual import DualSubscription, ProblemBuilder, screen_id, virtual_id
 
 __all__ = [
     "Bandwidth",
+    "CapacityProfile",
     "ClientId",
     "DualSubscription",
     "EngineStats",
@@ -74,7 +74,6 @@ __all__ = [
     "coarse_ladder",
     "default_kernel",
     "default_mckp_cache",
-    "instance_key",
     "kernel_stats",
     "make_ladder",
     "paper_ladder",
@@ -83,7 +82,6 @@ __all__ = [
     "screen_id",
     "solve",
     "solve_mckp_dp",
-    "solve_mckp_dp_batch",
     "solve_mckp_dp_mandatory",
     "solve_mckp_exhaustive",
     "verify_small_stream_protection",

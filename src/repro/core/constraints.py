@@ -196,6 +196,7 @@ class Problem:
         # subscription list, so caching them is safe.
         self._ordered_followed: Dict[ClientId, Tuple[Subscription, ...]] = {}
         self._subscribers_of: Dict[ClientId, Tuple[ClientId, ...]] = {}
+        self._shape_index = None  # built on first use by shape_index()
 
     # ------------------------------------------------------------------ #
     # Identity resolution
@@ -294,6 +295,34 @@ class Problem:
             )
             self._subscribers_of[canonical] = cached
         return cached
+
+    def shape_index(
+        self,
+    ) -> Tuple[Dict[ClientId, int], List[Tuple[Subscription, ...]]]:
+        """Subscribers grouped by Step-1 *shape*: ``(shape_of, edges_of)``.
+
+        Two subscribers share a shape when their ordered edges
+        (:meth:`ordered_followed_by`) name the same ``(publisher,
+        max_resolution)`` pairs.  Whatever the feasible sets are, their
+        Step-1 classes and the publisher behind each class are then
+        identical and only their downlink budgets differ — a webinar's
+        viewers are one shape.  ``shape_of`` numbers every subscriber's
+        shape; ``edges_of[shape]`` is the ordered edge tuple of the
+        shape's first subscriber.  Computed once per problem and cached.
+        """
+        if self._shape_index is None:
+            shape_of: Dict[ClientId, int] = {}
+            edges_of: List[Tuple[Subscription, ...]] = []
+            numbers: Dict[Tuple[Tuple[ClientId, Resolution], ...], int] = {}
+            for sub in self._followed:
+                edges = self.ordered_followed_by(sub)
+                key = tuple((e.publisher, e.max_resolution) for e in edges)
+                shape = numbers.setdefault(key, len(edges_of))
+                if shape == len(edges_of):
+                    edges_of.append(edges)
+                shape_of[sub] = shape
+            self._shape_index = (shape_of, edges_of)
+        return self._shape_index
 
     def edge(self, subscriber: ClientId, publisher: ClientId) -> Optional[Subscription]:
         """The subscription edge between a pair (literal publisher id)."""

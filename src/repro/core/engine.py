@@ -2,29 +2,21 @@
 
 The KMR loop re-runs Step 1 (the per-subscriber MCKPs) on every
 iteration, yet a Step-3 reduction shrinks only **one** publisher's
-feasible set — and inside a single iteration, homogeneous meetings
-(Fig. 6c: gallery view, every subscriber following every publisher from
-the same plan tier) produce the *same* MCKP instance over and over.
-This module supplies the memoization layers that exploit both kinds of
-repetition without changing a single byte of any
+feasible set — and inside a single iteration the subscribers of a
+meeting (Fig. 6c gallery view, a webinar's viewers) mostly share one
+*class structure* and differ only in downlink, so one
+:class:`~repro.core.mckp.CapacityProfile` answers them all
+(:func:`~repro.core.knapsack.knapsack_step`).  This module supplies
+what carries that across steps without changing a single byte of any
 :class:`~repro.core.solution.Solution`:
 
-* **instance fingerprinting** — :func:`instance_key` canonicalizes one
-  subscriber's ``(classes, capacity, granularity)`` MCKP instance to a
-  hashable key.  The DP only ever sees ``capacity // granularity`` grid
-  slots (weights are rounded *up* onto the grid), so the key stores the
-  slot count, not the raw capacity: two downlinks in the same bucket are
-  provably indistinguishable to the solver — the same argument
-  ``Problem.fingerprint`` makes for whole problems, applied per
-  subscriber;
 * **a process-wide bounded LRU cache** — :class:`MckpInstanceCache`
   mirrors the cluster's fingerprint-keyed solution cache
-  (``repro.cluster.cache``) one level down: it survives across KMR
-  iterations, solver instances and controller rounds, so a small
-  bandwidth delta that misses the whole-``Problem`` fingerprint still
-  hits on every subscriber whose own instance did not change.
-  ``MckpSolution`` is frozen (tuple picks), so entries are shared
-  without copying;
+  (``repro.cluster.cache``) one level down, keyed by
+  ``(granularity, classes)``: profiles survive across KMR iterations,
+  solver instances and controller rounds, so a bandwidth delta that
+  misses the whole-``Problem`` fingerprint builds no table at all.
+  Profiles are shared without copying;
 * **per-solve accounting** — :class:`EngineStats` counts what each layer
   saved; :class:`~repro.core.solver.SolveStats` carries it per solve and
   the metrics named in ``repro.obs.names`` aggregate it process-wide.
@@ -41,34 +33,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Hashable, Optional
 
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
-from .mckp import Item, MckpSolution
-
-#: Canonical identity of one MCKP instance: (granularity, capacity grid
-#: slots, the per-class item tuples).  Hashable; equal keys imply the DP
-#: returns the identical :class:`MckpSolution` (same picks, value, weight).
-InstanceKey = Tuple[int, int, Tuple[Tuple[Item, ...], ...]]
-
-
-def instance_key(
-    classes: Sequence[Tuple[Item, ...]],
-    capacity: int,
-    granularity: int,
-) -> InstanceKey:
-    """Canonicalize an MCKP instance for dedup/cache lookup.
-
-    The capacity enters as ``capacity // granularity`` (the DP's slot
-    count): item weights are rounded up onto the grid, so the DP cannot
-    distinguish capacities within one granularity bucket — and because a
-    chosen combination's true weight is bounded by ``slots *
-    granularity <= capacity``, the returned solution is feasible for
-    every capacity in the bucket.  Sharing across the bucket is a legal
-    replay, not an approximation.
-    """
-    return (granularity, capacity // granularity, tuple(classes))
+from .mckp import CapacityProfile
 
 
 @dataclass
@@ -76,19 +45,16 @@ class EngineStats:
     """What the engine's layers saved during one solve.
 
     Attributes:
-        step1_solved: subscriber instances freshly built this solve
+        step1_solved: subscribers answered by a knapsack step this solve
             (iteration 1 plus every dirty re-solve).
         step1_skipped: subscriber re-solves avoided by the dirty-set
             (clean subscribers whose previous requests were reused).
-        deduped: subscriber instances answered by another subscriber's
-            solve within the same knapsack step.
-        cache_hits: instances answered by the process-wide LRU cache.
-        cache_misses: instances that actually ran the DP.
-        batched_solves: cache-miss instances solved through the batched
-            kernel entry point (``solve_mckp_dp_batch``); at most
-            ``cache_misses``.
-        batches: batched-solve calls issued (one per knapsack step that
-            had any cache miss).
+        deduped: subscribers answered by an answer another subscriber
+            of the same step already materialized.
+        cache_hits: class structures whose profile came out of the
+            process-wide LRU cache.
+        cache_misses: class structures that built their DP table
+            (exactly the tables the solve built).
     """
 
     step1_solved: int = 0
@@ -96,8 +62,6 @@ class EngineStats:
     deduped: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    batched_solves: int = 0
-    batches: int = 0
 
     @property
     def dp_solves_avoided(self) -> int:
@@ -125,36 +89,36 @@ class InstanceCacheStats:
 
 
 class MckpInstanceCache:
-    """Bounded LRU cache of MCKP solutions, keyed by instance identity.
+    """Bounded LRU cache of capacity profiles, keyed by class structure.
 
-    The per-subscriber sibling of the cluster's
-    :class:`~repro.cluster.cache.SolutionCache`: where that cache needs
-    the *whole meeting* to repeat, this one hits whenever a *single
-    subscriber's* instance repeats — across KMR iterations, across
-    controller rounds, and across entirely different meetings that share
-    ladder shapes and plan-tier downlinks.  Values are frozen
-    :class:`MckpSolution` objects and are shared without copying.
+    The sibling of the cluster's :class:`~repro.cluster.cache.SolutionCache`
+    one level down: where that cache needs the *whole meeting* to repeat,
+    this one hits whenever a ``(granularity, classes)`` *class structure*
+    repeats, at any downlink — across KMR iterations, across controller
+    rounds, and across entirely different meetings that share ladder
+    shapes.  Values are :class:`~repro.core.mckp.CapacityProfile` objects,
+    shared without copying.
 
     Args:
         capacity: maximum retained entries; least-recently-used entries
             are evicted beyond it.
     """
 
-    def __init__(self, capacity: int = 65536) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[InstanceKey, MckpSolution]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, CapacityProfile]" = OrderedDict()
         self.stats = InstanceCacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: InstanceKey) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def get(self, key: InstanceKey) -> Optional[MckpSolution]:
-        """Look up an instance; the hit is the cached object itself."""
+    def get(self, key: Hashable) -> Optional[CapacityProfile]:
+        """Look up a class structure; the hit is the cached object itself."""
         cached = self._entries.get(key)
         reg = get_registry()
         if cached is None:
@@ -168,9 +132,9 @@ class MckpInstanceCache:
             reg.counter(obs_names.MCKP_CACHE, result="hit").inc()
         return cached
 
-    def put(self, key: InstanceKey, solution: MckpSolution) -> None:
-        """Insert (or refresh) a solution under its instance key."""
-        self._entries[key] = solution
+    def put(self, key: Hashable, profile: CapacityProfile) -> None:
+        """Insert (or refresh) a profile under its class-structure key."""
+        self._entries[key] = profile
         self._entries.move_to_end(key)
         evicted = 0
         while len(self._entries) > self.capacity:
@@ -210,6 +174,6 @@ _DEFAULT_CACHE = MckpInstanceCache()
 
 
 def default_mckp_cache() -> MckpInstanceCache:
-    """The process-wide instance cache (one per process, pool workers
+    """The process-wide profile cache (one per process, pool workers
     included — each worker process warms its own)."""
     return _DEFAULT_CACHE

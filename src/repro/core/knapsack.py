@@ -14,16 +14,22 @@ Two execution paths produce byte-identical requests:
 
 * the **direct path** (:func:`solve_subscriber` per subscriber) runs one DP
   per subscriber — the reference the differential tests compare against;
-* the **memoized path** (``dedup=True``) canonicalizes each subscriber's
-  MCKP instance (:func:`repro.core.engine.instance_key`), solves each
-  distinct instance once per step, optionally consults the process-wide
-  :class:`~repro.core.engine.MckpInstanceCache`, and fans the picks out to
-  every subscriber sharing the instance.  In homogeneous meetings (Fig. 6c
-  gallery view) hundreds of subscribers collapse onto a handful of DPs.
-  The instances that survive both layers (the step's cache misses — the
-  dirty subscribers of one reduction with genuinely new instances) are
-  solved in **one batched kernel call** (:func:`solve_mckp_dp_batch`)
-  over a common capacity grid.
+* the **memoized path** (``dedup=True``) does its work per *distinct class
+  structure*, not per subscriber.  Subscribers are grouped by their
+  ``Problem.shape_index`` shape (same ordered ``(publisher,
+  max_resolution)`` edges, plus the same held resolutions when an
+  incumbent is passed); a group builds its classes once, fetches **one**
+  :class:`~repro.core.mckp.CapacityProfile` (from the process-wide
+  :class:`~repro.core.engine.MckpInstanceCache` or one bounded DP table)
+  and answers every member with a bisect on its downlink budget.  A
+  webinar's viewers, or Fig. 6c's gallery view, cost one table however
+  many they are.  Under ``kernel="python"`` the groups are answered per
+  subscriber by the pure-Python oracle instead and no profile is read,
+  so the oracle stays an independent check of the profile path.
+
+The groups are carried into Step 2: subscribers that shared one answer
+are reported in ``groups`` so :func:`~repro.core.merge.merge_step` merges
+whole audiences at once.
 """
 
 from __future__ import annotations
@@ -33,12 +39,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from .constraints import Problem, Subscription
-from .engine import EngineStats, InstanceKey, MckpInstanceCache, instance_key
+from .engine import EngineStats, MckpInstanceCache
 from .mckp import (
+    CapacityProfile,
     Item,
-    MckpSolution,
+    kernel_stats,
+    resolve_kernel,
     solve_mckp_dp,
-    solve_mckp_dp_batch,
     solve_mckp_exhaustive,
 )
 from .types import ClientId, Resolution, StreamSpec
@@ -53,19 +60,22 @@ Requests = Dict[ClientId, Dict[ClientId, StreamSpec]]
 #: assignments still win.
 Incumbent = Dict[Tuple[ClientId, ClientId], Resolution]
 
-#: One subscriber's MCKP instance, ready to solve or fingerprint:
-#: ``(classes, class_streams, class_pubs, capacity)``.  Classes and stream
-#: tuples are positionally aligned; picks index into both.
+#: The resolutions one subscriber holds, aligned with its ordered edges;
+#: ``None`` when it holds none.
+_Held = Optional[Tuple[Optional[Resolution], ...]]
+
+#: The MCKP classes of one shape, ready to solve or look up:
+#: ``(classes, class_streams, class_pubs)``.  Classes, stream tuples and
+#: publishers are positionally aligned; picks index into the first two.
 _Instance = Tuple[
     Tuple[Tuple[Item, ...], ...],
     List[Tuple[StreamSpec, ...]],
     List[ClientId],
-    int,
 ]
 
 #: Per-step memo of edge classes: (canonical publisher, resolution cap) ->
 #: (items, streams).  Within one knapsack step the feasible sets are fixed,
-#: so every subscriber sharing an edge shape shares the built class.
+#: so every shape sharing an edge shares the built class.
 _EdgeClasses = Dict[
     Tuple[ClientId, Resolution],
     Tuple[Tuple[Item, ...], Tuple[StreamSpec, ...]],
@@ -97,29 +107,31 @@ def _edge_class(
     return cached
 
 
-def _subscriber_instance(
-    problem: Problem,
+def _held(
+    incumbent: Incumbent,
     subscriber: ClientId,
+    edges: Sequence[Subscription],
+) -> _Held:
+    held = tuple(incumbent.get((subscriber, e.publisher)) for e in edges)
+    return held if any(h is not None for h in held) else None
+
+
+def _instance(
+    problem: Problem,
+    edges: Sequence[Subscription],
+    held: _Held,
     feasible: Optional[Mapping[ClientId, Sequence[StreamSpec]]],
-    incumbent: Optional[Incumbent],
     stickiness: float,
     edge_cache: Optional[_EdgeClasses] = None,
 ) -> Optional[_Instance]:
-    """Build one subscriber's MCKP instance (Eq. 1-4), or ``None`` when the
-    subscriber has no fulfillable class."""
-    edges = problem.ordered_followed_by(subscriber)
-    if not edges:
-        return None
+    """Build the MCKP classes (Eq. 1-4) of subscribers following ``edges``
+    and holding ``held``, or ``None`` when no class is fulfillable."""
     classes: List[Tuple[Item, ...]] = []
     class_streams: List[Tuple[StreamSpec, ...]] = []
     class_pubs: List[ClientId] = []
-    for edge in edges:
-        held = (
-            incumbent.get((subscriber, edge.publisher))
-            if incumbent is not None
-            else None
-        )
-        if held is None:
+    for k, edge in enumerate(edges):
+        resolution = held[k] if held is not None else None
+        if resolution is None:
             items, streams = _edge_class(problem, edge, feasible, edge_cache)
         else:
             # Stickiness personalizes the class values, so edges with an
@@ -131,7 +143,7 @@ def _subscriber_instance(
                 (
                     s.bitrate_kbps,
                     s.qoe * (1.0 + stickiness)
-                    if s.resolution == held
+                    if s.resolution == resolution
                     else s.qoe,
                 )
                 for s in streams
@@ -143,19 +155,14 @@ def _subscriber_instance(
         class_pubs.append(edge.publisher)
     if not classes:
         return None
-    return (
-        tuple(classes),
-        class_streams,
-        class_pubs,
-        problem.downlink_budget(subscriber),
-    )
+    return tuple(classes), class_streams, class_pubs
 
 
 def _fan_out(
     instance: _Instance, picks: Sequence[Optional[int]]
 ) -> Dict[ClientId, StreamSpec]:
-    """Map per-class picks back to this subscriber's requested streams."""
-    _, class_streams, class_pubs, _ = instance
+    """Map per-class picks back to the requested streams."""
+    _, class_streams, class_pubs = instance
     return {
         pub: streams[pick]
         for pub, streams, pick in zip(class_pubs, class_streams, picks)
@@ -195,12 +202,13 @@ def solve_subscriber(
         The requested streams ``D_i'`` as a publisher -> stream mapping.
         Publishers whose class was skipped are absent.
     """
-    instance = _subscriber_instance(
-        problem, subscriber, feasible, incumbent, stickiness
-    )
+    edges = problem.ordered_followed_by(subscriber)
+    held = None if incumbent is None else _held(incumbent, subscriber, edges)
+    instance = _instance(problem, edges, held, feasible, stickiness)
     if instance is None:
         return {}
-    classes, _, _, capacity = instance
+    classes = instance[0]
+    capacity = problem.downlink_budget(subscriber)
     if exhaustive:
         result = solve_mckp_exhaustive(classes, capacity)
     else:
@@ -222,19 +230,26 @@ def knapsack_step(
     cache: Optional[MckpInstanceCache] = None,
     stats: Optional[EngineStats] = None,
     kernel: Optional[str] = None,
+    groups: Optional[Requests] = None,
 ) -> Requests:
     """Run Step 1 for every subscriber (the |I| independent knapsacks).
 
     Args:
         subscribers: restrict the step to these subscribers (the solver's
             dirty set); ``None`` solves all of ``problem.subscribers``.
-        dedup: solve each distinct MCKP instance once per step and fan the
-            result out (the memoized path; requires the DP solver).
-        cache: optional process-wide instance cache consulted before the
-            DP on the memoized path.
+        dedup: take the memoized path: one capacity profile per distinct
+            class structure answers every subscriber sharing it (requires
+            the DP solver).
+        cache: optional process-wide profile cache consulted before
+            building a table on the memoized path.
         stats: optional per-solve accounting filled by the memoized path.
         kernel: DP execution kernel (see :func:`repro.core.mckp.KERNELS`);
             ``None`` uses the process default.
+        groups: optional map the step records its answer sharing in, for
+            :func:`~repro.core.merge.merge_step`: each solved subscriber
+            maps to a request map *object* shared by every subscriber the
+            same answer served.  The shared maps equal the returned ones
+            and must not be mutated.
 
     Returns the request map ``{subscriber: D_i'}`` for the selected
     subscribers.  Subscribers with no fulfillable request map to an empty
@@ -242,7 +257,7 @@ def knapsack_step(
     """
     subs = problem.subscribers if subscribers is None else list(subscribers)
     if exhaustive or (not dedup and cache is None):
-        return {
+        requests = {
             sub: solve_subscriber(
                 problem,
                 sub,
@@ -255,71 +270,82 @@ def knapsack_step(
             )
             for sub in subs
         }
+        if groups is not None:
+            groups.update(requests)
+        return requests
 
-    # The memoized path runs in three passes so the step's cache misses
-    # can share one batched kernel call:
-    #   1. classify every subscriber's instance (step memo / cache / miss),
-    #   2. batch-solve the misses on a common capacity grid,
-    #   3. fan results out in the original subscriber order (the request
-    #      map's insertion order is part of the byte-identity contract).
-    edge_cache: _EdgeClasses = {}
-    step_memo: Dict[InstanceKey, Optional[MckpSolution]] = {}
-    #: per sub: (instance, key) — or None when the sub has no instance.
-    plan: List[Optional[Tuple[_Instance, InstanceKey]]] = []
-    pending: List[Tuple[InstanceKey, _Instance]] = []  # misses, first-seen
-    deduped = hits = misses = 0
+    oracle = resolve_kernel(kernel) == "python"
+    shape_of, edges_of = problem.shape_index()
+    #: (shape, held) -> its subscribers, first-seen order.
+    members: Dict[Tuple[Optional[int], _Held], List[ClientId]] = {}
     for sub in subs:
-        instance = _subscriber_instance(
-            problem, sub, feasible, incumbent, stickiness, edge_cache
+        shape = shape_of.get(sub)
+        held = (
+            None
+            if incumbent is None or shape is None
+            else _held(incumbent, sub, edges_of[shape])
         )
+        members.setdefault((shape, held), []).append(sub)
+
+    # The request map's insertion order is part of the byte-identity
+    # contract: seed it in subscriber order, fill it group by group.
+    requests: Requests = dict.fromkeys(subs)
+    shared: Requests = groups if groups is not None else {}
+    edge_cache: _EdgeClasses = {}
+    nothing: Dict[ClientId, StreamSpec] = {}
+    answered = answers = hits = misses = 0
+    for (shape, held), group in members.items():
+        edges = () if shape is None else edges_of[shape]
+        instance = _instance(problem, edges, held, feasible, stickiness, edge_cache)
         if instance is None:
-            plan.append(None)
+            for sub in group:
+                requests[sub] = {}
+                shared[sub] = nothing
             continue
-        classes, _, _, capacity = instance
-        key = instance_key(classes, capacity, granularity)
-        plan.append((instance, key))
-        if key in step_memo:
-            deduped += 1  # answered by an earlier sub of this step
-            continue
-        solution = cache.get(key) if cache is not None else None
-        if solution is not None:
-            hits += 1
-            step_memo[key] = solution
+        classes = instance[0]
+        profile = None
+        if not oracle:
+            key = (granularity, classes)
+            profile = cache.get(key) if cache is not None else None
+            if profile is None:
+                misses += 1
+                profile = CapacityProfile(classes, granularity)
+                if cache is not None:
+                    cache.put(key, profile)
+            else:
+                hits += 1
+        if profile is None:
+            # Budgets in one granularity bucket see the same DP grid, so
+            # the slot count identifies the oracle's answer.
+            bucket_of = lambda capacity: capacity // granularity
+            solve = lambda capacity, _: solve_mckp_dp(
+                classes, capacity, granularity, kernel="python"
+            )
         else:
-            misses += 1
-            step_memo[key] = None  # placeholder: solved by the batch below
-            pending.append((key, instance))
+            bucket_of, solve = profile.index, profile.solution
+        #: answer bucket -> the request map every member in it shares.
+        templates: Dict[int, Dict[ClientId, StreamSpec]] = {}
+        for sub in group:
+            capacity = problem.downlink_budget(sub)
+            bucket = bucket_of(capacity)
+            template = templates.get(bucket)
+            if template is None:
+                picks = solve(capacity, bucket).picks
+                template = templates[bucket] = _fan_out(instance, picks)
+            requests[sub] = dict(template)
+            shared[sub] = template
+        answered += len(group)
+        answers += len(templates)
 
-    if pending:
-        solutions = solve_mckp_dp_batch(
-            [(inst[0], inst[3]) for _, inst in pending],
-            granularity=granularity,
-            kernel=kernel,
-        )
-        for (key, _), solution in zip(pending, solutions):
-            step_memo[key] = solution
-            if cache is not None:
-                cache.put(key, solution)
-
-    requests: Requests = {}
-    for sub, entry in zip(subs, plan):
-        if entry is None:
-            requests[sub] = {}
-            continue
-        instance, key = entry
-        solution = step_memo[key]
-        assert solution is not None  # every pending key was batch-solved
-        requests[sub] = _fan_out(instance, solution.picks)
-
+    if not oracle:
+        kernel_stats().batched_instances += answered
     if stats is not None:
         stats.step1_solved += len(subs)
-        stats.deduped += deduped
+        stats.deduped += answered - answers
         stats.cache_hits += hits
         stats.cache_misses += misses
-        stats.batched_solves += len(pending)
-        stats.batches += 1 if pending else 0
-    if deduped:
+    if answered > answers:
         reg = get_registry()
         if reg.enabled:
-            reg.counter(obs_names.MCKP_INSTANCES_DEDUPED).inc(deduped)
+            reg.counter(obs_names.MCKP_INSTANCES_DEDUPED).inc(answered - answers)
     return requests

@@ -33,13 +33,12 @@ Public solvers:
 * :func:`solve_mckp_dp_mandatory` — the variant where exactly one item must
   be taken per class; used by Step 3's uplink fix (Eq. 16), where policy
   entries may be lowered but not dropped.
-* :func:`solve_mckp_dp_batch` — solve many instances at once by sharing DP
-  tables over a **common capacity grid**: instances with the same class
-  structure (same item tuples, any capacity) are answered by one DP sweep
-  sized for the largest capacity, each member backtracking from its own
-  grid column.  ``repro.core.knapsack`` routes the cache-miss instances of
-  one knapsack step (all dirty subscribers of the solve) through this
-  entry point.
+* :class:`CapacityProfile` — every capacity's answer to one class
+  structure: **one** DP table, no wider than the sum of the per-class
+  maximum grid weights divided by their GCD, whose final value row is a
+  step function of capacity.  The profile keeps the steps' breakpoints
+  and picks; a lookup is a bisect.  ``repro.core.knapsack`` answers all
+  subscribers that share a class structure from one profile.
 * :func:`solve_mckp_exhaustive` — exact enumeration of the
   ``prod(|class|+1)`` combinations.  Exponential; this is the brute-force
   comparator of Fig. 6 and the test oracle.
@@ -48,8 +47,10 @@ Public solvers:
 from __future__ import annotations
 
 import itertools
+import math
 import os
-import threading
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -92,7 +93,8 @@ def default_kernel() -> str:
     return kernel
 
 
-def _resolve_kernel(kernel: Optional[str]) -> str:
+def resolve_kernel(kernel: Optional[str]) -> str:
+    """``kernel`` validated, or the process default for ``None``."""
     if kernel is None:
         return default_kernel()
     if kernel not in KERNELS:
@@ -104,26 +106,23 @@ def _resolve_kernel(kernel: Optional[str]) -> str:
 
 class KernelStats:
     """Process-wide kernel usage counters (always on, unlike the metrics
-    registry): solves per kernel, plus batched-entry-point accounting.
+    registry): DP tables built per kernel, plus the subscriber instances
+    answered out of a shared :class:`CapacityProfile`.
     ``repro solve`` and ``cluster stats`` report this snapshot."""
 
     def __init__(self) -> None:
-        self.solves: Dict[str, int] = {k: 0 for k in KERNELS}
-        self.batch_calls = 0
-        self.batched_instances = 0
+        self.reset()
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-friendly view of the counters."""
         return {
             "solves": dict(self.solves),
-            "batch_calls": self.batch_calls,
             "batched_instances": self.batched_instances,
         }
 
     def reset(self) -> None:
         """Zero every counter (test isolation)."""
-        self.solves = {k: 0 for k in KERNELS}
-        self.batch_calls = 0
+        self.solves: Dict[str, int] = {k: 0 for k in KERNELS}
         self.batched_instances = 0
 
 
@@ -151,9 +150,13 @@ class MckpSolution:
     total_weight: int
 
 
-def _validate(classes: Sequence[Sequence[Item]], capacity: int) -> None:
+def _check_capacity(capacity: int) -> None:
     if capacity < 0:
         raise ValueError(f"capacity must be non-negative, got {capacity}")
+
+
+def _validate(classes: Sequence[Sequence[Item]], capacity: int) -> None:
+    _check_capacity(capacity)
     for ci, cls in enumerate(classes):
         for wi, (weight, value) in enumerate(cls):
             if weight <= 0:
@@ -184,67 +187,34 @@ def _class_grid_weights(
     Both the DP sweep and the backtracking consult grid weights; hoisting
     them per class avoids recomputing the ceil-division per (item, pass).
     """
-    if granularity == 1:
-        return [w for w, _ in cls]
     return [_grid_weight(w, granularity) for w, _ in cls]
 
 
-class _DpWorkspace(threading.local):
-    """Reusable DP buffers, grown geometrically and shared across solves.
+def _max_slots(grid_weights: Sequence[Sequence[int]]) -> int:
+    """Grid slots of the heaviest combination on offer.
 
-    The array kernels allocate three buffers per solve (the value row, the
-    stacked candidate matrix, and the choice table); at fleet rates that is
-    allocator traffic on the hottest path in the process.  One workspace
-    per thread hands out right-sized views over persistent buffers instead.
-    Thread-local so concurrent solver threads never alias each other's
-    tables.
+    No combination weighs more than the sum of the per-class maximum grid
+    weights, so DP columns beyond that sum repeat the last reachable one:
+    a budget larger than everything on offer needs no bigger table (and a
+    10^9 kbps bandwidth report cannot ask for one).
     """
-
-    def __init__(self) -> None:
-        self._value = np.zeros(0, dtype=np.float64)
-        self._stack = np.zeros((0, 0), dtype=np.float64)
-        self._choices = np.full((0, 0), _NO_CHOICE, dtype=np.int32)
-
-    def arrays(
-        self, n_classes: int, max_items: int, slots: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views ``(value, stack, choices)`` for one solve; the caller
-        initializes ``value`` and fills stack rows per class sweep.
-        ``choices`` comes pre-filled with the no-choice sentinel."""
-        width = slots + 1
-        rows = max_items + 1  # one row per item plus the skip row
-        if self._value.shape[0] < width:
-            self._value = np.zeros(
-                max(width, 2 * self._value.shape[0]), dtype=np.float64
-            )
-        if self._stack.shape[0] < rows or self._stack.shape[1] < width:
-            self._stack = np.zeros(
-                (
-                    max(rows, 2 * self._stack.shape[0]),
-                    max(width, 2 * self._stack.shape[1]),
-                ),
-                dtype=np.float64,
-            )
-        if (
-            self._choices.shape[0] < n_classes
-            or self._choices.shape[1] < width
-        ):
-            self._choices = np.full(
-                (
-                    max(n_classes, 2 * self._choices.shape[0]),
-                    max(width, 2 * self._choices.shape[1]),
-                ),
-                _NO_CHOICE,
-                dtype=np.int32,
-            )
-        value = self._value[:width]
-        stack = self._stack[:rows, :width]
-        choices = self._choices[:n_classes, :width]
-        choices.fill(_NO_CHOICE)
-        return value, stack, choices
+    return sum(max(gws, default=0) for gws in grid_weights)
 
 
-_WORKSPACE = _DpWorkspace()
+def _dp_arrays(
+    n_classes: int, max_items: int, slots: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh ``(value, stack, choices)`` buffers for one table: the value
+    row, the stacked candidate matrix (one row per item plus the skip
+    row) and the choice table, pre-filled with the no-choice sentinel.
+    Tables are clamped to a few hundred columns, so allocating them per
+    table costs less than keeping a per-thread pool."""
+    width = slots + 1
+    return (
+        np.empty(width, dtype=np.float64),
+        np.empty((max_items + 1, width), dtype=np.float64),
+        np.full((n_classes, width), _NO_CHOICE, dtype=np.int32),
+    )
 
 
 def _empty_solution(n_classes: int) -> MckpSolution:
@@ -267,7 +237,7 @@ def _finish(
 
 
 def _emit_solve_obs(reg, kernel: str, n_classes: int, slots: int) -> None:
-    """Per-solve metrics shared by the scalar and batched entry points."""
+    """Per-table metrics shared by the scalar solves and profile builds."""
     _KERNEL_STATS.solves[kernel] += 1
     if reg.enabled:
         reg.counter(obs_names.MCKP_SOLVES).inc()
@@ -281,18 +251,17 @@ def _emit_grid_slack(
     reg,
     classes: Sequence[Sequence[Item]],
     granularity: int,
-    grid_weights: Sequence[Sequence[int]],
     picks: Sequence[Optional[int]],
 ) -> None:
     """Granularity-induced conservatism: capacity consumed by rounding
     item weights up to the grid, i.e. budget the DP could not use."""
     if not (reg.enabled and granularity > 1):
         return
-    slack = sum(
-        grid_weights[ci][idx] * granularity - classes[ci][idx][0]
-        for ci, idx in enumerate(picks)
-        if idx is not None
-    )
+    slack = 0
+    for cls, idx in zip(classes, picks):
+        if idx is not None:
+            weight = cls[idx][0]
+            slack += _grid_weight(weight, granularity) * granularity - weight
     reg.histogram(obs_names.MCKP_GRID_SLACK_KBPS).observe(slack)
 
 
@@ -325,20 +294,23 @@ def solve_mckp_dp(
     Returns:
         The optimal (for the discretized instance) :class:`MckpSolution`.
     """
-    kernel = _resolve_kernel(kernel)
+    kernel = resolve_kernel(kernel)
     _validate(classes, capacity)
     _check_granularity(granularity)
     slots = capacity // granularity
     n = len(classes)
+    grid_weights = [_class_grid_weights(cls, granularity) for cls in classes]
+    width = min(slots, _max_slots(grid_weights))
     reg = get_registry()
-    _emit_solve_obs(reg, kernel, n, slots)
+    _emit_solve_obs(reg, kernel, n, width)
     if n == 0 or slots == 0:
         return _empty_solution(n)
     if kernel == "python":
         return _solve_mckp_dp_python(classes, capacity, granularity)
-    grid_weights = [_class_grid_weights(cls, granularity) for cls in classes]
-    picks = _dp_optional_numpy(classes, grid_weights, slots)
-    _emit_grid_slack(reg, classes, granularity, grid_weights, picks)
+    value, choices = _dp_optional_table(classes, grid_weights, width)
+    col = int(np.argmax(value))  # argmax returns the smallest maximizing col
+    picks = _pick_list(_backtrack_columns(grid_weights, choices, [col])[0])
+    _emit_grid_slack(reg, classes, granularity, picks)
     return _finish(classes, picks, capacity)
 
 
@@ -350,8 +322,7 @@ def _dp_optional_table(
     """The array sweep of the optional-pick DP: per class, one stacked
     candidate matrix (skip row + one shifted-add row per item) reduced by
     ``max``/``argmax`` down the item axis.  Returns the final value row
-    and the full choice table (views into the thread workspace, valid
-    until the next solve on this thread).
+    and the full choice table.
 
     ``argmax`` returns the *first* maximizing row, which reproduces the
     reference tie-break exactly: skipping beats any equal-valued item, and
@@ -359,14 +330,14 @@ def _dp_optional_table(
 
     The table is reusable across capacities: column ``c`` only ever reads
     columns ``<= c``, so for any ``s <= slots`` the prefix ``[0..s]`` is
-    exactly the table the DP would have built on an ``s``-slot grid.  The
-    batched entry point exploits this to share one table among instances
-    that differ only in capacity.
+    exactly the table the DP would have built on an ``s``-slot grid.
+    :class:`CapacityProfile` exploits this to answer every capacity of a
+    class structure from one table.
     """
     n = len(classes)
     width = slots + 1
     max_items = max(len(cls) for cls in classes)
-    value, stack, choices = _WORKSPACE.arrays(n, max_items, slots)
+    value, stack, choices = _dp_arrays(n, max_items, slots)
     value.fill(0.0)
     for ci, cls in enumerate(classes):
         rows = stack[: len(cls) + 1]
@@ -385,57 +356,35 @@ def _dp_optional_table(
     return value, choices
 
 
-def _dp_optional_numpy(
-    classes: Sequence[Sequence[Item]],
-    grid_weights: Sequence[Sequence[int]],
-    slots: int,
-) -> List[Optional[int]]:
-    value, choices = _dp_optional_table(classes, grid_weights, slots)
-    col = int(np.argmax(value))  # argmax returns the smallest maximizing col
-    return _backtrack_optional(grid_weights, choices, len(classes), col)
-
-
-def _backtrack_optional(
-    grid_weights: Sequence[Sequence[int]],
-    choices,
-    n: int,
-    col: int,
-) -> List[Optional[int]]:
-    picks: List[Optional[int]] = [NO_PICK] * n
-    for ci in range(n - 1, -1, -1):
-        idx = int(choices[ci][col])
-        if idx == _NO_CHOICE:
-            continue
-        picks[ci] = idx
-        col -= grid_weights[ci][idx]
-    return picks
-
-
-def _backtrack_optional_batch(
-    grid_weights: Sequence[Sequence[int]],
-    choices,
-    n: int,
-    cols: np.ndarray,
+def _backtrack_columns(
+    grid_weights: Sequence[Sequence[int]], choices, cols: Sequence[int]
 ) -> np.ndarray:
-    """Backtrack every member of one shared DP table in one pass.
+    """Backtrack many start columns of one DP table in one pass.
 
-    The scalar :func:`_backtrack_optional` walks the classes once *per
-    member*; here the class loop runs once for the whole group, gathering
-    each member's choice for class ``ci`` with a fancy index on its
-    current column and stepping all columns together.  Returns an
-    ``(members, n)`` int array using :data:`_NO_CHOICE` for skipped
-    classes — decision-for-decision identical to the scalar walk.
+    The class loop runs once for all columns, gathering each column's
+    choice for class ``ci`` with a fancy index and stepping all columns
+    together.  Returns a ``(len(cols), n)`` array using :data:`_NO_CHOICE`
+    for skipped classes (``int8`` when every class has fewer than 128
+    items) — decision-for-decision identical to the oracle's scalar walk.
     """
-    cols = np.array(cols, dtype=np.int64, copy=True)
-    picks = np.full((cols.shape[0], n), _NO_CHOICE, dtype=np.int64)
+    n = len(grid_weights)
+    small = all(len(gws) < 128 for gws in grid_weights)
+    cols = np.array(cols, dtype=np.int64)
+    picks = np.full(
+        (cols.shape[0], n), _NO_CHOICE, dtype=np.int8 if small else np.int32
+    )
     for ci in range(n - 1, -1, -1):
-        idx = np.asarray(choices[ci], dtype=np.int64)[cols]
+        idx = choices[ci][cols]
         picks[:, ci] = idx
         gws = np.asarray(grid_weights[ci], dtype=np.int64)
         if gws.size:
             # idx == -1 (skip) legally gathers gws[-1]; the where masks it.
             cols -= np.where(idx != _NO_CHOICE, gws[idx], 0)
     return picks
+
+
+def _pick_list(row: np.ndarray) -> List[Optional[int]]:
+    return [NO_PICK if p == _NO_CHOICE else p for p in row.tolist()]
 
 
 def _solve_mckp_dp_python(
@@ -454,6 +403,9 @@ def _solve_mckp_dp_python(
     n = len(classes)
     if n == 0 or slots == 0:
         return _empty_solution(n)
+    slots = min(
+        slots, _max_slots([_class_grid_weights(c, granularity) for c in classes])
+    )
 
     best = [0.0] * (slots + 1)
     choices: List[List[int]] = []
@@ -485,99 +437,90 @@ def _solve_mckp_dp_python(
 
 
 # --------------------------------------------------------------------- #
-# Batched optional-pick DP (all cache-miss instances of one step)
+# Capacity profile (one table answers every capacity of a class structure)
 # --------------------------------------------------------------------- #
 
-#: One batch entry: ``(classes, capacity)``.
-BatchInstance = Tuple[Sequence[Sequence[Item]], int]
 
+class CapacityProfile:
+    """Every capacity's optional-pick answer for one class structure.
 
-def solve_mckp_dp_batch(
-    instances: Sequence[BatchInstance],
-    granularity: int = 1,
-    kernel: Optional[str] = None,
-) -> List[MckpSolution]:
-    """Solve many MCKP instances, sharing DP tables over a common grid.
+    Byte-identical to ``solve_mckp_dp(classes, capacity, granularity)``
+    for every ``capacity >= 0``, from **one** DP table, by three exactness
+    arguments (``docs/SOLVER.md``):
 
-    Byte-identical to ``[solve_mckp_dp(c, cap, granularity, kernel) for
-    (c, cap) in instances]``.  Instances are grouped by their *class
-    structure* (the exact per-class item tuples): one group runs a
-    **single DP sweep** on a common capacity grid sized by the group's
-    largest slot count, and every member reads its own answer out of the
-    shared table — a DP column only ever depends on lower columns, so the
-    prefix ``[0..slots]`` of the big table is exactly the table the
-    member's own solve would have built, and each member's final
-    ``argmax`` is restricted to its own columns.
+    * *prefix* — DP column ``c`` only reads columns ``<= c``, so the
+      table built for the widest grid contains every narrower one;
+    * *clamp* — no combination outweighs the sum of the per-class maximum
+      grid weights, so wider grids repeat that last column;
+    * *GCD* — every reachable column is a multiple of the grid weights'
+      GCD, so the table is built on weights divided by it.
 
-    This is the shape the upstream dedup layer cannot collapse: dirty
-    subscribers of one publisher typically share their followed classes
-    and differ only in downlink budget, i.e. same class structure,
-    different capacity bucket — distinct cache keys, one table here.
-
-    ``repro.core.knapsack`` calls this under its dedup layer, so exactly
-    the distinct cache-miss instances of one knapsack step are batched.
+    The final value row is non-decreasing in capacity, and the DP answers
+    with its *smallest* maximizing column: the answer is a step function
+    of capacity.  The profile keeps the columns where the value rises
+    (``int32``) and the picks backtracked from each (``int8`` for classes
+    of fewer than 128 items); solutions are materialized on first use.
 
     Args:
-        instances: ``(classes, capacity)`` pairs.
-        granularity: shared capacity grid step in kbps.
-        kernel: execution kernel; the ``"python"`` kernel solves the batch
-            instance-by-instance through the oracle.
-
-    Returns:
-        One :class:`MckpSolution` per instance, in input order.
+        classes: item classes; at most one item is chosen from each.
+        granularity: capacity grid step in kbps.
     """
-    kernel = _resolve_kernel(kernel)
-    _check_granularity(granularity)
-    _KERNEL_STATS.batch_calls += 1
-    _KERNEL_STATS.batched_instances += len(instances)
-    reg = get_registry()
-    if reg.enabled:
-        reg.counter(obs_names.MCKP_BATCHED_SOLVES).inc(len(instances))
-        reg.histogram(obs_names.MCKP_BATCH_SIZE).observe(len(instances))
-    if kernel == "python":
-        return [
-            solve_mckp_dp(classes, capacity, granularity, kernel=kernel)
-            for classes, capacity in instances
-        ]
 
-    results: List[Optional[MckpSolution]] = [None] * len(instances)
-    #: class structure -> indices of the instances that share it.
-    groups: Dict[Tuple[Tuple[Item, ...], ...], List[int]] = {}
-    for i, (classes, capacity) in enumerate(instances):
-        _validate(classes, capacity)
-        slots = capacity // granularity
-        _emit_solve_obs(reg, kernel, len(classes), slots)
-        if len(classes) == 0 or slots == 0:
-            results[i] = _empty_solution(len(classes))
-        else:
-            groups.setdefault(tuple(map(tuple, classes)), []).append(i)
+    __slots__ = ("classes", "granularity", "unit", "breaks", "picks", "_solutions")
 
-    for idxs in groups.values():
-        classes, _ = instances[idxs[0]]
-        grid_weights = [
-            _class_grid_weights(cls, granularity) for cls in classes
-        ]
-        max_slots = max(instances[i][1] // granularity for i in idxs)
-        value, choices = _dp_optional_table(classes, grid_weights, max_slots)
-        cols = np.fromiter(
-            (
-                int(np.argmax(value[: instances[i][1] // granularity + 1]))
-                for i in idxs
-            ),
-            dtype=np.int64,
-            count=len(idxs),
-        )
-        group_picks = _backtrack_optional_batch(
-            grid_weights, choices, len(classes), cols
-        )
-        for row, i in zip(group_picks, idxs):
-            capacity = instances[i][1]
-            picks: List[Optional[int]] = [
-                NO_PICK if p == _NO_CHOICE else int(p) for p in row
-            ]
-            _emit_grid_slack(reg, classes, granularity, grid_weights, picks)
-            results[i] = _finish(classes, picks, capacity)
-    return results  # type: ignore[return-value]  # every slot is filled
+    def __init__(
+        self, classes: Sequence[Sequence[Item]], granularity: int = 1
+    ) -> None:
+        _validate(classes, 0)
+        _check_granularity(granularity)
+        self.classes = classes
+        self.granularity = granularity
+        grid_weights = [_class_grid_weights(cls, granularity) for cls in classes]
+        #: Grid slots per table column: the GCD of all grid weights.
+        self.unit = math.gcd(*(gw for gws in grid_weights for gw in gws)) or 1
+        if self.unit > 1:
+            grid_weights = [[gw // self.unit for gw in gws] for gws in grid_weights]
+        columns = _max_slots(grid_weights)
+        _emit_solve_obs(get_registry(), "numpy", len(classes), columns)
+        choices, rises = None, ()
+        if classes:
+            value, choices = _dp_optional_table(classes, grid_weights, columns)
+            rises = np.flatnonzero(value[1:] > value[:-1]) + 1
+        #: Ascending table columns where the value row rises; 0 first.
+        self.breaks = array("i", [0, *rises])
+        #: ``(len(breaks), n)`` item index per class, ``-1`` = skipped.
+        self.picks = _backtrack_columns(grid_weights, choices, self.breaks)
+        #: breakpoint index -> materialized solution; -1 = the empty grid.
+        self._solutions: Dict[int, MckpSolution] = {}
+
+    def index(self, capacity: int) -> int:
+        """The breakpoint answering ``capacity``; ``-1`` on a zero-slot
+        grid, whose answer differs from breakpoint 0's ("nothing fits")
+        in the type of its zero ``total_value`` only."""
+        _check_capacity(capacity)
+        slots = capacity // self.granularity
+        if slots == 0 or not self.classes:
+            return -1
+        return bisect_right(self.breaks, slots // self.unit) - 1
+
+    def solution(self, capacity: int, index: Optional[int] = None) -> MckpSolution:
+        """The :class:`MckpSolution` ``solve_mckp_dp`` returns at
+        ``capacity``; pass ``index(capacity)`` when already computed."""
+        if index is None:
+            index = self.index(capacity)
+        solution = self._solutions.get(index)
+        if solution is None:
+            if index < 0:
+                solution = _empty_solution(len(self.classes))
+            else:
+                picks = _pick_list(self.picks[index])
+                solution = _finish(self.classes, picks, capacity)
+                _emit_grid_slack(
+                    get_registry(), self.classes, self.granularity, picks
+                )
+            self._solutions[index] = solution
+        assert solution.total_weight <= capacity
+        return solution
 
 
 # --------------------------------------------------------------------- #
@@ -605,7 +548,7 @@ def solve_mckp_dp_mandatory(
         The optimal solution, or ``None`` when no feasible combination
         exists (the Eq. 17 test failed).
     """
-    kernel = _resolve_kernel(kernel)
+    kernel = resolve_kernel(kernel)
     _validate(classes, capacity)
     _check_granularity(granularity)
     reg = get_registry()
@@ -619,12 +562,12 @@ def solve_mckp_dp_mandatory(
     n = len(classes)
     if n == 0:
         return MckpSolution((), 0.0, 0)
-    slots = capacity // granularity
     grid_weights = [_class_grid_weights(cls, granularity) for cls in classes]
+    slots = min(capacity // granularity, _max_slots(grid_weights))
 
     width = slots + 1
     max_items = max(len(cls) for cls in classes)
-    value, stack, choices = _WORKSPACE.arrays(n, max_items, slots)
+    value, stack, choices = _dp_arrays(n, max_items, slots)
     value.fill(_NEG_INF)
     value[0] = 0.0
     for ci, cls in enumerate(classes):
@@ -677,7 +620,10 @@ def _solve_mckp_dp_mandatory_python(
     n = len(classes)
     if n == 0:
         return MckpSolution((), 0.0, 0)
-    slots = capacity // granularity
+    slots = min(
+        capacity // granularity,
+        _max_slots([_class_grid_weights(c, granularity) for c in classes]),
+    )
 
     neg = float("-inf")
     best = [neg] * (slots + 1)

@@ -29,7 +29,8 @@ and the step's wall clock is recorded under the ``kmr.merge`` span.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraints import Problem
 from .knapsack import Requests
@@ -39,27 +40,50 @@ from .types import ClientId, Resolution, StreamSpec
 #: Step-2 output: per publisher, per resolution, the merged policy entry.
 Policies = Dict[ClientId, Dict[Resolution, PolicyEntry]]
 
+#: One publisher's ``U_i``: (subscribers, stream) pairs.  The subscribers
+#: of a pair all asked for that stream; they are sorted, and the pairs
+#: are ordered by their first subscriber.
+Asked = List[Tuple[Sequence[ClientId], StreamSpec]]
+
 
 def invert_requests(
-    problem: Problem, requests: Requests
-) -> Dict[ClientId, List[Tuple[ClientId, StreamSpec]]]:
-    """Build ``U_i`` (Eq. 7): per publisher, the (subscriber, stream) pairs.
+    problem: Problem,
+    requests: Requests,
+    groups: Optional[Requests] = None,
+) -> Dict[ClientId, Asked]:
+    """Build ``U_i`` (Eq. 7): per publisher, the (subscribers, stream) pairs.
 
     Virtual publishers are folded back into their canonical targets here —
     this is exactly the Sec. 4.4 prescription: "at the beginning of Step 2,
     we merge X' with X, so that we treat them again as the same publisher".
     Iteration order is made deterministic by sorting subscribers.
+
+    ``groups`` is Step 1's answer sharing (see
+    :func:`~repro.core.knapsack.knapsack_step`): subscribers mapped to the
+    same request-map object are inverted together, as one pair per
+    requested stream.  Without it every subscriber is its own group; the
+    result only differs in how the same audiences are split into pairs.
     """
-    served: Dict[ClientId, List[Tuple[ClientId, StreamSpec]]] = {}
+    if groups is None:
+        groups = requests
+    #: id(shared request map) -> (the map, its subscribers in sorted order).
+    grouped: Dict[int, Tuple[Dict[ClientId, StreamSpec], List[ClientId]]] = {}
     for sub in sorted(requests):
-        for pub, stream in sorted(requests[sub].items()):
-            served.setdefault(problem.canonical(pub), []).append((sub, stream))
+        per_pub = groups[sub]
+        group = grouped.get(id(per_pub))
+        if group is None:
+            grouped[id(per_pub)] = (per_pub, [sub])
+        else:
+            group[1].append(sub)
+    served: Dict[ClientId, Asked] = {}
+    aliases = problem.aliases
+    for per_pub, subs in grouped.values():
+        for pub, stream in sorted(per_pub.items()):
+            served.setdefault(aliases.get(pub, pub), []).append((subs, stream))
     return served
 
 
-def merge_publisher(
-    asked: List[Tuple[ClientId, StreamSpec]],
-) -> Dict[Resolution, PolicyEntry]:
+def merge_publisher(asked: Asked) -> Dict[Resolution, PolicyEntry]:
     """Apply ``Meg()`` to one publisher's ``U_i``.
 
     Partitions the requests by resolution (Eq. 8-9) and, for each non-empty
@@ -67,23 +91,38 @@ def merge_publisher(
     requesting subscribers) and bitrate ``s_i^R = min`` over the partition
     (Eq. 11-12).
     """
-    by_res: Dict[Resolution, List[Tuple[ClientId, StreamSpec]]] = {}
-    for sub, stream in asked:
-        by_res.setdefault(stream.resolution, []).append((sub, stream))
-    merged: Dict[Resolution, PolicyEntry] = {}
-    for res, group in by_res.items():
-        floor = min((stream for _, stream in group), key=lambda s: s.bitrate_kbps)
-        audience = frozenset(sub for sub, _ in group)
-        merged[res] = PolicyEntry(stream=floor, audience=audience)
-    return merged
+    #: resolution -> [the minimum-bitrate stream so far, the audience parts].
+    by_res: Dict[Resolution, list] = {}
+    for subs, stream in asked:
+        entry = by_res.get(stream.resolution)
+        if entry is None:
+            by_res[stream.resolution] = [stream, [subs]]
+        else:
+            if stream.bitrate_kbps < entry[0].bitrate_kbps:
+                entry[0] = stream
+            entry[1].append(subs)
+    # Audiences are sorted before freezing: a set's iteration (and pickle)
+    # order depends on its insertion order, which must not depend on how
+    # Step 1 happened to group the subscribers.
+    return {
+        res: PolicyEntry(
+            stream=floor, audience=frozenset(sorted(chain.from_iterable(parts)))
+        )
+        for res, (floor, parts) in by_res.items()
+    }
 
 
-def merge_step(problem: Problem, requests: Requests) -> Policies:
+def merge_step(
+    problem: Problem,
+    requests: Requests,
+    groups: Optional[Requests] = None,
+) -> Policies:
     """Run Step 2 for every publisher.
 
     Returns the potential policy map ``{publisher: P_i}``.  Publishers nobody
     requested are absent (they will be told to stop publishing — the Fig. 3a
-    wasted-uplink fix).
+    wasted-uplink fix).  ``groups`` is Step 1's answer sharing, which lets
+    whole audiences merge at once; the policies are the same without it.
     """
-    served = invert_requests(problem, requests)
+    served = invert_requests(problem, requests, groups)
     return {pub: merge_publisher(asked) for pub, asked in served.items()}

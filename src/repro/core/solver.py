@@ -54,9 +54,9 @@ class SolverConfig:
             when an ``incumbent`` map is passed to :meth:`GsoSolver.solve`.
         incremental: run Step 1 through the memoized engine
             (:mod:`repro.core.engine`): dirty-set re-solves across KMR
-            iterations, intra-iteration instance dedup, and the
-            process-wide MCKP cache.  Byte-identical Solutions either
-            way; ``False`` is the escape hatch / differential baseline.
+            iterations, one capacity profile per distinct class
+            structure, and the process-wide profile cache.
+            Byte-identical Solutions either way; ``False`` is the escape hatch / differential baseline.
             Ignored (treated as ``False``) under ``exhaustive_step1``.
         kernel: MCKP DP execution kernel — ``"numpy"`` (the array-based
             sweeps, the default) or ``"python"`` (the pure-Python
@@ -207,6 +207,8 @@ class GsoSolver:
         use_engine = cfg.incremental and not cfg.exhaustive_step1
         cache = default_mckp_cache() if use_engine else None
         requests: Requests = {}
+        #: Step 1's answer sharing, kept in step with ``requests`` for Step 2.
+        groups: Requests = {}
         with span(obs_names.SPAN_KMR_SOLVE):
             for iteration in range(1, cap + 1):
                 stats.iterations = iteration
@@ -238,6 +240,7 @@ class GsoSolver:
                                 cache=cache,
                                 stats=stats.engine,
                                 kernel=cfg.kernel,
+                                groups=groups,
                             )
                         )
                 else:
@@ -253,10 +256,11 @@ class GsoSolver:
                             cache=cache,
                             stats=stats.engine if use_engine else None,
                             kernel=cfg.kernel,
+                            groups=groups,
                         )
                 t1 = time.perf_counter()
                 with span(obs_names.SPAN_KMR_MERGE):
-                    policies = merge_step(problem, requests)
+                    policies = merge_step(problem, requests, groups)
                 t2 = time.perf_counter()
                 with span(obs_names.SPAN_KMR_REDUCTION):
                     outcome = reduction_step(

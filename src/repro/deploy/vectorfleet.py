@@ -44,8 +44,8 @@ from .fleet import DEFAULT_PROFILES, NetworkProfile
 
 #: Seconds of shard CPU per unit of meeting cost (one subscription edge /
 #: publisher) in the analytic model.  Calibrated so a webinar-scale solve
-#: (~cost 3*10^4) costs tens of milliseconds, matching the measured
-#: BENCH_PR6 kernel scale.
+#: (~cost 3*10^4) costs tens of milliseconds (``bench/`` fits the
+#: measured value as ``placement.sec_per_cost_fit``).
 SEC_PER_COST = 1e-6
 
 #: Headroom multiplier for the default per-shard budget: a perfectly

@@ -44,7 +44,9 @@ KMR_DIRTY_SET_SIZE = "repro_kmr_dirty_set_size"
 # MCKP dynamic program (repro.core.mckp)
 # --------------------------------------------------------------------- #
 
-#: Counter — DP solves (one per subscriber per iteration, plus Step-3 fixes).
+#: Counter — optional-pick DP tables built: one per capacity profile
+#: (a distinct Step-1 class structure missing the profile cache) plus one
+#: per scalar ``solve_mckp_dp`` call (the engine-off and oracle paths).
 MCKP_SOLVES = "repro_mckp_dp_solves_total"
 #: Histogram — DP table size in cells (classes x capacity slots).
 MCKP_TABLE_CELLS = "repro_mckp_dp_table_cells"
@@ -54,26 +56,20 @@ MCKP_GRID_SLACK_KBPS = "repro_mckp_grid_slack_kbps"
 #: Counter, label ``kernel`` in {"numpy", "python"} — DP solves by the
 #: execution kernel that ran them (see docs/SOLVER.md).
 MCKP_KERNEL_SOLVES = "repro_mckp_kernel_solves_total"
-#: Counter — instances solved through the batched entry point
-#: (``solve_mckp_dp_batch``); a subset of ``repro_mckp_dp_solves_total``.
-MCKP_BATCHED_SOLVES = "repro_mckp_batched_solves_total"
-#: Histogram — instances per batched-solve call (how many cache-miss
-#: instances one knapsack step handed the kernel at once).
-MCKP_BATCH_SIZE = "repro_mckp_batch_size"
 
 # --------------------------------------------------------------------- #
 # Incremental solve engine (repro.core.engine)
 # --------------------------------------------------------------------- #
 
-#: Counter, label ``result`` in {"hit", "miss"} — process-wide MCKP
-#: instance-cache lookups.
+#: Counter, label ``result`` in {"hit", "miss"} — process-wide capacity
+#: profile cache lookups (one per distinct class structure per step).
 MCKP_CACHE = "repro_mckp_cache_total"
-#: Counter — LRU evictions from the MCKP instance cache.
+#: Counter — LRU evictions from the capacity-profile cache.
 MCKP_CACHE_EVICTIONS = "repro_mckp_cache_evictions_total"
-#: Gauge — solutions currently retained by the MCKP instance cache.
+#: Gauge — profiles currently retained by the capacity-profile cache.
 MCKP_CACHE_ENTRIES = "repro_mckp_cache_entries"
-#: Counter — subscriber instances answered by another subscriber's solve
-#: within the same knapsack step (intra-iteration dedup).
+#: Counter — subscribers answered by an answer another subscriber of the
+#: same knapsack step already materialized (same shape, same breakpoint).
 MCKP_INSTANCES_DEDUPED = "repro_mckp_instances_deduped_total"
 
 # --------------------------------------------------------------------- #
@@ -332,8 +328,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     MCKP_TABLE_CELLS: ("histogram", ()),
     MCKP_GRID_SLACK_KBPS: ("histogram", ()),
     MCKP_KERNEL_SOLVES: ("counter", ("kernel",)),
-    MCKP_BATCHED_SOLVES: ("counter", ()),
-    MCKP_BATCH_SIZE: ("histogram", ()),
     MCKP_CACHE: ("counter", ("result",)),
     MCKP_CACHE_EVICTIONS: ("counter", ()),
     MCKP_CACHE_ENTRIES: ("gauge", ()),

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core.engine import (
-    EngineStats,
-    MckpInstanceCache,
-    instance_key,
-)
-from repro.core.mckp import MckpSolution, solve_mckp_dp
+from repro.core.constraints import Bandwidth, Problem, Subscription
+from repro.core.engine import EngineStats, MckpInstanceCache
+from repro.core.knapsack import knapsack_step
+from repro.core.mckp import CapacityProfile, solve_mckp_dp
+from repro.core.types import Resolution, StreamSpec
 from repro.obs import enabled_registry
 from repro.obs import names as obs_names
 
@@ -15,32 +14,59 @@ from repro.obs import names as obs_names
 CLASSES = ((((100, 1.0), (200, 2.0)),), (((100, 1.0),), ((300, 3.0),)))
 
 
+def star(ladders, downlinks):
+    """One publisher per ladder; every subscriber follows all of them."""
+    pubs = {f"P{i}": ladder for i, ladder in enumerate(ladders)}
+    bandwidth = {pub: Bandwidth(10_000, 10_000) for pub in pubs}
+    bandwidth.update(
+        {f"S{i}": Bandwidth(10_000, down) for i, down in enumerate(downlinks)}
+    )
+    return Problem(
+        pubs,
+        bandwidth,
+        [Subscription(f"S{i}", pub) for i in range(len(downlinks)) for pub in pubs],
+    )
+
+
+LADDER = [StreamSpec(200, Resolution.P360, 2.0), StreamSpec(100, Resolution.P180, 1.0)]
+OTHER = [StreamSpec(300, Resolution.P360, 3.0)]
+
+
 class TestInstanceKey:
+    """The profile cache key: ``(granularity, classes)``, never capacity."""
+
+    def _entries_after(self, *steps):
+        cache = MckpInstanceCache(capacity=16)
+        for problem, granularity in steps:
+            knapsack_step(
+                problem, granularity=granularity, dedup=True, cache=cache,
+                kernel="numpy",
+            )
+        return len(cache)
+
     def test_same_instance_same_key(self):
-        a = instance_key(CLASSES[0], 500, 1)
-        b = instance_key(CLASSES[0], 500, 1)
-        assert a == b and hash(a) == hash(b)
+        # Same class structure at any capacity, in any problem: one entry.
+        a = star([LADDER], [150, 500, 10**6])
+        b = star([LADDER], [320])
+        assert self._entries_after((a, 1), (b, 1)) == 1
 
     def test_distinct_classes_distinct_keys(self):
-        assert instance_key(CLASSES[0], 500, 1) != instance_key(
-            CLASSES[1], 500, 1
-        )
+        a = star([LADDER], [500])
+        b = star([OTHER], [500])
+        assert self._entries_after((a, 1), (b, 1)) == 2
 
     def test_granularity_distinguishes(self):
-        assert instance_key(CLASSES[0], 500, 1) != instance_key(
-            CLASSES[0], 500, 25
-        )
+        a = star([LADDER], [500])
+        assert self._entries_after((a, 1), (a, 25)) == 2
 
     def test_capacity_bucketing_shares_within_granularity(self):
         # The DP only sees capacity // granularity slots, so capacities
-        # in the same bucket must collide onto one key...
-        assert instance_key(CLASSES[0], 500, 25) == instance_key(
-            CLASSES[0], 524, 25
-        )
-        # ...and the next bucket must not.
-        assert instance_key(CLASSES[0], 500, 25) != instance_key(
-            CLASSES[0], 525, 25
-        )
+        # in the same bucket must share one answer...
+        profile = CapacityProfile(CLASSES[0], 25)
+        assert profile.solution(175) is profile.solution(199)
+        # ...and the next bucket, where the 200 kbps item fits, must not.
+        assert profile.solution(200) is not profile.solution(199)
+        assert profile.solution(200).picks == (1,)
 
     def test_bucketed_solution_is_a_legal_replay(self):
         # The heart of the equivalence argument: for every capacity in a
@@ -55,31 +81,32 @@ class TestInstanceKey:
         assert sols[0].total_weight <= 150
 
     def test_accepts_list_input(self):
-        assert instance_key(list(CLASSES[0]), 500, 1) == instance_key(
-            CLASSES[0], 500, 1
-        )
+        listed = CapacityProfile([list(cls) for cls in CLASSES[1]], 1)
+        tupled = CapacityProfile(CLASSES[1], 1)
+        for cap in (0, 99, 100, 399, 400, 10**9):
+            assert listed.solution(cap) == tupled.solution(cap)
 
 
 class TestMckpInstanceCache:
     def test_get_miss_then_hit(self):
         cache = MckpInstanceCache(capacity=4)
-        key = instance_key(CLASSES[0], 500, 1)
+        key = (1, CLASSES[0])
         assert cache.get(key) is None
-        sol = MckpSolution(picks=(1,), total_value=2.0, total_weight=200)
-        cache.put(key, sol)
-        assert cache.get(key) is sol
+        profile = CapacityProfile(CLASSES[0], 1)
+        cache.put(key, profile)
+        assert cache.get(key) is profile
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
 
     def test_lru_eviction_order(self):
         cache = MckpInstanceCache(capacity=2)
-        keys = [instance_key(CLASSES[0], cap, 1) for cap in (1, 2, 3)]
-        sol = MckpSolution(picks=(None,), total_value=0.0, total_weight=0)
-        cache.put(keys[0], sol)
-        cache.put(keys[1], sol)
+        keys = [(g, CLASSES[0]) for g in (1, 2, 3)]
+        profile = CapacityProfile(CLASSES[0], 1)
+        cache.put(keys[0], profile)
+        cache.put(keys[1], profile)
         cache.get(keys[0])  # refresh 0; 1 becomes LRU
-        cache.put(keys[2], sol)  # evicts 1
+        cache.put(keys[2], profile)  # evicts 1
         assert keys[0] in cache and keys[2] in cache
         assert keys[1] not in cache
         assert cache.stats.evictions == 1
@@ -87,9 +114,8 @@ class TestMckpInstanceCache:
 
     def test_clear_keeps_stats(self):
         cache = MckpInstanceCache(capacity=4)
-        key = instance_key(CLASSES[0], 500, 1)
-        sol = MckpSolution(picks=(0,), total_value=1.0, total_weight=100)
-        cache.put(key, sol)
+        key = (1, CLASSES[0])
+        cache.put(key, CapacityProfile(CLASSES[0], 1))
         cache.get(key)
         cache.clear()
         assert len(cache) == 0
@@ -115,13 +141,13 @@ class TestMckpInstanceCache:
 
     def test_metrics_emitted_when_registry_enabled(self):
         cache = MckpInstanceCache(capacity=1)
-        keys = [instance_key(CLASSES[0], cap, 1) for cap in (1, 2)]
-        sol = MckpSolution(picks=(None,), total_value=0.0, total_weight=0)
+        keys = [(g, CLASSES[0]) for g in (1, 2)]
+        profile = CapacityProfile(CLASSES[0], 1)
         with enabled_registry() as reg:
             cache.get(keys[0])
-            cache.put(keys[0], sol)
+            cache.put(keys[0], profile)
             cache.get(keys[0])
-            cache.put(keys[1], sol)  # evicts keys[0]
+            cache.put(keys[1], profile)  # evicts keys[0]
             snap = reg.snapshot()
         counters = snap["counters"]
         assert counters[obs_names.MCKP_CACHE + '{result="miss"}'] == 1

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.constraints import Bandwidth, Problem, Subscription
 from repro.core.engine import MckpInstanceCache, default_mckp_cache
 from repro.core.solver import GsoSolver, SolverConfig
 
@@ -39,9 +40,9 @@ GENERATORS = {
 }
 
 
-def _solve(gen, granularity, incremental, incumbent=None):
+def _solve(gen, granularity, incremental, incumbent=None, **config):
     cfg = SolverConfig(
-        granularity_kbps=granularity, incremental=incremental
+        granularity_kbps=granularity, incremental=incremental, **config
     )
     return GsoSolver(cfg).solve_with_stats(gen(), incumbent=incumbent)
 
@@ -78,11 +79,13 @@ class TestGeneratorEquivalence:
         assert stats.engine.deduped > 0
 
     def test_process_cache_hits_across_solver_instances(self):
+        # The profile cache belongs to the array kernel; the oracle
+        # kernel never reads it.
         cache = default_mckp_cache()
         cache.clear()
-        _solve(GENERATORS["fanout"], 25, True)
+        _solve(GENERATORS["fanout"], 25, True, kernel="numpy")
         base_sol, _ = _solve(GENERATORS["fanout"], 25, False)
-        inc_sol, stats = _solve(GENERATORS["fanout"], 25, True)
+        inc_sol, stats = _solve(GENERATORS["fanout"], 25, True, kernel="numpy")
         assert stats.engine.cache_hits > 0
         assert stats.engine.cache_misses == 0
         assert pickle.dumps(inc_sol) == pickle.dumps(base_sol)
@@ -120,7 +123,7 @@ class TestGeneratorEquivalence:
 class TestKernelEquivalence:
     """The array kernel must not change a single Solution byte.
 
-    ``kernel="numpy"`` (vectorized sweeps + the batched cache-miss path)
+    ``kernel="numpy"`` (vectorized sweeps + the capacity-profile path)
     against ``kernel="python"`` (the differential oracle), compared by
     pickle bytes on every benchmark generator.  The process cache is
     cleared before each solve so neither kernel replays the other's
@@ -161,11 +164,36 @@ class TestKernelEquivalence:
                 reference = pickle.dumps(sol)
         assert pickle.dumps(sol) == reference
 
-    def test_numpy_path_actually_batches(self):
-        _, stats = self._solve_cold(GENERATORS["mesh_large"], 25, "numpy")
+    def test_webinar_builds_one_table_per_class_structure(self):
+        # A webinar: 8 publishers in a mesh plus 110 view-only subscribers
+        # with 110 different downlinks, uplinks tight enough for several
+        # KMR iterations.  The viewers are one shape and every publisher
+        # its own, so however many viewers there are an iteration meets at
+        # most 9 distinct class structures and builds at most 9 tables.
+        pubs = [f"P{k}" for k in range(8)]
+        viewers = [f"V{k:03d}" for k in range(110)]
+        bandwidth = {p: Bandwidth(350 + 60 * k, 4000) for k, p in enumerate(pubs)}
+        bandwidth.update(
+            {v: Bandwidth(500, 600 + 37 * k) for k, v in enumerate(viewers)}
+        )
+        problem = Problem(
+            {p: problems.ladder_with_levels(9) for p in pubs},
+            bandwidth,
+            [Subscription(a, b) for a in pubs + viewers for b in pubs if a != b],
+        )
+        shapes = len(problem.shape_index()[1])
+        assert shapes == 9
+
+        default_mckp_cache().clear()
+        cfg = SolverConfig(granularity_kbps=25, kernel="numpy")
+        _, stats = GsoSolver(cfg).solve_with_stats(problem)
+        engine = stats.engine
         assert stats.kernel == "numpy"
-        assert stats.engine.batches >= 1
-        assert stats.engine.batched_solves == stats.engine.cache_misses > 0
+        assert stats.iterations > 1
+        assert 0 < engine.cache_misses <= stats.iterations * shapes
+        assert engine.cache_hits + engine.cache_misses <= stats.iterations * shapes
+        assert engine.step1_solved >= len(problem.subscribers)
+        assert engine.deduped > 0
 
     def test_stats_report_configured_kernel(self):
         _, stats = self._solve_cold(GENERATORS["mesh_small"], 25, "python")

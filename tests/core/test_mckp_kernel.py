@@ -5,26 +5,36 @@ oracle (``"python"``) *bit-for-bit* — compared by pickle bytes, not
 objective values — on exactly the shapes where vectorized DP sweeps
 classically go wrong: empty classes, grids with zero or one slot,
 exact value+weight ties (the Table-1 tie-break), and weights sitting
-on granularity-bucket boundaries.  The batched entry point must be
-indistinguishable from a per-instance loop, including when instances
-share one DP table (same class structure, different capacities).
+on granularity-bucket boundaries.  A capacity profile must be
+indistinguishable from a per-instance loop over every capacity it is
+asked about: one DP table per class structure, any number of capacities.
 """
 
 import pickle
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.constraints import Bandwidth, Problem, Subscription
+from repro.core.engine import MckpInstanceCache, default_mckp_cache
+from repro.core.knapsack import knapsack_step
+from repro.core.ladder import paper_ladder
 from repro.core.mckp import (
     KERNELS,
+    CapacityProfile,
     _solve_mckp_dp_mandatory_python,
     _solve_mckp_dp_python,
     default_kernel,
     kernel_stats,
     solve_mckp_dp,
-    solve_mckp_dp_batch,
     solve_mckp_dp_mandatory,
 )
+from repro.core.solver import GsoSolver, SolverConfig
+from repro.obs import enabled_registry
+from repro.obs import names as obs_names
 
 
 def both_optional(classes, cap, g=1):
@@ -64,7 +74,7 @@ class TestKernelDispatch:
         with pytest.raises(ValueError, match="cuda"):
             solve_mckp_dp_mandatory([[(1, 1.0)]], 5, kernel="cuda")
         with pytest.raises(ValueError, match="cuda"):
-            solve_mckp_dp_batch([([[(1, 1.0)]], 5)], kernel="cuda")
+            knapsack_step(webinar(1, [500]), dedup=True, kernel="cuda")
 
     def test_explicit_kernel_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "numpy")
@@ -74,17 +84,22 @@ class TestKernelDispatch:
         assert stats.solves["python"] == before + 1
 
     def test_kernel_stats_count_batches(self):
+        # Three viewers of one class structure: one table built, three
+        # subscriber instances answered out of it.
         stats = kernel_stats()
-        calls, insts = stats.batch_calls, stats.batched_instances
-        solve_mckp_dp_batch(
-            [([[(1, 1.0)]], 5), ([[(2, 2.0)]], 5)], kernel="numpy"
+        tables, insts = stats.solves["numpy"], stats.batched_instances
+        knapsack_step(
+            webinar(2, [300, 900, 5000]),
+            dedup=True,
+            cache=MckpInstanceCache(capacity=4),
+            kernel="numpy",
         )
-        assert stats.batch_calls == calls + 1
-        assert stats.batched_instances == insts + 2
+        assert stats.solves["numpy"] == tables + 1
+        assert stats.batched_instances == insts + 3
 
     def test_kernel_stats_snapshot_shape(self):
         snap = kernel_stats().snapshot()
-        assert set(snap) == {"solves", "batch_calls", "batched_instances"}
+        assert set(snap) == {"solves", "batched_instances"}
         assert set(snap["solves"]) == set(KERNELS)
 
 
@@ -220,15 +235,57 @@ class TestMandatoryEdgeCases:
             )
 
 
+def webinar(n_pubs, downlinks, uplink=10_000):
+    """``n_pubs`` publishers on the paper ladder, one view-only subscriber
+    per downlink following all of them: one Step-1 shape."""
+    pubs = [f"P{i}" for i in range(n_pubs)]
+    bandwidth = {pub: Bandwidth(uplink, 10_000) for pub in pubs}
+    bandwidth.update(
+        {f"V{i:03d}": Bandwidth(1_000, down) for i, down in enumerate(downlinks)}
+    )
+    return Problem(
+        {pub: paper_ladder() for pub in pubs},
+        bandwidth,
+        [
+            Subscription(f"V{i:03d}", pub)
+            for i in range(len(downlinks))
+            for pub in pubs
+        ],
+    )
+
+
 class TestBatchedEntryPoint:
+    """One table per class structure answers any batch of capacities
+    (the cases of the former batched kernel entry point)."""
+
     def _reference(self, instances, g):
+        # Pickled one by one: capacities answered by one breakpoint share
+        # one solution object, which a pickled list would back-reference.
         return [
-            solve_mckp_dp(c, cap, granularity=g, kernel="python")
+            pickle.dumps(solve_mckp_dp(c, cap, granularity=g, kernel="python"))
             for c, cap in instances
         ]
 
+    def _answers(self, instances, g=1):
+        """Every instance answered the way ``knapsack_step`` does: one
+        profile per distinct class structure, looked up per capacity."""
+        profiles = {}
+        answers = []
+        for classes, cap in instances:
+            key = tuple(map(tuple, classes))
+            if key not in profiles:
+                profiles[key] = CapacityProfile(key, g)
+            answers.append(pickle.dumps(profiles[key].solution(cap)))
+        return answers
+
     def test_empty_batch(self):
-        assert solve_mckp_dp_batch([], kernel="numpy") == []
+        # A step with nobody to solve reads no profile and builds no table.
+        cache = MckpInstanceCache(capacity=4)
+        requests = knapsack_step(
+            webinar(2, [500]), subscribers=[], dedup=True, cache=cache
+        )
+        assert requests == {}
+        assert cache.stats.lookups == 0 and len(cache) == 0
 
     def test_batch_with_empty_and_zero_capacity_instances(self):
         instances = [
@@ -236,24 +293,33 @@ class TestBatchedEntryPoint:
             ([[(5, 1.0)]], 0),
             ([[(5, 1.0)]], 100),
         ]
-        got = solve_mckp_dp_batch(instances, kernel="numpy")
-        assert pickle.dumps(got) == pickle.dumps(self._reference(instances, 1))
+        got = self._answers(instances)
+        assert got == self._reference(instances, 1)
 
     def test_heterogeneous_capacities_share_the_common_grid(self):
-        # Wildly different slot counts in one batch: the padded columns of
-        # small instances must not leak into their argmax.
+        # Wildly different slot counts on one table: the columns beyond a
+        # small capacity must not leak into its answer.
         classes = [[(3, 2.0), (7, 5.0)], [(4, 3.0)]]
         instances = [(classes, cap) for cap in (0, 3, 4, 7, 11, 500)]
-        got = solve_mckp_dp_batch(instances, kernel="numpy")
-        assert pickle.dumps(got) == pickle.dumps(self._reference(instances, 1))
+        got = self._answers(instances)
+        assert got == self._reference(instances, 1)
 
     def test_python_kernel_batches_through_the_oracle(self):
-        instances = [([[(3, 2.0)]], 10), ([[(4, 9.0), (2, 1.0)]], 4)]
-        got = solve_mckp_dp_batch(instances, kernel="python")
-        assert pickle.dumps(got) == pickle.dumps(self._reference(instances, 1))
+        # Under the oracle kernel the memoized step answers every
+        # subscriber by a pure-Python solve and never reads a profile.
+        problem = webinar(3, [200, 450, 450, 2600, 10**6])
+        cache = MckpInstanceCache(capacity=4)
+        solves = kernel_stats().solves["python"]
+        got = knapsack_step(
+            problem, granularity=50, dedup=True, cache=cache, kernel="python"
+        )
+        assert cache.stats.lookups == 0 and len(cache) == 0
+        assert kernel_stats().solves["python"] == solves + 4  # 450 twice
+        want = knapsack_step(problem, granularity=50, kernel="numpy")
+        assert pickle.dumps(got) == pickle.dumps(want)
 
     def test_shared_class_structure_one_table_many_capacities(self):
-        # The batch's core trick: instances differing only in capacity
+        # The profile's core trick: instances differing only in capacity
         # share one DP table.  Every capacity from empty grid to far
         # beyond the heaviest combination must match the scalar oracle.
         rng = random.Random(31)
@@ -266,30 +332,28 @@ class TestBatchedEntryPoint:
         ]
         for g in (1, 7):
             instances = [(classes, cap) for cap in range(0, 260, 13)]
-            got = solve_mckp_dp_batch(instances, g, kernel="numpy")
-            assert pickle.dumps(got) == pickle.dumps(
-                self._reference(instances, g)
-            )
+            tables = kernel_stats().solves["numpy"]
+            got = self._answers(instances, g)
+            assert kernel_stats().solves["numpy"] == tables + 1
+            assert got == self._reference(instances, g)
 
     def test_mixed_class_structures_group_independently(self):
-        # Two structures interleaved in one batch: grouping must not
-        # reorder or cross-contaminate the results.
+        # Two structures interleaved: grouping must not reorder or
+        # cross-contaminate the results.
         a = [[(3, 2.0), (7, 5.0)]]
         b = [[(4, 3.0)], [(2, 1.0), (6, 8.0)]]
         instances = [(a, 10), (b, 5), (a, 3), (b, 20), (a, 7)]
-        got = solve_mckp_dp_batch(instances, kernel="numpy")
-        assert pickle.dumps(got) == pickle.dumps(self._reference(instances, 1))
+        got = self._answers(instances)
+        assert got == self._reference(instances, 1)
 
     def test_ragged_class_counts_in_one_batch(self):
-        # Instances with different class counts: shorter instances must
-        # ride along untouched through the extra class steps.
         instances = [
             ([[(2, 1.0)]], 10),
             ([[(2, 1.0)], [(3, 4.0)], [(4, 2.0)]], 10),
             ([], 10),
         ]
-        got = solve_mckp_dp_batch(instances, kernel="numpy")
-        assert pickle.dumps(got) == pickle.dumps(self._reference(instances, 1))
+        got = self._answers(instances)
+        assert got == self._reference(instances, 1)
 
     def test_fuzz_batch_equals_scalar(self):
         rng = random.Random(37)
@@ -308,7 +372,117 @@ class TestBatchedEntryPoint:
                 )
                 for _ in range(rng.randint(0, 10))
             ]
-            got = solve_mckp_dp_batch(instances, g, kernel="numpy")
-            assert pickle.dumps(got) == pickle.dumps(
-                self._reference(instances, g)
-            )
+            got = self._answers(instances, g)
+            assert got == self._reference(instances, g)
+
+
+@st.composite
+def class_structures(draw):
+    """Class structures that stress the profile's three arguments: float
+    values, exact value+weight ties, single-item classes, a common weight
+    factor (GCD > 1) or none (coprime weights, GCD 1)."""
+    factor = draw(st.sampled_from([1, 1, 50]))
+    weight = st.integers(1, 12).map(lambda w: w * factor)
+    value = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.5]),
+        st.floats(0.0, 100.0, allow_nan=False),
+    )
+    item = st.tuples(weight, value)
+    cls = st.lists(item, min_size=1, max_size=4).map(
+        lambda items: tuple(items + items[:1])  # an exact tie of item 0
+        if len(items) == 2
+        else tuple(items)
+    )
+    return tuple(draw(st.lists(cls, min_size=0, max_size=4)))
+
+
+class TestCapacityProfile:
+    @given(class_structures(), st.sampled_from([1, 7, 50]))
+    @settings(max_examples=120, deadline=None)
+    def test_profile_equals_python_oracle_at_every_capacity(self, classes, g):
+        profile = CapacityProfile(classes, g)
+        top = sum(max(w for w, _ in cls) for cls in classes) + 2 * g
+        for cap in list(range(top + 1)) + [10**9]:
+            got = profile.solution(cap)
+            want = _solve_mckp_dp_python(classes, cap, g)
+            # Full MckpSolution identity, down to the int 0 of "nothing
+            # fits" against the float 0.0 of "zero slots".
+            assert pickle.dumps(got) == pickle.dumps(want), (classes, cap, g)
+
+    def test_table_is_clamped_and_gcd_reduced(self):
+        # The paper ladder's rungs are all multiples of 100 kbps: eight
+        # classes need 8 * 1500 / 100 + 1 columns, not one per kbps.
+        classes = tuple(
+            tuple((s.bitrate_kbps, s.qoe) for s in paper_ladder())
+            for _ in range(8)
+        )
+        profile = CapacityProfile(classes, 1)
+        assert profile.unit == 100
+        assert profile.breaks[-1] <= 8 * 1500 // 100
+        assert profile.picks.dtype.itemsize == 1
+        assert profile.solution(10**9).total_weight == 8 * 1500
+
+    def test_negative_capacity_rejected_at_lookup(self):
+        profile = CapacityProfile(((((3, 1.0),)),), 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            profile.solution(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            profile.index(-1)
+
+    def test_invalid_items_rejected_at_build(self):
+        with pytest.raises(ValueError, match="non-positive weight"):
+            CapacityProfile((((0, 1.0),),), 1)
+        with pytest.raises(ValueError, match="negative value"):
+            CapacityProfile((((1, -1.0),),), 1)
+        with pytest.raises(ValueError, match="granularity"):
+            CapacityProfile((((1, 1.0),),), 0)
+
+
+class TestGccOverestimate:
+    """Sec. 7's warning: one 10^9 kbps bandwidth report (a GCC
+    over-estimate) used to ask the DP for a 149 GiB table.  Every table is
+    clamped to the heaviest combination on offer instead."""
+
+    #: Three paper ladders: nothing on offer outweighs 3 * 1500 kbps.
+    HEAVIEST = 3 * 1500
+
+    @pytest.mark.parametrize("incremental", [True, False], ids=["engine", "scratch"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_huge_downlink_and_uplink_solve_on_every_path(self, kernel, incremental):
+        problem = webinar(3, [10**9, 700], uplink=10**9)
+        default_mckp_cache().clear()
+        cfg = SolverConfig(kernel=kernel, incremental=incremental)
+        with enabled_registry() as reg:
+            solution = GsoSolver(cfg).solve(problem)
+            cells = reg.snapshot()["histograms"][obs_names.MCKP_TABLE_CELLS]
+        solution.validate(problem)
+        top = paper_ladder()[0]
+        assert solution.assignments["V000"] == {f"P{i}": top for i in range(3)}
+        assert cells["max"] <= 3 * (self.HEAVIEST + 1)
+
+    @pytest.mark.parametrize("g", [1, 50])
+    def test_huge_capacity_on_every_entry_point(self, g):
+        classes = [[(s.bitrate_kbps, s.qoe) for s in paper_ladder()]] * 3
+        want = _solve_mckp_dp_python(classes, self.HEAVIEST, g)
+        assert want.total_weight == self.HEAVIEST
+        wanted = _solve_mckp_dp_mandatory_python(classes, self.HEAVIEST, g)
+        tracemalloc.start()
+        try:
+            for got in (
+                _solve_mckp_dp_python(classes, 10**9, g),
+                solve_mckp_dp(classes, 10**9, g, kernel="numpy"),
+                solve_mckp_dp(classes, 10**9, g, kernel="python"),
+                CapacityProfile(tuple(map(tuple, classes)), g).solution(10**9),
+            ):
+                assert pickle.dumps(got) == pickle.dumps(want)
+            for got in (
+                _solve_mckp_dp_mandatory_python(classes, 10**9, g),
+                solve_mckp_dp_mandatory(classes, 10**9, g, kernel="numpy"),
+                solve_mckp_dp_mandatory(classes, 10**9, g, kernel="python"),
+            ):
+                assert pickle.dumps(got) == pickle.dumps(wanted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # No table grew towards 10^9 columns (8 GB per float row).
+        assert peak < 16 * 2**20

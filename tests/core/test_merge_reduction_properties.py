@@ -14,13 +14,15 @@ RESOLUTIONS = [Resolution.P180, Resolution.P360, Resolution.P720]
 
 @st.composite
 def request_sets(draw):
-    """Random (subscriber, stream) request lists for one publisher."""
+    """Random (subscribers, stream) request lists for one publisher: each
+    pair is a group of one to three subscribers asking for one stream."""
     n = draw(st.integers(1, 8))
     out = []
     for k in range(n):
         res = draw(st.sampled_from(RESOLUTIONS))
         rate = draw(st.integers(100, 2000))
-        out.append((f"S{k}", StreamSpec(rate, res, float(rate))))
+        subs = tuple(f"S{k}.{j}" for j in range(draw(st.integers(1, 3))))
+        out.append((subs, StreamSpec(rate, res, float(rate))))
     return out
 
 
@@ -36,7 +38,7 @@ def test_merge_invariants(asked):
         assert entry.bitrate_kbps == min(s.bitrate_kbps for s in same_res)
         # Eq. 11: ...broadcast to exactly the requesting subscribers.
         assert entry.audience == {
-            sub for sub, s in asked if s.resolution == res
+            sub for subs, s in asked if s.resolution == res for sub in subs
         }
         # Lowering-only: no subscriber's downlink can be violated by merge.
         assert all(

@@ -156,8 +156,8 @@ class TestEdgeOrdering:
 class TestMergeStep:
     def test_same_resolution_requests_merge_to_min(self):
         asked = [
-            ("B", spec(1400, Resolution.P720)),
-            ("C", spec(1100, Resolution.P720)),
+            (("B",), spec(1400, Resolution.P720)),
+            (("C",), spec(1100, Resolution.P720)),
         ]
         merged = merge_publisher(asked)
         assert merged[Resolution.P720].bitrate_kbps == 1100
@@ -165,8 +165,8 @@ class TestMergeStep:
 
     def test_different_resolutions_kept_separate(self):
         asked = [
-            ("A", spec(250, Resolution.P180)),
-            ("C", spec(1400, Resolution.P720)),
+            (("A",), spec(250, Resolution.P180)),
+            (("C",), spec(1400, Resolution.P720)),
         ]
         merged = merge_publisher(asked)
         assert set(merged) == {Resolution.P180, Resolution.P720}

@@ -104,7 +104,7 @@ class TestKernelReporting:
         assert rc == 0
         out = capsys.readouterr().out
         assert "(kernel: " in out
-        assert "batched solve(s)" in out
+        assert "DP table(s) built" in out
 
     def test_bogus_kernel_env_is_one_line_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_KERNEL", "bogus")
