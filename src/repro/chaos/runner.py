@@ -188,7 +188,6 @@ class ChaosRunner:
                 max_interval_s=3.0 * cfg.tick_interval_s,
                 cache_capacity=cfg.cache_capacity,
                 max_solves_per_round=cfg.max_solves_per_round,
-                pool_workers=0,
                 placement=cfg.placement,
                 shard_cost_budget=cfg.shard_cost_budget,
                 solver=SolverConfig(granularity_kbps=25),

@@ -10,8 +10,8 @@ Four subcommands cover the library's main entry points:
   print daily metrics;
 * ``cluster`` — the sharded controller cluster (``docs/ARCHITECTURE.md``,
   "Controller cluster"): ``cluster run`` pushes a fleet workload through
-  the cluster's solve service (sharding + fingerprint cache + worker
-  pool) and reports daily metrics plus cluster counters; ``cluster
+  the cluster's solve service (sharding + fingerprint cache) and
+  reports daily metrics plus cluster counters; ``cluster
   stats`` drives a synthetic event/tick workload through the shard
   schedulers (coalescing, admission, optional shard kill) and dumps the
   stats snapshot;
@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -75,6 +76,8 @@ def _parse_client(text: str) -> ClientSpec:
             loss_rate=float(parts[3]) if len(parts) > 3 else 0.0,
             jitter_ms=float(parts[4]) if len(parts) > 4 else 0.0,
         )
+        if not (math.isfinite(spec.uplink_kbps) and math.isfinite(spec.downlink_kbps)):
+            raise ValueError("bandwidths must be finite")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad client spec {text!r}: {exc}")
     return spec
@@ -104,8 +107,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
     try:
         config = SolverConfig(granularity_kbps=args.granularity)
-    except ValueError as exc:
-        # e.g. an unknown REPRO_KERNEL value reaching default_kernel()
+    except ValueError as exc:  # e.g. --granularity 0
         print(f"repro solve: {exc}", file=sys.stderr)
         return 2
     solver = GsoSolver(config)
@@ -127,7 +129,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"hits; process cache {cache['entries']}/{cache['capacity']} entries, "
         f"hit rate {cache['hit_rate']:.2f})"
     )
-    print(f"(kernel: {stats.kernel})")
     return 0
 
 
@@ -197,7 +198,6 @@ def _make_cluster(args: argparse.Namespace) -> "object":
         config = ClusterConfig(
             shards=args.shards,
             cache_capacity=args.cache_capacity,
-            pool_workers=args.workers,
             max_solves_per_round=args.max_solves_per_round,
         )
     except ValueError as exc:
@@ -299,12 +299,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=4096,
         help="fingerprint-cache entries (0 disables caching)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="solve-pool processes (0 = in-process)",
     )
     parser.add_argument("--max-solves-per-round", type=int, default=64)
 
@@ -459,10 +453,6 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         report = run_scenario(args.scenario, args.seed, config)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # e.g. an unknown REPRO_KERNEL value reaching default_kernel()
-        print(f"repro chaos: {exc}", file=sys.stderr)
         return 2
     if args.json:
         print(report.to_json())

@@ -1,6 +1,6 @@
 """Sharded controller cluster: hosting many meetings behind one solve
 service (consistent-hash sharding, coalescing schedulers, fingerprint
-cache, worker pool, admission control).
+cache, solve executor, admission control).
 """
 
 from .admission import AdmissionController, AdmissionStats

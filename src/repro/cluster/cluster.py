@@ -12,8 +12,8 @@ module is the reproduction's control-plane host:
   Fig. 12 envelope (:mod:`.scheduler`);
 * **caching** — solves are keyed by the canonical problem fingerprint and
   served from a bounded LRU when the structure repeats (:mod:`.cache`);
-* **execution** — cache misses run on the solve pool (:mod:`.pool`),
-  optionally multiprocess;
+* **execution** — cache misses run on the in-process solve executor
+  (:mod:`.pool`);
 * **admission** — per-round solve budgets shed overload to the Sec. 7
   single-stream fallback instead of stalling the queue (:mod:`.admission`).
 
@@ -79,8 +79,6 @@ class ClusterConfig:
     cache_capacity: int = 4096
     #: Full solves one shard may run per tick; the rest shed to fallback.
     max_solves_per_round: int = 64
-    #: Solve-pool processes for cache-miss batches (0 = in-process).
-    pool_workers: int = 0
     #: Placement policy homing new meetings: ``hash`` (the ring,
     #: baseline), ``best_fit`` (Tetris packing) or ``least_loaded``.
     placement: str = "hash"
@@ -97,8 +95,6 @@ class ClusterConfig:
             raise ValueError("need at least one shard")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be >= 0")
-        if self.pool_workers < 0:
-            raise ValueError("pool_workers must be >= 0")
         if self.max_solves_per_round < 1:
             raise ValueError("max_solves_per_round must be >= 1")
         if self.placement not in POLICIES:
@@ -190,9 +186,7 @@ class ControllerCluster:
             if self.config.cache_enabled
             else None
         )
-        self.pool = SolvePool(
-            solver_config=self.config.solver, workers=self.config.pool_workers
-        )
+        self.pool = SolvePool(solver_config=self.config.solver)
         self._meetings: Dict[str, MeetingRecord] = {}
         self.placement_policy = get_policy(self.config.placement)
         self.load_model = ShardLoadModel(names)
@@ -904,7 +898,6 @@ class ControllerCluster:
             "meetings": len(self._meetings),
             "live_shards": self.live_shards,
             "shard_failovers": self.shard_failovers,
-            "pool_workers": self.pool.workers,
             "placement": {
                 "policy": self.placement_policy.name,
                 "budget": self.config.shard_cost_budget,
@@ -914,13 +907,13 @@ class ControllerCluster:
             "shards": shards,
             "cache": cache,
             "mckp_cache": default_mckp_cache().snapshot(),
-            "kernel": self.config.solver.kernel,
             "mckp_kernel": kernel_stats().snapshot(),
         }
 
     def close(self) -> None:
-        """Release pool resources (idempotent)."""
-        self.pool.close()
+        """End of the cluster's life (idempotent).  Every solve runs
+        in-process, so there is nothing to release; callers keep the
+        ``with ControllerCluster(...)`` / ``close()`` discipline."""
 
     def __enter__(self) -> "ControllerCluster":
         return self

@@ -1,162 +1,47 @@
-"""Solve worker pool: cache-miss solves, optionally on separate processes.
+"""Solve executor: every cache-miss solve, in-process.
 
-The KMR solver is CPU-bound pure Python/numpy, so threads cannot scale it;
-a ``multiprocessing`` pool can.  The pool is strictly optional:
-
-* ``workers == 0`` (the default) solves in-process, serially — the
-  deterministic reference path every test compares against;
-* ``workers > 0`` tries to start a process pool; any failure (restricted
-  sandboxes, missing semaphores) silently degrades to the serial path, so
-  the cluster never depends on the host allowing subprocesses.
-
-Determinism: ``Pool.map`` preserves input order and each task is solved by
-a stateless :class:`~repro.core.solver.GsoSolver`, so the process pool
-returns exactly the serial path's solutions, independent of worker count
-or scheduling.
-
-Telemetry: spans are thread-local, so a pooled solve would normally fall
-out of the parent trace.  Each job therefore carries a serialized span
-**context token** (:func:`repro.obs.spans.context_token`); the worker
-times its own solve and ships the measurement back, and the parent
-**stitches** it into the open trace as a ``pool.solve`` child span
-(:func:`repro.obs.spans.stitch_child`).  Worker processes themselves run
-with the default ``NullRegistry`` — all recording happens where the
-results are joined.
+One stateless :class:`~repro.core.solver.GsoSolver` behind the two call
+shapes the cluster needs: :meth:`SolvePool.solve` for one problem (with
+incumbent stickiness) and :meth:`SolvePool.solve_many` for a tick's batch
+of misses, in input order.  Each batched solve runs under a
+``pool.solve`` span, so a traced tick shows one child per miss.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..core.constraints import Problem
 from ..core.solution import Solution
 from ..core.solver import GsoSolver, SolverConfig
 from ..core.types import ClientId, Resolution
 from ..obs.names import SPAN_POOL_SOLVE
-from ..obs.registry import get_registry
-from ..obs.spans import context_token, span, stitch_child
-
-#: Per-worker-process solver, installed by the pool initializer.
-_WORKER_SOLVER: Optional[GsoSolver] = None
-
-
-def _init_worker(config: SolverConfig) -> None:
-    """Pool initializer: build this worker's solver once."""
-    global _WORKER_SOLVER
-    _WORKER_SOLVER = GsoSolver(config)
-
-
-def _solve_task(job: Tuple[Problem, Dict[str, object]]) -> Tuple[Solution, Dict[str, object]]:
-    """One pooled solve (runs in a worker process).
-
-    ``job`` is ``(problem, context_token)``; returns the solution plus
-    the worker's self-timed span data for the parent to stitch.
-    """
-    assert _WORKER_SOLVER is not None, "pool worker used before initialization"
-    problem, token = job
-    start = time.perf_counter()
-    solution = _WORKER_SOLVER.solve(problem)
-    child = {
-        "name": SPAN_POOL_SOLVE,
-        "duration_s": time.perf_counter() - start,
-        "token": token,
-    }
-    return solution, child
+from ..obs.spans import span
 
 
 class SolvePool:
-    """Executes solver calls, in-process or on a process pool.
+    """Executes solver calls in-process.
 
     Args:
-        solver_config: solver tuning shared by every worker.
-        workers: process count; 0 means serial in-process solving.
-        mp_context: optional ``multiprocessing`` start method ("fork",
-            "spawn", ...); ``None`` uses the platform default.
+        solver_config: solver tuning shared by every solve.
     """
 
-    def __init__(
-        self,
-        solver_config: Optional[SolverConfig] = None,
-        workers: int = 0,
-        mp_context: Optional[str] = None,
-    ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        self.config = solver_config or SolverConfig()
-        self._solver = GsoSolver(self.config)
-        self._pool = None
-        self.workers = 0
-        if workers > 0:
-            try:
-                import multiprocessing
-
-                ctx = (
-                    multiprocessing.get_context(mp_context)
-                    if mp_context
-                    else multiprocessing.get_context()
-                )
-                self._pool = ctx.Pool(
-                    workers, initializer=_init_worker, initargs=(self.config,)
-                )
-                self.workers = workers
-            except Exception:
-                self._pool = None  # degraded but deterministic
-
-    @property
-    def is_parallel(self) -> bool:
-        """True when a live process pool backs :meth:`solve_many`."""
-        return self._pool is not None
+    def __init__(self, solver_config: Optional[SolverConfig] = None) -> None:
+        self._solver = GsoSolver(solver_config)
 
     def solve(
         self,
         problem: Problem,
         incumbent: Optional[Mapping[Tuple[ClientId, ClientId], Resolution]] = None,
     ) -> Solution:
-        """Solve one problem in-process (supports incumbent stickiness)."""
+        """Solve one problem (supports incumbent stickiness)."""
         return self._solver.solve(problem, incumbent=incumbent)
 
     def solve_many(self, problems: Sequence[Problem]) -> List[Solution]:
-        """Solve a batch, preserving input order.
-
-        Uses the process pool when available, the in-process solver
-        otherwise; both paths return identical solutions and both record
-        a ``pool.solve`` span per problem into the parent trace.
-        """
-        if not problems:
-            return []
-        if self._pool is None:
-            out: List[Solution] = []
-            for problem in problems:
-                with span(SPAN_POOL_SOLVE):
-                    out.append(self._solver.solve(problem))
-            return out
-        token = context_token()
-        results = self._pool.map(
-            _solve_task, [(p, token) for p in problems]
-        )
-        solutions: List[Solution] = []
-        stitch = get_registry().enabled
-        for solution, child in results:
-            solutions.append(solution)
-            if stitch:
-                stitch_child(
-                    str(child["name"]),
-                    float(child["duration_s"]),
-                    token=child.get("token"),
-                )
-        return solutions
-
-    def close(self) -> None:
-        """Shut the process pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self.workers = 0
-
-    def __enter__(self) -> "SolvePool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Solve a batch, preserving input order, one ``pool.solve`` span
+        per problem."""
+        out: List[Solution] = []
+        for problem in problems:
+            with span(SPAN_POOL_SOLVE):
+                out.append(self._solver.solve(problem))
+        return out

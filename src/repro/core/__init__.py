@@ -21,10 +21,8 @@ from .explain import ExplainedSolve, explain_solve
 from .hysteresis import UpgradeDamper
 from .ladder import coarse_ladder, make_ladder, paper_ladder, qoe_utility, scale_qoe
 from .mckp import (
-    KERNELS,
     CapacityProfile,
     MckpSolution,
-    default_kernel,
     kernel_stats,
     solve_mckp_dp,
     solve_mckp_dp_mandatory,
@@ -51,7 +49,6 @@ __all__ = [
     "DualSubscription",
     "EngineStats",
     "GsoSolver",
-    "KERNELS",
     "MckpInstanceCache",
     "MckpSolution",
     "PAPER_RESOLUTIONS",
@@ -72,7 +69,6 @@ __all__ = [
     "ExplainedSolve",
     "explain_solve",
     "coarse_ladder",
-    "default_kernel",
     "default_mckp_cache",
     "kernel_stats",
     "make_ladder",

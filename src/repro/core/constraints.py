@@ -31,6 +31,7 @@ the brute-force oracle.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -58,6 +59,14 @@ class Bandwidth:
     audio_protection_kbps: int = 0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, and an infinite budget has no
+        # integer capacity grid: reject both where reports enter.
+        if not (
+            math.isfinite(self.uplink_kbps)
+            and math.isfinite(self.downlink_kbps)
+            and math.isfinite(self.audio_protection_kbps)
+        ):
+            raise ValueError("bandwidths must be finite")
         if self.uplink_kbps < 0 or self.downlink_kbps < 0:
             raise ValueError("bandwidths must be non-negative")
         if self.audio_protection_kbps < 0:

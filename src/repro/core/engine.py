@@ -1,4 +1,4 @@
-"""The incremental, memoized solve engine behind the KMR hot path.
+"""The memoized solve engine behind the KMR hot path.
 
 The KMR loop re-runs Step 1 (the per-subscriber MCKPs) on every
 iteration, yet a Step-3 reduction shrinks only **one** publisher's
@@ -24,9 +24,9 @@ what carries that across steps without changing a single byte of any
 The *dirty-set* layer (re-solving only the subscribers that follow the
 reduced publisher between iterations) lives in
 :class:`~repro.core.solver.GsoSolver`; the reverse index it needs is
-``Problem.subscribers_of``.  All layers are gated by
-``SolverConfig(incremental=...)`` — the ``incremental=False`` path is
-the differential baseline the equivalence tests compare against.
+``Problem.subscribers_of``.  The layers are always on; the equivalence
+tests compare them against a from-scratch, per-subscriber KMR loop kept
+under ``tests/`` (``docs/SOLVER.md``).
 """
 
 from __future__ import annotations
@@ -169,11 +169,10 @@ class MckpInstanceCache:
         )
 
 
-#: The process-wide cache every incremental solver shares by default.
+#: The process-wide cache every solver shares.
 _DEFAULT_CACHE = MckpInstanceCache()
 
 
 def default_mckp_cache() -> MckpInstanceCache:
-    """The process-wide profile cache (one per process, pool workers
-    included — each worker process warms its own)."""
+    """The process-wide profile cache."""
     return _DEFAULT_CACHE

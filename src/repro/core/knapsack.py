@@ -10,22 +10,17 @@ The output is the *request* set ``D_i'`` of Eq. 6: which (publisher, stream)
 pairs each subscriber asks for.  Whether those requests are honoured at the
 requested bitrate is decided by Steps 2-3.
 
-Two execution paths produce byte-identical requests:
-
-* the **direct path** (:func:`solve_subscriber` per subscriber) runs one DP
-  per subscriber — the reference the differential tests compare against;
-* the **memoized path** (``dedup=True``) does its work per *distinct class
-  structure*, not per subscriber.  Subscribers are grouped by their
-  ``Problem.shape_index`` shape (same ordered ``(publisher,
-  max_resolution)`` edges, plus the same held resolutions when an
-  incumbent is passed); a group builds its classes once, fetches **one**
-  :class:`~repro.core.mckp.CapacityProfile` (from the process-wide
-  :class:`~repro.core.engine.MckpInstanceCache` or one bounded DP table)
-  and answers every member with a bisect on its downlink budget.  A
-  webinar's viewers, or Fig. 6c's gallery view, cost one table however
-  many they are.  Under ``kernel="python"`` the groups are answered per
-  subscriber by the pure-Python oracle instead and no profile is read,
-  so the oracle stays an independent check of the profile path.
+The step does its work per *distinct class structure*, not per
+subscriber.  Subscribers are grouped by their ``Problem.shape_index``
+shape (same ordered ``(publisher, max_resolution)`` edges, plus the same
+held resolutions when an incumbent is passed); a group builds its classes
+once, fetches **one** :class:`~repro.core.mckp.CapacityProfile` (from the
+process-wide :class:`~repro.core.engine.MckpInstanceCache` or one bounded
+DP table) and answers every member with a bisect on its downlink budget.
+A webinar's viewers, or Fig. 6c's gallery view, cost one table however
+many they are.  :func:`solve_subscriber` (one DP per subscriber) is the
+reference the differential tests compare this against, and the
+brute-force path of Fig. 6.
 
 The groups are carried into Step 2: subscribers that shared one answer
 are reported in ``groups`` so :func:`~repro.core.merge.merge_step` merges
@@ -44,7 +39,6 @@ from .mckp import (
     CapacityProfile,
     Item,
     kernel_stats,
-    resolve_kernel,
     solve_mckp_dp,
     solve_mckp_exhaustive,
 )
@@ -178,7 +172,6 @@ def solve_subscriber(
     exhaustive: bool = False,
     incumbent: Optional[Incumbent] = None,
     stickiness: float = 0.0,
-    kernel: Optional[str] = None,
 ) -> Dict[ClientId, StreamSpec]:
     """Solve Eq. 1-4 for one subscriber.
 
@@ -195,8 +188,6 @@ def solve_subscriber(
         stickiness: relative QoE bonus applied to items whose resolution
             matches the incumbent assignment of their edge (switch
             damping; 0 disables).
-        kernel: DP execution kernel (see :func:`repro.core.mckp.KERNELS`);
-            ``None`` uses the process default.
 
     Returns:
         The requested streams ``D_i'`` as a publisher -> stream mapping.
@@ -212,9 +203,7 @@ def solve_subscriber(
     if exhaustive:
         result = solve_mckp_exhaustive(classes, capacity)
     else:
-        result = solve_mckp_dp(
-            classes, capacity, granularity=granularity, kernel=kernel
-        )
+        result = solve_mckp_dp(classes, capacity, granularity=granularity)
     return _fan_out(instance, result.picks)
 
 
@@ -226,10 +215,8 @@ def knapsack_step(
     incumbent: Optional[Incumbent] = None,
     stickiness: float = 0.0,
     subscribers: Optional[Sequence[ClientId]] = None,
-    dedup: bool = False,
     cache: Optional[MckpInstanceCache] = None,
     stats: Optional[EngineStats] = None,
-    kernel: Optional[str] = None,
     groups: Optional[Requests] = None,
 ) -> Requests:
     """Run Step 1 for every subscriber (the |I| independent knapsacks).
@@ -237,14 +224,11 @@ def knapsack_step(
     Args:
         subscribers: restrict the step to these subscribers (the solver's
             dirty set); ``None`` solves all of ``problem.subscribers``.
-        dedup: take the memoized path: one capacity profile per distinct
-            class structure answers every subscriber sharing it (requires
-            the DP solver).
+        exhaustive: solve every subscriber by exact enumeration instead
+            (the Fig. 6 brute-force baseline; no profile, cache or stats).
         cache: optional process-wide profile cache consulted before
-            building a table on the memoized path.
-        stats: optional per-solve accounting filled by the memoized path.
-        kernel: DP execution kernel (see :func:`repro.core.mckp.KERNELS`);
-            ``None`` uses the process default.
+            building a table.
+        stats: optional per-solve accounting filled by the DP path.
         groups: optional map the step records its answer sharing in, for
             :func:`~repro.core.merge.merge_step`: each solved subscriber
             maps to a request map *object* shared by every subscriber the
@@ -253,20 +237,18 @@ def knapsack_step(
 
     Returns the request map ``{subscriber: D_i'}`` for the selected
     subscribers.  Subscribers with no fulfillable request map to an empty
-    dict.  All paths return byte-identical requests for identical inputs.
+    dict.
     """
     subs = problem.subscribers if subscribers is None else list(subscribers)
-    if exhaustive or (not dedup and cache is None):
+    if exhaustive:
         requests = {
             sub: solve_subscriber(
                 problem,
                 sub,
                 feasible=feasible,
-                granularity=granularity,
-                exhaustive=exhaustive,
+                exhaustive=True,
                 incumbent=incumbent,
                 stickiness=stickiness,
-                kernel=kernel,
             )
             for sub in subs
         }
@@ -274,7 +256,6 @@ def knapsack_step(
             groups.update(requests)
         return requests
 
-    oracle = resolve_kernel(kernel) == "python"
     shape_of, edges_of = problem.shape_index()
     #: (shape, held) -> its subscribers, first-seen order.
     members: Dict[Tuple[Optional[int], _Held], List[ClientId]] = {}
@@ -303,42 +284,30 @@ def knapsack_step(
                 shared[sub] = nothing
             continue
         classes = instance[0]
-        profile = None
-        if not oracle:
-            key = (granularity, classes)
-            profile = cache.get(key) if cache is not None else None
-            if profile is None:
-                misses += 1
-                profile = CapacityProfile(classes, granularity)
-                if cache is not None:
-                    cache.put(key, profile)
-            else:
-                hits += 1
+        key = (granularity, classes)
+        profile = cache.get(key) if cache is not None else None
         if profile is None:
-            # Budgets in one granularity bucket see the same DP grid, so
-            # the slot count identifies the oracle's answer.
-            bucket_of = lambda capacity: capacity // granularity
-            solve = lambda capacity, _: solve_mckp_dp(
-                classes, capacity, granularity, kernel="python"
-            )
+            misses += 1
+            profile = CapacityProfile(classes, granularity)
+            if cache is not None:
+                cache.put(key, profile)
         else:
-            bucket_of, solve = profile.index, profile.solution
-        #: answer bucket -> the request map every member in it shares.
+            hits += 1
+        #: breakpoint -> the request map every member on it shares.
         templates: Dict[int, Dict[ClientId, StreamSpec]] = {}
         for sub in group:
             capacity = problem.downlink_budget(sub)
-            bucket = bucket_of(capacity)
+            bucket = profile.index(capacity)
             template = templates.get(bucket)
             if template is None:
-                picks = solve(capacity, bucket).picks
+                picks = profile.solution(capacity, bucket).picks
                 template = templates[bucket] = _fan_out(instance, picks)
             requests[sub] = dict(template)
             shared[sub] = template
         answered += len(group)
         answers += len(templates)
 
-    if not oracle:
-        kernel_stats().batched_instances += answered
+    kernel_stats().batched_instances += answered
     if stats is not None:
         stats.step1_solved += len(subs)
         stats.deduped += answered - answers

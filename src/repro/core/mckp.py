@@ -6,30 +6,21 @@ downlink to an MCKP instance: the downlink is a knapsack with capacity
 edge-feasible streams ``S_ii'``); an item's weight is the stream bitrate and
 its value the QoE utility; at most one item may be taken per class.
 
-The module is organized as a small **kernel registry** (see
-``docs/SOLVER.md``).  Every public solver is a dispatcher that picks an
-execution kernel:
-
-* ``kernel="numpy"`` (the default) — array-based dynamic programming: one
-  stacked candidate matrix per class (one row per item plus the skip row),
-  reduced with a single ``max``/``argmax`` over the shared capacity grid.
-  No per-capacity Python loops anywhere.
-* ``kernel="python"`` — the pure-Python reference implementation
-  (:func:`_solve_mckp_dp_python` / :func:`_solve_mckp_dp_mandatory_python`),
-  kept as the **differential oracle**: byte-identical results are enforced
-  by tests, and CI runs the whole tier-1 suite once with
-  ``REPRO_KERNEL=python`` so the oracle path stays exercised.
-
-The default kernel comes from the ``REPRO_KERNEL`` environment variable
-(falling back to ``"numpy"``); ``SolverConfig.kernel`` threads an explicit
-choice through the solver stack.
+The dynamic programs are array-based: one stacked candidate matrix per
+class (one row per item plus the skip row), reduced with a single
+``max``/``argmax`` over the shared capacity grid, with no per-capacity
+Python loop.  Their pure-Python originals
+(:func:`_solve_mckp_dp_python` / :func:`_solve_mckp_dp_mandatory_python`)
+are kept as **reference oracles**: no production code calls them, and the
+tests require byte-identical results (``docs/SOLVER.md``).
 
 Public solvers:
 
-* :func:`solve_mckp_dp` — the production path: dynamic programming over a
-  discretized capacity grid, pseudo-polynomial ``O(C/g * total_items)`` where
-  ``g`` is the grid granularity.  With ``g = 1`` (kbps) the solution is
-  exact; coarser grids trade a bounded optimality loss for speed.
+* :func:`solve_mckp_dp` — one instance at one capacity: dynamic
+  programming over a discretized capacity grid, pseudo-polynomial
+  ``O(C/g * total_items)`` where ``g`` is the grid granularity.  With
+  ``g = 1`` (kbps) the solution is exact; coarser grids trade a bounded
+  optimality loss for speed.
 * :func:`solve_mckp_dp_mandatory` — the variant where exactly one item must
   be taken per class; used by Step 3's uplink fix (Eq. 16), where policy
   entries may be lowered but not dropped.
@@ -48,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -69,46 +59,14 @@ NO_PICK: Optional[int] = None
 #: Sentinel used in the integer choice tables.
 _NO_CHOICE = -1
 
-#: The registered DP execution kernels, in documentation order.
-KERNELS: Tuple[str, ...] = ("numpy", "python")
-
-#: Environment variable that selects the process-default kernel.
-KERNEL_ENV = "REPRO_KERNEL"
-
 _NEG_INF = float("-inf")
 
 
-def default_kernel() -> str:
-    """The process-default kernel: ``$REPRO_KERNEL`` or ``"numpy"``.
-
-    Read per call (not cached) so tests and operators can flip the oracle
-    path on without re-importing the module.
-    """
-    kernel = os.environ.get(KERNEL_ENV, "numpy")
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"{KERNEL_ENV}={kernel!r} is not a known MCKP kernel; "
-            f"expected one of {KERNELS}"
-        )
-    return kernel
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """``kernel`` validated, or the process default for ``None``."""
-    if kernel is None:
-        return default_kernel()
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown MCKP kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    return kernel
-
-
 class KernelStats:
-    """Process-wide kernel usage counters (always on, unlike the metrics
-    registry): DP tables built per kernel, plus the subscriber instances
-    answered out of a shared :class:`CapacityProfile`.
-    ``repro solve`` and ``cluster stats`` report this snapshot."""
+    """Process-wide DP usage counters (always on, unlike the metrics
+    registry): DP tables built (optional- and mandatory-pick), plus the
+    subscriber instances answered out of a shared
+    :class:`CapacityProfile`.  ``cluster stats`` reports this snapshot."""
 
     def __init__(self) -> None:
         self.reset()
@@ -122,7 +80,8 @@ class KernelStats:
 
     def reset(self) -> None:
         """Zero every counter (test isolation)."""
-        self.solves: Dict[str, int] = {k: 0 for k in KERNELS}
+        #: A one-key map: ``bench/`` sums the snapshot's ``solves`` values.
+        self.solves: Dict[str, int] = {"dp": 0}
         self.batched_instances = 0
 
 
@@ -236,12 +195,11 @@ def _finish(
     return MckpSolution(tuple(picks), total_value, total_weight)
 
 
-def _emit_solve_obs(reg, kernel: str, n_classes: int, slots: int) -> None:
+def _emit_solve_obs(reg, n_classes: int, slots: int) -> None:
     """Per-table metrics shared by the scalar solves and profile builds."""
-    _KERNEL_STATS.solves[kernel] += 1
+    _KERNEL_STATS.solves["dp"] += 1
     if reg.enabled:
         reg.counter(obs_names.MCKP_SOLVES).inc()
-        reg.counter(obs_names.MCKP_KERNEL_SOLVES, kernel=kernel).inc()
         reg.histogram(obs_names.MCKP_TABLE_CELLS).observe(
             n_classes * (slots + 1)
         )
@@ -274,7 +232,6 @@ def solve_mckp_dp(
     classes: Sequence[Sequence[Item]],
     capacity: int,
     granularity: int = 1,
-    kernel: Optional[str] = None,
 ) -> MckpSolution:
     """Solve an MCKP instance by dynamic programming.
 
@@ -287,14 +244,10 @@ def solve_mckp_dp(
         classes: item classes; at most one item is chosen from each.
         capacity: knapsack capacity in the same (kbps) unit as weights.
         granularity: capacity grid step in kbps.  1 = exact.
-        kernel: execution kernel (``"numpy"`` or ``"python"``); ``None``
-            uses :func:`default_kernel`.  Both kernels return
-            byte-identical solutions.
 
     Returns:
         The optimal (for the discretized instance) :class:`MckpSolution`.
     """
-    kernel = resolve_kernel(kernel)
     _validate(classes, capacity)
     _check_granularity(granularity)
     slots = capacity // granularity
@@ -302,11 +255,9 @@ def solve_mckp_dp(
     grid_weights = [_class_grid_weights(cls, granularity) for cls in classes]
     width = min(slots, _max_slots(grid_weights))
     reg = get_registry()
-    _emit_solve_obs(reg, kernel, n, width)
+    _emit_solve_obs(reg, n, width)
     if n == 0 or slots == 0:
         return _empty_solution(n)
-    if kernel == "python":
-        return _solve_mckp_dp_python(classes, capacity, granularity)
     value, choices = _dp_optional_table(classes, grid_weights, width)
     col = int(np.argmax(value))  # argmax returns the smallest maximizing col
     picks = _pick_list(_backtrack_columns(grid_weights, choices, [col])[0])
@@ -394,8 +345,8 @@ def _solve_mckp_dp_python(
 ) -> MckpSolution:
     """Pure-Python reference implementation of :func:`solve_mckp_dp`.
 
-    The differential oracle of the ``"python"`` kernel; functionally
-    identical to the array kernel, only slower.
+    The reference oracle the tests compare the array DP and
+    :class:`CapacityProfile` against; functionally identical, only slower.
     """
     _validate(classes, capacity)
     _check_granularity(granularity)
@@ -481,7 +432,7 @@ class CapacityProfile:
         if self.unit > 1:
             grid_weights = [[gw // self.unit for gw in gws] for gws in grid_weights]
         columns = _max_slots(grid_weights)
-        _emit_solve_obs(get_registry(), "numpy", len(classes), columns)
+        _emit_solve_obs(get_registry(), len(classes), columns)
         choices, rises = None, ()
         if classes:
             value, choices = _dp_optional_table(classes, grid_weights, columns)
@@ -532,7 +483,6 @@ def solve_mckp_dp_mandatory(
     classes: Sequence[Sequence[Item]],
     capacity: int,
     granularity: int = 1,
-    kernel: Optional[str] = None,
 ) -> Optional[MckpSolution]:
     """Solve an MCKP where *exactly one* item must be taken from each class.
 
@@ -540,23 +490,13 @@ def solve_mckp_dp_mandatory(
     the same resolution — entries cannot be dropped during the fix, so the
     knapsack there is the mandatory-pick variant.
 
-    Args:
-        kernel: execution kernel (``"numpy"`` or ``"python"``); ``None``
-            uses :func:`default_kernel`.
-
     Returns:
         The optimal solution, or ``None`` when no feasible combination
         exists (the Eq. 17 test failed).
     """
-    kernel = resolve_kernel(kernel)
     _validate(classes, capacity)
     _check_granularity(granularity)
-    reg = get_registry()
-    _KERNEL_STATS.solves[kernel] += 1
-    if reg.enabled:
-        reg.counter(obs_names.MCKP_KERNEL_SOLVES, kernel=kernel).inc()
-    if kernel == "python":
-        return _solve_mckp_dp_mandatory_python(classes, capacity, granularity)
+    _KERNEL_STATS.solves["dp"] += 1
     if any(len(cls) == 0 for cls in classes):
         return None
     n = len(classes)
@@ -608,7 +548,7 @@ def _solve_mckp_dp_mandatory_python(
 ) -> Optional[MckpSolution]:
     """Pure-Python reference implementation of :func:`solve_mckp_dp_mandatory`.
 
-    The differential oracle for the array kernel, mirroring it
+    The reference oracle for the array DP, mirroring it
     decision-for-decision: the same ``-inf`` infeasibility propagation,
     the same first-smallest-column argmax tie rule, and the same post-hoc
     exact-capacity rejection.

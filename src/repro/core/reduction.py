@@ -105,7 +105,6 @@ def fix_owner(
     feasible: Mapping[ClientId, Sequence[StreamSpec]],
     budget_kbps: int,
     granularity: int = 1,
-    kernel: Optional[str] = None,
 ) -> Optional[List[Tuple[ClientId, Resolution, PolicyEntry]]]:
     """Apply the Eq. 16 fix: lower entry bitrates until the uplink fits.
 
@@ -113,10 +112,6 @@ def fix_owner(
     bitrate may be replaced by a lower feasible bitrate at the same
     resolution.  Among feasible replacements the QoE-maximal combination is
     chosen.
-
-    Args:
-        kernel: DP execution kernel (see :func:`repro.core.mckp.KERNELS`);
-            ``None`` uses the process default.
 
     Returns:
         The fixed entries, or ``None`` if no feasible replacement exists
@@ -135,9 +130,7 @@ def fix_owner(
         candidates.sort(key=lambda s: s.bitrate_kbps)
         classes.append([(s.bitrate_kbps, s.qoe) for s in candidates])
         class_candidates.append(candidates)
-    result = solve_mckp_dp_mandatory(
-        classes, budget_kbps, granularity=granularity, kernel=kernel
-    )
+    result = solve_mckp_dp_mandatory(classes, budget_kbps, granularity=granularity)
     if result is None:
         return None
     fixed: List[Tuple[ClientId, Resolution, PolicyEntry]] = []
@@ -161,7 +154,6 @@ def reduction_step(
     policies: Policies,
     feasible: Mapping[ClientId, Sequence[StreamSpec]],
     granularity: int = 1,
-    kernel: Optional[str] = None,
 ) -> ReductionOutcome:
     """Run Step 3 over all publishing owners.
 
@@ -186,9 +178,7 @@ def reduction_step(
         if check_uplink(entries, budget):
             accepted = entries
         else:
-            fixed = fix_owner(
-                entries, feasible, budget, granularity=granularity, kernel=kernel
-            )
+            fixed = fix_owner(entries, feasible, budget, granularity=granularity)
             if fixed is None:
                 return ReductionOutcome(reduce=highest_policy_resolution(entries))
             accepted = fixed

@@ -35,9 +35,9 @@ class PolicyEntry:
 
     def __reduce__(self):
         # Frozensets serialize in hash-table iteration order, which
-        # depends on insertion history — equal audiences built in
-        # different processes (e.g. a SolvePool worker vs the parent)
-        # can pickle to different bytes, breaking the byte-identity
+        # depends on insertion history — equal audiences built in a
+        # different order (e.g. by the solver vs a reference loop in the
+        # tests) can pickle to different bytes, breaking the byte-identity
         # contract the test suite and caches rely on.  Canonicalize to
         # a sorted tuple so equal entries always pickle identically.
         return (_rebuild_policy_entry, (self.stream, tuple(sorted(self.audience))))

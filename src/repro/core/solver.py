@@ -29,7 +29,6 @@ from ..obs.spans import span
 from .constraints import Problem
 from .engine import EngineStats, default_mckp_cache
 from .knapsack import Requests, knapsack_step
-from .mckp import KERNELS, default_kernel
 from .merge import merge_step
 from .reduction import reduction_step
 from .solution import PolicyEntry, Solution
@@ -52,25 +51,12 @@ class SolverConfig:
         stickiness: relative QoE bonus for keeping a subscriber's incumbent
             resolution from a publisher (switch damping).  Only effective
             when an ``incumbent`` map is passed to :meth:`GsoSolver.solve`.
-        incremental: run Step 1 through the memoized engine
-            (:mod:`repro.core.engine`): dirty-set re-solves across KMR
-            iterations, one capacity profile per distinct class
-            structure, and the process-wide profile cache.
-            Byte-identical Solutions either way; ``False`` is the escape hatch / differential baseline.
-            Ignored (treated as ``False``) under ``exhaustive_step1``.
-        kernel: MCKP DP execution kernel — ``"numpy"`` (the array-based
-            sweeps, the default) or ``"python"`` (the pure-Python
-            differential oracle).  Byte-identical Solutions either way,
-            mirroring ``incremental``.  Defaults to the ``REPRO_KERNEL``
-            environment variable, falling back to ``"numpy"``.
     """
 
     granularity_kbps: int = 1
     exhaustive_step1: bool = False
     max_iterations: Optional[int] = None
     stickiness: float = 0.10
-    incremental: bool = True
-    kernel: str = field(default_factory=default_kernel)
 
     def __post_init__(self) -> None:
         if self.granularity_kbps < 1:
@@ -79,10 +65,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.stickiness < 0:
             raise ValueError("stickiness must be non-negative")
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
 
 
 @dataclass
@@ -93,7 +75,6 @@ class SolveStats:
     reductions: List[Tuple[ClientId, Resolution]] = field(default_factory=list)
     wall_time_s: float = 0.0
     engine: EngineStats = field(default_factory=EngineStats)
-    kernel: str = ""
 
 
 def _iteration_bound(problem: Problem) -> int:
@@ -182,7 +163,7 @@ class GsoSolver:
                 argument this indicates a bug, not a hard instance.
         """
         cfg = self.config
-        stats = SolveStats(kernel=cfg.kernel)
+        stats = SolveStats()
         reg = get_registry()
         collector = obs_trace.active_collector()
         trace = (
@@ -204,8 +185,7 @@ class GsoSolver:
         reduced: List[Tuple[ClientId, Resolution]] = []
         inc_map = dict(incumbent) if incumbent else None
         stickiness = cfg.stickiness if incumbent else 0.0
-        use_engine = cfg.incremental and not cfg.exhaustive_step1
-        cache = default_mckp_cache() if use_engine else None
+        cache = default_mckp_cache()
         requests: Requests = {}
         #: Step 1's answer sharing, kept in step with ``requests`` for Step 2.
         groups: Requests = {}
@@ -213,10 +193,15 @@ class GsoSolver:
             for iteration in range(1, cap + 1):
                 stats.iterations = iteration
                 t0 = time.perf_counter()
-                if use_engine and iteration > 1:
+                dirty = None
+                step_span = obs_names.SPAN_KMR_KNAPSACK
+                if iteration > 1 and not cfg.exhaustive_step1:
                     # A reduction shrank exactly one publisher's feasible
                     # set; only its followers can see a changed instance.
+                    # (The brute-force Step 1 of Fig. 6 has no dirty set:
+                    # it enumerates every subscriber on every iteration.)
                     dirty = problem.subscribers_of(reduced[-1][0])
+                    step_span = obs_names.SPAN_KMR_KNAPSACK_DIRTY
                     skipped = len(problem.subscribers) - len(dirty)
                     stats.engine.step1_skipped += skipped
                     if reg.enabled:
@@ -227,37 +212,21 @@ class GsoSolver:
                         reg.histogram(
                             obs_names.KMR_DIRTY_SET_SIZE
                         ).observe(len(dirty))
-                    with span(obs_names.SPAN_KMR_KNAPSACK_DIRTY):
-                        requests.update(
-                            knapsack_step(
-                                problem,
-                                feasible=feasible,
-                                granularity=cfg.granularity_kbps,
-                                incumbent=inc_map,
-                                stickiness=stickiness,
-                                subscribers=dirty,
-                                dedup=True,
-                                cache=cache,
-                                stats=stats.engine,
-                                kernel=cfg.kernel,
-                                groups=groups,
-                            )
-                        )
-                else:
-                    with span(obs_names.SPAN_KMR_KNAPSACK):
-                        requests = knapsack_step(
+                with span(step_span):
+                    requests.update(
+                        knapsack_step(
                             problem,
                             feasible=feasible,
                             granularity=cfg.granularity_kbps,
                             exhaustive=cfg.exhaustive_step1,
                             incumbent=inc_map,
                             stickiness=stickiness,
-                            dedup=use_engine,
+                            subscribers=dirty,
                             cache=cache,
-                            stats=stats.engine if use_engine else None,
-                            kernel=cfg.kernel,
+                            stats=stats.engine,
                             groups=groups,
                         )
+                    )
                 t1 = time.perf_counter()
                 with span(obs_names.SPAN_KMR_MERGE):
                     policies = merge_step(problem, requests, groups)
@@ -268,7 +237,6 @@ class GsoSolver:
                         policies,
                         feasible,
                         granularity=cfg.granularity_kbps,
-                        kernel=cfg.kernel,
                     )
                 t3 = time.perf_counter()
                 if trace is not None:

@@ -32,10 +32,10 @@ KMR_SOLVE_SECONDS = "repro_kmr_solve_seconds"
 KMR_REDUCTIONS = "repro_kmr_reductions_total"
 #: Counter, label ``reason`` in {"solved", "iteration_cap"} — how solves end.
 KMR_CONVERGENCE = "repro_kmr_convergence_total"
-#: Counter — subscriber re-solves skipped by the dirty-set (incremental
-#: Step 1 reused the previous iteration's requests for clean subscribers).
+#: Counter — subscriber re-solves skipped by the dirty-set (Step 1
+#: reused the previous iteration's requests for clean subscribers).
 KMR_STEP1_SKIPPED = "repro_kmr_step1_skipped_total"
-#: Histogram — dirty-set size per incremental iteration (subscribers
+#: Histogram — dirty-set size per iteration after the first (subscribers
 #: re-solved after a reduction; the full-subscriber first iteration is
 #: not observed).
 KMR_DIRTY_SET_SIZE = "repro_kmr_dirty_set_size"
@@ -46,16 +46,13 @@ KMR_DIRTY_SET_SIZE = "repro_kmr_dirty_set_size"
 
 #: Counter — optional-pick DP tables built: one per capacity profile
 #: (a distinct Step-1 class structure missing the profile cache) plus one
-#: per scalar ``solve_mckp_dp`` call (the engine-off and oracle paths).
+#: per scalar ``solve_mckp_dp`` call.
 MCKP_SOLVES = "repro_mckp_dp_solves_total"
 #: Histogram — DP table size in cells (classes x capacity slots).
 MCKP_TABLE_CELLS = "repro_mckp_dp_table_cells"
 #: Histogram — per-solve capacity lost to grid rounding, in kbps
 #: (the granularity-induced conservatism of rounding weights up).
 MCKP_GRID_SLACK_KBPS = "repro_mckp_grid_slack_kbps"
-#: Counter, label ``kernel`` in {"numpy", "python"} — DP solves by the
-#: execution kernel that ran them (see docs/SOLVER.md).
-MCKP_KERNEL_SOLVES = "repro_mckp_kernel_solves_total"
 
 # --------------------------------------------------------------------- #
 # Incremental solve engine (repro.core.engine)
@@ -327,7 +324,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     MCKP_SOLVES: ("counter", ()),
     MCKP_TABLE_CELLS: ("histogram", ()),
     MCKP_GRID_SLACK_KBPS: ("histogram", ()),
-    MCKP_KERNEL_SOLVES: ("counter", ("kernel",)),
     MCKP_CACHE: ("counter", ("result",)),
     MCKP_CACHE_EVICTIONS: ("counter", ()),
     MCKP_CACHE_ENTRIES: ("gauge", ()),

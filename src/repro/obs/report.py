@@ -7,7 +7,7 @@ behind ``repro obs report`` and ``repro obs timeline <meeting>``:
 * :func:`meeting_timeline` / :func:`format_timeline` reconstruct the
   causal per-meeting timeline (SEMB report → re-solve → TMMBR push →
   subscription change), grouping events by correlation id so one chain
-  reads top-to-bottom even when it crossed shards and pool workers;
+  reads top-to-bottom even when it crossed shards;
 * :func:`format_slo_verdicts` renders the SLO engine's burn-rate
   verdicts as a PASS/FAIL/BURN table;
 * :func:`report_dict` / :func:`format_report` assemble the full report

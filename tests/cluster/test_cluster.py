@@ -56,15 +56,6 @@ class TestSolveService:
             got = cluster.solve_conference("conf-1", problem)
             assert pickle.dumps(got) == pickle.dumps(DIRECT.solve(problem))
 
-    def test_pool_backed_cluster_matches_serial(self):
-        problems = distinct_problems(3)
-        with make_cluster(pool_workers=2, cache_capacity=0) as parallel:
-            with make_cluster(cache_capacity=0) as serial:
-                for i, problem in enumerate(problems):
-                    a = parallel.solve_conference(f"conf-{i}", problem)
-                    b = serial.solve_conference(f"conf-{i}", problem)
-                    assert pickle.dumps(a) == pickle.dumps(b)
-
     def test_solver_crash_degrades_to_fallback(self, problem, monkeypatch):
         with make_cluster() as cluster:
             def boom(*args, **kwargs):

@@ -1,8 +1,6 @@
-"""Solve pool: serial/parallel equivalence, graceful degradation."""
+"""Solve executor: one-problem and batch solves match the direct solver."""
 
 import pickle
-
-import pytest
 
 from repro.cluster import SolvePool
 from repro.core.solver import GsoSolver, SolverConfig
@@ -25,44 +23,14 @@ def reference_solutions():
 
 class TestSerial:
     def test_solve_matches_direct_solver(self):
-        with SolvePool(CONFIG) as pool:
-            assert not pool.is_parallel
-            for problem, want in zip(PROBLEMS, reference_solutions()):
-                assert pickle.dumps(pool.solve(problem)) == pickle.dumps(want)
+        pool = SolvePool(CONFIG)
+        for problem, want in zip(PROBLEMS, reference_solutions()):
+            assert pickle.dumps(pool.solve(problem)) == pickle.dumps(want)
 
     def test_solve_many_preserves_order(self):
-        with SolvePool(CONFIG) as pool:
-            got = pool.solve_many(PROBLEMS)
-            for have, want in zip(got, reference_solutions()):
-                assert pickle.dumps(have) == pickle.dumps(want)
-
-    def test_empty_batch(self):
-        with SolvePool(CONFIG) as pool:
-            assert pool.solve_many([]) == []
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            SolvePool(CONFIG, workers=-1)
-
-
-class TestParallel:
-    def test_pool_matches_serial_byte_for_byte(self):
-        # If the sandbox forbids subprocesses the pool silently degrades
-        # to the serial path, and the equality below still must hold.
-        with SolvePool(CONFIG, workers=2) as pool:
-            got = pool.solve_many(PROBLEMS)
+        got = SolvePool(CONFIG).solve_many(PROBLEMS)
         for have, want in zip(got, reference_solutions()):
             assert pickle.dumps(have) == pickle.dumps(want)
 
-    def test_close_is_idempotent(self):
-        pool = SolvePool(CONFIG, workers=2)
-        pool.close()
-        pool.close()
-        assert not pool.is_parallel
-        assert pool.workers == 0
-
-    def test_closed_pool_still_solves_serially(self):
-        pool = SolvePool(CONFIG, workers=2)
-        pool.close()
-        [solution] = pool.solve_many(PROBLEMS[:1])
-        assert pickle.dumps(solution) == pickle.dumps(reference_solutions()[0])
+    def test_empty_batch(self):
+        assert SolvePool(CONFIG).solve_many([]) == []

@@ -1,20 +1,13 @@
-"""Span-context propagation across the solve pool (serial and process
-modes) plus a concurrency stress test on the registry join path."""
+"""``pool.solve`` spans of the solve executor, plus a concurrency stress
+test on the registry join path."""
 
 import threading
-
-import pytest
 
 from repro.cluster.pool import SolvePool
 from repro.core.solver import SolverConfig
 from repro.obs import names
 from repro.obs.registry import enabled_registry
-from repro.obs.spans import (
-    context_token,
-    last_root_span,
-    span,
-    stitch_child,
-)
+from repro.obs.spans import last_root_span, span
 from tests.cluster.conftest import mesh_problem
 
 
@@ -23,48 +16,6 @@ def _problems(n):
     return [
         mesh_problem(ups=(5000, 5000, 500 + 100 * k)) for k in range(n)
     ]
-
-
-class TestContextToken:
-    def test_token_captures_open_span_path(self):
-        with enabled_registry():
-            with span("outer"):
-                with span("inner"):
-                    token = context_token()
-        assert token == {"path": ["outer", "inner"]}
-
-    def test_token_empty_without_spans(self):
-        assert context_token() == {"path": []}
-
-    def test_token_is_picklable(self):
-        import pickle
-
-        with enabled_registry():
-            with span("outer"):
-                token = context_token()
-        assert pickle.loads(pickle.dumps(token)) == token
-
-
-class TestStitchChild:
-    def test_stitch_attaches_to_open_span(self):
-        with enabled_registry() as reg:
-            with span("parent"):
-                record = stitch_child(
-                    names.SPAN_POOL_SOLVE, 0.5,
-                    token={"path": ["parent"]},
-                )
-            root = last_root_span()
-        assert record in root.children
-        assert record.depth == root.depth + 1
-        snap = reg.snapshot()["histograms"]
-        key = f'{names.SPAN_SECONDS}{{span="{names.SPAN_POOL_SOLVE}"}}'
-        assert snap[key]["count"] == 1
-
-    def test_stitch_detached_without_open_span(self):
-        with enabled_registry():
-            record = stitch_child(names.SPAN_POOL_SOLVE, 0.1)
-        assert record.children == []
-        assert record.duration_s == 0.1
 
 
 class TestPoolSpans:
@@ -76,44 +27,13 @@ class TestPoolSpans:
     def test_serial_pool_records_pool_solve_spans(self):
         problems = _problems(3)
         with enabled_registry() as reg:
-            with SolvePool(SolverConfig(granularity_kbps=50)) as pool:
-                with span("batch"):
-                    pool.solve_many(problems)
+            with span("batch"):
+                SolvePool(SolverConfig(granularity_kbps=50)).solve_many(problems)
             root = last_root_span()
         assert self._span_count(reg) == 3
         assert [c.name for c in root.children] == (
             [names.SPAN_POOL_SOLVE] * 3
         )
-
-    def test_parallel_pool_stitches_worker_spans(self):
-        problems = _problems(4)
-        with enabled_registry() as reg:
-            with SolvePool(
-                SolverConfig(granularity_kbps=50), workers=2
-            ) as pool:
-                with span("batch"):
-                    solutions = pool.solve_many(problems)
-                root = last_root_span()
-                if not pool.is_parallel:
-                    pytest.skip("sandbox does not allow process pools")
-        assert len(solutions) == 4
-        # Every pooled solve was stitched back under the open span and
-        # observed into the latency histogram, as if it ran inline.
-        assert self._span_count(reg) == 4
-        assert [c.name for c in root.children] == (
-            [names.SPAN_POOL_SOLVE] * 4
-        )
-
-    def test_parallel_matches_serial_solutions(self):
-        problems = _problems(3)
-        with SolvePool(SolverConfig(granularity_kbps=50)) as serial:
-            expected = serial.solve_many(problems)
-        with SolvePool(
-            SolverConfig(granularity_kbps=50), workers=2
-        ) as pool:
-            got = pool.solve_many(problems)
-        for a, b in zip(expected, got):
-            assert a.assignments == b.assignments
 
 
 class TestRegistryStress:
@@ -130,9 +50,9 @@ class TestRegistryStress:
 
         def worker():
             try:
-                with SolvePool(SolverConfig(granularity_kbps=50)) as pool:
-                    for _ in range(self.BATCHES):
-                        pool.solve_many(problems)
+                pool = SolvePool(SolverConfig(granularity_kbps=50))
+                for _ in range(self.BATCHES):
+                    pool.solve_many(problems)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 

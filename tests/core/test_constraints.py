@@ -26,6 +26,14 @@ class TestBandwidth:
         with pytest.raises(ValueError):
             Bandwidth(100, 100, audio_protection_kbps=-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        # NaN used to be accepted (it fails every `< 0` comparison) and
+        # "solved" silently; inf died deep inside the DP.
+        for args in ((bad, 1000), (1000, bad), (1000, 1000, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                Bandwidth(*args)
+
     def test_audio_protection_subtracts(self):
         bw = Bandwidth(1000, 2000, audio_protection_kbps=64)
         assert bw.effective_uplink_kbps == 936

@@ -1,4 +1,4 @@
-"""Unit tests for the incremental solve engine's building blocks."""
+"""Unit tests for the memoized solve engine's building blocks."""
 
 import pytest
 
@@ -38,10 +38,7 @@ class TestInstanceKey:
     def _entries_after(self, *steps):
         cache = MckpInstanceCache(capacity=16)
         for problem, granularity in steps:
-            knapsack_step(
-                problem, granularity=granularity, dedup=True, cache=cache,
-                kernel="numpy",
-            )
+            knapsack_step(problem, granularity=granularity, cache=cache)
         return len(cache)
 
     def test_same_instance_same_key(self):

@@ -1,10 +1,13 @@
-"""Differential equivalence of the incremental solve engine.
+"""Differential equivalence of the solve engine against the reference.
 
-The engine (`repro.core.engine` + the dirty-set loop in GsoSolver) must
-produce **byte-identical** Solutions to the `incremental=False` path on
-every workload: all benchmark problem generators, incumbent-sticky
-re-solves, and every chaos soak scenario.  Equivalence is enforced by
-pickle-byte comparison, not sampled spot checks.
+`GsoSolver` (dirty-set Step 1, shape groups, capacity profiles, the
+process-wide profile cache, the array DPs) must produce **byte-identical**
+Solutions to the from-scratch reference loop of `tests/core/reference.py`
+(every subscriber re-solved on its own every iteration, the pure-Python
+oracles under Steps 1 and 3) on every workload: all benchmark problem
+generators, incumbent-sticky re-solves, and every chaos soak scenario.
+Equivalence is enforced by pickle-byte comparison plus equal iteration
+and reduction sequences, not sampled spot checks.
 """
 
 import importlib.util
@@ -16,7 +19,10 @@ import pytest
 
 from repro.core.constraints import Bandwidth, Problem, Subscription
 from repro.core.engine import MckpInstanceCache, default_mckp_cache
-from repro.core.solver import GsoSolver, SolverConfig
+from repro.core.knapsack import knapsack_step, solve_subscriber
+from repro.core.solver import GsoSolver, SolverConfig, SolveStats
+
+from .reference import assert_solver_matches_reference, reference_solve
 
 _PROBLEMS_PATH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "_problems.py"
@@ -40,81 +46,92 @@ GENERATORS = {
 }
 
 
-def _solve(gen, granularity, incremental, incumbent=None, **config):
-    cfg = SolverConfig(
-        granularity_kbps=granularity, incremental=incremental, **config
-    )
-    return GsoSolver(cfg).solve_with_stats(gen(), incumbent=incumbent)
+def _config(granularity):
+    return SolverConfig(granularity_kbps=granularity)
+
+
+_ENGINE_SOLVE = GsoSolver.solve_with_stats
+
+
+def _engine(solver, problem, incumbent):
+    """The unpatched ``GsoSolver`` solve, in ``reference_solve``'s shape."""
+    solution, stats = _ENGINE_SOLVE(solver, problem, incumbent=incumbent)
+    return solution, stats.iterations, stats.reductions
+
+
+def _reference(solver, problem, incumbent):
+    return reference_solve(problem, solver.config, incumbent)
+
+
+def _incumbent(gen, granularity):
+    """The assignments of a first solve, as an incumbent map."""
+    first = GsoSolver(_config(granularity)).solve(gen())
+    return {
+        (sub, pub): stream.resolution
+        for sub, per_pub in first.assignments.items()
+        for pub, stream in per_pub.items()
+    }
 
 
 class TestGeneratorEquivalence:
+    """Engine vs the from-scratch loop over the array DPs, which can
+    afford the exact grid (granularity 1) on every generator."""
+
     @pytest.mark.parametrize("granularity", [1, 25])
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_solutions_byte_identical(self, name, granularity):
-        base_sol, base_stats = _solve(GENERATORS[name], granularity, False)
-        inc_sol, inc_stats = _solve(GENERATORS[name], granularity, True)
-        assert pickle.dumps(inc_sol) == pickle.dumps(base_sol)
-        assert inc_stats.iterations == base_stats.iterations
-        assert inc_stats.reductions == base_stats.reductions
+        assert_solver_matches_reference(
+            GENERATORS[name], _config(granularity), python_dp=False
+        )
 
     def test_incumbent_stickiness_byte_identical(self):
         gen = GENERATORS["mesh_small"]
-        first = GsoSolver(SolverConfig(granularity_kbps=25)).solve(gen())
-        incumbent = {
-            (sub, pub): stream.resolution
-            for sub, per_pub in first.assignments.items()
-            for pub, stream in per_pub.items()
-        }
-        base_sol, _ = _solve(gen, 25, False, incumbent=incumbent)
-        inc_sol, _ = _solve(gen, 25, True, incumbent=incumbent)
-        assert pickle.dumps(inc_sol) == pickle.dumps(base_sol)
+        assert_solver_matches_reference(
+            gen, _config(25), _incumbent(gen, 25), python_dp=False
+        )
 
     def test_dirty_set_actually_skips_on_partial_followership(self):
-        _, stats = _solve(GENERATORS["breakout"], 25, True)
+        _, stats = GsoSolver(_config(25)).solve_with_stats(
+            GENERATORS["breakout"]()
+        )
         assert stats.iterations > 1
         assert stats.engine.step1_skipped > 0
 
     def test_dedup_actually_collapses_on_gallery(self):
-        _, stats = _solve(GENERATORS["gallery"], 25, True)
+        _, stats = GsoSolver(_config(25)).solve_with_stats(
+            GENERATORS["gallery"]()
+        )
         assert stats.engine.deduped > 0
 
     def test_process_cache_hits_across_solver_instances(self):
-        # The profile cache belongs to the array kernel; the oracle
-        # kernel never reads it.
         cache = default_mckp_cache()
         cache.clear()
-        _solve(GENERATORS["fanout"], 25, True, kernel="numpy")
-        base_sol, _ = _solve(GENERATORS["fanout"], 25, False)
-        inc_sol, stats = _solve(GENERATORS["fanout"], 25, True, kernel="numpy")
+        GsoSolver(_config(25)).solve(GENERATORS["fanout"]())
+        _, stats = assert_solver_matches_reference(
+            GENERATORS["fanout"], _config(25), python_dp=False
+        )
         assert stats.engine.cache_hits > 0
         assert stats.engine.cache_misses == 0
-        assert pickle.dumps(inc_sol) == pickle.dumps(base_sol)
-
-    def test_escape_hatch_bypasses_engine(self):
-        _, stats = _solve(GENERATORS["breakout"], 25, False)
-        assert stats.engine.step1_solved == 0
-        assert stats.engine.dp_solves_avoided == 0
 
     def test_exhaustive_step1_bypasses_engine(self):
-        cfg = SolverConfig(
-            granularity_kbps=25, exhaustive_step1=True, incremental=True
-        )
+        cfg = SolverConfig(granularity_kbps=25, exhaustive_step1=True)
         problem = problems.mesh_meeting(5, 6, seed=1)
         _, stats = GsoSolver(cfg).solve_with_stats(problem)
         assert stats.engine.step1_solved == 0
+        assert stats.engine.dp_solves_avoided == 0
 
     def test_memoized_step_with_private_cache_matches(self):
-        # knapsack_step's memoized path with a private cache, against
-        # the direct path, on every generator.
-        from repro.core.knapsack import knapsack_step
-
+        # knapsack_step with a private cache, against one scalar DP per
+        # subscriber, on every generator.
         for name, gen in sorted(GENERATORS.items()):
             problem = gen()
-            direct = knapsack_step(problem, granularity=25)
+            direct = {
+                sub: solve_subscriber(problem, sub, granularity=25)
+                for sub in problem.subscribers
+            }
             memoized = knapsack_step(
                 problem,
                 granularity=25,
-                dedup=True,
                 cache=MckpInstanceCache(capacity=4096),
             )
             assert pickle.dumps(memoized) == pickle.dumps(direct), name
@@ -123,46 +140,33 @@ class TestGeneratorEquivalence:
 class TestKernelEquivalence:
     """The array kernel must not change a single Solution byte.
 
-    ``kernel="numpy"`` (vectorized sweeps + the capacity-profile path)
-    against ``kernel="python"`` (the differential oracle), compared by
-    pickle bytes on every benchmark generator.  The process cache is
-    cleared before each solve so neither kernel replays the other's
-    cached solutions.
+    Engine (vectorized sweeps + the capacity-profile path) against the
+    reference loop over the pure-Python oracles, compared by pickle
+    bytes on every benchmark generator, without and with an incumbent.
+    The process cache is cleared first so every table is built here.
     """
 
-    def _solve_cold(self, gen, granularity, kernel):
-        default_mckp_cache().clear()
-        cfg = SolverConfig(granularity_kbps=granularity, kernel=kernel)
-        return GsoSolver(cfg).solve_with_stats(gen())
-
+    @pytest.mark.parametrize("sticky", [False, True], ids=["cold", "incumbent"])
     @pytest.mark.parametrize(
         "granularity",
         [1, 25],
         ids=["granularity1", "granularity25"],
     )
     @pytest.mark.parametrize("name", sorted(GENERATORS))
-    def test_solutions_byte_identical(self, name, granularity):
+    def test_solutions_byte_identical(self, name, granularity, sticky):
         if granularity == 1 and name != "mesh_small":
             pytest.skip("exact-grid oracle runs only on the small mesh")
-        py_sol, py_stats = self._solve_cold(
-            GENERATORS[name], granularity, "python"
-        )
-        np_sol, np_stats = self._solve_cold(
-            GENERATORS[name], granularity, "numpy"
-        )
-        assert pickle.dumps(np_sol) == pickle.dumps(py_sol)
-        assert np_stats.iterations == py_stats.iterations
-        assert np_stats.reductions == py_stats.reductions
+        gen = GENERATORS[name]
+        incumbent = _incumbent(gen, granularity) if sticky else None
+        default_mckp_cache().clear()
+        assert_solver_matches_reference(gen, _config(granularity), incumbent)
 
     def test_kernels_also_agree_with_engine_off(self):
-        for kernel in ("python", "numpy"):
-            cfg = SolverConfig(
-                granularity_kbps=25, incremental=False, kernel=kernel
-            )
-            sol = GsoSolver(cfg).solve(GENERATORS["fanout"]())
-            if kernel == "python":
-                reference = pickle.dumps(sol)
-        assert pickle.dumps(sol) == reference
+        # The scalar array DPs against the oracles, both under the
+        # from-scratch loop.
+        array = reference_solve(GENERATORS["fanout"](), _config(25), python_dp=False)
+        oracle = reference_solve(GENERATORS["fanout"](), _config(25))
+        assert pickle.dumps(array) == pickle.dumps(oracle)
 
     def test_webinar_builds_one_table_per_class_structure(self):
         # A webinar: 8 publishers in a mesh plus 110 view-only subscribers
@@ -185,41 +189,42 @@ class TestKernelEquivalence:
         assert shapes == 9
 
         default_mckp_cache().clear()
-        cfg = SolverConfig(granularity_kbps=25, kernel="numpy")
+        cfg = SolverConfig(granularity_kbps=25)
         _, stats = GsoSolver(cfg).solve_with_stats(problem)
         engine = stats.engine
-        assert stats.kernel == "numpy"
         assert stats.iterations > 1
         assert 0 < engine.cache_misses <= stats.iterations * shapes
         assert engine.cache_hits + engine.cache_misses <= stats.iterations * shapes
         assert engine.step1_solved >= len(problem.subscribers)
         assert engine.deduped > 0
 
-    def test_stats_report_configured_kernel(self):
-        _, stats = self._solve_cold(GENERATORS["mesh_small"], 25, "python")
-        assert stats.kernel == "python"
-
-    def test_env_default_kernel_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert SolverConfig().kernel == "python"
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert SolverConfig().kernel == "numpy"
-
 
 class TestChaosEquivalence:
     """The engine must not change a single chaos-run byte."""
 
-    def _digest(self, scenario_name, seed):
+    def _run(self, scenario_name, seed, monkeypatch, solve):
+        """One chaos run with every ``GsoSolver`` solve answered by
+        ``solve(solver, problem, incumbent) -> (solution, iterations,
+        reductions)``; returns the run digest and the per-solve log."""
         from repro.chaos import ChaosConfig, ChaosRunner, get_scenario
+
+        log = []
+
+        def logged(solver, problem, incumbent=None):
+            solution, iterations, reductions = solve(solver, problem, incumbent)
+            log.append((pickle.dumps(solution), iterations, reductions))
+            return solution, SolveStats(iterations=iterations, reductions=reductions)
 
         config = ChaosConfig(
             seed=seed, meetings=2, duration_s=4.0, shards=2
         )
         scenario = get_scenario(scenario_name)
-        runner = ChaosRunner(
-            config, scenario.build(seed, config), scenario=scenario.name
-        )
-        return runner.run().digest()
+        with monkeypatch.context() as patch:
+            patch.setattr(GsoSolver, "solve_with_stats", logged)
+            runner = ChaosRunner(
+                config, scenario.build(seed, config), scenario=scenario.name
+            )
+            return runner.run().digest(), log
 
     @pytest.mark.parametrize(
         "scenario",
@@ -233,39 +238,18 @@ class TestChaosEquivalence:
     def test_scenario_digest_identical_with_engine_off(
         self, scenario, monkeypatch
     ):
-        import repro.chaos.runner as chaos_runner
+        # The same seeded run twice: once solved by the engine, once by
+        # the reference loop over the python oracles.  Equal digests, and
+        # solve by solve equal Solution bytes, iterations and reductions.
+        engine_digest, engine_log = self._run(scenario, 11, monkeypatch, _engine)
+        assert engine_log, "the scenario never reached the solver"
+        reference_digest, reference_log = self._run(
+            scenario, 11, monkeypatch, _reference
+        )
+        assert engine_log == reference_log
+        assert engine_digest == reference_digest
 
-        engine_on = self._digest(scenario, seed=11)
-        real_config = SolverConfig
-
-        def no_engine(*args, **kwargs):
-            kwargs["incremental"] = False
-            return real_config(*args, **kwargs)
-
-        monkeypatch.setattr(chaos_runner, "SolverConfig", no_engine)
-        engine_off = self._digest(scenario, seed=11)
-        assert engine_on == engine_off
-
-    @pytest.mark.parametrize(
-        "scenario",
-        sorted(
-            s.name
-            for s in __import__(
-                "repro.chaos", fromlist=["list_scenarios"]
-            ).list_scenarios()
-        ),
-    )
-    def test_scenario_digest_identical_with_python_kernel(
-        self, scenario, monkeypatch
-    ):
-        # The chaos runner builds its SolverConfig internally, so the
-        # oracle kernel is selected through the environment default.
-        numpy_digest = self._digest(scenario, seed=11)
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        default_mckp_cache().clear()
-        assert self._digest(scenario, seed=11) == numpy_digest
-
-    def test_double_run_determinism_with_engine_enabled(self):
-        assert self._digest("kitchen_sink", seed=13) == self._digest(
-            "kitchen_sink", seed=13
+    def test_double_run_determinism_with_engine_enabled(self, monkeypatch):
+        assert self._run("kitchen_sink", 13, monkeypatch, _engine) == self._run(
+            "kitchen_sink", 13, monkeypatch, _engine
         )

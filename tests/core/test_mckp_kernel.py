@@ -1,13 +1,14 @@
-"""Edge cases and dispatch semantics of the MCKP execution kernels.
+"""Edge cases of the array MCKP kernel against the pure-Python oracles.
 
-The array kernel (``"numpy"``) must match the pure-Python differential
-oracle (``"python"``) *bit-for-bit* — compared by pickle bytes, not
-objective values — on exactly the shapes where vectorized DP sweeps
-classically go wrong: empty classes, grids with zero or one slot,
-exact value+weight ties (the Table-1 tie-break), and weights sitting
-on granularity-bucket boundaries.  A capacity profile must be
-indistinguishable from a per-instance loop over every capacity it is
-asked about: one DP table per class structure, any number of capacities.
+The array DPs (``solve_mckp_dp``, ``solve_mckp_dp_mandatory``) must match
+the pure-Python reference oracles kept beside them *bit-for-bit* —
+compared by pickle bytes, not objective values — on exactly the shapes
+where vectorized DP sweeps classically go wrong: empty classes, grids
+with zero or one slot, exact value+weight ties (the Table-1 tie-break),
+and weights sitting on granularity-bucket boundaries.  A capacity
+profile must be indistinguishable from a per-instance loop over every
+capacity it is asked about: one DP table per class structure, any number
+of capacities.
 """
 
 import pickle
@@ -23,11 +24,9 @@ from repro.core.engine import MckpInstanceCache, default_mckp_cache
 from repro.core.knapsack import knapsack_step
 from repro.core.ladder import paper_ladder
 from repro.core.mckp import (
-    KERNELS,
     CapacityProfile,
     _solve_mckp_dp_mandatory_python,
     _solve_mckp_dp_python,
-    default_kernel,
     kernel_stats,
     solve_mckp_dp,
     solve_mckp_dp_mandatory,
@@ -36,71 +35,40 @@ from repro.core.solver import GsoSolver, SolverConfig
 from repro.obs import enabled_registry
 from repro.obs import names as obs_names
 
+from .reference import reference_solve
+
 
 def both_optional(classes, cap, g=1):
-    a = solve_mckp_dp(classes, cap, granularity=g, kernel="numpy")
+    a = solve_mckp_dp(classes, cap, granularity=g)
     b = _solve_mckp_dp_python(classes, cap, granularity=g)
     assert pickle.dumps(a) == pickle.dumps(b), (classes, cap, g)
     return a
 
 
 def both_mandatory(classes, cap, g=1):
-    a = solve_mckp_dp_mandatory(classes, cap, granularity=g, kernel="numpy")
+    a = solve_mckp_dp_mandatory(classes, cap, granularity=g)
     b = _solve_mckp_dp_mandatory_python(classes, cap, granularity=g)
     assert pickle.dumps(a) == pickle.dumps(b), (classes, cap, g)
     return a
 
 
-class TestKernelDispatch:
-    def test_kernel_names_are_registered(self):
-        assert KERNELS == ("numpy", "python")
-
-    def test_default_kernel_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert default_kernel() == "numpy"
-
-    def test_env_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert default_kernel() == "python"
-
-    def test_env_rejects_unknown_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fortran")
-        with pytest.raises(ValueError, match="fortran"):
-            default_kernel()
-
-    def test_explicit_kernel_rejects_unknown(self):
-        with pytest.raises(ValueError, match="cuda"):
-            solve_mckp_dp([[(1, 1.0)]], 5, kernel="cuda")
-        with pytest.raises(ValueError, match="cuda"):
-            solve_mckp_dp_mandatory([[(1, 1.0)]], 5, kernel="cuda")
-        with pytest.raises(ValueError, match="cuda"):
-            knapsack_step(webinar(1, [500]), dedup=True, kernel="cuda")
-
-    def test_explicit_kernel_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        stats = kernel_stats()
-        before = stats.solves["python"]
-        solve_mckp_dp([[(1, 1.0)]], 5, kernel="python")
-        assert stats.solves["python"] == before + 1
-
+class TestKernelStats:
     def test_kernel_stats_count_batches(self):
         # Three viewers of one class structure: one table built, three
         # subscriber instances answered out of it.
         stats = kernel_stats()
-        tables, insts = stats.solves["numpy"], stats.batched_instances
+        tables, insts = stats.solves["dp"], stats.batched_instances
         knapsack_step(
-            webinar(2, [300, 900, 5000]),
-            dedup=True,
-            cache=MckpInstanceCache(capacity=4),
-            kernel="numpy",
+            webinar(2, [300, 900, 5000]), cache=MckpInstanceCache(capacity=4)
         )
-        assert stats.solves["numpy"] == tables + 1
+        assert stats.solves["dp"] == tables + 1
         assert stats.batched_instances == insts + 3
 
     def test_kernel_stats_snapshot_shape(self):
+        # The shape bench/harness.py reads: it sums the ``solves`` values.
         snap = kernel_stats().snapshot()
         assert set(snap) == {"solves", "batched_instances"}
-        assert set(snap["solves"]) == set(KERNELS)
+        assert sum(snap["solves"].values()) == kernel_stats().solves["dp"]
 
 
 class TestOptionalEdgeCases:
@@ -262,7 +230,7 @@ class TestBatchedEntryPoint:
         # Pickled one by one: capacities answered by one breakpoint share
         # one solution object, which a pickled list would back-reference.
         return [
-            pickle.dumps(solve_mckp_dp(c, cap, granularity=g, kernel="python"))
+            pickle.dumps(_solve_mckp_dp_python(c, cap, granularity=g))
             for c, cap in instances
         ]
 
@@ -281,9 +249,7 @@ class TestBatchedEntryPoint:
     def test_empty_batch(self):
         # A step with nobody to solve reads no profile and builds no table.
         cache = MckpInstanceCache(capacity=4)
-        requests = knapsack_step(
-            webinar(2, [500]), subscribers=[], dedup=True, cache=cache
-        )
+        requests = knapsack_step(webinar(2, [500]), subscribers=[], cache=cache)
         assert requests == {}
         assert cache.stats.lookups == 0 and len(cache) == 0
 
@@ -304,20 +270,6 @@ class TestBatchedEntryPoint:
         got = self._answers(instances)
         assert got == self._reference(instances, 1)
 
-    def test_python_kernel_batches_through_the_oracle(self):
-        # Under the oracle kernel the memoized step answers every
-        # subscriber by a pure-Python solve and never reads a profile.
-        problem = webinar(3, [200, 450, 450, 2600, 10**6])
-        cache = MckpInstanceCache(capacity=4)
-        solves = kernel_stats().solves["python"]
-        got = knapsack_step(
-            problem, granularity=50, dedup=True, cache=cache, kernel="python"
-        )
-        assert cache.stats.lookups == 0 and len(cache) == 0
-        assert kernel_stats().solves["python"] == solves + 4  # 450 twice
-        want = knapsack_step(problem, granularity=50, kernel="numpy")
-        assert pickle.dumps(got) == pickle.dumps(want)
-
     def test_shared_class_structure_one_table_many_capacities(self):
         # The profile's core trick: instances differing only in capacity
         # share one DP table.  Every capacity from empty grid to far
@@ -332,9 +284,9 @@ class TestBatchedEntryPoint:
         ]
         for g in (1, 7):
             instances = [(classes, cap) for cap in range(0, 260, 13)]
-            tables = kernel_stats().solves["numpy"]
+            tables = kernel_stats().solves["dp"]
             got = self._answers(instances, g)
-            assert kernel_stats().solves["numpy"] == tables + 1
+            assert kernel_stats().solves["dp"] == tables + 1
             assert got == self._reference(instances, g)
 
     def test_mixed_class_structures_group_independently(self):
@@ -446,19 +398,32 @@ class TestGccOverestimate:
     #: Three paper ladders: nothing on offer outweighs 3 * 1500 kbps.
     HEAVIEST = 3 * 1500
 
-    @pytest.mark.parametrize("incremental", [True, False], ids=["engine", "scratch"])
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_huge_downlink_and_uplink_solve_on_every_path(self, kernel, incremental):
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda problem: GsoSolver(SolverConfig()).solve(problem),
+            lambda problem: reference_solve(problem)[0],
+        ],
+        ids=["production", "reference"],
+    )
+    def test_huge_downlink_and_uplink_solve_on_every_path(self, solve):
         problem = webinar(3, [10**9, 700], uplink=10**9)
         default_mckp_cache().clear()
-        cfg = SolverConfig(kernel=kernel, incremental=incremental)
-        with enabled_registry() as reg:
-            solution = GsoSolver(cfg).solve(problem)
-            cells = reg.snapshot()["histograms"][obs_names.MCKP_TABLE_CELLS]
+        tracemalloc.start()
+        try:
+            with enabled_registry() as reg:
+                solution = solve(problem)
+                histograms = reg.snapshot()["histograms"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         solution.validate(problem)
         top = paper_ladder()[0]
         assert solution.assignments["V000"] == {f"P{i}": top for i in range(3)}
-        assert cells["max"] <= 3 * (self.HEAVIEST + 1)
+        # The python oracles emit no table metric; their memory is the bound.
+        cells = histograms.get(obs_names.MCKP_TABLE_CELLS)
+        assert cells is None or cells["max"] <= 3 * (self.HEAVIEST + 1)
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("g", [1, 50])
     def test_huge_capacity_on_every_entry_point(self, g):
@@ -470,15 +435,13 @@ class TestGccOverestimate:
         try:
             for got in (
                 _solve_mckp_dp_python(classes, 10**9, g),
-                solve_mckp_dp(classes, 10**9, g, kernel="numpy"),
-                solve_mckp_dp(classes, 10**9, g, kernel="python"),
+                solve_mckp_dp(classes, 10**9, g),
                 CapacityProfile(tuple(map(tuple, classes)), g).solution(10**9),
             ):
                 assert pickle.dumps(got) == pickle.dumps(want)
             for got in (
                 _solve_mckp_dp_mandatory_python(classes, 10**9, g),
-                solve_mckp_dp_mandatory(classes, 10**9, g, kernel="numpy"),
-                solve_mckp_dp_mandatory(classes, 10**9, g, kernel="python"),
+                solve_mckp_dp_mandatory(classes, 10**9, g),
             ):
                 assert pickle.dumps(got) == pickle.dumps(wanted)
             _, peak = tracemalloc.get_traced_memory()

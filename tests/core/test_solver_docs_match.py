@@ -1,15 +1,16 @@
 """The solver-internals guide and the solver must not drift apart.
 
 ``docs/SOLVER.md`` describes the KMR loop, the MCKP DP formulations,
-the cache layers and the kernel registry.  Like
+the cache layers and the reference oracles.  Like
 ``tests/obs/test_docs_match.py`` for the observability guide, these
 tests pin the guide's mechanical claims to the code: every backticked
-config field / kernel name / metric / code reference the guide makes
+config field / oracle name / metric / code reference the guide makes
 must be exactly what the package ships.
 """
 
 import dataclasses
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import repro.core.mckp as mckp
 import repro.core.reduction as reduction
 import repro.core.solver as solver
 from repro.core.engine import MckpInstanceCache
-from repro.core.solver import SolveStats, SolverConfig
+from repro.core.solver import SolverConfig
 from repro.obs import names
 
 REPO = Path(__file__).resolve().parents[2]
@@ -47,15 +48,28 @@ class TestConfigClaims:
             f"guide names unknown SolverConfig fields: {mentioned - fields}"
         )
 
-    def test_kernel_field_and_default_documented(self, guide_text):
-        assert "kernel" in {f.name for f in dataclasses.fields(SolverConfig)}
-        # The documented default source must be the real env knob.
-        assert mckp.KERNEL_ENV in guide_text
-        assert "`default_kernel()`" in guide_text
-
-    def test_stats_kernel_field_exists(self, guide_text):
-        assert "SolveStats.kernel" in guide_text
-        assert "kernel" in {f.name for f in dataclasses.fields(SolveStats)}
+    def test_documented_fields_are_the_only_fields(self, guide_text):
+        """The guide claims four fields and no oracle switch."""
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert fields == [
+            "granularity_kbps",
+            "exhaustive_step1",
+            "max_iterations",
+            "stickiness",
+        ]
+        for name in fields:
+            assert f"`{name}`" in guide_text or f"({name}=" in guide_text, name
+        assert "**no switch**" in guide_text
+        for fn in (
+            mckp.solve_mckp_dp,
+            mckp.solve_mckp_dp_mandatory,
+            knapsack.solve_subscriber,
+            knapsack.knapsack_step,
+            reduction.fix_owner,
+            reduction.reduction_step,
+        ):
+            params = inspect.signature(fn).parameters
+            assert not {"kernel", "dedup"} & set(params), fn.__name__
 
     def test_cache_capacity_matches_code(self, guide_text):
         m = re.search(r"MckpInstanceCache\(capacity=(\d+)\)", guide_text)
@@ -70,18 +84,6 @@ class TestConfigClaims:
 
 
 class TestKernelClaims:
-    def test_kernel_tuple_quoted_verbatim(self, guide_text):
-        assert f"KERNELS = {mckp.KERNELS!r}".replace("'", '"') in guide_text
-
-    def test_each_kernel_name_documented(self, guide_text):
-        for kernel in mckp.KERNELS:
-            assert f"`{kernel}`" in guide_text, kernel
-
-    def test_documented_default_is_real_default(self, guide_text, monkeypatch):
-        monkeypatch.delenv(mckp.KERNEL_ENV, raising=False)
-        assert mckp.default_kernel() == "numpy"
-        assert "**`numpy`** (default)" in guide_text
-
     def test_oracle_functions_exist(self, guide_text):
         for name in (
             "_solve_mckp_dp_python",
@@ -89,6 +91,8 @@ class TestKernelClaims:
         ):
             assert name in guide_text
             assert callable(getattr(mckp, name))
+        assert "solve_subscriber" in guide_text
+        assert callable(knapsack.solve_subscriber)
 
 
 class TestCodeReferencesExist:
@@ -128,8 +132,7 @@ class TestCodeReferencesExist:
             "tests/core/test_mckp_kernel.py",
             "tests/core/test_incremental.py",
             "tests/core/test_solver_docs_match.py",
-            "benchmarks/test_solver_speedup.py",
-            "benchmarks/baselines/BENCH_PR5.json",
+            "tests/core/reference.py",
             "bench/README.md",
         ):
             assert Path(rel).name in guide_text, rel
@@ -149,31 +152,21 @@ class TestMetricClaims:
         assert not unknown, f"guide mentions unknown metrics: {sorted(unknown)}"
 
     def test_kernel_metrics_documented(self, guide_text):
-        for metric in (names.MCKP_KERNEL_SOLVES, names.MCKP_SOLVES):
-            assert metric in guide_text, metric
+        assert names.MCKP_SOLVES in guide_text
 
 
 class TestBenchmarkClaims:
-    def test_floors_match_benchmark_source(self, guide_text):
-        """The guide quotes the speedup floors; the benchmark defines
-        them.  Parse the constants out of the benchmark source (the
-        ``benchmarks/`` tree is not importable from the test suite)."""
-        src = (REPO / "benchmarks" / "test_solver_speedup.py").read_text()
-        floors = {
-            name: float(value)
-            for name, value in re.findall(
-                r"^(GALLERY_FLOOR|ROUNDS_FLOOR)"
-                r"\s*=\s*([0-9.]+)",
-                src,
-                re.M,
-            )
-        }
-        assert floors == {
-            "GALLERY_FLOOR": 3.0,
-            "ROUNDS_FLOOR": 1.5,
-        }
-        for claim in ("3x\ngallery", "1.5x rounds"):
-            assert claim in guide_text, claim
+    def test_named_workloads_exist_in_benchmark(self, guide_text):
+        """The guide's speed promise names workloads and a metric of the
+        end-to-end benchmark; ``BENCHMARK.json`` declares them."""
+        declared = json.loads((REPO / "BENCHMARK.json").read_text())
+        workloads = {w["name"] for w in declared["workloads"]}
+        metrics = {m["name"] for m in declared["end_to_end"]}
+        for workload in ("webinar_large", "churn_storm"):
+            assert f"`{workload}`" in guide_text, workload
+            assert workload in workloads, workload
+        assert "`decision_ms_p50`" in guide_text
+        assert "decision_ms_p50" in metrics
 
 
 class TestCrossLinks:

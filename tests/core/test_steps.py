@@ -145,10 +145,8 @@ class TestEdgeOrdering:
         from repro.core.engine import MckpInstanceCache
 
         p = self.tie_problem()
-        direct = knapsack_step(p)
-        memoized = knapsack_step(
-            p, dedup=True, cache=MckpInstanceCache(capacity=16)
-        )
+        direct = {sub: solve_subscriber(p, sub) for sub in p.subscribers}
+        memoized = knapsack_step(p, cache=MckpInstanceCache(capacity=16))
         assert direct == memoized
         assert memoized["sub"]["A"].resolution == Resolution.P720
 

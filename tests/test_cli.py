@@ -98,21 +98,30 @@ class TestCommands:
         assert rc == 2
 
 
-class TestKernelReporting:
-    def test_solve_prints_kernel_and_batches(self, capsys):
+class TestSolveReporting:
+    def test_solve_prints_engine_line(self, capsys):
         rc = main(["solve", "A:5000:1400", "B:5000:3000"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "(kernel: " in out
         assert "DP table(s) built" in out
+        assert "kernel" not in out
 
-    def test_bogus_kernel_env_is_one_line_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        rc = main(["solve", "A:5000:1400", "B:5000:3000"])
+    @pytest.mark.parametrize("spec", ["A:nan:3000", "A:5000:inf", "A:-inf:3000"])
+    def test_non_finite_bandwidth_is_one_line_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", spec, "B:5000:3000"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("repro solve: error: ")
+        assert "bandwidths must be finite" in err
+        assert "Traceback" not in err
+
+    def test_zero_granularity_is_one_line_error(self, capsys):
+        rc = main(["solve", "A:5000:1400", "B:5000:3000", "--granularity", "0"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("repro solve: ")
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
 
 class TestPlaceCommands:
