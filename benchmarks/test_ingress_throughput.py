@@ -10,9 +10,9 @@ backpressure windows, a bounded virtual executor — and gates two things:
   dispatch with);
 * **against the committed baseline** (``benchmarks/baselines/
   BENCH_PR8.json``): dispatch throughput in events per wall second may
-  not regress more than 15 % after normalizing by the same fixed
-  pure-Python calibration workload ``test_perf_gate.py`` uses, so a
-  slower CI machine is judged fairly.  Outside CI the comparison only
+  not regress more than 15 % after normalizing by a fixed
+  pure-Python calibration workload, so a slower CI machine is judged
+  fairly.  Outside CI the comparison only
   prints; ``REPRO_PERF_GATE=1`` arms the hard failure.
 
 Results are written to ``benchmarks/out/BENCH_PR8.json``.

@@ -42,7 +42,7 @@ CHROME_PATH = OUT_DIR / "trace_chrome.json"
 SEED = 9
 DURATION_S = 10.0
 
-#: Interleaved best-of rounds (same discipline as test_obs_overhead).
+#: Interleaved best-of rounds, so clock drift cancels.
 ROUNDS = 5
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
-from ..core.solution import Solution
+from ..core.solution import solution_digest  # noqa: F401 - part of this module's API
 
 #: Report schema tag; bump on any encoding change.
 #: v2: serves carry correlation ids, and the report embeds deterministic
@@ -23,30 +23,6 @@ from ..core.solution import Solution
 #: v3: the report embeds the assembled trace-plane digest, and the SLO
 #: block includes per-stage latency-budget verdicts.
 REPORT_SCHEMA = "repro.chaos_report/v3"
-
-
-def solution_digest(solution: Solution) -> str:
-    """A short content digest of one delivered configuration.
-
-    Canonical over both views (policies and assignments), independent of
-    dict construction order.
-    """
-    parts: List[str] = []
-    for pub in sorted(solution.policies):
-        for res in sorted(solution.policies[pub]):
-            entry = solution.policies[pub][res]
-            parts.append(
-                f"P[{pub}@{res.value}]={entry.bitrate_kbps}->"
-                f"{','.join(sorted(entry.audience))}"
-            )
-    for sub in sorted(solution.assignments):
-        for pub in sorted(solution.assignments[sub]):
-            stream = solution.assignments[sub][pub]
-            parts.append(
-                f"A[{sub}<-{pub}]={stream.bitrate_kbps}@"
-                f"{stream.resolution.value}"
-            )
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
@@ -61,7 +37,7 @@ class RunReport:
         faults: fault-application events, in order — each carries the
             fault dict plus an ``applied``/``skipped`` outcome.
         serves: every configuration delivery, in order: time, meeting,
-            source, trigger, solution digest.
+            source, trigger, solution digest, delivered.
         checks: invariant evaluation counts.
         violations: failed invariant evaluations (empty on a healthy run).
         meetings: per-meeting closing summary.

@@ -1,18 +1,19 @@
-"""The chaos runner: one seeded, fault-injected cluster run.
+"""The chaos runner: one seeded, fault-injected run of the control loop.
 
-``ChaosRunner`` wires the three existing layers together and torments
-them on a virtual clock:
+``ChaosRunner`` torments the same loop real traffic uses — an
+:class:`~repro.ingress.plane.IngressPlane` mounted on a real
+:class:`~repro.cluster.ControllerCluster` — on one virtual clock:
 
-* the discrete-event :class:`~repro.net.simulator.Simulator` provides
-  deterministic time — meeting reports, scheduler ticks and faults are
-  all simulator events;
-* the :class:`~repro.cluster.ControllerCluster` is the system under
-  test — the real sharded scheduler, cache, admission control and
-  failover paths run unmodified, prodded only through the public
-  injection hooks (``solve_interceptor``, ``defer_meeting``,
-  ``drop_pending``, ``kill_shard``/``add_shard``);
+* every meeting's periodic SEMB report is a stream event through the
+  plane's mailboxes, decision windows and executor;
+* each fault enters where it would in production (``docs/RESILIENCE.md``):
+  bandwidth and membership faults as stream events offered at the fault
+  time, lost and delayed reports as
+  :class:`~repro.ingress.faults.StreamFault` windows, lost TMMBR pushes,
+  stale snapshots and solver crashes through :class:`ChaosBackend` and
+  ``solve_interceptor``, shard death and growth as simulator actions;
 * the :class:`~repro.chaos.world.ChaosWorld` supplies the meeting
-  population and mutates it under bandwidth/membership faults;
+  population the events mutate;
 * the :class:`~repro.chaos.invariants.InvariantChecker` judges every
   configuration the cluster delivers.
 
@@ -22,7 +23,8 @@ digest is byte-identical across runs of the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Set
 
 from ..cluster import ClusterConfig, ControllerCluster
@@ -31,10 +33,26 @@ from ..cluster.cluster import (
     SOURCE_SHED,
     ServedSolution,
 )
+from ..core.constraints import Problem
 from ..core.engine import default_mckp_cache
-from ..core.solution import Solution
+from ..core.solution import Solution, solution_digest
 from ..core.solver import SolverConfig
-from ..net.simulator import PeriodicTask, Simulator
+from ..ingress.aio import SimRuntime
+from ..ingress.events import (
+    LinkEstimate,
+    PublisherJoin,
+    PublisherLeave,
+    SembReport,
+    StreamEvent,
+)
+from ..ingress.faults import (
+    DELAY_SEMB,
+    DROP_SEMB,
+    StreamFault,
+    StreamFaultInjector,
+)
+from ..ingress.plane import BackendDecision, ClusterBackend, IngressPlane
+from ..net.simulator import PeriodicTask
 from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.events import EventLog
@@ -47,18 +65,53 @@ from ..placement.migration import HotShardDetector
 from . import faults as F
 from .faults import Fault, FaultSchedule
 from .invariants import InvariantChecker, kmr_iteration_bound
-from .report import RunReport, solution_digest
+from .report import RunReport
 from .world import ChaosWorld
 
-#: Reports land a quarter-interval before each tick so demand is always
-#: pending when the scheduler rounds run.
+#: Each meeting's first report lands a quarter-interval into the run.
 REPORT_PHASE = 0.25
-#: Ticks run half an interval into each period.
-TICK_PHASE = 0.5
 
 
 class InjectedSolverFault(RuntimeError):
     """Raised by the solve interceptor for a poisoned meeting."""
+
+
+def stream_faults(
+    schedule: FaultSchedule,
+    report_interval_s: float = 1.0,
+    default_meeting: str = "",
+) -> List[StreamFault]:
+    """The feedback-path faults of a timeline, as stream fault windows.
+
+    ``drop_report`` becomes a :data:`DROP_SEMB` window of ``factor``
+    report intervals, ``delay_report`` a :data:`DELAY_SEMB` hold of
+    ``factor`` intervals on the next report; every other kind enters the
+    loop elsewhere.  A fault without a target hits ``default_meeting``
+    ("" = every meeting).
+    """
+    out: List[StreamFault] = []
+    for fault in schedule.faults:
+        factor = max(1.0, fault.factor or 1.0)
+        if fault.kind == F.DROP_REPORT:
+            out.append(
+                StreamFault(
+                    DROP_SEMB,
+                    meeting=fault.target or default_meeting,
+                    start_s=fault.at_s,
+                    end_s=fault.at_s + factor * report_interval_s,
+                )
+            )
+        elif fault.kind == F.DELAY_REPORT:
+            out.append(
+                StreamFault(
+                    DELAY_SEMB,
+                    meeting=fault.target or default_meeting,
+                    start_s=fault.at_s,
+                    end_s=fault.at_s + report_interval_s,
+                    delay_s=factor * report_interval_s,
+                )
+            )
+    return out
 
 
 def _assignment_changes(
@@ -103,9 +156,8 @@ class ChaosConfig:
     seed: int = 1
     meetings: int = 4
     duration_s: float = 10.0
-    #: Scheduler-round cadence (also the cluster's Fig. 12 min interval).
-    tick_interval_s: float = 1.0
-    #: SEMB/global-picture report cadence per meeting.
+    #: SEMB/global-picture report cadence per meeting (also the cluster's
+    #: Fig. 12 min interval and the housekeeping cadence).
     report_interval_s: float = 1.0
     shards: int = 2
     cache_capacity: int = 256
@@ -113,33 +165,40 @@ class ChaosConfig:
     mean_size: float = 4.0
     #: Placement policy homing meetings onto shards (see repro.placement).
     placement: str = "hash"
-    #: Per-shard cost budget; > 0 arms the hot-shard detector every tick
-    #: and the shard_budget invariant at run end.
+    #: Per-shard cost budget; > 0 arms the hot-shard detector every
+    #: report interval and the shard_budget invariant at run end.
     shard_cost_budget: float = 0.0
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        if self.tick_interval_s <= 0 or self.report_interval_s <= 0:
-            raise ValueError("intervals must be positive")
+        if self.report_interval_s <= 0:
+            raise ValueError("report_interval_s must be positive")
         if self.meetings < 1:
             raise ValueError("need at least one meeting")
 
     def to_dict(self) -> dict:
         """JSON-friendly encoding (embedded in run reports)."""
-        return {
-            "seed": self.seed,
-            "meetings": self.meetings,
-            "duration_s": self.duration_s,
-            "tick_interval_s": self.tick_interval_s,
-            "report_interval_s": self.report_interval_s,
-            "shards": self.shards,
-            "cache_capacity": self.cache_capacity,
-            "max_solves_per_round": self.max_solves_per_round,
-            "mean_size": self.mean_size,
-            "placement": self.placement,
-            "shard_cost_budget": self.shard_cost_budget,
-        }
+        return asdict(self)
+
+
+class ChaosBackend(ClusterBackend):
+    """``ClusterBackend`` plus the faults that live behind the plane and
+    the per-decision judging (the way ``bench``'s backend adds the wire):
+    every decision and shed commits through :meth:`ChaosRunner.deliver`."""
+
+    def __init__(self, cluster, world, runner: "ChaosRunner") -> None:
+        super().__init__(cluster, world)
+        self.runner = runner
+        #: meeting -> the stale snapshot its next decision is served.
+        self.stale: Dict[str, Problem] = {}
+
+    def payload(self, meeting: str) -> Problem:
+        stale = self.stale.pop(meeting, None)
+        return stale if stale is not None else super().payload(meeting)
+
+    def committed(self, served, payload):
+        return self.runner.deliver(served, payload)
 
 
 class ChaosRunner:
@@ -177,15 +236,14 @@ class ChaosRunner:
         # instance cache so a double run replays the identical hit/miss
         # pattern (the determinism invariant compares metric samples too).
         default_mckp_cache().clear()
-        self.sim = Simulator()
         self.world = ChaosWorld(
             seed=cfg.seed, meetings=cfg.meetings, mean_size=cfg.mean_size
         )
         self.cluster = ControllerCluster(
             ClusterConfig(
                 shards=cfg.shards,
-                min_interval_s=cfg.tick_interval_s,
-                max_interval_s=3.0 * cfg.tick_interval_s,
+                min_interval_s=cfg.report_interval_s,
+                max_interval_s=3.0 * cfg.report_interval_s,
                 cache_capacity=cfg.cache_capacity,
                 max_solves_per_round=cfg.max_solves_per_round,
                 placement=cfg.placement,
@@ -193,6 +251,9 @@ class ChaosRunner:
                 solver=SolverConfig(granularity_kbps=25),
             )
         )
+        self.backend = ChaosBackend(self.cluster, self.world, self)
+        self.plane = IngressPlane(SimRuntime(), self.backend)
+        self.sim = self.plane.runtime.sim
         self.detector: Optional[HotShardDetector] = (
             HotShardDetector(cfg.shard_cost_budget)
             if cfg.shard_cost_budget > 0
@@ -207,65 +268,78 @@ class ChaosRunner:
         )
         # Fault state the runner maintains between events.
         self._poisoned: Set[str] = set()
-        self._drop_reports: Dict[str, int] = {}
-        self._delay_next_report: Dict[str, float] = {}
         self._lose_next_tmmbr: Set[str] = set()
         self._applied: Dict[str, dict] = {}
         self._applied_solution: Dict[str, Optional[Solution]] = {}
         self._ever_served: Set[str] = set()
-        self._fallback_since: Dict[str, int] = {}
+        self._fallback_since: Dict[str, float] = {}
         self._meeting_counters: Dict[str, Dict[str, int]] = {}
-        self._tick_index = 0
         self._max_iteration_ratio = 0.0
         self.events = EventLog()
         self.slo_verdicts = []
         self.traces = assemble_trees(())
 
         self.cluster.solve_interceptor = self._intercept
-        try:
-            with span(obs_names.SPAN_CHAOS_RUN), \
-                    obs_events.record_events(self.events):
-                self._bootstrap()
-                self.sim.run_until(cfg.duration_s)
-                self._finalize()
-        finally:
-            self.cluster.close()
+        with span(obs_names.SPAN_CHAOS_RUN), \
+                obs_events.record_events(self.events):
+            faults = self.schedule.until(cfg.duration_s)
+            self._bootstrap(faults)
+            self.plane.run_stream(
+                self._report_stream(),
+                StreamFaultInjector(
+                    stream_faults(
+                        faults,
+                        cfg.report_interval_s,
+                        default_meeting=self.world.meeting_ids[0],
+                    )
+                ),
+                duration_s=cfg.duration_s,
+            )
+            self._finalize()
         return self.report
 
-    def _bootstrap(self) -> None:
-        """Register meetings, start the report/tick clocks, arm faults."""
+    def _bootstrap(self, faults: FaultSchedule) -> None:
+        """Register meetings, start the housekeeping clock, arm faults."""
         cfg = self.config
         for meeting_id in self.world.meeting_ids:
             self.cluster.register(meeting_id)
             # Clients boot in a safe single-stream default until the
             # first TMMBR push arrives (Sec. 7's floor configuration).
-            self._applied[meeting_id] = {
-                "source": "bootstrap",
-                "t": 0.0,
-                "digest": "",
-            }
+            self._applied[meeting_id] = {"source": "bootstrap", "digest": ""}
             self._applied_solution[meeting_id] = None
             self._meeting_counters[meeting_id] = {
                 "reports_dropped": 0,
                 "tmmbr_lost": 0,
                 "fallback_recoveries": 0,
             }
-            PeriodicTask(
-                self.sim,
-                cfg.report_interval_s,
-                lambda mid=meeting_id: self._report(mid),
-                start_offset=REPORT_PHASE * cfg.report_interval_s,
-            )
-        PeriodicTask(
-            self.sim,
-            cfg.tick_interval_s,
-            self._tick,
-            start_offset=TICK_PHASE * cfg.tick_interval_s,
-        )
-        for fault in self.schedule.until(cfg.duration_s):
+        # Faults are armed before the stream is scheduled, so a fault
+        # precedes a report due at the same instant.
+        for fault in faults:
             self.sim.schedule_at(
                 fault.at_s, lambda f=fault: self._apply_fault(f)
             )
+        PeriodicTask(
+            self.sim,
+            cfg.report_interval_s,
+            self._housekeep,
+            start_offset=cfg.report_interval_s,
+        )
+
+    def _report_stream(self) -> List[StreamEvent]:
+        """Every meeting's periodic SEMB reports over the run, in
+        ``(time, meeting)`` order."""
+        cfg = self.config
+        first = REPORT_PHASE * cfg.report_interval_s
+        rounds = math.ceil((cfg.duration_s - first) / cfg.report_interval_s)
+        return [
+            SembReport(
+                at_s=first + k * cfg.report_interval_s,
+                meeting=meeting_id,
+                seq=k * len(self.world.meeting_ids) + i,
+            )
+            for k in range(rounds)
+            for i, meeting_id in enumerate(self.world.meeting_ids)
+        ]
 
     def _finalize(self) -> None:
         """Closing availability check + per-meeting summaries."""
@@ -281,6 +355,12 @@ class ChaosRunner:
                 },
                 self.sim.now,
             )
+        for event in self.events.events:
+            if (
+                event.kind == obs_events.FAULT_INJECTED
+                and event.attrs.get("fault") == DROP_SEMB
+            ):
+                self._meeting_counters[event.meeting]["reports_dropped"] += 1
         for meeting_id in self.world.meeting_ids:
             record = self.cluster.meeting(meeting_id)
             state = self.world.meeting(meeting_id)
@@ -318,7 +398,6 @@ class ChaosRunner:
         ctx = SloContext(
             serves=self.report.serves,
             duration_s=self.config.duration_s,
-            tick_interval_s=self.config.tick_interval_s,
             stats={"kmr_iteration_ratio_max": self._max_iteration_ratio},
             registry=get_registry(),
             stage_latencies=self.traces.stage_latencies(),
@@ -345,72 +424,59 @@ class ChaosRunner:
                 f"injected solver fault for {meeting_id}"
             )
 
-    def _report(self, meeting_id: str) -> None:
-        """One meeting's periodic SEMB/global-picture report."""
-        remaining = self._drop_reports.get(meeting_id, 0)
-        if remaining > 0:
-            self._drop_reports[meeting_id] = remaining - 1
-            self._meeting_counters[meeting_id]["reports_dropped"] += 1
-            return
-        delay = self._delay_next_report.pop(meeting_id, 0.0)
-        if delay > 0:
-            self.sim.schedule(
-                delay, lambda: self._submit_current(meeting_id)
+    def _housekeep(self) -> None:
+        """Once per report interval: drain hot shards, check that every
+        served meeting still holds a configuration, sample time series."""
+        if self.detector is not None:
+            self._deliver_handover(
+                self.detector.rebalance(self.cluster, self.sim.now).served
             )
-        else:
-            self._submit_current(meeting_id)
-
-    def _submit_current(self, meeting_id: str) -> None:
-        self.cluster.submit(
-            meeting_id,
-            self.world.current_problem(meeting_id),
-            now_s=self.sim.now,
-        )
-
-    def _tick(self) -> None:
-        """One scheduler round plus invariant checks on its deliveries."""
-        self._tick_index += 1
-        with span(obs_names.SPAN_CHAOS_TICK):
-            for served in self.cluster.tick(self.sim.now):
-                self._deliver(served)
-            if self.detector is not None:
-                # Drain over-budget shards; the degraded fallbacks served
-                # mid-move are delivered like any other configuration.
-                rebalance = self.detector.rebalance(
-                    self.cluster, self.sim.now
-                )
-                for served in rebalance.served:
-                    self._deliver(served)
-            self._check_availability()
+        self._check_availability()
         store = active_store()
         if store is not None:
             store.sample_registry(get_registry(), self.sim.now)
 
-    def _deliver(self, served: ServedSolution) -> None:
-        """Judge and apply one configuration pushed by the cluster."""
+    def _deliver_handover(self, handover: List[ServedSolution]) -> None:
+        """Deliver the degraded fallbacks a migration served mid-move.
+        They bypass the plane, so their TMMBR event is emitted here."""
+        for served in handover:
+            problem = self.cluster.meeting(served.meeting_id).last_problem
+            result = self.deliver(served, problem)
+            self.events.emit(
+                obs_events.TMMBR_PUSH
+                if result.delivered
+                else obs_events.TMMBR_LOST,
+                t=self.sim.now,
+                meeting=served.meeting_id,
+                cid=served.correlation_id,
+                shard=served.shard,
+                source=served.source,
+            )
+
+    def deliver(
+        self, served: ServedSolution, problem: Problem
+    ) -> BackendDecision:
+        """Judge and apply one configuration the cluster served."""
+        now = self.sim.now
         meeting_id = served.meeting_id
-        record = self.cluster.meeting(meeting_id)
-        assert record.last_problem is not None
         self.checker.check_solution(
-            meeting_id, record.last_problem, served.solution, self.sim.now
+            meeting_id, problem, served.solution, now
         )
-        bound = kmr_iteration_bound(record.last_problem)
         self._max_iteration_ratio = max(
-            self._max_iteration_ratio, served.solution.iterations / bound
+            self._max_iteration_ratio,
+            served.solution.iterations / kmr_iteration_bound(problem),
         )
         digest = solution_digest(served.solution)
-        delivered = True
-        if meeting_id in self._lose_next_tmmbr:
+        delivered = meeting_id not in self._lose_next_tmmbr
+        if not delivered:
             # The TMMBR push is lost in flight: the configuration was
-            # computed but the clients keep their previous one.  The next
-            # delivery (the scheduler re-solves every tick) heals it.
+            # computed but the clients keep their previous one.  The
+            # meeting's next decision heals it.
             self._lose_next_tmmbr.discard(meeting_id)
             self._meeting_counters[meeting_id]["tmmbr_lost"] += 1
-            delivered = False
         self.report.serves.append(
             {
-                "t": self.sim.now,
-                "tick": self._tick_index,
+                "t": now,
                 "meeting": meeting_id,
                 "cid": served.correlation_id,
                 "source": served.source,
@@ -420,21 +486,14 @@ class ChaosRunner:
             }
         )
         self._ever_served.add(meeting_id)
-        self.events.emit(
-            obs_events.TMMBR_PUSH if delivered else obs_events.TMMBR_LOST,
-            t=self.sim.now,
-            meeting=meeting_id,
-            cid=served.correlation_id,
-            shard=served.shard,
-            publishers=len(served.solution.policies),
-        )
         if delivered:
-            previous = self._applied_solution.get(meeting_id)
-            changes = _assignment_changes(previous, served.solution)
+            changes = _assignment_changes(
+                self._applied_solution.get(meeting_id), served.solution
+            )
             if changes:
                 self.events.emit(
                     obs_events.SUBSCRIPTION_CHANGE,
-                    t=self.sim.now,
+                    t=now,
                     meeting=meeting_id,
                     cid=served.correlation_id,
                     shard=served.shard,
@@ -443,16 +502,22 @@ class ChaosRunner:
                 )
             self._applied[meeting_id] = {
                 "source": served.source,
-                "t": self.sim.now,
                 "digest": digest,
             }
             self._applied_solution[meeting_id] = served.solution
         self._track_recovery(meeting_id, served.source)
+        return BackendDecision(
+            source=served.source,
+            digest=digest,
+            solution=served.solution,
+            delivered=delivered,
+        )
 
     def _track_recovery(self, meeting_id: str, source: str) -> None:
         """Measure how long meetings stay degraded on the fallback."""
+        now = self.sim.now
         if source in (SOURCE_FALLBACK, SOURCE_SHED):
-            self._fallback_since.setdefault(meeting_id, self._tick_index)
+            self._fallback_since.setdefault(meeting_id, now)
             return
         since = self._fallback_since.pop(meeting_id, None)
         if since is None:
@@ -460,8 +525,8 @@ class ChaosRunner:
         self._meeting_counters[meeting_id]["fallback_recoveries"] += 1
         reg = get_registry()
         if reg.enabled:
-            reg.histogram(obs_names.CHAOS_RECOVERY_TICKS).observe(
-                self._tick_index - since
+            reg.histogram(obs_names.CHAOS_RECOVERY_SECONDS).observe(
+                now - since
             )
 
     def _check_availability(self) -> None:
@@ -481,13 +546,9 @@ class ChaosRunner:
     # Fault application
     # ------------------------------------------------------------------ #
 
-    def _meeting_target(self, fault: Fault) -> str:
-        return fault.target or self.world.meeting_ids[0]
-
     def _apply_fault(self, fault: Fault) -> None:
-        """Dispatch one fault; records the outcome in the report."""
-        outcome = "applied"
-        detail: Dict[str, object] = {}
+        """Inject one fault where it enters the loop; records the
+        outcome in the report."""
         kind = fault.kind
         # Emitted before dispatch so the fault precedes its effects
         # (handover fallbacks, re-homes) in the causal timeline.
@@ -502,137 +563,124 @@ class ChaosRunner:
             fault=kind,
             target=fault.target,
         )
-
-        if kind == F.KILL_SHARD:
-            live = self.cluster.live_shards
-            target = fault.target or live[0]
-            if len(live) <= 1 or target not in live:
-                outcome = "skipped"
-            else:
-                handover = self.cluster.kill_shard(target, self.sim.now)
-                for served in handover:
-                    self._deliver(served)
-                detail = {"shard": target, "rehomed": len(handover)}
-        elif kind == F.RESTART_SHARD:
-            dead = sorted(
-                set(self.cluster.stats()["shards"])
-                - set(self.cluster.live_shards)
+        if kind in F.SHARD_KINDS:
+            detail = self._apply_shard_fault(fault)
+        else:
+            meeting_id = fault.target or self.world.meeting_ids[0]
+            detail = (
+                self._apply_meeting_fault(fault, meeting_id)
+                if meeting_id in self.world.meeting_ids
+                else None
             )
-            target = fault.target or (dead[0] if dead else "")
-            if not target or target in self.cluster.live_shards:
-                outcome = "skipped"
-            else:
-                self.cluster.add_shard(target, self.sim.now)
-                detail = {"shard": target}
-        elif kind == F.ADD_SHARD:
-            target = fault.target or None
-            if target is not None and target in self.cluster.live_shards:
-                outcome = "skipped"
-            else:
-                name = self.cluster.add_shard(target, self.sim.now)
-                detail = {"shard": name}
-        elif kind == F.OVERLOAD_SHARD:
-            live = self.cluster.live_shards
-            target = fault.target if fault.target in live else ""
-            if not target:
-                # Pick the busiest live shard by assigned cost.
-                loads = self.cluster.load_model.loads(live)
-                target = max(live, key=lambda s: (loads[s], s))
-            joins = int(fault.factor) if fault.factor >= 1 else 2
-            grown = 0
-            for mid, _cost in self.cluster.load_model.meetings_on(target):
-                if mid not in self.world.meeting_ids:
-                    continue
-                for _ in range(joins):
-                    self.world.add_client(mid)
-                self._submit_current(mid)
-                grown += 1
-            if not grown:
-                outcome = "skipped"
-            else:
-                detail = {
-                    "shard": target,
-                    "meetings_grown": grown,
-                    "joined_each": joins,
-                }
-        elif kind == F.DROP_REPORT:
-            meeting_id = self._meeting_target(fault)
-            dropped_pending = self.cluster.drop_pending(meeting_id)
-            count = max(1, int(fault.factor))
-            self._drop_reports[meeting_id] = (
-                self._drop_reports.get(meeting_id, 0) + count
-            )
-            detail = {
-                "meeting": meeting_id,
-                "dropped_pending": dropped_pending,
-                "suppressed": count,
-            }
-        elif kind == F.DELAY_REPORT:
-            meeting_id = self._meeting_target(fault)
-            deferred = self.cluster.defer_meeting(meeting_id, fault.factor)
-            self._delay_next_report[meeting_id] = fault.factor
-            detail = {"meeting": meeting_id, "deferred_pending": deferred}
-        elif kind == F.LOSE_TMMBR:
-            meeting_id = self._meeting_target(fault)
-            self._lose_next_tmmbr.add(meeting_id)
-            detail = {"meeting": meeting_id}
-        elif kind in (F.DOWNLINK_COLLAPSE, F.UPLINK_COLLAPSE):
-            meeting_id = self._meeting_target(fault)
-            scales = (
-                {"down_scale": fault.factor}
-                if kind == F.DOWNLINK_COLLAPSE
-                else {"up_scale": fault.factor}
-            )
-            client = self.world.scale_bandwidth(
-                meeting_id, fault.client, **scales
-            )
-            self._submit_current(meeting_id)
-            detail = {"meeting": meeting_id, "client": client}
-        elif kind == F.BANDWIDTH_RECOVER:
-            meeting_id = self._meeting_target(fault)
-            client = self.world.scale_bandwidth(
-                meeting_id, fault.client, up_scale=1.0, down_scale=1.0
-            )
-            self._submit_current(meeting_id)
-            detail = {"meeting": meeting_id, "client": client}
-        elif kind == F.PUBLISHER_LEAVE:
-            meeting_id = self._meeting_target(fault)
-            client = self.world.remove_client(meeting_id, fault.client)
-            if not client:
-                outcome = "skipped"
-            else:
-                self._submit_current(meeting_id)
-                detail = {"meeting": meeting_id, "client": client}
-        elif kind == F.PUBLISHER_JOIN:
-            meeting_id = self._meeting_target(fault)
-            client = self.world.add_client(meeting_id)
-            self._submit_current(meeting_id)
-            detail = {"meeting": meeting_id, "client": client}
-        elif kind == F.STALE_SNAPSHOT:
-            meeting_id = self._meeting_target(fault)
-            version, problem = self.world.stale_problem(
-                meeting_id, int(fault.factor)
-            )
-            self.cluster.submit(meeting_id, problem, now_s=self.sim.now)
-            detail = {"meeting": meeting_id, "stale_version": version}
-        elif kind == F.SOLVER_FAULT:
-            meeting_id = self._meeting_target(fault)
-            self._poisoned.add(meeting_id)
-            detail = {"meeting": meeting_id}
-        elif kind == F.CLEAR_SOLVER_FAULT:
-            meeting_id = self._meeting_target(fault)
-            if meeting_id in self._poisoned:
-                self._poisoned.discard(meeting_id)
-                detail = {"meeting": meeting_id}
-            else:
-                outcome = "skipped"
-        else:  # pragma: no cover - Fault.__post_init__ rejects these
-            outcome = "skipped"
-
-        if outcome == "applied":
+        if detail is not None:
             reg = get_registry()
             if reg.enabled:
                 reg.counter(obs_names.CHAOS_FAULTS, kind=kind).inc()
         self.report.faults.append(
-            {**fault.to_dict(), "outcome": outcome, **detail}
+            {
+                **fault.to_dict(),
+                "outcome": "skipped" if detail is None else "applied",
+                **(detail or {}),
+            }
         )
+
+    def _apply_shard_fault(self, fault: Fault) -> Optional[dict]:
+        """Shard death, restart, growth and overload: calls on the
+        cluster at the fault's time.  None = skipped."""
+        kind = fault.kind
+        now = self.sim.now
+        live = self.cluster.live_shards
+        if kind == F.KILL_SHARD:
+            target = fault.target or live[0]
+            if len(live) <= 1 or target not in live:
+                return None
+            handover = self.cluster.kill_shard(target, now)
+            self._deliver_handover(handover)
+            return {"shard": target, "rehomed": len(handover)}
+        if kind == F.RESTART_SHARD:
+            dead = sorted(set(self.cluster.stats()["shards"]) - set(live))
+            target = fault.target or (dead[0] if dead else "")
+            if not target or target in live:
+                return None
+            self.cluster.add_shard(target, now)
+            return {"shard": target}
+        if kind == F.ADD_SHARD:
+            if fault.target in live:
+                return None
+            return {"shard": self.cluster.add_shard(fault.target or None, now)}
+        # OVERLOAD_SHARD: every meeting homed on the target gains joiners.
+        target = fault.target
+        if target not in live:
+            # Pick the busiest live shard by assigned cost.
+            loads = self.cluster.load_model.loads(live)
+            target = max(live, key=lambda s: (loads[s], s))
+        joins = int(fault.factor) if fault.factor >= 1 else 2
+        grown = 0
+        for mid, _cost in self.cluster.load_model.meetings_on(target):
+            if mid not in self.world.meeting_ids:
+                continue
+            for _ in range(joins):
+                self.plane.offer(PublisherJoin(at_s=now, meeting=mid))
+            grown += 1
+        if not grown:
+            return None
+        return {"shard": target, "meetings_grown": grown, "joined_each": joins}
+
+    def _apply_meeting_fault(
+        self, fault: Fault, meeting_id: str
+    ) -> Optional[dict]:
+        """Faults aimed at one meeting.  None = skipped."""
+        kind = fault.kind
+        now = self.sim.now
+        clients = self.world.meeting(meeting_id).clients
+        if kind in (
+            F.DOWNLINK_COLLAPSE, F.UPLINK_COLLAPSE, F.BANDWIDTH_RECOVER
+        ):
+            client = fault.client if fault.client in clients else min(clients)
+            up, down = clients[client].up_scale, clients[client].down_scale
+            if kind == F.DOWNLINK_COLLAPSE:
+                down = fault.factor
+            elif kind == F.UPLINK_COLLAPSE:
+                up = fault.factor
+            else:
+                up = down = 1.0
+            accepted = self.plane.offer(
+                LinkEstimate(
+                    at_s=now,
+                    meeting=meeting_id,
+                    client=client,
+                    up_scale=up,
+                    down_scale=down,
+                )
+            )
+            return {"meeting": meeting_id, "client": client} if accepted else None
+        if kind in (F.PUBLISHER_JOIN, F.PUBLISHER_LEAVE):
+            before = set(clients)
+            self.plane.offer(
+                PublisherJoin(at_s=now, meeting=meeting_id)
+                if kind == F.PUBLISHER_JOIN
+                else PublisherLeave(
+                    at_s=now, meeting=meeting_id, client=fault.client
+                )
+            )
+            churned = sorted(before ^ set(clients))
+            if not churned:
+                return None  # the meeting is already down to two clients
+            return {"meeting": meeting_id, "client": churned[0]}
+        if kind == F.STALE_SNAPSHOT:
+            version, problem = self.world.stale_problem(
+                meeting_id, int(fault.factor)
+            )
+            self.backend.stale[meeting_id] = problem
+            return {"meeting": meeting_id, "stale_version": version}
+        if kind == F.LOSE_TMMBR:
+            self._lose_next_tmmbr.add(meeting_id)
+        elif kind == F.SOLVER_FAULT:
+            self._poisoned.add(meeting_id)
+        elif kind == F.CLEAR_SOLVER_FAULT:
+            if meeting_id not in self._poisoned:
+                return None
+            self._poisoned.discard(meeting_id)
+        # DROP_REPORT / DELAY_REPORT windows were armed up front
+        # (``stream_faults``); the fault time only marks the timeline.
+        return {"meeting": meeting_id}

@@ -2,9 +2,9 @@
 
 Each scenario is a pure function from ``(seed, config)`` to a
 :class:`~repro.chaos.faults.FaultSchedule` — no hidden state, so the same
-seed always builds the same timeline.  Timings are expressed in tick
-units relative to the run duration, which keeps every scenario meaningful
-for any reasonable ``ChaosConfig``.
+seed always builds the same timeline.  Timings are fractions of the run
+duration, which keeps every scenario meaningful for any reasonable
+``ChaosConfig``.
 """
 
 from __future__ import annotations
@@ -103,8 +103,9 @@ def _unfixable(seed: int, config: ChaosConfig) -> FaultSchedule:
     """Poison one meeting's solver permanently — never cleared.
 
     The acceptance scenario: the meeting must degrade to the Sec. 7
-    single-stream fallback within one scheduler tick and stay served by
-    it for the rest of the run, with zero invariant violations.
+    single-stream fallback within one report interval plus one decision
+    window and stay served by it for the rest of the run, with zero
+    invariant violations.
     """
     return FaultSchedule().add(
         Fault(
@@ -152,7 +153,7 @@ _SCENARIOS: Dict[str, Scenario] = {
         Scenario("healthy", "no faults: the control baseline", _healthy),
         Scenario(
             "shard_churn",
-            "kill a controller shard mid-round, restart it, grow the ring",
+            "kill a controller shard mid-run, restart it, grow the ring",
             _shard_churn,
         ),
         Scenario(

@@ -11,10 +11,8 @@ Four subcommands cover the library's main entry points:
 * ``cluster`` — the sharded controller cluster (``docs/ARCHITECTURE.md``,
   "Controller cluster"): ``cluster run`` pushes a fleet workload through
   the cluster's solve service (sharding + fingerprint cache) and
-  reports daily metrics plus cluster counters; ``cluster
-  stats`` drives a synthetic event/tick workload through the shard
-  schedulers (coalescing, admission, optional shard kill) and dumps the
-  stats snapshot;
+  reports daily metrics plus cluster counters (the event-driven loop
+  itself is ``ingress run``);
 * ``place`` — fleet placement (see ``docs/PLACEMENT.md``): ``place run``
   packs one sampled fleet with one policy and prints the packing,
   ``place compare`` races every policy on the same workload and prints
@@ -221,74 +219,18 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         print("end date precedes start date", file=sys.stderr)
         return 2
     cluster = _make_cluster(args)
-    try:
-        sim = DeploymentSimulation(
-            conferences_per_day=args.conferences, cluster=cluster
+    sim = DeploymentSimulation(
+        conferences_per_day=args.conferences, cluster=cluster
+    )
+    print("date        coverage  video-stall  voice-stall  framerate")
+    while day <= end:
+        p = sim.run_day(day)
+        print(
+            f"{p.day}  {p.coverage:8.2f}  {p.video_stall:11.3f}  "
+            f"{p.voice_stall:11.3f}  {p.framerate:9.1f}"
         )
-        print("date        coverage  video-stall  voice-stall  framerate")
-        while day <= end:
-            p = sim.run_day(day)
-            print(
-                f"{p.day}  {p.coverage:8.2f}  {p.video_stall:11.3f}  "
-                f"{p.voice_stall:11.3f}  {p.framerate:9.1f}"
-            )
-            day += dt.timedelta(days=args.stride)
-        _print_cluster_stats(cluster)
-    finally:
-        cluster.close()
-    return 0
-
-
-def _cmd_cluster_stats(args: argparse.Namespace) -> int:
-    """Drive a synthetic event workload through the shard schedulers."""
-    import random as _random
-
-    from .deploy.fleet import FleetSampler
-    from .deploy.rollout import DeploymentSimulation
-
-    cluster = _make_cluster(args)
-    try:
-        sim = DeploymentSimulation()
-        sampler = FleetSampler(_random.Random(args.seed))
-        scorer_problems = []
-        from .deploy.fleet import ConferenceScorer
-
-        scorer = ConferenceScorer()
-        for i in range(args.meetings):
-            rng = sim._conference_rng(dt.date(2021, 12, 25), i)
-            conf = sampler.sample_conference(rng=rng)
-            scorer_problems.append(
-                (f"meeting-{i}", scorer._gso_problem(conf))
-            )
-        killed = False
-        for tick in range(args.ticks):
-            now = float(tick)
-            # Event churn: every meeting re-reports each tick; half report
-            # twice (coalesced into one pending solve).
-            for i, (mid, problem) in enumerate(scorer_problems):
-                cluster.submit(mid, problem, now)
-                if i % 2 == 0:
-                    cluster.submit(mid, problem, now)
-            if args.kill_shard and not killed and tick == args.ticks // 2:
-                # Kill the busiest shard so the failover actually shows.
-                victim = max(
-                    cluster.live_shards,
-                    key=lambda n: cluster.stats()["shards"][n]["meetings"],
-                )
-                served = cluster.kill_shard(victim, now)
-                print(
-                    f"[tick {tick}] killed {victim}: {len(served)} "
-                    "meeting(s) degraded to fallback and re-homed"
-                )
-                killed = True
-            served = cluster.tick(now)
-            by_source: dict = {}
-            for s in served:
-                by_source[s.source] = by_source.get(s.source, 0) + 1
-            print(f"[tick {tick}] served {len(served)}: {by_source}")
-        _print_cluster_stats(cluster)
-    finally:
-        cluster.close()
+        day += dt.timedelta(days=args.stride)
+    _print_cluster_stats(cluster)
     return 0
 
 
@@ -300,7 +242,12 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
         default=4096,
         help="fingerprint-cache entries (0 disables caching)",
     )
-    parser.add_argument("--max-solves-per-round", type=int, default=64)
+    parser.add_argument(
+        "--max-solves-per-round",
+        type=int,
+        default=64,
+        help="solves one shard may have in flight; the rest shed to fallback",
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -398,28 +345,23 @@ def _cmd_place_stats(args: argparse.Namespace) -> int:
         print(f"repro place: {exc}", file=sys.stderr)
         return 2
     cluster = ControllerCluster(config)
-    try:
-        sim = DeploymentSimulation()
-        sampler = FleetSampler(_random.Random(args.seed))
-        scorer = ConferenceScorer()
-        for i in range(args.meetings):
-            rng = sim._conference_rng(dt.date(2021, 12, 25), i)
-            conf = sampler.sample_conference(rng=rng)
-            cluster.submit(f"meeting-{i}", scorer._gso_problem(conf), 0.0)
-        served = cluster.tick(0.0)
-        print(f"registered {args.meetings} meeting(s), served {len(served)}")
-        if args.budget > 0:
-            detector = HotShardDetector(args.budget)
-            result = detector.rebalance(cluster, 1.0)
-            hot = ", ".join(result.hot_after) if result.hot_after else "none"
-            print(
-                f"rebalance: {len(result.moves)} move(s), "
-                f"hot shards after: {hot}"
-            )
-        print(json.dumps(cluster.stats()["placement"], indent=2,
-                         sort_keys=True))
-    finally:
-        cluster.close()
+    sim = DeploymentSimulation()
+    sampler = FleetSampler(_random.Random(args.seed))
+    scorer = ConferenceScorer()
+    for i in range(args.meetings):
+        rng = sim._conference_rng(dt.date(2021, 12, 25), i)
+        conf = sampler.sample_conference(rng=rng)
+        cluster.solve_request(f"meeting-{i}", scorer._gso_problem(conf), 0.0)
+    print(f"registered and served {args.meetings} meeting(s)")
+    if args.budget > 0:
+        detector = HotShardDetector(args.budget)
+        result = detector.rebalance(cluster, 1.0)
+        hot = ", ".join(result.hot_after) if result.hot_after else "none"
+        print(
+            f"rebalance: {len(result.moves)} move(s), "
+            f"hot shards after: {hot}"
+        )
+    print(json.dumps(cluster.stats()["placement"], indent=2, sort_keys=True))
     return 0
 
 
@@ -437,7 +379,6 @@ def _chaos_config(args: argparse.Namespace, seed: int) -> "object":
             meetings=args.meetings,
             duration_s=args.duration,
             shards=args.shards,
-            tick_interval_s=args.tick_interval,
             report_interval_s=args.report_interval,
             mean_size=args.mean_size,
         )
@@ -505,7 +446,6 @@ def _add_chaos_config_args(parser: argparse.ArgumentParser) -> None:
         "--duration", type=float, default=10.0, help="simulated seconds"
     )
     parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--tick-interval", type=float, default=1.0)
     parser.add_argument("--report-interval", type=float, default=1.0)
     parser.add_argument("--mean-size", type=float, default=4.0)
 
@@ -746,8 +686,8 @@ def _run_obs_scenario(args: argparse.Namespace):
     """Run one chaos scenario with the full telemetry pipeline enabled.
 
     Returns ``(runner, report, store)`` — the runner keeps the event log
-    and SLO verdict objects, the store holds the per-tick registry
-    samples.  Raises :class:`KeyError` for unknown scenario names.
+    and SLO verdict objects, the store holds the per-report-interval
+    registry samples.  Raises :class:`KeyError` for unknown scenario names.
     """
     from .chaos import ChaosConfig, ChaosRunner, get_scenario
 
@@ -1054,21 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_run.add_argument("--conferences", type=int, default=100)
     _add_cluster_args(cluster_run)
     cluster_run.set_defaults(func=_cmd_cluster_run)
-
-    cluster_stats = cluster_sub.add_parser(
-        "stats",
-        help="drive a synthetic event/tick workload and dump cluster stats",
-    )
-    cluster_stats.add_argument("--meetings", type=int, default=12)
-    cluster_stats.add_argument("--ticks", type=int, default=6)
-    cluster_stats.add_argument("--seed", type=int, default=7)
-    cluster_stats.add_argument(
-        "--kill-shard",
-        action="store_true",
-        help="kill one shard mid-run to demonstrate Sec. 7 failover",
-    )
-    _add_cluster_args(cluster_stats)
-    cluster_stats.set_defaults(func=_cmd_cluster_stats)
 
     place = sub.add_parser(
         "place",

@@ -1,6 +1,6 @@
 """Sharded controller cluster: hosting many meetings behind one solve
-service (consistent-hash sharding, coalescing schedulers, fingerprint
-cache, solve executor, admission control).
+service (consistent-hash sharding, the Fig. 12 pacing envelope,
+fingerprint cache, solve executor, admission control).
 """
 
 from .admission import AdmissionController, AdmissionStats
@@ -19,13 +19,11 @@ from .cluster import (
 from .hashring import ConsistentHashRing, moved_keys, stable_hash
 from .pool import SolvePool
 from .scheduler import (
-    SchedulerStats,
-    SolveRequest,
-    SolveScheduler,
     TRIGGER_EVENT,
     TRIGGER_REHOME,
     TRIGGER_SYNC,
     TRIGGER_TIME,
+    backpressure_window_s,
 )
 
 __all__ = [
@@ -36,13 +34,10 @@ __all__ = [
     "ConsistentHashRing",
     "ControllerCluster",
     "MeetingRecord",
-    "SchedulerStats",
     "ServedSolution",
     "ShardWorker",
     "SolutionCache",
     "SolvePool",
-    "SolveRequest",
-    "SolveScheduler",
     "SOURCE_CACHE",
     "SOURCE_FALLBACK",
     "SOURCE_SHED",
@@ -51,6 +46,7 @@ __all__ = [
     "TRIGGER_REHOME",
     "TRIGGER_SYNC",
     "TRIGGER_TIME",
+    "backpressure_window_s",
     "moved_keys",
     "stable_hash",
 ]

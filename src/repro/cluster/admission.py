@@ -1,26 +1,22 @@
-"""Admission control: queue-depth limits that shed load instead of lag.
+"""Admission control: a solves-in-flight limit that sheds load instead of lag.
 
-A controller shard that falls behind must not stall its whole queue — a
+A controller shard that falls behind must not stall its meetings — a
 late stream configuration is worth little, and Sec. 7's design-for-failure
 rule ("the service could continue, however, at the cost of reduced QoE")
 applies to overload exactly as it does to crashes.  The admission
-controller caps how many solves a shard executes per scheduling round;
-requests beyond the cap are **shed**: the affected meeting is served the
-cheap :func:`~repro.control.failover.single_stream_fallback` configuration
-instead of a full KMR solve, and retried on its next trigger.
-
-Shedding order protects interactivity: oldest requests run first (they
-have waited longest inside their debounce window), newest are shed first.
+controller caps how many solves a shard has in flight at once; the
+ingress plane **sheds** decisions beyond the cap: the affected meeting is
+served the cheap :func:`~repro.control.failover.single_stream_fallback`
+configuration instead of a full KMR solve, and retried on its next
+trigger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
-from .scheduler import SolveRequest
 
 
 @dataclass
@@ -37,11 +33,11 @@ class AdmissionStats:
 
 
 class AdmissionController:
-    """Per-round solve budget of one shard.
+    """In-flight solve budget of one shard.
 
     Args:
-        max_solves_per_round: how many full KMR solves one shard may run
-            per scheduling round; requests beyond it degrade to fallback.
+        max_solves_per_round: how many full KMR solves one shard may have
+            in flight at once; decisions beyond it degrade to fallback.
     """
 
     def __init__(self, max_solves_per_round: int = 64) -> None:
@@ -50,43 +46,16 @@ class AdmissionController:
         self.max_solves_per_round = max_solves_per_round
         self.stats = AdmissionStats()
 
-    def admit(
-        self, requests: Sequence[SolveRequest]
-    ) -> Tuple[List[SolveRequest], List[SolveRequest]]:
-        """Split a round's due requests into (admitted, shed).
-
-        Requests are admitted oldest-first (by submission time, then
-        meeting id for determinism) up to the round budget.
-        """
-        ordered = sorted(
-            requests, key=lambda r: (r.submitted_at_s, r.meeting_id)
-        )
-        admitted = ordered[: self.max_solves_per_round]
-        shed = ordered[self.max_solves_per_round :]
-        self.stats.admitted += len(admitted)
-        self.stats.shed += len(shed)
-        if shed:
-            reg = get_registry()
-            if reg.enabled:
-                reg.counter(obs_names.CLUSTER_SHED).inc(len(shed))
-        return admitted, shed
-
-    # -- continuous (event-driven) admission ---------------------------- #
-
     def over_budget(self, in_flight: int) -> bool:
-        """Whether one more solve would exceed the concurrent budget.
-
-        The event-driven ingress has no scheduling rounds; the per-round
-        budget is reinterpreted as a bound on solves *in flight* at once.
-        """
+        """Whether one more solve would exceed the concurrent budget."""
         return in_flight >= self.max_solves_per_round
 
     def admit_one(self) -> None:
-        """Account one admitted continuous-path solve."""
+        """Account one admitted solve."""
         self.stats.admitted += 1
 
     def shed_one(self) -> None:
-        """Account one continuous-path shed (and bump the shared metric)."""
+        """Account one shed decision (and bump the shed metric)."""
         self.stats.shed += 1
         reg = get_registry()
         if reg.enabled:

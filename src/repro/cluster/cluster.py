@@ -8,20 +8,21 @@ module is the reproduction's control-plane host:
 
 * **sharding** — meetings land on shard workers via a consistent-hash ring
   (:mod:`.hashring`); a shard death re-homes only its own meetings;
-* **scheduling** — each shard coalesces/debounces solve demand into the
-  Fig. 12 envelope (:mod:`.scheduler`);
+* **pacing** — the Fig. 12 envelope the ingress plane debounces and
+  coalesces with (:mod:`.scheduler`);
 * **caching** — solves are keyed by the canonical problem fingerprint and
   served from a bounded LRU when the structure repeats (:mod:`.cache`);
 * **execution** — cache misses run on the in-process solve executor
   (:mod:`.pool`);
-* **admission** — per-round solve budgets shed overload to the Sec. 7
-  single-stream fallback instead of stalling the queue (:mod:`.admission`).
+* **admission** — a per-shard bound on solves in flight; the plane sheds
+  what exceeds it to the Sec. 7 single-stream fallback
+  (:mod:`.admission`).
 
 Failure discipline is inherited from Sec. 7 end to end: a dead shard, a
 shed request and a crashing solver all degrade the affected meeting to
 :func:`~repro.control.failover.single_stream_fallback` — the service
 continues, and the meeting re-converges to a full KMR solution on its next
-scheduled solve.
+decision.
 """
 
 from __future__ import annotations
@@ -50,12 +51,7 @@ from .admission import AdmissionController
 from .cache import SolutionCache
 from .hashring import ConsistentHashRing
 from .pool import SolvePool
-from .scheduler import (
-    SolveRequest,
-    SolveScheduler,
-    TRIGGER_REHOME,
-    TRIGGER_SYNC,
-)
+from .scheduler import TRIGGER_REHOME, TRIGGER_SYNC
 
 #: ``ServedSolution.source`` values.
 SOURCE_SOLVE = "solve"
@@ -72,12 +68,13 @@ class ClusterConfig:
     shards: int = 4
     #: Virtual ring points per shard.
     vnodes: int = 64
-    #: Fig. 12 envelope applied by every shard scheduler.
+    #: Fig. 12 envelope the ingress plane paces every meeting with.
     min_interval_s: float = 1.0
     max_interval_s: float = 3.0
     #: Fingerprint cache; 0 disables caching entirely.
     cache_capacity: int = 4096
-    #: Full solves one shard may run per tick; the rest shed to fallback.
+    #: Solves one shard may have in flight at once; the ingress plane
+    #: sheds decisions beyond it to the fallback.
     max_solves_per_round: int = 64
     #: Placement policy homing new meetings: ``hash`` (the ring,
     #: baseline), ``best_fit`` (Tetris packing) or ``least_loaded``.
@@ -93,6 +90,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("need at least one shard")
+        if not 0 < self.min_interval_s <= self.max_interval_s:
+            raise ValueError("need 0 < min_interval <= max_interval")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be >= 0")
         if self.max_solves_per_round < 1:
@@ -143,16 +142,11 @@ class MeetingRecord:
 
 
 class ShardWorker:
-    """One controller shard: a scheduler plus an admission budget."""
+    """One controller shard: an admission budget and serve counters."""
 
     def __init__(self, name: str, config: ClusterConfig) -> None:
         self.name = name
         self.alive = True
-        self.scheduler = SolveScheduler(
-            min_interval_s=config.min_interval_s,
-            max_interval_s=config.max_interval_s,
-            shard=name,
-        )
         self.admission = AdmissionController(
             max_solves_per_round=config.max_solves_per_round
         )
@@ -163,15 +157,11 @@ class ShardWorker:
 class ControllerCluster:
     """Hosts many meetings across shard workers behind one solve service.
 
-    Typical use (virtual-time driven)::
+    The ingress plane (``repro.ingress``) owns debouncing, coalescing and
+    shedding and calls in exactly when a decision is due::
 
         cluster = ControllerCluster(ClusterConfig(shards=4))
-        cluster.submit("meeting-1", problem, now_s=0.0)   # event trigger
-        served = cluster.tick(now_s=1.0)                  # run due solves
-
-    or, for synchronous workloads (the fleet simulation)::
-
-        solution = cluster.solve_conference("conf-17", problem)
+        served = cluster.solve_request("meeting-1", problem, now_s=1.0)
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
@@ -278,56 +268,6 @@ class ControllerCluster:
             )
 
     # ------------------------------------------------------------------ #
-    # Demand
-    # ------------------------------------------------------------------ #
-
-    def submit(
-        self,
-        meeting_id: str,
-        problem: Problem,
-        now_s: float,
-        trigger: str = "event",
-    ) -> str:
-        """File an event-triggered solve request; returns the owning shard."""
-        shard = self.register(meeting_id, problem)
-        record = self._meetings[meeting_id]
-        record.last_problem = problem
-        self._shards[shard].scheduler.submit(
-            meeting_id, problem, now_s, trigger=trigger
-        )
-        return shard
-
-    # ------------------------------------------------------------------ #
-    # Fault-injection hook points (repro.chaos)
-    # ------------------------------------------------------------------ #
-
-    def defer_meeting(self, meeting_id: str, delay_s: float) -> bool:
-        """Defer a meeting's pending solve request (delayed-report fault).
-
-        Returns True if a pending request existed and was deferred.
-        """
-        record = self._meetings.get(meeting_id)
-        if record is None:
-            return False
-        worker = self._shards.get(record.shard)
-        if worker is None:
-            return False
-        return worker.scheduler.defer(meeting_id, delay_s)
-
-    def drop_pending(self, meeting_id: str) -> bool:
-        """Drop a meeting's pending solve request (lost-report fault).
-
-        Returns True if a pending request existed and was dropped.
-        """
-        record = self._meetings.get(meeting_id)
-        if record is None:
-            return False
-        worker = self._shards.get(record.shard)
-        if worker is None:
-            return False
-        return worker.scheduler.drop_pending(meeting_id) is not None
-
-    # ------------------------------------------------------------------ #
     # The solve service
     # ------------------------------------------------------------------ #
 
@@ -356,7 +296,7 @@ class ControllerCluster:
         now_s: float,
         correlation_id: str = "",
     ) -> ServedSolution:
-        """Commit a configuration to a meeting's record and scheduler."""
+        """Commit a configuration to a meeting's record."""
         record.last_problem = problem
         record.last_solution = solution
         if source == SOURCE_SOLVE:
@@ -367,7 +307,6 @@ class ControllerCluster:
         if shard is not None:
             if source in (SOURCE_SOLVE, SOURCE_CACHE):
                 shard.solves += 1
-            shard.scheduler.mark_solved(record.meeting_id, problem, now_s)
         log = obs_events.active_event_log()
         if log is not None:
             log.emit(
@@ -417,44 +356,6 @@ class ControllerCluster:
                 time.perf_counter() - start
             )
 
-    def solve_conference(self, meeting_id: str, problem: Problem) -> Solution:
-        """Synchronous solve-service path (fleet workloads).
-
-        Routes through the meeting's shard for accounting, consults the
-        fingerprint cache, and never raises: solver failures degrade to
-        the single-stream fallback (Sec. 7).
-        """
-        self.register(meeting_id, problem)
-        record = self._meetings[meeting_id]
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(
-                obs_names.CLUSTER_SOLVE_REQUESTS, trigger=TRIGGER_SYNC
-            ).inc()
-        log = obs_events.active_event_log()
-        cid = ""
-        if log is not None:
-            cid = log.mint(meeting_id)
-            log.emit(
-                obs_events.SEMB_REPORT,
-                t=0.0,
-                meeting=meeting_id,
-                cid=cid,
-                shard=record.shard,
-                trigger=TRIGGER_SYNC,
-            )
-        try:
-            if self.solve_interceptor is not None:
-                self.solve_interceptor(meeting_id, problem)
-            solution, source = self._solve_service(problem)
-        except Exception:
-            solution = self._fallback(record, problem)
-            source = SOURCE_FALLBACK
-        return self._serve(
-            record, problem, solution, source, TRIGGER_SYNC, now_s=0.0,
-            correlation_id=cid,
-        ).solution
-
     def solve_request(
         self,
         meeting_id: str,
@@ -463,12 +364,8 @@ class ControllerCluster:
         trigger: str = "event",
         correlation_id: str = "",
     ) -> ServedSolution:
-        """The continuous (event-driven) solve path: one request, served
-        now.
+        """Serve one request now.
 
-        Unlike :meth:`submit`/:meth:`tick` there is no scheduling round —
-        the ingress plane (``repro.ingress``) owns debouncing, coalescing
-        and admission, and calls this exactly when a decision is due.
         Routes through the meeting's shard for accounting, honors the
         chaos interceptor and the fingerprint cache, and never raises:
         failures degrade to the Sec. 7 single-stream fallback.
@@ -500,6 +397,12 @@ class ControllerCluster:
             correlation_id=correlation_id,
         )
 
+    def over_budget(self, meeting_id: str, in_flight: int) -> bool:
+        """Whether one more solve in flight would exceed the budget of
+        the meeting's shard (the plane's admission check)."""
+        worker = self._shards[self.register(meeting_id)]
+        return worker.admission.over_budget(in_flight)
+
     def shed_request(
         self,
         meeting_id: str,
@@ -508,7 +411,7 @@ class ControllerCluster:
         trigger: str = "event",
         correlation_id: str = "",
     ) -> ServedSolution:
-        """Shed one continuous-path request: serve the Sec. 7 fallback.
+        """Shed one request: serve the Sec. 7 fallback.
 
         The ingress backpressure ladder's last rung — the meeting gets a
         serviceable (degraded) configuration instead of queueing deeper.
@@ -530,145 +433,6 @@ class ControllerCluster:
         )
 
     # ------------------------------------------------------------------ #
-    # The scheduling loop
-    # ------------------------------------------------------------------ #
-
-    def tick(self, now_s: float) -> List[ServedSolution]:
-        """Run one scheduling round across every live shard.
-
-        Per shard: pop due requests, admit up to the round budget, shed
-        the rest to fallback, serve admitted requests from the cache or
-        the solve pool (batched).  Returns everything served this round,
-        in deterministic (shard, due-time, meeting) order.
-        """
-        served: List[ServedSolution] = []
-        reg = get_registry()
-        with span(obs_names.SPAN_CLUSTER_TICK):
-            for name in self.live_shards:
-                worker = self._shards[name]
-                due = worker.scheduler.due(now_s)
-                if reg.enabled:
-                    reg.histogram(
-                        obs_names.CLUSTER_QUEUE_DEPTH, shard=name
-                    ).observe(len(due))
-                if not due:
-                    continue
-                admitted, shed = worker.admission.admit(due)
-                for request in shed:
-                    record = self._meetings[request.meeting_id]
-                    solution = self._fallback(record, request.problem)
-                    served.append(
-                        self._serve(
-                            record,
-                            request.problem,
-                            solution,
-                            SOURCE_SHED,
-                            request.trigger,
-                            now_s,
-                            correlation_id=request.correlation_id,
-                        )
-                    )
-                served.extend(self._run_admitted(admitted, now_s))
-        return served
-
-    def _run_admitted(
-        self, admitted: List[SolveRequest], now_s: float
-    ) -> List[ServedSolution]:
-        """Serve admitted requests: cache hits inline, misses batched."""
-        served: List[ServedSolution] = []
-        misses: List[SolveRequest] = []
-        for request in admitted:
-            record = self._meetings[request.meeting_id]
-            if self.solve_interceptor is not None:
-                try:
-                    self.solve_interceptor(request.meeting_id, request.problem)
-                except Exception:
-                    solution = self._fallback(record, request.problem)
-                    served.append(
-                        self._serve(
-                            record,
-                            request.problem,
-                            solution,
-                            SOURCE_FALLBACK,
-                            request.trigger,
-                            now_s,
-                            correlation_id=request.correlation_id,
-                        )
-                    )
-                    continue
-            if self.cache is not None:
-                start = time.perf_counter()
-                cached = self.cache.get(self._cache_key(request.problem))
-                if cached is not None:
-                    self._observe_solve_seconds(start)
-                    served.append(
-                        self._serve(
-                            record,
-                            request.problem,
-                            cached,
-                            SOURCE_CACHE,
-                            request.trigger,
-                            now_s,
-                            correlation_id=request.correlation_id,
-                        )
-                    )
-                    continue
-            misses.append(request)
-        if not misses:
-            return served
-        try:
-            start = time.perf_counter()
-            solutions = self.pool.solve_many([r.problem for r in misses])
-            batch_failed = False
-        except Exception:
-            solutions = []
-            batch_failed = True
-        if batch_failed:
-            # Retry individually so one poisoned problem degrades only its
-            # own meeting (Sec. 7), not the whole batch.
-            for request in misses:
-                record = self._meetings[request.meeting_id]
-                try:
-                    solution, source = self._solve_service(request.problem)
-                except Exception:
-                    solution = self._fallback(record, request.problem)
-                    source = SOURCE_FALLBACK
-                served.append(
-                    self._serve(
-                        record,
-                        request.problem,
-                        solution,
-                        source,
-                        request.trigger,
-                        now_s,
-                        correlation_id=request.correlation_id,
-                    )
-                )
-            return served
-        per_solve = (time.perf_counter() - start) / max(1, len(misses))
-        reg = get_registry()
-        for request, solution in zip(misses, solutions):
-            if reg.enabled:
-                reg.histogram(obs_names.CLUSTER_SOLVE_SECONDS).observe(
-                    per_solve
-                )
-            record = self._meetings[request.meeting_id]
-            if self.cache is not None:
-                self.cache.put(self._cache_key(request.problem), solution)
-            served.append(
-                self._serve(
-                    record,
-                    request.problem,
-                    solution,
-                    SOURCE_SOLVE,
-                    request.trigger,
-                    now_s,
-                    correlation_id=request.correlation_id,
-                )
-            )
-        return served
-
-    # ------------------------------------------------------------------ #
     # Failure and rebalance
     # ------------------------------------------------------------------ #
 
@@ -685,9 +449,10 @@ class ControllerCluster:
 
         With ``degrade=True`` (the Sec. 7 handover discipline) the
         meeting is immediately served the single-stream fallback built
-        from its last snapshot, then re-converges via a ``rehome``
-        solve request on the target; with ``degrade=False`` the move is
-        seamless — only the rehome request is filed.
+        from its last snapshot; with ``degrade=False`` the move is
+        seamless.  Either way the meeting re-converges to a full KMR
+        solution on its next decision on the target (its next report or
+        the ingress plane's idle refresh).
 
         Returns the degraded :class:`ServedSolution` (None when the
         meeting was already on ``target``, had no snapshot to serve, or
@@ -704,9 +469,6 @@ class ControllerCluster:
         source = record.shard
         if source == target:
             return None
-        old = self._shards.get(source)
-        handover = old.scheduler.forget(meeting_id) if old else None
-        problem = handover or record.last_problem
         record.shard = target
         record.rehomes += 1
         self.load_model.move(meeting_id, target)
@@ -746,22 +508,16 @@ class ControllerCluster:
                     previous_shard=source,
                 )
         served: Optional[ServedSolution] = None
-        if problem is not None:
-            if degrade:
-                solution = self._fallback(record, problem)
-                served = self._serve(
-                    record,
-                    problem,
-                    solution,
-                    SOURCE_FALLBACK,
-                    TRIGGER_REHOME,
-                    now_s,
-                    correlation_id=cid,
-                )
-            # The rehome request re-converges the meeting to a full KMR
-            # solution on a later tick.
-            worker.scheduler.submit(
-                meeting_id, problem, now_s, trigger=TRIGGER_REHOME
+        problem = record.last_problem
+        if degrade and problem is not None:
+            served = self._serve(
+                record,
+                problem,
+                self._fallback(record, problem),
+                SOURCE_FALLBACK,
+                TRIGGER_REHOME,
+                now_s,
+                correlation_id=cid,
             )
         self._refresh_meeting_gauges()
         return served
@@ -770,10 +526,9 @@ class ControllerCluster:
         """Take one shard down and re-home its meetings (Sec. 7 handover).
 
         Every affected meeting immediately degrades to the single-stream
-        fallback built from its last snapshot (the service continues), is
-        re-homed onto its new ring shard, and gets a ``rehome``-trigger
-        solve request there — the next :meth:`tick` re-converges it to a
-        full KMR solution.
+        fallback built from its last snapshot (the service continues) and
+        is re-homed onto its new shard, where its next decision
+        re-converges it to a full KMR solution.
 
         Returns the fallback configurations served during handover.
 
@@ -878,10 +633,6 @@ class ControllerCluster:
                 ),
                 "solves": worker.solves,
                 "fallbacks": worker.fallbacks,
-                "queue_depth": worker.scheduler.queue_depth,
-                "submitted": worker.scheduler.stats.submitted,
-                "coalesced": worker.scheduler.stats.coalesced,
-                "time_triggered": worker.scheduler.stats.time_triggered,
                 "shed": worker.admission.stats.shed,
             }
         cache = None
@@ -910,13 +661,8 @@ class ControllerCluster:
             "mckp_kernel": kernel_stats().snapshot(),
         }
 
-    def close(self) -> None:
-        """End of the cluster's life (idempotent).  Every solve runs
-        in-process, so there is nothing to release; callers keep the
-        ``with ControllerCluster(...)`` / ``close()`` discipline."""
-
     def __enter__(self) -> "ControllerCluster":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        """Nothing to release: every solve runs in-process."""

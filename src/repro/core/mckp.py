@@ -66,7 +66,8 @@ class KernelStats:
     """Process-wide DP usage counters (always on, unlike the metrics
     registry): DP tables built (optional- and mandatory-pick), plus the
     subscriber instances answered out of a shared
-    :class:`CapacityProfile`.  ``cluster stats`` reports this snapshot."""
+    :class:`CapacityProfile`.  ``ControllerCluster.stats()`` reports this
+    snapshot."""
 
     def __init__(self) -> None:
         self.reset()

@@ -15,6 +15,7 @@ validation is the workhorse of the property-based tests.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -214,3 +215,27 @@ class Solution:
             lines.append(f"  {pub} publishes {parts}")
         lines.append(f"  total QoE: {self.total_qoe():.1f}")
         return "\n".join(lines)
+
+
+def solution_digest(solution: Solution) -> str:
+    """A short content digest of one delivered configuration.
+
+    Canonical over both views (policies and assignments), independent of
+    dict construction order.
+    """
+    parts: List[str] = []
+    for pub in sorted(solution.policies):
+        for res in sorted(solution.policies[pub]):
+            entry = solution.policies[pub][res]
+            parts.append(
+                f"P[{pub}@{res.value}]={entry.bitrate_kbps}->"
+                f"{','.join(sorted(entry.audience))}"
+            )
+    for sub in sorted(solution.assignments):
+        for pub in sorted(solution.assignments[sub]):
+            stream = solution.assignments[sub][pub]
+            parts.append(
+                f"A[{sub}<-{pub}]={stream.bitrate_kbps}@"
+                f"{stream.resolution.value}"
+            )
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]

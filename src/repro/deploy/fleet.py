@@ -241,7 +241,9 @@ class ConferenceScorer:
             if conference_id is None:
                 conference_id = f"fleet-conf-{self._conference_seq}"
                 self._conference_seq += 1
-            solution = self._cluster.solve_conference(conference_id, problem)
+            solution = self._cluster.solve_request(
+                conference_id, problem, now_s=0.0, trigger="sync"
+            ).solution
         else:
             solution = self._solver.solve(problem)
         loads: Dict[ClientId, float] = {c.client_id: 0.0 for c in conf.clients}

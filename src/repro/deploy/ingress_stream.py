@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cluster.scheduler import SolveScheduler
+from ..cluster.scheduler import backpressure_window_s
 from ..obs.tracing import STAGE_SOLVE, LatencyProfile
 from ..ingress.aio import SimRuntime
 from ..ingress.events import SembReport, StreamEvent
@@ -116,10 +116,6 @@ class ModeledBackend(IngressBackend):
         self.profile = profile
         self.min_interval_s = config.min_interval_s
         self.max_interval_s = config.max_interval_s
-        self._pacer = SolveScheduler(
-            min_interval_s=config.min_interval_s,
-            max_interval_s=config.max_interval_s,
-        )
         self._decisions: Dict[str, int] = {}
         self._draws: Dict[str, int] = {}
         self.sheds = 0
@@ -149,7 +145,9 @@ class ModeledBackend(IngressBackend):
     def backpressure_window_s(
         self, meeting: str, depth: int, capacity: int
     ) -> float:
-        return self._pacer.backpressure_window_s(depth, capacity)
+        return backpressure_window_s(
+            depth, capacity, self.min_interval_s, self.max_interval_s
+        )
 
     def over_budget(self, meeting: str, in_flight: int) -> bool:
         return in_flight >= self.config.max_in_flight

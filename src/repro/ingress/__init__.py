@@ -22,6 +22,7 @@ from .events import (
     LinkEstimate,
     PublisherJoin,
     PublisherLeave,
+    RejectedEvent,
     SembReport,
     StreamConfig,
     StreamEvent,
@@ -34,7 +35,6 @@ from .faults import (
     DROP_SEMB,
     StreamFault,
     StreamFaultInjector,
-    from_fault_schedule,
 )
 from .mailbox import Envelope, Mailbox, MailboxStats
 from .plane import (
@@ -68,6 +68,7 @@ __all__ = [
     "PlaneStats",
     "PublisherJoin",
     "PublisherLeave",
+    "RejectedEvent",
     "SembReport",
     "SimFuture",
     "SimRuntime",
@@ -78,7 +79,6 @@ __all__ = [
     "StreamFaultInjector",
     "SubscriptionChange",
     "VirtualSemaphore",
-    "from_fault_schedule",
     "generate_stream",
     "run_ingress",
     "sort_stream",

@@ -26,10 +26,11 @@ generator (10^5 users) lives in :mod:`repro.deploy.ingress_stream`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from ..chaos.world import ChaosWorld
+if TYPE_CHECKING:  # ingress -> chaos is typing-only (no runtime cycle)
+    from ..chaos.world import ChaosWorld
 
 #: Event kind tags (also the ``kind`` attr on ingress obs events).
 KIND_SEMB = "semb"
@@ -96,9 +97,16 @@ class PublisherJoin(StreamEvent):
 
 @dataclass(frozen=True)
 class PublisherLeave(StreamEvent):
-    """A participant left the meeting."""
+    """A participant left the meeting ("" = the world picks who)."""
+
+    client: str = ""
 
     kind = KIND_LEAVE
+
+
+class RejectedEvent(ValueError):
+    """A backend's ``apply_event`` refused a malformed stream event; the
+    message is the reason the plane counts and logs it under."""
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,7 @@ def sort_stream(events: Sequence[StreamEvent]) -> List[StreamEvent]:
 
 def generate_stream(
     seed: int,
-    world: ChaosWorld,
+    world: "ChaosWorld",
     config: StreamConfig,
 ) -> List[StreamEvent]:
     """Build one seeded event stream over a chaos-world population.

@@ -1,11 +1,11 @@
 """Stream-level fault injection: chaos applied to the event stream itself.
 
-The round-based chaos runner injects feedback faults through scheduler
-hooks (``defer``/``drop_pending``).  The event-driven plane has a more
-faithful injection point — the control messages themselves: a **dropped
-SEMB** never reaches the dispatcher, a **delayed SEMB** is offered late.
-Both are expressed as windows over the stream, so a seeded run replays
-to the byte.
+Feedback-path faults are injected where they happen — on the control
+messages themselves: a **dropped SEMB** never reaches the dispatcher, a
+**delayed SEMB** is offered late.  Both are expressed as windows over the
+stream, so a seeded run replays to the byte.  The chaos runner maps its
+``drop_report``/``delay_report`` faults onto these windows
+(:func:`repro.chaos.runner.stream_faults`).
 
 Delayed offers are rescheduled at ``at_s + delay_s`` through the
 simulator, whose heap orders equal-time callbacks by insertion sequence
@@ -16,9 +16,8 @@ simulator, whose heap orders equal-time callbacks by insertion sequence
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from ..chaos import faults as chaos_faults
 from .events import KIND_SEMB, StreamEvent
 
 #: Stream fault kinds.
@@ -98,39 +97,3 @@ class StreamFaultInjector:
             self.delayed += 1
             return DELAY, delay
         return DELIVER, 0.0
-
-
-def from_fault_schedule(
-    schedule: "chaos_faults.FaultSchedule",
-    report_interval_s: float = 1.0,
-) -> List[StreamFault]:
-    """Translate a chaos fault timeline into stream fault windows.
-
-    Only the feedback-path kinds map (``drop_report`` becomes a
-    :data:`DROP_SEMB` window of ``factor`` report intervals,
-    ``delay_report`` a :data:`DELAY_SEMB` hold of ``factor`` intervals);
-    every other fault kind is ignored — those stay round-hook faults.
-    """
-    out: List[StreamFault] = []
-    for fault in schedule.faults:
-        factor = max(1.0, fault.factor or 1.0)
-        if fault.kind == chaos_faults.DROP_REPORT:
-            out.append(
-                StreamFault(
-                    DROP_SEMB,
-                    meeting=fault.target,
-                    start_s=fault.at_s,
-                    end_s=fault.at_s + factor * report_interval_s,
-                )
-            )
-        elif fault.kind == chaos_faults.DELAY_REPORT:
-            out.append(
-                StreamFault(
-                    DELAY_SEMB,
-                    meeting=fault.target,
-                    start_s=fault.at_s,
-                    end_s=fault.at_s + report_interval_s,
-                    delay_s=factor * report_interval_s,
-                )
-            )
-    return out

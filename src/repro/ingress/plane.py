@@ -1,19 +1,18 @@
-"""The ingress plane: a continuous, event-driven control loop.
+"""The ingress plane: the control loop, driven by the event stream.
 
-This is the tentpole of the ingress subsystem.  Where the round-based
-cluster loop (:meth:`~repro.cluster.cluster.ControllerCluster.tick`)
-polls every shard on a fixed cadence, the plane reacts to the stream
-itself:
+Reports arrive, a decision is due 1-3 s later (Fig. 12), a TMMBR goes
+out, and every failure degrades to the single-stream fallback (Sec. 7):
 
 1. **Dispatch.**  Every :class:`~repro.ingress.events.StreamEvent` is
    offered to a per-meeting bounded :class:`~repro.ingress.mailbox.Mailbox`.
    The offer mints a PR 4 correlation id and emits ``ingress_enqueued``;
    stream faults (:mod:`repro.ingress.faults`) drop or re-schedule the
-   offer before it reaches a mailbox.
+   offer before it reaches a mailbox, and an event the backend rejects
+   as malformed is counted, logged and goes no further.
 2. **Coalesce + backpressure.**  A per-meeting worker coroutine opens a
    decision window on the first event and sleeps
-   :meth:`~repro.cluster.scheduler.SolveScheduler.backpressure_window_s`
-   — the Fig. 12 envelope reused as the backpressure ladder.  The deeper
+   :func:`~repro.cluster.scheduler.backpressure_window_s`
+   — the Fig. 12 envelope as the backpressure ladder.  The deeper
    the mailbox, the wider the window, the more events one solve absorbs.
 3. **Shed.**  The ladder's last rung: a mailbox that overflowed, or an
    executor already at the admission budget, degrades the decision to
@@ -24,6 +23,7 @@ itself:
    In-flight solves overlap with ingestion — the dispatcher never
    blocks on a solve.
 5. **Complete.**  The commit emits a ``tmmbr_push`` completion event
+   (``tmmbr_lost`` when the backend reports the push undelivered)
    carrying the decision's correlation id (the id minted for the oldest
    event in the drained batch), closing the causal chain end-to-end.
 
@@ -37,10 +37,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..cluster.scheduler import backpressure_window_s
+from ..core.solution import solution_digest
 from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from ..obs.spans import span
+from ..placement.loadmodel import meeting_cost
 from .aio import SimRuntime, VirtualSemaphore
 from .events import (
     KIND_JOIN,
@@ -48,6 +51,7 @@ from .events import (
     KIND_LINK,
     KIND_SEMB,
     KIND_SUBSCRIPTION,
+    RejectedEvent,
     StreamEvent,
 )
 from .faults import DELAY, DROP, StreamFaultInjector
@@ -128,6 +132,9 @@ class PlaneStats:
     """Dispatcher/worker accounting of one plane run."""
 
     offered: int = 0
+    #: Malformed events refused at the offer (``offered == enqueued +
+    #: rejected``).
+    rejected: int = 0
     enqueued: int = 0
     evicted: int = 0
     dropped: int = 0
@@ -157,6 +164,7 @@ class IngressBackend:
     max_interval_s: float = 3.0
 
     def apply_event(self, event: StreamEvent) -> None:  # pragma: no cover
+        """Apply one event; raise :class:`RejectedEvent` to refuse it."""
         raise NotImplementedError
 
     def payload(self, meeting: str) -> object:  # pragma: no cover
@@ -193,6 +201,9 @@ class BackendDecision:
     source: str
     digest: str = ""
     solution: object = None
+    #: False when the TMMBR push was lost in flight: the clients keep
+    #: their previous configuration until the next decision.
+    delivered: bool = True
 
 
 class ClusterBackend(IngressBackend):
@@ -214,10 +225,16 @@ class ClusterBackend(IngressBackend):
     # -- world mutation at offer time --------------------------------- #
 
     def apply_event(self, event: StreamEvent) -> None:
-        state = self.world.meeting(event.meeting)
+        try:
+            state = self.world.meeting(event.meeting)
+        except KeyError:
+            raise RejectedEvent("unknown_meeting") from None
         if event.kind == KIND_SEMB:
             return  # a report carries the picture; it does not change it
         if event.kind == KIND_LINK:
+            for scale in (event.up_scale, event.down_scale):
+                if not (math.isfinite(scale) and scale >= 0):
+                    raise RejectedEvent("bad_scale")
             client = event.client if event.client in state.clients else ""
             self.world.scale_bandwidth(
                 event.meeting,
@@ -231,7 +248,7 @@ class ClusterBackend(IngressBackend):
         elif event.kind == KIND_JOIN:
             self.world.add_client(event.meeting)
         elif event.kind == KIND_LEAVE:
-            self.world.remove_client(event.meeting)
+            self.world.remove_client(event.meeting, event.client)
 
     # -- decision side -------------------------------------------------- #
 
@@ -239,8 +256,6 @@ class ClusterBackend(IngressBackend):
         return self.world.current_problem(meeting)
 
     def service_s(self, meeting: str, payload: object) -> float:
-        from ..placement.loadmodel import meeting_cost
-
         cost = meeting_cost(payload)
         cfg = _plane_config(self)
         return max(cfg.service_floor_s, cost * cfg.service_s_per_cost)
@@ -248,40 +263,33 @@ class ClusterBackend(IngressBackend):
     def backpressure_window_s(
         self, meeting: str, depth: int, capacity: int
     ) -> float:
-        shard = self.cluster.register(meeting)
-        worker = self.cluster._shards[shard]
-        return worker.scheduler.backpressure_window_s(depth, capacity)
+        return backpressure_window_s(
+            depth, capacity, self.min_interval_s, self.max_interval_s
+        )
 
     def over_budget(self, meeting: str, in_flight: int) -> bool:
-        shard = self.cluster.register(meeting)
-        worker = self.cluster._shards[shard]
-        return worker.admission.over_budget(in_flight)
+        return self.cluster.over_budget(meeting, in_flight)
 
     def decide(self, meeting, payload, now_s, trigger, cid):
         served = self.cluster.solve_request(
             meeting, payload, now_s, trigger=trigger, correlation_id=cid
         )
-        return BackendDecision(
-            source=served.source,
-            digest=_solution_digest(served.solution),
-            solution=served.solution,
-        )
+        return self.committed(served, payload)
 
     def shed(self, meeting, payload, now_s, trigger, cid):
         served = self.cluster.shed_request(
             meeting, payload, now_s, trigger=trigger, correlation_id=cid
         )
+        return self.committed(served, payload)
+
+    def committed(self, served, payload) -> BackendDecision:
+        """What the plane is told about one configuration the cluster
+        served (subclasses judge or deliver it here)."""
         return BackendDecision(
             source=served.source,
-            digest=_solution_digest(served.solution),
+            digest=solution_digest(served.solution),
             solution=served.solution,
         )
-
-
-def _solution_digest(solution) -> str:
-    from ..chaos.report import solution_digest
-
-    return solution_digest(solution)
 
 
 def _plane_config(backend) -> IngressConfig:
@@ -315,16 +323,35 @@ class IngressPlane:
     # Dispatch (the ingress side)
     # ------------------------------------------------------------------ #
 
-    def offer(self, event: StreamEvent) -> None:
-        """Offer one stream event to its meeting's mailbox, now."""
+    def offer(self, event: StreamEvent) -> bool:
+        """Offer one stream event to its meeting's mailbox, now.
+
+        Returns False when the backend rejected the event as malformed:
+        it is counted and logged, touches no mailbox, and leaves every
+        other meeting alone.
+        """
         now = self.runtime.now
         self.stats.offered += 1
         reg = get_registry()
         if reg.enabled:
             reg.counter(obs_names.INGRESS_EVENTS, kind=event.kind).inc()
-        self.backend.apply_event(event)
-        box = self._mailbox(event.meeting)
         log = obs_events.active_event_log()
+        try:
+            self.backend.apply_event(event)
+        except RejectedEvent as exc:
+            self.stats.rejected += 1
+            if log is not None:
+                log.emit(
+                    obs_events.FAULT_INJECTED,
+                    t=now,
+                    meeting=event.meeting,
+                    fault="rejected_event",
+                    reason=str(exc),
+                    event_kind=event.kind,
+                    seq=event.seq,
+                )
+            return False
+        box = self._mailbox(event.meeting)
         cid = log.mint(event.meeting) if log is not None else ""
         evicted = box.put(Envelope(event=event, cid=cid))
         self.stats.enqueued += 1
@@ -344,6 +371,7 @@ class IngressPlane:
                 depth=depth,
                 seq=event.seq,
             )
+        return True
 
     def _offer_faulted(self, event: StreamEvent) -> None:
         """Dispatcher entry for scheduled stream events (fault-aware)."""
@@ -562,7 +590,9 @@ class IngressPlane:
             )
         if log is not None:
             log.emit(
-                obs_events.TMMBR_PUSH,
+                obs_events.TMMBR_PUSH
+                if result.delivered
+                else obs_events.TMMBR_LOST,
                 t=decided_at,
                 meeting=meeting,
                 cid=cid,

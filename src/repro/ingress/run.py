@@ -95,23 +95,19 @@ def run_ingress(
             mutations_per_meeting=cfg.mutations_per_meeting,
         ),
     )
-    try:
-        with span(obs_names.SPAN_INGRESS_RUN), \
-                obs_events.record_events(log):
-            for meeting_id in world.meeting_ids:
-                cluster.register(meeting_id)
-            backend = ClusterBackend(cluster, world)
-            plane = IngressPlane(
-                runtime,
-                backend,
-                IngressConfig(
-                    mailbox_capacity=cfg.mailbox_capacity,
-                    solve_slots=cfg.solve_slots,
-                ),
-            )
-            plane.run_stream(stream, injector, duration_s=cfg.duration_s)
-    finally:
-        cluster.close()
+    with span(obs_names.SPAN_INGRESS_RUN), obs_events.record_events(log):
+        for meeting_id in world.meeting_ids:
+            cluster.register(meeting_id)
+        backend = ClusterBackend(cluster, world)
+        plane = IngressPlane(
+            runtime,
+            backend,
+            IngressConfig(
+                mailbox_capacity=cfg.mailbox_capacity,
+                solve_slots=cfg.solve_slots,
+            ),
+        )
+        plane.run_stream(stream, injector, duration_s=cfg.duration_s)
 
     checker = InvariantChecker()
     decisions: List[dict] = []

@@ -32,7 +32,7 @@ Quick start::
     from repro import obs
 
     with obs.enabled_registry() as reg, obs.record_events() as log:
-        served = cluster.solve_conference("m-1", problem)
+        served = cluster.solve_request("m-1", problem, now_s=0.0)
     print(reg.to_prometheus_text())
     print(obs.format_timeline(log.events, "m-1"))
 """

@@ -4,9 +4,9 @@ While the metrics registry answers "how fast / how often" and the KMR
 trace answers "what did the solver decide", the event log answers *"why
 did subscriber S drop to 360p at t=12.4s"*: every configuration change is
 recorded as a small structured event carrying a **correlation id** minted
-at cluster ingress (the SEMB/global-picture report) and propagated through
-the shard scheduler, the solve service, the solution cache and the
-TMMBR/feedback delivery — so one chain of events reconstructs into a
+at ingress (the SEMB/global-picture report entering its meeting's
+mailbox) and propagated through the decision window, the solve service,
+the solution cache and the TMMBR/feedback delivery — so one chain of events reconstructs into a
 causal per-meeting timeline (``repro obs timeline <meeting>``).
 
 Design constraints mirror the registry's:
@@ -52,11 +52,7 @@ DEFAULT_CAPACITY = 8192
 # Built-in event kinds (the causal vocabulary)
 # --------------------------------------------------------------------- #
 
-#: A SEMB/global-picture report reached cluster ingress (mints the cid).
-SEMB_REPORT = "semb_report"
-#: A report was folded into an already-pending solve request.
-REPORT_COALESCED = "report_coalesced"
-#: The scheduler synthesized a max-interval refresh (Fig. 12 ceiling).
+#: The plane synthesized a max-interval refresh (Fig. 12 ceiling).
 TIME_TRIGGER = "time_trigger"
 #: The solve service committed a configuration (source: solve / cache /
 #: fallback / shed).
@@ -86,8 +82,6 @@ INGRESS_SHED = "ingress_shed"
 
 #: Every built-in event kind, for docs and validation.
 ALL_EVENT_KINDS = (
-    SEMB_REPORT,
-    REPORT_COALESCED,
     TIME_TRIGGER,
     SOLVE_SERVED,
     TMMBR_PUSH,
@@ -339,7 +333,7 @@ def record_events(
     ::
 
         with record_events() as log:
-            cluster.tick(now_s=1.0)
+            plane.run_stream(stream)
         log.write_jsonl("events.jsonl")
     """
     global _LOG

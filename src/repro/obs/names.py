@@ -151,12 +151,9 @@ FLEET_LAST_SATISFACTION = "repro_fleet_last_satisfaction_ratio"
 # Controller cluster (repro.cluster)
 # --------------------------------------------------------------------- #
 
-#: Counter, label ``trigger`` in {"event", "time", "rehome", "sync"} —
-#: solve requests entering the shard schedulers / solve service.
+#: Counter, label ``trigger`` in {"event", "time", "sync"} — solve
+#: requests entering the solve service.
 CLUSTER_SOLVE_REQUESTS = "repro_cluster_solve_requests_total"
-#: Counter — event submissions folded into an already-pending request
-#: (one queued solve per meeting, newest snapshot wins).
-CLUSTER_COALESCED = "repro_cluster_coalesced_total"
 #: Counter, label ``result`` in {"hit", "miss"} — fingerprint-cache lookups.
 CLUSTER_CACHE = "repro_cluster_cache_total"
 #: Counter — LRU evictions from the solution cache.
@@ -165,8 +162,6 @@ CLUSTER_CACHE_EVICTIONS = "repro_cluster_cache_evictions_total"
 CLUSTER_CACHE_ENTRIES = "repro_cluster_cache_entries"
 #: Counter — solve requests shed by admission control (served fallback).
 CLUSTER_SHED = "repro_cluster_shed_total"
-#: Histogram, label ``shard`` — due-queue depth per shard per round.
-CLUSTER_QUEUE_DEPTH = "repro_cluster_queue_depth"
 #: Gauge, label ``shard`` — meetings currently homed on each shard.
 CLUSTER_MEETINGS = "repro_cluster_meetings"
 #: Counter — meetings re-homed by shard death or ring growth.
@@ -181,7 +176,6 @@ CLUSTER_FALLBACKS = "repro_cluster_fallbacks_total"
 CLUSTER_SOLVE_SECONDS = "repro_cluster_solve_seconds"
 
 #: Cluster span names.
-SPAN_CLUSTER_TICK = "cluster.tick"
 SPAN_CLUSTER_SOLVE = "cluster.solve"
 
 # --------------------------------------------------------------------- #
@@ -220,13 +214,12 @@ CHAOS_CHECKS = "repro_chaos_invariant_checks_total"
 CHAOS_VIOLATIONS = "repro_chaos_invariant_violations_total"
 #: Counter, label ``verdict`` in {"pass", "fail"} — chaos runs completed.
 CHAOS_RUNS = "repro_chaos_runs_total"
-#: Histogram — scheduler ticks a meeting spent degraded on the Sec. 7
+#: Histogram — virtual seconds a meeting spent degraded on the Sec. 7
 #: single-stream fallback before re-converging to a full KMR solution.
-CHAOS_RECOVERY_TICKS = "repro_chaos_fallback_recovery_ticks"
+CHAOS_RECOVERY_SECONDS = "repro_chaos_fallback_recovery_seconds"
 
 #: Chaos span names.
 SPAN_CHAOS_RUN = "chaos.run"
-SPAN_CHAOS_TICK = "chaos.tick"
 
 # --------------------------------------------------------------------- #
 # Event-driven ingress plane (repro.ingress)
@@ -237,7 +230,7 @@ SPAN_CHAOS_TICK = "chaos.tick"
 #: ingress dispatcher, by event kind.
 INGRESS_EVENTS = "repro_ingress_events_total"
 #: Counter — events folded into an already-open decision window (the
-#: mailbox coalesce, mirroring ``repro_cluster_coalesced_total``).
+#: mailbox coalesce).
 INGRESS_COALESCED = "repro_ingress_coalesced_total"
 #: Counter, label ``reason`` in {"overflow", "admission"} — decisions
 #: shed to the Sec. 7 single-stream fallback by the backpressure ladder.
@@ -261,7 +254,7 @@ SPAN_INGRESS_DECIDE = "ingress.decide"
 # --------------------------------------------------------------------- #
 
 #: Counter, label ``kind`` — structured events appended to the active
-#: event log, by event kind (``semb_report``, ``solve_served``, ...).
+#: event log, by event kind (``ingress_enqueued``, ``solve_served``, ...).
 EVENTS_EMITTED = "repro_events_emitted_total"
 #: Counter — events evicted from the bounded event-log ring on overflow.
 EVENTS_DROPPED = "repro_events_dropped_total"
@@ -276,7 +269,6 @@ SLO_EVALUATIONS = "repro_slo_evaluations_total"
 SLO_BREACHES = "repro_slo_breaches_total"
 
 #: Telemetry span names.
-SPAN_POOL_SOLVE = "pool.solve"
 SPAN_SLO_EVALUATE = "slo.evaluate"
 
 # --------------------------------------------------------------------- #
@@ -295,8 +287,8 @@ TRACE_TREES_EXPORTED = "repro_trace_trees_exported_total"
 #: singleton trees (faults, shard lifecycle).
 TRACE_ORPHAN_EVENTS = "repro_trace_orphan_events_total"
 #: Histogram, label ``stage`` — per-stage virtual seconds attributed by
-#: critical-path extraction (``mailbox_dwell``, ``sched_wait``,
-#: ``solve``, ``delivery``, ``shed``).
+#: critical-path extraction (``mailbox_dwell``, ``solve``, ``delivery``,
+#: ``shed``).
 TRACE_STAGE_SECONDS = "repro_trace_stage_seconds"
 
 #: Trace-plane span names.
@@ -346,12 +338,10 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     FLEET_SATISFACTION: ("histogram", ("scheme",)),
     FLEET_LAST_SATISFACTION: ("gauge", ("scheme",)),
     CLUSTER_SOLVE_REQUESTS: ("counter", ("trigger",)),
-    CLUSTER_COALESCED: ("counter", ()),
     CLUSTER_CACHE: ("counter", ("result",)),
     CLUSTER_CACHE_EVICTIONS: ("counter", ()),
     CLUSTER_CACHE_ENTRIES: ("gauge", ()),
     CLUSTER_SHED: ("counter", ()),
-    CLUSTER_QUEUE_DEPTH: ("histogram", ("shard",)),
     CLUSTER_MEETINGS: ("gauge", ("shard",)),
     CLUSTER_REHOMED: ("counter", ()),
     CLUSTER_SHARD_FAILOVERS: ("counter", ()),
@@ -365,7 +355,7 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     CHAOS_CHECKS: ("counter", ("invariant",)),
     CHAOS_VIOLATIONS: ("counter", ("invariant",)),
     CHAOS_RUNS: ("counter", ("verdict",)),
-    CHAOS_RECOVERY_TICKS: ("histogram", ()),
+    CHAOS_RECOVERY_SECONDS: ("histogram", ()),
     INGRESS_EVENTS: ("counter", ("kind",)),
     INGRESS_COALESCED: ("counter", ()),
     INGRESS_SHED: ("counter", ("reason",)),
@@ -395,14 +385,11 @@ ALL_SPANS: Tuple[str, ...] = (
     SPAN_KMR_MERGE,
     SPAN_KMR_REDUCTION,
     SPAN_CONTROLLER_TICK,
-    SPAN_CLUSTER_TICK,
     SPAN_CLUSTER_SOLVE,
     SPAN_PLACEMENT_REBALANCE,
     SPAN_CHAOS_RUN,
-    SPAN_CHAOS_TICK,
     SPAN_INGRESS_RUN,
     SPAN_INGRESS_DECIDE,
-    SPAN_POOL_SOLVE,
     SPAN_SLO_EVALUATE,
     SPAN_TRACE_ASSEMBLE,
 )

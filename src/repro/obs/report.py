@@ -68,13 +68,14 @@ def format_timeline(
     """Render one meeting's causal timeline as aligned text.
 
     New correlation chains are separated by a blank line, so each
-    SEMB-report → solve → TMMBR → subscription-change causal unit reads
-    as one block::
+    report → decision window → solve → subscription-change → TMMBR causal
+    unit reads as one block::
 
-        t=3.250s  [chaos-0#2] semb_report          shard=s0 trigger=event
-        t=3.500s  [chaos-0#2] solve_served         shard=s0 source=solve
-        t=3.500s  [chaos-0#2] tmmbr_push           publishers=3
-        t=3.500s  [chaos-0#2] subscription_change  changed=2
+        t=2.250s  [chaos-0#3] ingress_enqueued     depth=1 event_kind=semb
+        t=3.250s  [chaos-0#3] ingress_dequeued     batch=2 coalesced=1
+        t=3.252s  [chaos-0#3] solve_served         shard=s0 source=solve
+        t=3.252s  [chaos-0#3] subscription_change  changed=2
+        t=3.252s  [chaos-0#3] tmmbr_push           source=solve
     """
     rows = meeting_timeline(events, meeting)
     header = title or f"timeline for {meeting}"

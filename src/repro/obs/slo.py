@@ -5,8 +5,8 @@ events, derived stats, or the live registry) to a threshold taken from
 the paper's operational evaluation:
 
 * **solve latency** must sit well inside the Fig. 12 control-latency
-  envelope (the scheduler already debounces to the 1–3 s window, so the
-  solve itself must be a small fraction of the 1 s floor);
+  envelope (the ingress plane already debounces to the 1–3 s window, so
+  the solve itself must be a small fraction of the 1 s floor);
 * **KMR iterations** must respect the |publishers| x |resolutions| + 1
   convergence bound (Sec. 5 / Fig. 6) — expressed as a ratio so one
   verdict covers meetings of any size;
@@ -137,7 +137,6 @@ class SloContext:
         serves: chaos-report serve rows (dicts with ``t``/``meeting``/
             ``source``/``delivered``), ordered by time.
         duration_s: run length in simulated seconds.
-        tick_interval_s: solve-loop cadence (interruption granularity).
         stats: pre-computed scalar measures (``stat:<key>`` lookups),
             e.g. ``kmr_iteration_ratio_max``.
         registry: live registry for wall-clock latency measures.
@@ -148,7 +147,6 @@ class SloContext:
 
     serves: Sequence[Mapping[str, object]] = ()
     duration_s: float = 0.0
-    tick_interval_s: float = 1.0
     stats: Mapping[str, float] = field(default_factory=dict)
     registry: Optional[MetricsRegistry] = None
     stage_latencies: Mapping[str, Sequence[Tuple[float, float]]] = field(
@@ -207,13 +205,12 @@ DEFAULT_SLOS: Tuple[Slo, ...] = (
 
 #: Per-stage p95 latency budgets (virtual seconds) for the trace plane's
 #: critical-path stages.  Budgets bound each stage's share of the Fig. 12
-#: control envelope: mailbox dwell and scheduler wait may consume the
-#: debounce window (the paper's 1-3 s coalescing ceiling plus slack for
-#: backpressure bursts), while solve and delivery must stay small.  A
+#: control envelope: mailbox dwell may consume the debounce window (the
+#: paper's 1-3 s coalescing ceiling), while solve and delivery must stay
+#: small.  A
 #: BURN on one of these names the offending stage directly.
 STAGE_BUDGETS_S: Dict[str, float] = {
     "mailbox_dwell": 3.0,
-    "sched_wait": 4.0,
     "solve": 1.0,
     "delivery": 1.0,
     "shed": 1.0,

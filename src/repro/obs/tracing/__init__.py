@@ -29,7 +29,6 @@ from .tree import (
     LINK_LINEAGE,
     STAGE_DELIVERY,
     STAGE_MAILBOX_DWELL,
-    STAGE_SCHED_WAIT,
     STAGE_SHED,
     STAGE_SOLVE,
     TRACE_SCHEMA,
@@ -48,7 +47,6 @@ __all__ = [
     "PROFILE_SCHEMA",
     "STAGE_DELIVERY",
     "STAGE_MAILBOX_DWELL",
-    "STAGE_SCHED_WAIT",
     "STAGE_SHED",
     "STAGE_SOLVE",
     "StageSpan",

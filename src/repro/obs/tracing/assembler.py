@@ -46,7 +46,6 @@ from ..events import (
     INGRESS_DEQUEUED,
     INGRESS_ENQUEUED,
     MEETING_REHOMED,
-    SEMB_REPORT,
     TIME_TRIGGER,
     Event,
 )
@@ -70,7 +69,6 @@ DEFAULT_MAX_OPEN = 256
 #: Kinds that may *open* a chain (mint its cid).
 ROOT_KINDS = frozenset({
     INGRESS_ENQUEUED,
-    SEMB_REPORT,
     TIME_TRIGGER,
     MEETING_REHOMED,
 })

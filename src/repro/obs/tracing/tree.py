@@ -3,9 +3,9 @@
 A **trace tree** is the causal record of one orchestration decision,
 reassembled offline from the cid-threaded ``repro.events/v1`` log.  Its
 *primary chain* is the ordered list of events carrying the decision's
-correlation id — minted at ingress (``ingress_enqueued`` /
-``semb_report``), by a time-trigger refresh, or by a re-home — through
-the mailbox/scheduler dwell, the solve service, and the terminal
+correlation id — minted at ingress (``ingress_enqueued``), by a
+time-trigger refresh, or by a re-home — through the mailbox dwell, the
+solve service, and the terminal
 ``tmmbr_push``/``tmmbr_lost`` delivery.  *Children* hang off the chain:
 
 * **coalesced fan-in** — envelopes folded into the same decision window
@@ -37,7 +37,6 @@ from ..events import (
     INGRESS_ENQUEUED,
     INGRESS_SHED,
     MEETING_REHOMED,
-    SEMB_REPORT,
     SOLVE_SERVED,
     TIME_TRIGGER,
     TMMBR_LOST,
@@ -55,9 +54,6 @@ TRACE_SCHEMA = "repro.trace/v1"
 #: Mailbox dwell: ingress enqueue -> decision-window drain (the
 #: backpressure/coalesce window of the event-driven plane).
 STAGE_MAILBOX_DWELL = "mailbox_dwell"
-#: Scheduler wait: SEMB report -> its debounced due time (the Fig. 12
-#: min-interval coalesce window of the round-based scheduler).
-STAGE_SCHED_WAIT = "sched_wait"
 #: Solve: from the last wait boundary to the committed solve service
 #: (cache hit, pool solve, or modeled virtual service time).
 STAGE_SOLVE = "solve"
@@ -70,7 +66,6 @@ STAGE_SHED = "shed"
 #: Every stage name, for docs and validation (docs/TRACING.md).
 ALL_STAGES = (
     STAGE_MAILBOX_DWELL,
-    STAGE_SCHED_WAIT,
     STAGE_SOLVE,
     STAGE_DELIVERY,
     STAGE_SHED,
@@ -83,7 +78,6 @@ TERMINAL_KINDS = frozenset({TMMBR_PUSH, TMMBR_LOST})
 #: to a tree — coalesce markers, subscription changes — is context).
 CHAIN_KINDS = frozenset({
     INGRESS_ENQUEUED,
-    SEMB_REPORT,
     TIME_TRIGGER,
     MEETING_REHOMED,
     INGRESS_DEQUEUED,
@@ -189,7 +183,7 @@ class TraceTree:
         spans: List[StageSpan] = []
         prev = chain[0]
         for event in chain[1:]:
-            spans.extend(_stages_between(chain[0], prev, event))
+            spans.append(_stage_between(prev, event))
             prev = event
         return spans
 
@@ -242,36 +236,18 @@ class TraceTree:
         }
 
 
-def _stages_between(
-    root: Event, prev: Event, nxt: Event
-) -> List[StageSpan]:
-    """Name the stage(s) covering the gap ``prev -> nxt``.
-
-    The SEMB-report -> solve gap is split at the request's recorded
-    debounce deadline (``due_at_s``) into scheduler wait + solve, so the
-    coalesce window and the serve delay are attributed separately; the
-    split boundary is clamped into the gap, preserving the telescoping
-    sum.
-    """
-    t0, t1 = prev.t, nxt.t
+def _stage_between(prev: Event, nxt: Event) -> StageSpan:
+    """Name the stage covering the gap ``prev -> nxt``."""
     if nxt.kind == INGRESS_DEQUEUED:
-        return [StageSpan(STAGE_MAILBOX_DWELL, t0, t1)]
-    if nxt.kind == INGRESS_SHED:
-        return [StageSpan(STAGE_SHED, t0, t1)]
-    if nxt.kind == SOLVE_SERVED:
-        if prev is root and prev.kind == SEMB_REPORT and (
-            "due_at_s" in prev.attrs
-        ):
-            due = min(max(float(prev.attrs["due_at_s"]), t0), t1)
-            return [
-                StageSpan(STAGE_SCHED_WAIT, t0, due),
-                StageSpan(STAGE_SOLVE, due, t1),
-            ]
-        return [StageSpan(STAGE_SOLVE, t0, t1)]
-    if nxt.kind in TERMINAL_KINDS:
-        if prev.kind in (SOLVE_SERVED, INGRESS_SHED):
-            return [StageSpan(STAGE_DELIVERY, t0, t1)]
-        # No explicit solve event on this chain (modeled backends): the
-        # whole remaining gap is the service time.
-        return [StageSpan(STAGE_SOLVE, t0, t1)]
-    return [StageSpan(STAGE_SOLVE, t0, t1)]
+        stage = STAGE_MAILBOX_DWELL
+    elif nxt.kind == INGRESS_SHED:
+        stage = STAGE_SHED
+    elif nxt.kind in TERMINAL_KINDS and prev.kind in (
+        SOLVE_SERVED, INGRESS_SHED
+    ):
+        stage = STAGE_DELIVERY
+    else:
+        # Up to the committed solve — or, on a chain with no explicit
+        # solve event (modeled backends), the whole remaining gap.
+        stage = STAGE_SOLVE
+    return StageSpan(stage, prev.t, nxt.t)

@@ -166,8 +166,6 @@ class LoadSignals:
     assigned_cost: float
     #: Meetings currently homed on the shard.
     meetings: int
-    #: Live scheduler backlog (pending solve requests).
-    queue_depth: int
     #: p95 of the sampled solve-latency series from the obs time-series
     #: store, in seconds (None without a store / samples) — wall-clock,
     #: so advisory only.
@@ -178,7 +176,6 @@ class LoadSignals:
             "shard": self.shard,
             "assigned_cost": round(self.assigned_cost, 3),
             "meetings": self.meetings,
-            "queue_depth": self.queue_depth,
             "solve_p95_s": (
                 None if self.solve_p95_s is None
                 else round(self.solve_p95_s, 6)
@@ -190,8 +187,8 @@ def load_signals(
     cluster: "ControllerCluster",
     store: Optional["TimeSeriesStore"] = None,
 ) -> List[LoadSignals]:
-    """Join the deterministic load model with live queue depths and the
-    time-series solve-latency p95, one row per live shard."""
+    """Join the deterministic load model with the time-series
+    solve-latency p95, one row per live shard."""
     from ..obs import names as obs_names
     from ..obs.registry import get_registry
 
@@ -208,14 +205,12 @@ def load_signals(
                 p95 = hist.percentile(95)
     rows: List[LoadSignals] = []
     for shard in cluster.live_shards:
-        worker = cluster._shards[shard]
         meetings = cluster.load_model.meetings_on(shard)
         rows.append(
             LoadSignals(
                 shard=shard,
                 assigned_cost=cluster.load_model.load(shard),
                 meetings=len(meetings),
-                queue_depth=worker.scheduler.queue_depth,
                 solve_p95_s=p95,
             )
         )

@@ -64,7 +64,7 @@ class HotShardDetector:
         budget: per-shard assigned-cost budget; ``<= 0`` disables the
             detector (every :meth:`rebalance` is a no-op).
         max_moves_per_round: cap on migrations per rebalance call, so a
-            badly skewed fleet drains over several ticks instead of
+            badly skewed fleet drains over several rounds instead of
             serving one giant fallback burst.
     """
 

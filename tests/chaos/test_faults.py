@@ -134,3 +134,33 @@ class TestSeededSchedule:
             faults=30,
         )
         assert all(0.0 < f.at_s < 6.0 for f in s)
+
+
+class TestDocsMatch:
+    """``docs/RESILIENCE.md`` tables where every fault kind enters the
+    control loop; the table is pinned to ``FAULT_KINDS``."""
+
+    ENTRIES = {
+        "stream event", "stream window", "backend hook", "simulator action",
+    }
+
+    def rows(self):
+        import re
+        from pathlib import Path
+
+        doc = Path(__file__).resolve().parents[2] / "docs" / "RESILIENCE.md"
+        return dict(
+            re.findall(r"^\| `(\w+)` \| ([a-z ]+) \|", doc.read_text(), re.M)
+        )
+
+    def test_every_fault_kind_has_exactly_one_row(self):
+        assert sorted(self.rows()) == sorted(F.FAULT_KINDS)
+
+    def test_enters_as_is_one_of_the_four_entry_points(self):
+        rows = self.rows()
+        assert set(rows.values()) == self.ENTRIES
+        # The two kinds the stream-fault mapping handles are the windows.
+        windows = {k for k, v in rows.items() if v == "stream window"}
+        assert windows == {F.DROP_REPORT, F.DELAY_REPORT}
+        actions = {k for k, v in rows.items() if v == "simulator action"}
+        assert actions == set(F.SHARD_KINDS) - {F.OVERLOAD_SHARD}

@@ -57,7 +57,7 @@ class TestScenario:
     def test_caller_sizing_survives_unrelated_fields(self):
         # run_scenario merges overrides on top of the caller's config:
         # pinned fields win, everything else is preserved.
-        config = ChaosConfig(duration_s=6.0, tick_interval_s=1.0)
+        config = ChaosConfig(duration_s=6.0, report_interval_s=1.0)
         scenario, merged = scenario_config(5)
         assert merged.placement == "best_fit"
         report = run_scenario("hot_shard", 5, config)

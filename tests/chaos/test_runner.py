@@ -1,4 +1,5 @@
-"""Integration tests: the chaos runner against the real cluster."""
+"""Integration tests: the chaos runner driving the ingress plane on the
+real cluster."""
 
 import pytest
 
@@ -65,7 +66,9 @@ class TestSolverFault:
             if s["meeting"] == "chaos-0" and s["source"] == SOURCE_FALLBACK
         ]
         assert fallbacks
-        assert fallbacks[0]["t"] <= 2.2 + 1.0  # one tick_interval_s
+        # The next report lands within one report interval, its decision
+        # window is one min interval (both 1 s), then the solve service.
+        assert fallbacks[0]["t"] <= 2.2 + 1.0 + 1.0 + 0.01
 
     def test_poisoned_meeting_stays_on_fallback(self):
         report = run(self.schedule())
@@ -219,6 +222,62 @@ class TestWorldFaults:
         assert stale[0]["outcome"] == "applied"
 
 
+#: Faults that need an earlier one to have something to act on.
+PREREQUISITE = {
+    F.RESTART_SHARD: Fault(1.0, F.KILL_SHARD),
+    F.CLEAR_SOLVER_FAULT: Fault(1.0, F.SOLVER_FAULT, target="chaos-0"),
+}
+FACTOR = {
+    F.DOWNLINK_COLLAPSE: 0.2,
+    F.UPLINK_COLLAPSE: 0.2,
+    F.DROP_REPORT: 2,
+    F.DELAY_REPORT: 1.5,
+    F.STALE_SNAPSHOT: 1,
+    F.OVERLOAD_SHARD: 2,
+}
+
+
+class TestEveryFaultKind:
+    @pytest.mark.parametrize("kind", F.FAULT_KINDS)
+    def test_applies_alone_through_the_plane(self, kind):
+        target = "" if kind in F.SHARD_KINDS else "chaos-0"
+        fault = Fault(2.6, kind, target=target, factor=FACTOR.get(kind, 0))
+        schedule = FaultSchedule([fault])
+        if kind in PREREQUISITE:
+            schedule.add(PREREQUISITE[kind])
+        runner = ChaosRunner(small_config(meetings=3), schedule)
+        report = runner.run()
+        assert report.ok, report.summary()
+        (row,) = [f for f in report.faults if f["kind"] == kind]
+        assert row["outcome"] == "applied"
+        injected = [
+            e for e in runner.events.events
+            if e.kind == "fault_injected" and e.attrs.get("fault") == kind
+        ]
+        assert len(injected) == 1 and injected[0].t == 2.6
+        # Every configuration went out through the plane or a handover.
+        assert runner.plane.stats.decisions + sum(
+            f.get("rehomed", 0) for f in report.faults
+        ) == len(report.serves)
+
+    def test_fault_on_unknown_meeting_is_skipped(self):
+        schedule = FaultSchedule(
+            [Fault(2.0, F.DOWNLINK_COLLAPSE, target="ghost", factor=0.1)]
+        )
+        report = run(schedule)
+        assert report.ok
+        assert report.faults[0]["outcome"] == "skipped"
+
+    def test_non_finite_collapse_is_rejected_not_fatal(self):
+        schedule = FaultSchedule(
+            [Fault(2.0, F.DOWNLINK_COLLAPSE, target="chaos-0",
+                   factor=float("inf"))]
+        )
+        report = run(schedule)
+        assert report.ok
+        assert report.faults[0]["outcome"] == "skipped"
+
+
 class TestObsIntegration:
     def test_fault_and_run_counters_emitted(self):
         schedule = FaultSchedule().add(
@@ -243,7 +302,10 @@ class TestObsIntegration:
         with enabled_registry() as reg:
             ChaosRunner(small_config(), schedule).run()
             snap = reg.snapshot()["histograms"]
-        assert any(obs_names.CHAOS_RECOVERY_TICKS in key for key in snap)
+        (key,) = [k for k in snap if obs_names.CHAOS_RECOVERY_SECONDS in k]
+        # Degraded at the 3.25 s decision, healed at the 5.25 s one.
+        assert snap[key]["count"] == 1
+        assert abs(snap[key]["sum"] - 2.0) < 1e-6
 
 
 class TestConfigValidation:
@@ -251,6 +313,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ChaosConfig(duration_s=0)
         with pytest.raises(ValueError):
-            ChaosConfig(tick_interval_s=-1.0)
+            ChaosConfig(report_interval_s=-1.0)
         with pytest.raises(ValueError):
             ChaosConfig(meetings=0)

@@ -22,7 +22,6 @@ class TestReportSloFields:
             "stream_interruption_s",
             "stage_delivery_p95",
             "stage_mailbox_dwell_p95",
-            "stage_sched_wait_p95",
             "stage_shed_p95",
             "stage_solve_p95",
         ]

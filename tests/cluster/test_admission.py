@@ -1,50 +1,28 @@
-"""Admission control: oldest-first budgets, deterministic shedding."""
+"""Admission control: the in-flight budget and its shed accounting."""
 
 import pytest
 
 from repro.cluster import AdmissionController
-from repro.cluster.scheduler import SolveRequest
 from repro.obs import names as obs_names
 from repro.obs.registry import enabled_registry
-
-from .conftest import mesh_problem
-
-
-def request(meeting_id, submitted_at_s):
-    return SolveRequest(
-        meeting_id=meeting_id,
-        problem=mesh_problem(),
-        submitted_at_s=submitted_at_s,
-        due_at_s=submitted_at_s,
-    )
 
 
 class TestAdmit:
     def test_under_budget_admits_all(self):
-        ctrl = AdmissionController(max_solves_per_round=4)
-        reqs = [request("m1", 0.0), request("m2", 1.0)]
-        admitted, shed = ctrl.admit(reqs)
-        assert [r.meeting_id for r in admitted] == ["m1", "m2"]
-        assert shed == []
-
-    def test_oldest_first_newest_shed(self):
         ctrl = AdmissionController(max_solves_per_round=2)
-        reqs = [request("m3", 2.0), request("m1", 0.0), request("m2", 1.0)]
-        admitted, shed = ctrl.admit(reqs)
-        assert [r.meeting_id for r in admitted] == ["m1", "m2"]
-        assert [r.meeting_id for r in shed] == ["m3"]
+        assert not ctrl.over_budget(0)
+        assert not ctrl.over_budget(1)
 
-    def test_tie_break_by_meeting_id(self):
-        ctrl = AdmissionController(max_solves_per_round=1)
-        reqs = [request("m-b", 0.0), request("m-a", 0.0)]
-        admitted, shed = ctrl.admit(reqs)
-        assert admitted[0].meeting_id == "m-a"
-        assert shed[0].meeting_id == "m-b"
+    def test_over_budget_at_the_in_flight_cap(self):
+        ctrl = AdmissionController(max_solves_per_round=2)
+        assert ctrl.over_budget(2)
+        assert ctrl.over_budget(3)
 
     def test_stats_accumulate(self):
         ctrl = AdmissionController(max_solves_per_round=1)
-        ctrl.admit([request("m1", 0.0), request("m2", 0.0)])
-        ctrl.admit([request("m3", 0.0)])
+        ctrl.admit_one()
+        ctrl.shed_one()
+        ctrl.admit_one()
         assert ctrl.stats.admitted == 2
         assert ctrl.stats.shed == 1
         assert ctrl.stats.total == 3
@@ -52,7 +30,8 @@ class TestAdmit:
     def test_shed_metric(self):
         with enabled_registry() as reg:
             ctrl = AdmissionController(max_solves_per_round=1)
-            ctrl.admit([request("m1", 0.0), request("m2", 0.0), request("m3", 0.0)])
+            ctrl.shed_one()
+            ctrl.shed_one()
             assert reg.counter(obs_names.CLUSTER_SHED).value == 2
 
     def test_validation(self):

@@ -14,8 +14,12 @@ from repro.cluster import (
     TRIGGER_REHOME,
     TRIGGER_TIME,
 )
+from repro.chaos.world import ChaosWorld
 from repro.control.failover import single_stream_fallback
 from repro.core.solver import GsoSolver, SolverConfig
+from repro.ingress.aio import SimRuntime
+from repro.ingress.events import SembReport
+from repro.ingress.plane import ClusterBackend, IngressPlane
 from repro.obs import names as obs_names
 from repro.obs.registry import enabled_registry
 
@@ -38,14 +42,18 @@ def distinct_problems(n):
 class TestSolveService:
     def test_sync_path_matches_direct_solver(self, problem):
         with make_cluster() as cluster:
-            got = cluster.solve_conference("conf-1", problem)
-            assert pickle.dumps(got) == pickle.dumps(DIRECT.solve(problem))
+            served = cluster.solve_request("conf-1", problem, now_s=0.0)
+            assert served.source == SOURCE_SOLVE
+            assert pickle.dumps(served.solution) == pickle.dumps(
+                DIRECT.solve(problem)
+            )
 
     def test_cache_hit_across_meetings(self, problem):
         with make_cluster() as cluster:
-            a = cluster.solve_conference("conf-a", problem)
-            b = cluster.solve_conference("conf-b", problem)
-            assert pickle.dumps(a) == pickle.dumps(b)
+            a = cluster.solve_request("conf-a", problem, now_s=0.0)
+            b = cluster.solve_request("conf-b", problem, now_s=0.0)
+            assert (a.source, b.source) == (SOURCE_SOLVE, SOURCE_CACHE)
+            assert pickle.dumps(a.solution) == pickle.dumps(b.solution)
             assert cluster.cache.stats.hits == 1
             assert cluster.cache.stats.misses == 1
             assert cluster.meeting("conf-b").cache_hits == 1
@@ -53,7 +61,7 @@ class TestSolveService:
     def test_cache_disabled_still_correct(self, problem):
         with make_cluster(cache_capacity=0) as cluster:
             assert cluster.cache is None
-            got = cluster.solve_conference("conf-1", problem)
+            got = cluster.solve_request("conf-1", problem, now_s=0.0).solution
             assert pickle.dumps(got) == pickle.dumps(DIRECT.solve(problem))
 
     def test_solver_crash_degrades_to_fallback(self, problem, monkeypatch):
@@ -62,80 +70,92 @@ class TestSolveService:
                 raise RuntimeError("solver died")
 
             monkeypatch.setattr(cluster.pool, "solve", boom)
-            got = cluster.solve_conference("conf-1", problem)
+            served = cluster.solve_request("conf-1", problem, now_s=0.0)
             want = single_stream_fallback(problem)
-            assert pickle.dumps(got) == pickle.dumps(want)
+            assert served.source == SOURCE_FALLBACK
+            assert pickle.dumps(served.solution) == pickle.dumps(want)
             assert cluster.meeting("conf-1").fallbacks == 1
 
 
 class TestTickLoop:
-    def test_event_tick_solves_and_debounces(self, problem):
+    """One meeting through the loop: solve, debounce, cache; and the
+    cluster's half of admission."""
+
+    WORLD_SEED = 1
+
+    def plane_on(self, cluster):
+        world = ChaosWorld(seed=self.WORLD_SEED, meetings=1)
+        return IngressPlane(SimRuntime(), ClusterBackend(cluster, world))
+
+    def test_event_tick_solves_and_debounces(self):
+        problem = ChaosWorld(
+            seed=self.WORLD_SEED, meetings=1
+        ).current_problem("chaos-0")
         with make_cluster() as cluster:
-            cluster.submit("m1", problem, now_s=0.0)
-            [served] = cluster.tick(now_s=0.0)
-            assert served.source == SOURCE_SOLVE
-            assert pickle.dumps(served.solution) == pickle.dumps(
+            plane = self.plane_on(cluster)
+            # The second report lands within the min-interval envelope of
+            # the first decision: nothing re-runs until it has passed.
+            plane.run_stream(
+                [SembReport(0.0, "chaos-0"), SembReport(1.2, "chaos-0", seq=1)],
+                duration_s=2.0,
+            )
+            first, again = plane.decisions
+            assert first.source == SOURCE_SOLVE
+            assert pickle.dumps(first.solution) == pickle.dumps(
                 DIRECT.solve(problem)
             )
-            # Within the min-interval envelope nothing re-runs.
-            cluster.submit("m1", problem, now_s=0.2)
-            assert cluster.tick(now_s=0.5) == []
-            [again] = cluster.tick(now_s=1.0)
             assert again.source == SOURCE_CACHE
-
-    def test_time_trigger_refreshes_idle_meetings(self, problem):
-        with make_cluster() as cluster:
-            cluster.submit("m1", problem, now_s=0.0)
-            cluster.tick(now_s=0.0)
-            assert cluster.tick(now_s=2.0) == []
-            [served] = cluster.tick(now_s=3.0)
-            assert served.trigger == TRIGGER_TIME
-
-    def test_coalesced_churn_costs_one_solve(self, problem):
-        fresher = mesh_problem(ups=(5000, 5000, 800))
-        with make_cluster() as cluster:
-            for _ in range(4):
-                cluster.submit("m1", problem, now_s=0.0)
-            cluster.submit("m1", fresher, now_s=0.1)
-            served = cluster.tick(now_s=0.2)
-            assert len(served) == 1  # five submissions, one solve
-            assert pickle.dumps(served[0].solution) == pickle.dumps(
-                DIRECT.solve(fresher)  # newest snapshot won
+            assert again.decided_at_s - first.decided_at_s >= (
+                cluster.config.min_interval_s
             )
+
+    def test_time_trigger_refreshes_idle_meetings(self):
+        with enabled_registry() as reg, make_cluster() as cluster:
+            plane = self.plane_on(cluster)
+            plane.run_stream([SembReport(0.0, "chaos-0")], duration_s=5.0)
+            assert [d.trigger for d in plane.decisions] == [
+                "event", TRIGGER_TIME,
+            ]
+            # The refresh reached the solve service under its own trigger
+            # and was served from the cache.
+            assert reg.counter(
+                obs_names.CLUSTER_SOLVE_REQUESTS, trigger=TRIGGER_TIME
+            ).value == 1
+            assert plane.decisions[1].source == SOURCE_CACHE
+
+    def test_coalesced_churn_costs_one_solve(self):
+        with make_cluster(cache_capacity=0) as cluster:
+            plane = self.plane_on(cluster)
+            plane.run_stream(
+                [SembReport(0.1 * i, "chaos-0", seq=i) for i in range(5)],
+                duration_s=1.0,
+            )
+            assert plane.stats.enqueued == 5
+            record = cluster.meeting("chaos-0")
+            assert record.solves == 1  # five reports, one solve
+            assert cluster.stats()["shards"][record.shard]["solves"] == 1
 
     def test_admission_sheds_to_fallback(self):
         problems = distinct_problems(3)
         with make_cluster(shards=1, max_solves_per_round=1) as cluster:
-            for i, problem in enumerate(problems):
-                cluster.submit(f"m{i}", problem, now_s=float(i) / 10)
-            served = cluster.tick(now_s=1.0)
-            by_source = {}
-            for s in served:
-                by_source.setdefault(s.source, []).append(s)
-            assert len(by_source[SOURCE_SOLVE]) == 1
-            assert len(by_source[SOURCE_SHED]) == 2
-            # m0 submitted first -> it gets the solve slot.
-            assert by_source[SOURCE_SOLVE][0].meeting_id == "m0"
-            for s in by_source[SOURCE_SHED]:
+            # One solve in flight fills the shard's budget: the plane
+            # asks, then sheds what does not fit.
+            assert not cluster.over_budget("m0", in_flight=0)
+            served = [cluster.solve_request("m0", problems[0], now_s=1.0)]
+            for i in (1, 2):
+                assert cluster.over_budget(f"m{i}", in_flight=1)
+                served.append(
+                    cluster.shed_request(f"m{i}", problems[i], now_s=1.0)
+                )
+            assert [s.source for s in served] == [
+                SOURCE_SOLVE, SOURCE_SHED, SOURCE_SHED,
+            ]
+            for s in served[1:]:
                 record = cluster.meeting(s.meeting_id)
                 want = single_stream_fallback(record.last_problem)
                 assert pickle.dumps(s.solution) == pickle.dumps(want)
+            assert cluster.stats()["shards"]["shard-0"]["shed"] == 2
 
-    def test_batch_crash_degrades_only_poisoned_meetings(self, monkeypatch):
-        problems = distinct_problems(2)
-        with make_cluster(shards=1, cache_capacity=0) as cluster:
-            def no_batches(_problems):
-                raise RuntimeError("batch transport died")
-
-            monkeypatch.setattr(cluster.pool, "solve_many", no_batches)
-            for i, problem in enumerate(problems):
-                cluster.submit(f"m{i}", problem, now_s=0.0)
-            served = cluster.tick(now_s=0.0)
-            # The per-request retry path still solves every meeting.
-            assert sorted(s.source for s in served) == [
-                SOURCE_SOLVE,
-                SOURCE_SOLVE,
-            ]
 
 
 class TestShardFailover:
@@ -145,8 +165,7 @@ class TestShardFailover:
         cluster = make_cluster(shards=3)
         problems = distinct_problems(n_meetings)
         for i, problem in enumerate(problems):
-            cluster.submit(f"m{i}", problem, now_s=0.0)
-        cluster.tick(now_s=0.0)
+            cluster.solve_request(f"m{i}", problem, now_s=0.0)
         return cluster
 
     def test_kill_degrades_victims_to_single_stream_fallback(self):
@@ -190,10 +209,12 @@ class TestShardFailover:
         with cluster:
             victim = cluster.meeting("m0").shard
             cluster.kill_shard(victim, now_s=1.0)
-            # Rehome requests are debounced by the handover fallback; run
-            # the loop past the envelope and every meeting re-converges.
-            cluster.tick(now_s=2.5)
+            # The meeting's next decision on its new shard re-converges.
             record = cluster.meeting("m0")
+            served = cluster.solve_request(
+                "m0", record.last_problem, now_s=2.5
+            )
+            assert served.shard == record.shard != victim
             want = DIRECT.solve(record.last_problem)
             assert pickle.dumps(record.last_solution) == pickle.dumps(want)
 
@@ -204,9 +225,9 @@ class TestShardFailover:
                 victim = cluster.live_shards[victim_index]
                 cluster.kill_shard(victim, now_s=1.0)  # must not raise
                 assert victim not in cluster.live_shards
-                cluster.tick(now_s=2.5)
                 for m in cluster.meetings:
                     record = cluster.meeting(m)
+                    cluster.solve_request(m, record.last_problem, now_s=2.5)
                     want = DIRECT.solve(record.last_problem)
                     assert pickle.dumps(record.last_solution) == pickle.dumps(
                         want
@@ -214,7 +235,7 @@ class TestShardFailover:
 
     def test_kill_last_shard_rejected(self, problem):
         with make_cluster(shards=1) as cluster:
-            cluster.solve_conference("conf-1", problem)
+            cluster.solve_request("conf-1", problem, now_s=0.0)
             with pytest.raises(RuntimeError):
                 cluster.kill_shard("shard-0", now_s=0.0)
 
@@ -249,8 +270,7 @@ class TestRebalance:
         with cluster:
             problems = distinct_problems(8)
             for i, problem in enumerate(problems):
-                cluster.submit(f"m{i}", problem, now_s=0.0)
-            cluster.tick(now_s=0.0)
+                cluster.solve_request(f"m{i}", problem, now_s=0.0)
             before = {m: cluster.meeting(m).shard for m in cluster.meetings}
             name = cluster.add_shard(now_s=1.0)
             assert name in cluster.live_shards
@@ -267,12 +287,20 @@ class TestRebalance:
 class TestStats:
     def test_snapshot_shape(self, problem):
         with make_cluster() as cluster:
-            cluster.solve_conference("conf-1", problem)
+            cluster.solve_request("conf-1", problem, now_s=0.0)
             stats = cluster.stats()
             assert stats["meetings"] == 1
             assert stats["live_shards"] == ["shard-0", "shard-1", "shard-2"]
             assert stats["cache"]["misses"] == 1
             assert set(stats["shards"]) == {"shard-0", "shard-1", "shard-2"}
+
+    def test_solve_entry_points_are_solve_and_shed(self):
+        entry = {
+            name
+            for name in vars(ControllerCluster)
+            if name.startswith(("solve", "shed", "submit", "tick"))
+        }
+        assert entry == {"solve_request", "shed_request"}
 
     def test_registration_idempotent(self, problem):
         with make_cluster() as cluster:

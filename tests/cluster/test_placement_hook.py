@@ -60,7 +60,7 @@ class TestRegistration:
     def test_resubmission_refreshes_cost(self):
         with make_cluster() as cluster:
             cluster.register("m0")
-            cluster.submit("m0", mesh_problem(), 0.0)  # picture arrives
+            cluster.solve_request("m0", mesh_problem(), 0.0)  # picture arrives
             assert cluster.load_model.cost_of("m0") == 9.0
 
     def test_least_loaded_spreads_evenly(self):
@@ -112,8 +112,7 @@ class TestMigrateMeeting:
 
     def test_degraded_move_serves_fallback_and_reconverges(self):
         with make_cluster() as cluster:
-            cluster.submit("m0", mesh_problem(), 0.0)
-            cluster.tick(0.0)
+            cluster.solve_request("m0", mesh_problem(), 0.0)
             source = cluster.meeting("m0").shard
             target = next(
                 s for s in cluster.live_shards if s != source
@@ -126,15 +125,15 @@ class TestMigrateMeeting:
             assert cluster.meeting("m0").shard == target
             assert cluster.load_model.shard_of("m0") == target
             assert cluster.migrations == {"manual": 1}
-            # The rehome solve request re-converges once the debounce
-            # interval has passed.
-            followups = cluster.tick(10.0)
-            assert [s.trigger for s in followups] == [TRIGGER_REHOME]
+            assert served.trigger == TRIGGER_REHOME
+            # The next decision re-converges on the target shard.
+            followup = cluster.solve_request("m0", mesh_problem(), 10.0)
+            assert followup.shard == target
+            assert followup.source != SOURCE_FALLBACK
 
     def test_seamless_move_serves_nothing(self):
         with make_cluster() as cluster:
-            cluster.submit("m0", mesh_problem(), 0.0)
-            cluster.tick(0.0)
+            cluster.solve_request("m0", mesh_problem(), 0.0)
             source = cluster.meeting("m0").shard
             target = next(s for s in cluster.live_shards if s != source)
             served = cluster.migrate_meeting(
@@ -165,8 +164,7 @@ class TestShardChurn:
         with make_cluster(placement="best_fit",
                           shard_cost_budget=40.0) as cluster:
             for k in range(6):
-                cluster.submit(f"m{k}", mesh_problem(), 0.0)
-            cluster.tick(0.0)
+                cluster.solve_request(f"m{k}", mesh_problem(), 0.0)
             victim = cluster.live_shards[0]
             cluster.kill_shard(victim, 1.0)
             loads = cluster.load_model.loads()

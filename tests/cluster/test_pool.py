@@ -1,4 +1,4 @@
-"""Solve executor: one-problem and batch solves match the direct solver."""
+"""Solve executor: solves match the direct solver."""
 
 import pickle
 
@@ -16,21 +16,10 @@ PROBLEMS = [
 ]
 
 
-def reference_solutions():
-    solver = GsoSolver(CONFIG)
-    return [solver.solve(p) for p in PROBLEMS]
-
-
 class TestSerial:
     def test_solve_matches_direct_solver(self):
         pool = SolvePool(CONFIG)
-        for problem, want in zip(PROBLEMS, reference_solutions()):
+        solver = GsoSolver(CONFIG)
+        for problem in PROBLEMS:
+            want = solver.solve(problem)
             assert pickle.dumps(pool.solve(problem)) == pickle.dumps(want)
-
-    def test_solve_many_preserves_order(self):
-        got = SolvePool(CONFIG).solve_many(PROBLEMS)
-        for have, want in zip(got, reference_solutions()):
-            assert pickle.dumps(have) == pickle.dumps(want)
-
-    def test_empty_batch(self):
-        assert SolvePool(CONFIG).solve_many([]) == []

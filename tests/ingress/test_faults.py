@@ -4,6 +4,7 @@ import pytest
 
 from repro.chaos import faults as chaos_faults
 from repro.chaos.faults import Fault, FaultSchedule
+from repro.chaos.runner import stream_faults
 from repro.ingress.events import LinkEstimate, SembReport
 from repro.ingress.faults import (
     DELAY,
@@ -13,7 +14,6 @@ from repro.ingress.faults import (
     DROP_SEMB,
     StreamFault,
     StreamFaultInjector,
-    from_fault_schedule,
 )
 
 
@@ -90,7 +90,7 @@ class TestFromFaultSchedule:
                       target="chaos-0", factor=0.5),
             ]
         )
-        out = from_fault_schedule(schedule, report_interval_s=1.0)
+        out = stream_faults(schedule, report_interval_s=1.0)
         assert len(out) == 2
         drop, delay = out
         assert drop.kind == DROP_SEMB
@@ -108,5 +108,13 @@ class TestFromFaultSchedule:
                       target="m", factor=0.0),
             ]
         )
-        (drop,) = from_fault_schedule(schedule, report_interval_s=2.0)
+        (drop,) = stream_faults(schedule, report_interval_s=2.0)
         assert (drop.start_s, drop.end_s) == (1.0, 3.0)
+
+    def test_untargeted_fault_hits_the_default_meeting(self):
+        schedule = FaultSchedule(
+            [Fault(at_s=1.0, kind=chaos_faults.DROP_REPORT, factor=1.0)]
+        )
+        (everyone,) = stream_faults(schedule)
+        (first,) = stream_faults(schedule, default_meeting="chaos-0")
+        assert (everyone.meeting, first.meeting) == ("", "chaos-0")

@@ -1,7 +1,7 @@
 """Parity: the event-driven plane reproduces the synchronous decisions.
 
-On a fault-free stream the ingress plane must agree with the
-round/continuous cluster path it fronts:
+On a fault-free stream the ingress plane must agree with the cluster
+solve path it fronts:
 
 * with a frozen world (SEMB only), every decision serves exactly the
   configuration a direct ``solve_request`` of the same snapshot serves;
@@ -56,21 +56,18 @@ def _snapshot_trajectory(cfg: IngressRunConfig) -> dict:
     )
     backend = ClusterBackend(cluster, world)
     trajectory: dict = {m: [] for m in world.meeting_ids}
-    try:
-        for event in stream:
-            backend.apply_event(event)
-            served = cluster.solve_request(
-                event.meeting,
-                world.current_problem(event.meeting),
-                event.at_s,
-                trigger="event",
-            )
-            digests = trajectory[event.meeting]
-            digest = solution_digest(served.solution)
-            if not digests or digests[-1] != digest:
-                digests.append(digest)
-    finally:
-        cluster.close()
+    for event in stream:
+        backend.apply_event(event)
+        served = cluster.solve_request(
+            event.meeting,
+            world.current_problem(event.meeting),
+            event.at_s,
+            trigger="event",
+        )
+        digests = trajectory[event.meeting]
+        digest = solution_digest(served.solution)
+        if not digests or digests[-1] != digest:
+            digests.append(digest)
     return trajectory
 
 
@@ -119,3 +116,36 @@ class TestMutatingWorldParity:
     def test_sources_are_solver_sources(self):
         report = run_ingress(CFG)
         assert set(report.decisions_by_source) <= {"solve", "cache"}
+
+
+class TestChaosParity:
+    def test_healthy_scenario_serves_the_direct_solve_digests(self):
+        """The chaos runner drives the same plane: with no faults every
+        meeting is delivered exactly the configuration a direct
+        ``solve_request`` of its snapshot serves."""
+        from repro.chaos import ChaosConfig, run_scenario
+
+        cfg = ChaosConfig(seed=11, meetings=3, duration_s=6.0)
+        report = run_scenario("healthy", 11, cfg)
+        assert report.ok and report.serves
+        world = ChaosWorld(
+            seed=cfg.seed, meetings=cfg.meetings, mean_size=cfg.mean_size
+        )
+        default_mckp_cache().clear()
+        with ControllerCluster(
+            ClusterConfig(
+                shards=cfg.shards,
+                cache_capacity=cfg.cache_capacity,
+                solver=SolverConfig(granularity_kbps=25),
+            )
+        ) as cluster:
+            for meeting in world.meeting_ids:
+                direct = cluster.solve_request(
+                    meeting, world.current_problem(meeting), 0.0
+                )
+                delivered = {
+                    s["solution"]
+                    for s in report.serves
+                    if s["meeting"] == meeting and s["delivered"]
+                }
+                assert delivered == {solution_digest(direct.solution)}

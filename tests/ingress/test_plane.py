@@ -7,9 +7,13 @@ arithmetic is exact.  Includes the PR's coalescing property test over
 out-of-order / duplicate SEMB timestamps.
 """
 
-from repro.cluster.scheduler import SolveScheduler
+import pytest
+
+from repro.chaos.world import ChaosWorld
+from repro.cluster import ClusterConfig, ControllerCluster
+from repro.cluster.scheduler import backpressure_window_s
 from repro.ingress.aio import SimRuntime
-from repro.ingress.events import LinkEstimate, SembReport
+from repro.ingress.events import LinkEstimate, SembReport, SubscriptionChange
 from repro.ingress.faults import (
     DELAY_SEMB,
     DROP_SEMB,
@@ -18,6 +22,7 @@ from repro.ingress.faults import (
 )
 from repro.ingress.plane import (
     BackendDecision,
+    ClusterBackend,
     IngressBackend,
     IngressConfig,
     IngressPlane,
@@ -34,16 +39,13 @@ class FakeBackend(IngressBackend):
     min_interval_s = 0.5
     max_interval_s = 1.5
 
-    def __init__(self, service_s=0.01, budget=None):
+    def __init__(self, service_s=0.01, budget=None, lose=False):
         self.applied = []
         self.decided = []
         self.shed_calls = []
         self._service = service_s
         self._budget = budget  # None = never over budget
-        self._pacer = SolveScheduler(
-            min_interval_s=self.min_interval_s,
-            max_interval_s=self.max_interval_s,
-        )
+        self._lose = lose  # every TMMBR push is lost in flight
 
     def apply_event(self, event):
         self.applied.append(event)
@@ -55,7 +57,9 @@ class FakeBackend(IngressBackend):
         return self._service
 
     def backpressure_window_s(self, meeting, depth, capacity):
-        return self._pacer.backpressure_window_s(depth, capacity)
+        return backpressure_window_s(
+            depth, capacity, self.min_interval_s, self.max_interval_s
+        )
 
     def over_budget(self, meeting, in_flight):
         return self._budget is not None and in_flight >= self._budget
@@ -63,7 +67,9 @@ class FakeBackend(IngressBackend):
     def decide(self, meeting, payload, now_s, trigger, cid):
         self.decided.append((meeting, now_s, trigger, cid))
         return BackendDecision(
-            source="solve", digest=f"{meeting}:{len(self.decided)}"
+            source="solve",
+            digest=f"{meeting}:{len(self.decided)}",
+            delivered=not self._lose,
         )
 
     def shed(self, meeting, payload, now_s, trigger, cid):
@@ -205,6 +211,16 @@ class TestCorrelationIds:
         assert all(p.cid in minted for p in pushes)
         assert len(pushes) == len(plane.decisions)
 
+    def test_undelivered_decision_emits_tmmbr_lost(self):
+        log = EventLog()
+        with obs_events.record_events(log):
+            plane, _ = _plane(backend=FakeBackend(lose=True))
+            plane.run_stream([_semb(0.0)], duration_s=1.0)
+        kinds = [e.kind for e in log.events]
+        assert obs_events.TMMBR_LOST in kinds
+        assert obs_events.TMMBR_PUSH not in kinds
+        assert len(plane.decisions) == 1
+
     def test_idle_refresh_mints_time_trigger_cids(self):
         log = EventLog()
         with obs_events.record_events(log):
@@ -246,6 +262,71 @@ class TestStreamFaultsInThePlane:
         assert d.opened_at_s == 0.5
         assert d.decided_at_s >= 2.5 + FakeBackend.min_interval_s
         assert d.latency_s >= 2.0
+
+
+class TestMalformedEvents:
+    """Wire-edge regressions: a malformed stream event used to raise out
+    of the dispatcher (``KeyError`` for an unknown meeting, ``ValueError``
+    / ``OverflowError`` from the world for a non-finite scale) and kill
+    the run for every meeting."""
+
+    def _plane(self):
+        world = ChaosWorld(seed=1, meetings=2)
+        cluster = ControllerCluster(ClusterConfig(shards=1))
+        plane = IngressPlane(SimRuntime(), ClusterBackend(cluster, world))
+        return plane, world
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (SembReport(0.1, "nope"), "unknown_meeting"),
+            (LinkEstimate(0.1, "nope", client="c"), "unknown_meeting"),
+            (LinkEstimate(0.1, "chaos-0", down_scale=float("nan")),
+             "bad_scale"),
+            (LinkEstimate(0.1, "chaos-0", down_scale=float("inf")),
+             "bad_scale"),
+            (LinkEstimate(0.1, "chaos-0", up_scale=-0.5), "bad_scale"),
+        ],
+    )
+    def test_rejected_counted_logged_and_harmless(self, bad, reason):
+        plane, world = self._plane()
+        before = world.meeting("chaos-0").version
+        log = EventLog()
+        with obs_events.record_events(log):
+            plane.run_stream(
+                [bad, SembReport(0.2, "chaos-1", seq=1)], duration_s=1.0
+            )
+        stats = plane.stats
+        assert (stats.offered, stats.rejected, stats.enqueued) == (2, 1, 1)
+        (event,) = [
+            e for e in log.events
+            if e.attrs.get("fault") == "rejected_event"
+        ]
+        assert event.kind == obs_events.FAULT_INJECTED
+        assert event.attrs["reason"] == reason
+        assert event.meeting == bad.meeting
+        # The malformed event touched nothing; the other meeting decided.
+        assert world.meeting("chaos-0").version == before
+        assert plane.meetings == ["chaos-1"]
+        assert plane.decisions
+        assert {d.meeting for d in plane.decisions} == {"chaos-1"}
+
+    def test_departed_client_falls_back_to_the_first_participant(self):
+        # Streams legitimately name clients that have since left; those
+        # events keep re-targeting the first participant, never raise.
+        plane, world = self._plane()
+        before = world.meeting("chaos-0").version
+        plane.run_stream(
+            [
+                LinkEstimate(0.1, "chaos-0", client="ghost", down_scale=0.5),
+                SubscriptionChange(0.2, "chaos-0", seq=1, client="ghost"),
+            ],
+            duration_s=1.0,
+        )
+        assert plane.stats.rejected == 0
+        state = world.meeting("chaos-0")
+        assert state.version == before + 2
+        assert state.clients[min(state.clients)].down_scale == 0.5
 
 
 class TestCoalescingProperty:

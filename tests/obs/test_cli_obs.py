@@ -161,7 +161,7 @@ class TestObsTimeline:
         rc = main(["obs", "timeline", "chaos-0", "--seed", "1"] + CHAOS_ARGS)
         assert rc == 0
         out = capsys.readouterr().out
-        assert "semb_report" in out
+        assert "ingress_enqueued" in out
         assert "solve_served" in out
         assert "tmmbr_push" in out
         assert "[chaos-0#1]" in out
@@ -175,7 +175,7 @@ class TestObsTimeline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["meeting"] == "chaos-0"
         assert payload["chains"]
-        assert payload["chains"][0]["kinds"][0] == "semb_report"
+        assert payload["chains"][0]["kinds"][0] == "ingress_enqueued"
 
     def test_timeline_from_events_file(self, tmp_path, capsys):
         target = tmp_path / "events.jsonl"
@@ -190,7 +190,7 @@ class TestObsTimeline:
         assert rc == 0
         out = capsys.readouterr().out
         assert "chaos-1" in out
-        assert "semb_report" in out
+        assert "ingress_enqueued" in out
 
     def test_unknown_meeting_prints_no_events(self, capsys):
         rc = main(["obs", "timeline", "ghost", "--seed", "1"] + CHAOS_ARGS)

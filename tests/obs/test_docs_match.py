@@ -158,15 +158,12 @@ class TestTelemetryNamesCovered:
         assert registered == set(self.TELEMETRY_METRICS)
 
     def test_telemetry_spans_are_canonical(self):
-        assert {names.SPAN_POOL_SOLVE, names.SPAN_SLO_EVALUATE} <= set(
-            names.ALL_SPANS
-        )
+        assert names.SPAN_SLO_EVALUATE in names.ALL_SPANS
 
     def test_telemetry_metrics_documented(self, guide_text):
         for metric in self.TELEMETRY_METRICS:
             assert metric in guide_text, metric
-        for span in (names.SPAN_POOL_SOLVE, names.SPAN_SLO_EVALUATE):
-            assert span in guide_text, span
+        assert names.SPAN_SLO_EVALUATE in guide_text
 
     def test_event_vocabulary_documented(self, guide_text):
         from repro.obs.events import ALL_EVENT_KINDS, EVENTS_SCHEMA
@@ -214,7 +211,7 @@ class TestChaosNamesCovered:
         names.CHAOS_CHECKS,
         names.CHAOS_VIOLATIONS,
         names.CHAOS_RUNS,
-        names.CHAOS_RECOVERY_TICKS,
+        names.CHAOS_RECOVERY_SECONDS,
     )
 
     def test_chaos_metrics_are_canonical(self):
@@ -224,15 +221,12 @@ class TestChaosNamesCovered:
         assert registered == set(self.CHAOS_METRICS)
 
     def test_chaos_spans_are_canonical(self):
-        assert {names.SPAN_CHAOS_RUN, names.SPAN_CHAOS_TICK} <= set(
-            names.ALL_SPANS
-        )
+        assert names.SPAN_CHAOS_RUN in names.ALL_SPANS
 
     def test_chaos_metrics_documented(self, guide_text):
         for metric in self.CHAOS_METRICS:
             assert metric in guide_text, metric
-        for span in (names.SPAN_CHAOS_RUN, names.SPAN_CHAOS_TICK):
-            assert span in guide_text, span
+        assert names.SPAN_CHAOS_RUN in guide_text
 
     def test_chaos_run_emits_only_canonical_names(self):
         from repro.chaos import ChaosConfig, run_scenario

@@ -10,7 +10,7 @@ from repro.obs.events import (
     ALL_EVENT_KINDS,
     DEFAULT_CAPACITY,
     EVENTS_SCHEMA,
-    SEMB_REPORT,
+    INGRESS_ENQUEUED,
     SOLVE_SERVED,
     TMMBR_PUSH,
     Event,
@@ -27,7 +27,7 @@ from repro.obs.registry import enabled_registry
 class TestEventEncoding:
     def test_to_dict_sorts_attrs_and_rounds_time(self):
         event = Event(
-            t=1.23456789, seq=3, kind=SEMB_REPORT, meeting="m", cid="m#1",
+            t=1.23456789, seq=3, kind=INGRESS_ENQUEUED, meeting="m", cid="m#1",
             shard="s0", attrs={"zeta": 1, "alpha": "x"},
         )
         row = event.to_dict()
@@ -47,7 +47,7 @@ class TestEventEncoding:
 class TestEventLog:
     def test_emit_assigns_monotonic_seq(self):
         log = EventLog()
-        first = log.emit(SEMB_REPORT, t=1.0, meeting="m")
+        first = log.emit(INGRESS_ENQUEUED, t=1.0, meeting="m")
         second = log.emit(SOLVE_SERVED, t=1.0, meeting="m")
         assert (first.seq, second.seq) == (0, 1)
         assert log.emitted == 2
@@ -61,7 +61,7 @@ class TestEventLog:
     def test_ring_eviction_counts_dropped(self):
         log = EventLog(capacity=2)
         for k in range(5):
-            log.emit(SEMB_REPORT, t=float(k))
+            log.emit(INGRESS_ENQUEUED, t=float(k))
         assert len(log) == 2
         assert log.dropped == 3
         assert log.emitted == 5
@@ -73,16 +73,16 @@ class TestEventLog:
 
     def test_for_meeting_and_kinds(self):
         log = EventLog()
-        log.emit(SEMB_REPORT, t=1.0, meeting="a")
-        log.emit(SEMB_REPORT, t=2.0, meeting="b")
+        log.emit(INGRESS_ENQUEUED, t=1.0, meeting="a")
+        log.emit(INGRESS_ENQUEUED, t=2.0, meeting="b")
         log.emit(SOLVE_SERVED, t=3.0, meeting="a")
         assert [e.t for e in log.for_meeting("a")] == [1.0, 3.0]
-        assert log.kinds() == {SEMB_REPORT: 2, SOLVE_SERVED: 1}
+        assert log.kinds() == {INGRESS_ENQUEUED: 2, SOLVE_SERVED: 1}
 
     def test_metrics_recorded_when_registry_enabled(self):
         log = EventLog(capacity=1)
         with enabled_registry() as reg:
-            log.emit(SEMB_REPORT, t=1.0)
+            log.emit(INGRESS_ENQUEUED, t=1.0)
             log.emit(SOLVE_SERVED, t=2.0)  # evicts the first
             snap = reg.snapshot()["counters"]
         emitted = {
@@ -97,7 +97,7 @@ class TestJsonlRoundTrip:
     def _sample(self) -> EventLog:
         log = EventLog()
         cid = log.mint("m")
-        log.emit(SEMB_REPORT, t=1.0, meeting="m", cid=cid, shard="s0",
+        log.emit(INGRESS_ENQUEUED, t=1.0, meeting="m", cid=cid, shard="s0",
                  trigger="event")
         log.emit(SOLVE_SERVED, t=1.5, meeting="m", cid=cid, shard="s0",
                  source="solve", iterations=3)

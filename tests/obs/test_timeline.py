@@ -6,7 +6,7 @@ subscription change under one correlation id."""
 import pytest
 
 from repro.obs.events import (
-    SEMB_REPORT,
+    INGRESS_ENQUEUED,
     SOLVE_SERVED,
     SUBSCRIPTION_CHANGE,
     TMMBR_PUSH,
@@ -36,7 +36,7 @@ def _verdict(name="kmr_iteration_bound", value=0.4, ok=True):
 
 def _chain(log: EventLog, meeting: str, t: float):
     cid = log.mint(meeting)
-    log.emit(SEMB_REPORT, t=t, meeting=meeting, cid=cid, shard="s0",
+    log.emit(INGRESS_ENQUEUED, t=t, meeting=meeting, cid=cid, shard="s0",
              trigger="event")
     log.emit(SOLVE_SERVED, t=t + 0.25, meeting=meeting, cid=cid,
              shard="s0", source="solve")
@@ -71,7 +71,7 @@ class TestTimeline:
         chains = correlation_chains(log.events)
         assert set(chains) == {c1, c2}
         assert [e.kind for e in chains[c1]] == [
-            SEMB_REPORT, SOLVE_SERVED, TMMBR_PUSH, SUBSCRIPTION_CHANGE,
+            INGRESS_ENQUEUED, SOLVE_SERVED, TMMBR_PUSH, SUBSCRIPTION_CHANGE,
         ]
 
     def test_format_timeline_renders_chain_blocks(self):
@@ -95,7 +95,7 @@ class TestTimeline:
         assert len(out["events"]) == 4
         (chain,) = out["chains"]
         assert chain["cid"] == cid
-        assert chain["kinds"][0] == SEMB_REPORT
+        assert chain["kinds"][0] == INGRESS_ENQUEUED
         assert chain["t_first"] == 1.0
         assert chain["t_last"] == 1.25
 
@@ -166,7 +166,7 @@ class TestEndToEndTimeline:
             kinds for kinds in (
                 [e.kind for e in chain] for chain in chains.values()
             )
-            if kinds[:1] == [SEMB_REPORT]
+            if kinds[:1] == [INGRESS_ENQUEUED]
             and SOLVE_SERVED in kinds
             and TMMBR_PUSH in kinds
             and SUBSCRIPTION_CHANGE in kinds
@@ -175,7 +175,7 @@ class TestEndToEndTimeline:
 
     def test_cids_intact_across_chain(self, runner):
         for event in runner.events.for_meeting("chaos-0"):
-            if event.kind in (SEMB_REPORT, SOLVE_SERVED, TMMBR_PUSH,
+            if event.kind in (INGRESS_ENQUEUED, SOLVE_SERVED, TMMBR_PUSH,
                               SUBSCRIPTION_CHANGE):
                 assert event.cid.startswith("chaos-0#"), event
 

@@ -2,10 +2,10 @@
 
 Time-trigger refreshes and degraded re-homes mint a *new* correlation id;
 before this PR they stood alone in the trace plane.  These tests pin the
-instrumented call sites — ``SolveScheduler.due`` (cluster),
-``IngressPlane`` time triggers, and ``ControllerCluster.migrate_meeting``
-— to the lineage contract: the new chain's root event carries the
-predecessor's cid, and the assembled tree hangs under it.
+instrumented call sites — ``IngressPlane`` time triggers and
+``ControllerCluster.migrate_meeting`` — to the lineage contract: the new
+chain's root event carries the predecessor's cid, and the assembled tree
+hangs under it.
 """
 
 from repro.cluster import ClusterConfig, ControllerCluster
@@ -24,41 +24,30 @@ def make_cluster(**overrides):
     return ControllerCluster(ClusterConfig(**defaults))
 
 
-class TestTimeTriggerLineage:
-    def test_scheduler_refresh_links_to_previous_decision(self):
-        log = EventLog()
-        with record_events(log):
-            with make_cluster() as cluster:
-                cluster.submit("m0", mesh_problem(), 0.0)
-                cluster.tick(0.0)
-                # Idle long past max_interval_s: the scheduler must
-                # synthesize a time-trigger refresh.
-                cluster.tick(60.0)
-        triggers = [
-            e for e in log.events if e.kind == ek.TIME_TRIGGER
-        ]
-        assert triggers, "idle meeting must refresh on the Fig. 12 ceiling"
-        for trigger in triggers:
-            assert trigger.attrs.get("parent_cid"), (
-                "time-trigger refresh must link to its predecessor chain"
-            )
-            assert trigger.attrs["parent_cid"] != trigger.cid
+def refresh_log():
+    """An ingress run whose reports all drop mid-run, so idle meetings
+    refresh from their last snapshot once ``max_interval_s`` passes."""
+    log = EventLog(capacity=65536)
+    run_ingress(
+        IngressRunConfig(seed=3, meetings=4, duration_s=20.0),
+        faults=[StreamFault(DROP_SEMB, start_s=4.0, end_s=16.0)],
+        events_out=log,
+    )
+    return log
 
+
+class TestTimeTriggerLineage:
     def test_refresh_tree_hangs_under_predecessor(self):
-        log = EventLog()
-        with record_events(log):
-            with make_cluster() as cluster:
-                cluster.submit("m0", mesh_problem(), 0.0)
-                cluster.tick(0.0)
-                cluster.tick(60.0)
-        traces = assemble_trees(log.events)
-        links = [
-            node.link
+        traces = assemble_trees(refresh_log().events)
+        refreshes = [
+            node
             for tree in traces.trees()
             for node in tree.walk()
             if node.parent_cid
+            and any(e.kind == ek.TIME_TRIGGER for e in node.events)
         ]
-        assert LINK_LINEAGE in links
+        assert refreshes
+        assert {node.link for node in refreshes} == {LINK_LINEAGE}
 
 
 class TestMigrationLineage:
@@ -66,8 +55,10 @@ class TestMigrationLineage:
         log = EventLog()
         with record_events(log):
             with make_cluster() as cluster:
-                cluster.submit("m0", mesh_problem(), 0.0)
-                cluster.tick(0.0)
+                # The cid the plane mints when the report is enqueued.
+                cluster.solve_request(
+                    "m0", mesh_problem(), 0.0, correlation_id=log.mint("m0")
+                )
                 source = cluster.meeting("m0").shard
                 target = next(
                     s for s in cluster.live_shards if s != source
@@ -98,8 +89,10 @@ class TestMigrationLineage:
         log = EventLog()
         with record_events(log):
             with make_cluster() as cluster:
-                cluster.submit("m0", mesh_problem(), 0.0)
-                cluster.tick(0.0)
+                # The cid the plane mints when the report is enqueued.
+                cluster.solve_request(
+                    "m0", mesh_problem(), 0.0, correlation_id=log.mint("m0")
+                )
                 source = cluster.meeting("m0").shard
                 target = next(
                     s for s in cluster.live_shards if s != source
@@ -114,14 +107,7 @@ class TestMigrationLineage:
 
 class TestIngressPlaneLineage:
     def test_plane_time_triggers_carry_parents(self):
-        log = EventLog(capacity=65536)
-        # Drop every SEMB report mid-run: the idle meetings must refresh
-        # from their last snapshot once max_interval_s passes.
-        run_ingress(
-            IngressRunConfig(seed=3, meetings=4, duration_s=20.0),
-            faults=[StreamFault(DROP_SEMB, start_s=4.0, end_s=16.0)],
-            events_out=log,
-        )
+        log = refresh_log()
         triggers = [e for e in log.events if e.kind == ek.TIME_TRIGGER]
         # Refreshes for meetings that decided before must link back; a
         # refresh before any decision legitimately has no parent.

@@ -28,7 +28,6 @@ KINDS = (
     ek.INGRESS_ENQUEUED,
     ek.INGRESS_DEQUEUED,
     ek.INGRESS_SHED,
-    ek.SEMB_REPORT,
     ek.TIME_TRIGGER,
     ek.MEETING_REHOMED,
     ek.SOLVE_SERVED,
@@ -55,13 +54,6 @@ def events(draw):
         attrs["parent_cid"] = draw(st.sampled_from(CIDS))
     if kind == ek.INGRESS_DEQUEUED:
         attrs["batch"] = draw(st.integers(min_value=0, max_value=5))
-    if kind == ek.SEMB_REPORT and draw(st.booleans()):
-        attrs["due_at_s"] = draw(
-            st.floats(
-                min_value=-10.0, max_value=200.0,
-                allow_nan=False, allow_infinity=False,
-            )
-        )
     return (t, kind, meeting, cid, attrs)
 
 

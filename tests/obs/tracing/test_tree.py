@@ -7,7 +7,6 @@ from repro.obs.tracing import (
     ALL_STAGES,
     STAGE_DELIVERY,
     STAGE_MAILBOX_DWELL,
-    STAGE_SCHED_WAIT,
     STAGE_SHED,
     STAGE_SOLVE,
     TraceTree,
@@ -68,30 +67,6 @@ class TestStageRules:
             STAGE_SHED, STAGE_DELIVERY,
         ]
 
-    def test_semb_report_due_splits_wait_and_solve(self):
-        tree = tree_of([
-            ev(0.0, ek.SEMB_REPORT, cid="m0#1", due_at_s=0.3),
-            ev(1.0, ek.SOLVE_SERVED, cid="m0#1"),
-            ev(1.1, ek.TMMBR_PUSH, cid="m0#1"),
-        ])
-        spans = tree.critical_path()
-        assert [s.stage for s in spans] == [
-            STAGE_SCHED_WAIT, STAGE_SOLVE, STAGE_DELIVERY,
-        ]
-        assert math.isclose(spans[0].duration_s, 0.3)
-        assert math.isclose(spans[1].duration_s, 0.7)
-
-    def test_due_is_clamped_into_the_gap(self):
-        # A due time after the solve (late serve) collapses solve to 0.
-        tree = tree_of([
-            ev(0.0, ek.SEMB_REPORT, cid="m0#1", due_at_s=5.0),
-            ev(1.0, ek.SOLVE_SERVED, cid="m0#1"),
-            ev(1.1, ek.TMMBR_PUSH, cid="m0#1"),
-        ])
-        spans = tree.critical_path()
-        assert math.isclose(spans[0].duration_s, 1.0)
-        assert math.isclose(spans[1].duration_s, 0.0)
-
     def test_terminal_without_solve_event_is_solve_time(self):
         # Modeled backends emit no explicit solve event: the whole gap
         # from the root to the terminal is service time.
@@ -112,12 +87,9 @@ class TestStageRules:
 
 class TestCriticalPathExactness:
     def test_spans_partition_the_chain(self):
-        tree = tree_of([
-            ev(0.0, ek.SEMB_REPORT, cid="m0#1", due_at_s=0.2),
-            ev(0.5, ek.SOLVE_SERVED, cid="m0#1"),
-            ev(0.65, ek.TMMBR_PUSH, cid="m0#1"),
-        ])
+        tree = tree_of(decision_chain())
         spans = tree.critical_path()
+        assert len(spans) == 3
         assert spans[0].start_s == tree.opened_at_s
         assert spans[-1].end_s == tree.closed_at_s
         for left, right in zip(spans, spans[1:]):

@@ -120,21 +120,20 @@ class TestShardLoadModel:
 
 
 class TestLoadSignals:
-    def test_joins_cost_and_queue_depth(self):
+    def test_joins_cost_and_meetings(self):
         from repro.cluster import ClusterConfig, ControllerCluster
 
         with ControllerCluster(ClusterConfig(shards=2)) as cluster:
-            cluster.submit("m0", mesh(3), 0.0)
+            cluster.register("m0", mesh(3))
             rows = load_signals(cluster)
             assert [r.shard for r in rows] == sorted(cluster.live_shards)
             assert sum(r.assigned_cost for r in rows) == 9.0
-            assert sum(r.queue_depth for r in rows) == 1
+            assert sum(r.meetings for r in rows) == 1
             assert all(r.solve_p95_s is None for r in rows)  # no samples
             as_dict = rows[0].to_dict()
             assert set(as_dict) == {
                 "shard",
                 "assigned_cost",
                 "meetings",
-                "queue_depth",
                 "solve_p95_s",
             }

@@ -78,9 +78,10 @@ class TestRebalance:
     def test_migration_serves_degraded_fallback(self):
         with make_cluster() as cluster:
             problem = mesh_problem()
-            cluster.submit("m0", problem, 0.0)
-            cluster.submit("m1", mesh_problem(ups=(5000, 5000, 450)), 0.0)
-            cluster.tick(0.0)
+            cluster.solve_request("m0", problem, 0.0)
+            cluster.solve_request(
+                "m1", mesh_problem(ups=(5000, 5000, 450)), 0.0
+            )
             grow(cluster, "m0", 30.0)
             detector = HotShardDetector(20.0)
             result = detector.rebalance(cluster, 1.0)
