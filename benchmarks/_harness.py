@@ -13,49 +13,11 @@ rounds=1)``: pytest-benchmark still records the wall time, but the
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-from repro.obs import names as obs_names
-from repro.obs.registry import MetricsRegistry, get_registry
+from typing import Iterable, List, Sequence, Tuple
 
 #: Output directory for benchmark artifacts.
 OUT_DIR = Path(__file__).parent / "out"
-
-#: The registry every benchmark records into (installed by
-#: ``benchmarks/conftest.py`` for the whole pytest session, so per-test
-#: timings and all solver/controller metrics aggregate in one place).
-BENCH_REGISTRY = MetricsRegistry()
-
-
-def record_benchmark_timing(name: str, seconds: float) -> None:
-    """Record one benchmark's wall clock into the shared registry.
-
-    Called by the autouse fixture in ``benchmarks/conftest.py`` around
-    every benchmark test; individual benchmarks may also call it for
-    interesting sub-phases.
-    """
-    BENCH_REGISTRY.histogram(
-        obs_names.BENCHMARK_SECONDS, benchmark=name
-    ).observe(seconds)
-
-
-def write_metrics_snapshot(filename: str = "metrics_snapshot.prom") -> Path:
-    """Persist the shared registry under ``benchmarks/out/``.
-
-    Merges whatever the currently installed registry collected (usually
-    :data:`BENCH_REGISTRY` itself) and writes the Prometheus text view so
-    a benchmark run leaves an inspectable metrics artifact next to the
-    figure outputs.
-    """
-    current = get_registry()
-    if current.enabled and current is not BENCH_REGISTRY:
-        BENCH_REGISTRY.merge(current)
-    OUT_DIR.mkdir(exist_ok=True)
-    path = OUT_DIR / filename
-    path.write_text(BENCH_REGISTRY.to_prometheus_text())
-    return path
 
 
 def emit(name: str, lines: Iterable[str]) -> str:

@@ -13,12 +13,9 @@ Four subcommands cover the library's main entry points:
   the cluster's solve service (sharding + fingerprint cache) and
   reports daily metrics plus cluster counters (the event-driven loop
   itself is ``ingress run``);
-* ``place`` — fleet placement (see ``docs/PLACEMENT.md``): ``place run``
-  packs one sampled fleet with one policy and prints the packing,
-  ``place compare`` races every policy on the same workload and prints
-  the sustainable meetings/sec frontier, ``place stats`` drives real
-  meetings through a placed cluster (optionally rebalancing hot shards)
-  and dumps the load-model snapshot;
+* ``place`` — fleet placement (see ``docs/PLACEMENT.md``): ``place
+  stats`` drives real meetings through a placed cluster (optionally
+  rebalancing hot shards) and dumps the load-model snapshot;
 * ``chaos`` — deterministic fault injection + invariant checking (see
   ``docs/RESILIENCE.md``): ``chaos run`` replays one scenario at one
   seed, ``chaos soak`` sweeps scenarios x seeds (running each twice and
@@ -253,76 +250,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
 # --------------------------------------------------------------------- #
 # Placement commands
 # --------------------------------------------------------------------- #
-
-
-def _cmd_place_run(args: argparse.Namespace) -> int:
-    """Place one sampled fleet with one policy; print the packing."""
-    import json
-
-    from .deploy.vectorfleet import place_fleet, sample_fleet, sustainable_rate
-
-    try:
-        workload = sample_fleet(
-            args.seed,
-            users=args.users,
-            webinars=args.webinars,
-            max_size=args.max_size,
-        )
-        placement = place_fleet(
-            workload, policy=args.policy, shards=args.shards
-        )
-    except ValueError as exc:
-        print(f"repro place: {exc}", file=sys.stderr)
-        return 2
-    rate = sustainable_rate(workload, placement, slo_p95_s=args.slo_p95)
-    payload = {
-        "seed": args.seed,
-        "users": workload.users,
-        "meetings": workload.meetings,
-        "slo_p95_s": args.slo_p95,
-        **placement.to_dict(),
-        "meetings_per_s": round(rate, 3),
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_place_compare(args: argparse.Namespace) -> int:
-    """Race every placement policy on one workload; print the frontier."""
-    import json
-
-    from .deploy.vectorfleet import throughput_report
-
-    try:
-        report = throughput_report(
-            args.seed,
-            users=args.users,
-            shards=args.shards,
-            slo_p95_s=args.slo_p95,
-            webinars=args.webinars,
-            max_size=args.max_size,
-        )
-    except ValueError as exc:
-        print(f"repro place: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print(
-        f"fleet: {report['users']} users / {report['meetings']} meetings "
-        f"on {report['shards']} shards (seed {report['seed']}, "
-        f"p95 SLO {report['slo_p95_s']}s)"
-    )
-    print("policy        meetings/s  shard-cost max  imbalance")
-    for policy, row in report["policies"].items():
-        print(
-            f"{policy:<12s}  {row['meetings_per_s']:10.1f}  "
-            f"{row['shard_cost_max']:14.0f}  {row['imbalance']:9.3f}"
-        )
-    for key in sorted(report):
-        if key.startswith("speedup_"):
-            print(f"{key}: {report[key]}x")
-    return 0
 
 
 def _cmd_place_stats(args: argparse.Namespace) -> int:
@@ -869,7 +796,8 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 def _cmd_trace_profile(args: argparse.Namespace) -> int:
     import json
 
-    from .obs.tracing import assemble_trees, build_profile
+    from .obs.slo import quantile
+    from .obs.tracing import assemble_trees
 
     try:
         events, title = _trace_events(args)
@@ -879,26 +807,31 @@ def _cmd_trace_profile(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    traces = assemble_trees(events)
-    profile = build_profile(traces.trees(), source=title)
+    # The same samples, and the same p95, the stage-budget SLOs judge.
+    table = {}
+    for stage, samples in assemble_trees(events).stage_latencies().items():
+        durations = sorted(d for (_, d) in samples)
+        table[stage] = {
+            "count": len(durations),
+            "mean_s": round(sum(durations) / len(durations), 9),
+            "p50_s": round(quantile(durations, 0.5), 9),
+            "p95_s": round(quantile(durations, 0.95), 9),
+            "max_s": round(durations[-1], 9),
+        }
     if args.json:
-        print(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"latency profile — {title}")
-        print(f"{'stage':<16} {'count':>7} {'mean':>10} {'p50':>10} "
-              f"{'p95':>10} {'max':>10}")
-        for stage in profile.stages():
-            print(
-                f"{stage:<16} {profile.count(stage):>7} "
-                f"{profile.mean(stage) * 1e3:>8.2f}ms "
-                f"{profile.quantile(stage, 0.5) * 1e3:>8.2f}ms "
-                f"{profile.quantile(stage, 0.95) * 1e3:>8.2f}ms "
-                f"{profile.quantile(stage, 1.0) * 1e3:>8.2f}ms"
-            )
-        print(f"profile digest: {profile.digest()}")
-    if args.out:
-        path = profile.write_json(args.out)
-        print(f"[trace] wrote profile to {path}", file=sys.stderr)
+        print(json.dumps(table, indent=2, sort_keys=True))
+        return 0
+    print(f"stage latencies — {title}")
+    print(f"{'stage':<16} {'count':>7} {'mean':>10} {'p50':>10} "
+          f"{'p95':>10} {'max':>10}")
+    for stage, row in table.items():
+        print(
+            f"{stage:<16} {row['count']:>7} "
+            f"{row['mean_s'] * 1e3:>8.2f}ms "
+            f"{row['p50_s'] * 1e3:>8.2f}ms "
+            f"{row['p95_s'] * 1e3:>8.2f}ms "
+            f"{row['max_s'] * 1e3:>8.2f}ms"
+        )
     return 0
 
 
@@ -997,46 +930,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     place = sub.add_parser(
         "place",
-        help="fleet placement: pack, compare, and inspect policies "
+        help="fleet placement: inspect policies on a live cluster "
         "(docs/PLACEMENT.md)",
     )
     place_sub = place.add_subparsers(dest="place_command", required=True)
-
-    def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--seed", type=int, default=8)
-        parser.add_argument("--users", type=int, default=100_000)
-        parser.add_argument("--shards", type=int, default=16)
-        parser.add_argument("--webinars", type=int, default=32)
-        parser.add_argument("--max-size", type=int, default=60)
-        parser.add_argument(
-            "--slo-p95",
-            type=float,
-            default=0.25,
-            help="p95 solve-latency SLO in seconds",
-        )
-
-    place_run = place_sub.add_parser(
-        "run", help="pack one sampled fleet with one policy"
-    )
-    place_run.add_argument(
-        "--policy",
-        default="best_fit",
-        choices=["hash", "best_fit", "least_loaded"],
-    )
-    _add_fleet_args(place_run)
-    place_run.set_defaults(func=_cmd_place_run)
-
-    place_compare = place_sub.add_parser(
-        "compare",
-        help="race every policy on one workload; print meetings/sec",
-    )
-    place_compare.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full throughput report as JSON",
-    )
-    _add_fleet_args(place_compare)
-    place_compare.set_defaults(func=_cmd_place_compare)
 
     place_stats = place_sub.add_parser(
         "stats",
@@ -1272,7 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_profile = trace_sub.add_parser(
         "profile",
-        help="build a repro.latency_profile/v1 artifact from trace trees",
+        help="print the per-stage latency table of the trace trees",
     )
     trace_profile.add_argument(
         "--events",
@@ -1281,11 +1178,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_profile.add_argument("--scenario", default="bandwidth_collapse")
     trace_profile.add_argument("--seed", type=int, default=1)
     trace_profile.add_argument(
-        "--out", help="write the profile JSON artifact here"
-    )
-    trace_profile.add_argument(
         "--json", action="store_true",
-        help="print the full profile payload as JSON",
+        help="print the per-stage table as JSON",
     )
     _add_chaos_config_args(trace_profile)
     trace_profile.set_defaults(func=_cmd_trace_profile)

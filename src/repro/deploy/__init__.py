@@ -23,17 +23,6 @@ from .rollout import (
     normalize,
 )
 from .satisfaction import SatisfactionModel, satisfaction_improvement
-from .vectorfleet import (
-    FleetPlacement,
-    FleetWorkload,
-    Population,
-    place_fleet,
-    sample_fleet,
-    sample_population,
-    score_subscribers_batch,
-    sustainable_rate,
-    throughput_report,
-)
 
 __all__ = [
     "ConferenceMetrics",
@@ -43,14 +32,11 @@ __all__ = [
     "DEPLOY_START",
     "DailyPoint",
     "DeploymentSimulation",
-    "FleetPlacement",
     "FleetSampler",
-    "FleetWorkload",
     "IntervalProcess",
     "NetworkProfile",
     "OBSERVATION_END",
     "OBSERVATION_START",
-    "Population",
     "RolloutSchedule",
     "SampledClient",
     "SampledConference",
@@ -58,12 +44,6 @@ __all__ = [
     "empirical_cdf",
     "improvement",
     "normalize",
-    "place_fleet",
-    "sample_fleet",
-    "sample_population",
     "satisfaction_improvement",
     "score_subscriber",
-    "score_subscribers_batch",
-    "sustainable_rate",
-    "throughput_report",
 ]

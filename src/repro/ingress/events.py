@@ -19,8 +19,7 @@ timestamps collide — the same ``(time, sequence)`` discipline the
 simulator heap and :class:`~repro.net.link.FaultyLink` delay buffer use.
 
 :func:`generate_stream` builds a seeded stream against a
-:class:`~repro.chaos.world.ChaosWorld` population; the fleet-scale
-generator (10^5 users) lives in :mod:`repro.deploy.ingress_stream`.
+:class:`~repro.chaos.world.ChaosWorld` population.
 """
 
 from __future__ import annotations

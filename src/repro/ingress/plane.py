@@ -65,6 +65,17 @@ OUTCOME_SHED = "shed"
 SHED_OVERFLOW = "overflow"
 SHED_ADMISSION = "admission"
 
+#: Virtual executor pacing, not a latency prediction: how long a decision
+#: occupies a :class:`VirtualSemaphore` slot in *virtual* time, which
+#: fixes decision order, ``decisions_digest`` and
+#: ``ingress.virtual_latency_p95``.  The measured wall-clock slope is
+#: ``placement.sec_per_cost_fit`` in ``bench/`` (2.2e-5 - 8.1e-5 s/cost);
+#: refitting or deleting these re-baselines every digest.
+PACING_S_PER_COST = 1e-6
+#: Floor on the virtual service time (every solve takes > 0 time, so
+#: in-flight solves genuinely overlap with ingestion).
+PACING_FLOOR_S = 0.002
+
 
 @dataclass
 class IngressConfig:
@@ -75,11 +86,6 @@ class IngressConfig:
     mailbox_capacity: int = 16
     #: Concurrent executor slots (solves in flight at once).
     solve_slots: int = 4
-    #: Virtual seconds of solve service per unit of meeting cost.
-    service_s_per_cost: float = 1e-6
-    #: Floor on virtual solve service time (every solve takes > 0 time,
-    #: so in-flight solves genuinely overlap with ingestion).
-    service_floor_s: float = 0.002
     #: Keep idle meetings refreshed on the Fig. 12 max-interval ceiling.
     idle_refresh: bool = True
     #: Extra virtual time after the last stream event for in-flight
@@ -91,8 +97,6 @@ class IngressConfig:
             raise ValueError("mailbox_capacity must be >= 1")
         if self.solve_slots < 1:
             raise ValueError("solve_slots must be >= 1")
-        if self.service_s_per_cost < 0 or self.service_floor_s < 0:
-            raise ValueError("service times must be non-negative")
         if self.drain_s < 0:
             raise ValueError("drain_s must be non-negative")
 
@@ -155,8 +159,7 @@ class IngressBackend:
     """What the plane needs from a decision engine (duck-typed protocol).
 
     :class:`ClusterBackend` adapts the real :class:`ControllerCluster`;
-    :class:`~repro.deploy.ingress_stream.ModeledBackend` implements the
-    same surface with the fleet cost model for 10^5-user benchmarks.
+    tests substitute a fake with the same surface.
     """
 
     #: Fig. 12 envelope the plane paces itself with.
@@ -256,9 +259,7 @@ class ClusterBackend(IngressBackend):
         return self.world.current_problem(meeting)
 
     def service_s(self, meeting: str, payload: object) -> float:
-        cost = meeting_cost(payload)
-        cfg = _plane_config(self)
-        return max(cfg.service_floor_s, cost * cfg.service_s_per_cost)
+        return max(PACING_FLOOR_S, meeting_cost(payload) * PACING_S_PER_COST)
 
     def backpressure_window_s(
         self, meeting: str, depth: int, capacity: int
@@ -292,11 +293,6 @@ class ClusterBackend(IngressBackend):
         )
 
 
-def _plane_config(backend) -> IngressConfig:
-    """The config of the plane a backend is mounted on (set by the plane)."""
-    return getattr(backend, "_plane_config", None) or IngressConfig()
-
-
 class IngressPlane:
     """Dispatcher + per-meeting workers + bounded executor, on virtual time."""
 
@@ -309,7 +305,6 @@ class IngressPlane:
         self.runtime = runtime
         self.backend = backend
         self.config = config or IngressConfig()
-        backend._plane_config = self.config
         self.stats = PlaneStats()
         self.decisions: List[Decision] = []
         self.injector: Optional[StreamFaultInjector] = None

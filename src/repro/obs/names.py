@@ -294,13 +294,6 @@ TRACE_STAGE_SECONDS = "repro_trace_stage_seconds"
 #: Trace-plane span names.
 SPAN_TRACE_ASSEMBLE = "trace.assemble"
 
-# --------------------------------------------------------------------- #
-# Benchmarks (benchmarks/_harness.py)
-# --------------------------------------------------------------------- #
-
-#: Histogram, label ``benchmark`` — wall-clock seconds per benchmark test.
-BENCHMARK_SECONDS = "repro_benchmark_seconds"
-
 
 #: Every canonical metric name, with (kind, labels) — consumed by the
 #: docs-consistency test and the ``repro obs names`` CLI.
@@ -374,7 +367,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     TRACE_TREES_EXPORTED: ("counter", ()),
     TRACE_ORPHAN_EVENTS: ("counter", ()),
     TRACE_STAGE_SECONDS: ("histogram", ("stage",)),
-    BENCHMARK_SECONDS: ("histogram", ("benchmark",)),
 }
 
 #: Every built-in span name — label values of :data:`SPAN_SECONDS`.

@@ -341,11 +341,11 @@ class SloEngine:
             stage = measure.split(":", 1)[1]
             samples = ctx.stage_latencies.get(stage, ())
             values = sorted(d for (t, d) in samples if t >= t0)
-            return _quantile(values, 0.95)
+            return quantile(values, 0.95)
         raise ValueError(f"unknown SLO measure {measure!r}")
 
 
-def _quantile(ordered: List[float], q: float) -> Optional[float]:
+def quantile(ordered: List[float], q: float) -> Optional[float]:
     """Linear-interpolated quantile of pre-sorted values (None if empty)."""
     if not ordered:
         return None

@@ -1,6 +1,6 @@
 """Causal trace plane: per-decision trace trees assembled from the
-cid-threaded event log, critical-path latency attribution, measured
-latency profiles, and Perfetto/waterfall exports.
+cid-threaded event log, critical-path latency attribution, and
+Perfetto/waterfall exports.
 
 See ``docs/TRACING.md`` for the trace model and stage vocabulary.
 """
@@ -16,12 +16,6 @@ from .export import (
     format_waterfall,
     waterfall,
     write_chrome_trace,
-)
-from .profile import (
-    DEFAULT_SAMPLES,
-    PROFILE_SCHEMA,
-    LatencyProfile,
-    build_profile,
 )
 from .tree import (
     ALL_STAGES,
@@ -40,11 +34,8 @@ __all__ = [
     "ALL_STAGES",
     "DEFAULT_MAX_OPEN",
     "DEFAULT_RETENTION",
-    "DEFAULT_SAMPLES",
     "LINK_COALESCED",
     "LINK_LINEAGE",
-    "LatencyProfile",
-    "PROFILE_SCHEMA",
     "STAGE_DELIVERY",
     "STAGE_MAILBOX_DWELL",
     "STAGE_SHED",
@@ -54,7 +45,6 @@ __all__ = [
     "TraceAssembler",
     "TraceTree",
     "assemble_trees",
-    "build_profile",
     "chrome_trace",
     "format_waterfall",
     "waterfall",

@@ -55,7 +55,8 @@ TRACE_SCHEMA = "repro.trace/v1"
 #: backpressure/coalesce window of the event-driven plane).
 STAGE_MAILBOX_DWELL = "mailbox_dwell"
 #: Solve: from the last wait boundary to the committed solve service
-#: (cache hit, pool solve, or modeled virtual service time).
+#: (cache hit or solve; on the virtual clock this is the plane's
+#: executor pacing, not the solve's wall time).
 STAGE_SOLVE = "solve"
 #: Delivery: committed solve -> TMMBR push/loss at the clients.
 STAGE_DELIVERY = "delivery"
@@ -248,6 +249,6 @@ def _stage_between(prev: Event, nxt: Event) -> StageSpan:
         stage = STAGE_DELIVERY
     else:
         # Up to the committed solve — or, on a chain with no explicit
-        # solve event (modeled backends), the whole remaining gap.
+        # solve event (a backend that emits none), the whole remaining gap.
         stage = STAGE_SOLVE
     return StageSpan(stage, prev.t, nxt.t)

@@ -8,7 +8,6 @@ from .loadmodel import (
     DEFAULT_MEETING_COST,
     LoadSignals,
     ShardLoadModel,
-    conference_cost,
     load_signals,
     meeting_cost,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_MEETING_COST",
     "LoadSignals",
     "ShardLoadModel",
-    "conference_cost",
     "load_signals",
     "meeting_cost",
     "POLICIES",

@@ -8,8 +8,6 @@ This module supplies that cost and the book-keeping around it:
 * :func:`meeting_cost` — a deterministic cost estimate for one meeting's
   KMR solve, derived only from the problem's structure (never from
   wall-clock measurements, so seeded placement runs stay byte-identical);
-* :func:`conference_cost` — the same estimate when only the meeting size
-  is known (the vectorized fleet model's path);
 * :class:`ShardLoadModel` — per-shard assigned-cost totals maintained by
   the cluster as meetings register, resubmit, migrate and leave;
 * :func:`load_signals` — the observability view: the deterministic cost
@@ -22,6 +20,9 @@ followed publishers, so per-iteration work scales with the subscription
 edge count, and the iteration bound scales with the publisher count
 (Sec. 5).  ``cost = |subscriptions| + |publishers|`` captures both; for
 the full-mesh meetings the fleet samples this is exactly ``n**2``.
+Against measured solve time the fit is weak (``placement.cost_fit_r2``
+in ``bench/`` reads 0.00-0.55), so the cost orders meetings for packing
+and predicts no latency.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ def meeting_cost(problem: Problem) -> float:
     return float(
         max(1, len(problem.subscriptions) + len(problem.publishers))
     )
-
-
-def conference_cost(size: int) -> float:
-    """The :func:`meeting_cost` of a full-mesh meeting of ``size``
-    participants (``size * (size - 1)`` subscriptions + ``size``
-    publishers = ``size ** 2``)."""
-    return float(max(1, size) ** 2)
 
 
 class ShardLoadModel:

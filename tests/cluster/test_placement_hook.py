@@ -79,6 +79,26 @@ class TestRegistration:
             loads = cluster.load_model.loads(cluster.live_shards)
             assert sorted(loads.values()) == [0.0, 12.0, 12.0]
 
+    def test_best_fit_beats_hash_on_max_shard_load(self):
+        # Two webinar-sized meetings among thirty pairs, budget 1.05x a
+        # balanced packing: hashing strands pairs next to a webinar,
+        # packing does not.
+        big = mesh_problem(ups=(5000,) * 8, downs=(3000,) * 8)  # cost 64
+        pair = mesh_problem(ups=(5000,) * 2, downs=(3000,) * 2)  # cost 4
+        fleet = [("w0", big), ("w1", big)]
+        fleet += [(f"p{k}", pair) for k in range(30)]
+        budget = 1.05 * (2 * 64.0 + 30 * 4.0) / 3
+
+        def max_load(placement):
+            with make_cluster(
+                placement=placement, shard_cost_budget=budget
+            ) as cluster:
+                for meeting_id, problem in fleet:
+                    cluster.register(meeting_id, problem=problem)
+                return max(cluster.load_model.loads().values())
+
+        assert max_load("best_fit") < min(budget, max_load("hash"))
+
     def test_decisions_counted_per_policy(self):
         with enabled_registry() as reg:
             with make_cluster(placement="least_loaded") as cluster:

@@ -22,11 +22,11 @@ from repro.cluster import (
 from repro.core.solver import GsoSolver, SolverConfig
 from repro.ingress.aio import SimRuntime
 from repro.ingress.events import LinkEstimate, SembReport
-from repro.ingress.plane import ClusterBackend, IngressConfig, IngressPlane
+from repro.ingress.plane import PACING_FLOOR_S, ClusterBackend, IngressPlane
 
 MEETING = "chaos-0"
-#: Virtual service time of a small meeting's solve.
-SERVICE_S = IngressConfig().service_floor_s
+#: Virtual service time of a small meeting's solve (the floor applies).
+SERVICE_S = PACING_FLOOR_S
 DIRECT = GsoSolver(SolverConfig(granularity_kbps=25))
 
 

@@ -82,20 +82,12 @@ class TestIngressDocPins:
         assert f"`{SHED_ADMISSION}`" in text
         assert REPORT_SCHEMA in text
 
-    def test_referenced_repo_paths_exist(self):
-        text = _doc()
-        for rel in re.findall(r"`((?:tests|benchmarks|src)/[\w/.]+)`", text):
-            assert (REPO / rel).exists(), (
-                f"docs/INGRESS.md references missing path {rel}"
-            )
-
 
 class TestCrossLinks:
     def test_readme_links_the_subsystem(self):
         readme = (REPO / "README.md").read_text()
         assert "docs/INGRESS.md" in readme
         assert "ingress/" in readme
-        assert "test_ingress_throughput" in readme
 
     def test_architecture_links_the_subsystem(self):
         arch = (REPO / "docs" / "ARCHITECTURE.md").read_text()

@@ -7,6 +7,8 @@ arithmetic is exact.  Includes the PR's coalescing property test over
 out-of-order / duplicate SEMB timestamps.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.chaos.world import ChaosWorld
@@ -93,6 +95,13 @@ def _semb(at_s, meeting="m", seq=0):
 
 
 class TestPlaneBasics:
+    def test_config_has_no_service_model_knobs(self):
+        # The virtual service time is a module constant of the plane; a
+        # new field here is a new configuration the benchmark must cover.
+        assert [f.name for f in dataclasses.fields(IngressConfig)] == [
+            "mailbox_capacity", "solve_slots", "idle_refresh", "drain_s",
+        ]
+
     def test_single_event_decides_after_min_interval(self):
         plane, backend = _plane()
         plane.run_stream([_semb(0.0)], duration_s=1.0)

@@ -1,10 +1,13 @@
 """Tests for the ``repro trace`` CLI subcommands."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.events import EventLog
+from repro.obs.tracing import ALL_STAGES, assemble_trees
 
 SMALL = ["--meetings", "2", "--duration", "6", "--seed", "3"]
 
@@ -92,16 +95,29 @@ class TestProfile:
         rc = main(["trace", "profile"] + SMALL)
         assert rc == 0
         out = capsys.readouterr().out
-        assert "latency profile" in out
+        assert "stage latencies" in out
         assert "solve" in out
-        assert "profile digest:" in out
 
-    def test_json_payload_and_artifact(self, tmp_path, capsys):
-        out = tmp_path / "profile.json"
-        rc = main(
-            ["trace", "profile", "--json", "--out", str(out)] + SMALL
-        )
+    def test_json_summarises_the_critical_paths(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        assert main(["trace", "record", "--out", str(log)] + SMALL) == 0
+        capsys.readouterr()
+        rc = main(["trace", "profile", "--json", "--events", str(log)])
         assert rc == 0
-        printed = json.loads(capsys.readouterr().out)
-        assert printed["schema"] == "repro.latency_profile/v1"
-        assert json.loads(out.read_text()) == printed
+        table = json.loads(capsys.readouterr().out)
+        trees = assemble_trees(EventLog.read_jsonl(log).events).trees()
+        spans = Counter(
+            span.stage
+            for tree in trees
+            for node in tree.walk()
+            for span in node.critical_path()
+        )
+        assert set(table) <= set(ALL_STAGES)
+        assert {s: row["count"] for s, row in table.items()} == spans
+        for row in table.values():
+            assert 0.0 <= row["p50_s"] <= row["p95_s"] <= row["max_s"]
+            assert row["mean_s"] <= row["max_s"]
+
+    def test_writes_no_artifact(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["trace", "profile", "--out", "p.json"])

@@ -13,7 +13,6 @@ from repro.obs.tracing import (
     ALL_STAGES,
     LINK_COALESCED,
     LINK_LINEAGE,
-    PROFILE_SCHEMA,
     TRACE_SCHEMA,
 )
 
@@ -35,7 +34,6 @@ class TestTracingDocPins:
     def test_schemas_pinned(self):
         text = _doc()
         assert TRACE_SCHEMA in text
-        assert PROFILE_SCHEMA in text
 
     def test_every_stage_documented(self):
         text = _doc()

@@ -6,7 +6,6 @@ from repro.core.types import Resolution
 from repro.placement.loadmodel import (
     DEFAULT_MEETING_COST,
     ShardLoadModel,
-    conference_cost,
     load_signals,
     meeting_cost,
 )
@@ -32,13 +31,9 @@ class TestCosts:
         # n=3 full mesh: 6 subscriptions + 3 publishers.
         assert meeting_cost(mesh(3)) == 9.0
 
-    def test_meeting_cost_equals_conference_cost_on_meshes(self):
+    def test_meeting_cost_is_n_squared_on_meshes(self):
         for n in (2, 3, 5, 8):
-            assert meeting_cost(mesh(n)) == conference_cost(n) == float(n * n)
-
-    def test_conference_cost_floors_at_one(self):
-        assert conference_cost(0) == 1.0
-        assert conference_cost(-3) == 1.0
+            assert meeting_cost(mesh(n)) == float(n * n)
 
 
 class TestShardLoadModel:
