@@ -7,9 +7,15 @@ same small-mesh shapes.  ``Problem.fingerprint()`` canonicalizes exactly
 the inputs the solver can distinguish, so a fingerprint hit may legally
 return the previously computed solution byte-for-byte.
 
-The cache is a bounded LRU.  Stored and returned solutions are isolated
-(fresh outer dicts around the immutable entries) so one meeting mutating
-its copy can never corrupt another meeting's hit.
+The cache is a bounded LRU over *frozen* solutions
+(:meth:`~repro.core.solution.Solution.freeze`): it stores the object it
+is given and returns that same object on every hit, so a hit costs a
+dict lookup and no copy.  One meeting cannot corrupt another meeting's
+hit because nobody can write to what they share.
+
+Nearly every hit re-decides the same ``Problem`` object (whose
+fingerprint is kept on the instance), so it re-derives nothing; the
+measured traffic per workload is in ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -43,20 +49,6 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def _isolate(solution: Solution) -> Solution:
-    """Copy the mutable outer layers of a solution.
-
-    ``PolicyEntry`` and ``StreamSpec`` are frozen, so copying the two dict
-    levels (and the ``reduced`` list) is enough for safe sharing.
-    """
-    return Solution(
-        policies={pub: dict(entries) for pub, entries in solution.policies.items()},
-        assignments={sub: dict(per) for sub, per in solution.assignments.items()},
-        iterations=solution.iterations,
-        reduced=list(solution.reduced),
-    )
-
-
 class SolutionCache:
     """Bounded LRU cache of solved problems, keyed by fingerprint.
 
@@ -79,7 +71,7 @@ class SolutionCache:
         return key in self._entries
 
     def get(self, key: str) -> Optional[Solution]:
-        """Look up a fingerprint; returns an isolated copy on a hit."""
+        """Look up a fingerprint; a hit returns the stored (frozen) object."""
         reg = get_registry()
         cached = self._entries.get(key)
         if cached is None:
@@ -91,11 +83,18 @@ class SolutionCache:
         self.stats.hits += 1
         if reg.enabled:
             reg.counter(obs_names.CLUSTER_CACHE, result="hit").inc()
-        return _isolate(cached)
+        return cached
 
     def put(self, key: str, solution: Solution) -> None:
-        """Insert (or refresh) a solution under its fingerprint."""
-        self._entries[key] = _isolate(solution)
+        """Insert (or refresh) a frozen solution under its fingerprint.
+
+        Raises:
+            ValueError: for a solution that is still mutable (every hit
+                shares the stored object).
+        """
+        if not solution.is_frozen:
+            raise ValueError("SolutionCache stores frozen solutions only")
+        self._entries[key] = solution
         self._entries.move_to_end(key)
         evicted = 0
         while len(self._entries) > self.capacity:

@@ -12,6 +12,7 @@ module is the reproduction's control-plane host:
   coalesces with (:mod:`.scheduler`);
 * **caching** — solves are keyed by the canonical problem fingerprint and
   served from a bounded LRU when the structure repeats (:mod:`.cache`);
+  every served solution is frozen once and then shared, never copied;
 * **execution** — cache misses run on the in-process solve executor
   (:mod:`.pool`);
 * **admission** — a per-shard bound on solves in flight; the plane sheds
@@ -116,6 +117,8 @@ class ServedSolution:
 
     meeting_id: str
     shard: str
+    #: Read-only (``Solution.freeze``): a cache hit is the same object
+    #: every other holder of that entry was served.
     solution: Solution
     #: Where the configuration came from: a fresh solve, a cache hit, a
     #: failure fallback, or an admission shed (also a fallback, tagged
@@ -254,6 +257,16 @@ class ControllerCluster:
             self.load_model.update_cost(meeting_id, meeting_cost(problem))
         return record.shard
 
+    def _record_for(self, meeting_id: str, problem: Problem) -> MeetingRecord:
+        """The record of the meeting a request is for, registered on first
+        sight.  The load model's cost is refreshed only when the picture
+        changed: the problem last served is the same object until then."""
+        record = self._meetings.get(meeting_id)
+        if record is None or problem is not record.last_problem:
+            self.register(meeting_id, problem)
+            record = self._meetings[meeting_id]
+        return record
+
     def _refresh_meeting_gauges(self) -> None:
         reg = get_registry()
         if not reg.enabled:
@@ -276,7 +289,7 @@ class ControllerCluster:
 
     def _fallback(self, record: MeetingRecord, problem: Problem) -> Solution:
         """Serve the Sec. 7 degenerate configuration and account for it."""
-        solution = single_stream_fallback(problem)
+        solution = single_stream_fallback(problem).freeze()
         record.fallbacks += 1
         shard = self._shards.get(record.shard)
         if shard is not None:
@@ -331,6 +344,9 @@ class ControllerCluster:
     def _solve_service(self, problem: Problem) -> Tuple[Solution, str]:
         """Cache lookup, then solve; returns (solution, source).
 
+        The solver's result is frozen here, once per solve; the cache
+        stores that object and every later hit returns it.
+
         Raises whatever the solver raises — callers map failures to the
         fallback policy.
         """
@@ -342,7 +358,7 @@ class ControllerCluster:
                 if cached is not None:
                     self._observe_solve_seconds(start)
                     return cached, SOURCE_CACHE
-            solution = self.pool.solve(problem)
+            solution = self.pool.solve(problem).freeze()
             if key is not None:
                 self.cache.put(key, solution)
         self._observe_solve_seconds(start)
@@ -370,8 +386,7 @@ class ControllerCluster:
         chaos interceptor and the fingerprint cache, and never raises:
         failures degrade to the Sec. 7 single-stream fallback.
         """
-        self.register(meeting_id, problem)
-        record = self._meetings[meeting_id]
+        record = self._record_for(meeting_id, problem)
         worker = self._shards.get(record.shard)
         if worker is not None:
             worker.admission.admit_one()
@@ -416,8 +431,7 @@ class ControllerCluster:
         The ingress backpressure ladder's last rung — the meeting gets a
         serviceable (degraded) configuration instead of queueing deeper.
         """
-        self.register(meeting_id, problem)
-        record = self._meetings[meeting_id]
+        record = self._record_for(meeting_id, problem)
         worker = self._shards.get(record.shard)
         if worker is not None:
             worker.admission.shed_one()

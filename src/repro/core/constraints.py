@@ -128,6 +128,12 @@ class Problem:
             screen-share sources) that are not clients themselves.  Uplink
             budgets are enforced per owner.  Identity by default.
 
+    A ``Problem`` is not mutated after construction; a changed meeting is
+    a new ``Problem``.  The derived values cached on the instance (the
+    Step-1 edge order, the dirty-set reverse index, the shape index and
+    the :meth:`fingerprint`) rely on it, and so does every holder that
+    tells "same picture as last time" by object identity.
+
     Raises:
         ValueError: on dangling references or duplicate edges.
     """
@@ -199,13 +205,14 @@ class Problem:
         for edge in self.subscriptions:
             self._followed.setdefault(edge.subscriber, []).append(edge)
             self._served.setdefault(self.canonical(edge.publisher), []).append(edge)
-        # Lazily filled caches for the solver's hot path: the Step-1 edge
-        # order (per subscriber) and the dirty-set reverse index (per
-        # canonical publisher).  Both derive purely from the immutable
-        # subscription list, so caching them is safe.
+        # Lazily filled caches, safe because a Problem is never mutated
+        # after construction (class docstring): the Step-1 edge order (per
+        # subscriber), the dirty-set reverse index (per canonical
+        # publisher), the shape index and the fingerprint (per granularity).
         self._ordered_followed: Dict[ClientId, Tuple[Subscription, ...]] = {}
         self._subscribers_of: Dict[ClientId, Tuple[ClientId, ...]] = {}
         self._shape_index = None  # built on first use by shape_index()
+        self._fingerprints: Dict[int, str] = {}
 
     # ------------------------------------------------------------------ #
     # Identity resolution
@@ -404,6 +411,10 @@ class Problem:
         solutions name clients, so renamed-but-isomorphic problems are not
         equivalent.
 
+        Computed once per (instance, granularity) and cached: the
+        controller re-decides an unchanged meeting every 1-3 s, and an
+        unchanged meeting is the same ``Problem`` object.
+
         Args:
             granularity_kbps: the knapsack grid step of the solver this key
                 is computed for (``SolverConfig.granularity_kbps``).
@@ -411,6 +422,9 @@ class Problem:
         Returns:
             ``"<schema>:<sha256 hexdigest>"``.
         """
+        cached = self._fingerprints.get(granularity_kbps)
+        if cached is not None:
+            return cached
         if granularity_kbps < 1:
             raise ValueError("granularity_kbps must be >= 1")
         parts: List[str] = [self.FINGERPRINT_SCHEMA, f"g={granularity_kbps}"]
@@ -439,7 +453,9 @@ class Problem:
         for entity in sorted(self._owners):
             parts.append(f"O[{entity}]={self._owners[entity]}")
         digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-        return f"{self.FINGERPRINT_SCHEMA}:{digest}"
+        cached = f"{self.FINGERPRINT_SCHEMA}:{digest}"
+        self._fingerprints[granularity_kbps] = cached
+        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -16,8 +16,9 @@ validation is the workhorse of the property-based tests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from dataclasses import FrozenInstanceError, dataclass, field
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from .constraints import Problem
 from .types import ClientId, Resolution, StreamSpec
@@ -67,12 +68,86 @@ class Solution:
         iterations: number of Knapsack-Merge-Reduction iterations executed.
         reduced: the (publisher, resolution) pairs removed by Step-3
             reductions, in order — diagnostics for tests and benchmarks.
+
+    A solution is built from plain dicts and a list and is its builder's
+    to edit.  :meth:`freeze` makes it read-only in place, which is what
+    lets the controller cluster hand one object to every meeting that
+    hits the same cache entry and lets :func:`solution_digest` keep its
+    answer.  Frozen or not, equal content compares ``==`` and pickles to
+    identical bytes.
     """
 
-    policies: Dict[ClientId, Dict[Resolution, PolicyEntry]]
-    assignments: Dict[ClientId, Dict[ClientId, StreamSpec]]
+    policies: Mapping[ClientId, Mapping[Resolution, PolicyEntry]]
+    assignments: Mapping[ClientId, Mapping[ClientId, StreamSpec]]
     iterations: int = 1
-    reduced: List[Tuple[ClientId, Resolution]] = field(default_factory=list)
+    reduced: Sequence[Tuple[ClientId, Resolution]] = field(default_factory=list)
+
+    # Instance state of a frozen solution.  Not dataclass fields (no
+    # annotation), so pickle, ``==`` and ``repr`` never see them.
+    _frozen = False
+    _digest = None
+
+    # ------------------------------------------------------------------ #
+    # Read-only sharing
+    # ------------------------------------------------------------------ #
+
+    @property
+    def is_frozen(self) -> bool:
+        """True once :meth:`freeze` made this solution read-only."""
+        return self._frozen
+
+    def freeze(self) -> "Solution":
+        """Make this solution read-only, in place; returns ``self``.
+
+        Both dict levels become ``MappingProxyType`` views (no dict is
+        copied) and ``reduced`` a tuple; from then on item assignment
+        raises ``TypeError`` and attribute assignment ``AttributeError``.
+        There is no way back: whoever needs to edit unpickles or
+        rebuilds a copy.
+        """
+        if not self._frozen:
+            self.policies = MappingProxyType(
+                {pub: MappingProxyType(e) for pub, e in self.policies.items()}
+            )
+            self.assignments = MappingProxyType(
+                {sub: MappingProxyType(p) for sub, p in self.assignments.items()}
+            )
+            self.reduced = tuple(self.reduced)
+            self._frozen = True
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if self._frozen:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if self._frozen:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.policies == other.policies
+            and self.assignments == other.assignments
+            and self.iterations == other.iterations
+            and list(self.reduced) == list(other.reduced)
+        )
+
+    def __reduce__(self):
+        # Mapping views do not pickle; plain dicts and a list do, and to
+        # the same bytes whether or not the solution was frozen.
+        return (
+            self.__class__,
+            (
+                {pub: dict(e) for pub, e in self.policies.items()},
+                {sub: dict(p) for sub, p in self.assignments.items()},
+                self.iterations,
+                list(self.reduced),
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Aggregates
@@ -221,8 +296,12 @@ def solution_digest(solution: Solution) -> str:
     """A short content digest of one delivered configuration.
 
     Canonical over both views (policies and assignments), independent of
-    dict construction order.
+    dict construction order.  Computed once for a frozen solution and
+    kept on it; recomputed on every call for a mutable one, whose
+    content may have changed since.
     """
+    if solution._digest is not None:
+        return solution._digest
     parts: List[str] = []
     for pub in sorted(solution.policies):
         for res in sorted(solution.policies[pub]):
@@ -238,4 +317,7 @@ def solution_digest(solution: Solution) -> str:
                 f"A[{sub}<-{pub}]={stream.bitrate_kbps}@"
                 f"{stream.resolution.value}"
             )
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
+    digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
+    if solution.is_frozen:
+        object.__setattr__(solution, "_digest", digest)
+    return digest

@@ -210,13 +210,21 @@ class BackendDecision:
 
 
 class ClusterBackend(IngressBackend):
-    """Adapts a :class:`ControllerCluster` + :class:`ChaosWorld` pair.
+    """Adapts a :class:`ControllerCluster` and a world (``ChaosWorld``,
+    ``bench``'s ``World``: anything with the meeting accessors used below).
 
     Events mutate the world at offer time (the world *is* the clients'
     state; a dropped decision does not undo a bandwidth collapse), and
     decisions solve the freshest world snapshot — exactly the snapshot
     the newest batched event produced, since every mutation of a meeting
     flows through that meeting's mailbox.
+
+    The world builds a ``Problem`` only when an event changes the
+    meeting and hands back that instance until the next change, so the
+    identity of an unchanged meeting is computed once: its fingerprint
+    is kept on the ``Problem``, the cluster serves the one frozen
+    ``Solution`` its cache holds, and :meth:`committed` reads that
+    solution's digest off it.
     """
 
     def __init__(self, cluster, world) -> None:

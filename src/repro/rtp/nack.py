@@ -79,6 +79,8 @@ class GenericNack:
         fmt, packet_type, total = parse_common_header(data)
         if packet_type != PT_RTPFB or fmt != NACK_FMT:
             raise ValueError("not a Generic NACK packet")
+        if len(data) < total or total < 12:
+            raise ValueError("Generic NACK truncated")
         sender_ssrc, media_ssrc = struct.unpack("!II", data[4:12])
         return cls(
             sender_ssrc=sender_ssrc,

@@ -152,6 +152,8 @@ class RtpPacket:
                         continue
                     ext_id = header >> 4
                     ext_len = (header & 0x0F) + 1
+                    if pos + 1 + ext_len > ext_end:
+                        raise ValueError("RTP extension element overruns its block")
                     if ext_id == _TWCC_EXT_ID and ext_len == 2:
                         twcc_seq = struct.unpack(
                             "!H", data[pos + 1 : pos + 3]

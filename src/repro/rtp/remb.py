@@ -64,6 +64,8 @@ class RembPacket:
         fmt, packet_type, total = parse_common_header(data)
         if packet_type != PT_PSFB or fmt != REMB_FMT:
             raise ValueError("not a REMB packet")
+        if len(data) < total:
+            raise ValueError("REMB packet truncated")
         if total < 20 or data[12:16] != _REMB_ID:
             raise ValueError("missing REMB identifier")
         sender_ssrc = struct.unpack("!I", data[4:8])[0]

@@ -128,7 +128,7 @@ class ReceiverReport:
         count, packet_type, total = parse_common_header(data)
         if packet_type != PT_RR:
             raise ValueError(f"not an RR packet (PT={packet_type})")
-        if len(data) < total:
+        if len(data) < total or total < 8:
             raise ValueError("RR packet truncated")
         sender_ssrc = struct.unpack("!I", data[4:8])[0]
         blocks: List[ReportBlock] = []
@@ -215,7 +215,11 @@ class TwccFeedback:
         fmt, packet_type, total = parse_common_header(data)
         if packet_type != PT_RTPFB or fmt != cls.FMT:
             raise ValueError("not a TWCC feedback packet")
+        if len(data) < total or total < 12:
+            raise ValueError("TWCC feedback truncated")
         sender_ssrc, base_seq, n = struct.unpack("!IHH", data[4:12])
+        if total < 12 + 8 * n:
+            raise ValueError("TWCC arrival list truncated")
         arrivals: List[Tuple[int, int]] = []
         offset = 12
         for _ in range(n):

@@ -97,6 +97,17 @@ class TmmbrEntry:
         return self.bitrate_bps == 0
 
 
+def _unpack_payload(data: bytes) -> Tuple[int, Tuple[TmmbrEntry, ...]]:
+    """``(request_id, entries)`` of a GSO TMMBR or TMMBN APP payload."""
+    if len(data) < 4 or (len(data) - 4) % 8 != 0:
+        raise ValueError("malformed GSO TMMBR/TMMBN payload")
+    request_id = struct.unpack("!I", data[:4])[0]
+    entries = tuple(
+        TmmbrEntry.parse(data[off : off + 8]) for off in range(4, len(data), 8)
+    )
+    return request_id, entries
+
+
 @dataclass(frozen=True)
 class GsoTmmbr:
     """A GSO stream-configuration request: one TMMBR FCI entry per stream.
@@ -124,18 +135,10 @@ class GsoTmmbr:
         """Extract from the carrying APP packet."""
         if packet.name != GSO_TMMBR_NAME:
             raise ValueError(f"not a GSO TMMBR packet: {packet.name!r}")
-        if len(packet.data) < 4 or (len(packet.data) - 4) % 8 != 0:
-            raise ValueError("malformed GSO TMMBR payload")
-        request_id = struct.unpack("!I", packet.data[:4])[0]
-        entries = [
-            TmmbrEntry.parse(packet.data[off : off + 8])
-            for off in range(4, len(packet.data), 8)
-        ]
+        request_id, entries = _unpack_payload(packet.data)
         _count_message("tmmbr", "parsed")
         return cls(
-            sender_ssrc=packet.ssrc,
-            request_id=request_id,
-            entries=tuple(entries),
+            sender_ssrc=packet.ssrc, request_id=request_id, entries=entries
         )
 
 
@@ -162,16 +165,10 @@ class GsoTmmbn:
         """Extract from the carrying APP packet."""
         if packet.name != GSO_TMMBN_NAME:
             raise ValueError(f"not a GSO TMMBN packet: {packet.name!r}")
-        request_id = struct.unpack("!I", packet.data[:4])[0]
-        entries = [
-            TmmbrEntry.parse(packet.data[off : off + 8])
-            for off in range(4, len(packet.data), 8)
-        ]
+        request_id, entries = _unpack_payload(packet.data)
         _count_message("tmmbn", "parsed")
         return cls(
-            sender_ssrc=packet.ssrc,
-            request_id=request_id,
-            entries=tuple(entries),
+            sender_ssrc=packet.ssrc, request_id=request_id, entries=entries
         )
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Solution cache: LRU bounds, isolation, metrics."""
+"""Solution cache: LRU bounds, read-only sharing, metrics."""
 
 import pickle
 
@@ -12,9 +12,13 @@ from repro.obs.registry import enabled_registry
 from .conftest import mesh_problem
 
 
+SOLVER = GsoSolver(SolverConfig(granularity_kbps=25))
+
+
 def solved(ups=(5000, 5000, 500)):
+    """A problem and its frozen solution, as the cluster would store it."""
     problem = mesh_problem(ups=ups)
-    return problem, GsoSolver(SolverConfig(granularity_kbps=25)).solve(problem)
+    return problem, SOLVER.solve(problem).freeze()
 
 
 class TestLookup:
@@ -36,6 +40,20 @@ class TestLookup:
         cache.put("fp-a", solution)
         assert "fp-a" in cache and "fp-b" not in cache
         assert len(cache) == 1
+
+    def test_hit_is_the_stored_object(self):
+        _, solution = solved()
+        cache = SolutionCache(capacity=4)
+        cache.put("fp-a", solution)
+        assert cache.get("fp-a") is solution
+        assert cache.get("fp-a") is cache.get("fp-a")
+
+    def test_mutable_solution_is_refused(self):
+        problem, _ = solved()
+        cache = SolutionCache(capacity=4)
+        with pytest.raises(ValueError):
+            cache.put("fp-a", SOLVER.solve(problem))
+        assert len(cache) == 0
 
     def test_clear_keeps_stats(self):
         _, solution = solved()
@@ -73,24 +91,49 @@ class TestLru:
             SolutionCache(capacity=0)
 
 
+def mutation_attempts(solution):
+    """Every way in: both dict levels, the list, the fields themselves."""
+    sub = next(iter(solution.assignments))
+    pub = next(iter(solution.policies))
+    return [
+        lambda: solution.assignments.clear(),
+        lambda: solution.policies.clear(),
+        lambda: solution.assignments[sub].clear(),
+        lambda: solution.policies[pub].clear(),
+        lambda: solution.assignments.__setitem__("ghost", {}),
+        lambda: solution.policies[pub].__delitem__(next(iter(solution.policies[pub]))),
+        lambda: solution.reduced.append(("A", None)),
+        lambda: setattr(solution, "assignments", {}),
+        lambda: setattr(solution, "iterations", 99),
+        lambda: delattr(solution, "policies"),
+    ]
+
+
 class TestIsolation:
+    """A hit shares the stored object; what keeps one meeting from
+    corrupting another's hit is that nobody can write to it."""
+
     def test_hit_mutation_does_not_corrupt_store(self):
-        _, solution = solved()
+        problem, solution = solved()
+        original = pickle.dumps(SOLVER.solve(problem))
         cache = SolutionCache(capacity=4)
         cache.put("fp-a", solution)
-        first = cache.get("fp-a")
-        first.assignments.clear()
-        first.policies.clear()
+        for attempt in mutation_attempts(cache.get("fp-a")):
+            with pytest.raises((TypeError, AttributeError)):
+                attempt()
         second = cache.get("fp-a")
         assert second.assignments and second.policies
-        assert pickle.dumps(second) == pickle.dumps(solution)
+        assert pickle.dumps(second) == original
 
     def test_caller_mutation_after_put_does_not_corrupt_store(self):
-        _, solution = solved()
+        problem, solution = solved()
+        original = pickle.dumps(SOLVER.solve(problem))
         cache = SolutionCache(capacity=4)
         cache.put("fp-a", solution)
-        solution.assignments.clear()
-        assert cache.get("fp-a").assignments
+        for attempt in mutation_attempts(solution):
+            with pytest.raises((TypeError, AttributeError)):
+                attempt()
+        assert pickle.dumps(cache.get("fp-a")) == original
 
 
 class TestMetrics:

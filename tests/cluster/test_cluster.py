@@ -1,6 +1,7 @@
 """End-to-end controller cluster: equivalence, failover, overload."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,9 @@ from repro.cluster import (
     TRIGGER_TIME,
 )
 from repro.chaos.world import ChaosWorld
+from repro.cluster import cluster as cluster_module
 from repro.control.failover import single_stream_fallback
+from repro.core import constraints
 from repro.core.solver import GsoSolver, SolverConfig
 from repro.ingress.aio import SimRuntime
 from repro.ingress.events import SembReport
@@ -63,6 +66,59 @@ class TestSolveService:
             assert cluster.cache is None
             got = cluster.solve_request("conf-1", problem, now_s=0.0).solution
             assert pickle.dumps(got) == pickle.dumps(DIRECT.solve(problem))
+            # Nothing to share: a re-decision is a second solve.
+            again = cluster.solve_request("conf-1", problem, now_s=1.0)
+            assert again.source == SOURCE_SOLVE
+            assert again.solution is not got and again.solution == got
+
+    def test_unchanged_problem_object_redecides_without_rederiving(
+        self, problem, monkeypatch
+    ):
+        """Same ``Problem`` object again: no hash, no cost refresh, and the
+        very solution object the first decision was served."""
+        with make_cluster() as cluster:
+            first = cluster.solve_request("conf-1", problem, now_s=0.0)
+            loads = cluster.load_model.loads()
+
+            def unexpected(*args, **kwargs):
+                raise AssertionError("re-derived an unchanged meeting's identity")
+
+            monkeypatch.setattr(
+                constraints, "hashlib", SimpleNamespace(sha256=unexpected)
+            )
+            monkeypatch.setattr(cluster_module, "meeting_cost", unexpected)
+            again = cluster.solve_request("conf-1", problem, now_s=1.0)
+            assert (first.source, again.source) == (SOURCE_SOLVE, SOURCE_CACHE)
+            assert again.solution is first.solution
+            assert cluster.load_model.loads() == loads
+            assert cluster.meeting("conf-1").last_solution is first.solution
+
+    def test_changed_picture_refreshes_the_load_model(self):
+        small, large = mesh_problem(), mesh_problem(ups=(5000,) * 4, downs=(3000,) * 4)
+        with make_cluster() as cluster:
+            shard = cluster.solve_request("conf-1", small, now_s=0.0).shard
+            before = cluster.load_model.load(shard)
+            cluster.solve_request("conf-1", large, now_s=1.0)
+            assert cluster.load_model.load(shard) > before
+
+    def test_served_solutions_are_read_only(self, problem, monkeypatch):
+        with make_cluster() as cluster:
+            served = [cluster.solve_request("conf-1", problem, now_s=0.0)]
+            served.append(cluster.solve_request("conf-2", problem, now_s=0.0))
+            served.append(cluster.shed_request("conf-3", problem, now_s=0.0))
+            monkeypatch.setattr(cluster.pool, "solve", None)  # a solver that crashes
+            served.append(
+                cluster.solve_request("conf-4", mesh_problem(ups=(900,) * 3), now_s=0.0)
+            )
+            assert [s.source for s in served] == [
+                SOURCE_SOLVE, SOURCE_CACHE, SOURCE_SHED, SOURCE_FALLBACK,
+            ]
+            for s in served:
+                assert s.solution.is_frozen
+                with pytest.raises(TypeError):
+                    s.solution.assignments["c0"] = {}
+                with pytest.raises(AttributeError):
+                    s.solution.policies = {}
 
     def test_solver_crash_degrades_to_fallback(self, problem, monkeypatch):
         with make_cluster() as cluster:

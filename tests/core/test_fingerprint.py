@@ -11,14 +11,19 @@ as the solver's own blindness and no coarser:
   so near-miss uplinks must NOT collide after bucketing.
 """
 
+import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core import constraints
 from repro.core.constraints import Bandwidth, Problem, Subscription
 from repro.core.ladder import make_ladder, paper_ladder
 from repro.core.solver import GsoSolver, SolverConfig
 from repro.core.types import Resolution
+
+from .test_incremental import GENERATORS
 
 
 def mesh_problem(
@@ -187,3 +192,39 @@ class TestSchemaShape:
         fp = p.fingerprint(25)
         assert fp.startswith(Problem.FINGERPRINT_SCHEMA + ":")
         assert fp == p.fingerprint(25)  # pure function of the problem
+
+
+class TestMemo:
+    """The fingerprint is kept on the instance, one hash per granularity,
+    and says what a freshly built equal ``Problem`` says."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        """The payloads ``core.constraints`` hands to ``hashlib.sha256``."""
+        seen = []
+
+        def sha256(data):
+            seen.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(constraints, "hashlib", SimpleNamespace(sha256=sha256))
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_one_hash_per_instance_and_granularity(self, name, hashes):
+        p = GENERATORS[name]()
+        first = {g: p.fingerprint(g) for g in (1, 25)}
+        assert len(hashes) == 2
+        assert {g: p.fingerprint(g) for g in (1, 25)} == first
+        assert len(hashes) == 2  # the repeat calls hashed nothing
+        assert first[1] != first[25]
+        fresh = GENERATORS[name]()
+        assert fresh is not p
+        assert {g: fresh.fingerprint(g) for g in (1, 25)} == first
+        assert len(hashes) == 4
+
+    def test_bad_granularity_still_rejected_after_a_good_call(self):
+        p = mesh_problem()
+        p.fingerprint(25)
+        with pytest.raises(ValueError):
+            p.fingerprint(0)

@@ -1,9 +1,12 @@
 """Tests for the Solution model and its constraint validation."""
 
+import pickle
+
 import pytest
 
 from repro.core import Bandwidth, PolicyEntry, Resolution, Solution, StreamSpec
 from repro.core.constraints import Problem, Subscription
+from repro.core.solution import solution_digest
 
 
 def spec(rate, res, qoe=None):
@@ -166,3 +169,52 @@ class TestPolicyEntryPickleCanonical:
         again = pickle.loads(blob)
         assert again == entry
         assert pickle.dumps(again) == blob
+
+
+class TestFreeze:
+    """Freezing changes who may write, and nothing anyone can read."""
+
+    def test_equal_and_byte_identical_to_the_mutable_twin(self):
+        mutable, frozen = good_solution(), good_solution().freeze()
+        assert frozen.is_frozen and not mutable.is_frozen
+        assert frozen == mutable and mutable == frozen
+        assert pickle.dumps(frozen) == pickle.dumps(mutable)
+        frozen.validate(toy_problem())
+
+    def test_digest_memo_is_invisible(self):
+        mutable, frozen = good_solution(), good_solution().freeze()
+        blob, shown = pickle.dumps(frozen), repr(frozen)
+        assert solution_digest(frozen) == solution_digest(mutable)
+        assert pickle.dumps(frozen) == blob == pickle.dumps(mutable)
+        assert repr(frozen) == shown
+        assert frozen == mutable
+
+    def test_unpickled_copy_is_mutable_again(self):
+        frozen = good_solution().freeze()
+        solution_digest(frozen)
+        copy = pickle.loads(pickle.dumps(frozen))
+        assert copy == frozen and not copy.is_frozen
+        copy.assignments["S"].clear()
+        assert copy != frozen
+        assert solution_digest(copy) != solution_digest(frozen)
+
+    def test_frozen_solution_refuses_every_write(self):
+        s = good_solution().freeze()
+        assert s.freeze() is s
+        with pytest.raises(TypeError):
+            s.assignments["S"]["P"] = spec(300, Resolution.P180)
+        with pytest.raises(TypeError):
+            del s.policies["P"]
+        with pytest.raises(AttributeError):
+            s.reduced.append(("P", Resolution.P720))
+        with pytest.raises(AttributeError):
+            s.iterations = 7
+        with pytest.raises(AttributeError):
+            del s.assignments
+
+    def test_mutable_digest_follows_an_in_place_edit(self):
+        s = good_solution()
+        before = solution_digest(s)
+        assert solution_digest(s) == before
+        s.assignments["S"].clear()
+        assert solution_digest(s) != before
