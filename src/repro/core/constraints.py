@@ -129,10 +129,10 @@ class Problem:
             budgets are enforced per owner.  Identity by default.
 
     A ``Problem`` is not mutated after construction; a changed meeting is
-    a new ``Problem``.  The derived values cached on the instance (the
-    Step-1 edge order, the dirty-set reverse index, the shape index and
-    the :meth:`fingerprint`) rely on it, and so does every holder that
-    tells "same picture as last time" by object identity.
+    a new ``Problem``.  The three derived values cached on the instance
+    (the Step-1 edge order, the shape index and the :meth:`fingerprint`)
+    rely on it, and so does every holder that tells "same picture as last
+    time" by object identity.
 
     Raises:
         ValueError: on dangling references or duplicate edges.
@@ -207,10 +207,8 @@ class Problem:
             self._served.setdefault(self.canonical(edge.publisher), []).append(edge)
         # Lazily filled caches, safe because a Problem is never mutated
         # after construction (class docstring): the Step-1 edge order (per
-        # subscriber), the dirty-set reverse index (per canonical
-        # publisher), the shape index and the fingerprint (per granularity).
+        # subscriber), the shape index and the fingerprint (per granularity).
         self._ordered_followed: Dict[ClientId, Tuple[Subscription, ...]] = {}
-        self._subscribers_of: Dict[ClientId, Tuple[ClientId, ...]] = {}
         self._shape_index = None  # built on first use by shape_index()
         self._fingerprints: Dict[int, str] = {}
 
@@ -292,24 +290,6 @@ class Problem:
                 )
             )
             self._ordered_followed[subscriber] = cached
-        return cached
-
-    def subscribers_of(self, publisher: ClientId) -> Tuple[ClientId, ...]:
-        """Distinct subscribers with an edge into a canonical publisher.
-
-        The dirty-set reverse index of the incremental solver: after a
-        Step-3 reduction of ``(publisher, resolution)``, exactly these
-        subscribers can see a changed feasible set — every other
-        subscriber's Step-1 instance is byte-identical to the previous
-        iteration's.  Sorted (the solver's subscriber order) and cached.
-        """
-        canonical = self.canonical(publisher)
-        cached = self._subscribers_of.get(canonical)
-        if cached is None:
-            cached = tuple(
-                sorted({e.subscriber for e in self._served.get(canonical, ())})
-            )
-            self._subscribers_of[canonical] = cached
         return cached
 
     def shape_index(

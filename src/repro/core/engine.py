@@ -1,10 +1,10 @@
 """The memoized solve engine behind the KMR hot path.
 
 The KMR loop re-runs Step 1 (the per-subscriber MCKPs) on every
-iteration, yet a Step-3 reduction shrinks only **one** publisher's
-feasible set — and inside a single iteration the subscribers of a
-meeting (Fig. 6c gallery view, a webinar's viewers) mostly share one
-*class structure* and differ only in downlink, so one
+iteration, yet a Step-3 reduction removes only **one** resolution of
+one publisher's feasible set — and inside a single iteration the
+subscribers of a meeting (Fig. 6c gallery view, a webinar's viewers)
+mostly share one *class structure* and differ only in downlink, so one
 :class:`~repro.core.mckp.CapacityProfile` answers them all
 (:func:`~repro.core.knapsack.knapsack_step`).  This module supplies
 what carries that across steps without changing a single byte of any
@@ -21,12 +21,12 @@ what carries that across steps without changing a single byte of any
   saved; :class:`~repro.core.solver.SolveStats` carries it per solve and
   the metrics named in ``repro.obs.names`` aggregate it process-wide.
 
-The *dirty-set* layer (re-solving only the subscribers that follow the
-reduced publisher between iterations) lives in
-:class:`~repro.core.solver.GsoSolver`; the reverse index it needs is
-``Problem.subscribers_of``.  The layers are always on; the equivalence
-tests compare them against a from-scratch, per-subscriber KMR loop kept
-under ``tests/`` (``docs/SOLVER.md``).
+The *dirty-set* layer (re-solving only the subscribers that held the
+stream a reduction deleted) lives in
+:class:`~repro.core.solver.GsoSolver`; the set is the audience of the
+deleted policy entry, which Step 2 already built.  The layers are
+always on; the equivalence tests compare them against a from-scratch,
+per-subscriber KMR loop kept under ``tests/`` (``docs/SOLVER.md``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class EngineStats:
         step1_solved: subscribers answered by a knapsack step this solve
             (iteration 1 plus every dirty re-solve).
         step1_skipped: subscriber re-solves avoided by the dirty-set
-            (clean subscribers whose previous requests were reused).
+            (subscribers that did not hold the deleted stream, whose
+            previous requests were reused).
         deduped: subscribers answered by an answer another subscriber
             of the same step already materialized.
         cache_hits: class structures whose profile came out of the

@@ -6,19 +6,25 @@ streams each subscriber's knapsack picked, which requests merged down to
 which bitrate, which uplinks needed fixing or reduction.  Fig. 5 of the
 paper is exactly this trace drawn as a diagram; in production such traces
 are the first tool for "why did client X get 360p?" questions.
+
+It takes the solver's whole input (problem, :class:`SolverConfig`,
+incumbent) and its ``solution`` is byte-identical to the solver's.  It
+re-solves every subscriber on every iteration: a narration shows each
+subscriber's fill each time, and that makes it a second from-scratch
+witness of the solver's dirty set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from .constraints import Problem
-from .knapsack import knapsack_step
+from .knapsack import Incumbent, knapsack_step
 from .merge import merge_step
 from .reduction import reduction_step
 from .solution import Solution
-from .solver import SolverConfig, _build_solution
-from .types import ClientId, Resolution, StreamSpec
+from .solver import SolverConfig, _build_solution, _iteration_bound
+from .types import ClientId, StreamSpec
 
 
 def _fmt_stream(stream: StreamSpec) -> str:
@@ -26,13 +32,23 @@ def _fmt_stream(stream: StreamSpec) -> str:
 
 
 def explain_solve(
-    problem: Problem, config: Optional[SolverConfig] = None
+    problem: Problem,
+    config: Optional[SolverConfig] = None,
+    incumbent: Optional[Incumbent] = None,
 ) -> "ExplainedSolve":
     """Solve the problem while collecting a decision trace.
+
+    Args:
+        config, incumbent: as for :meth:`GsoSolver.solve`; every config
+            field and the incumbent's stickiness take effect as they do
+            there.
 
     Returns:
         An :class:`ExplainedSolve` holding the final solution and the
         trace lines; ``str()`` renders the full narration.
+
+    Raises:
+        RuntimeError: if the iteration cap is hit, as the solver does.
     """
     cfg = config or SolverConfig()
     lines: List[str] = []
@@ -40,19 +56,17 @@ def explain_solve(
         pub: list(streams) for pub, streams in problem.feasible_streams.items()
     }
     reduced = []
-    solution: Optional[Solution] = None
-    max_iterations = (
-        sum(
-            len({s.resolution for s in problem.feasible_streams[p]})
-            for p in problem.publishers
-        )
-        + 1
-    )
-    for iteration in range(1, max_iterations + 1):
+    cap = cfg.max_iterations or _iteration_bound(problem)
+    for iteration in range(1, cap + 1):
         lines.append(f"iteration {iteration}")
 
         requests = knapsack_step(
-            problem, feasible=feasible, granularity=cfg.granularity_kbps
+            problem,
+            feasible=feasible,
+            granularity=cfg.granularity_kbps,
+            exhaustive=cfg.exhaustive_step1,
+            incumbent=incumbent or None,
+            stickiness=cfg.stickiness if incumbent else 0.0,
         )
         lines.append("  step 1 (knapsack): per-subscriber downlink fills")
         for sub in problem.subscribers:
@@ -125,16 +139,18 @@ def explain_solve(
                 problem, requests, outcome.policies, iteration, reduced
             )
             lines.append("  solution found")
-            break
+            lines.append(solution.summary())
+            return ExplainedSolve(solution=solution, lines=lines)
         pub, res = outcome.reduce
         lines.append(
             f"    unfixable: removing {res} from {pub}'s feasible set"
         )
         feasible[pub] = [s for s in feasible[pub] if s.resolution != res]
         reduced.append((pub, res))
-    assert solution is not None, "KMR failed to converge (solver bug)"
-    lines.append(solution.summary())
-    return ExplainedSolve(solution=solution, lines=lines)
+    raise RuntimeError(
+        f"KMR loop failed to converge within {cap} iterations; "
+        f"reductions so far: {reduced}"
+    )
 
 
 class ExplainedSolve:

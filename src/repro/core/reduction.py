@@ -19,10 +19,19 @@ owner has.  Three outcomes per owner:
   algorithm restarts from Step 1.  Only one publisher is reduced per
   iteration, as the paper prescribes.
 
-The fixability test (Eq. 17) is concretely: for each policy resolution,
-substitute the *cheapest* same-resolution rung from the feasible set; if
-even that floor assignment exceeds the uplink budget, no bitrate shuffle
-can help and a deletion is forced.  Between the floor and the merged
+The outcomes are *decided* before anything is *fixed*.  An iteration that
+ends in a deletion throws its policies away, so :func:`reduction_step`
+first walks the owners with the two sums alone (Eq. 14, Eq. 17) and runs
+the fix DP only once no owner is unfixable, i.e. only in the iteration
+that terminates the solve.
+
+The fixability test (Eq. 17, :func:`is_fixable`) is concretely: for each
+policy resolution, substitute the *cheapest* same-resolution rung from the
+feasible set; if even that floor assignment exceeds the uplink budget, no
+bitrate shuffle can help and a deletion is forced.  The sum is taken on
+the fix DP's capacity grid (weights rounded up to ``granularity``), which
+makes it exactly the condition under which :func:`fix_owner` finds a
+combination (``docs/SOLVER.md``).  Between the floor and the merged
 bitrates, the optimal substitution (Eq. 16) maximizes retained QoE — the
 mandatory-pick MCKP below.
 
@@ -44,7 +53,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .constraints import Problem
 from .merge import Policies
-from .mckp import Item, solve_mckp_dp_mandatory
+from .mckp import Item, _grid_weight, solve_mckp_dp_mandatory
 from .solution import PolicyEntry
 from .types import ClientId, Resolution, StreamSpec, streams_at_resolution
 
@@ -81,23 +90,43 @@ def check_uplink(entries: _OwnerEntries, budget_kbps: int) -> bool:
     return sum(e.bitrate_kbps for _, _, e in entries) <= budget_kbps
 
 
+def _fix_candidates(
+    entity: ClientId,
+    res: Resolution,
+    entry: PolicyEntry,
+    feasible: Mapping[ClientId, Sequence[StreamSpec]],
+) -> List[StreamSpec]:
+    """The streams Eq. 16 may replace ``entry`` with: the entity's feasible
+    streams of the entry's resolution, not above its bitrate."""
+    return [
+        s
+        for s in streams_at_resolution(feasible.get(entity, []), res)
+        if s.bitrate_kbps <= entry.bitrate_kbps
+    ]
+
+
 def is_fixable(
     entries: _OwnerEntries,
     feasible: Mapping[ClientId, Sequence[StreamSpec]],
     budget_kbps: int,
+    granularity: int = 1,
 ) -> bool:
     """Eq. 17: can lowering bitrates (same resolutions kept) fit the uplink?
 
-    True iff the sum over policy entries of the minimum feasible bitrate at
-    each entry's resolution (within its entity's feasible set) fits.
+    True iff every entry has a replacement candidate and the cheapest
+    candidates together fit, counted as :func:`fix_owner`'s DP counts
+    them: on the ``granularity`` grid, weights rounded up, budget rounded
+    down.  Hence ``is_fixable(...) == (fix_owner(...) is not None)``.
     """
-    total_min = 0
-    for entity, res, _ in entries:
-        candidates = streams_at_resolution(feasible.get(entity, []), res)
+    floor_slots = 0
+    for entity, res, entry in entries:
+        candidates = _fix_candidates(entity, res, entry, feasible)
         if not candidates:
             return False
-        total_min += min(s.bitrate_kbps for s in candidates)
-    return total_min <= budget_kbps
+        floor_slots += _grid_weight(
+            min(s.bitrate_kbps for s in candidates), granularity
+        )
+    return floor_slots <= budget_kbps // granularity
 
 
 def fix_owner(
@@ -120,11 +149,7 @@ def fix_owner(
     classes: List[List[Item]] = []
     class_candidates: List[List[StreamSpec]] = []
     for entity, res, entry in entries:
-        candidates = [
-            s
-            for s in streams_at_resolution(feasible.get(entity, []), res)
-            if s.bitrate_kbps <= entry.bitrate_kbps
-        ]
+        candidates = _fix_candidates(entity, res, entry, feasible)
         if not candidates:
             return None
         candidates.sort(key=lambda s: s.bitrate_kbps)
@@ -158,9 +183,11 @@ def reduction_step(
     """Run Step 3 over all publishing owners.
 
     Owners are visited in sorted order for determinism.  The first owner
-    found unfixable triggers a reduction (one per iteration); otherwise all
-    policies are accepted or fixed and the outcome carries the final policy
-    map (keyed by publisher entity, as before).
+    found over budget and unfixable triggers a reduction (one per
+    iteration), decided from the Eq. 14 and Eq. 17 sums alone.  Only when
+    there is none are the over-budget owners fixed (:func:`fix_owner`)
+    and the outcome carries the final policy map (keyed by publisher
+    entity).
     """
     # Group policy entries by owning client.
     per_owner: Dict[ClientId, _OwnerEntries] = {}
@@ -169,19 +196,24 @@ def reduction_step(
         for res in sorted(policies[pub], reverse=True):
             per_owner.setdefault(owner, []).append((pub, res, policies[pub][res]))
 
-    final: Policies = {}
-    for owner in sorted(per_owner):
+    owners = sorted(per_owner)
+    #: Over-budget (but fixable) owners -> their uplink budget.
+    to_fix: Dict[ClientId, int] = {}
+    for owner in owners:
         entries = per_owner[owner]
-        if not entries:
-            continue
         budget = problem.uplink_budget(owner)
         if check_uplink(entries, budget):
-            accepted = entries
-        else:
-            fixed = fix_owner(entries, feasible, budget, granularity=granularity)
-            if fixed is None:
-                return ReductionOutcome(reduce=highest_policy_resolution(entries))
-            accepted = fixed
+            continue
+        if not is_fixable(entries, feasible, budget, granularity):
+            return ReductionOutcome(reduce=highest_policy_resolution(entries))
+        to_fix[owner] = budget
+
+    final: Policies = {}
+    for owner in owners:
+        accepted = per_owner[owner]
+        if owner in to_fix:
+            accepted = fix_owner(accepted, feasible, to_fix[owner], granularity)
+            assert accepted is not None, "Eq. 17 held but the fix DP found no fit"
         for entity, res, entry in accepted:
             final.setdefault(entity, {})[res] = entry
     return ReductionOutcome(policies=final)

@@ -189,18 +189,14 @@ class GsoSolver:
         requests: Requests = {}
         #: Step 1's answer sharing, kept in step with ``requests`` for Step 2.
         groups: Requests = {}
+        #: The subscribers Step 1 re-solves; ``None`` solves everyone.
+        dirty: Optional[List[ClientId]] = None
         with span(obs_names.SPAN_KMR_SOLVE):
             for iteration in range(1, cap + 1):
                 stats.iterations = iteration
                 t0 = time.perf_counter()
-                dirty = None
                 step_span = obs_names.SPAN_KMR_KNAPSACK
-                if iteration > 1 and not cfg.exhaustive_step1:
-                    # A reduction shrank exactly one publisher's feasible
-                    # set; only its followers can see a changed instance.
-                    # (The brute-force Step 1 of Fig. 6 has no dirty set:
-                    # it enumerates every subscriber on every iteration.)
-                    dirty = problem.subscribers_of(reduced[-1][0])
+                if dirty is not None:
                     step_span = obs_names.SPAN_KMR_KNAPSACK_DIRTY
                     skipped = len(problem.subscribers) - len(dirty)
                     stats.engine.step1_skipped += skipped
@@ -281,6 +277,15 @@ class GsoSolver:
                 pub, res = outcome.reduce
                 feasible[pub] = [s for s in feasible[pub] if s.resolution != res]
                 reduced.append((pub, res))
+                if not cfg.exhaustive_step1:
+                    # The reduction removed only ``pub``'s streams at
+                    # ``res``.  A subscriber that held none of them keeps
+                    # its answer (docs/SOLVER.md, the deletion lemma), so
+                    # the next Step 1 re-solves exactly the deleted
+                    # entry's audience.  (The brute-force Step 1 of
+                    # Fig. 6 has no dirty set: it enumerates every
+                    # subscriber on every iteration.)
+                    dirty = sorted(policies[pub][res].audience)
                 if reg.enabled:
                     reg.counter(obs_names.KMR_REDUCTIONS).inc()
         stats.wall_time_s = time.perf_counter() - start

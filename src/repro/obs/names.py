@@ -33,11 +33,12 @@ KMR_REDUCTIONS = "repro_kmr_reductions_total"
 #: Counter, label ``reason`` in {"solved", "iteration_cap"} — how solves end.
 KMR_CONVERGENCE = "repro_kmr_convergence_total"
 #: Counter — subscriber re-solves skipped by the dirty-set (Step 1
-#: reused the previous iteration's requests for clean subscribers).
+#: reused the previous iteration's requests for every subscriber that
+#: did not hold the deleted stream).
 KMR_STEP1_SKIPPED = "repro_kmr_step1_skipped_total"
-#: Histogram — dirty-set size per iteration after the first (subscribers
-#: re-solved after a reduction; the full-subscriber first iteration is
-#: not observed).
+#: Histogram — dirty-set size per iteration after the first (the audience
+#: of the policy entry the reduction deleted; the full-subscriber first
+#: iteration is not observed).
 KMR_DIRTY_SET_SIZE = "repro_kmr_dirty_set_size"
 
 # --------------------------------------------------------------------- #

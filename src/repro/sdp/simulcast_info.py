@@ -12,6 +12,12 @@ resolution."
 SDP offer + simulcastInfo pair a client presents when joining, and
 :func:`capability_from_info` converts a negotiated simulcastInfo into the
 feasible stream set (``S_i``) the GSO controller optimizes over.
+
+The message arrives from outside, and its bitrates size the solver's DP
+tables (a table is bounded by the ladder it is built from), so every
+field is validated where the bytes enter: :meth:`SimulcastInfo.from_json`
+returns a message whose numbers are integers within
+:data:`MAX_BITRATE_KBPS` and the SSRC range, or raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.ladder import qoe_utility
 from ..core.types import ClientId, Resolution, StreamSpec, validate_feasible_set
 from .sdp import MediaSection, SessionDescription
+
+#: The highest bitrate a device may declare for one resolution, in kbps.
+#: Far above any ladder in the repo (the 1080p ceiling is 4,000 kbps), and
+#: low enough that the widest DP table a declared ladder can ask for stays
+#: in the tens of MiB; a declared 10^12 kbps asked for 7 TiB.
+MAX_BITRATE_KBPS = 100_000
+
+
+def _is_int(value: object) -> bool:
+    """A real integer: JSON ``true``, ``1.5``, ``NaN`` and ``1e999`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -42,10 +59,21 @@ class ResolutionCapability:
     ssrc: int
 
     def __post_init__(self) -> None:
+        for name in ("max_bitrate_kbps", "min_bitrate_kbps", "ssrc"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.min_bitrate_kbps <= 0:
             raise ValueError("min bitrate must be positive")
         if self.max_bitrate_kbps < self.min_bitrate_kbps:
             raise ValueError("max bitrate below min bitrate")
+        if self.max_bitrate_kbps > MAX_BITRATE_KBPS:
+            raise ValueError(
+                f"max bitrate {self.max_bitrate_kbps} kbps above the "
+                f"{MAX_BITRATE_KBPS} kbps any device may declare"
+            )
+        if not 0 <= self.ssrc < 2**32:
+            raise ValueError(f"ssrc {self.ssrc} is not a 32-bit value")
 
 
 @dataclass(frozen=True)
@@ -58,6 +86,14 @@ class SimulcastInfo:
     resolutions: Tuple[ResolutionCapability, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.client, str) or not self.client:
+            raise ValueError(f"client must be a non-empty string, got {self.client!r}")
+        if not isinstance(self.codec, str):
+            raise ValueError(f"codec must be a string, got {self.codec!r}")
+        if not _is_int(self.max_streams):
+            raise ValueError(
+                f"max_streams must be an integer, got {self.max_streams!r}"
+            )
         if self.max_streams < 1:
             raise ValueError("a publisher supports at least one stream")
         if len(self.resolutions) > self.max_streams:
@@ -96,11 +132,13 @@ class SimulcastInfo:
         """Parse a signaling-channel message.
 
         Raises:
-            ValueError: on malformed JSON or missing fields.
+            ValueError: on malformed JSON, missing fields, or a field of
+                the wrong type or out of range (``__post_init__`` of the
+                message and of :class:`ResolutionCapability`).
         """
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed simulcastInfo JSON: {exc}") from exc
         try:
             return cls(

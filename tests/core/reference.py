@@ -4,7 +4,10 @@
 It is the algorithm of Sec. 4.1 read literally: every iteration re-solves
 **every** subscriber's knapsack on its own (`solve_subscriber`), merges,
 and runs the uplink reduction — no dirty set, no shape groups, no capacity
-profile, no cache.  By default the two dynamic programs underneath are
+profile, no cache.  Step 3 is its own literal walk too (`_reduction_step`:
+the fix DP on every over-budget owner, reduce at the first that has no
+fix), so the product's decide-first `reduction_step` is compared against
+something it cannot silently drag along.  By default the two dynamic programs underneath are
 answered by the pure-Python oracles kept in ``repro.core.mckp``
 (`_solve_mckp_dp_python` for Step 1, `_solve_mckp_dp_mandatory_python`
 for Step 3), substituted by patching the names the per-subscriber path
@@ -13,15 +16,15 @@ looks up; production code has no switch that reaches them.
 
 import pickle
 from contextlib import ExitStack
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 from unittest import mock
 
 from repro.core import knapsack, reduction
 from repro.core.constraints import Problem
 from repro.core.knapsack import Incumbent, solve_subscriber
-from repro.core.merge import merge_step
+from repro.core.merge import Policies, merge_step
 from repro.core.mckp import _solve_mckp_dp_mandatory_python, _solve_mckp_dp_python
-from repro.core.reduction import reduction_step
+from repro.core.reduction import fix_owner, highest_policy_resolution
 from repro.core.solution import Solution
 from repro.core.solver import (
     GsoSolver,
@@ -33,6 +36,36 @@ from repro.core.solver import (
 from repro.core.types import ClientId, Resolution
 
 Reductions = List[Tuple[ClientId, Resolution]]
+
+
+def _reduction_step(
+    problem: Problem, policies: Policies, feasible, granularity: int
+) -> Tuple[Optional[Policies], Optional[Tuple[ClientId, Resolution]]]:
+    """Step 3 of Sec. 4.1.3 read literally; ``(final policies, None)`` or
+    ``(None, the pair to delete)``.
+
+    Owners in sorted order; an owner over its uplink (Eq. 14) gets the
+    Eq. 16 fix DP at once, and the first owner the DP cannot fix names
+    the reduction (Eq. 18), whatever was fixed before it.
+    """
+    per_owner: Dict[ClientId, list] = {}
+    for pub in sorted(policies):
+        for res in sorted(policies[pub], reverse=True):
+            per_owner.setdefault(problem.owner(pub), []).append(
+                (pub, res, policies[pub][res])
+            )
+    final: Policies = {}
+    for owner in sorted(per_owner):
+        entries = per_owner[owner]
+        budget = problem.uplink_budget(owner)
+        if sum(entry.bitrate_kbps for _, _, entry in entries) > budget:
+            fixed = fix_owner(entries, feasible, budget, granularity=granularity)
+            if fixed is None:
+                return None, highest_policy_resolution(entries)
+            entries = fixed
+        for entity, res, entry in entries:
+            final.setdefault(entity, {})[res] = entry
+    return final, None
 
 
 def reference_solve(
@@ -77,18 +110,18 @@ def reference_solve(
                 )
                 for sub in problem.subscribers
             }
-            outcome = reduction_step(
+            policies, reduce = _reduction_step(
                 problem,
                 merge_step(problem, requests),
                 feasible,
-                granularity=cfg.granularity_kbps,
+                cfg.granularity_kbps,
             )
-            if outcome.solved:
+            if policies is not None:
                 solution = _build_solution(
-                    problem, requests, outcome.policies, iteration, reduced
+                    problem, requests, policies, iteration, reduced
                 )
                 return solution, iteration, reduced
-            pub, res = outcome.reduce
+            pub, res = reduce
             feasible[pub] = [s for s in feasible[pub] if s.resolution != res]
             reduced.append((pub, res))
     raise AssertionError(f"reference KMR loop did not converge: {reduced}")

@@ -1,9 +1,21 @@
 """Tests for the KMR decision tracer."""
 
+import pickle
+
 import pytest
 
 from repro.core import Bandwidth, ProblemBuilder, Resolution, paper_ladder, solve
 from repro.core.explain import explain_solve
+from repro.core.solver import GsoSolver, SolverConfig
+
+from .test_incremental import GENERATORS
+
+#: One rung down the generators' three-resolution ladders.
+_RUNG_DOWN = {
+    Resolution.P720: Resolution.P360,
+    Resolution.P360: Resolution.P180,
+    Resolution.P180: Resolution.P180,
+}
 
 
 def table1_case(bandwidths):
@@ -68,3 +80,48 @@ class TestExplain:
         assert "unfixable: removing 720p from A's feasible set" in text
         assert "iteration 2" in text
         explained.solution.validate(p)
+
+
+class TestExplainIsTheSolversLoop:
+    """The narration's solution is the controller's, byte for byte, under
+    every input the solver takes."""
+
+    @pytest.mark.parametrize("sticky", [False, True], ids=["cold", "incumbent"])
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_solution_byte_identical_to_gso_solver(self, name, sticky):
+        gen = GENERATORS[name]
+        cfg = SolverConfig(granularity_kbps=25, stickiness=0.5)
+        incumbent = None
+        if sticky:
+            # Hold everyone one rung down from a first solve, so the
+            # stickiness bonus has answers to change.
+            first = GsoSolver(cfg).solve(gen())
+            incumbent = {
+                (sub, pub): _RUNG_DOWN[stream.resolution]
+                for sub, per_pub in first.assignments.items()
+                for pub, stream in per_pub.items()
+            }
+        want = GsoSolver(cfg).solve(gen(), incumbent)
+        if sticky:
+            assert want != GsoSolver(cfg).solve(gen()), "incumbent had no effect"
+        got = explain_solve(gen(), cfg, incumbent).solution
+        assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_exhaustive_step1_is_honoured(self, monkeypatch):
+        p = table1_case({"A": (5000, 1400), "B": (5000, 3000), "C": (5000, 500)})
+        monkeypatch.setattr(
+            "repro.core.knapsack.CapacityProfile",
+            lambda *a, **k: pytest.fail("DP reached under exhaustive_step1"),
+        )
+        cfg = SolverConfig(exhaustive_step1=True)
+        got = explain_solve(p, cfg).solution
+        assert pickle.dumps(got) == pickle.dumps(GsoSolver(cfg).solve(p))
+
+    def test_iteration_cap_raises_like_the_solver(self):
+        p = table1_case({"A": (500, 3000), "B": (5000, 3000), "C": (5000, 3000)})
+        assert GsoSolver().solve(p).iterations > 1
+        cfg = SolverConfig(max_iterations=1)
+        with pytest.raises(RuntimeError, match="within 1 iterations"):
+            GsoSolver(cfg).solve(p)
+        with pytest.raises(RuntimeError, match="within 1 iterations"):
+            explain_solve(p, cfg)

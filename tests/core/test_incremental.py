@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import reduction, solver
 from repro.core.constraints import Bandwidth, Problem, Subscription
 from repro.core.engine import MckpInstanceCache, default_mckp_cache
 from repro.core.knapsack import knapsack_step, solve_subscriber
@@ -44,6 +45,23 @@ GENERATORS = {
     "gallery": lambda: problems.gallery_meeting(8, 60, 12, seed=4),
     "breakout": lambda: problems.breakout_meeting(5, 5, 12, seed=7),
 }
+
+
+def _webinar(n_viewers=110):
+    """8 publishers in a full mesh plus ``n_viewers`` view-only subscribers
+    with as many different downlinks, uplinks tight enough for several KMR
+    iterations."""
+    pubs = [f"P{k}" for k in range(8)]
+    viewers = [f"V{k:03d}" for k in range(n_viewers)]
+    bandwidth = {p: Bandwidth(350 + 60 * k, 4000) for k, p in enumerate(pubs)}
+    bandwidth.update(
+        {v: Bandwidth(500, 600 + 37 * k) for k, v in enumerate(viewers)}
+    )
+    return Problem(
+        {p: problems.ladder_with_levels(9) for p in pubs},
+        bandwidth,
+        [Subscription(a, b) for a in pubs + viewers for b in pubs if a != b],
+    )
 
 
 def _config(granularity):
@@ -169,22 +187,10 @@ class TestKernelEquivalence:
         assert pickle.dumps(array) == pickle.dumps(oracle)
 
     def test_webinar_builds_one_table_per_class_structure(self):
-        # A webinar: 8 publishers in a mesh plus 110 view-only subscribers
-        # with 110 different downlinks, uplinks tight enough for several
-        # KMR iterations.  The viewers are one shape and every publisher
-        # its own, so however many viewers there are an iteration meets at
-        # most 9 distinct class structures and builds at most 9 tables.
-        pubs = [f"P{k}" for k in range(8)]
-        viewers = [f"V{k:03d}" for k in range(110)]
-        bandwidth = {p: Bandwidth(350 + 60 * k, 4000) for k, p in enumerate(pubs)}
-        bandwidth.update(
-            {v: Bandwidth(500, 600 + 37 * k) for k, v in enumerate(viewers)}
-        )
-        problem = Problem(
-            {p: problems.ladder_with_levels(9) for p in pubs},
-            bandwidth,
-            [Subscription(a, b) for a in pubs + viewers for b in pubs if a != b],
-        )
+        # The viewers are one shape and every publisher its own, so
+        # however many viewers there are an iteration meets at most 9
+        # distinct class structures and builds at most 9 tables.
+        problem = _webinar()
         shapes = len(problem.shape_index()[1])
         assert shapes == 9
 
@@ -197,6 +203,87 @@ class TestKernelEquivalence:
         assert engine.cache_hits + engine.cache_misses <= stats.iterations * shapes
         assert engine.step1_solved >= len(problem.subscribers)
         assert engine.deduped > 0
+
+
+class TestIterationCost:
+    """A KMR iteration does only the work its reduction made necessary:
+    Step 1 re-solves the deleted entry's audience and nobody else, and
+    Step 3 runs the fix DP only in the iteration that terminates."""
+
+    #: ``GENERATORS``' meshes have uplinks to spare and never reduce; the
+    #: full mesh here is the webinar's eight publishers on their own.
+    MEETINGS = {
+        "mesh_tight": lambda: _webinar(0),
+        "gallery": GENERATORS["gallery"],
+        "breakout": GENERATORS["breakout"],
+        "webinar": _webinar,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEETINGS))
+    def test_dirty_set_is_the_deleted_audience_and_minimal(self, name, monkeypatch):
+        problem = self.MEETINGS[name]()
+        held = {}  # every subscriber's current request map
+        merged = []  # the policies of each iteration's Step 2
+        step1, step2 = solver.knapsack_step, solver.merge_step
+
+        def spy_knapsack(*args, subscribers=None, **kwargs):
+            requests = step1(*args, subscribers=subscribers, **kwargs)
+            if subscribers is not None:
+                assert list(requests) == list(subscribers)
+                # Minimal: whoever is re-solved held a deleted stream, so
+                # its request must come back changed.
+                same = [sub for sub in requests if requests[sub] == held[sub]]
+                assert not same, same
+            held.update(requests)
+            return requests
+
+        def spy_merge(*args):
+            merged.append(step2(*args))
+            return merged[-1]
+
+        monkeypatch.setattr(solver, "knapsack_step", spy_knapsack)
+        monkeypatch.setattr(solver, "merge_step", spy_merge)
+        _, stats = GsoSolver(_config(25)).solve_with_stats(problem)
+
+        assert stats.iterations > 1
+        audiences = sum(
+            len(policies[pub][res].audience)
+            for policies, (pub, res) in zip(merged, stats.reductions)
+        )
+        everyone = len(problem.subscribers)
+        assert stats.engine.step1_solved - everyone == audiences
+        assert stats.engine.step1_skipped == (
+            (stats.iterations - 1) * everyone - audiences
+        )
+        # Even where everyone follows the reduced publisher (full mesh,
+        # webinar), not everyone held the deleted stream.
+        assert stats.engine.step1_skipped > 0
+
+    def test_fix_dp_runs_only_in_the_terminating_iteration(self, monkeypatch):
+        calls = []  # fix_owner calls of the Step 3 in progress
+        seen = []  # per iteration: (ended in a reduction, fix_owner calls)
+        fix, step3 = reduction.fix_owner, solver.reduction_step
+
+        def spy_fix(*args, **kwargs):
+            calls.append(args)
+            return fix(*args, **kwargs)
+
+        def spy_step3(*args, **kwargs):
+            calls.clear()
+            outcome = step3(*args, **kwargs)
+            seen.append((not outcome.solved, len(calls)))
+            return outcome
+
+        monkeypatch.setattr(reduction, "fix_owner", spy_fix)
+        monkeypatch.setattr(solver, "reduction_step", spy_step3)
+        fixes = 0
+        for name, gen in sorted(self.MEETINGS.items()):
+            GsoSolver(_config(25)).solve(gen())
+            assert len(seen) > 1, name
+            assert [n for reduces, n in seen if reduces] == [0] * (len(seen) - 1)
+            fixes += seen[-1][1]
+            seen.clear()
+        assert fixes > 0, "no terminating iteration had an owner to fix"
 
 
 class TestChaosEquivalence:

@@ -329,16 +329,17 @@ class TestBatchedEntryPoint:
 
 
 @st.composite
-def class_structures(draw):
+def class_structures(draw, value=None):
     """Class structures that stress the profile's three arguments: float
     values, exact value+weight ties, single-item classes, a common weight
     factor (GCD > 1) or none (coprime weights, GCD 1)."""
     factor = draw(st.sampled_from([1, 1, 50]))
     weight = st.integers(1, 12).map(lambda w: w * factor)
-    value = st.one_of(
-        st.sampled_from([0.0, 1.0, 2.5]),
-        st.floats(0.0, 100.0, allow_nan=False),
-    )
+    if value is None:
+        value = st.one_of(
+            st.sampled_from([0.0, 1.0, 2.5]),
+            st.floats(0.0, 100.0, allow_nan=False),
+        )
     item = st.tuples(weight, value)
     cls = st.lists(item, min_size=1, max_size=4).map(
         lambda items: tuple(items + items[:1])  # an exact tie of item 0
@@ -388,6 +389,48 @@ class TestCapacityProfile:
             CapacityProfile((((1, -1.0),),), 1)
         with pytest.raises(ValueError, match="granularity"):
             CapacityProfile((((1, 1.0),),), 0)
+
+
+class TestDeletionLemma:
+    """Deleting items the DP did not choose never changes what it chooses
+    (``docs/SOLVER.md``): the licence for KMR Step 1 to re-solve only the
+    subscribers that held the stream a reduction deleted."""
+
+    SOLVERS = {
+        "array": solve_mckp_dp,
+        "profile": lambda classes, cap, g: CapacityProfile(classes, g).solution(cap),
+        "oracle": _solve_mckp_dp_python,
+    }
+
+    @given(
+        st.one_of(
+            class_structures(),
+            # Small-integer values: many combinations tie on total value,
+            # so the answer rests on the tie-break alone.
+            class_structures(value=st.integers(0, 3).map(float)),
+        ),
+        st.sampled_from([1, 25]),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_unchosen_items_can_go(self, classes, g, data):
+        top = sum(max(w for w, _ in cls) for cls in classes)
+        cap = data.draw(st.integers(0, top + g))
+        picks = solve_mckp_dp(classes, cap, g).picks
+        smaller, want = [], []
+        for cls, pick in zip(classes, picks):
+            kept = [
+                idx
+                for idx in range(len(cls))
+                if idx == pick or data.draw(st.booleans())
+            ]
+            if kept:  # an emptied class leaves the instance
+                smaller.append(tuple(cls[idx] for idx in kept))
+                want.append(None if pick is None else kept.index(pick))
+        smaller = tuple(smaller)
+        for name, solve in self.SOLVERS.items():
+            assert solve(classes, cap, g).picks == picks, name
+            assert solve(smaller, cap, g).picks == tuple(want), (name, smaller)
 
 
 class TestGccOverestimate:

@@ -48,7 +48,9 @@ def test_merge_invariants(asked):
 
 @st.composite
 def owner_entries(draw):
-    """Random policy entries + matching feasible set for one owner."""
+    """Random policy entries + matching feasible set for one owner, on a
+    random grid; now and then one entry's resolution has left the feasible
+    set (an entry with no candidate)."""
     feasible = []
     entries = []
     used = set()
@@ -68,22 +70,25 @@ def owner_entries(draw):
                 r += 1
             used.add(r)
             specs.append(StreamSpec(r, res, float(r)))
-        feasible.extend(specs)
         chosen = draw(st.sampled_from(specs))
         entries.append(
             ("pub", res, PolicyEntry(chosen, frozenset({"X"})))
         )
+        if draw(st.integers(0, 9)):
+            feasible.extend(specs)
     budget = draw(st.integers(0, 5000))
-    return entries, {"pub": feasible}, budget
+    granularity = draw(st.sampled_from([1, 7, 25, 50]))
+    return entries, {"pub": feasible}, budget, granularity
 
 
 @given(owner_entries())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_fix_owner_invariants(data):
-    entries, feasible, budget = data
-    fixable = is_fixable(entries, feasible, budget)
-    fixed = fix_owner(entries, feasible, budget)
-    # Eq. 17 is exactly the feasibility condition of the fix.
+    entries, feasible, budget, granularity = data
+    fixable = is_fixable(entries, feasible, budget, granularity)
+    fixed = fix_owner(entries, feasible, budget, granularity)
+    # Eq. 17, taken on the fix DP's grid, is exactly the feasibility
+    # condition of the fix: Step 3 decides with it and fixes afterwards.
     assert (fixed is not None) == fixable
     if fixed is None:
         return

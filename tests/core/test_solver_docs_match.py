@@ -105,6 +105,8 @@ class TestCodeReferencesExist:
         (knapsack, "knapsack_step"),
         (reduction, "reduction_step"),
         (reduction, "fix_owner"),
+        (reduction, "is_fixable"),
+        (reduction, "highest_policy_resolution"),
         (mckp, "solve_mckp_dp"),
         (mckp, "solve_mckp_dp_mandatory"),
         (mckp, "CapacityProfile"),

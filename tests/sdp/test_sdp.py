@@ -5,6 +5,7 @@ import pytest
 from repro.core.types import Resolution
 from repro.sdp.sdp import MediaSection, SessionDescription
 from repro.sdp.simulcast_info import (
+    MAX_BITRATE_KBPS,
     ResolutionCapability,
     SimulcastInfo,
     build_offer,
@@ -111,6 +112,26 @@ class TestSimulcastInfo:
     def test_rejects_bad_bitrate_range(self):
         with pytest.raises(ValueError, match="below min"):
             ResolutionCapability(Resolution.P720, 500, 900, 1)
+
+    @pytest.mark.parametrize(
+        "max_kbps, min_kbps, ssrc",
+        [
+            (float("nan"), 900, 1),
+            (float("inf"), 900, 1),
+            (1500.0, 900, 1),
+            (1500, True, 1),
+            (MAX_BITRATE_KBPS + 1, 900, 1),
+            (1500, 900, -1),
+            (1500, 900, 2**32),
+            (1500, 900, 1.0),
+        ],
+    )
+    def test_programmatic_capability_gets_the_wire_checks(
+        self, max_kbps, min_kbps, ssrc
+    ):
+        with pytest.raises(ValueError):
+            ResolutionCapability(Resolution.P720, max_kbps, min_kbps, ssrc)
+        ResolutionCapability(Resolution.P720, MAX_BITRATE_KBPS, 1, 2**32 - 1)
 
     def test_ssrc_by_resolution(self):
         mapping = sample_info().ssrc_by_resolution()
