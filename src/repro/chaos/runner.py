@@ -60,7 +60,6 @@ from ..obs.registry import get_registry
 from ..obs.slo import SloContext, SloEngine, SloVerdict, stage_budget_slos
 from ..obs.spans import span
 from ..obs.tracing import assemble_trees
-from ..obs.timeseries import active_store
 from ..placement.migration import HotShardDetector
 from . import faults as F
 from .faults import Fault, FaultSchedule
@@ -426,15 +425,12 @@ class ChaosRunner:
 
     def _housekeep(self) -> None:
         """Once per report interval: drain hot shards, check that every
-        served meeting still holds a configuration, sample time series."""
+        served meeting still holds a configuration."""
         if self.detector is not None:
             self._deliver_handover(
                 self.detector.rebalance(self.cluster, self.sim.now).served
             )
         self._check_availability()
-        store = active_store()
-        if store is not None:
-            store.sample_registry(get_registry(), self.sim.now)
 
     def _deliver_handover(self, handover: List[ServedSolution]) -> None:
         """Deliver the degraded fallbacks a migration served mid-move.

@@ -23,10 +23,10 @@ Four subcommands cover the library's main entry points:
   violation, ``chaos scenarios`` lists the registry;
 * ``obs`` — the observability surface (see ``docs/OBSERVABILITY.md``):
   run a solve or an example with instrumentation enabled and dump the
-  metrics snapshot + per-iteration KMR trace (``obs solve``,
-  ``obs example``), list the canonical metric names (``obs names``),
-  run a chaos scenario under the full telemetry pipeline and print the
-  SLO verdicts + event/time-series stats (``obs report``), or
+  metrics snapshot (``obs solve`` also replays the solve as a KMR
+  narration; ``obs example``), list the canonical metric names
+  (``obs names``), run a chaos scenario under the full telemetry
+  pipeline and print the SLO verdicts + event stats (``obs report``), or
   reconstruct one meeting's correlated causal timeline
   (``obs timeline``).
 """
@@ -53,6 +53,7 @@ from .core import (
     make_ladder,
 )
 from .core.constraints import Problem, Subscription
+from .core.explain import explain_solve
 from .obs import names as obs_names
 
 
@@ -78,12 +79,16 @@ def _parse_client(text: str) -> ClientSpec:
     return spec
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _solve_inputs(args: argparse.Namespace):
+    """The full-mesh ``(problem, config)`` that ``solve``'s arguments name.
+
+    Raises:
+        ValueError: fewer than two clients, or a bad ``--granularity``.
+    """
     ladder = make_ladder(levels_per_resolution=args.levels)
     clients = {c.client_id: c for c in args.clients}
     if len(clients) < 2:
-        print("need at least two clients", file=sys.stderr)
-        return 2
+        raise ValueError("need at least two clients")
     subscriptions = [
         Subscription(a, b, Resolution.P720)
         for a in clients
@@ -100,8 +105,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         },
         subscriptions=subscriptions,
     )
+    return problem, SolverConfig(granularity_kbps=args.granularity)
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
     try:
-        config = SolverConfig(granularity_kbps=args.granularity)
+        problem, config = _solve_inputs(args)
     except ValueError as exc:  # e.g. --granularity 0
         print(f"repro solve: {exc}", file=sys.stderr)
         return 2
@@ -534,24 +543,9 @@ def _add_ingress_config_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _dump_obs(
-    registry: "obs.MetricsRegistry",
-    collector: "obs.TraceCollector",
-    args: argparse.Namespace,
+    registry: "obs.MetricsRegistry", args: argparse.Namespace
 ) -> None:
-    """Emit the collected trace + metrics per the obs output options."""
-    if collector.traces:
-        if args.trace_out:
-            path = collector.write_jsonl(args.trace_out)
-            print(
-                f"\n[obs] wrote {len(collector.traces)} KMR trace(s) "
-                f"to {path}"
-            )
-        print(
-            f"\n=== kmr trace (last of {len(collector.traces)} solve(s)) ==="
-        )
-        print(collector.last.to_jsonl(), end="")
-    else:
-        print("\n=== kmr trace ===\n(no solver runs were traced)")
+    """Emit the metrics snapshot per the obs output options."""
     text = (
         registry.to_json()
         if args.format == "json"
@@ -565,15 +559,15 @@ def _dump_obs(
 
 
 def _cmd_obs_solve(args: argparse.Namespace) -> int:
-    with obs.enabled_registry() as registry, obs.collect_traces() as collector:
+    with obs.enabled_registry() as registry:
         code = _cmd_solve(args)
-        if code != 0:
-            return code
-        root = obs.last_root_span()
-        if root is not None:
-            print("\n=== span timings ===")
-            print(obs.format_span_tree(root))
-        _dump_obs(registry, collector, args)
+    if code != 0:
+        return code
+    # Replayed after the fact, outside the registry: the solver is
+    # deterministic, so the narration is of the solve just printed.
+    print("\n=== kmr narration (replayed) ===")
+    print(explain_solve(*_solve_inputs(args)))
+    _dump_obs(registry, args)
     return 0
 
 
@@ -600,21 +594,21 @@ def _cmd_obs_example(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    with obs.enabled_registry() as registry, obs.collect_traces() as collector:
+    with obs.enabled_registry() as registry:
         # run_name="__main__" fires the example's entry-point guard, so it
         # runs exactly as ``python examples/<name>.py`` would — but with
-        # the registry and trace collector installed around it.
+        # the registry installed around it.
         runpy.run_path(str(path), run_name="__main__")
-        _dump_obs(registry, collector, args)
+    _dump_obs(registry, args)
     return 0
 
 
 def _run_obs_scenario(args: argparse.Namespace):
     """Run one chaos scenario with the full telemetry pipeline enabled.
 
-    Returns ``(runner, report, store)`` — the runner keeps the event log
-    and SLO verdict objects, the store holds the per-report-interval
-    registry samples.  Raises :class:`KeyError` for unknown scenario names.
+    Returns ``(runner, report)`` — the runner keeps the event log, the
+    SLO verdict objects and the plane's decisions.  Raises
+    :class:`KeyError` for unknown scenario names.
     """
     from .chaos import ChaosConfig, ChaosRunner, get_scenario
 
@@ -628,17 +622,16 @@ def _run_obs_scenario(args: argparse.Namespace):
         )
     schedule = scenario.build(args.seed, config)
     runner = ChaosRunner(config, schedule, scenario=scenario.name)
-    store = obs.TimeSeriesStore()
-    with obs.enabled_registry(), obs.record_timeseries(store):
+    with obs.enabled_registry():
         report = runner.run()
-    return runner, report, store
+    return runner, report
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     import json
 
     try:
-        runner, report, store = _run_obs_scenario(args)
+        runner, report = _run_obs_scenario(args)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -665,7 +658,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
                     "violations": len(report.violations),
                     "digest": report.digest(),
                 },
-                "timeseries": store.to_dict(),
             },
         )
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -678,10 +670,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
                 log=runner.events,
                 summary=report.summary(),
             )
-        )
-        print(
-            f"\ntimeseries: {len(store)} series, "
-            f"{store.points_recorded} points sampled"
         )
     return 0 if report.ok and all(v.ok for v in runner.slo_verdicts) else 1
 
@@ -700,7 +688,7 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
         title = f"{args.events} — timeline for {args.meeting}"
     else:
         try:
-            runner, _, _ = _run_obs_scenario(args)
+            runner, _ = _run_obs_scenario(args)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
@@ -725,7 +713,7 @@ def _trace_events(args: argparse.Namespace):
     if getattr(args, "events", None):
         log = obs.EventLog.read_jsonl(args.events)
         return log.events, str(args.events)
-    runner, _, _ = _run_obs_scenario(args)
+    runner, _ = _run_obs_scenario(args)
     return runner.events.events, f"{args.scenario} seed={args.seed}"
 
 
@@ -733,7 +721,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     from .obs.tracing import assemble_trees
 
     try:
-        runner, report, _ = _run_obs_scenario(args)
+        runner, report = _run_obs_scenario(args)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -758,6 +746,8 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 def _cmd_trace_show(args: argparse.Namespace) -> int:
     from .obs.tracing import assemble_trees, format_waterfall
 
+    if args.cid:
+        return _trace_show_decision(args)
     try:
         events, title = _trace_events(args)
     except (OSError, ValueError) as exc:
@@ -770,6 +760,60 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
     trees = traces.trees(args.meeting) if args.meeting else traces.trees()
     print(f"trace waterfall — {title}")
     print(format_waterfall(trees, limit=args.limit))
+    return 0
+
+
+def _trace_show_decision(args: argparse.Namespace) -> int:
+    """``trace show --cid``: one decision's waterfall, its source, and
+    its KMR iterations replayed from the ``Problem`` it solved."""
+    from .cluster import SOURCE_CACHE, SOURCE_SOLVE
+    from .obs.tracing import assemble_trees, waterfall
+
+    if args.events:
+        print(
+            "repro trace: --cid replays the decision's Problem, which an "
+            "--events log does not hold; name --scenario and --seed",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        runner, _ = _run_obs_scenario(args)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"repro trace: {exc}", file=sys.stderr)
+        return 2
+    title = f"{args.scenario} seed={args.seed}"
+    decision = next(
+        (d for d in runner.plane.decisions if d.cid == args.cid), None
+    )
+    if decision is None:
+        print(
+            f"repro trace: no decision with cid {args.cid!r} in {title}",
+            file=sys.stderr,
+        )
+        return 2
+    events = runner.events.events
+    # Retain every tree: the one asked for must not be a reservoir victim.
+    trees = assemble_trees(events, retention=len(events)).trees()
+    node = next(
+        n for tree in trees for n in tree.walk() if n.cid == decision.cid
+    )
+    print(f"trace waterfall — {title} cid={decision.cid}")
+    print("\n".join(waterfall(node)))
+    print(
+        f"\nsource: {decision.source}  trigger: {decision.trigger}  "
+        f"batch: {decision.batch}  digest: {decision.digest}"
+    )
+    if decision.source not in (SOURCE_SOLVE, SOURCE_CACHE):
+        print(
+            f"served the Sec. 7 fallback ({decision.source}): "
+            "no KMR solve to replay"
+        )
+        return 0
+    print("\n=== kmr narration (replayed) ===")
+    print(explain_solve(decision.payload, runner.cluster.config.solver))
     return 0
 
 
@@ -856,9 +900,6 @@ def _add_obs_output_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--metrics-out", help="also write the metrics snapshot to this file"
-    )
-    parser.add_argument(
-        "--trace-out", help="write all KMR traces (JSONL) to this file"
     )
 
 
@@ -1142,6 +1183,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace_show.add_argument("--seed", type=int, default=1)
     trace_show.add_argument(
         "--meeting", help="show only one meeting's decisions"
+    )
+    trace_show.add_argument(
+        "--cid",
+        help="show one decision: its waterfall, its source and its KMR "
+        "iterations replayed from the Problem it solved (needs --scenario)",
     )
     trace_show.add_argument(
         "--limit", type=int, default=10,

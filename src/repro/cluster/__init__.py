@@ -1,6 +1,6 @@
 """Sharded controller cluster: hosting many meetings behind one solve
 service (consistent-hash sharding, the Fig. 12 pacing envelope,
-fingerprint cache, solve executor, admission control).
+fingerprint cache, admission control).
 """
 
 from .admission import AdmissionController, AdmissionStats
@@ -17,7 +17,6 @@ from .cluster import (
     SOURCE_SOLVE,
 )
 from .hashring import ConsistentHashRing, moved_keys, stable_hash
-from .pool import SolvePool
 from .scheduler import (
     TRIGGER_EVENT,
     TRIGGER_REHOME,
@@ -37,7 +36,6 @@ __all__ = [
     "ServedSolution",
     "ShardWorker",
     "SolutionCache",
-    "SolvePool",
     "SOURCE_CACHE",
     "SOURCE_FALLBACK",
     "SOURCE_SHED",

@@ -13,8 +13,8 @@ module is the reproduction's control-plane host:
 * **caching** — solves are keyed by the canonical problem fingerprint and
   served from a bounded LRU when the structure repeats (:mod:`.cache`);
   every served solution is frozen once and then shared, never copied;
-* **execution** — cache misses run on the in-process solve executor
-  (:mod:`.pool`);
+* **execution** — cache misses run in-process on one stateless
+  :class:`~repro.core.solver.GsoSolver` (``cluster.pool``);
 * **admission** — a per-shard bound on solves in flight; the plane sheds
   what exceeds it to the Sec. 7 single-stream fallback
   (:mod:`.admission`).
@@ -37,7 +37,7 @@ from ..core.constraints import Problem
 from ..core.engine import default_mckp_cache
 from ..core.mckp import kernel_stats
 from ..core.solution import Solution
-from ..core.solver import SolverConfig
+from ..core.solver import GsoSolver, SolverConfig
 from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
@@ -51,7 +51,6 @@ from ..placement.policies import POLICIES, get_policy
 from .admission import AdmissionController
 from .cache import SolutionCache
 from .hashring import ConsistentHashRing
-from .pool import SolvePool
 from .scheduler import TRIGGER_REHOME, TRIGGER_SYNC
 
 #: ``ServedSolution.source`` values.
@@ -179,7 +178,7 @@ class ControllerCluster:
             if self.config.cache_enabled
             else None
         )
-        self.pool = SolvePool(solver_config=self.config.solver)
+        self.pool = GsoSolver(self.config.solver)
         self._meetings: Dict[str, MeetingRecord] = {}
         self.placement_policy = get_policy(self.config.placement)
         self.load_model = ShardLoadModel(names)

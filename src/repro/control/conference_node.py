@@ -83,6 +83,19 @@ class ConferenceNodeConfig:
     stale_uplink_fallback_kbps: int = 300
 
 
+def _offered_ssrc(value: str) -> int:
+    """The SSRC heading one ``a=ssrc:`` value of an offer.
+
+    Raises:
+        ValueError: the value is empty, not an integer, or not 32-bit.
+    """
+    fields = value.split()
+    ssrc = int(fields[0]) if fields else -1
+    if not 0 <= ssrc < 2**32:
+        raise ValueError(f"a=ssrc:{value} does not name a 32-bit SSRC")
+    return ssrc
+
+
 class ConferenceNode:
     """Signaling + global-picture state for one meeting."""
 
@@ -145,7 +158,7 @@ class ConferenceNode:
         offered_ssrcs = set()
         for section in offer.video_sections():
             for value in section.attribute_values("ssrc"):
-                offered_ssrcs.add(int(value.split()[0]))
+                offered_ssrcs.add(_offered_ssrc(value))
         declared = {cap.ssrc for cap in info.resolutions}
         if declared - offered_ssrcs:
             raise ValueError(

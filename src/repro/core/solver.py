@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import names as obs_names
-from ..obs import trace as obs_trace
 from ..obs.registry import get_registry
 from ..obs.spans import span
 from .constraints import Problem
@@ -165,16 +164,6 @@ class GsoSolver:
         cfg = self.config
         stats = SolveStats()
         reg = get_registry()
-        collector = obs_trace.active_collector()
-        trace = (
-            collector.begin_solve(
-                publishers=len(problem.publishers),
-                subscribers=len(problem.subscribers),
-                granularity_kbps=cfg.granularity_kbps,
-            )
-            if collector is not None
-            else None
-        )
         if reg.enabled:
             reg.counter(obs_names.KMR_SOLVES).inc()
         start = time.perf_counter()
@@ -194,7 +183,6 @@ class GsoSolver:
         with span(obs_names.SPAN_KMR_SOLVE):
             for iteration in range(1, cap + 1):
                 stats.iterations = iteration
-                t0 = time.perf_counter()
                 step_span = obs_names.SPAN_KMR_KNAPSACK
                 if dirty is not None:
                     step_span = obs_names.SPAN_KMR_KNAPSACK_DIRTY
@@ -223,10 +211,8 @@ class GsoSolver:
                             groups=groups,
                         )
                     )
-                t1 = time.perf_counter()
                 with span(obs_names.SPAN_KMR_MERGE):
                     policies = merge_step(problem, requests, groups)
-                t2 = time.perf_counter()
                 with span(obs_names.SPAN_KMR_REDUCTION):
                     outcome = reduction_step(
                         problem,
@@ -234,45 +220,13 @@ class GsoSolver:
                         feasible,
                         granularity=cfg.granularity_kbps,
                     )
-                t3 = time.perf_counter()
-                if trace is not None:
-                    record = obs_trace.IterationRecord(
-                        iteration=iteration,
-                        knapsack_values={
-                            sub: sum(s.qoe for s in per_pub.values())
-                            for sub, per_pub in requests.items()
-                        },
-                        requests_total=sum(
-                            len(per_pub) for per_pub in requests.values()
-                        ),
-                        merged_ladders={
-                            str(pub): {
-                                res.name: entry.bitrate_kbps
-                                for res, entry in entries.items()
-                            }
-                            for pub, entries in policies.items()
-                        },
-                        deletion=(
-                            None
-                            if outcome.solved
-                            else (str(outcome.reduce[0]), outcome.reduce[1].name)
-                        ),
-                        step_seconds={
-                            "knapsack": t1 - t0,
-                            "merge": t2 - t1,
-                            "reduction": t3 - t2,
-                        },
-                    )
-                    trace.iterations.append(record)
                 if outcome.solved:
                     stats.reductions = reduced
                     stats.wall_time_s = time.perf_counter() - start
                     solution = _build_solution(
                         problem, requests, outcome.policies, iteration, reduced
                     )
-                    self._record_convergence(
-                        reg, trace, stats, reduced, obs_trace.REASON_SOLVED
-                    )
+                    self._record_convergence(reg, stats, "solved")
                     return solution, stats
                 pub, res = outcome.reduce
                 feasible[pub] = [s for s in feasible[pub] if s.resolution != res]
@@ -289,33 +243,20 @@ class GsoSolver:
                 if reg.enabled:
                     reg.counter(obs_names.KMR_REDUCTIONS).inc()
         stats.wall_time_s = time.perf_counter() - start
-        self._record_convergence(
-            reg, trace, stats, reduced, obs_trace.REASON_ITERATION_CAP
-        )
+        self._record_convergence(reg, stats, "iteration_cap")
         raise RuntimeError(
             f"KMR loop failed to converge within {cap} iterations; "
             f"reductions so far: {reduced}"
         )
 
     @staticmethod
-    def _record_convergence(
-        reg,
-        trace: Optional["obs_trace.SolveTrace"],
-        stats: SolveStats,
-        reduced: List[Tuple[ClientId, Resolution]],
-        reason: str,
-    ) -> None:
-        """Finalize the obs outputs of one solve (metrics + trace)."""
+    def _record_convergence(reg, stats: SolveStats, reason: str) -> None:
+        """Record one finished solve's iteration count, wall time and reason."""
         if reg.enabled:
             reg.counter(obs_names.KMR_ITERATIONS_TOTAL).inc(stats.iterations)
             reg.histogram(obs_names.KMR_ITERATIONS).observe(stats.iterations)
             reg.histogram(obs_names.KMR_SOLVE_SECONDS).observe(stats.wall_time_s)
             reg.counter(obs_names.KMR_CONVERGENCE, reason=reason).inc()
-        if trace is not None:
-            trace.convergence_reason = reason
-            trace.total_iterations = stats.iterations
-            trace.reductions = [(str(p), r.name) for p, r in reduced]
-            trace.wall_time_s = stats.wall_time_s
 
 
 def solve(problem: Problem, config: Optional[SolverConfig] = None) -> Solution:

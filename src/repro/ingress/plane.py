@@ -543,34 +543,35 @@ class IngressPlane:
             meeting, self._executor.in_use + self._executor.waiting
         ):
             shed_reason = SHED_ADMISSION
-        with span(obs_names.SPAN_INGRESS_DECIDE):
-            if shed_reason:
-                if shed_reason == SHED_OVERFLOW:
-                    self.stats.shed_overflow += 1
-                else:
-                    self.stats.shed_admission += 1
-                if reg.enabled:
-                    reg.counter(
-                        obs_names.INGRESS_SHED, reason=shed_reason
-                    ).inc()
-                if log is not None:
-                    log.emit(
-                        obs_events.INGRESS_SHED,
-                        t=now,
-                        meeting=meeting,
-                        cid=cid,
-                        reason=shed_reason,
-                    )
-                result = backend.shed(meeting, payload, now, trigger, cid)
+        # The span times the synchronous backend call only: a span held
+        # across an ``await`` would also time every other meeting's work.
+        if shed_reason:
+            if shed_reason == SHED_OVERFLOW:
+                self.stats.shed_overflow += 1
             else:
-                await self._executor.acquire()
-                try:
-                    await runtime.sleep(backend.service_s(meeting, payload))
+                self.stats.shed_admission += 1
+            if reg.enabled:
+                reg.counter(obs_names.INGRESS_SHED, reason=shed_reason).inc()
+            if log is not None:
+                log.emit(
+                    obs_events.INGRESS_SHED,
+                    t=now,
+                    meeting=meeting,
+                    cid=cid,
+                    reason=shed_reason,
+                )
+            with span(obs_names.SPAN_INGRESS_DECIDE):
+                result = backend.shed(meeting, payload, now, trigger, cid)
+        else:
+            await self._executor.acquire()
+            try:
+                await runtime.sleep(backend.service_s(meeting, payload))
+                with span(obs_names.SPAN_INGRESS_DECIDE):
                     result = backend.decide(
                         meeting, payload, runtime.now, trigger, cid
                     )
-                finally:
-                    self._executor.release()
+            finally:
+                self._executor.release()
         decided_at = runtime.now
         decision = Decision(
             meeting=meeting,

@@ -1,26 +1,28 @@
-"""Observability for the GSO reproduction: metrics, spans, traces, events.
+"""Observability for the GSO reproduction: metrics, events, SLOs.
 
-The package has six cooperating parts, all zero-dependency and all
-off-by-default-cheap (a disabled run records nothing and pays only no-op
-calls on instrumented paths):
+The package records a decision's inputs and outcome and re-derives the
+computation on demand.  It has three mechanisms, all zero-dependency
+and all off-by-default-cheap (a disabled run records nothing and pays
+only no-op calls on instrumented paths):
 
 * :mod:`repro.obs.registry` — counters, gauges and bounded-reservoir
-  histograms with labels; snapshot, merge, Prometheus-text and JSON
-  export.  Enable with :func:`enable` / :func:`enabled_registry`.
-* :mod:`repro.obs.spans` — ``with span("kmr.knapsack"):`` wall-clock
-  scopes with thread-local nesting, recorded into the registry.
-* :mod:`repro.obs.trace` — structured per-iteration KMR solver traces
-  (JSONL or in-memory), installed with :func:`collect_traces`.
+  histograms with labels; snapshot, Prometheus-text and JSON export.
+  Enable with :func:`enable` / :func:`enabled_registry`.
+  :mod:`repro.obs.spans` adds ``with span("kmr.knapsack"):``, a
+  wall-clock timer that observes into one of its histograms.
 * :mod:`repro.obs.events` — correlated structured event log
   (``repro.events/v1`` JSONL): correlation ids minted at cluster
   ingress reconstruct causal per-meeting timelines.  Install with
-  :func:`record_events`.
-* :mod:`repro.obs.timeseries` — bounded ring-buffer time series with
-  windowed p50/p95/p99 and rates, sampled from the registry.  Install
-  with :func:`record_timeseries`.
+  :func:`record_events`.  :mod:`repro.obs.tracing` assembles the log
+  into per-decision trace trees.
 * :mod:`repro.obs.slo` — declarative paper-pinned SLOs (Fig. 12 solve
   latency, KMR iteration bound, fallback rate, Sec. 7 interruption
   duration) with burn-rate style verdicts.
+
+What the solver did inside one decision is not recorded: the solver is
+deterministic, so ``repro trace show --cid`` and ``repro obs solve``
+replay :func:`repro.core.explain.explain_solve` on the decision's
+``Problem``.
 
 Canonical metric/span names live in :mod:`repro.obs.names` and are
 documented for operators in ``docs/OBSERVABILITY.md``.  The CLI surface
@@ -42,8 +44,6 @@ from .events import (
     Event,
     EventLog,
     active_event_log,
-    correlation_scope,
-    current_correlation,
     record_events,
     set_event_log,
 )
@@ -76,30 +76,7 @@ from .slo import (
     SloVerdict,
     default_slos,
 )
-from .spans import (
-    SpanRecord,
-    current_span,
-    format_span_tree,
-    last_root_span,
-    reset_spans,
-    span,
-)
-from .timeseries import (
-    Series,
-    TimeSeriesStore,
-    WindowStats,
-    active_store,
-    record_timeseries,
-    set_store,
-)
-from .trace import (
-    IterationRecord,
-    SolveTrace,
-    TraceCollector,
-    active_collector,
-    collect_traces,
-    set_collector,
-)
+from .spans import span
 
 __all__ = [
     "names",
@@ -113,31 +90,12 @@ __all__ = [
     "enabled_registry",
     "get_registry",
     "set_registry",
-    "SpanRecord",
-    "current_span",
-    "format_span_tree",
-    "last_root_span",
-    "reset_spans",
     "span",
-    "IterationRecord",
-    "SolveTrace",
-    "TraceCollector",
-    "active_collector",
-    "collect_traces",
-    "set_collector",
     "Event",
     "EventLog",
     "active_event_log",
-    "correlation_scope",
-    "current_correlation",
     "record_events",
     "set_event_log",
-    "Series",
-    "TimeSeriesStore",
-    "WindowStats",
-    "active_store",
-    "record_timeseries",
-    "set_store",
     "Slo",
     "SloContext",
     "SloEngine",

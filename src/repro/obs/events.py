@@ -1,10 +1,9 @@
 """Structured event log: the causal record of "what happened to whom".
 
-While the metrics registry answers "how fast / how often" and the KMR
-trace answers "what did the solver decide", the event log answers *"why
-did subscriber S drop to 360p at t=12.4s"*: every configuration change is
-recorded as a small structured event carrying a **correlation id** minted
-at ingress (the SEMB/global-picture report entering its meeting's
+While the metrics registry answers "how fast / how often", the event
+log answers *"why did subscriber S drop to 360p at t=12.4s"*: every
+configuration change is recorded as a small structured event carrying
+a **correlation id** minted at ingress (the SEMB/global-picture report entering its meeting's
 mailbox) and propagated through the decision window, the solve service,
 the solution cache and the TMMBR/feedback delivery — so one chain of events reconstructs into a
 causal per-meeting timeline (``repro obs timeline <meeting>``).
@@ -343,32 +342,3 @@ def record_events(
         yield _LOG
     finally:
         _LOG = previous
-
-
-# --------------------------------------------------------------------- #
-# Correlation context (for call sites not threaded with explicit cids)
-# --------------------------------------------------------------------- #
-
-
-class _CidState(threading.local):
-    def __init__(self) -> None:
-        self.cid = ""
-
-
-_CID = _CidState()
-
-
-def current_correlation() -> str:
-    """The correlation id of the innermost open scope ("" when none)."""
-    return _CID.cid
-
-
-@contextmanager
-def correlation_scope(cid: str) -> Iterator[str]:
-    """Bind a correlation id to this thread for the scope's duration."""
-    previous = _CID.cid
-    _CID.cid = cid
-    try:
-        yield cid
-    finally:
-        _CID.cid = previous

@@ -189,12 +189,9 @@ PLACEMENT_DECISIONS = "repro_placement_decisions_total"
 #: Gauge, label ``shard`` — deterministic assigned solve-cost per shard
 #: (the load model's packing view; see docs/PLACEMENT.md).
 PLACEMENT_SHARD_COST = "repro_placement_shard_cost"
-#: Counter, label ``reason`` in {"hot_shard", "scale_in", "shard_killed",
+#: Counter, label ``reason`` in {"hot_shard", "shard_killed",
 #: "shard_added", "manual"} — meetings live-migrated between shards.
 PLACEMENT_MIGRATIONS = "repro_placement_migrations_total"
-#: Counter, label ``action`` in {"add", "remove"} — autoscaler decisions
-#: executed (shards added on SLO burn / retired on sustained idle).
-AUTOSCALE_ACTIONS = "repro_autoscale_actions_total"
 
 #: Placement span names.
 SPAN_PLACEMENT_REBALANCE = "placement.rebalance"
@@ -251,7 +248,7 @@ SPAN_INGRESS_RUN = "ingress.run"
 SPAN_INGRESS_DECIDE = "ingress.decide"
 
 # --------------------------------------------------------------------- #
-# Telemetry pipeline (repro.obs.events / timeseries / slo)
+# Telemetry pipeline (repro.obs.events / slo)
 # --------------------------------------------------------------------- #
 
 #: Counter, label ``kind`` — structured events appended to the active
@@ -259,10 +256,6 @@ SPAN_INGRESS_DECIDE = "ingress.decide"
 EVENTS_EMITTED = "repro_events_emitted_total"
 #: Counter — events evicted from the bounded event-log ring on overflow.
 EVENTS_DROPPED = "repro_events_dropped_total"
-#: Counter — samples recorded into the active time-series store.
-TIMESERIES_POINTS = "repro_timeseries_points_total"
-#: Gauge — distinct series currently held by the time-series store.
-TIMESERIES_SERIES = "repro_timeseries_series"
 #: Counter, label ``slo`` — SLO objective evaluations performed.
 SLO_EVALUATIONS = "repro_slo_evaluations_total"
 #: Counter, label ``slo`` — SLO evaluations whose full-window verdict
@@ -344,7 +337,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     PLACEMENT_DECISIONS: ("counter", ("policy",)),
     PLACEMENT_SHARD_COST: ("gauge", ("shard",)),
     PLACEMENT_MIGRATIONS: ("counter", ("reason",)),
-    AUTOSCALE_ACTIONS: ("counter", ("action",)),
     CHAOS_FAULTS: ("counter", ("kind",)),
     CHAOS_CHECKS: ("counter", ("invariant",)),
     CHAOS_VIOLATIONS: ("counter", ("invariant",)),
@@ -359,8 +351,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     INGRESS_DECISION_SECONDS: ("histogram", ()),
     EVENTS_EMITTED: ("counter", ("kind",)),
     EVENTS_DROPPED: ("counter", ()),
-    TIMESERIES_POINTS: ("counter", ()),
-    TIMESERIES_SERIES: ("gauge", ()),
     SLO_EVALUATIONS: ("counter", ("slo",)),
     SLO_BREACHES: ("counter", ("slo",)),
     TRACE_TREES_ASSEMBLED: ("counter", ()),

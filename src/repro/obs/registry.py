@@ -263,7 +263,7 @@ class MetricsRegistry:
         return inst
 
     # ------------------------------------------------------------------ #
-    # Snapshot / merge / export
+    # Snapshot / export
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -306,36 +306,6 @@ class MetricsRegistry:
             names |= {key[0] for key in self._gauges}
             names |= {key[0] for key in self._histograms}
         return sorted(names)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one.
-
-        Counters and histogram count/sum add; gauges take the other's
-        value (last-write-wins); histogram reservoirs concatenate and are
-        re-bounded.  Used to aggregate per-worker or per-run registries
-        into one operator view.
-        """
-        snap_lock = other._lock
-        with snap_lock:
-            counters = list(other._counters.values())
-            gauges = list(other._gauges.values())
-            histograms = list(other._histograms.values())
-        for c in counters:
-            self.counter(c.key[0], **dict(c.key[1])).inc(c.value)
-        for g in gauges:
-            self.gauge(g.key[0], **dict(g.key[1])).set(g.value)
-        for h in histograms:
-            mine = self.histogram(h.key[0], **dict(h.key[1]))
-            mine.count += h.count
-            mine.sum += h.sum
-            if h.count:
-                mine.min = min(mine.min, h.min)
-                mine.max = max(mine.max, h.max)
-            merged = list(mine._reservoir) + list(h._reservoir)
-            while len(merged) > mine._capacity:
-                merged = merged[::2]
-                mine._stride *= 2
-            mine._reservoir = merged
 
     def reset(self) -> None:
         """Drop every instrument (tests and between-run isolation)."""

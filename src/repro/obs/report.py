@@ -1,7 +1,7 @@
 """Timeline reconstruction and run-report rendering.
 
 Turns the raw telemetry of one run — the event log, the SLO verdicts,
-the time-series store, the registry — into the operator-facing views
+the registry — into the operator-facing views
 behind ``repro obs report`` and ``repro obs timeline <meeting>``:
 
 * :func:`meeting_timeline` / :func:`format_timeline` reconstruct the

@@ -1,14 +1,12 @@
-"""Fleet placement: load-aware meeting packing, live migration, and
-SLO-driven shard autoscaling (the *Tetris* layer above ``cluster/``).
+"""Fleet placement: load-aware meeting packing and live migration (the
+*Tetris* layer above ``cluster/``).
 
 See ``docs/PLACEMENT.md`` for the full design.
 """
 
 from .loadmodel import (
     DEFAULT_MEETING_COST,
-    LoadSignals,
     ShardLoadModel,
-    load_signals,
     meeting_cost,
 )
 from .policies import (
@@ -23,13 +21,10 @@ from .policies import (
     get_policy,
 )
 from .migration import HotShardDetector, RebalanceResult
-from .autoscaler import AutoscaleAction, AutoscalerConfig, ShardAutoscaler
 
 __all__ = [
     "DEFAULT_MEETING_COST",
-    "LoadSignals",
     "ShardLoadModel",
-    "load_signals",
     "meeting_cost",
     "POLICIES",
     "POLICY_BEST_FIT",
@@ -42,7 +37,4 @@ __all__ = [
     "get_policy",
     "HotShardDetector",
     "RebalanceResult",
-    "AutoscaleAction",
-    "AutoscalerConfig",
-    "ShardAutoscaler",
 ]

@@ -9,11 +9,7 @@ This module supplies that cost and the book-keeping around it:
   KMR solve, derived only from the problem's structure (never from
   wall-clock measurements, so seeded placement runs stay byte-identical);
 * :class:`ShardLoadModel` — per-shard assigned-cost totals maintained by
-  the cluster as meetings register, resubmit, migrate and leave;
-* :func:`load_signals` — the observability view: the deterministic cost
-  joined with live queue depths and the solve-latency p95 from the obs
-  time-series store.  Signals feed dashboards and operators; placement
-  decisions use the deterministic cost only.
+  the cluster as meetings register, resubmit, migrate and leave.
 
 Cost model: one KMR iteration runs one MCKP per subscriber over its
 followed publishers, so per-iteration work scales with the subscription
@@ -27,14 +23,9 @@ and predicts no latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.constraints import Problem
-
-if TYPE_CHECKING:  # placement -> cluster is typing-only (no runtime cycle)
-    from ..cluster.cluster import ControllerCluster
-    from ..obs.timeseries import TimeSeriesStore
 
 #: Cost assumed for a meeting registered before its first problem arrives
 #: (a minimal two-party call: 2 subscriptions + 2 publishers).
@@ -148,64 +139,3 @@ class ShardLoadModel:
             "meetings": len(self._meetings),
             "total_cost": round(sum(self._loads.values()), 3),
         }
-
-
-@dataclass(frozen=True)
-class LoadSignals:
-    """One shard's combined load view: the deterministic cost the placer
-    uses plus the live/observed signals operators watch."""
-
-    shard: str
-    #: Deterministic assigned cost (drives placement and hot detection).
-    assigned_cost: float
-    #: Meetings currently homed on the shard.
-    meetings: int
-    #: p95 of the sampled solve-latency series from the obs time-series
-    #: store, in seconds (None without a store / samples) — wall-clock,
-    #: so advisory only.
-    solve_p95_s: Optional[float]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "shard": self.shard,
-            "assigned_cost": round(self.assigned_cost, 3),
-            "meetings": self.meetings,
-            "solve_p95_s": (
-                None if self.solve_p95_s is None
-                else round(self.solve_p95_s, 6)
-            ),
-        }
-
-
-def load_signals(
-    cluster: "ControllerCluster",
-    store: Optional["TimeSeriesStore"] = None,
-) -> List[LoadSignals]:
-    """Join the deterministic load model with the time-series
-    solve-latency p95, one row per live shard."""
-    from ..obs import names as obs_names
-    from ..obs.registry import get_registry
-
-    p95: Optional[float] = None
-    if store is not None:
-        stats = store.window(obs_names.CLUSTER_SOLVE_SECONDS)
-        if stats.count:
-            p95 = stats.p95
-    if p95 is None:
-        reg = get_registry()
-        if reg.enabled:
-            hist = reg.histogram(obs_names.CLUSTER_SOLVE_SECONDS)
-            if hist.count:
-                p95 = hist.percentile(95)
-    rows: List[LoadSignals] = []
-    for shard in cluster.live_shards:
-        meetings = cluster.load_model.meetings_on(shard)
-        rows.append(
-            LoadSignals(
-                shard=shard,
-                assigned_cost=cluster.load_model.load(shard),
-                meetings=len(meetings),
-                solve_p95_s=p95,
-            )
-        )
-    return rows

@@ -2,8 +2,7 @@
 
 import threading
 
-from repro.cluster.pool import SolvePool
-from repro.core.solver import SolverConfig
+from repro.core.solver import GsoSolver, SolverConfig
 from repro.obs import names
 from repro.obs.registry import enabled_registry
 from tests.cluster.conftest import mesh_problem
@@ -30,10 +29,10 @@ class TestRegistryStress:
 
         def worker():
             try:
-                pool = SolvePool(SolverConfig(granularity_kbps=50))
+                solver = GsoSolver(SolverConfig(granularity_kbps=50))
                 for _ in range(self.BATCHES):
                     for problem in problems:
-                        pool.solve(problem)
+                        solver.solve(problem)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 

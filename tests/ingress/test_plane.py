@@ -8,6 +8,7 @@ out-of-order / duplicate SEMB timestamps.
 """
 
 import dataclasses
+import time
 
 import pytest
 
@@ -32,7 +33,9 @@ from repro.ingress.plane import (
     SHED_OVERFLOW,
 )
 from repro.obs import events as obs_events
+from repro.obs import names as obs_names
 from repro.obs.events import EventLog
+from repro.obs.registry import enabled_registry
 
 
 class FakeBackend(IngressBackend):
@@ -191,6 +194,37 @@ class TestShedding:
         assert len(sheds) == 1
         assert sheds[0].attrs["reason"] == SHED_ADMISSION
         assert SHED_OVERFLOW != SHED_ADMISSION
+
+
+class TestDecideSpan:
+    def test_span_times_the_backend_call_not_other_meetings_work(self):
+        """``ingress.decide`` covers the synchronous backend call only.
+        Held across the executor wait, each waiter's span would also
+        enclose every predecessor's call."""
+
+        class TimedBackend(FakeBackend):
+            inside_s = 0.0
+
+            def decide(self, meeting, payload, now_s, trigger, cid):
+                start = time.perf_counter()
+                while time.perf_counter() - start < 0.002:
+                    pass
+                result = super().decide(meeting, payload, now_s, trigger, cid)
+                self.inside_s += time.perf_counter() - start
+                return result
+
+        meetings = 12
+        plane, backend = _plane(TimedBackend(), solve_slots=2)
+        stream = [_semb(0.0, meeting=f"m{k}") for k in range(meetings)]
+        with enabled_registry() as reg:
+            # Every window closes at the same virtual instant (0.5 s).
+            plane.run_stream(stream, duration_s=1.0)
+            hist = reg.histogram(
+                obs_names.SPAN_SECONDS, span=obs_names.SPAN_INGRESS_DECIDE
+            )
+        assert len(plane.decisions) == meetings
+        assert hist.count == meetings
+        assert hist.sum <= 2 * backend.inside_s
 
 
 class TestCorrelationIds:

@@ -6,8 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import names
+from repro.obs.events import active_event_log
 from repro.obs.registry import get_registry
-from repro.obs.trace import active_collector
 
 
 class TestParser:
@@ -19,7 +19,12 @@ class TestParser:
         args = build_parser().parse_args(["obs", "solve", "A:1:2", "B:3:4"])
         assert args.format == "prom"
         assert args.metrics_out is None
-        assert args.trace_out is None
+
+    def test_trace_out_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["obs", "solve", "A:1:2", "B:3:4", "--trace-out", "t.jsonl"]
+            )
 
     def test_obs_solve_format_choices(self):
         with pytest.raises(SystemExit):
@@ -28,22 +33,49 @@ class TestParser:
             )
 
 
+SOLVE_ARGS = ["A:500:3000", "B:5000:3000", "C:5000:3000"]
+
+
+def _solution_block(out):
+    """The last ``Solution after N iteration(s)`` block of ``out``."""
+    lines = out[out.rindex("Solution after"):].splitlines()
+    end = next(
+        i for i, line in enumerate(lines) if line.startswith("  total QoE")
+    )
+    return lines[: end + 1]
+
+
 class TestObsSolve:
     def test_prints_all_sections(self, capsys):
-        rc = main(["obs", "solve", "A:500:3000", "B:5000:3000", "C:5000:3000"])
+        rc = main(["obs", "solve"] + SOLVE_ARGS)
         assert rc == 0
         out = capsys.readouterr().out
         assert "publishes" in out
-        assert "span timings" in out
-        assert "kmr.solve" in out
-        assert "kmr trace" in out
-        assert '"record": "solve"' in out
+        assert "(engine:" in out
+        # The KMR iterations are replayed as a narration, not recorded.
+        assert "iteration 1" in out
+        assert "step 3 (reduction)" in out
+        assert "solution found" in out
+        assert "repro.kmr_trace" not in out
+        # Per-step wall time stays in the snapshot's span rows.
+        assert 'repro_span_seconds_count{span="kmr.solve"} 1' in out
         assert "repro_kmr_solves_total 1" in out
+
+    def test_narration_ends_in_the_solution_repro_solve_prints(self, capsys):
+        assert main(["solve"] + SOLVE_ARGS) == 0
+        plain = capsys.readouterr().out
+        assert main(["obs", "solve"] + SOLVE_ARGS) == 0
+        narrated = capsys.readouterr().out
+        narration = narrated[narrated.index("kmr narration"):]
+        assert "Solution after 2 iteration(s)" in narration
+        assert _solution_block(narration) == _solution_block(plain)
+        # The replay runs outside the registry: one solve was counted.
+        assert "repro_kmr_solves_total 1" in narrated
 
     def test_instrumentation_restored_afterwards(self, capsys):
         main(["obs", "solve", "A:500:3000", "B:5000:3000"])
         assert not get_registry().enabled
-        assert active_collector() is None
+        assert active_event_log() is None
 
     def test_json_format(self, capsys):
         rc = main(
@@ -55,18 +87,11 @@ class TestObsSolve:
 
     def test_writes_artifacts(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.prom"
-        trace = tmp_path / "trace.jsonl"
         rc = main(
-            [
-                "obs", "solve", "A:500:3000", "B:5000:3000", "C:5000:3000",
-                "--metrics-out", str(metrics), "--trace-out", str(trace),
-            ]
+            ["obs", "solve"] + SOLVE_ARGS + ["--metrics-out", str(metrics)]
         )
         assert rc == 0
         assert names.KMR_SOLVES in metrics.read_text()
-        rows = [json.loads(l) for l in trace.read_text().splitlines()]
-        assert rows[0]["record"] == "solve"
-        assert rows[-1]["record"] == "result"
 
     def test_rejects_single_client(self, capsys):
         assert main(["obs", "solve", "A:500:3000"]) == 2
@@ -95,7 +120,6 @@ class TestObsExample:
         rc = main(["obs", "example", str(script)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "kmr trace" in out
         assert "repro_kmr_solves_total 1" in out
         assert not get_registry().enabled
 
@@ -122,7 +146,6 @@ class TestObsReport:
         assert "slo verdicts:" in out
         assert "kmr_iteration_bound" in out
         assert "events: emitted=" in out
-        assert "timeseries:" in out
 
     def test_json_report_payload(self, capsys):
         rc = main(["obs", "report", "--json", "--seed", "1"] + CHAOS_ARGS)
@@ -132,7 +155,6 @@ class TestObsReport:
         assert payload["slo_ok"] is True
         assert payload["events"]["emitted"] > 0
         assert payload["chaos"]["ok"] is True
-        assert payload["timeseries"]["points_recorded"] > 0
 
     def test_events_out_writes_jsonl(self, tmp_path, capsys):
         target = tmp_path / "events.jsonl"

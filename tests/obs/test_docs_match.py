@@ -93,7 +93,6 @@ class TestEmittedNamesAreCanonical:
             Resolution,
             paper_ladder,
         )
-        from repro.obs import collect_traces
 
         b = ProblemBuilder()
         ladder = paper_ladder()
@@ -101,7 +100,7 @@ class TestEmittedNamesAreCanonical:
         b.add_client("B", Bandwidth(5000, 3000), ladder)
         b.subscribe("A", "B", Resolution.P360)
         b.subscribe("B", "A", Resolution.P720)
-        with enabled_registry() as reg, collect_traces():
+        with enabled_registry() as reg:
             GsoSolver().solve(b.build())
         emitted = set(reg.metric_names())
         assert emitted  # the run actually recorded something
@@ -142,8 +141,6 @@ class TestTelemetryNamesCovered:
     TELEMETRY_METRICS = (
         names.EVENTS_EMITTED,
         names.EVENTS_DROPPED,
-        names.TIMESERIES_POINTS,
-        names.TIMESERIES_SERIES,
         names.SLO_EVALUATIONS,
         names.SLO_BREACHES,
     )
@@ -152,8 +149,7 @@ class TestTelemetryNamesCovered:
         registered = {
             m
             for m in names.ALL_METRICS
-            if m.startswith(("repro_events_", "repro_timeseries_",
-                             "repro_slo_"))
+            if m.startswith(("repro_events_", "repro_slo_"))
         }
         assert registered == set(self.TELEMETRY_METRICS)
 
@@ -185,11 +181,8 @@ class TestTelemetryNamesCovered:
     def test_telemetry_run_emits_only_canonical_names(self):
         from repro.chaos import ChaosConfig, run_scenario
         from repro.obs.events import record_events
-        from repro.obs.timeseries import TimeSeriesStore, record_timeseries
 
-        store = TimeSeriesStore()
-        with enabled_registry() as reg, record_events(), \
-                record_timeseries(store):
+        with enabled_registry() as reg, record_events():
             run_scenario(
                 "bandwidth_collapse",
                 seed=1,

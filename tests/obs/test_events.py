@@ -16,8 +16,6 @@ from repro.obs.events import (
     Event,
     EventLog,
     active_event_log,
-    correlation_scope,
-    current_correlation,
     record_events,
     set_event_log,
 )
@@ -168,19 +166,6 @@ class TestSlot:
     def test_default_capacity(self):
         with record_events() as log:
             assert log.capacity == DEFAULT_CAPACITY
-
-
-class TestCorrelationScope:
-    def test_empty_by_default(self):
-        assert current_correlation() == ""
-
-    def test_scope_binds_and_restores(self):
-        with correlation_scope("m#1"):
-            assert current_correlation() == "m#1"
-            with correlation_scope("m#2"):
-                assert current_correlation() == "m#2"
-            assert current_correlation() == "m#1"
-        assert current_correlation() == ""
 
 
 class TestVocabulary:

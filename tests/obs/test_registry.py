@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: instruments, snapshot, merge, export."""
+"""Tests for the metrics registry: instruments, snapshot, export."""
 
 import json
 import math
@@ -178,32 +178,6 @@ class TestSnapshotAndExport:
         reg = self._populated()
         reg.reset()
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-class TestMerge:
-    def test_merge_adds_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("repro_c_total").inc(2)
-        b.counter("repro_c_total").inc(5)
-        a.histogram("repro_h").observe(1.0)
-        b.histogram("repro_h").observe(3.0)
-        b.gauge("repro_g").set(9)
-        a.merge(b)
-        assert a.counter("repro_c_total").value == 7
-        h = a.histogram("repro_h")
-        assert h.count == 2 and h.sum == 4.0
-        assert h.min == 1.0 and h.max == 3.0
-        assert a.gauge("repro_g").value == 9
-
-    def test_merge_rebounds_reservoir(self):
-        a = MetricsRegistry(reservoir_size=4)
-        b = MetricsRegistry(reservoir_size=4)
-        for v in range(10):
-            a.histogram("repro_h").observe(float(v))
-            b.histogram("repro_h").observe(float(v + 100))
-        a.merge(b)
-        assert len(a.histogram("repro_h").reservoir) <= 4
-        assert a.histogram("repro_h").count == 20
 
 
 class TestNullRegistryAndGlobalState:

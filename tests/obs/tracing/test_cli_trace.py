@@ -1,6 +1,7 @@
 """Tests for the ``repro trace`` CLI subcommands."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -28,6 +29,7 @@ class TestParser:
         assert args.limit == 10
         assert args.meeting is None
         assert args.events is None
+        assert args.cid is None
 
 
 class TestRecord:
@@ -78,6 +80,64 @@ class TestShow:
             ["trace", "show", "--events", str(tmp_path / "missing.jsonl")]
         )
         assert rc == 2
+
+
+class TestShowDecision:
+    """``trace show --cid``: one decision, its KMR iterations replayed."""
+
+    RUN = ["--scenario", "bandwidth_collapse", "--seed", "1"]
+
+    @pytest.fixture(scope="class")
+    def decisions(self):
+        from repro.chaos.runner import ChaosConfig, ChaosRunner
+        from repro.chaos.scenarios import get_scenario
+
+        config = ChaosConfig(seed=1)
+        schedule = get_scenario("bandwidth_collapse").build(1, config)
+        runner = ChaosRunner(config, schedule, scenario="bandwidth_collapse")
+        runner.run()
+        return runner.plane.decisions
+
+    def test_prints_one_waterfall_and_the_replayed_reductions(
+        self, decisions, capsys
+    ):
+        decision = next(d for d in decisions if d.solution.reduced)
+        rc = main(["trace", "show", "--cid", decision.cid] + self.RUN)
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.count("trace waterfall") == 1
+        assert f"{decision.cid} (complete)" in out
+        assert f"source: {decision.source}" in out
+        assert decision.digest in out
+        narration = out[out.index("kmr narration"):]
+        removed = re.findall(
+            r"removing (\S+) from (\S+)'s feasible set", narration
+        )
+        assert removed == [
+            (str(res), pub) for pub, res in decision.solution.reduced
+        ]
+        assert f"Solution after {decision.solution.iterations} iter" in narration
+
+    def test_unknown_cid_exits_2(self, capsys):
+        rc = main(["trace", "show", "--cid", "chaos-0#9999"] + self.RUN)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "chaos-0#9999" in captured.err
+
+    def test_cid_with_an_events_file_exits_2(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        main(["trace", "record", "--out", str(events)] + SMALL)
+        capsys.readouterr()
+        rc = main(
+            ["trace", "show", "--cid", "chaos-0#1", "--events", str(events)]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--events" in captured.err
 
 
 class TestExport:

@@ -6,7 +6,6 @@ from repro.core.types import Resolution
 from repro.placement.loadmodel import (
     DEFAULT_MEETING_COST,
     ShardLoadModel,
-    load_signals,
     meeting_cost,
 )
 
@@ -112,23 +111,3 @@ class TestShardLoadModel:
             "total_cost": 9.0,
         }
         assert list(snap["loads"]) == ["s0", "s1"]  # sorted
-
-
-class TestLoadSignals:
-    def test_joins_cost_and_meetings(self):
-        from repro.cluster import ClusterConfig, ControllerCluster
-
-        with ControllerCluster(ClusterConfig(shards=2)) as cluster:
-            cluster.register("m0", mesh(3))
-            rows = load_signals(cluster)
-            assert [r.shard for r in rows] == sorted(cluster.live_shards)
-            assert sum(r.assigned_cost for r in rows) == 9.0
-            assert sum(r.meetings for r in rows) == 1
-            assert all(r.solve_p95_s is None for r in rows)  # no samples
-            as_dict = rows[0].to_dict()
-            assert set(as_dict) == {
-                "shard",
-                "assigned_cost",
-                "meetings",
-                "solve_p95_s",
-            }

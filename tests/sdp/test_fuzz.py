@@ -15,6 +15,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.control.conference_node import ConferenceNode
 from repro.core.types import Resolution
 from repro.sdp.sdp import SessionDescription
 from repro.sdp.simulcast_info import (
@@ -201,8 +202,42 @@ def test_session_description_is_parsed_or_refused(raw, replacements, keep, tail)
             pass
 
 
+def offer_with_ssrc_line(line):
+    """One pinned case: ``line`` inserted into the valid video section."""
+    lines = OFFER_TEXT.split("\r\n")
+    lines.insert(next(i for i, l in enumerate(lines) if l.startswith("a=ssrc:")), line)
+    return dict(raw="\r\n".join(lines), replacements=[], keep=None, tail="")
+
+
+@given(
+    raw=st.text(max_size=80),
+    replacements=st.lists(
+        st.tuples(st.integers(0, 31), st.integers(0, 7), st.sampled_from(TOKENS)),
+        max_size=3,
+    ),
+    keep=st.one_of(st.none(), st.integers(0, 400)),
+    tail=st.text(max_size=20),
+)
+@settings(max_examples=1500, deadline=None)
+# An a=ssrc: value with nothing in it leaked IndexError from the join.
+@example(**offer_with_ssrc_line("a=ssrc:"))
+@example(**offer_with_ssrc_line("a=ssrc:   "))
+@example(**offer_with_ssrc_line("a=ssrc:-1 label:x"))
+@example(**offer_with_ssrc_line(f"a=ssrc:{2**32} label:x"))
+def test_a_join_with_a_damaged_offer_is_admitted_or_refused(
+    raw, replacements, keep, tail
+):
+    for text in (raw, damaged_offer(replacements, keep, tail)):
+        try:
+            ConferenceNode().join_with_offer(text, INFO.to_json(), "n0")
+        except ValueError:
+            pass
+
+
 def test_the_undamaged_documents_are_accepted():
     # The fuzz above would pass vacuously if its base documents were refused.
     assert SimulcastInfo.from_json(damaged_info([], [], None, 0)) == INFO
     offer = SessionDescription.parse(damaged_offer([], None, ""))
     assert len(offer.video_sections()) == 1
+    state, _ = ConferenceNode().join_with_offer(OFFER_TEXT, INFO.to_json(), "n0")
+    assert state.client == INFO.client

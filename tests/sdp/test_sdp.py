@@ -238,3 +238,18 @@ class TestWireFormatJoin:
             node.join_with_offer("garbage", info_json, "n0")
         with pytest.raises(ValueError):
             node.join_with_offer(offer.serialize(), "{broken", "n0")
+
+    @pytest.mark.parametrize(
+        "value", ["", "   ", "abc x", "1.5 x", "-1 label:x", f"{2**32} label:x"]
+    )
+    def test_join_rejects_an_ssrc_line_without_a_32_bit_ssrc(self, value):
+        node = self.make_node()
+        offer, info_json = build_offer(sample_info(), session_id=3)
+        lines = offer.serialize().split("\r\n")
+        lines.insert(
+            next(i for i, l in enumerate(lines) if l.startswith("a=ssrc:")),
+            f"a=ssrc:{value}",
+        )
+        with pytest.raises(ValueError):
+            node.join_with_offer("\r\n".join(lines), info_json, "n0")
+        assert "alice" not in node.participants()
