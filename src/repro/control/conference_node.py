@@ -102,7 +102,8 @@ class ConferenceNode:
     def __init__(self, config: Optional[ConferenceNodeConfig] = None) -> None:
         self.config = config or ConferenceNodeConfig()
         self._participants: Dict[ClientId, ParticipantState] = {}
-        self._subscriptions: List[Subscription] = []
+        #: (subscriber, publisher) -> edge, in first-subscription order.
+        self._subscriptions: Dict[Tuple[ClientId, ClientId], Subscription] = {}
         self._aliases: Dict[ClientId, ClientId] = {}
         self._owners: Dict[ClientId, ClientId] = {}
         self._damper = UpgradeDamper(upgrade_margin=self.config.upgrade_margin)
@@ -191,12 +192,12 @@ class ConferenceNode:
     def leave(self, client: ClientId) -> None:
         """Remove a participant and all references to it."""
         self._participants.pop(client, None)
-        self._subscriptions = [
-            e
-            for e in self._subscriptions
+        self._subscriptions = {
+            pair: e
+            for pair, e in self._subscriptions.items()
             if e.subscriber != client
             and self.canonical(e.publisher) != client
-        ]
+        }
         for alias in [a for a, t in self._aliases.items() if t == client]:
             del self._aliases[alias]
         self._damper.reset(client)
@@ -212,15 +213,23 @@ class ConferenceNode:
         publisher: ClientId,
         max_resolution: Resolution = Resolution.P720,
     ) -> None:
-        """Record a subscription intent from signaling."""
+        """Record a subscription intent from signaling.
+
+        Subscribing a pair again (a layout change: thumbnail <-> speaker
+        tile, ``R_ii'`` changing) replaces its edge.
+
+        Raises:
+            ValueError: on an unknown client, a self-subscription, or a
+                ``max_resolution`` that is not a :class:`Resolution` rung.
+        """
         if subscriber not in self._participants:
             raise ValueError(f"unknown subscriber {subscriber!r}")
         if self.canonical(publisher) not in self._participants:
             raise ValueError(f"unknown publisher {publisher!r}")
-        self._subscriptions.append(
-            Subscription(subscriber, publisher, max_resolution)
-        )
-        self.version += 1
+        edge = Subscription(subscriber, publisher, max_resolution)
+        if self._subscriptions.get((subscriber, publisher)) != edge:
+            self._subscriptions[subscriber, publisher] = edge
+            self.version += 1
 
     def subscribe_dual(
         self,
@@ -260,13 +269,7 @@ class ConferenceNode:
 
     def unsubscribe(self, subscriber: ClientId, publisher: ClientId) -> None:
         """Remove one subscription edge (no-op if absent)."""
-        before = len(self._subscriptions)
-        self._subscriptions = [
-            e
-            for e in self._subscriptions
-            if not (e.subscriber == subscriber and e.publisher == publisher)
-        ]
-        if len(self._subscriptions) != before:
+        if self._subscriptions.pop((subscriber, publisher), None) is not None:
             self.version += 1
 
     # ------------------------------------------------------------------ #
@@ -381,7 +384,7 @@ class ConferenceNode:
         return Problem(
             feasible_streams=weighted,
             bandwidth=bandwidth,
-            subscriptions=list(self._subscriptions),
+            subscriptions=list(self._subscriptions.values()),
             aliases=dict(self._aliases),
             owners=dict(self._owners),
         )

@@ -32,8 +32,22 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+import sys
+import weakref
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    final,
+)
 
 from .types import (
     ClientId,
@@ -44,33 +58,114 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
-class Bandwidth:
+class _SharedValue:
+    """An immutable value object that may be shared between its holders.
+
+    What ``@dataclass(frozen=True)`` gave, hand-written because a
+    generated ``__init__`` would run again on the instance ``__new__``
+    found in the table: by-value equality and hash, the dataclass
+    ``repr``, :class:`~dataclasses.FrozenInstanceError` on attribute set
+    and delete.  Subclasses list their fields in ``__slots__``, build
+    ``_values`` over them and look themselves up in ``__new__``;
+    ``__reduce__`` goes back through the constructor, so an unpickled or
+    copied value is the shared one again.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    #: ``operator.attrgetter`` over the fields, in declaration order.
+    _values: Callable[["_SharedValue"], tuple]
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self is other or self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._values(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+#: The live values, by field tuple.  An entry goes when its last holder
+#: goes; nothing is kept alive, so nothing needs a capacity.
+_BANDWIDTHS: "weakref.WeakValueDictionary[tuple, Bandwidth]" = weakref.WeakValueDictionary()
+_SUBSCRIPTIONS: "weakref.WeakValueDictionary[tuple, Subscription]" = weakref.WeakValueDictionary()
+
+
+@final
+class Bandwidth(_SharedValue):
     """Uplink/downlink bandwidth constraints of one client, in kbps.
 
     ``audio_protection_kbps`` is subtracted from both directions before the
     solver sees them — the Sec. 7 lesson: *"when we obtain a bandwidth
     measurement, we subtract a 'protection' bandwidth from it to further
     avoid video streams eating the audio stream's bandwidth."*
+
+    Immutable and shared by value: constructing a value that is alive
+    anywhere in the process returns that same object, so a meeting
+    rebuilt after one report allocates the one ``Bandwidth`` that
+    changed.  Only all-``int`` values are shared (``1000 == 1000.0 ==
+    True`` must not alias); anything else is validated and built
+    unshared, with the field values the caller gave.
     """
+
+    __slots__ = ("uplink_kbps", "downlink_kbps", "audio_protection_kbps")
+    _values = attrgetter(*__slots__)
 
     uplink_kbps: int
     downlink_kbps: int
-    audio_protection_kbps: int = 0
+    audio_protection_kbps: int
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        uplink_kbps: int,
+        downlink_kbps: int,
+        audio_protection_kbps: int = 0,
+    ) -> "Bandwidth":
+        key = (uplink_kbps, downlink_kbps, audio_protection_kbps)
+        shareable = (
+            type(uplink_kbps) is int
+            and type(downlink_kbps) is int
+            and type(audio_protection_kbps) is int
+        )
+        if shareable:
+            shared = _BANDWIDTHS.get(key)
+            if shared is not None:
+                return shared
         # NaN fails every comparison below, and an infinite budget has no
         # integer capacity grid: reject both where reports enter.
         if not (
-            math.isfinite(self.uplink_kbps)
-            and math.isfinite(self.downlink_kbps)
-            and math.isfinite(self.audio_protection_kbps)
+            math.isfinite(uplink_kbps)
+            and math.isfinite(downlink_kbps)
+            and math.isfinite(audio_protection_kbps)
         ):
             raise ValueError("bandwidths must be finite")
-        if self.uplink_kbps < 0 or self.downlink_kbps < 0:
+        if uplink_kbps < 0 or downlink_kbps < 0:
             raise ValueError("bandwidths must be non-negative")
-        if self.audio_protection_kbps < 0:
+        if audio_protection_kbps < 0:
             raise ValueError("audio protection must be non-negative")
+        self = object.__new__(cls)
+        object.__setattr__(self, "uplink_kbps", uplink_kbps)
+        object.__setattr__(self, "downlink_kbps", downlink_kbps)
+        object.__setattr__(self, "audio_protection_kbps", audio_protection_kbps)
+        if shareable:
+            _BANDWIDTHS[key] = self
+        return self
 
     @property
     def effective_uplink_kbps(self) -> int:
@@ -83,8 +178,8 @@ class Bandwidth:
         return max(0, self.downlink_kbps - self.audio_protection_kbps)
 
 
-@dataclass(frozen=True)
-class Subscription:
+@final
+class Subscription(_SharedValue):
     """One directed subscription edge: ``subscriber`` follows ``publisher``.
 
     Attributes:
@@ -94,18 +189,53 @@ class Subscription:
             share.
         max_resolution: ``R_ii'``, the maximum resolution the subscriber is
             willing to accept from this publisher (e.g. a thumbnail tile
-            asks for 180p, the active-speaker tile for 720p).
+            asks for 180p, the active-speaker tile for 720p).  Coerced to
+            :class:`Resolution`.
+
+    Immutable and shared by value like :class:`Bandwidth`; only edges
+    whose two ids are exact ``str`` are shared.
+
+    Raises:
+        ValueError: on a self-subscription, or a cap that is not a rung
+            of :class:`Resolution`.
     """
+
+    __slots__ = ("subscriber", "publisher", "max_resolution")
+    _values = attrgetter(*__slots__)
 
     subscriber: ClientId
     publisher: ClientId
-    max_resolution: Resolution = Resolution.P720
+    max_resolution: Resolution
 
-    def __post_init__(self) -> None:
-        if self.subscriber == self.publisher:
-            raise ValueError(
-                f"client {self.subscriber!r} cannot subscribe to itself"
-            )
+    def __new__(
+        cls,
+        subscriber: ClientId,
+        publisher: ClientId,
+        max_resolution: Resolution = Resolution.P720,
+    ) -> "Subscription":
+        if max_resolution.__class__ is not Resolution:
+            # The cap arrives from signaling as the caller gave it; a bare
+            # 720 would alias Resolution.P720 in the table and break
+            # fingerprint()'s ``.value``.
+            max_resolution = Resolution(max_resolution)
+        shareable = type(subscriber) is str and type(publisher) is str
+        if shareable:
+            shared = _SUBSCRIPTIONS.get((subscriber, publisher, max_resolution))
+            if shared is not None:
+                return shared
+            # pickle memoises by identity: one string object per id keeps
+            # equal content equal bytes once edges outlive their Problem.
+            subscriber = sys.intern(subscriber)
+            publisher = sys.intern(publisher)
+        if subscriber == publisher:
+            raise ValueError(f"client {subscriber!r} cannot subscribe to itself")
+        self = object.__new__(cls)
+        object.__setattr__(self, "subscriber", subscriber)
+        object.__setattr__(self, "publisher", publisher)
+        object.__setattr__(self, "max_resolution", max_resolution)
+        if shareable:
+            _SUBSCRIPTIONS[subscriber, publisher, max_resolution] = self
+        return self
 
 
 class Problem:
@@ -133,6 +263,13 @@ class Problem:
     (the Step-1 edge order, the shape index and the :meth:`fingerprint`)
     rely on it, and so does every holder that tells "same picture as last
     time" by object identity.
+
+    The :class:`Subscription` and :class:`Bandwidth` values inside are
+    immutable and may be the very objects another ``Problem`` holds: a
+    meeting rebuilt after one report shares every edge and every
+    unchanged budget with the picture before it.  Their identity is
+    never meaning, their equality is: nothing may tell two pictures, two
+    clients or two edges apart by ``is`` on a value object.
 
     Raises:
         ValueError: on dangling references or duplicate edges.
@@ -171,40 +308,49 @@ class Problem:
                     f"bandwidth entry"
                 )
 
-        seen_edges: Set[Tuple[ClientId, ClientId]] = set()
+        # One walk over the edges validates them and fills both indexes.
+        # N_i' : publishers followed by each subscriber.
+        followed: Dict[ClientId, List[Subscription]] = {}
+        # M_i  : subscribers served by each publisher (canonical keys).
+        served: Dict[ClientId, List[Subscription]] = {}
+        seen: Dict[ClientId, Set[ClientId]] = {}
+        known = self.feasible_streams
+        bandwidths = self.bandwidth
+        alias_of = self.aliases
         for edge in self.subscriptions:
-            key = (edge.subscriber, edge.publisher)
-            if key in seen_edges:
+            subscriber = edge.subscriber
+            publisher = edge.publisher
+            followed_publishers = seen.get(subscriber)
+            if followed_publishers is None:
+                followed_publishers = seen[subscriber] = set()
+                followed[subscriber] = []
+            elif publisher in followed_publishers:
                 raise ValueError(
-                    f"duplicate subscription {edge.subscriber!r} -> "
-                    f"{edge.publisher!r}; use virtual publishers for "
+                    f"duplicate subscription {subscriber!r} -> "
+                    f"{publisher!r}; use virtual publishers for "
                     f"multi-stream subscription"
                 )
-            seen_edges.add(key)
-            if self.canonical(edge.publisher) not in self.feasible_streams:
+            followed_publishers.add(publisher)
+            canonical = alias_of.get(publisher, publisher) if alias_of else publisher
+            if canonical not in known:
                 raise ValueError(
-                    f"subscription to unknown publisher {edge.publisher!r}"
+                    f"subscription to unknown publisher {publisher!r}"
                 )
-            if edge.subscriber not in self.bandwidth:
+            if subscriber not in bandwidths:
                 raise ValueError(
-                    f"subscriber {edge.subscriber!r} has no bandwidth entry"
+                    f"subscriber {subscriber!r} has no bandwidth entry"
                 )
-            if edge.subscriber == self.canonical(edge.publisher):
+            if subscriber == canonical:
                 raise ValueError(
-                    f"{edge.subscriber!r} subscribes to its own alias "
-                    f"{edge.publisher!r}"
+                    f"{subscriber!r} subscribes to its own alias {publisher!r}"
                 )
+            followed[subscriber].append(edge)
+            served.setdefault(canonical, []).append(edge)
         for pub in self.feasible_streams:
             if self.owner(pub) not in self.bandwidth:
                 raise ValueError(f"publisher {pub!r} has no bandwidth entry")
-
-        # N_i' : publishers followed by each subscriber.
-        self._followed: Dict[ClientId, List[Subscription]] = {}
-        # M_i  : subscribers served by each publisher (canonical keys).
-        self._served: Dict[ClientId, List[Subscription]] = {}
-        for edge in self.subscriptions:
-            self._followed.setdefault(edge.subscriber, []).append(edge)
-            self._served.setdefault(self.canonical(edge.publisher), []).append(edge)
+        self._followed = followed
+        self._served = served
         # Lazily filled caches, safe because a Problem is never mutated
         # after construction (class docstring): the Step-1 edge order (per
         # subscriber), the shape index and the fingerprint (per granularity).

@@ -82,6 +82,68 @@ class TestSubscriptions:
         node.unsubscribe("B", "A")
         assert node.snapshot().subscriptions == []
 
+    def test_resubscribe_replaces_the_edge(self):
+        # A layout change (thumbnail -> speaker tile) re-subscribes the
+        # pair; it used to append a second edge, and every later
+        # snapshot() raised "duplicate subscription".
+        from repro.core import solve
+
+        node = make_node()
+        node.join(info_for("A"), "n0")
+        node.join(info_for("B", 0x200), "n0")
+        node.subscribe("B", "A", Resolution.P180)
+        first = node.snapshot()
+        assert first.edge("B", "A").max_resolution == Resolution.P180
+        node.subscribe("B", "A", Resolution.P720)
+        second = node.snapshot()
+        assert [e.max_resolution for e in second.subscriptions] == [Resolution.P720]
+        thumbnail = solve(first).assignments["B"]["A"]
+        tile = solve(second).assignments["B"]["A"]
+        assert thumbnail.resolution == Resolution.P180
+        assert tile.resolution > Resolution.P180
+
+    def test_resubscribe_bumps_version_only_when_the_cap_changed(self):
+        node = make_node()
+        node.join(info_for("A"), "n0")
+        node.join(info_for("B", 0x200), "n0")
+        node.subscribe("B", "A", Resolution.P360)
+        v0 = node.version
+        node.subscribe("B", "A", Resolution.P360)
+        assert node.version == v0
+        node.subscribe("B", "A", Resolution.P180)
+        assert node.version == v0 + 1
+
+    def test_resubscribe_keeps_the_edge_order(self):
+        node = make_node()
+        for k, client in enumerate("ABC"):
+            node.join(info_for(client, 0x100 * (k + 1)), "n0")
+        node.subscribe("C", "A")
+        node.subscribe("C", "B")
+        node.subscribe("C", "A", Resolution.P180)
+        assert [e.publisher for e in node.snapshot().subscriptions] == ["A", "B"]
+
+    @pytest.mark.parametrize("cap", [1234, "720", None])
+    def test_subscribe_rejects_a_cap_that_is_not_a_rung(self, cap):
+        node = make_node()
+        node.join(info_for("A"), "n0")
+        node.join(info_for("B", 0x200), "n0")
+        v0 = node.version
+        with pytest.raises(ValueError):
+            node.subscribe("B", "A", cap)
+        assert node.version == v0
+        assert node.snapshot().subscriptions == []
+
+    def test_subscribe_coerces_a_bare_int_cap(self):
+        # 720 off the wire used to ride through to Problem.fingerprint,
+        # which died on ``.value``.
+        node = make_node()
+        node.join(info_for("A"), "n0")
+        node.join(info_for("B", 0x200), "n0")
+        node.subscribe("B", "A", 360)
+        problem = node.snapshot()
+        assert problem.subscriptions[0].max_resolution is Resolution.P360
+        assert problem.fingerprint().startswith("repro.problem_fp/")
+
     def test_dual_subscription_creates_alias(self):
         node = make_node()
         node.join(info_for("A"), "n0")

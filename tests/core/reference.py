@@ -12,6 +12,10 @@ answered by the pure-Python oracles kept in ``repro.core.mckp``
 (`_solve_mckp_dp_python` for Step 1, `_solve_mckp_dp_mandatory_python`
 for Step 3), substituted by patching the names the per-subscriber path
 looks up; production code has no switch that reaches them.
+
+`reference_edge_indexes` is the same kind of thing for ``Problem``: the
+validation and the two edge indexes as ``Problem.__init__`` built them in
+two loops, kept for the single-pass constructor to be compared against.
 """
 
 import pickle
@@ -36,6 +40,77 @@ from repro.core.solver import (
 from repro.core.types import ClientId, Resolution
 
 Reductions = List[Tuple[ClientId, Resolution]]
+
+
+def reference_edge_indexes(
+    feasible_streams, bandwidth, subscriptions, aliases=None, owners=None
+):
+    """``Problem.__init__``'s checks and its ``(followed, served)`` edge
+    indexes, copied from the two-loop constructor: one loop validates
+    (three ``canonical()`` calls per edge), a second one indexes.
+
+    Raises:
+        ValueError: where that constructor did, with its message.
+    """
+    aliases = dict(aliases or {})
+    owners = dict(owners or {})
+    subscriptions = list(subscriptions)
+
+    def canonical(publisher):
+        return aliases.get(publisher, publisher)
+
+    def owner(publisher):
+        return owners.get(canonical(publisher), canonical(publisher))
+
+    for virtual, target in aliases.items():
+        if virtual in feasible_streams:
+            raise ValueError(
+                f"alias {virtual!r} must not have its own feasible set"
+            )
+        if target not in feasible_streams:
+            raise ValueError(
+                f"alias {virtual!r} targets unknown publisher {target!r}"
+            )
+    for entity, owned_by in owners.items():
+        if owned_by not in bandwidth:
+            raise ValueError(
+                f"entity {entity!r} owned by {owned_by!r}, which has no "
+                f"bandwidth entry"
+            )
+
+    seen_edges = set()
+    for edge in subscriptions:
+        key = (edge.subscriber, edge.publisher)
+        if key in seen_edges:
+            raise ValueError(
+                f"duplicate subscription {edge.subscriber!r} -> "
+                f"{edge.publisher!r}; use virtual publishers for "
+                f"multi-stream subscription"
+            )
+        seen_edges.add(key)
+        if canonical(edge.publisher) not in feasible_streams:
+            raise ValueError(
+                f"subscription to unknown publisher {edge.publisher!r}"
+            )
+        if edge.subscriber not in bandwidth:
+            raise ValueError(
+                f"subscriber {edge.subscriber!r} has no bandwidth entry"
+            )
+        if edge.subscriber == canonical(edge.publisher):
+            raise ValueError(
+                f"{edge.subscriber!r} subscribes to its own alias "
+                f"{edge.publisher!r}"
+            )
+    for pub in feasible_streams:
+        if owner(pub) not in bandwidth:
+            raise ValueError(f"publisher {pub!r} has no bandwidth entry")
+
+    followed = {}
+    served = {}
+    for edge in subscriptions:
+        followed.setdefault(edge.subscriber, []).append(edge)
+        served.setdefault(canonical(edge.publisher), []).append(edge)
+    return followed, served
 
 
 def _reduction_step(
