@@ -238,6 +238,114 @@ class Subscription(_SharedValue):
         return self
 
 
+class _Topology:
+    """What a meeting's edge list and alias map decide on their own.
+
+    Built by :func:`_walk_edges` once per edge list and shared by every
+    :class:`Problem` over it: a bandwidth report changes one
+    :class:`Bandwidth`, never an edge, so the rebuilt picture finds the
+    indexes, the Step-1 order, the shape index and the edge lines of its
+    fingerprint where the picture before it left them.  Nothing here is
+    mutated once filled in.
+
+    Attributes:
+        edges: the edge tuple.  The table key is the ``id`` of each
+            element, and owning them here is what keeps those ids from
+            being recycled while the entry is alive.
+        followed: ``N_i'``, the edges out of each subscriber.
+        served: ``M_i``, the edges into each canonical publisher.
+        subscribers: the subscribers, sorted.
+        ordered: ``Problem.ordered_followed_by``'s tuples, filled on use.
+        shapes: ``Problem.shape_index``'s pair, ``None`` until first use.
+        edge_lines: the ``E[...]`` lines of ``Problem.fingerprint``,
+            sorted and newline-joined; ``None`` until first use.
+    """
+
+    __slots__ = (
+        "edges",
+        "followed",
+        "served",
+        "subscribers",
+        "ordered",
+        "shapes",
+        "edge_lines",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        edges: Tuple[Subscription, ...],
+        followed: Dict[ClientId, List[Subscription]],
+        served: Dict[ClientId, List[Subscription]],
+    ) -> None:
+        self.edges = edges
+        self.followed = followed
+        self.served = served
+        self.subscribers: List[ClientId] = sorted(followed)
+        self.ordered: Dict[ClientId, Tuple[Subscription, ...]] = {}
+        self.shapes: Optional[
+            Tuple[Dict[ClientId, int], List[Tuple[Subscription, ...]]]
+        ] = None
+        self.edge_lines: Optional[str] = None
+
+
+#: The live topologies, by ``(id of every edge, sorted alias items)``.  Edge
+#: identity is used one way only, identical implies equal: an entry owns
+#: its edges, so an id in a live key names the object it named when the
+#: key was made, and an entry whose last ``Problem`` went reads as a miss.
+_TOPOLOGIES: "weakref.WeakValueDictionary[tuple, _Topology]" = weakref.WeakValueDictionary()
+
+
+def _walk_edges(
+    subscriptions: List[Subscription],
+    known: Mapping[ClientId, object],
+    bandwidths: Mapping[ClientId, Bandwidth],
+    alias_of: Mapping[ClientId, ClientId],
+) -> _Topology:
+    """Validate the edges and fill both indexes, in one walk.
+
+    Raises:
+        ValueError: on a duplicate edge, an unknown publisher, a
+            subscriber without a bandwidth entry or an own-alias edge,
+            whichever the walk meets first.
+    """
+    # N_i' : publishers followed by each subscriber.
+    followed: Dict[ClientId, List[Subscription]] = {}
+    # M_i  : subscribers served by each publisher (canonical keys).
+    served: Dict[ClientId, List[Subscription]] = {}
+    seen: Dict[ClientId, Set[ClientId]] = {}
+    for edge in subscriptions:
+        subscriber = edge.subscriber
+        publisher = edge.publisher
+        followed_publishers = seen.get(subscriber)
+        if followed_publishers is None:
+            followed_publishers = seen[subscriber] = set()
+            followed[subscriber] = []
+        elif publisher in followed_publishers:
+            raise ValueError(
+                f"duplicate subscription {subscriber!r} -> "
+                f"{publisher!r}; use virtual publishers for "
+                f"multi-stream subscription"
+            )
+        followed_publishers.add(publisher)
+        canonical = alias_of.get(publisher, publisher) if alias_of else publisher
+        if canonical not in known:
+            raise ValueError(
+                f"subscription to unknown publisher {publisher!r}"
+            )
+        if subscriber not in bandwidths:
+            raise ValueError(
+                f"subscriber {subscriber!r} has no bandwidth entry"
+            )
+        if subscriber == canonical:
+            raise ValueError(
+                f"{subscriber!r} subscribes to its own alias {publisher!r}"
+            )
+        followed[subscriber].append(edge)
+        served.setdefault(canonical, []).append(edge)
+    return _Topology(tuple(subscriptions), followed, served)
+
+
 class Problem:
     """One complete instance of the global orchestration problem.
 
@@ -259,17 +367,30 @@ class Problem:
             budgets are enforced per owner.  Identity by default.
 
     A ``Problem`` is not mutated after construction; a changed meeting is
-    a new ``Problem``.  The three derived values cached on the instance
-    (the Step-1 edge order, the shape index and the :meth:`fingerprint`)
-    rely on it, and so does every holder that tells "same picture as last
-    time" by object identity.
+    a new ``Problem``.  The four derived values it caches (the edge
+    indexes, the Step-1 edge order, the shape index and the
+    :meth:`fingerprint`) rely on it, and so does every holder that tells
+    "same picture as last time" by object identity.  All but the
+    fingerprint's digest depend on the edge list and the alias map alone
+    and live on one private topology value per edge list, found again by
+    every ``Problem`` built over the same edge *objects* and the same
+    aliases while one such picture is alive; what :meth:`shape_index` and
+    :meth:`ordered_followed_by` return may therefore be shared between
+    pictures and is read-only.
 
     The :class:`Subscription` and :class:`Bandwidth` values inside are
     immutable and may be the very objects another ``Problem`` holds: a
     meeting rebuilt after one report shares every edge and every
     unchanged budget with the picture before it.  Their identity is
     never meaning, their equality is: nothing may tell two pictures, two
-    clients or two edges apart by ``is`` on a value object.
+    clients or two edges apart by ``is`` on a value object.  The topology
+    table reads identity one way only, identical edges are equal edges,
+    and it may because an entry owns the edges its key names: while it
+    is alive none of those ids can name another object, and once its
+    last picture is gone it is gone too.
+
+    Pickling and copying go back through the constructor with the five
+    inputs, so a copy carries no derived state.
 
     Raises:
         ValueError: on dangling references or duplicate edges.
@@ -283,10 +404,18 @@ class Problem:
         aliases: Optional[Mapping[ClientId, ClientId]] = None,
         owners: Optional[Mapping[ClientId, ClientId]] = None,
     ) -> None:
-        self.feasible_streams: Dict[ClientId, List[StreamSpec]] = {
-            pub: validate_feasible_set(streams)
-            for pub, streams in feasible_streams.items()
-        }
+        # Publishers handed the same ladder object validate it once.  The
+        # entry holds the object, so its id is not recycled within the call.
+        validated: Dict[int, Tuple[object, List[StreamSpec]]] = {}
+        self.feasible_streams: Dict[ClientId, List[StreamSpec]] = {}
+        for pub, streams in feasible_streams.items():
+            first = validated.get(id(streams))
+            if first is None:
+                ordered = validate_feasible_set(streams)
+                validated[id(streams)] = (streams, ordered)
+            else:
+                ordered = list(first[1])
+            self.feasible_streams[pub] = ordered
         self.bandwidth: Dict[ClientId, Bandwidth] = dict(bandwidth)
         self.subscriptions: List[Subscription] = list(subscriptions)
         self.aliases: Dict[ClientId, ClientId] = dict(aliases or {})
@@ -308,55 +437,43 @@ class Problem:
                     f"bandwidth entry"
                 )
 
-        # One walk over the edges validates them and fills both indexes.
-        # N_i' : publishers followed by each subscriber.
-        followed: Dict[ClientId, List[Subscription]] = {}
-        # M_i  : subscribers served by each publisher (canonical keys).
-        served: Dict[ClientId, List[Subscription]] = {}
-        seen: Dict[ClientId, Set[ClientId]] = {}
-        known = self.feasible_streams
-        bandwidths = self.bandwidth
-        alias_of = self.aliases
-        for edge in self.subscriptions:
-            subscriber = edge.subscriber
-            publisher = edge.publisher
-            followed_publishers = seen.get(subscriber)
-            if followed_publishers is None:
-                followed_publishers = seen[subscriber] = set()
-                followed[subscriber] = []
-            elif publisher in followed_publishers:
-                raise ValueError(
-                    f"duplicate subscription {subscriber!r} -> "
-                    f"{publisher!r}; use virtual publishers for "
-                    f"multi-stream subscription"
-                )
-            followed_publishers.add(publisher)
-            canonical = alias_of.get(publisher, publisher) if alias_of else publisher
-            if canonical not in known:
-                raise ValueError(
-                    f"subscription to unknown publisher {publisher!r}"
-                )
-            if subscriber not in bandwidths:
-                raise ValueError(
-                    f"subscriber {subscriber!r} has no bandwidth entry"
-                )
-            if subscriber == canonical:
-                raise ValueError(
-                    f"{subscriber!r} subscribes to its own alias {publisher!r}"
-                )
-            followed[subscriber].append(edge)
-            served.setdefault(canonical, []).append(edge)
+        # The topology of a live picture over these very edges is reused
+        # once what it cannot know is re-checked: every subscriber has a
+        # budget and every served publisher a feasible set.  Anything else
+        # takes the walk, which builds it or raises what it always raised.
+        key = (
+            tuple(map(id, self.subscriptions)),
+            tuple(sorted(self.aliases.items())),
+        )
+        topology = _TOPOLOGIES.get(key)
+        if (
+            topology is None
+            or not topology.followed.keys() <= self.bandwidth.keys()
+            or not topology.served.keys() <= self.feasible_streams.keys()
+        ):
+            topology = _walk_edges(
+                self.subscriptions,
+                self.feasible_streams,
+                self.bandwidth,
+                self.aliases,
+            )
+            _TOPOLOGIES[key] = topology
         for pub in self.feasible_streams:
             if self.owner(pub) not in self.bandwidth:
                 raise ValueError(f"publisher {pub!r} has no bandwidth entry")
-        self._followed = followed
-        self._served = served
-        # Lazily filled caches, safe because a Problem is never mutated
-        # after construction (class docstring): the Step-1 edge order (per
-        # subscriber), the shape index and the fingerprint (per granularity).
-        self._ordered_followed: Dict[ClientId, Tuple[Subscription, ...]] = {}
-        self._shape_index = None  # built on first use by shape_index()
+        self._topology = topology
         self._fingerprints: Dict[int, str] = {}
+
+    def __reduce__(self):
+        # Through the constructor, like the values inside: a copy carries no
+        # derived state and finds the live topology of its edges again.
+        return self.__class__, (
+            self.feasible_streams,
+            self.bandwidth,
+            self.subscriptions,
+            self.aliases,
+            self._owners,
+        )
 
     # ------------------------------------------------------------------ #
     # Identity resolution
@@ -404,15 +521,15 @@ class Problem:
     @property
     def subscribers(self) -> List[ClientId]:
         """Clients with at least one outgoing subscription, sorted."""
-        return sorted(self._followed)
+        return list(self._topology.subscribers)
 
     def followed_by(self, subscriber: ClientId) -> List[Subscription]:
         """Subscription edges out of ``subscriber`` (the set ``N_i'``)."""
-        return list(self._followed.get(subscriber, []))
+        return list(self._topology.followed.get(subscriber, []))
 
     def served_by(self, publisher: ClientId) -> List[Subscription]:
         """Subscription edges into a canonical publisher (the set ``M_i``)."""
-        return list(self._served.get(self.canonical(publisher), []))
+        return list(self._topology.served.get(self.canonical(publisher), []))
 
     def ordered_followed_by(self, subscriber: ClientId) -> Tuple[Subscription, ...]:
         """``N_i'`` in the solver's deterministic Step-1 class order.
@@ -424,18 +541,20 @@ class Problem:
         first-found optimum per class scanning items by descending
         bitrate, and later classes win ties during backtracking — so
         sorting edges by ascending cap gives high-cap edges the tie
-        preference.  Computed once per (problem, subscriber) and cached;
-        the solver re-reads it every KMR iteration.
+        preference.  Computed once per (edge list, subscriber) and kept
+        on the topology every picture over these edges shares; the solver
+        re-reads it every KMR iteration.
         """
-        cached = self._ordered_followed.get(subscriber)
+        topology = self._topology
+        cached = topology.ordered.get(subscriber)
         if cached is None:
             cached = tuple(
                 sorted(
-                    self._followed.get(subscriber, ()),
+                    topology.followed.get(subscriber, ()),
                     key=lambda e: (e.max_resolution, e.publisher),
                 )
             )
-            self._ordered_followed[subscriber] = cached
+            topology.ordered[subscriber] = cached
         return cached
 
     def shape_index(
@@ -450,25 +569,27 @@ class Problem:
         identical and only their downlink budgets differ — a webinar's
         viewers are one shape.  ``shape_of`` numbers every subscriber's
         shape; ``edges_of[shape]`` is the ordered edge tuple of the
-        shape's first subscriber.  Computed once per problem and cached.
+        shape's first subscriber.  Computed once per edge list and kept on
+        the topology every picture over these edges shares: read-only.
         """
-        if self._shape_index is None:
+        topology = self._topology
+        if topology.shapes is None:
             shape_of: Dict[ClientId, int] = {}
             edges_of: List[Tuple[Subscription, ...]] = []
             numbers: Dict[Tuple[Tuple[ClientId, Resolution], ...], int] = {}
-            for sub in self._followed:
+            for sub in topology.followed:
                 edges = self.ordered_followed_by(sub)
                 key = tuple((e.publisher, e.max_resolution) for e in edges)
                 shape = numbers.setdefault(key, len(edges_of))
                 if shape == len(edges_of):
                     edges_of.append(edges)
                 shape_of[sub] = shape
-            self._shape_index = (shape_of, edges_of)
-        return self._shape_index
+            topology.shapes = (shape_of, edges_of)
+        return topology.shapes
 
     def edge(self, subscriber: ClientId, publisher: ClientId) -> Optional[Subscription]:
         """The subscription edge between a pair (literal publisher id)."""
-        for e in self._followed.get(subscriber, []):
+        for e in self._topology.followed.get(subscriber, []):
             if e.publisher == publisher:
                 return e
         return None
@@ -554,14 +675,20 @@ class Problem:
         if granularity_kbps < 1:
             raise ValueError("granularity_kbps must be >= 1")
         parts: List[str] = [self.FINGERPRINT_SCHEMA, f"g={granularity_kbps}"]
+        # Publishers holding the same streams in the same order (copies of
+        # one validated ladder) share one ladder text.
+        ladders: Dict[Tuple[int, ...], str] = {}
         for pub in sorted(self.feasible_streams):
-            ladder = ";".join(
-                f"{s.bitrate_kbps},{s.resolution.value},{s.qoe!r}"
-                for s in sorted(
-                    self.feasible_streams[pub],
-                    key=lambda s: (s.bitrate_kbps, s.resolution),
+            streams = self.feasible_streams[pub]
+            ladder_key = tuple(map(id, streams))
+            ladder = ladders.get(ladder_key)
+            if ladder is None:
+                ladder = ladders[ladder_key] = ";".join(
+                    f"{s.bitrate_kbps},{s.resolution.value},{s.qoe!r}"
+                    for s in sorted(
+                        streams, key=lambda s: (s.bitrate_kbps, s.resolution)
+                    )
                 )
-            )
             parts.append(f"S[{pub}]={ladder}")
         for client in sorted(self.bandwidth):
             bw = self.bandwidth[client]
@@ -569,11 +696,17 @@ class Problem:
                 f"B[{client}]={bw.effective_uplink_kbps},"
                 f"{bw.effective_downlink_kbps // granularity_kbps}"
             )
-        for sub, pub, cap in sorted(
-            (e.subscriber, e.publisher, e.max_resolution.value)
-            for e in self.subscriptions
-        ):
-            parts.append(f"E[{sub}<-{pub}]={cap}")
+        topology = self._topology
+        if topology.edge_lines is None:
+            topology.edge_lines = "\n".join(
+                f"E[{sub}<-{pub}]={cap}"
+                for sub, pub, cap in sorted(
+                    (e.subscriber, e.publisher, e.max_resolution.value)
+                    for e in topology.edges
+                )
+            )
+        if topology.edge_lines:
+            parts.append(topology.edge_lines)
         for virtual in sorted(self.aliases):
             parts.append(f"A[{virtual}]={self.aliases[virtual]}")
         for entity in sorted(self._owners):

@@ -303,20 +303,24 @@ def solution_digest(solution: Solution) -> str:
     if solution._digest is not None:
         return solution._digest
     parts: List[str] = []
-    for pub in sorted(solution.policies):
-        for res in sorted(solution.policies[pub]):
-            entry = solution.policies[pub][res]
+    for pub, entries in sorted(solution.policies.items()):
+        for res, entry in sorted(entries.items()):
             parts.append(
                 f"P[{pub}@{res.value}]={entry.bitrate_kbps}->"
                 f"{','.join(sorted(entry.audience))}"
             )
-    for sub in sorted(solution.assignments):
-        for pub in sorted(solution.assignments[sub]):
-            stream = solution.assignments[sub][pub]
-            parts.append(
-                f"A[{sub}<-{pub}]={stream.bitrate_kbps}@"
-                f"{stream.resolution.value}"
-            )
+    # A publisher's stream reaches most of its audience as one object:
+    # the text after the subscriber is built once per (publisher, stream).
+    # The solution holds every stream for the call, so ids are not reused.
+    tails: Dict[Tuple[ClientId, int], str] = {}
+    for sub, per_pub in sorted(solution.assignments.items()):
+        for pub, stream in sorted(per_pub.items()):
+            tail = tails.get((pub, id(stream)))
+            if tail is None:
+                tail = tails[pub, id(stream)] = (
+                    f"<-{pub}]={stream.bitrate_kbps}@{stream.resolution.value}"
+                )
+            parts.append(f"A[{sub}{tail}")
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
     if solution.is_frozen:
         object.__setattr__(solution, "_digest", digest)

@@ -15,9 +15,13 @@ looks up; production code has no switch that reaches them.
 
 `reference_edge_indexes` is the same kind of thing for ``Problem``: the
 validation and the two edge indexes as ``Problem.__init__`` built them in
-two loops, kept for the single-pass constructor to be compared against.
+two loops, kept for the single-pass constructor to be compared against
+(and for a ``Problem`` that reuses a live topology, which runs no loop at
+all).  `reference_solution_digest` is ``solution_digest`` as it was before
+it built each ``(publisher, stream)`` tail once.
 """
 
+import hashlib
 import pickle
 from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional, Tuple
@@ -111,6 +115,27 @@ def reference_edge_indexes(
         followed.setdefault(edge.subscriber, []).append(edge)
         served.setdefault(canonical(edge.publisher), []).append(edge)
     return followed, served
+
+
+def reference_solution_digest(solution: Solution) -> str:
+    """``solution_digest`` read literally: one lookup per level and one
+    line built per edge, no memo."""
+    parts: List[str] = []
+    for pub in sorted(solution.policies):
+        for res in sorted(solution.policies[pub]):
+            entry = solution.policies[pub][res]
+            parts.append(
+                f"P[{pub}@{res.value}]={entry.bitrate_kbps}->"
+                f"{','.join(sorted(entry.audience))}"
+            )
+    for sub in sorted(solution.assignments):
+        for pub in sorted(solution.assignments[sub]):
+            stream = solution.assignments[sub][pub]
+            parts.append(
+                f"A[{sub}<-{pub}]={stream.bitrate_kbps}@"
+                f"{stream.resolution.value}"
+            )
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
 def _reduction_step(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core import constraints
 from repro.core.constraints import Bandwidth, Problem, Subscription
 from repro.core.ladder import paper_ladder
-from repro.core.types import Resolution, StreamSpec
+from repro.core.types import Resolution, StreamSpec, validate_feasible_set
 
 from .reference import reference_edge_indexes
 from .test_incremental import GENERATORS
@@ -503,7 +503,7 @@ class TestSinglePassConstructor:
             assert got == want
         else:
             assert isinstance(got, Problem)
-            assert (got._followed, got._served) == want
+            assert (got._topology.followed, got._topology.served) == want
 
     @pytest.mark.parametrize("extras", [False, True], ids=["plain", "alias+owner"])
     @pytest.mark.parametrize("name", sorted(GENERATORS))
@@ -515,9 +515,9 @@ class TestSinglePassConstructor:
             p.feasible_streams, p.bandwidth, p.subscriptions, p.aliases, p.owners
         )
         assert sorted(followed) == p.subscribers
-        assert (p._followed, p._served) == (followed, served)
+        assert (p._topology.followed, p._topology.served) == (followed, served)
         # Same insertion order too: shape numbers follow it.
-        assert list(p._followed) == list(followed)
+        assert list(p._topology.followed) == list(followed)
         for sub, edges in followed.items():
             assert p.followed_by(sub) == edges
             assert p.ordered_followed_by(sub) == tuple(
@@ -544,6 +544,59 @@ class TestSinglePassConstructor:
         if extras:
             p = with_alias_and_screen_share(p)
         assert p.fingerprint(25).split(":")[-1][:16] == FINGERPRINTS[name, extras]
+
+
+class TestSharedLadder:
+    """Publishers handed one ladder object validate it once and print it
+    once, and still own a list each."""
+
+    def test_one_validation_per_ladder_object(self, monkeypatch):
+        calls = []
+
+        def counting(streams):
+            calls.append(streams)
+            return validate_feasible_set(streams)
+
+        monkeypatch.setattr(constraints, "validate_feasible_set", counting)
+        ladder, other = paper_ladder(), paper_ladder()
+        pubs = [f"P{k}" for k in range(8)]
+        p = Problem(
+            {**{pub: ladder for pub in pubs}, "Q": other},
+            {pub: _ONE for pub in pubs + ["Q"]},
+            [],
+        )
+        assert [id(c) for c in calls] == [id(ladder), id(other)]
+        lists = [p.feasible_streams[pub] for pub in pubs + ["Q"]]
+        assert len({id(streams) for streams in lists}) == 9
+        assert all(streams == validate_feasible_set(ladder) for streams in lists)
+        apart = Problem(
+            {pub: paper_ladder() for pub in pubs + ["Q"]},
+            {pub: _ONE for pub in pubs + ["Q"]},
+            [],
+        )
+        assert p.fingerprint(25) == apart.fingerprint(25)
+
+    def test_a_bad_shared_ladder_raises_what_it_raised(self):
+        bad = [
+            StreamSpec(300, Resolution.P180, 2.0),
+            StreamSpec(300, Resolution.P360, 3.0),
+        ]
+        with pytest.raises(ValueError) as want:
+            validate_feasible_set(bad)
+        with pytest.raises(ValueError) as got:
+            Problem({"A": paper_ladder(), "B": bad, "C": bad}, {}, [])
+        assert str(got.value) == str(want.value)
+
+    def test_ladders_built_on_the_fly_do_not_alias(self):
+        class Fresh(dict):
+            """Hands out a new list per item, each dead before the next."""
+
+            def items(self):
+                for pub, levels in super().items():
+                    yield pub, paper_ladder()[:levels]
+
+        p = Problem(Fresh(A=2, B=3, C=2), {n: _ONE for n in "ABC"}, [])
+        assert [len(p.feasible_streams[n]) for n in "ABC"] == [2, 3, 2]
 
 
 #: ``fingerprint(25)`` of every ``GENERATORS`` entry, without and with

@@ -2,9 +2,10 @@
 
 The controller re-decides a meeting on every significant bandwidth
 report, and the world hands it a freshly built ``Problem`` each time.
-``Subscription`` and ``Bandwidth`` are shared by value, so the rebuilt
-picture of a webinar allocates what changed and not one object per edge;
-and nothing on the decision path makes a reference cycle, so every
+``Subscription`` and ``Bandwidth`` are shared by value and everything
+derived from the edge list alone is shared by every picture over it, so
+the rebuilt picture of a webinar allocates what changed, not one object
+per edge and not one index list per client; and nothing on the decision path makes a reference cycle, so every
 collection the interpreter runs there is overhead.  Both are counts, not
 timings: they repeat exactly.
 """
@@ -54,17 +55,26 @@ class TestRebuiltPicture:
     def test_one_report_allocates_what_changed(self):
         old = webinar_picture({})
         assert len(old.bandwidth) == 118 and len(old.subscriptions) == 936
+        # The picture before was decided: fingerprinted and shape-indexed.
+        old.fingerprint(25)
+        old.shape_index()
         gc.collect()
         gc.disable()
         try:
             before = len(gc.get_objects())
             new = webinar_picture({"V042": 400})
+            new.fingerprint(25)
+            new.shape_index()
             added = len(gc.get_objects()) - before
         finally:
             gc.enable()
-        # 143: the Problem, its dicts, 118 + 8 index lists, one Bandwidth.
-        # It was 1,194 with one new object per edge and per client.
-        assert added <= 200
+        # 15: the Problem, its two tracked dicts, eight ladder lists, the
+        # edge list, and one Bandwidth with its table key and weak
+        # reference.  It was 263 with the picture's own 118 + 8 index
+        # lists, Step-1 tuples and shape index, and 1,194 with one new
+        # object per edge and per client on top.
+        assert added <= 20
+        assert new._topology is old._topology
         assert all(a is b for a, b in zip(new.subscriptions, old.subscriptions))
         changed = {
             c for c in old.bandwidth if new.bandwidth[c] is not old.bandwidth[c]

@@ -7,6 +7,10 @@ import pytest
 from repro.core import Bandwidth, PolicyEntry, Resolution, Solution, StreamSpec
 from repro.core.constraints import Problem, Subscription
 from repro.core.solution import solution_digest
+from repro.core.solver import GsoSolver, SolverConfig
+
+from .reference import reference_solution_digest
+from .test_incremental import GENERATORS
 
 
 def spec(rate, res, qoe=None):
@@ -218,3 +222,25 @@ class TestFreeze:
         assert solution_digest(s) == before
         s.assignments["S"].clear()
         assert solution_digest(s) != before
+
+
+class TestDigestAgainstReference:
+    """The digest that builds each (publisher, stream) tail once prints
+    what the line-per-edge one printed."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_every_generator_frozen_and_mutable(self, name):
+        solver = GsoSolver(SolverConfig(granularity_kbps=25))
+        mutable = solver.solve(GENERATORS[name]())
+        want = reference_solution_digest(mutable)
+        assert solution_digest(mutable) == want
+        frozen = solver.solve(GENERATORS[name]()).freeze()
+        assert solution_digest(frozen) == want
+        # An unpickled copy holds equal streams that are other objects.
+        assert solution_digest(pickle.loads(pickle.dumps(frozen))) == want
+
+    def test_equal_streams_that_are_distinct_objects(self):
+        s = good_solution()
+        s.assignments["T"] = {"P": spec(1000, Resolution.P720)}
+        s.assignments["U"] = {"P": spec(300, Resolution.P180)}
+        assert solution_digest(s) == reference_solution_digest(s)
