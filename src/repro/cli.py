@@ -126,7 +126,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cache = default_mckp_cache().snapshot()
     print(
         f"(engine: {eng.step1_solved} step-1 answers, "
-        f"{eng.step1_skipped} skipped by dirty-set, "
+        f"{eng.step1_skipped} carried over, "
         f"{eng.deduped} shared, "
         f"{eng.cache_misses} DP table(s) built, "
         f"{eng.cache_hits}/{eng.cache_hits + eng.cache_misses} profile cache "

@@ -14,7 +14,9 @@ module is the reproduction's control-plane host:
   served from a bounded LRU when the structure repeats (:mod:`.cache`);
   every served solution is frozen once and then shared, never copied;
 * **execution** — cache misses run in-process on one stateless
-  :class:`~repro.core.solver.GsoSolver` (``cluster.pool``);
+  :class:`~repro.core.solver.GsoSolver` (``cluster.pool``), each handed
+  its meeting's :class:`~repro.core.solver.KmrRun` so a re-decided
+  meeting replays its last solve;
 * **admission** — a per-shard bound on solves in flight; the plane sheds
   what exceeds it to the Sec. 7 single-stream fallback
   (:mod:`.admission`).
@@ -37,7 +39,7 @@ from ..core.constraints import Problem
 from ..core.engine import default_mckp_cache
 from ..core.mckp import kernel_stats
 from ..core.solution import Solution
-from ..core.solver import GsoSolver, SolverConfig
+from ..core.solver import GsoSolver, KmrRun, SolverConfig
 from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
@@ -131,12 +133,23 @@ class ServedSolution:
 
 @dataclass
 class MeetingRecord:
-    """Cluster-side state of one hosted meeting."""
+    """Cluster-side state of one hosted meeting.
+
+    The record owns the meeting's :class:`~repro.core.solver.KmrRun`: what
+    its last real solve learned, handed to the next one.  It is this
+    meeting's alone (webinars that share one topology value still differ
+    in every budget), it is written only by a solve that succeeded (a
+    cache hit, a shed, a fallback and a solve that raised leave it as it
+    was), and it dies with the controller state it is part of: a
+    migration or a shard death replaces it with an empty one (controller
+    state does not travel, Sec. 7), and dropping the record frees it.
+    """
 
     meeting_id: str
     shard: str
     last_problem: Optional[Problem] = None
     last_solution: Optional[Solution] = None
+    run: KmrRun = field(default_factory=KmrRun)
     solves: int = 0
     cache_hits: int = 0
     fallbacks: int = 0
@@ -340,11 +353,14 @@ class ControllerCluster:
             correlation_id=correlation_id,
         )
 
-    def _solve_service(self, problem: Problem) -> Tuple[Solution, str]:
+    def _solve_service(
+        self, problem: Problem, run: KmrRun
+    ) -> Tuple[Solution, str]:
         """Cache lookup, then solve; returns (solution, source).
 
         The solver's result is frozen here, once per solve; the cache
-        stores that object and every later hit returns it.
+        stores that object and every later hit returns it.  ``run`` is
+        the meeting's: the solve replays it and leaves its own in it.
 
         Raises whatever the solver raises — callers map failures to the
         fallback policy.
@@ -357,7 +373,7 @@ class ControllerCluster:
                 if cached is not None:
                     self._observe_solve_seconds(start)
                     return cached, SOURCE_CACHE
-            solution = self.pool.solve(problem).freeze()
+            solution = self.pool.solve(problem, warm=run).freeze()
             if key is not None:
                 self.cache.put(key, solution)
         self._observe_solve_seconds(start)
@@ -397,7 +413,7 @@ class ControllerCluster:
         try:
             if self.solve_interceptor is not None:
                 self.solve_interceptor(meeting_id, problem)
-            solution, source = self._solve_service(problem)
+            solution, source = self._solve_service(problem, record.run)
         except Exception:
             solution = self._fallback(record, problem)
             source = SOURCE_FALLBACK
@@ -465,7 +481,8 @@ class ControllerCluster:
         from its last snapshot; with ``degrade=False`` the move is
         seamless.  Either way the meeting re-converges to a full KMR
         solution on its next decision on the target (its next report or
-        the ingress plane's idle refresh).
+        the ingress plane's idle refresh), solved from nothing: the
+        source shard's run of the meeting stays behind.
 
         Returns the degraded :class:`ServedSolution` (None when the
         meeting was already on ``target``, had no snapshot to serve, or
@@ -484,6 +501,7 @@ class ControllerCluster:
             return None
         record.shard = target
         record.rehomes += 1
+        record.run = KmrRun()
         self.load_model.move(meeting_id, target)
         self.migrations[reason] = self.migrations.get(reason, 0) + 1
         reg = get_registry()

@@ -35,7 +35,7 @@ import math
 import sys
 import weakref
 from dataclasses import FrozenInstanceError
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import (
     Callable,
     Dict,
@@ -622,6 +622,51 @@ class Problem:
     def uplink_budget(self, client: ClientId) -> int:
         """Video uplink budget of a physical client (after audio protection)."""
         return self.bandwidth[client].effective_uplink_kbps
+
+    # ------------------------------------------------------------------ #
+    # One picture against the one before it
+    # ------------------------------------------------------------------ #
+
+    def same_topology(self, earlier: "Problem") -> bool:
+        """True when both pictures share one topology value: they were
+        built over the same edge objects and the same aliases."""
+        return self._topology is earlier._topology
+
+    def changed_bandwidths(self, earlier: "Problem") -> Optional[Set[ClientId]]:
+        """The clients whose :class:`Bandwidth` differs from ``earlier``'s,
+        when nothing else a solve reads does; ``None`` otherwise.
+
+        "Nothing else" is read strictly, because the caller
+        (:class:`~repro.core.solver.GsoSolver`'s replay) mixes objects of
+        both pictures into one :class:`~repro.core.solution.Solution` and
+        pickle tells objects apart by identity: the same topology value,
+        the same clients, equal owners and feasible sets holding the very
+        same :class:`StreamSpec` objects in the same order.
+        """
+        if not self.same_topology(earlier) or self._owners != earlier._owners:
+            return None
+        then = earlier.feasible_streams
+        if len(self.feasible_streams) != len(then):
+            return None
+        for pub, streams in self.feasible_streams.items():
+            before = then.get(pub)
+            if (
+                before is None
+                or len(streams) != len(before)
+                or not all(map(is_, streams, before))
+            ):
+                return None
+        was = earlier.bandwidth
+        if len(self.bandwidth) != len(was):
+            return None
+        changed: Set[ClientId] = set()
+        for client, bandwidth in self.bandwidth.items():
+            before = was.get(client)
+            if before is None:
+                return None
+            if bandwidth is not before and bandwidth != before:
+                changed.add(client)
+        return changed
 
     # ------------------------------------------------------------------ #
     # Canonical identity

@@ -24,9 +24,13 @@ what carries that across steps without changing a single byte of any
 The *dirty-set* layer (re-solving only the subscribers that held the
 stream a reduction deleted) lives in
 :class:`~repro.core.solver.GsoSolver`; the set is the audience of the
-deleted policy entry, which Step 2 already built.  The layers are
-always on; the equivalence tests compare them against a from-scratch,
-per-subscriber KMR loop kept under ``tests/`` (``docs/SOLVER.md``).
+deleted policy entry, which Step 2 already built.  So does the *replay*
+layer above it: a caller that re-decides one meeting hands the solver
+the :class:`~repro.core.solver.KmrRun` of its last solve, and each
+iteration answers only the subscribers whose link report changed.  The
+layers are always on (the replay wherever a caller passes a run); the
+equivalence tests compare them against a from-scratch, per-subscriber
+KMR loop kept under ``tests/`` (``docs/SOLVER.md``).
 """
 
 from __future__ import annotations
@@ -46,10 +50,15 @@ class EngineStats:
 
     Attributes:
         step1_solved: subscribers answered by a knapsack step this solve
-            (iteration 1 plus every dirty re-solve).
-        step1_skipped: subscriber re-solves avoided by the dirty-set
-            (subscribers that did not hold the deleted stream, whose
-            previous requests were reused).
+            (iteration 1 plus every dirty re-solve; under a replayed run
+            only those of them whose ``Bandwidth`` changed).
+        step1_skipped: Step-1 answers carried over instead of computed,
+            from the previous iteration (subscribers that did not hold
+            the deleted stream keep their requests) or from the previous
+            decision (subscribers whose ``Bandwidth`` is the one the
+            replayed run recorded keep its answers, iteration 1
+            included).  Per iteration, solved + skipped is the number
+            of subscribers.
         deduped: subscribers answered by an answer another subscriber
             of the same step already materialized.
         cache_hits: class structures whose profile came out of the

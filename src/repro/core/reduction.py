@@ -40,8 +40,10 @@ resolution) pair from a finite feasible set, so the KMR loop runs at most
 ``sum_i |resolutions_i|`` iterations (the bound ``_iteration_bound`` in
 :mod:`repro.core.solver` enforces) — this is the paper's Sec. 4.1
 convergence argument.  Deletions are observable three ways: the
-``repro_kmr_reductions_total`` counter, the per-iteration ``deletion``
-field of the solver trace, and ``Solution.reduced`` — see
+``repro_kmr_reductions_total`` counter, ``Solution.reduced``, and the
+``unfixable: removing ...`` line of each iteration that
+:func:`~repro.core.explain.explain_solve` narrates (``repro trace show
+--cid`` replays it for one served decision) — see
 ``docs/OBSERVABILITY.md``.  The step's wall clock lands under the
 ``kmr.reduction`` span.
 """

@@ -19,7 +19,12 @@ from repro.chaos.world import ChaosWorld
 from repro.cluster import cluster as cluster_module
 from repro.control.failover import single_stream_fallback
 from repro.core import constraints
-from repro.core.solver import GsoSolver, SolverConfig
+from repro.core import solver as solver_module
+from repro.core.constraints import Bandwidth, Problem, Subscription
+from repro.core.ladder import paper_ladder
+from repro.core.types import Resolution
+from repro.core.explain import explain_solve
+from repro.core.solver import GsoSolver, KmrRun, SolverConfig
 from repro.ingress.aio import SimRuntime
 from repro.ingress.events import SembReport
 from repro.ingress.plane import ClusterBackend, IngressPlane
@@ -338,6 +343,163 @@ class TestRebalance:
         with make_cluster() as cluster:
             with pytest.raises(ValueError):
                 cluster.add_shard("shard-0")
+
+
+class TestMeetingRun:
+    """Each hosted meeting owns the run its solves replay, and the run
+    dies with the controller state it is part of."""
+
+    #: One ladder for every picture, as a world keeps it: a replay needs
+    #: the very same ``StreamSpec`` objects (``mesh_problem`` builds new
+    #: ones per call, and such pictures are solved cold).
+    LADDER = paper_ladder()
+
+    @classmethod
+    def reports(cls, n, start=0):
+        """``n`` pictures of one four-party mesh, a downlink and an uplink
+        moved between each: same edge objects, so one topology."""
+        ids = [f"c{k}" for k in range(4)]
+        edges = [Subscription(a, b, Resolution.P720) for a in ids for b in ids if a != b]
+        return [
+            Problem(
+                {cid: cls.LADDER for cid in ids},
+                {
+                    "c0": Bandwidth(700 + 13 * (k % 3), 3000),
+                    "c1": Bandwidth(5000, 900 + 37 * k),
+                    "c2": Bandwidth(420, 3000),
+                    "c3": Bandwidth(380, 2500),
+                },
+                edges,
+            )
+            for k in range(start, start + n)
+        ]
+
+    @staticmethod
+    def step1_answers(cluster, meeting_id, problem, now_s):
+        """Serve one decision; returns it with the Step-1 answers its
+        solve computed, as a share of what a cold solve computes."""
+        solved = []
+        solve = GsoSolver.solve_with_stats
+
+        def counting(solver, problem, incumbent=None, warm=None):
+            solution, stats = solve(solver, problem, incumbent=incumbent, warm=warm)
+            solved.append(stats.engine.step1_solved)
+            return solution, stats
+
+        cluster.pool.solve_with_stats = counting.__get__(cluster.pool)
+        try:
+            served = cluster.solve_request(meeting_id, problem, now_s=now_s)
+        finally:
+            del cluster.pool.solve_with_stats
+        _, cold = DIRECT.solve_with_stats(problem)
+        return served, solved[0] / cold.engine.step1_solved
+
+    def assert_exact(self, served, problem):
+        assert served.source == SOURCE_SOLVE
+        assert pickle.dumps(served.solution) == pickle.dumps(DIRECT.solve(problem))
+
+    def test_a_redecided_meeting_replays_and_serves_what_a_cold_solve_would(self):
+        pictures = self.reports(6)
+        with make_cluster() as cluster:
+            answers = []
+            for k, problem in enumerate(pictures):
+                served, solved = self.step1_answers(cluster, "conf-1", problem, float(k))
+                self.assert_exact(served, problem)
+                answers.append(solved)
+            run = cluster.meeting("conf-1").run
+            assert run.problem is pictures[-1] and run.steps
+            # Two solves remember, the third in a row records, the rest replay.
+            assert answers[:3] == [1.0, 1.0, 1.0]
+            assert max(answers[3:]) < 1.0
+            # What ``trace show --cid`` narrates for a replayed decision is
+            # a cold solve of its Problem: same iterations, same deletions.
+            told = explain_solve(pictures[-1], cluster.config.solver)
+            assert pickle.dumps(told.solution) == pickle.dumps(served.solution)
+            assert told.solution.reduced and str(told).count("unfixable") == len(
+                served.solution.reduced
+            )
+
+    def test_meetings_sharing_a_topology_keep_their_own_runs(self):
+        ours, theirs = self.reports(3), self.reports(3, start=7)
+        with make_cluster() as cluster:
+            for k in range(3):
+                self.assert_exact(
+                    cluster.solve_request("ours", ours[k], now_s=float(k)), ours[k]
+                )
+                self.assert_exact(
+                    cluster.solve_request("theirs", theirs[k], now_s=float(k)), theirs[k]
+                )
+            assert ours[0].same_topology(theirs[0])
+            assert cluster.meeting("ours").run.problem is ours[-1]
+            assert cluster.meeting("theirs").run.problem is theirs[-1]
+
+    def test_a_solve_that_raises_leaves_the_run_usable(self, monkeypatch):
+        pictures = self.reports(5)
+        with make_cluster() as cluster:
+            for k in range(3):
+                cluster.solve_request("conf-1", pictures[k], now_s=float(k))
+            run = cluster.meeting("conf-1").run
+            kept = (run.problem, run.steps)
+
+            def refuse(meeting_id, problem):
+                raise RuntimeError("injected")
+
+            cluster.solve_interceptor = refuse
+            assert cluster.solve_request(
+                "conf-1", pictures[3], now_s=3.0
+            ).source == SOURCE_FALLBACK
+            cluster.solve_interceptor = None
+            with monkeypatch.context() as patch:
+                patch.setattr(solver_module, "reduction_step", refuse)
+                assert cluster.solve_request(
+                    "conf-1", pictures[3], now_s=3.5
+                ).source == SOURCE_FALLBACK
+            assert cluster.meeting("conf-1").run is run
+            assert (run.problem, run.steps) == kept
+            served, solved = self.step1_answers(cluster, "conf-1", pictures[4], 4.0)
+            self.assert_exact(served, pictures[4])
+            assert solved < 1.0
+
+    def test_a_shed_and_a_cache_hit_do_not_touch_the_run(self):
+        pictures = self.reports(4)
+        with make_cluster() as cluster:
+            for k in range(3):
+                cluster.solve_request("conf-1", pictures[k], now_s=float(k))
+            run = cluster.meeting("conf-1").run
+            kept = (run.problem, run.steps)
+            assert cluster.shed_request(
+                "conf-1", pictures[3], now_s=3.0
+            ).source == SOURCE_SHED
+            assert cluster.solve_request(
+                "conf-1", pictures[1], now_s=4.0
+            ).source == SOURCE_CACHE
+            assert cluster.meeting("conf-1").run is run
+            assert (run.problem, run.steps) == kept
+            # The run is two pictures old now, and still exact.
+            served, solved = self.step1_answers(cluster, "conf-1", pictures[3], 5.0)
+            self.assert_exact(served, pictures[3])
+            assert solved < 1.0
+
+    @pytest.mark.parametrize("how", ["migrate_meeting", "kill_shard"])
+    def test_a_rehomed_meeting_starts_from_nothing(self, how):
+        pictures = self.reports(4)
+        with make_cluster() as cluster:
+            for k in range(3):
+                cluster.solve_request("conf-1", pictures[k], now_s=float(k))
+            record = cluster.meeting("conf-1")
+            left_behind = record.run
+            assert left_behind.steps
+            if how == "kill_shard":
+                cluster.kill_shard(record.shard, now_s=3.0)
+            else:
+                target = next(s for s in cluster.live_shards if s != record.shard)
+                cluster.migrate_meeting("conf-1", target, now_s=3.0, degrade=False)
+            assert record.run is not left_behind
+            assert record.run.problem is None and record.run.steps == ()
+            served, solved = self.step1_answers(cluster, "conf-1", pictures[3], 4.0)
+            self.assert_exact(served, pictures[3])
+            assert solved == 1.0
+            assert isinstance(record.run, KmrRun) and record.run.problem is pictures[3]
 
 
 class TestStats:

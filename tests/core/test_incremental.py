@@ -5,9 +5,11 @@ process-wide profile cache, the array DPs) must produce **byte-identical**
 Solutions to the from-scratch reference loop of `tests/core/reference.py`
 (every subscriber re-solved on its own every iteration, the pure-Python
 oracles under Steps 1 and 3) on every workload: all benchmark problem
-generators, incumbent-sticky re-solves, and every chaos soak scenario.
-Equivalence is enforced by pickle-byte comparison plus equal iteration
-and reduction sequences, not sampled spot checks.
+generators, incumbent-sticky re-solves, every chaos soak scenario and a
+storm of link reports through the plane, where each meeting's solves
+replay the one before (``tests/core/test_replay.py`` is the solver-level
+gate of that).  Equivalence is enforced by pickle-byte comparison plus
+equal iteration and reduction sequences, not sampled spot checks.
 """
 
 import importlib.util
@@ -47,13 +49,13 @@ GENERATORS = {
 }
 
 
-def _webinar(n_viewers=110):
+def _webinar(n_viewers=110, uplinks=tuple(350 + 60 * k for k in range(8))):
     """8 publishers in a full mesh plus ``n_viewers`` view-only subscribers
     with as many different downlinks, uplinks tight enough for several KMR
-    iterations."""
+    iterations (eleven deletions by default)."""
     pubs = [f"P{k}" for k in range(8)]
     viewers = [f"V{k:03d}" for k in range(n_viewers)]
-    bandwidth = {p: Bandwidth(350 + 60 * k, 4000) for k, p in enumerate(pubs)}
+    bandwidth = {p: Bandwidth(up, 4000) for p, up in zip(pubs, uplinks)}
     bandwidth.update(
         {v: Bandwidth(500, 600 + 37 * k) for k, v in enumerate(viewers)}
     )
@@ -71,13 +73,18 @@ def _config(granularity):
 _ENGINE_SOLVE = GsoSolver.solve_with_stats
 
 
-def _engine(solver, problem, incumbent):
-    """The unpatched ``GsoSolver`` solve, in ``reference_solve``'s shape."""
-    solution, stats = _ENGINE_SOLVE(solver, problem, incumbent=incumbent)
+def _engine(solver, problem, incumbent, warm=None):
+    """The unpatched ``GsoSolver`` solve, in ``reference_solve``'s shape.
+    ``warm`` is the caller's run: a chaos run's cluster passes each
+    meeting's, so these are *replayed* solves wherever a meeting is
+    re-decided over the same edges."""
+    solution, stats = _ENGINE_SOLVE(
+        solver, problem, incumbent=incumbent, warm=warm
+    )
     return solution, stats.iterations, stats.reductions
 
 
-def _reference(solver, problem, incumbent):
+def _reference(solver, problem, incumbent, warm=None):
     return reference_solve(problem, solver.config, incumbent)
 
 
@@ -291,14 +298,17 @@ class TestChaosEquivalence:
 
     def _run(self, scenario_name, seed, monkeypatch, solve):
         """One chaos run with every ``GsoSolver`` solve answered by
-        ``solve(solver, problem, incumbent) -> (solution, iterations,
-        reductions)``; returns the run digest and the per-solve log."""
+        ``solve(solver, problem, incumbent, warm) -> (solution,
+        iterations, reductions)``; returns the run digest and the
+        per-solve log."""
         from repro.chaos import ChaosConfig, ChaosRunner, get_scenario
 
         log = []
 
-        def logged(solver, problem, incumbent=None):
-            solution, iterations, reductions = solve(solver, problem, incumbent)
+        def logged(solver, problem, incumbent=None, warm=None):
+            solution, iterations, reductions = solve(
+                solver, problem, incumbent, warm
+            )
             log.append((pickle.dumps(solution), iterations, reductions))
             return solution, SolveStats(iterations=iterations, reductions=reductions)
 
@@ -340,3 +350,79 @@ class TestChaosEquivalence:
         assert self._run("kitchen_sink", 13, monkeypatch, _engine) == self._run(
             "kitchen_sink", 13, monkeypatch, _engine
         )
+
+
+class TestReportStormEquivalence:
+    """A chaos run re-decides a meeting a handful of times, mostly from
+    the cache; a run of link reports is where a meeting's solves follow
+    one another over the same edges, so this is the system-level
+    differential of the *replayed* solve: plane, cluster and per-meeting
+    runs included."""
+
+    DURATION_S = 14.0
+
+    def _run(self, monkeypatch, solve):
+        """A seeded storm of link estimates (one client per report, every
+        1.1 s per meeting) with every ``GsoSolver`` solve answered by
+        ``solve``; returns the per-solve log, how many of those solves
+        were handed a run with steps, and the decisions' digests."""
+        import random
+        from dataclasses import replace
+
+        from repro.chaos.world import ChaosWorld
+        from repro.cluster import ClusterConfig, ControllerCluster
+        from repro.ingress.aio import SimRuntime
+        from repro.ingress.events import LinkEstimate, SembReport, sort_stream
+        from repro.ingress.faults import StreamFaultInjector
+        from repro.ingress.plane import ClusterBackend, IngressPlane
+
+        world = ChaosWorld(seed=5, meetings=3, mean_size=6.0)
+        cluster = ControllerCluster(
+            ClusterConfig(shards=2, solver=_config(25))
+        )
+        events = []
+        for meeting_id in world.meeting_ids:
+            cluster.register(meeting_id)
+            rng = random.Random(f"storm:{meeting_id}")
+            clients = sorted(world.meeting(meeting_id).clients)
+            t = rng.uniform(0.0, 1.0)
+            while t < self.DURATION_S:
+                events.append(SembReport(at_s=round(t, 3), meeting=meeting_id))
+                events.append(
+                    LinkEstimate(
+                        at_s=round(t + 0.05, 3),
+                        meeting=meeting_id,
+                        client=rng.choice(clients),
+                        up_scale=round(rng.uniform(0.2, 1.0), 3),
+                        down_scale=round(rng.uniform(0.2, 1.0), 3),
+                    )
+                )
+                t += 1.1
+        stream = [replace(e, seq=i) for i, e in enumerate(sort_stream(events))]
+        log = []
+        replayable = []
+
+        def logged(solver, problem, incumbent=None, warm=None):
+            replayable.append(warm is not None and bool(warm.steps))
+            solution, iterations, reductions = solve(
+                solver, problem, incumbent, warm
+            )
+            log.append((pickle.dumps(solution), iterations, reductions))
+            return solution, SolveStats(iterations=iterations, reductions=reductions)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GsoSolver, "solve_with_stats", logged)
+            plane = IngressPlane(SimRuntime(), ClusterBackend(cluster, world))
+            plane.run_stream(
+                stream, StreamFaultInjector(()), duration_s=self.DURATION_S
+            )
+        assert {d.source for d in plane.decisions} <= {"solve", "cache"}
+        return log, sum(replayable), [d.digest for d in plane.decisions]
+
+    def test_replayed_solves_match_the_reference_solve_by_solve(self, monkeypatch):
+        engine_log, replayable, engine_digests = self._run(monkeypatch, _engine)
+        # 38 solves, 29 of them handed a run with steps.
+        assert replayable > len(engine_log) // 2, (replayable, len(engine_log))
+        reference_log, _, reference_digests = self._run(monkeypatch, _reference)
+        assert engine_log == reference_log
+        assert engine_digests == reference_digests

@@ -6,17 +6,21 @@ report, and the world hands it a freshly built ``Problem`` each time.
 derived from the edge list alone is shared by every picture over it, so
 the rebuilt picture of a webinar allocates what changed, not one object
 per edge and not one index list per client; and nothing on the decision path makes a reference cycle, so every
-collection the interpreter runs there is overhead.  Both are counts, not
-timings: they repeat exactly.
+collection the interpreter runs there is overhead.  A hosted meeting also
+keeps the run of its last solve (``KmrRun``) for the next one to replay:
+what that costs is bounded by the meeting, not by how long it has been
+re-decided, and it goes with the meeting's record.  All of these are
+counts, not timings: they repeat exactly.
 """
 
 import gc
+import weakref
 
 from repro.chaos.world import ChaosWorld
 from repro.cluster import ClusterConfig, ControllerCluster
 from repro.core.constraints import Bandwidth, Problem, Subscription
 from repro.core.ladder import paper_ladder
-from repro.core.solver import SolverConfig
+from repro.core.solver import KmrRun, SolverConfig
 from repro.core.types import Resolution
 from repro.ingress.aio import SimRuntime
 from repro.ingress.events import StreamConfig, generate_stream
@@ -28,15 +32,16 @@ VIEWERS = [f"V{k:03d}" for k in range(110)]
 LADDER = paper_ladder()
 
 
-def webinar_picture(downlinks):
+def webinar_picture(downlinks, uplinks=()):
     """A 118-client, 936-edge webinar built in full, as a world that keeps
     client state and not edges builds it after every event."""
     clients = PUBLISHERS + VIEWERS
+    uplinks = dict(uplinks)
     return Problem(
         feasible_streams={p: LADDER for p in PUBLISHERS},
         bandwidth={
             c: Bandwidth(
-                uplink_kbps=900 + 10 * k,
+                uplink_kbps=uplinks.get(c, 900 + 10 * k),
                 downlink_kbps=downlinks.get(c, 1500 + 7 * k),
                 audio_protection_kbps=64,
             )
@@ -123,3 +128,102 @@ class TestDecisionPathMakesNoCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+#: Three uplinks too tight for what the richer half of the viewers ask:
+#: eleven KMR iterations, so a run with eleven recorded steps.
+TIGHT_UPLINKS = {"P0": 400, "P1": 520, "P2": 700}
+RICH_VIEWERS = {f"V{k:03d}": 3000 + 40 * k for k in range(0, 110, 2)}
+
+
+def tight_webinar(report, movers):
+    """The 118-client webinar with one viewer's downlink moved by the
+    ``report``-th report; the reports go round ``movers`` viewers."""
+    downlinks = dict(RICH_VIEWERS)
+    downlinks[VIEWERS[(7 * (report % movers)) % 110]] = 400 + 53 * report
+    return webinar_picture(downlinks, TIGHT_UPLINKS)
+
+
+def _hosted(reports, movers=5):
+    """A cluster that decided one webinar ``reports`` times, every one a
+    real solve (no solution cache: the record is all that is kept)."""
+    cluster = ControllerCluster(
+        ClusterConfig(
+            shards=2, cache_capacity=0, solver=SolverConfig(granularity_kbps=25)
+        )
+    )
+    for report in range(reports):
+        served = cluster.solve_request(
+            "w00", tight_webinar(report, movers), now_s=float(report)
+        )
+        assert served.source == "solve"
+    assert served.solution.iterations == 11
+    return cluster
+
+
+def _tracked_by_the_run_alone(record):
+    """GC-tracked objects that go when the record's run goes."""
+    gc.collect()
+    before = len(gc.get_objects())
+    record.run = KmrRun()
+    return before - len(gc.get_objects())
+
+
+class TestMeetingRun:
+    def test_fifty_replayed_reports_leave_the_collector_nothing(self):
+        _hosted(3)  # imports, the profile cache
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = _hosted(50)
+            assert len(cluster.meeting("w00").run.steps) == 11
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_what_a_run_keeps_is_bounded_by_the_meeting_not_by_its_reports(self):
+        gc.disable()
+        try:
+            kept = {
+                reports: _tracked_by_the_run_alone(_hosted(reports).meeting("w00"))
+                for reports in (3, 10, 50)
+            }
+        finally:
+            gc.enable()
+        # 622: eleven steps, each an answers dict, a policy map with its
+        # per-publisher dicts, entries and audiences, and an outcome.  A
+        # re-solved viewer gets a template of its own where it shared
+        # one, so the count moves by a few with *who* ever moved (here
+        # five viewers, in turn), never with how often.
+        assert kept[3] <= 640
+        assert abs(kept[10] - kept[3]) <= 8
+        assert abs(kept[50] - kept[3]) <= 8
+
+    def test_a_meeting_solved_once_keeps_no_steps(self):
+        record = _hosted(1).meeting("w00")
+        assert record.run.problem is record.last_problem
+        assert record.run.steps == ()
+
+    def test_a_meeting_whose_every_solve_changes_topology_keeps_no_steps(self):
+        world = ChaosWorld(seed=3, meetings=1, mean_size=5.0)
+        (meeting_id,) = world.meeting_ids
+        cluster = ControllerCluster(
+            ClusterConfig(
+                shards=2, cache_capacity=0, solver=SolverConfig(granularity_kbps=25)
+            )
+        )
+        for k in range(5):
+            world.toggle_preference(meeting_id, min(world.meeting(meeting_id).clients))
+            served = cluster.solve_request(
+                meeting_id, world.current_problem(meeting_id), now_s=float(k)
+            )
+            assert served.source == "solve"
+            assert cluster.meeting(meeting_id).run.steps == ()
+
+    def test_dropping_the_record_frees_the_run(self):
+        cluster = _hosted(3)
+        run = weakref.ref(cluster.meeting("w00").run)
+        steps = weakref.ref(run().steps[0].outcome)
+        assert run() is not None and steps() is not None
+        del cluster._meetings["w00"]
+        assert run() is None and steps() is None

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.constraints as constraints
 import repro.core.engine as engine
 import repro.core.knapsack as knapsack
 import repro.core.mckp as mckp
@@ -102,6 +103,10 @@ class TestCodeReferencesExist:
         (solver, "GsoSolver"),
         (solver, "SolverConfig"),
         (solver, "_iteration_bound"),
+        (solver, "KmrRun"),
+        (constraints, "validate_feasible_set"),
+        (constraints.Problem, "changed_bandwidths"),
+        (constraints.Problem, "served_by"),
         (knapsack, "knapsack_step"),
         (reduction, "reduction_step"),
         (reduction, "fix_owner"),
@@ -133,6 +138,7 @@ class TestCodeReferencesExist:
         for rel in (
             "tests/core/test_mckp_kernel.py",
             "tests/core/test_incremental.py",
+            "tests/core/test_replay.py",
             "tests/core/test_solver_docs_match.py",
             "tests/core/reference.py",
             "bench/README.md",

@@ -15,7 +15,8 @@ import pytest
 from repro.obs import names
 from repro.obs.registry import enabled_registry
 
-DOCS = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+ROOT = Path(__file__).resolve().parents[2]
+DOCS = ROOT / "docs" / "OBSERVABILITY.md"
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +238,31 @@ class TestChaosNamesCovered:
             names.CHAOS_RUNS,
         } <= emitted
         assert emitted <= set(names.ALL_METRICS)
+
+
+class TestNoDeletedSurface:
+    """PR 21 deleted the in-band KMR trace collector (``TraceCollector``,
+    its JSONL schema, ``obs solve --trace-out``) and the span tree: a
+    decision's iterations are replayed by ``core/explain.py`` / ``repro
+    trace show --cid``.  Docstrings and guides outlived them once; they
+    must not name them again."""
+
+    GONE = ("merged_ladders", "kmr_trace", "--trace-out")
+
+    def test_no_source_file_or_guide_names_the_deleted_trace(self):
+        texts = [
+            *sorted((ROOT / "src").rglob("*.py")),
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / "README.md",
+            ROOT / "DESIGN.md",
+            ROOT / "EXPERIMENTS.md",
+            ROOT / "ROADMAP.md",
+        ]
+        assert len(texts) > 100
+        stale = [
+            (str(path.relative_to(ROOT)), token)
+            for path in texts
+            for token in self.GONE
+            if token in path.read_text()
+        ]
+        assert not stale, f"names of the deleted solver trace: {stale}"
