@@ -159,7 +159,6 @@ class ChaosConfig:
     #: Fig. 12 min interval and the housekeeping cadence).
     report_interval_s: float = 1.0
     shards: int = 2
-    cache_capacity: int = 256
     max_solves_per_round: int = 64
     mean_size: float = 4.0
     #: Placement policy homing meetings onto shards (see repro.placement).
@@ -243,7 +242,6 @@ class ChaosRunner:
                 shards=cfg.shards,
                 min_interval_s=cfg.report_interval_s,
                 max_interval_s=3.0 * cfg.report_interval_s,
-                cache_capacity=cfg.cache_capacity,
                 max_solves_per_round=cfg.max_solves_per_round,
                 placement=cfg.placement,
                 shard_cost_budget=cfg.shard_cost_budget,

@@ -10,7 +10,7 @@ Four subcommands cover the library's main entry points:
   print daily metrics;
 * ``cluster`` — the sharded controller cluster (``docs/ARCHITECTURE.md``,
   "Controller cluster"): ``cluster run`` pushes a fleet workload through
-  the cluster's solve service (sharding + fingerprint cache) and
+  the cluster's solve service (sharding + per-meeting memo) and
   reports daily metrics plus cluster counters (the event-driven loop
   itself is ``ingress run``);
 * ``place`` — fleet placement (see ``docs/PLACEMENT.md``): ``place
@@ -201,7 +201,6 @@ def _make_cluster(args: argparse.Namespace) -> "object":
     try:
         config = ClusterConfig(
             shards=args.shards,
-            cache_capacity=args.cache_capacity,
             max_solves_per_round=args.max_solves_per_round,
         )
     except ValueError as exc:
@@ -242,12 +241,6 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=4096,
-        help="fingerprint-cache entries (0 disables caching)",
-    )
     parser.add_argument(
         "--max-solves-per-round",
         type=int,

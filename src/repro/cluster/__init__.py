@@ -1,13 +1,13 @@
 """Sharded controller cluster: hosting many meetings behind one solve
 service (consistent-hash sharding, the Fig. 12 pacing envelope,
-fingerprint cache, admission control).
+per-meeting last-solve memo, admission control).
 """
 
 from .admission import AdmissionController, AdmissionStats
-from .cache import CacheStats, SolutionCache
 from .cluster import (
     ClusterConfig,
     ControllerCluster,
+    LastSolveMemo,
     MeetingRecord,
     ServedSolution,
     ShardWorker,
@@ -28,14 +28,13 @@ from .scheduler import (
 __all__ = [
     "AdmissionController",
     "AdmissionStats",
-    "CacheStats",
     "ClusterConfig",
     "ConsistentHashRing",
     "ControllerCluster",
+    "LastSolveMemo",
     "MeetingRecord",
     "ServedSolution",
     "ShardWorker",
-    "SolutionCache",
     "SOURCE_CACHE",
     "SOURCE_FALLBACK",
     "SOURCE_SHED",

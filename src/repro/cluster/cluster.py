@@ -10,10 +10,10 @@ module is the reproduction's control-plane host:
   (:mod:`.hashring`); a shard death re-homes only its own meetings;
 * **pacing** — the Fig. 12 envelope the ingress plane debounces and
   coalesces with (:mod:`.scheduler`);
-* **caching** — solves are keyed by the canonical problem fingerprint and
-  served from a bounded LRU when the structure repeats (:mod:`.cache`);
-  every served solution is frozen once and then shared, never copied;
-* **execution** — cache misses run in-process on one stateless
+* **caching** — each meeting remembers its last successful solve: a
+  re-decision handed the very same ``Problem`` object is served that
+  frozen ``Solution`` again (source ``"cache"``), never copied;
+* **execution** — everything else runs in-process on one stateless
   :class:`~repro.core.solver.GsoSolver` (``cluster.pool``), each handed
   its meeting's :class:`~repro.core.solver.KmrRun` so a re-decided
   meeting replays its last solve;
@@ -51,7 +51,6 @@ from ..placement.loadmodel import (
 )
 from ..placement.policies import POLICIES, get_policy
 from .admission import AdmissionController
-from .cache import SolutionCache
 from .hashring import ConsistentHashRing
 from .scheduler import TRIGGER_REHOME, TRIGGER_SYNC
 
@@ -73,8 +72,6 @@ class ClusterConfig:
     #: Fig. 12 envelope the ingress plane paces every meeting with.
     min_interval_s: float = 1.0
     max_interval_s: float = 3.0
-    #: Fingerprint cache; 0 disables caching entirely.
-    cache_capacity: int = 4096
     #: Solves one shard may have in flight at once; the ingress plane
     #: sheds decisions beyond it to the fallback.
     max_solves_per_round: int = 64
@@ -84,7 +81,7 @@ class ClusterConfig:
     #: Per-shard assigned-cost budget consulted by ``best_fit`` packing
     #: and the hot-shard detector; 0 disables budget awareness.
     shard_cost_budget: float = 0.0
-    #: Solver tuning shared by every shard (the fingerprint granularity).
+    #: Solver tuning shared by every shard.
     solver: SolverConfig = field(
         default_factory=lambda: SolverConfig(granularity_kbps=25)
     )
@@ -94,8 +91,6 @@ class ClusterConfig:
             raise ValueError("need at least one shard")
         if not 0 < self.min_interval_s <= self.max_interval_s:
             raise ValueError("need 0 < min_interval <= max_interval")
-        if self.cache_capacity < 0:
-            raise ValueError("cache_capacity must be >= 0")
         if self.max_solves_per_round < 1:
             raise ValueError("max_solves_per_round must be >= 1")
         if self.placement not in POLICIES:
@@ -106,11 +101,6 @@ class ClusterConfig:
         if self.shard_cost_budget < 0:
             raise ValueError("shard_cost_budget must be >= 0")
 
-    @property
-    def cache_enabled(self) -> bool:
-        """True when a solution cache is configured."""
-        return self.cache_capacity > 0
-
 
 @dataclass
 class ServedSolution:
@@ -118,8 +108,8 @@ class ServedSolution:
 
     meeting_id: str
     shard: str
-    #: Read-only (``Solution.freeze``): a cache hit is the same object
-    #: every other holder of that entry was served.
+    #: Read-only (``Solution.freeze``): a cache hit is the very object
+    #: the meeting's last solve was served.
     solution: Solution
     #: Where the configuration came from: a fresh solve, a cache hit, a
     #: failure fallback, or an admission shed (also a fallback, tagged
@@ -135,25 +125,59 @@ class ServedSolution:
 class MeetingRecord:
     """Cluster-side state of one hosted meeting.
 
-    The record owns the meeting's :class:`~repro.core.solver.KmrRun`: what
-    its last real solve learned, handed to the next one.  It is this
-    meeting's alone (webinars that share one topology value still differ
-    in every budget), it is written only by a solve that succeeded (a
-    cache hit, a shed, a fallback and a solve that raised leave it as it
-    was), and it dies with the controller state it is part of: a
-    migration or a shard death replaces it with an empty one (controller
-    state does not travel, Sec. 7), and dropping the record frees it.
+    The record owns two things its last successful solve left behind,
+    both this meeting's alone (webinars that share one topology value
+    still differ in every budget) and both written only by a solve that
+    succeeded (a cache hit, a shed, a fallback and a solve that raised
+    leave them as they were):
+
+    * ``memo``, the ``(Problem, frozen Solution)`` pair of that solve.  A
+      request for the very same ``Problem`` object is served its
+      ``Solution`` again.  One pair per meeting, never more; it survives
+      a migration or a shard death, since the answer to a picture does
+      not depend on the shard that computed it.
+    * ``run``, the :class:`~repro.core.solver.KmrRun` the next solve
+      replays.  It dies with the controller state it is part of: a
+      migration or a shard death replaces it with an empty one
+      (controller state does not travel, Sec. 7).
+
+    Dropping the record frees both.
     """
 
     meeting_id: str
     shard: str
     last_problem: Optional[Problem] = None
     last_solution: Optional[Solution] = None
+    memo: Optional[Tuple[Problem, Solution]] = None
     run: KmrRun = field(default_factory=KmrRun)
     solves: int = 0
     cache_hits: int = 0
     fallbacks: int = 0
     rehomes: int = 0
+
+
+class LastSolveMemo:
+    """Reads and writes each meeting's ``MeetingRecord.memo``.
+
+    Holds no solutions itself, only the cluster-wide hit and miss counts
+    (a miss is a request that went on to a solve attempt).
+    """
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, record: MeetingRecord, problem: Problem) -> Optional[Solution]:
+        """The memoised solution when ``problem`` *is* the memoised picture."""
+        memo = record.memo
+        if memo is not None and memo[0] is problem:
+            self.hits += 1
+            return memo[1]
+        self.misses += 1
+        return None
+
+    def put(self, record: MeetingRecord, problem: Problem, solution: Solution) -> None:
+        record.memo = (problem, solution)
 
 
 class ShardWorker:
@@ -186,11 +210,7 @@ class ControllerCluster:
         self._shards: Dict[str, ShardWorker] = {
             name: ShardWorker(name, self.config) for name in names
         }
-        self.cache: Optional[SolutionCache] = (
-            SolutionCache(self.config.cache_capacity)
-            if self.config.cache_enabled
-            else None
-        )
+        self.cache = LastSolveMemo()
         self.pool = GsoSolver(self.config.solver)
         self._meetings: Dict[str, MeetingRecord] = {}
         self.placement_policy = get_policy(self.config.placement)
@@ -201,7 +221,7 @@ class ControllerCluster:
         self.shard_failovers = 0
         #: Fault-injection hook (repro.chaos): called with
         #: ``(meeting_id, problem)`` before any solve attempt (including
-        #: cache lookups).  Raising degrades that meeting to the Sec. 7
+        #: memo lookups).  Raising degrades that meeting to the Sec. 7
         #: single-stream fallback, exactly like a crashing solver.
         self.solve_interceptor: Optional[
             Callable[[str, Problem], None]
@@ -296,9 +316,6 @@ class ControllerCluster:
     # The solve service
     # ------------------------------------------------------------------ #
 
-    def _cache_key(self, problem: Problem) -> str:
-        return problem.fingerprint(self.config.solver.granularity_kbps)
-
     def _fallback(self, record: MeetingRecord, problem: Problem) -> Solution:
         """Serve the Sec. 7 degenerate configuration and account for it."""
         solution = single_stream_fallback(problem).freeze()
@@ -354,28 +371,26 @@ class ControllerCluster:
         )
 
     def _solve_service(
-        self, problem: Problem, run: KmrRun
+        self, problem: Problem, record: MeetingRecord
     ) -> Tuple[Solution, str]:
-        """Cache lookup, then solve; returns (solution, source).
+        """Memo lookup, then solve; returns (solution, source).
 
-        The solver's result is frozen here, once per solve; the cache
-        stores that object and every later hit returns it.  ``run`` is
-        the meeting's: the solve replays it and leaves its own in it.
+        The solver's result is frozen here, once per solve, and becomes
+        the meeting's memo; a later request for the same ``Problem``
+        object returns it.  The solve replays the meeting's run and
+        leaves its own in it.
 
         Raises whatever the solver raises — callers map failures to the
         fallback policy.
         """
         start = time.perf_counter()
         with span(obs_names.SPAN_CLUSTER_SOLVE):
-            key = self._cache_key(problem) if self.cache is not None else None
-            if key is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self._observe_solve_seconds(start)
-                    return cached, SOURCE_CACHE
-            solution = self.pool.solve(problem, warm=run).freeze()
-            if key is not None:
-                self.cache.put(key, solution)
+            cached = self.cache.get(record, problem)
+            if cached is not None:
+                self._observe_solve_seconds(start)
+                return cached, SOURCE_CACHE
+            solution = self.pool.solve(problem, warm=record.run).freeze()
+            self.cache.put(record, problem, solution)
         self._observe_solve_seconds(start)
         return solution, SOURCE_SOLVE
 
@@ -398,7 +413,7 @@ class ControllerCluster:
         """Serve one request now.
 
         Routes through the meeting's shard for accounting, honors the
-        chaos interceptor and the fingerprint cache, and never raises:
+        chaos interceptor and the meeting's memo, and never raises:
         failures degrade to the Sec. 7 single-stream fallback.
         """
         record = self._record_for(meeting_id, problem)
@@ -413,7 +428,7 @@ class ControllerCluster:
         try:
             if self.solve_interceptor is not None:
                 self.solve_interceptor(meeting_id, problem)
-            solution, source = self._solve_service(problem, record.run)
+            solution, source = self._solve_service(problem, record)
         except Exception:
             solution = self._fallback(record, problem)
             source = SOURCE_FALLBACK
@@ -482,7 +497,9 @@ class ControllerCluster:
         seamless.  Either way the meeting re-converges to a full KMR
         solution on its next decision on the target (its next report or
         the ingress plane's idle refresh), solved from nothing: the
-        source shard's run of the meeting stays behind.
+        source shard's run of the meeting stays behind.  The meeting's
+        memo moves with it, so a decision over the unchanged picture is
+        still a cache hit.
 
         Returns the degraded :class:`ServedSolution` (None when the
         meeting was already on ``target``, had no snapshot to serve, or
@@ -666,16 +683,6 @@ class ControllerCluster:
                 "fallbacks": worker.fallbacks,
                 "shed": worker.admission.stats.shed,
             }
-        cache = None
-        if self.cache is not None:
-            cache = {
-                "entries": len(self.cache),
-                "capacity": self.cache.capacity,
-                "hits": self.cache.stats.hits,
-                "misses": self.cache.stats.misses,
-                "evictions": self.cache.stats.evictions,
-                "hit_rate": self.cache.stats.hit_rate,
-            }
         return {
             "meetings": len(self._meetings),
             "live_shards": self.live_shards,
@@ -687,7 +694,7 @@ class ControllerCluster:
                 **self.load_model.snapshot(),
             },
             "shards": shards,
-            "cache": cache,
+            "cache": {"hits": self.cache.hits, "misses": self.cache.misses},
             "mckp_cache": default_mckp_cache().snapshot(),
             "mckp_kernel": kernel_stats().snapshot(),
         }

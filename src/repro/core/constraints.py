@@ -215,8 +215,8 @@ class Subscription(_SharedValue):
     ) -> "Subscription":
         if max_resolution.__class__ is not Resolution:
             # The cap arrives from signaling as the caller gave it; a bare
-            # 720 would alias Resolution.P720 in the table and break
-            # fingerprint()'s ``.value``.
+            # 720 would alias Resolution.P720 in the table and break every
+            # reader of ``.value``.
             max_resolution = Resolution(max_resolution)
         shareable = type(subscriber) is str and type(publisher) is str
         if shareable:
@@ -244,9 +244,8 @@ class _Topology:
     Built by :func:`_walk_edges` once per edge list and shared by every
     :class:`Problem` over it: a bandwidth report changes one
     :class:`Bandwidth`, never an edge, so the rebuilt picture finds the
-    indexes, the Step-1 order, the shape index and the edge lines of its
-    fingerprint where the picture before it left them.  Nothing here is
-    mutated once filled in.
+    indexes, the Step-1 order and the shape index where the picture
+    before it left them.  Nothing here is mutated once filled in.
 
     Attributes:
         edges: the edge tuple.  The table key is the ``id`` of each
@@ -257,8 +256,6 @@ class _Topology:
         subscribers: the subscribers, sorted.
         ordered: ``Problem.ordered_followed_by``'s tuples, filled on use.
         shapes: ``Problem.shape_index``'s pair, ``None`` until first use.
-        edge_lines: the ``E[...]`` lines of ``Problem.fingerprint``,
-            sorted and newline-joined; ``None`` until first use.
     """
 
     __slots__ = (
@@ -268,7 +265,6 @@ class _Topology:
         "subscribers",
         "ordered",
         "shapes",
-        "edge_lines",
         "__weakref__",
     )
 
@@ -286,7 +282,6 @@ class _Topology:
         self.shapes: Optional[
             Tuple[Dict[ClientId, int], List[Tuple[Subscription, ...]]]
         ] = None
-        self.edge_lines: Optional[str] = None
 
 
 #: The live topologies, by ``(id of every edge, sorted alias items)``.  Edge
@@ -367,16 +362,15 @@ class Problem:
             budgets are enforced per owner.  Identity by default.
 
     A ``Problem`` is not mutated after construction; a changed meeting is
-    a new ``Problem``.  The four derived values it caches (the edge
-    indexes, the Step-1 edge order, the shape index and the
-    :meth:`fingerprint`) rely on it, and so does every holder that tells
-    "same picture as last time" by object identity.  All but the
-    fingerprint's digest depend on the edge list and the alias map alone
-    and live on one private topology value per edge list, found again by
-    every ``Problem`` built over the same edge *objects* and the same
-    aliases while one such picture is alive; what :meth:`shape_index` and
-    :meth:`ordered_followed_by` return may therefore be shared between
-    pictures and is read-only.
+    a new ``Problem``.  The three derived values it caches (the edge
+    indexes, the Step-1 edge order and the shape index) rely on it, and
+    so does every holder that tells "same picture as last time" by object
+    identity (a meeting's last-solve memo).  They depend on the edge list
+    and the alias map alone and live on one private topology value per
+    edge list, found again by every ``Problem`` built over the same edge
+    *objects* and the same aliases while one such picture is alive; what
+    :meth:`shape_index` and :meth:`ordered_followed_by` return may
+    therefore be shared between pictures and is read-only.
 
     The :class:`Subscription` and :class:`Bandwidth` values inside are
     immutable and may be the very objects another ``Problem`` holds: a
@@ -462,7 +456,6 @@ class Problem:
             if self.owner(pub) not in self.bandwidth:
                 raise ValueError(f"publisher {pub!r} has no bandwidth entry")
         self._topology = topology
-        self._fingerprints: Dict[int, str] = {}
 
     def __reduce__(self):
         # Through the constructor, like the values inside: a copy carries no
@@ -668,98 +661,53 @@ class Problem:
                 changed.add(client)
         return changed
 
-    # ------------------------------------------------------------------ #
-    # Canonical identity
-    # ------------------------------------------------------------------ #
-
     #: Schema tag of :meth:`fingerprint`; bump on any encoding change.
     FINGERPRINT_SCHEMA = "repro.problem_fp/v1"
 
     def fingerprint(self, granularity_kbps: int = 1) -> str:
-        """A canonical, order-independent identity for solver caching.
+        """A canonical, order-independent content key of this picture.
 
-        Two problems with the same fingerprint are *solver-equivalent*: the
-        KMR loop (at the given knapsack granularity) produces the identical
-        :class:`~repro.core.solution.Solution` for both.  The encoding is
-        independent of the construction order of the stream sets, bandwidth
-        map, subscription list, alias map and owner map — fleet workloads
-        rebuild structurally identical meetings in arbitrary orders, and
-        they must all collide onto one cache entry.
-
-        Budget bucketing is deliberately asymmetric:
-
-        * **downlink** budgets are bucketed to ``granularity_kbps``.  Step
-          1's DP only ever sees ``capacity // granularity`` slots (weights
-          are rounded *up* onto the grid, so the exact-capacity check can
-          never bind) — any two downlinks in the same bucket are provably
-          indistinguishable to the solver.
-        * **uplink** budgets stay exact.  Step 3's accept test (Eq. 14) and
-          fixability test (Eq. 17) compare raw kbps sums against the raw
-          budget, so near-miss uplinks in the same coarse bucket can yield
-          different reductions and must *not* collide.
-
-        Budgets enter the key *after* audio protection (the solver only
-        reads the effective values).  Client ids are part of the identity —
-        solutions name clients, so renamed-but-isomorphic problems are not
-        equivalent.
-
-        Computed once per (instance, granularity) and cached: the
-        controller re-decides an unchanged meeting every 1-3 s, and an
-        unchanged meeting is the same ``Problem`` object.
-
-        Args:
-            granularity_kbps: the knapsack grid step of the solver this key
-                is computed for (``SolverConfig.granularity_kbps``).
+        Two problems with the same key get the identical
+        :class:`~repro.core.solution.Solution` from a solver at this
+        knapsack granularity, however their maps and lists were ordered.
+        Budgets enter after audio protection; downlinks are bucketed to
+        ``granularity_kbps`` (Step 1's DP sees nothing finer), uplinks stay
+        exact (Step 3 compares raw kbps, Eq. 14/17).  Client ids are part
+        of the key.  Nothing on the decision path calls this (a meeting's
+        memo compares pictures by identity); it is a diagnostic, hashed
+        afresh on every call.
 
         Returns:
             ``"<schema>:<sha256 hexdigest>"``.
         """
-        cached = self._fingerprints.get(granularity_kbps)
-        if cached is not None:
-            return cached
         if granularity_kbps < 1:
             raise ValueError("granularity_kbps must be >= 1")
         parts: List[str] = [self.FINGERPRINT_SCHEMA, f"g={granularity_kbps}"]
-        # Publishers holding the same streams in the same order (copies of
-        # one validated ladder) share one ladder text.
-        ladders: Dict[Tuple[int, ...], str] = {}
         for pub in sorted(self.feasible_streams):
-            streams = self.feasible_streams[pub]
-            ladder_key = tuple(map(id, streams))
-            ladder = ladders.get(ladder_key)
-            if ladder is None:
-                ladder = ladders[ladder_key] = ";".join(
-                    f"{s.bitrate_kbps},{s.resolution.value},{s.qoe!r}"
-                    for s in sorted(
-                        streams, key=lambda s: (s.bitrate_kbps, s.resolution)
-                    )
-                )
-            parts.append(f"S[{pub}]={ladder}")
+            ladder = sorted(
+                self.feasible_streams[pub], key=lambda s: (s.bitrate_kbps, s.resolution)
+            )
+            parts.append(
+                f"S[{pub}]="
+                + ";".join(f"{s.bitrate_kbps},{s.resolution.value},{s.qoe!r}" for s in ladder)
+            )
         for client in sorted(self.bandwidth):
             bw = self.bandwidth[client]
             parts.append(
                 f"B[{client}]={bw.effective_uplink_kbps},"
                 f"{bw.effective_downlink_kbps // granularity_kbps}"
             )
-        topology = self._topology
-        if topology.edge_lines is None:
-            topology.edge_lines = "\n".join(
-                f"E[{sub}<-{pub}]={cap}"
-                for sub, pub, cap in sorted(
-                    (e.subscriber, e.publisher, e.max_resolution.value)
-                    for e in topology.edges
-                )
+        parts += (
+            f"E[{sub}<-{pub}]={cap}"
+            for sub, pub, cap in sorted(
+                (e.subscriber, e.publisher, e.max_resolution.value)
+                for e in self.subscriptions
             )
-        if topology.edge_lines:
-            parts.append(topology.edge_lines)
-        for virtual in sorted(self.aliases):
-            parts.append(f"A[{virtual}]={self.aliases[virtual]}")
-        for entity in sorted(self._owners):
-            parts.append(f"O[{entity}]={self._owners[entity]}")
+        )
+        parts += (f"A[{v}]={self.aliases[v]}" for v in sorted(self.aliases))
+        parts += (f"O[{e}]={self._owners[e]}" for e in sorted(self._owners))
         digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-        cached = f"{self.FINGERPRINT_SCHEMA}:{digest}"
-        self._fingerprints[granularity_kbps] = cached
-        return cached
+        return f"{self.FINGERPRINT_SCHEMA}:{digest}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

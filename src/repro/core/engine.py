@@ -10,13 +10,11 @@ mostly share one *class structure* and differ only in downlink, so one
 what carries that across steps without changing a single byte of any
 :class:`~repro.core.solution.Solution`:
 
-* **a process-wide bounded LRU cache** — :class:`MckpInstanceCache`
-  mirrors the cluster's fingerprint-keyed solution cache
-  (``repro.cluster.cache``) one level down, keyed by
-  ``(granularity, classes)``: profiles survive across KMR iterations,
-  solver instances and controller rounds, so a bandwidth delta that
-  misses the whole-``Problem`` fingerprint builds no table at all.
-  Profiles are shared without copying;
+* **a process-wide bounded LRU cache** — :class:`MckpInstanceCache`,
+  keyed by ``(granularity, classes)``: profiles survive across KMR
+  iterations, solver instances, controller rounds and meetings, so a
+  bandwidth delta that changes the ``Problem`` builds no table for a
+  class structure seen before.  Profiles are shared without copying;
 * **per-solve accounting** — :class:`EngineStats` counts what each layer
   saved; :class:`~repro.core.solver.SolveStats` carries it per solve and
   the metrics named in ``repro.obs.names`` aggregate it process-wide.
@@ -101,13 +99,13 @@ class InstanceCacheStats:
 class MckpInstanceCache:
     """Bounded LRU cache of capacity profiles, keyed by class structure.
 
-    The sibling of the cluster's :class:`~repro.cluster.cache.SolutionCache`
-    one level down: where that cache needs the *whole meeting* to repeat,
-    this one hits whenever a ``(granularity, classes)`` *class structure*
-    repeats, at any downlink — across KMR iterations, across controller
-    rounds, and across entirely different meetings that share ladder
-    shapes.  Values are :class:`~repro.core.mckp.CapacityProfile` objects,
-    shared without copying.
+    Where a meeting's last-solve memo (``MeetingRecord.memo``) needs the
+    very same ``Problem`` object again, this cache hits whenever a
+    ``(granularity, classes)`` *class structure* repeats, at any
+    downlink — across KMR iterations, across controller rounds, and
+    across entirely different meetings that share ladder shapes.  Values
+    are :class:`~repro.core.mckp.CapacityProfile` objects, shared without
+    copying.
 
     Args:
         capacity: maximum retained entries; least-recently-used entries

@@ -204,9 +204,11 @@ class ConferenceScorer:
         levels_per_resolution: GSO ladder depth.
         cluster: optional :class:`~repro.cluster.ControllerCluster`; when
             set, GSO solves route through the cluster's solve service
-            (sharding + fingerprint cache + pool) instead of a private
-            solver.  The cluster must be configured with the same solver
-            granularity (25 kbps) for solutions to match the direct path.
+            (sharding + per-meeting memo + pool) instead of a private
+            solver.  Every sampled conference is a new meeting solved
+            once, so none is served from a memo.  The cluster must be
+            configured with the same solver granularity (25 kbps) for
+            solutions to match the direct path.
     """
 
     def __init__(

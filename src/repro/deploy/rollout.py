@@ -92,8 +92,8 @@ class DeploymentSimulation:
         schedule: the coverage ramp.
         levels_per_resolution: GSO ladder depth.
         cluster: optional :class:`~repro.cluster.ControllerCluster` to run
-            every GSO solve through (sharded solve service with the
-            fingerprint cache); ``None`` solves in-process.
+            every GSO solve through (the sharded solve service); ``None``
+            solves in-process.
     """
 
     def __init__(

@@ -221,10 +221,9 @@ class ClusterBackend(IngressBackend):
 
     The world builds a ``Problem`` only when an event changes the
     meeting and hands back that instance until the next change, so the
-    identity of an unchanged meeting is computed once: its fingerprint
-    is kept on the ``Problem``, the cluster serves the one frozen
-    ``Solution`` its cache holds, and :meth:`committed` reads that
-    solution's digest off it.
+    identity of an unchanged meeting is that object: the cluster serves
+    the one frozen ``Solution`` the meeting's memo holds for it, and
+    :meth:`committed` reads that solution's digest off it.
     """
 
     def __init__(self, cluster, world) -> None:

@@ -46,7 +46,6 @@ class IngressRunConfig:
     shards: int = 2
     mailbox_capacity: int = 8
     solve_slots: int = 4
-    cache_capacity: int = 256
     max_solves_per_round: int = 64
 
     def to_dict(self) -> dict:
@@ -78,7 +77,6 @@ def run_ingress(
             shards=cfg.shards,
             min_interval_s=cfg.report_interval_s,
             max_interval_s=3.0 * cfg.report_interval_s,
-            cache_capacity=cfg.cache_capacity,
             max_solves_per_round=cfg.max_solves_per_round,
             solver=SolverConfig(granularity_kbps=25),
         )

@@ -155,12 +155,6 @@ FLEET_LAST_SATISFACTION = "repro_fleet_last_satisfaction_ratio"
 #: Counter, label ``trigger`` in {"event", "time", "sync"} — solve
 #: requests entering the solve service.
 CLUSTER_SOLVE_REQUESTS = "repro_cluster_solve_requests_total"
-#: Counter, label ``result`` in {"hit", "miss"} — fingerprint-cache lookups.
-CLUSTER_CACHE = "repro_cluster_cache_total"
-#: Counter — LRU evictions from the solution cache.
-CLUSTER_CACHE_EVICTIONS = "repro_cluster_cache_evictions_total"
-#: Gauge — solutions currently retained by the cache.
-CLUSTER_CACHE_ENTRIES = "repro_cluster_cache_entries"
 #: Counter — solve requests shed by admission control (served fallback).
 CLUSTER_SHED = "repro_cluster_shed_total"
 #: Gauge, label ``shard`` — meetings currently homed on each shard.
@@ -325,9 +319,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     FLEET_SATISFACTION: ("histogram", ("scheme",)),
     FLEET_LAST_SATISFACTION: ("gauge", ("scheme",)),
     CLUSTER_SOLVE_REQUESTS: ("counter", ("trigger",)),
-    CLUSTER_CACHE: ("counter", ("result",)),
-    CLUSTER_CACHE_EVICTIONS: ("counter", ()),
-    CLUSTER_CACHE_ENTRIES: ("gauge", ()),
     CLUSTER_SHED: ("counter", ()),
     CLUSTER_MEETINGS: ("gauge", ("shard",)),
     CLUSTER_REHOMED: ("counter", ()),

@@ -1,13 +1,11 @@
-"""Solution cache: LRU bounds, read-only sharing, metrics."""
+"""A meeting's last-solve memo: a hit is the stored object, read-only."""
 
 import pickle
 
 import pytest
 
-from repro.cluster import SolutionCache
+from repro.cluster import SOURCE_CACHE, SOURCE_SOLVE, ClusterConfig, ControllerCluster
 from repro.core.solver import GsoSolver, SolverConfig
-from repro.obs import names as obs_names
-from repro.obs.registry import enabled_registry
 
 from .conftest import mesh_problem
 
@@ -15,80 +13,27 @@ from .conftest import mesh_problem
 SOLVER = GsoSolver(SolverConfig(granularity_kbps=25))
 
 
-def solved(ups=(5000, 5000, 500)):
-    """A problem and its frozen solution, as the cluster would store it."""
+def solved_on_cluster(cluster, ups=(5000, 5000, 500)):
+    """A problem, solved once through the cluster so its meeting memoises it."""
     problem = mesh_problem(ups=ups)
-    return problem, SOLVER.solve(problem).freeze()
+    served = cluster.solve_request("conf-1", problem, now_s=0.0)
+    assert served.source == SOURCE_SOLVE
+    return problem, served.solution
+
+
+def hit(cluster, problem, now_s=1.0):
+    served = cluster.solve_request("conf-1", problem, now_s=now_s)
+    assert served.source == SOURCE_CACHE
+    return served.solution
 
 
 class TestLookup:
-    def test_miss_then_hit(self):
-        _, solution = solved()
-        cache = SolutionCache(capacity=4)
-        assert cache.get("fp-a") is None
-        cache.put("fp-a", solution)
-        hit = cache.get("fp-a")
-        assert hit is not None
-        assert pickle.dumps(hit) == pickle.dumps(solution)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
-
-    def test_contains_and_len(self):
-        _, solution = solved()
-        cache = SolutionCache(capacity=4)
-        cache.put("fp-a", solution)
-        assert "fp-a" in cache and "fp-b" not in cache
-        assert len(cache) == 1
-
     def test_hit_is_the_stored_object(self):
-        _, solution = solved()
-        cache = SolutionCache(capacity=4)
-        cache.put("fp-a", solution)
-        assert cache.get("fp-a") is solution
-        assert cache.get("fp-a") is cache.get("fp-a")
-
-    def test_mutable_solution_is_refused(self):
-        problem, _ = solved()
-        cache = SolutionCache(capacity=4)
-        with pytest.raises(ValueError):
-            cache.put("fp-a", SOLVER.solve(problem))
-        assert len(cache) == 0
-
-    def test_clear_keeps_stats(self):
-        _, solution = solved()
-        cache = SolutionCache(capacity=4)
-        cache.put("fp-a", solution)
-        cache.get("fp-a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.hits == 1
-
-
-class TestLru:
-    def test_eviction_order(self):
-        _, solution = solved()
-        cache = SolutionCache(capacity=2)
-        cache.put("fp-a", solution)
-        cache.put("fp-b", solution)
-        cache.get("fp-a")  # refresh a; b is now least-recent
-        cache.put("fp-c", solution)
-        assert "fp-a" in cache and "fp-c" in cache
-        assert "fp-b" not in cache
-        assert cache.stats.evictions == 1
-
-    def test_put_refresh_counts_as_recent(self):
-        _, solution = solved()
-        cache = SolutionCache(capacity=2)
-        cache.put("fp-a", solution)
-        cache.put("fp-b", solution)
-        cache.put("fp-a", solution)  # refresh, not insert
-        cache.put("fp-c", solution)
-        assert "fp-a" in cache and "fp-b" not in cache
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            SolutionCache(capacity=0)
+        with ControllerCluster(ClusterConfig(shards=2)) as cluster:
+            problem, solution = solved_on_cluster(cluster)
+            assert cluster.meeting("conf-1").memo == (problem, solution)
+            assert hit(cluster, problem) is solution
+            assert hit(cluster, problem, 2.0) is hit(cluster, problem, 3.0)
 
 
 def mutation_attempts(solution):
@@ -110,42 +55,25 @@ def mutation_attempts(solution):
 
 
 class TestIsolation:
-    """A hit shares the stored object; what keeps one meeting from
-    corrupting another's hit is that nobody can write to it."""
+    """A hit shares the memoised object; what keeps a caller from
+    corrupting the meeting's next hit is that nobody can write to it."""
 
     def test_hit_mutation_does_not_corrupt_store(self):
-        problem, solution = solved()
-        original = pickle.dumps(SOLVER.solve(problem))
-        cache = SolutionCache(capacity=4)
-        cache.put("fp-a", solution)
-        for attempt in mutation_attempts(cache.get("fp-a")):
-            with pytest.raises((TypeError, AttributeError)):
-                attempt()
-        second = cache.get("fp-a")
-        assert second.assignments and second.policies
-        assert pickle.dumps(second) == original
+        with ControllerCluster(ClusterConfig(shards=2)) as cluster:
+            problem, _ = solved_on_cluster(cluster)
+            original = pickle.dumps(SOLVER.solve(problem))
+            for attempt in mutation_attempts(hit(cluster, problem)):
+                with pytest.raises((TypeError, AttributeError)):
+                    attempt()
+            second = hit(cluster, problem, 2.0)
+            assert second.assignments and second.policies
+            assert pickle.dumps(second) == original
 
     def test_caller_mutation_after_put_does_not_corrupt_store(self):
-        problem, solution = solved()
-        original = pickle.dumps(SOLVER.solve(problem))
-        cache = SolutionCache(capacity=4)
-        cache.put("fp-a", solution)
-        for attempt in mutation_attempts(solution):
-            with pytest.raises((TypeError, AttributeError)):
-                attempt()
-        assert pickle.dumps(cache.get("fp-a")) == original
-
-
-class TestMetrics:
-    def test_hit_miss_eviction_counters(self):
-        _, solution = solved()
-        with enabled_registry() as reg:
-            cache = SolutionCache(capacity=1)
-            cache.get("fp-a")
-            cache.put("fp-a", solution)
-            cache.get("fp-a")
-            cache.put("fp-b", solution)  # evicts fp-a
-            assert reg.counter(obs_names.CLUSTER_CACHE, result="miss").value == 1
-            assert reg.counter(obs_names.CLUSTER_CACHE, result="hit").value == 1
-            assert reg.counter(obs_names.CLUSTER_CACHE_EVICTIONS).value == 1
-            assert reg.gauge(obs_names.CLUSTER_CACHE_ENTRIES).value == 1
+        with ControllerCluster(ClusterConfig(shards=2)) as cluster:
+            problem, solution = solved_on_cluster(cluster)
+            original = pickle.dumps(SOLVER.solve(problem))
+            for attempt in mutation_attempts(solution):
+                with pytest.raises((TypeError, AttributeError)):
+                    attempt()
+            assert pickle.dumps(hit(cluster, problem)) == original

@@ -1,7 +1,6 @@
 """End-to-end controller cluster: equivalence, failover, overload."""
 
 import pickle
-from types import SimpleNamespace
 
 import pytest
 
@@ -18,10 +17,10 @@ from repro.cluster import (
 from repro.chaos.world import ChaosWorld
 from repro.cluster import cluster as cluster_module
 from repro.control.failover import single_stream_fallback
-from repro.core import constraints
 from repro.core import solver as solver_module
 from repro.core.constraints import Bandwidth, Problem, Subscription
 from repro.core.ladder import paper_ladder
+from repro.core.solution import solution_digest
 from repro.core.types import Resolution
 from repro.core.explain import explain_solve
 from repro.core.solver import GsoSolver, KmrRun, SolverConfig
@@ -56,47 +55,36 @@ class TestSolveService:
                 DIRECT.solve(problem)
             )
 
-    def test_cache_hit_across_meetings(self, problem):
+    def test_meetings_do_not_share_a_memo(self, problem):
         with make_cluster() as cluster:
             a = cluster.solve_request("conf-a", problem, now_s=0.0)
             b = cluster.solve_request("conf-b", problem, now_s=0.0)
-            assert (a.source, b.source) == (SOURCE_SOLVE, SOURCE_CACHE)
+            assert (a.source, b.source) == (SOURCE_SOLVE, SOURCE_SOLVE)
             assert pickle.dumps(a.solution) == pickle.dumps(b.solution)
-            assert cluster.cache.stats.hits == 1
-            assert cluster.cache.stats.misses == 1
-            assert cluster.meeting("conf-b").cache_hits == 1
-
-    def test_cache_disabled_still_correct(self, problem):
-        with make_cluster(cache_capacity=0) as cluster:
-            assert cluster.cache is None
-            got = cluster.solve_request("conf-1", problem, now_s=0.0).solution
-            assert pickle.dumps(got) == pickle.dumps(DIRECT.solve(problem))
-            # Nothing to share: a re-decision is a second solve.
-            again = cluster.solve_request("conf-1", problem, now_s=1.0)
-            assert again.source == SOURCE_SOLVE
-            assert again.solution is not got and again.solution == got
+            assert cluster.meeting("conf-a").memo == (problem, a.solution)
+            assert cluster.meeting("conf-b").memo == (problem, b.solution)
+            assert cluster.stats()["cache"] == {"hits": 0, "misses": 2}
 
     def test_unchanged_problem_object_redecides_without_rederiving(
         self, problem, monkeypatch
     ):
-        """Same ``Problem`` object again: no hash, no cost refresh, and the
-        very solution object the first decision was served."""
+        """Same ``Problem`` object again: no solve, no cost refresh, and
+        the very solution object the first decision was served."""
         with make_cluster() as cluster:
             first = cluster.solve_request("conf-1", problem, now_s=0.0)
             loads = cluster.load_model.loads()
 
             def unexpected(*args, **kwargs):
-                raise AssertionError("re-derived an unchanged meeting's identity")
+                raise AssertionError("re-derived an unchanged meeting's answer")
 
-            monkeypatch.setattr(
-                constraints, "hashlib", SimpleNamespace(sha256=unexpected)
-            )
+            monkeypatch.setattr(cluster.pool, "solve", unexpected)
             monkeypatch.setattr(cluster_module, "meeting_cost", unexpected)
             again = cluster.solve_request("conf-1", problem, now_s=1.0)
             assert (first.source, again.source) == (SOURCE_SOLVE, SOURCE_CACHE)
             assert again.solution is first.solution
             assert cluster.load_model.loads() == loads
             assert cluster.meeting("conf-1").last_solution is first.solution
+            assert cluster.meeting("conf-1").cache_hits == 1
 
     def test_changed_picture_refreshes_the_load_model(self):
         small, large = mesh_problem(), mesh_problem(ups=(5000,) * 4, downs=(3000,) * 4)
@@ -109,7 +97,7 @@ class TestSolveService:
     def test_served_solutions_are_read_only(self, problem, monkeypatch):
         with make_cluster() as cluster:
             served = [cluster.solve_request("conf-1", problem, now_s=0.0)]
-            served.append(cluster.solve_request("conf-2", problem, now_s=0.0))
+            served.append(cluster.solve_request("conf-1", problem, now_s=1.0))
             served.append(cluster.shed_request("conf-3", problem, now_s=0.0))
             monkeypatch.setattr(cluster.pool, "solve", None)  # a solver that crashes
             served.append(
@@ -178,14 +166,14 @@ class TestTickLoop:
                 "event", TRIGGER_TIME,
             ]
             # The refresh reached the solve service under its own trigger
-            # and was served from the cache.
+            # and was served from the meeting's memo.
             assert reg.counter(
                 obs_names.CLUSTER_SOLVE_REQUESTS, trigger=TRIGGER_TIME
             ).value == 1
             assert plane.decisions[1].source == SOURCE_CACHE
 
     def test_coalesced_churn_costs_one_solve(self):
-        with make_cluster(cache_capacity=0) as cluster:
+        with make_cluster() as cluster:
             plane = self.plane_on(cluster)
             plane.run_stream(
                 [SembReport(0.1 * i, "chaos-0", seq=i) for i in range(5)],
@@ -471,11 +459,11 @@ class TestMeetingRun:
                 "conf-1", pictures[3], now_s=3.0
             ).source == SOURCE_SHED
             assert cluster.solve_request(
-                "conf-1", pictures[1], now_s=4.0
+                "conf-1", pictures[2], now_s=4.0
             ).source == SOURCE_CACHE
             assert cluster.meeting("conf-1").run is run
             assert (run.problem, run.steps) == kept
-            # The run is two pictures old now, and still exact.
+            # The run is a shed and a hit old now, and still exact.
             served, solved = self.step1_answers(cluster, "conf-1", pictures[3], 5.0)
             self.assert_exact(served, pictures[3])
             assert solved < 1.0
@@ -501,15 +489,66 @@ class TestMeetingRun:
             assert solved == 1.0
             assert isinstance(record.run, KmrRun) and record.run.problem is pictures[3]
 
+    def test_a_fallback_leaves_the_memo_serving_the_first_solve(self):
+        (picture,) = self.reports(1)
+        with make_cluster() as cluster:
+            first = cluster.solve_request("conf-1", picture, now_s=0.0)
+            record = cluster.meeting("conf-1")
+            run = record.run
+            kept = (run.problem, run.steps)
+
+            def refuse(meeting_id, problem):
+                raise RuntimeError("injected")
+
+            cluster.solve_interceptor = refuse
+            assert cluster.solve_request(
+                "conf-1", picture, now_s=1.0
+            ).source == SOURCE_FALLBACK
+            cluster.solve_interceptor = None
+            again = cluster.solve_request("conf-1", picture, now_s=2.0)
+            assert again.source == SOURCE_CACHE
+            assert again.solution is first.solution
+            assert record.memo == (picture, first.solution)
+            assert record.run is run and (run.problem, run.steps) == kept
+
+    @pytest.mark.parametrize("how", ["migrate_meeting", "kill_shard"])
+    def test_a_rehomed_meeting_keeps_its_memo(self, how):
+        (picture,) = self.reports(1)
+        with make_cluster() as cluster:
+            first = cluster.solve_request("conf-1", picture, now_s=0.0)
+            record = cluster.meeting("conf-1")
+            if how == "kill_shard":
+                cluster.kill_shard(record.shard, now_s=1.0)
+            else:
+                target = next(s for s in cluster.live_shards if s != record.shard)
+                cluster.migrate_meeting("conf-1", target, now_s=1.0)
+            assert record.last_solution is not first.solution  # the handover
+            again = cluster.solve_request("conf-1", picture, now_s=2.0)
+            assert (again.source, again.shard) == (SOURCE_CACHE, record.shard)
+            assert again.solution is first.solution
+            assert record.run.problem is None  # the run did not travel
+
+    def test_an_equal_rebuild_is_a_solve(self):
+        (picture,), (rebuilt,) = self.reports(1), self.reports(1)
+        assert rebuilt is not picture and rebuilt.changed_bandwidths(picture) == set()
+        with make_cluster() as cluster:
+            first = cluster.solve_request("conf-1", picture, now_s=0.0)
+            again = cluster.solve_request("conf-1", rebuilt, now_s=1.0)
+            assert (first.source, again.source) == (SOURCE_SOLVE, SOURCE_SOLVE)
+            assert again.solution is not first.solution
+            assert solution_digest(again.solution) == solution_digest(first.solution)
+            assert cluster.meeting("conf-1").memo[0] is rebuilt
+
 
 class TestStats:
     def test_snapshot_shape(self, problem):
         with make_cluster() as cluster:
             cluster.solve_request("conf-1", problem, now_s=0.0)
+            cluster.solve_request("conf-1", problem, now_s=1.0)
             stats = cluster.stats()
             assert stats["meetings"] == 1
             assert stats["live_shards"] == ["shard-0", "shard-1", "shard-2"]
-            assert stats["cache"]["misses"] == 1
+            assert stats["cache"] == {"hits": 1, "misses": 1}
             assert set(stats["shards"]) == {"shard-0", "shard-1", "shard-2"}
 
     def test_solve_entry_points_are_solve_and_shed(self):

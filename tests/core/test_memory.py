@@ -60,15 +60,13 @@ class TestRebuiltPicture:
     def test_one_report_allocates_what_changed(self):
         old = webinar_picture({})
         assert len(old.bandwidth) == 118 and len(old.subscriptions) == 936
-        # The picture before was decided: fingerprinted and shape-indexed.
-        old.fingerprint(25)
+        # The picture before was decided: shape-indexed.
         old.shape_index()
         gc.collect()
         gc.disable()
         try:
             before = len(gc.get_objects())
             new = webinar_picture({"V042": 400})
-            new.fingerprint(25)
             new.shape_index()
             added = len(gc.get_objects()) - before
         finally:
@@ -86,14 +84,14 @@ class TestRebuiltPicture:
         }
         assert changed == {"V042"}
         assert new.bandwidth["V042"].downlink_kbps == 400
-        assert new.fingerprint(25) != old.fingerprint(25)
+        assert new.changed_bandwidths(old) == {"V042"}
 
     def test_an_equal_rebuild_is_a_new_problem_of_old_parts(self):
         old = webinar_picture({})
         new = webinar_picture({})
         assert new is not old
         assert new.subscriptions is not old.subscriptions
-        assert new.fingerprint(25) == old.fingerprint(25)
+        assert new.changed_bandwidths(old) == set()
         assert all(a is b for a, b in zip(new.subscriptions, old.subscriptions))
 
 
@@ -146,11 +144,9 @@ def tight_webinar(report, movers):
 
 def _hosted(reports, movers=5):
     """A cluster that decided one webinar ``reports`` times, every one a
-    real solve (no solution cache: the record is all that is kept)."""
+    real solve (every picture is a new object, so none is a memo hit)."""
     cluster = ControllerCluster(
-        ClusterConfig(
-            shards=2, cache_capacity=0, solver=SolverConfig(granularity_kbps=25)
-        )
+        ClusterConfig(shards=2, solver=SolverConfig(granularity_kbps=25))
     )
     for report in range(reports):
         served = cluster.solve_request(
@@ -208,9 +204,7 @@ class TestMeetingRun:
         world = ChaosWorld(seed=3, meetings=1, mean_size=5.0)
         (meeting_id,) = world.meeting_ids
         cluster = ControllerCluster(
-            ClusterConfig(
-                shards=2, cache_capacity=0, solver=SolverConfig(granularity_kbps=25)
-            )
+            ClusterConfig(shards=2, solver=SolverConfig(granularity_kbps=25))
         )
         for k in range(5):
             world.toggle_preference(meeting_id, min(world.meeting(meeting_id).clients))

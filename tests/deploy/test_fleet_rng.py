@@ -69,10 +69,11 @@ class TestClusterEquivalence:
 
     def test_cluster_without_cache_also_identical(self):
         direct = DeploymentSimulation(conferences_per_day=20).run_day(DAY)
-        with ControllerCluster(
-            ClusterConfig(shards=2, cache_capacity=0)
-        ) as cluster:
+        with ControllerCluster(ClusterConfig(shards=2)) as cluster:
             clustered = DeploymentSimulation(
                 conferences_per_day=20, cluster=cluster
             ).run_day(DAY)
+            # Every sampled conference is a new meeting, so no decision is
+            # served from a meeting's memo: each one is a real solve.
+            assert cluster.stats()["cache"]["hits"] == 0
         assert pickle.dumps(direct) == pickle.dumps(clustered)

@@ -40,7 +40,6 @@ def _snapshot_trajectory(cfg: IngressRunConfig) -> dict:
             shards=cfg.shards,
             min_interval_s=cfg.report_interval_s,
             max_interval_s=3.0 * cfg.report_interval_s,
-            cache_capacity=cfg.cache_capacity,
             max_solves_per_round=cfg.max_solves_per_round,
             solver=SolverConfig(granularity_kbps=25),
         )
@@ -135,7 +134,6 @@ class TestChaosParity:
         with ControllerCluster(
             ClusterConfig(
                 shards=cfg.shards,
-                cache_capacity=cfg.cache_capacity,
                 solver=SolverConfig(granularity_kbps=25),
             )
         ) as cluster:
