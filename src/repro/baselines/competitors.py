@@ -22,7 +22,6 @@ differences come from orchestration, not plumbing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..client.client import ConferenceClient

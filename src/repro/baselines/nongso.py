@@ -15,7 +15,6 @@ This is the state of the art the paper argues against (Sec. 1, Sec. 2.3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..client.client import ConferenceClient

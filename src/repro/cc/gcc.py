@@ -24,8 +24,8 @@ probe bursts supply ground-truth capacity samples that cap the estimate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Deque, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ and congestion signals go back to the estimator via
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Optional
 
 from ..net.packet import Packet

@@ -10,7 +10,7 @@ against its send-time log and produces the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..rtp.rtcp import TwccFeedback

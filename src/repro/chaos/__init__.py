@@ -8,7 +8,6 @@ safety invariants.  See ``docs/RESILIENCE.md``.
 
 from .faults import (
     FAULT_KINDS,
-    OVERLOAD_SHARD,
     SHARD_KINDS,
     Fault,
     FaultSchedule,
@@ -19,7 +18,6 @@ from .invariants import (
     INV_CONSTRAINTS,
     INV_CONVERGENCE,
     INV_DETERMINISM,
-    INV_SHARD_BUDGET,
     InvariantChecker,
     Violation,
     kmr_iteration_bound,
@@ -37,8 +35,6 @@ __all__ = [
     "INV_CONSTRAINTS",
     "INV_CONVERGENCE",
     "INV_DETERMINISM",
-    "INV_SHARD_BUDGET",
-    "OVERLOAD_SHARD",
     "REPORT_SCHEMA",
     "SHARD_KINDS",
     "ChaosConfig",

@@ -13,6 +13,7 @@ run reports — determinism is itself one of the checked invariants.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -27,9 +28,6 @@ KILL_SHARD = "kill_shard"
 RESTART_SHARD = "restart_shard"
 #: Grow the ring by a brand-new shard.
 ADD_SHARD = "add_shard"
-#: Overload one shard: every meeting homed there gains ``factor`` new
-#: participants (skewed growth — the hot-shard detector's test case).
-OVERLOAD_SHARD = "overload_shard"
 #: Lose a meeting's SEMB (RTCP APP-204) report: the pending solve demand
 #: evaporates; ``factor`` further reports are suppressed at the source.
 DROP_REPORT = "drop_report"
@@ -63,7 +61,6 @@ FAULT_KINDS: Tuple[str, ...] = (
     KILL_SHARD,
     RESTART_SHARD,
     ADD_SHARD,
-    OVERLOAD_SHARD,
     DROP_REPORT,
     DELAY_REPORT,
     LOSE_TMMBR,
@@ -82,7 +79,6 @@ SHARD_KINDS: Tuple[str, ...] = (
     KILL_SHARD,
     RESTART_SHARD,
     ADD_SHARD,
-    OVERLOAD_SHARD,
 )
 
 
@@ -112,12 +108,12 @@ class Fault:
     factor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
-            raise ValueError("fault time must be non-negative")
+        if not (math.isfinite(self.at_s) and self.at_s >= 0):
+            raise ValueError("fault time must be finite and non-negative")
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.factor < 0:
-            raise ValueError("fault factor must be non-negative")
+        if not (math.isfinite(self.factor) and self.factor >= 0):
+            raise ValueError("fault factor must be finite and non-negative")
 
     def shifted(self, dt_s: float) -> "Fault":
         """The same fault, ``dt_s`` seconds later."""

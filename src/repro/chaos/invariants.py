@@ -15,11 +15,7 @@ acceptable consequence of the injected fault):
   always holds *some* serviceable configuration, including across shard
   death and re-homing (Sec. 7: "the service could continue");
 * **determinism** — identical seeds produce byte-identical run reports
-  (checked at the soak level by comparing report digests);
-* **shard_budget** — when a per-shard cost budget is configured, no shard
-  ends the run over budget while the hot-shard detector still has an
-  improving drain move available (a breached budget is tolerable only at
-  the detector's fixpoint — e.g. one meeting alone exceeding the budget).
+  (checked at the soak level by comparing report digests).
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ INV_CONSTRAINTS = "constraints"
 INV_CONVERGENCE = "kmr_convergence"
 INV_AVAILABILITY = "fallback_availability"
 INV_DETERMINISM = "determinism"
-INV_SHARD_BUDGET = "shard_budget"
 
 #: Every checked invariant.
 ALL_INVARIANTS = (
@@ -45,7 +40,6 @@ ALL_INVARIANTS = (
     INV_CONVERGENCE,
     INV_AVAILABILITY,
     INV_DETERMINISM,
-    INV_SHARD_BUDGET,
 )
 
 
@@ -188,38 +182,6 @@ class InvariantChecker:
             )
             return False
         return True
-
-    def check_shard_budget(
-        self,
-        shard_loads: Dict[str, float],
-        budget: float,
-        drainable: Dict[str, bool],
-        at_s: float,
-    ) -> bool:
-        """No shard may sit over its cost budget while an improving
-        drain move still exists (see module docs).
-
-        Args:
-            shard_loads: assigned cost per live shard.
-            budget: the per-shard cost budget (callers skip the check
-                entirely when no budget is configured).
-            drainable: per shard, whether the hot-shard detector still
-                has an improving migration available off it.
-            at_s: current simulated time.
-        """
-        before = len(self.violations)
-        for shard in sorted(shard_loads):
-            self._record(INV_SHARD_BUDGET)
-            load = shard_loads[shard]
-            if load > budget and drainable.get(shard, False):
-                self._violate(
-                    INV_SHARD_BUDGET,
-                    at_s,
-                    "",
-                    f"shard {shard} holds cost {load:.1f} over budget "
-                    f"{budget:.1f} with a drain move still available",
-                )
-        return len(self.violations) == before
 
     # -- export ---------------------------------------------------------- #
 

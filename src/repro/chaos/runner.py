@@ -60,7 +60,6 @@ from ..obs.registry import get_registry
 from ..obs.slo import SloContext, SloEngine, SloVerdict, stage_budget_slos
 from ..obs.spans import span
 from ..obs.tracing import assemble_trees
-from ..placement.migration import HotShardDetector
 from . import faults as F
 from .faults import Fault, FaultSchedule
 from .invariants import InvariantChecker, kmr_iteration_bound
@@ -161,11 +160,6 @@ class ChaosConfig:
     shards: int = 2
     max_solves_per_round: int = 64
     mean_size: float = 4.0
-    #: Placement policy homing meetings onto shards (see repro.placement).
-    placement: str = "hash"
-    #: Per-shard cost budget; > 0 arms the hot-shard detector every
-    #: report interval and the shard_budget invariant at run end.
-    shard_cost_budget: float = 0.0
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -243,19 +237,12 @@ class ChaosRunner:
                 min_interval_s=cfg.report_interval_s,
                 max_interval_s=3.0 * cfg.report_interval_s,
                 max_solves_per_round=cfg.max_solves_per_round,
-                placement=cfg.placement,
-                shard_cost_budget=cfg.shard_cost_budget,
                 solver=SolverConfig(granularity_kbps=25),
             )
         )
         self.backend = ChaosBackend(self.cluster, self.world, self)
         self.plane = IngressPlane(SimRuntime(), self.backend)
         self.sim = self.plane.runtime.sim
-        self.detector: Optional[HotShardDetector] = (
-            HotShardDetector(cfg.shard_cost_budget)
-            if cfg.shard_cost_budget > 0
-            else None
-        )
         self.checker = InvariantChecker()
         self.report = RunReport(
             scenario=self.scenario,
@@ -341,17 +328,6 @@ class ChaosRunner:
     def _finalize(self) -> None:
         """Closing availability check + per-meeting summaries."""
         self._check_availability()
-        if self.detector is not None:
-            live = self.cluster.live_shards
-            self.checker.check_shard_budget(
-                self.cluster.load_model.loads(live),
-                self.detector.budget,
-                {
-                    shard: self.detector.drainable(self.cluster, shard)
-                    for shard in live
-                },
-                self.sim.now,
-            )
         for event in self.events.events:
             if (
                 event.kind == obs_events.FAULT_INJECTED
@@ -422,12 +398,8 @@ class ChaosRunner:
             )
 
     def _housekeep(self) -> None:
-        """Once per report interval: drain hot shards, check that every
-        served meeting still holds a configuration."""
-        if self.detector is not None:
-            self._deliver_handover(
-                self.detector.rebalance(self.cluster, self.sim.now).served
-            )
+        """Once per report interval: check that every served meeting
+        still holds a configuration."""
         self._check_availability()
 
     def _deliver_handover(self, handover: List[ServedSolution]) -> None:
@@ -579,8 +551,8 @@ class ChaosRunner:
         )
 
     def _apply_shard_fault(self, fault: Fault) -> Optional[dict]:
-        """Shard death, restart, growth and overload: calls on the
-        cluster at the fault's time.  None = skipped."""
+        """Shard death, restart and growth: calls on the cluster at the
+        fault's time.  None = skipped."""
         kind = fault.kind
         now = self.sim.now
         live = self.cluster.live_shards
@@ -598,27 +570,10 @@ class ChaosRunner:
                 return None
             self.cluster.add_shard(target, now)
             return {"shard": target}
-        if kind == F.ADD_SHARD:
-            if fault.target in live:
-                return None
-            return {"shard": self.cluster.add_shard(fault.target or None, now)}
-        # OVERLOAD_SHARD: every meeting homed on the target gains joiners.
-        target = fault.target
-        if target not in live:
-            # Pick the busiest live shard by assigned cost.
-            loads = self.cluster.load_model.loads(live)
-            target = max(live, key=lambda s: (loads[s], s))
-        joins = int(fault.factor) if fault.factor >= 1 else 2
-        grown = 0
-        for mid, _cost in self.cluster.load_model.meetings_on(target):
-            if mid not in self.world.meeting_ids:
-                continue
-            for _ in range(joins):
-                self.plane.offer(PublisherJoin(at_s=now, meeting=mid))
-            grown += 1
-        if not grown:
+        # ADD_SHARD
+        if fault.target in live:
             return None
-        return {"shard": target, "meetings_grown": grown, "joined_each": joins}
+        return {"shard": self.cluster.add_shard(fault.target or None, now)}
 
     def _apply_meeting_fault(
         self, fault: Fault, meeting_id: str

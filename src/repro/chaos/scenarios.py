@@ -9,8 +9,8 @@ duration, which keeps every scenario meaningful for any reasonable
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 from . import faults as F
 from .faults import Fault, FaultSchedule
@@ -26,10 +26,6 @@ class Scenario:
     name: str
     description: str
     build: BuildFn
-    #: ChaosConfig fields this scenario requires (e.g. a placement
-    #: policy or a shard budget); applied on top of the caller's config
-    #: by :func:`~repro.chaos.soak.run_scenario`.
-    config_overrides: Mapping[str, object] = field(default_factory=dict)
 
 
 def _mid(config: ChaosConfig, k: int = 0) -> str:
@@ -116,24 +112,6 @@ def _unfixable(seed: int, config: ChaosConfig) -> FaultSchedule:
     )
 
 
-def _hot_shard(seed: int, config: ChaosConfig) -> FaultSchedule:
-    """Skewed meeting growth overloads one shard, twice.
-
-    Runs with best_fit placement and a per-shard cost budget (see the
-    scenario's ``config_overrides``): every meeting on the busiest shard
-    gains participants mid-run, pushing the shard over budget; the
-    hot-shard detector must drain it back inside the budget through the
-    fallback-then-reconverge migration path, with zero invariant
-    violations (the ``shard_budget`` invariant checks the end state).
-    """
-    t = config.duration_s
-    return (
-        FaultSchedule()
-        .add(Fault(round(0.3 * t, 3), F.OVERLOAD_SHARD, factor=2))
-        .add(Fault(round(0.55 * t, 3), F.OVERLOAD_SHARD, factor=3))
-    )
-
-
 def _kitchen_sink(seed: int, config: ChaosConfig) -> FaultSchedule:
     """A seeded random mix of every fault kind."""
     shard_names = [f"shard-{k}" for k in range(config.shards)]
@@ -180,18 +158,6 @@ _SCENARIOS: Dict[str, Scenario] = {
             "unfixable",
             "permanently poison one meeting's solver (never heals)",
             _unfixable,
-        ),
-        Scenario(
-            "hot_shard",
-            "skewed meeting growth overloads one shard; the detector "
-            "drains it back inside the budget",
-            _hot_shard,
-            config_overrides={
-                "placement": "best_fit",
-                "shard_cost_budget": 60.0,
-                "shards": 3,
-                "meetings": 6,
-            },
         ),
         Scenario(
             "kitchen_sink",

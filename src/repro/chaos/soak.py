@@ -80,10 +80,8 @@ def run_scenario(
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     cfg = config or ChaosConfig()
-    if cfg.seed != seed or scenario.config_overrides:
-        params = {**cfg.to_dict(), "seed": seed}
-        params.update(scenario.config_overrides)
-        cfg = ChaosConfig(**params)
+    if cfg.seed != seed:
+        cfg = ChaosConfig(**{**cfg.to_dict(), "seed": seed})
     schedule = scenario.build(seed, cfg)
     return ChaosRunner(cfg, schedule, scenario=scenario.name).run()
 

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four subcommands cover the library's main entry points:
+The subcommands cover the library's main entry points:
 
 * ``solve`` — orchestrate a meeting described as ``id:up:down`` client
   specs and print the stream plan (the core algorithm, no simulation);
@@ -13,9 +13,6 @@ Four subcommands cover the library's main entry points:
   the cluster's solve service (sharding + per-meeting memo) and
   reports daily metrics plus cluster counters (the event-driven loop
   itself is ``ingress run``);
-* ``place`` — fleet placement (see ``docs/PLACEMENT.md``): ``place
-  stats`` drives real meetings through a placed cluster (optionally
-  rebalancing hot shards) and dumps the load-model snapshot;
 * ``chaos`` — deterministic fault injection + invariant checking (see
   ``docs/RESILIENCE.md``): ``chaos run`` replays one scenario at one
   seed, ``chaos soak`` sweeps scenarios x seeds (running each twice and
@@ -40,7 +37,7 @@ import math
 import runpy
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import obs
 from .conference import ClientSpec, MeetingSpec, run_meeting
@@ -247,51 +244,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
         default=64,
         help="solves one shard may have in flight; the rest shed to fallback",
     )
-
-
-# --------------------------------------------------------------------- #
-# Placement commands
-# --------------------------------------------------------------------- #
-
-
-def _cmd_place_stats(args: argparse.Namespace) -> int:
-    """Drive real meetings through a placed cluster; dump placement stats."""
-    import json
-    import random as _random
-
-    from .cluster import ClusterConfig, ControllerCluster
-    from .deploy.fleet import ConferenceScorer, FleetSampler
-    from .deploy.rollout import DeploymentSimulation
-    from .placement.migration import HotShardDetector
-
-    try:
-        config = ClusterConfig(
-            shards=args.shards,
-            placement=args.policy,
-            shard_cost_budget=args.budget,
-        )
-    except ValueError as exc:
-        print(f"repro place: {exc}", file=sys.stderr)
-        return 2
-    cluster = ControllerCluster(config)
-    sim = DeploymentSimulation()
-    sampler = FleetSampler(_random.Random(args.seed))
-    scorer = ConferenceScorer()
-    for i in range(args.meetings):
-        rng = sim._conference_rng(dt.date(2021, 12, 25), i)
-        conf = sampler.sample_conference(rng=rng)
-        cluster.solve_request(f"meeting-{i}", scorer._gso_problem(conf), 0.0)
-    print(f"registered and served {args.meetings} meeting(s)")
-    if args.budget > 0:
-        detector = HotShardDetector(args.budget)
-        result = detector.rebalance(cluster, 1.0)
-        hot = ", ".join(result.hot_after) if result.hot_after else "none"
-        print(
-            f"rebalance: {len(result.moves)} move(s), "
-            f"hot shards after: {hot}"
-        )
-    print(json.dumps(cluster.stats()["placement"], indent=2, sort_keys=True))
-    return 0
 
 
 # --------------------------------------------------------------------- #
@@ -603,16 +555,10 @@ def _run_obs_scenario(args: argparse.Namespace):
     SLO verdict objects and the plane's decisions.  Raises
     :class:`KeyError` for unknown scenario names.
     """
-    from .chaos import ChaosConfig, ChaosRunner, get_scenario
+    from .chaos import ChaosRunner, get_scenario
 
     config = _chaos_config(args, args.seed)
     scenario = get_scenario(args.scenario)
-    if scenario.config_overrides:
-        # Scenario-pinned config (placement policy, shard budget, sizing)
-        # wins over the generic CLI sizing flags, matching run_scenario.
-        config = ChaosConfig(
-            **{**config.to_dict(), **scenario.config_overrides}
-        )
     schedule = scenario.build(args.seed, config)
     runner = ChaosRunner(config, schedule, scenario=scenario.name)
     with obs.enabled_registry():
@@ -961,34 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_run.add_argument("--conferences", type=int, default=100)
     _add_cluster_args(cluster_run)
     cluster_run.set_defaults(func=_cmd_cluster_run)
-
-    place = sub.add_parser(
-        "place",
-        help="fleet placement: inspect policies on a live cluster "
-        "(docs/PLACEMENT.md)",
-    )
-    place_sub = place.add_subparsers(dest="place_command", required=True)
-
-    place_stats = place_sub.add_parser(
-        "stats",
-        help="drive real meetings through a placed cluster and dump "
-        "the load-model snapshot",
-    )
-    place_stats.add_argument(
-        "--policy",
-        default="best_fit",
-        choices=["hash", "best_fit", "least_loaded"],
-    )
-    place_stats.add_argument("--seed", type=int, default=7)
-    place_stats.add_argument("--meetings", type=int, default=12)
-    place_stats.add_argument("--shards", type=int, default=4)
-    place_stats.add_argument(
-        "--budget",
-        type=float,
-        default=0.0,
-        help="per-shard cost budget (0 disables the hot-shard detector)",
-    )
-    place_stats.set_defaults(func=_cmd_place_stats)
 
     chaos = sub.add_parser(
         "chaos",

@@ -21,10 +21,10 @@ device in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..cc.gcc import GccConfig, GccEstimator
-from ..cc.pacer import Pacer, PacerConfig
+from ..cc.pacer import Pacer
 from ..cc.receiver_estimate import ReceiverEstimator
 from ..cc.reporting import ReportScheduler, ReportSchedulerConfig
 from ..cc.twcc import TwccReceiver, TwccSender
@@ -41,7 +41,7 @@ from ..rtp.nack import GenericNack, NackTracker, RetransmissionCache, is_nack
 from ..rtp.packet import AUDIO_PAYLOAD_TYPE, RtpPacket
 from ..rtp.rtcp import AppPacket, PT_APP, PT_RTPFB, TwccFeedback, parse_common_header
 from ..rtp.remb import RembPacket
-from ..rtp.semb import SEMB_NAME, SembReport
+from ..rtp.semb import SembReport
 from ..rtp.tmmbr import GSO_TMMBR_NAME, GsoTmmbn, GsoTmmbr
 
 

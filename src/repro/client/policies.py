@@ -16,8 +16,8 @@ person calls — is the kind of rule encoded here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..core.types import Resolution
 

@@ -2,12 +2,12 @@
 service.
 
 The paper's control plane orchestrates every meeting every 1–3 s across
-~1M conferences/day (Sec. 6); *Tetris* (PAPERS.md) frames hosting that
-workload on a bounded server fleet as a first-class packing problem.  This
-module is the reproduction's control-plane host:
+~1M conferences/day (Sec. 6).  This module is the reproduction's
+control-plane host:
 
-* **sharding** — meetings land on shard workers via a consistent-hash ring
-  (:mod:`.hashring`); a shard death re-homes only its own meetings;
+* **sharding** — a consistent-hash ring (:mod:`.hashring`) is the one
+  rule that homes a meeting; a shard death or a new shard moves only the
+  meetings whose ring owner changed, through :meth:`migrate_meeting`;
 * **pacing** — the Fig. 12 envelope the ingress plane debounces and
   coalesces with (:mod:`.scheduler`);
 * **caching** — each meeting remembers its last successful solve: a
@@ -44,12 +44,6 @@ from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from ..obs.spans import span
-from ..placement.loadmodel import (
-    DEFAULT_MEETING_COST,
-    ShardLoadModel,
-    meeting_cost,
-)
-from ..placement.policies import POLICIES, get_policy
 from .admission import AdmissionController
 from .hashring import ConsistentHashRing
 from .scheduler import TRIGGER_REHOME, TRIGGER_SYNC
@@ -63,7 +57,7 @@ SOURCE_SHED = "shed"
 
 @dataclass
 class ClusterConfig:
-    """Sizing and policy knobs of the controller cluster."""
+    """Sizing knobs of the controller cluster."""
 
     #: Initial shard workers (named ``shard-0`` .. ``shard-N-1``).
     shards: int = 4
@@ -75,12 +69,6 @@ class ClusterConfig:
     #: Solves one shard may have in flight at once; the ingress plane
     #: sheds decisions beyond it to the fallback.
     max_solves_per_round: int = 64
-    #: Placement policy homing new meetings: ``hash`` (the ring,
-    #: baseline), ``best_fit`` (Tetris packing) or ``least_loaded``.
-    placement: str = "hash"
-    #: Per-shard assigned-cost budget consulted by ``best_fit`` packing
-    #: and the hot-shard detector; 0 disables budget awareness.
-    shard_cost_budget: float = 0.0
     #: Solver tuning shared by every shard.
     solver: SolverConfig = field(
         default_factory=lambda: SolverConfig(granularity_kbps=25)
@@ -93,13 +81,6 @@ class ClusterConfig:
             raise ValueError("need 0 < min_interval <= max_interval")
         if self.max_solves_per_round < 1:
             raise ValueError("max_solves_per_round must be >= 1")
-        if self.placement not in POLICIES:
-            raise ValueError(
-                f"unknown placement policy {self.placement!r}; "
-                f"known: {', '.join(POLICIES)}"
-            )
-        if self.shard_cost_budget < 0:
-            raise ValueError("shard_cost_budget must be >= 0")
 
 
 @dataclass
@@ -213,11 +194,6 @@ class ControllerCluster:
         self.cache = LastSolveMemo()
         self.pool = GsoSolver(self.config.solver)
         self._meetings: Dict[str, MeetingRecord] = {}
-        self.placement_policy = get_policy(self.config.placement)
-        self.load_model = ShardLoadModel(names)
-        #: reason -> count of live migrations (deterministic mirror of
-        #: the ``repro_placement_migrations_total`` counter).
-        self.migrations: Dict[str, int] = {}
         self.shard_failovers = 0
         #: Fault-injection hook (repro.chaos): called with
         #: ``(meeting_id, problem)`` before any solve attempt (including
@@ -249,54 +225,18 @@ class ControllerCluster:
         """The cluster-side record of a hosted meeting."""
         return self._meetings[meeting_id]
 
-    def _place(self, meeting_id: str, cost: float) -> str:
-        """Consult the placement policy for one meeting's home shard."""
-        live = self.live_shards
-        return self.placement_policy.choose(
-            meeting_id,
-            cost,
-            live,
-            self.load_model.loads(live),
-            self.config.shard_cost_budget,
-            self._ring,
-        )
+    def register(self, meeting_id: str) -> str:
+        """Home a meeting on its ring shard (idempotent); returns the
+        shard."""
+        return self._record(meeting_id).shard
 
-    def register(
-        self, meeting_id: str, problem: Optional[Problem] = None
-    ) -> str:
-        """Home a meeting via the placement policy (idempotent); returns
-        the shard.  A ``problem`` sharpens the load model's cost estimate
-        (otherwise new meetings are assumed minimal two-party calls)."""
+    def _record(self, meeting_id: str) -> MeetingRecord:
+        """The record of a meeting, registered on first sight."""
         record = self._meetings.get(meeting_id)
         if record is None:
-            cost = (
-                meeting_cost(problem)
-                if problem is not None
-                else DEFAULT_MEETING_COST
-            )
-            shard = self._place(meeting_id, cost)
-            record = MeetingRecord(meeting_id, shard)
+            record = MeetingRecord(meeting_id, self._ring.node_for(meeting_id))
             self._meetings[meeting_id] = record
-            self.load_model.assign(meeting_id, shard, cost)
-            reg = get_registry()
-            if reg.enabled:
-                reg.counter(
-                    obs_names.PLACEMENT_DECISIONS,
-                    policy=self.placement_policy.name,
-                ).inc()
             self._refresh_meeting_gauges()
-        elif problem is not None:
-            self.load_model.update_cost(meeting_id, meeting_cost(problem))
-        return record.shard
-
-    def _record_for(self, meeting_id: str, problem: Problem) -> MeetingRecord:
-        """The record of the meeting a request is for, registered on first
-        sight.  The load model's cost is refreshed only when the picture
-        changed: the problem last served is the same object until then."""
-        record = self._meetings.get(meeting_id)
-        if record is None or problem is not record.last_problem:
-            self.register(meeting_id, problem)
-            record = self._meetings[meeting_id]
         return record
 
     def _refresh_meeting_gauges(self) -> None:
@@ -308,9 +248,6 @@ class ControllerCluster:
             per_shard[record.shard] = per_shard.get(record.shard, 0) + 1
         for name, count in per_shard.items():
             reg.gauge(obs_names.CLUSTER_MEETINGS, shard=name).set(count)
-            reg.gauge(obs_names.PLACEMENT_SHARD_COST, shard=name).set(
-                self.load_model.load(name)
-            )
 
     # ------------------------------------------------------------------ #
     # The solve service
@@ -416,7 +353,7 @@ class ControllerCluster:
         chaos interceptor and the meeting's memo, and never raises:
         failures degrade to the Sec. 7 single-stream fallback.
         """
-        record = self._record_for(meeting_id, problem)
+        record = self._record(meeting_id)
         worker = self._shards.get(record.shard)
         if worker is not None:
             worker.admission.admit_one()
@@ -461,7 +398,7 @@ class ControllerCluster:
         The ingress backpressure ladder's last rung — the meeting gets a
         serviceable (degraded) configuration instead of queueing deeper.
         """
-        record = self._record_for(meeting_id, problem)
+        record = self._record(meeting_id)
         worker = self._shards.get(record.shard)
         if worker is not None:
             worker.admission.shed_one()
@@ -489,7 +426,7 @@ class ControllerCluster:
         degrade: bool = True,
     ) -> Optional[ServedSolution]:
         """Live-migrate one meeting to ``target`` (the shared primitive
-        behind shard death, ring growth, hot-shard drains and scale-in).
+        behind shard death and ring growth).
 
         With ``degrade=True`` (the Sec. 7 handover discipline) the
         meeting is immediately served the single-stream fallback built
@@ -519,11 +456,9 @@ class ControllerCluster:
         record.shard = target
         record.rehomes += 1
         record.run = KmrRun()
-        self.load_model.move(meeting_id, target)
-        self.migrations[reason] = self.migrations.get(reason, 0) + 1
         reg = get_registry()
         if reg.enabled:
-            reg.counter(obs_names.PLACEMENT_MIGRATIONS, reason=reason).inc()
+            reg.counter(obs_names.CLUSTER_REHOMED, reason=reason).inc()
         log = obs_events.active_event_log()
         # Capture the predecessor cid before minting the degradation's
         # own chain, so trace trees keep the re-homed meeting's lineage.
@@ -601,35 +536,25 @@ class ControllerCluster:
             log.emit(obs_events.SHARD_KILLED, t=now_s, shard=name)
 
         served: List[ServedSolution] = []
-        rehomed = 0
         for meeting_id in self.meetings:
-            record = self._meetings[meeting_id]
-            if record.shard != name:
+            if self._meetings[meeting_id].shard != name:
                 continue
-            # Sequential placement: each migration updates the load
-            # model, so packing policies account for already-moved load.
-            target = self._place(
-                meeting_id, self.load_model.cost_of(meeting_id)
-            )
             degraded = self.migrate_meeting(
-                meeting_id, target, now_s, reason="shard_killed"
+                meeting_id,
+                self._ring.node_for(meeting_id),
+                now_s,
+                reason="shard_killed",
             )
-            rehomed += 1
             if degraded is not None:
                 served.append(degraded)
-        if reg.enabled and rehomed:
-            reg.counter(obs_names.CLUSTER_REHOMED).inc(rehomed)
-        self.load_model.remove_shard(name)
         self._refresh_meeting_gauges()
         return served
 
     def add_shard(self, name: Optional[str] = None, now_s: float = 0.0) -> str:
         """Grow the fleet by one shard.
 
-        Under the ``hash`` policy the new ring node captures its keys and
-        those meetings re-home (seamless — no degraded serves); packing
-        policies keep existing placements sticky and simply start offering
-        the new shard to future placements and drains.
+        The new ring node captures its keys and exactly those meetings
+        re-home, seamlessly (no degraded serves).
         """
         if name is None:
             k = len(self._shards)
@@ -640,28 +565,18 @@ class ControllerCluster:
             raise ValueError(f"shard {name!r} already live")
         self._ring.add_node(name)
         self._shards[name] = ShardWorker(name, self.config)
-        self.load_model.add_shard(name)
         log = obs_events.active_event_log()
         if log is not None:
             log.emit(obs_events.SHARD_ADDED, t=now_s, shard=name)
-        rehomed = 0
-        if self.placement_policy.uses_ring:
-            for meeting_id in self.meetings:
-                record = self._meetings[meeting_id]
-                new_shard = self._ring.node_for(meeting_id)
-                if new_shard == record.shard:
-                    continue
-                self.migrate_meeting(
-                    meeting_id,
-                    new_shard,
-                    now_s,
-                    reason="shard_added",
-                    degrade=False,
-                )
-                rehomed += 1
-        reg = get_registry()
-        if reg.enabled and rehomed:
-            reg.counter(obs_names.CLUSTER_REHOMED).inc(rehomed)
+        # A no-op for every meeting the ring left where it was.
+        for meeting_id in self.meetings:
+            self.migrate_meeting(
+                meeting_id,
+                self._ring.node_for(meeting_id),
+                now_s,
+                reason="shard_added",
+                degrade=False,
+            )
         self._refresh_meeting_gauges()
         return name
 
@@ -687,12 +602,6 @@ class ControllerCluster:
             "meetings": len(self._meetings),
             "live_shards": self.live_shards,
             "shard_failovers": self.shard_failovers,
-            "placement": {
-                "policy": self.placement_policy.name,
-                "budget": self.config.shard_cost_budget,
-                "migrations": dict(sorted(self.migrations.items())),
-                **self.load_model.snapshot(),
-            },
             "shards": shards,
             "cache": {"hits": self.cache.hits, "misses": self.cache.misses},
             "mckp_cache": default_mckp_cache().snapshot(),

@@ -12,8 +12,7 @@ classic consistent-hash ring so that
 
 Hashes come from SHA-1, not Python's ``hash()`` — ``PYTHONHASHSEED``
 randomizes string hashing per process, and shard placement must agree
-across processes (the worker pool) and across runs (seeded fleet
-reproductions).
+across runs (seeded fleet reproductions) whatever the hash seed.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ wired simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.types import ClientId, PAPER_RESOLUTIONS, Resolution
 from ..net.trace import BandwidthTrace

@@ -13,9 +13,8 @@ equal health, which is all the cross-scheme comparisons need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.types import ClientId, Resolution
 from ..media.jitter_buffer import PlaybackMetrics

@@ -17,7 +17,6 @@ attributable to orchestration alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.competitors import (
@@ -28,7 +27,7 @@ from ..baselines.nongso import NonGsoOrchestrator
 from ..client.client import ClientConfig, ConferenceClient
 from ..control.conference_node import ConferenceNode, ConferenceNodeConfig
 from ..control.feedback import FeedbackExecutor
-from ..control.gso_controller import ControllerConfig, GsoControllerRuntime
+from ..control.gso_controller import GsoControllerRuntime
 from ..core.ladder import DEFAULT_BITRATE_RANGES
 from ..core.types import ClientId, Resolution
 from ..media.jitter_buffer import compute_playback_metrics

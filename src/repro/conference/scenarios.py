@@ -10,10 +10,9 @@ parameterized by orchestration mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
-from ..core.types import Resolution
 from .builder import ClientSpec, MeetingSpec
 
 #: The impaired participant's id in every slow-link scenario.

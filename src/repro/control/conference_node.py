@@ -18,8 +18,8 @@ upgrade-hysteresis damper (Sec. 7) at the measurement boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..core.constraints import Bandwidth, Problem, Subscription
 from ..core.hysteresis import UpgradeDamper

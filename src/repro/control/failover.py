@@ -19,7 +19,7 @@ Two mechanisms keep a meeting alive when things break:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..core.constraints import Problem

@@ -15,8 +15,8 @@ executed solution so unchanged publishers/subscribers see no churn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.solution import Solution
 from ..core.types import ClientId, Resolution

@@ -18,7 +18,6 @@ Two ladders matter for reproduction:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .types import PAPER_RESOLUTIONS, Resolution, StreamSpec, validate_feasible_set

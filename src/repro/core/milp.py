@@ -28,7 +28,7 @@ encoding so unneeded streams are switched off (the Fig. 3a behaviour).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp

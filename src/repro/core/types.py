@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: Clients are identified by short strings ("A", "client-17", ...).
 ClientId = str

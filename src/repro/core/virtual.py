@@ -17,8 +17,8 @@ a plain problem description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from .constraints import Bandwidth, Problem, Subscription
 from .types import ClientId, Resolution, StreamSpec

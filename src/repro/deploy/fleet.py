@@ -23,9 +23,8 @@ produced by the rollout schedule, not hand-drawn.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # deploy -> cluster is a soft, runtime-optional edge

@@ -11,12 +11,11 @@ coverage, and aggregates the daily averages the figures plot.
 from __future__ import annotations
 
 import datetime as dt
-import math
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .fleet import ConferenceMetrics, ConferenceScorer, FleetSampler
+from .fleet import ConferenceScorer, FleetSampler
 
 if TYPE_CHECKING:  # deploy -> cluster is a soft, runtime-optional edge
     from ..cluster import ControllerCluster

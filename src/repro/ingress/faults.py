@@ -15,6 +15,7 @@ simulator, whose heap orders equal-time callbacks by insertion sequence
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -56,6 +57,10 @@ class StreamFault:
                 f"unknown stream fault {self.kind!r}; "
                 f"known: {', '.join(STREAM_FAULT_KINDS)}"
             )
+        if not (math.isfinite(self.start_s) and math.isfinite(self.delay_s)):
+            raise ValueError("fault start_s and delay_s must be finite")
+        if math.isnan(self.end_s):
+            raise ValueError("fault end_s must not be NaN")
         if self.end_s < self.start_s:
             raise ValueError("fault window must end at or after it starts")
         if self.kind == DELAY_SEMB and self.delay_s <= 0:

@@ -12,8 +12,7 @@ while the receiver implements the paper's metric exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..net.simulator import PeriodicTask, Simulator
 from ..rtp.packet import AUDIO_CLOCK_HZ, AUDIO_PAYLOAD_TYPE, RtpPacket

@@ -17,9 +17,8 @@ work.  This module provides exactly that:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping
 
 from ..core.types import Resolution
 from ..rtp.packet import VIDEO_CLOCK_HZ, RtpPacket

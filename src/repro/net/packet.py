@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 #: Bytes of IP + UDP header charged per packet on every link.
 IP_UDP_OVERHEAD_BYTES = 28

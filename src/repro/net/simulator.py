@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 #: Event callbacks take no arguments; capture context via closures.
@@ -66,7 +66,9 @@ class Simulator:
         Returns:
             A handle usable with :meth:`cancel`.
         """
-        if delay < 0:
+        # ``not >=`` also refuses NaN, which would compare false against
+        # every heap entry and corrupt the event order.
+        if not delay >= 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         seq = next(self._seq)
         heapq.heappush(self._heap, (self._now + delay, seq, callback))

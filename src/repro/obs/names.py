@@ -159,7 +159,9 @@ CLUSTER_SOLVE_REQUESTS = "repro_cluster_solve_requests_total"
 CLUSTER_SHED = "repro_cluster_shed_total"
 #: Gauge, label ``shard`` — meetings currently homed on each shard.
 CLUSTER_MEETINGS = "repro_cluster_meetings"
-#: Counter — meetings re-homed by shard death or ring growth.
+#: Counter, label ``reason`` in {"shard_killed", "shard_added",
+#: "manual"} — meetings moved between shards by ``migrate_meeting``,
+#: one per move.
 CLUSTER_REHOMED = "repro_cluster_rehomed_meetings_total"
 #: Counter — shard-death failovers executed.
 CLUSTER_SHARD_FAILOVERS = "repro_cluster_shard_failovers_total"
@@ -172,23 +174,6 @@ CLUSTER_SOLVE_SECONDS = "repro_cluster_solve_seconds"
 
 #: Cluster span names.
 SPAN_CLUSTER_SOLVE = "cluster.solve"
-
-# --------------------------------------------------------------------- #
-# Fleet placement (repro.placement)
-# --------------------------------------------------------------------- #
-
-#: Counter, label ``policy`` in {"hash", "best_fit", "least_loaded"} —
-#: placement decisions made when homing newly registered meetings.
-PLACEMENT_DECISIONS = "repro_placement_decisions_total"
-#: Gauge, label ``shard`` — deterministic assigned solve-cost per shard
-#: (the load model's packing view; see docs/PLACEMENT.md).
-PLACEMENT_SHARD_COST = "repro_placement_shard_cost"
-#: Counter, label ``reason`` in {"hot_shard", "shard_killed",
-#: "shard_added", "manual"} — meetings live-migrated between shards.
-PLACEMENT_MIGRATIONS = "repro_placement_migrations_total"
-
-#: Placement span names.
-SPAN_PLACEMENT_REBALANCE = "placement.rebalance"
 
 # --------------------------------------------------------------------- #
 # Chaos & invariant checking (repro.chaos)
@@ -321,13 +306,10 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     CLUSTER_SOLVE_REQUESTS: ("counter", ("trigger",)),
     CLUSTER_SHED: ("counter", ()),
     CLUSTER_MEETINGS: ("gauge", ("shard",)),
-    CLUSTER_REHOMED: ("counter", ()),
+    CLUSTER_REHOMED: ("counter", ("reason",)),
     CLUSTER_SHARD_FAILOVERS: ("counter", ()),
     CLUSTER_FALLBACKS: ("counter", ()),
     CLUSTER_SOLVE_SECONDS: ("histogram", ()),
-    PLACEMENT_DECISIONS: ("counter", ("policy",)),
-    PLACEMENT_SHARD_COST: ("gauge", ("shard",)),
-    PLACEMENT_MIGRATIONS: ("counter", ("reason",)),
     CHAOS_FAULTS: ("counter", ("kind",)),
     CHAOS_CHECKS: ("counter", ("invariant",)),
     CHAOS_VIOLATIONS: ("counter", ("invariant",)),
@@ -360,7 +342,6 @@ ALL_SPANS: Tuple[str, ...] = (
     SPAN_KMR_REDUCTION,
     SPAN_CONTROLLER_TICK,
     SPAN_CLUSTER_SOLVE,
-    SPAN_PLACEMENT_REBALANCE,
     SPAN_CHAOS_RUN,
     SPAN_INGRESS_RUN,
     SPAN_INGRESS_DECIDE,

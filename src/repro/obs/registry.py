@@ -323,7 +323,6 @@ class MetricsRegistry:
         reservoir-percentile model better than fixed buckets.
         """
         lines: List[str] = []
-        snap = self.snapshot()
         with self._lock:
             counters = sorted(self._counters.values(), key=lambda i: i.key)
             gauges = sorted(self._gauges.values(), key=lambda i: i.key)
@@ -352,7 +351,6 @@ class MetricsRegistry:
                 lines.append(f"{name}{_format_labels(qlabels)} {_num(value)}")
             lines.append(f"{name}_sum{_format_labels(labels)} {_num(h.sum)}")
             lines.append(f"{name}_count{_format_labels(labels)} {_num(h.count)}")
-        del snap
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self, indent: Optional[int] = 2) -> str:

@@ -1,40 +1,6 @@
-"""Fleet placement: load-aware meeting packing and live migration (the
-*Tetris* layer above ``cluster/``).
+"""The deterministic per-meeting solve-cost estimate the ingress plane
+paces decisions on (:func:`~repro.placement.loadmodel.meeting_cost`)."""
 
-See ``docs/PLACEMENT.md`` for the full design.
-"""
+from .loadmodel import meeting_cost
 
-from .loadmodel import (
-    DEFAULT_MEETING_COST,
-    ShardLoadModel,
-    meeting_cost,
-)
-from .policies import (
-    POLICIES,
-    POLICY_BEST_FIT,
-    POLICY_HASH,
-    POLICY_LEAST_LOADED,
-    BestFitPolicy,
-    HashPolicy,
-    LeastLoadedPolicy,
-    PlacementPolicy,
-    get_policy,
-)
-from .migration import HotShardDetector, RebalanceResult
-
-__all__ = [
-    "DEFAULT_MEETING_COST",
-    "ShardLoadModel",
-    "meeting_cost",
-    "POLICIES",
-    "POLICY_BEST_FIT",
-    "POLICY_HASH",
-    "POLICY_LEAST_LOADED",
-    "BestFitPolicy",
-    "HashPolicy",
-    "LeastLoadedPolicy",
-    "PlacementPolicy",
-    "get_policy",
-    "HotShardDetector",
-    "RebalanceResult",
-]
+__all__ = ["meeting_cost"]

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .packet import RtpPacket, seq_distance
 from .rtcp import PT_RTPFB, _common_header, parse_common_header

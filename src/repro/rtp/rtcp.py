@@ -21,8 +21,8 @@ All packets share the RTCP common header::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 RTCP_VERSION = 2
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 from ..obs import names as obs_names
 from ..obs.registry import get_registry

@@ -11,8 +11,8 @@ where ``kind`` is a resolution, "audio", or "rtcp".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Union
 
 from ..core.types import ClientId, Resolution
 

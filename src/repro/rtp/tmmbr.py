@@ -24,8 +24,8 @@ FCI entry layout (RFC 5104)::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..obs import names as obs_names
 from ..obs.registry import get_registry

@@ -13,7 +13,7 @@ text so signaling fidelity is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 
 @dataclass

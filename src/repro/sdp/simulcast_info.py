@@ -23,8 +23,8 @@ returns a message whose numbers are integers within
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..core.ladder import qoe_utility
 from ..core.types import ClientId, Resolution, StreamSpec, validate_feasible_set

@@ -1,7 +1,5 @@
 """Tests for the baseline orchestrators over the real media plane."""
 
-import pytest
-
 from repro.conference import ClientSpec, MeetingSpec
 from repro.conference.runner import MeetingRunner
 from repro.core.types import Resolution
@@ -46,7 +44,6 @@ class TestNonGso:
         pub = runner.clients["pub"]
         total = pub.encoder.total_target_kbps
         selected = runner.node.video_selection("viewer", "pub")
-        from repro.rtp.ssrc import SsrcKey
 
         # The publisher pushes far more than the one selected stream.
         key = runner.ssrc_alloc.lookup(selected)

@@ -19,6 +19,14 @@ class TestFault:
         with pytest.raises(ValueError):
             Fault(1.0, F.DELAY_REPORT, factor=-0.5)
 
+    @pytest.mark.parametrize(
+        "at_s, factor",
+        [(float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")), (1.0, float("inf"))],
+    )
+    def test_rejects_non_finite_time_or_factor(self, at_s, factor):
+        with pytest.raises(ValueError, match="finite"):
+            Fault(at_s, F.DOWNLINK_COLLAPSE, factor=factor)
+
     def test_shifted_moves_time_only(self):
         f = Fault(2.0, F.LOSE_TMMBR, target="m1")
         g = f.shifted(3.5)
@@ -163,4 +171,4 @@ class TestDocsMatch:
         windows = {k for k, v in rows.items() if v == "stream window"}
         assert windows == {F.DROP_REPORT, F.DELAY_REPORT}
         actions = {k for k, v in rows.items() if v == "simulator action"}
-        assert actions == set(F.SHARD_KINDS) - {F.OVERLOAD_SHARD}
+        assert actions == set(F.SHARD_KINDS)

@@ -18,9 +18,7 @@ SCENARIOS = [s.name for s in list_scenarios()]
 
 
 def _run(scenario, seed):
-    config = ChaosConfig(
-        **{**ChaosConfig(seed=seed).to_dict(), **scenario.config_overrides}
-    )
+    config = ChaosConfig(seed=seed)
     runner = ChaosRunner(
         config, scenario.build(seed, config), scenario=scenario.name
     )

@@ -1,6 +1,8 @@
 """Integration tests: the chaos runner driving the ingress plane on the
 real cluster."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import faults as F
@@ -233,7 +235,6 @@ FACTOR = {
     F.DROP_REPORT: 2,
     F.DELAY_REPORT: 1.5,
     F.STALE_SNAPSHOT: 1,
-    F.OVERLOAD_SHARD: 2,
 }
 
 
@@ -269,13 +270,14 @@ class TestEveryFaultKind:
         assert report.faults[0]["outcome"] == "skipped"
 
     def test_non_finite_collapse_is_rejected_not_fatal(self):
-        schedule = FaultSchedule(
-            [Fault(2.0, F.DOWNLINK_COLLAPSE, target="chaos-0",
-                   factor=float("inf"))]
-        )
-        report = run(schedule)
+        # Refused when the fault is built, so it never reaches the plane
+        # (which rejects such a link scale at the offer on its own,
+        # tests/ingress/test_plane.py); the rest of the run is unharmed.
+        with pytest.raises(ValueError, match="finite"):
+            Fault(2.0, F.DOWNLINK_COLLAPSE, target="chaos-0", factor=float("inf"))
+        report = run(FaultSchedule([Fault(2.0, F.DOWNLINK_COLLAPSE, target="chaos-0", factor=0.2)]))
         assert report.ok
-        assert report.faults[0]["outcome"] == "skipped"
+        assert report.faults[0]["outcome"] == "applied"
 
 
 class TestObsIntegration:
@@ -316,3 +318,10 @@ class TestConfigValidation:
             ChaosConfig(report_interval_s=-1.0)
         with pytest.raises(ValueError):
             ChaosConfig(meetings=0)
+
+    def test_config_has_sizing_knobs_only(self):
+        # No placement policy and no cost budget: the ring homes meetings.
+        assert [f.name for f in dataclasses.fields(ChaosConfig)] == [
+            "seed", "meetings", "duration_s", "report_interval_s", "shards",
+            "max_solves_per_round", "mean_size",
+        ]

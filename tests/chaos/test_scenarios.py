@@ -14,7 +14,6 @@ EXPECTED = {
     "publisher_churn",
     "stale_snapshot",
     "unfixable",
-    "hot_shard",
     "kitchen_sink",
 }
 

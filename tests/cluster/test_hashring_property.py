@@ -1,6 +1,6 @@
 """Property test: the ring moves only the keys it must, under any churn.
 
-The `hash` placement policy's whole value is minimal movement — adding a
+The ring's whole value as the cluster's homing rule is minimal movement — adding a
 shard steals keys only *for* the new shard, killing one moves keys only
 *off* the victim, and every key untouched by the change keeps its home.
 Hypothesis drives a random mixed add/kill churn sequence and checks the

@@ -1,7 +1,5 @@
 """Tests for the Table 2 scenario matrix."""
 
-import pytest
-
 from repro.conference.scenarios import (
     DUT,
     HEALTHY_DOWN_KBPS,
@@ -11,7 +9,6 @@ from repro.conference.scenarios import (
     slow_link_cases,
     slow_link_meeting,
 )
-from repro.core.types import Resolution
 
 
 class TestMatrix:

@@ -3,7 +3,7 @@ exercised over a real (simulated) media plane."""
 
 import pytest
 
-from repro.control.conference_node import ConferenceNode, ConferenceNodeConfig
+from repro.control.conference_node import ConferenceNode
 from repro.control.feedback import FeedbackExecutor
 from repro.control.gso_controller import ControllerConfig, GsoControllerRuntime
 from repro.core.types import Resolution

@@ -1,7 +1,5 @@
 """Focused tests for the stream-liveness watchdog in the feedback executor."""
 
-import pytest
-
 from repro.control.conference_node import ConferenceNode
 from repro.control.feedback import FeedbackExecutor
 from repro.core.types import Resolution

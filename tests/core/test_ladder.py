@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.ladder import (
-    PAPER_LADDER_TABLE,
     coarse_ladder,
     make_ladder,
     paper_ladder,

@@ -1,6 +1,5 @@
 """Property-based tests of the Merge and Reduction steps in isolation."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

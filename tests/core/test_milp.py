@@ -7,7 +7,7 @@ import pytest
 from repro.core import Bandwidth, GsoSolver, Resolution, SolverConfig, StreamSpec
 from repro.core.bruteforce import solve_joint_bruteforce
 from repro.core.constraints import Problem, Subscription
-from repro.core.ladder import make_ladder, paper_ladder
+from repro.core.ladder import paper_ladder
 from repro.core.milp import solve_joint_milp
 
 
@@ -66,7 +66,7 @@ class TestMilpCorrectness:
         assert len(s.policies.get("P", {})) == 1
 
     def test_handles_aliases_and_owners(self):
-        from repro.core import ProblemBuilder, screen_id
+        from repro.core import ProblemBuilder
 
         builder = ProblemBuilder()
         ladder = paper_ladder()

@@ -7,7 +7,6 @@ from repro.core import (
     PriorityPolicy,
     Resolution,
     StreamClass,
-    StreamSpec,
     paper_ladder,
     solve,
 )

@@ -12,7 +12,6 @@ screen-share entities — and checks the solver's universal invariants:
   the solution infeasible, and the Step-1 objective is monotone).
 """
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,5 @@
 """Extra coverage for small core types."""
 
-import pytest
-
 from repro.core.types import Resolution, Role, StreamClass, StreamKey
 
 

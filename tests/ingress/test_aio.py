@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ingress.aio import SimFuture, SimRuntime, VirtualSemaphore
+from repro.ingress.aio import SimRuntime, VirtualSemaphore
 
 
 class TestSimFuture:

@@ -30,6 +30,23 @@ class TestStreamFault:
         with pytest.raises(ValueError):
             StreamFault(DELAY_SEMB, delay_s=0.0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": DELAY_SEMB, "delay_s": float("nan")},
+            {"kind": DELAY_SEMB, "delay_s": float("inf")},
+            {"kind": DELAY_SEMB, "start_s": float("nan"), "delay_s": 1.0},
+            {"kind": DROP_SEMB, "start_s": float("-inf")},
+            {"kind": DROP_SEMB, "end_s": float("nan")},
+        ],
+    )
+    def test_rejects_non_finite_times(self, fields):
+        with pytest.raises(ValueError):
+            StreamFault(**fields)
+
+    def test_open_ended_window_stays_legal(self):
+        assert StreamFault(DROP_SEMB, start_s=2.0).end_s == float("inf")
+
     def test_window_is_half_open(self):
         fault = StreamFault(DROP_SEMB, start_s=1.0, end_s=3.0)
         assert not fault.matches(_semb(0.999))

@@ -6,8 +6,6 @@ global picture converges, unsubscribed streams stop, and the closed loop
 is live (configs actually track link changes).
 """
 
-import pytest
-
 from repro.conference import ClientSpec, MeetingSpec
 from repro.conference.runner import MeetingRunner
 from repro.core.types import Resolution
@@ -109,7 +107,6 @@ class TestMultiNodeRelay:
         from repro.net.simulator import Simulator
         from repro.rtp.packet import RtpPacket
         from repro.net.packet import packet_for_bytes
-        from repro.media.codec import EncodedFrame, packetize
 
         sim = Simulator()
         node_a = AccessingNode(sim, "na")

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.media.audio import (
-    AUDIO_BITRATE_KBPS,
-    AudioReceiver,
-    AudioSender,
-    VOICE_STALL_LOSS_THRESHOLD,
-)
+from repro.media.audio import AUDIO_BITRATE_KBPS, AudioReceiver, AudioSender
 from repro.media.source import SourceConfig, VideoSource
 from repro.net.simulator import Simulator
 from repro.rtp.packet import AUDIO_PAYLOAD_TYPE, RtpPacket

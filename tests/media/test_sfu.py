@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.core.types import Resolution
-from repro.media.codec import EncodedFrame, packetize
 from repro.media.sfu import AccessingNode, is_rtcp
 from repro.net.link import Link
-from repro.net.packet import Packet, packet_for_bytes
+from repro.net.packet import packet_for_bytes
 from repro.net.simulator import Simulator
 from repro.rtp.packet import AUDIO_PAYLOAD_TYPE, RtpPacket
 from repro.rtp.rtcp import AppPacket, ReceiverReport

@@ -2,10 +2,8 @@
 
 import random
 
-import pytest
 
-from repro.core.types import ClientId
-from repro.media.sfu import AccessingNode, is_rtcp
+from repro.media.sfu import AccessingNode
 from repro.net.link import Link
 from repro.net.packet import packet_for_bytes
 from repro.net.simulator import Simulator

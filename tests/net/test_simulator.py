@@ -82,6 +82,14 @@ class TestSimulator:
         with pytest.raises(ValueError):
             Simulator().schedule(-0.1, lambda: None)
 
+    def test_rejects_nan_delay(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_run_drains_everything(self):
         sim = Simulator()
         fired = []

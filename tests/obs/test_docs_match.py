@@ -266,3 +266,36 @@ class TestNoDeletedSurface:
             if token in path.read_text()
         ]
         assert not stale, f"names of the deleted solver trace: {stale}"
+
+    #: The placement surface: load-aware packing policies, the load model,
+    #: the hot-shard drain, its chaos fault, invariant and scenario
+    #: plumbing, and the CLI that exercised them.  The hash ring is the
+    #: one homing rule.
+    PLACEMENT_GONE = (
+        "best_fit",
+        "least_loaded",
+        "HotShardDetector",
+        "ShardLoadModel",
+        "shard_cost_budget",
+        "overload_shard",
+        "shard_budget",
+        "config_overrides",
+        "repro place",
+    )
+
+    def test_no_file_names_the_deleted_placement_surface(self):
+        texts = [
+            *sorted((ROOT / "src").rglob("*.py")),
+            *sorted(p for p in (ROOT / "tests").rglob("*.py") if p != Path(__file__)),
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / "README.md",
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ]
+        assert len(texts) > 200
+        stale = [
+            (str(path.relative_to(ROOT)), token)
+            for path in texts
+            for token in self.PLACEMENT_GONE
+            if token in path.read_text()
+        ]
+        assert not stale, f"names of the deleted placement surface: {stale}"

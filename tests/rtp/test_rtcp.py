@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from repro.rtp.rtcp import (
     PT_APP,
-    PT_RR,
-    PT_RTPFB,
     AppPacket,
     ReceiverReport,
     ReportBlock,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.types import Resolution
-from repro.sdp.sdp import MediaSection, SessionDescription
+from repro.sdp.sdp import SessionDescription
 from repro.sdp.simulcast_info import (
     MAX_BITRATE_KBPS,
     ResolutionCapability,

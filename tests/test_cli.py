@@ -124,28 +124,16 @@ class TestSolveReporting:
         assert len(err.splitlines()) == 1
 
 
-class TestPlaceCommands:
-    def test_place_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["place"])
-
-    def test_place_lists_stats_only(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["place", "--help"])
-        assert "{stats}" in capsys.readouterr().out
-
-    def test_place_stats_dumps_load_model(self, capsys):
-        rc = main(
-            ["place", "stats", "--policy", "best_fit", "--meetings", "4",
-             "--budget", "40"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "rebalance:" in out
-        assert '"loads"' in out
-
-    def test_place_rejects_unknown_policy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["place", "stats", "--policy", "round_robin"]
-            )
+class TestIngressFaultSpec:
+    @pytest.mark.parametrize(
+        "spec",
+        ["delay:*:0:5:nan", "delay:*:nan:5:1", "drop:*:0:nan", "drop:*:-inf:5"],
+    )
+    def test_non_finite_fault_time_is_one_line_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingress", "run", "--fault", spec])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("repro ingress run: error: ")
+        assert "finite" in err or "NaN" in err
+        assert "Traceback" not in err
