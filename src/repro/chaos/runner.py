@@ -292,7 +292,6 @@ class ChaosRunner:
             self._applied[meeting_id] = {"source": "bootstrap", "digest": ""}
             self._applied_solution[meeting_id] = None
             self._meeting_counters[meeting_id] = {
-                "reports_dropped": 0,
                 "tmmbr_lost": 0,
                 "fallback_recoveries": 0,
             }
@@ -328,12 +327,7 @@ class ChaosRunner:
     def _finalize(self) -> None:
         """Closing availability check + per-meeting summaries."""
         self._check_availability()
-        for event in self.events.events:
-            if (
-                event.kind == obs_events.FAULT_INJECTED
-                and event.attrs.get("fault") == DROP_SEMB
-            ):
-                self._meeting_counters[event.meeting]["reports_dropped"] += 1
+        dropped = self.plane.stats.dropped_by_meeting
         for meeting_id in self.world.meeting_ids:
             record = self.cluster.meeting(meeting_id)
             state = self.world.meeting(meeting_id)
@@ -347,6 +341,7 @@ class ChaosRunner:
                 "rehomes": record.rehomes,
                 "applied_source": applied["source"],
                 "applied_digest": applied["digest"],
+                "reports_dropped": dropped.get(meeting_id, 0),
                 **self._meeting_counters[meeting_id],
             }
         self.report.checks = dict(self.checker.checks)

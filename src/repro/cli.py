@@ -487,15 +487,19 @@ def _add_ingress_config_args(parser: argparse.ArgumentParser) -> None:
 # --------------------------------------------------------------------- #
 
 
-def _dump_obs(
+def _render_obs(
     registry: "obs.MetricsRegistry", args: argparse.Namespace
-) -> None:
-    """Emit the metrics snapshot per the obs output options."""
-    text = (
+) -> str:
+    """The metrics snapshot in the requested format."""
+    return (
         registry.to_json()
         if args.format == "json"
         else registry.to_prometheus_text()
     )
+
+
+def _dump_obs(text: str, args: argparse.Namespace) -> None:
+    """Emit a rendered metrics snapshot per the obs output options."""
     if args.metrics_out:
         Path(args.metrics_out).write_text(text)
         print(f"[obs] wrote metrics snapshot to {args.metrics_out}")
@@ -506,13 +510,16 @@ def _dump_obs(
 def _cmd_obs_solve(args: argparse.Namespace) -> int:
     with obs.enabled_registry() as registry:
         code = _cmd_solve(args)
+        # Read now: the registry reads some counters from their owners,
+        # which the replay below would move.
+        text = _render_obs(registry, args)
     if code != 0:
         return code
     # Replayed after the fact, outside the registry: the solver is
     # deterministic, so the narration is of the solve just printed.
     print("\n=== kmr narration (replayed) ===")
     print(explain_solve(*_solve_inputs(args)))
-    _dump_obs(registry, args)
+    _dump_obs(text, args)
     return 0
 
 
@@ -544,7 +551,8 @@ def _cmd_obs_example(args: argparse.Namespace) -> int:
         # runs exactly as ``python examples/<name>.py`` would — but with
         # the registry installed around it.
         runpy.run_path(str(path), run_name="__main__")
-    _dump_obs(registry, args)
+        text = _render_obs(registry, args)
+    _dump_obs(text, args)
     return 0
 
 
@@ -560,8 +568,8 @@ def _run_obs_scenario(args: argparse.Namespace):
     config = _chaos_config(args, args.seed)
     scenario = get_scenario(args.scenario)
     schedule = scenario.build(args.seed, config)
-    runner = ChaosRunner(config, schedule, scenario=scenario.name)
     with obs.enabled_registry():
+        runner = ChaosRunner(config, schedule, scenario=scenario.name)
         report = runner.run()
     return runner, report
 
@@ -779,7 +787,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 def _cmd_trace_profile(args: argparse.Namespace) -> int:
     import json
 
-    from .obs.slo import quantile
+    from .obs.registry import quantile
     from .obs.tracing import assemble_trees
 
     try:

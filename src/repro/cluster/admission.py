@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs import names as obs_names
-from ..obs.registry import get_registry
-
 
 @dataclass
 class AdmissionStats:
@@ -55,8 +52,5 @@ class AdmissionController:
         self.stats.admitted += 1
 
     def shed_one(self) -> None:
-        """Account one shed decision (and bump the shed metric)."""
+        """Account one shed decision."""
         self.stats.shed += 1
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(obs_names.CLUSTER_SHED).inc()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..control.failover import single_stream_fallback
 from ..core.constraints import Problem
@@ -43,7 +43,6 @@ from ..core.solver import GsoSolver, KmrRun, SolverConfig
 from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
-from ..obs.spans import span
 from .admission import AdmissionController
 from .hashring import ConsistentHashRing
 from .scheduler import TRIGGER_REHOME, TRIGGER_SYNC
@@ -161,6 +160,30 @@ class LastSolveMemo:
         record.memo = (problem, solution)
 
 
+@dataclass
+class ClusterCounters:
+    """Cluster-wide counts.  The cluster keeps them, not a shard worker,
+    so they survive a shard's death and restart (``add_shard`` on a dead
+    shard's name replaces its worker); the metrics registry reads them
+    at snapshot."""
+
+    solve_requests: int = 0
+    shed: int = 0
+    fallbacks: int = 0
+    shard_failovers: int = 0
+    #: Shard name -> meetings homed on it (a dead shard keeps its 0).
+    meetings: Dict[str, int] = field(default_factory=dict)
+
+    def samples(self) -> Iterator[tuple]:
+        """The registry's view (``MetricsRegistry.watch``)."""
+        yield obs_names.CLUSTER_SOLVE_REQUESTS, {}, self.solve_requests
+        yield obs_names.CLUSTER_SHED, {}, self.shed
+        yield obs_names.CLUSTER_FALLBACKS, {}, self.fallbacks
+        yield obs_names.CLUSTER_SHARD_FAILOVERS, {}, self.shard_failovers
+        for shard, count in self.meetings.items():
+            yield obs_names.CLUSTER_MEETINGS, {"shard": shard}, count
+
+
 class ShardWorker:
     """One controller shard: an admission budget and serve counters."""
 
@@ -194,7 +217,8 @@ class ControllerCluster:
         self.cache = LastSolveMemo()
         self.pool = GsoSolver(self.config.solver)
         self._meetings: Dict[str, MeetingRecord] = {}
-        self.shard_failovers = 0
+        self.counters = ClusterCounters(meetings=dict.fromkeys(names, 0))
+        get_registry().watch(self.counters.samples)
         #: Fault-injection hook (repro.chaos): called with
         #: ``(meeting_id, problem)`` before any solve attempt (including
         #: memo lookups).  Raising degrades that meeting to the Sec. 7
@@ -236,18 +260,8 @@ class ControllerCluster:
         if record is None:
             record = MeetingRecord(meeting_id, self._ring.node_for(meeting_id))
             self._meetings[meeting_id] = record
-            self._refresh_meeting_gauges()
+            self.counters.meetings[record.shard] += 1
         return record
-
-    def _refresh_meeting_gauges(self) -> None:
-        reg = get_registry()
-        if not reg.enabled:
-            return
-        per_shard = {name: 0 for name in self._shards}
-        for record in self._meetings.values():
-            per_shard[record.shard] = per_shard.get(record.shard, 0) + 1
-        for name, count in per_shard.items():
-            reg.gauge(obs_names.CLUSTER_MEETINGS, shard=name).set(count)
 
     # ------------------------------------------------------------------ #
     # The solve service
@@ -257,12 +271,10 @@ class ControllerCluster:
         """Serve the Sec. 7 degenerate configuration and account for it."""
         solution = single_stream_fallback(problem).freeze()
         record.fallbacks += 1
+        self.counters.fallbacks += 1
         shard = self._shards.get(record.shard)
         if shard is not None:
             shard.fallbacks += 1
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(obs_names.CLUSTER_FALLBACKS).inc()
         return solution
 
     def _serve(
@@ -321,13 +333,12 @@ class ControllerCluster:
         fallback policy.
         """
         start = time.perf_counter()
-        with span(obs_names.SPAN_CLUSTER_SOLVE):
-            cached = self.cache.get(record, problem)
-            if cached is not None:
-                self._observe_solve_seconds(start)
-                return cached, SOURCE_CACHE
-            solution = self.pool.solve(problem, warm=record.run).freeze()
-            self.cache.put(record, problem, solution)
+        cached = self.cache.get(record, problem)
+        if cached is not None:
+            self._observe_solve_seconds(start)
+            return cached, SOURCE_CACHE
+        solution = self.pool.solve(problem, warm=record.run).freeze()
+        self.cache.put(record, problem, solution)
         self._observe_solve_seconds(start)
         return solution, SOURCE_SOLVE
 
@@ -357,11 +368,7 @@ class ControllerCluster:
         worker = self._shards.get(record.shard)
         if worker is not None:
             worker.admission.admit_one()
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(
-                obs_names.CLUSTER_SOLVE_REQUESTS, trigger=trigger
-            ).inc()
+        self.counters.solve_requests += 1
         try:
             if self.solve_interceptor is not None:
                 self.solve_interceptor(meeting_id, problem)
@@ -402,6 +409,7 @@ class ControllerCluster:
         worker = self._shards.get(record.shard)
         if worker is not None:
             worker.admission.shed_one()
+        self.counters.shed += 1
         solution = self._fallback(record, problem)
         return self._serve(
             record,
@@ -454,6 +462,8 @@ class ControllerCluster:
         if source == target:
             return None
         record.shard = target
+        self.counters.meetings[source] -= 1
+        self.counters.meetings[target] += 1
         record.rehomes += 1
         record.run = KmrRun()
         reg = get_registry()
@@ -502,7 +512,6 @@ class ControllerCluster:
                 now_s,
                 correlation_id=cid,
             )
-        self._refresh_meeting_gauges()
         return served
 
     def kill_shard(self, name: str, now_s: float) -> List[ServedSolution]:
@@ -527,10 +536,7 @@ class ControllerCluster:
             raise RuntimeError("cannot kill the last live shard")
         worker.alive = False
         self._ring.remove_node(name)
-        self.shard_failovers += 1
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(obs_names.CLUSTER_SHARD_FAILOVERS).inc()
+        self.counters.shard_failovers += 1
         log = obs_events.active_event_log()
         if log is not None:
             log.emit(obs_events.SHARD_KILLED, t=now_s, shard=name)
@@ -547,7 +553,6 @@ class ControllerCluster:
             )
             if degraded is not None:
                 served.append(degraded)
-        self._refresh_meeting_gauges()
         return served
 
     def add_shard(self, name: Optional[str] = None, now_s: float = 0.0) -> str:
@@ -565,6 +570,7 @@ class ControllerCluster:
             raise ValueError(f"shard {name!r} already live")
         self._ring.add_node(name)
         self._shards[name] = ShardWorker(name, self.config)
+        self.counters.meetings.setdefault(name, 0)
         log = obs_events.active_event_log()
         if log is not None:
             log.emit(obs_events.SHARD_ADDED, t=now_s, shard=name)
@@ -577,7 +583,6 @@ class ControllerCluster:
                 reason="shard_added",
                 degrade=False,
             )
-        self._refresh_meeting_gauges()
         return name
 
     # ------------------------------------------------------------------ #
@@ -586,14 +591,13 @@ class ControllerCluster:
 
     def stats(self) -> Dict[str, object]:
         """A JSON-friendly snapshot of the cluster's counters."""
+        counters = self.counters
         shards = {}
         for name in sorted(self._shards):
             worker = self._shards[name]
             shards[name] = {
                 "alive": worker.alive,
-                "meetings": sum(
-                    1 for r in self._meetings.values() if r.shard == name
-                ),
+                "meetings": counters.meetings[name],
                 "solves": worker.solves,
                 "fallbacks": worker.fallbacks,
                 "shed": worker.admission.stats.shed,
@@ -601,7 +605,10 @@ class ControllerCluster:
         return {
             "meetings": len(self._meetings),
             "live_shards": self.live_shards,
-            "shard_failovers": self.shard_failovers,
+            "solve_requests": counters.solve_requests,
+            "shed": counters.shed,
+            "fallbacks": counters.fallbacks,
+            "shard_failovers": counters.shard_failovers,
             "shards": shards,
             "cache": {"hits": self.cache.hits, "misses": self.cache.misses},
             "mckp_cache": default_mckp_cache().snapshot(),

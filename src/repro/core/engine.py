@@ -16,8 +16,9 @@ what carries that across steps without changing a single byte of any
   bandwidth delta that changes the ``Problem`` builds no table for a
   class structure seen before.  Profiles are shared without copying;
 * **per-solve accounting** — :class:`EngineStats` counts what each layer
-  saved; :class:`~repro.core.solver.SolveStats` carries it per solve and
-  the metrics named in ``repro.obs.names`` aggregate it process-wide.
+  saved; :class:`~repro.core.solver.SolveStats` carries it per solve.
+  The process-wide cache keeps its own hit, miss and eviction counts,
+  which the metrics registry reads at snapshot.
 
 The *dirty-set* layer (re-solving only the subscribers that held the
 stream a reduction deleted) lives in
@@ -35,10 +36,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable, Iterator, Optional
 
 from ..obs import names as obs_names
-from ..obs.registry import get_registry
 from .mckp import CapacityProfile
 
 
@@ -128,32 +128,20 @@ class MckpInstanceCache:
     def get(self, key: Hashable) -> Optional[CapacityProfile]:
         """Look up a class structure; the hit is the cached object itself."""
         cached = self._entries.get(key)
-        reg = get_registry()
         if cached is None:
             self.stats.misses += 1
-            if reg.enabled:
-                reg.counter(obs_names.MCKP_CACHE, result="miss").inc()
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        if reg.enabled:
-            reg.counter(obs_names.MCKP_CACHE, result="hit").inc()
         return cached
 
     def put(self, key: Hashable, profile: CapacityProfile) -> None:
         """Insert (or refresh) a profile under its class-structure key."""
         self._entries[key] = profile
         self._entries.move_to_end(key)
-        evicted = 0
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            evicted += 1
-        self.stats.evictions += evicted
-        reg = get_registry()
-        if reg.enabled:
-            if evicted:
-                reg.counter(obs_names.MCKP_CACHE_EVICTIONS).inc(evicted)
-            reg.gauge(obs_names.MCKP_CACHE_ENTRIES).set(len(self._entries))
+            self.stats.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (stats are kept)."""
@@ -169,6 +157,14 @@ class MckpInstanceCache:
             "evictions": self.stats.evictions,
             "hit_rate": self.stats.hit_rate,
         }
+
+    def samples(self) -> Iterator[tuple]:
+        """The registry's view (``MetricsRegistry.watch``; a solver
+        registers the process-wide cache's when it is built)."""
+        yield obs_names.MCKP_CACHE, {"result": "hit"}, self.stats.hits
+        yield obs_names.MCKP_CACHE, {"result": "miss"}, self.stats.misses
+        yield obs_names.MCKP_CACHE_EVICTIONS, {}, self.stats.evictions
+        yield obs_names.MCKP_CACHE_ENTRIES, {}, len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

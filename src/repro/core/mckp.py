@@ -42,7 +42,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,11 +63,11 @@ _NEG_INF = float("-inf")
 
 
 class KernelStats:
-    """Process-wide DP usage counters (always on, unlike the metrics
-    registry): DP tables built (optional- and mandatory-pick), plus the
-    subscriber instances answered out of a shared
+    """Process-wide DP usage counters (always on): DP tables built, by
+    kind (``optional``-pick for Step 1, ``mandatory``-pick for Step 3's
+    fix), plus the subscriber instances answered out of a shared
     :class:`CapacityProfile`.  ``ControllerCluster.stats()`` reports this
-    snapshot."""
+    snapshot; the metrics registry reads the optional-pick count."""
 
     def __init__(self) -> None:
         self.reset()
@@ -81,9 +81,14 @@ class KernelStats:
 
     def reset(self) -> None:
         """Zero every counter (test isolation)."""
-        #: A one-key map: ``bench/`` sums the snapshot's ``solves`` values.
-        self.solves: Dict[str, int] = {"dp": 0}
+        #: ``bench/`` sums the snapshot's ``solves`` values.
+        self.solves: Dict[str, int] = {"optional": 0, "mandatory": 0}
         self.batched_instances = 0
+
+    def samples(self) -> Iterator[tuple]:
+        """The registry's view (``MetricsRegistry.watch``; a solver
+        registers it when it is built)."""
+        yield obs_names.MCKP_SOLVES, {}, self.solves["optional"]
 
 
 _KERNEL_STATS = KernelStats()
@@ -198,30 +203,11 @@ def _finish(
 
 def _emit_solve_obs(reg, n_classes: int, slots: int) -> None:
     """Per-table metrics shared by the scalar solves and profile builds."""
-    _KERNEL_STATS.solves["dp"] += 1
+    _KERNEL_STATS.solves["optional"] += 1
     if reg.enabled:
-        reg.counter(obs_names.MCKP_SOLVES).inc()
         reg.histogram(obs_names.MCKP_TABLE_CELLS).observe(
             n_classes * (slots + 1)
         )
-
-
-def _emit_grid_slack(
-    reg,
-    classes: Sequence[Sequence[Item]],
-    granularity: int,
-    picks: Sequence[Optional[int]],
-) -> None:
-    """Granularity-induced conservatism: capacity consumed by rounding
-    item weights up to the grid, i.e. budget the DP could not use."""
-    if not (reg.enabled and granularity > 1):
-        return
-    slack = 0
-    for cls, idx in zip(classes, picks):
-        if idx is not None:
-            weight = cls[idx][0]
-            slack += _grid_weight(weight, granularity) * granularity - weight
-    reg.histogram(obs_names.MCKP_GRID_SLACK_KBPS).observe(slack)
 
 
 # --------------------------------------------------------------------- #
@@ -255,14 +241,12 @@ def solve_mckp_dp(
     n = len(classes)
     grid_weights = [_class_grid_weights(cls, granularity) for cls in classes]
     width = min(slots, _max_slots(grid_weights))
-    reg = get_registry()
-    _emit_solve_obs(reg, n, width)
+    _emit_solve_obs(get_registry(), n, width)
     if n == 0 or slots == 0:
         return _empty_solution(n)
     value, choices = _dp_optional_table(classes, grid_weights, width)
     col = int(np.argmax(value))  # argmax returns the smallest maximizing col
     picks = _pick_list(_backtrack_columns(grid_weights, choices, [col])[0])
-    _emit_grid_slack(reg, classes, granularity, picks)
     return _finish(classes, picks, capacity)
 
 
@@ -467,9 +451,6 @@ class CapacityProfile:
             else:
                 picks = _pick_list(self.picks[index])
                 solution = _finish(self.classes, picks, capacity)
-                _emit_grid_slack(
-                    get_registry(), self.classes, self.granularity, picks
-                )
             self._solutions[index] = solution
         assert solution.total_weight <= capacity
         return solution
@@ -497,7 +478,7 @@ def solve_mckp_dp_mandatory(
     """
     _validate(classes, capacity)
     _check_granularity(granularity)
-    _KERNEL_STATS.solves["dp"] += 1
+    _KERNEL_STATS.solves["mandatory"] += 1
     if any(len(cls) == 0 for cls in classes):
         return None
     n = len(classes)

@@ -28,6 +28,7 @@ from ..obs.spans import span
 from .constraints import Problem
 from .engine import EngineStats, default_mckp_cache
 from .knapsack import Requests, knapsack_step
+from .mckp import kernel_stats
 from .merge import Policies, merge_step
 from .reduction import ReductionOutcome, reduction_step
 from .solution import PolicyEntry, Solution
@@ -193,10 +194,17 @@ class GsoSolver:
     meeting and dropped with it.  Without one (``warm=None``: every direct
     caller, ``core/explain.py``, the reference loop of the tests) each
     solve starts from nothing.
+
+    A solver built while a metrics registry is installed registers the
+    process-wide DP counters it drives (the profile cache and
+    :func:`~repro.core.mckp.kernel_stats`) with that registry.
     """
 
     def __init__(self, config: Optional[SolverConfig] = None) -> None:
         self.config = config or SolverConfig()
+        reg = get_registry()
+        reg.watch(default_mckp_cache().samples)
+        reg.watch(kernel_stats().samples)
 
     def solve(
         self,
@@ -299,127 +307,126 @@ class GsoSolver:
                     for client in changed
                 )
 
-        with span(obs_names.SPAN_KMR_SOLVE):
-            for iteration in range(1, cap + 1):
-                stats.iterations = iteration
-                step = recorded[iteration - 1] if recorded else None
-                asked = subscribers if dirty is None else dirty
-                #: The subscribers Step 1 solves; ``None`` solves everyone.
-                todo = dirty
-                since = None
-                if step is not None:
-                    # The replay lemma (docs/SOLVER.md): the feasible sets
-                    # are the recorded ones, so whoever's Bandwidth is the
-                    # recorded one has the recorded answer.
-                    answers = step.answers
-                    todo = [
-                        sub
-                        for sub in asked
-                        if sub in changed or sub not in answers
-                    ]
-                    for sub in asked:
-                        requests[sub] = groups[sub] = answers.get(sub)
-                    for sub in movers:
-                        if sub in answers:
-                            then[sub] = answers[sub]
-                step_span = obs_names.SPAN_KMR_KNAPSACK
-                if todo is not None:
-                    step_span = obs_names.SPAN_KMR_KNAPSACK_DIRTY
-                    skipped = len(subscribers) - len(todo)
-                    stats.engine.step1_skipped += skipped
-                    if reg.enabled:
-                        if skipped:
-                            reg.counter(obs_names.KMR_STEP1_SKIPPED).inc(
-                                skipped
-                            )
-                        reg.histogram(
-                            obs_names.KMR_DIRTY_SET_SIZE
-                        ).observe(len(todo))
-                with span(step_span):
-                    requests.update(
-                        knapsack_step(
-                            problem,
-                            feasible=feasible,
-                            granularity=cfg.granularity_kbps,
-                            exhaustive=cfg.exhaustive_step1,
-                            incumbent=inc_map,
-                            stickiness=stickiness,
-                            subscribers=todo,
-                            cache=cache,
-                            stats=stats.engine,
-                            groups=groups,
-                        )
-                    )
-                if step is not None and not problem.aliases:
-                    # A mover is compared with where the record has it
-                    # *now*, not with what either side answered this
-                    # iteration: one that diverged earlier still differs.
-                    # (Virtual publishers are merged whole: which of a
-                    # publisher's ids keys its policies is Step 2's to say.)
-                    since = (
-                        step.policies,
-                        [
-                            (sub, then[sub])
-                            for sub in movers
-                            if groups[sub] != then[sub]
-                        ],
-                    )
-                with span(obs_names.SPAN_KMR_MERGE):
-                    policies = merge_step(problem, requests, groups, since)
-                if (
-                    step is not None
-                    and policies is step.policies
-                    and not uplink_moved
-                ):
-                    outcome = step.outcome
-                else:
-                    with span(obs_names.SPAN_KMR_REDUCTION):
-                        outcome = reduction_step(
-                            problem,
-                            policies,
-                            feasible,
-                            granularity=cfg.granularity_kbps,
-                        )
-                if record is not None:
-                    record.append(
-                        _Step(
-                            {sub: groups[sub] for sub in asked},
-                            policies,
-                            outcome,
-                        )
-                    )
-                if outcome.solved:
-                    stats.reductions = reduced
-                    stats.wall_time_s = time.perf_counter() - start
-                    solution = _build_solution(
-                        problem, requests, outcome.policies, iteration, reduced
-                    )
-                    if warm is not None:
-                        warm.problem = problem
-                        warm.config = cfg
-                        warm.streak = streak
-                        warm.steps = tuple(record or ())
-                    self._record_convergence(reg, stats, "solved")
-                    return solution, stats
-                pub, res = outcome.reduce
-                if step is not None and outcome.reduce != step.outcome.reduce:
-                    # Another deletion than the recorded one: from here on
-                    # the record describes feasible sets this solve does
-                    # not have.  The loop goes on from its current state.
-                    recorded = None
-                feasible[pub] = [s for s in feasible[pub] if s.resolution != res]
-                reduced.append((pub, res))
-                if not cfg.exhaustive_step1:
-                    # The reduction removed only ``pub``'s streams at
-                    # ``res``.  A subscriber that held none of them keeps
-                    # its answer (docs/SOLVER.md, the deletion lemma), so
-                    # the next Step 1 re-solves exactly the deleted
-                    # entry's audience.  (The brute-force Step 1 of
-                    # Fig. 6 has no dirty set: it enumerates every
-                    # subscriber on every iteration.)
-                    dirty = sorted(policies[pub][res].audience)
+        for iteration in range(1, cap + 1):
+            stats.iterations = iteration
+            step = recorded[iteration - 1] if recorded else None
+            asked = subscribers if dirty is None else dirty
+            #: The subscribers Step 1 solves; ``None`` solves everyone.
+            todo = dirty
+            since = None
+            if step is not None:
+                # The replay lemma (docs/SOLVER.md): the feasible sets
+                # are the recorded ones, so whoever's Bandwidth is the
+                # recorded one has the recorded answer.
+                answers = step.answers
+                todo = [
+                    sub
+                    for sub in asked
+                    if sub in changed or sub not in answers
+                ]
+                for sub in asked:
+                    requests[sub] = groups[sub] = answers.get(sub)
+                for sub in movers:
+                    if sub in answers:
+                        then[sub] = answers[sub]
+            step_span = obs_names.SPAN_KMR_KNAPSACK
+            if todo is not None:
+                step_span = obs_names.SPAN_KMR_KNAPSACK_DIRTY
+                skipped = len(subscribers) - len(todo)
+                stats.engine.step1_skipped += skipped
                 if reg.enabled:
-                    reg.counter(obs_names.KMR_REDUCTIONS).inc()
+                    if skipped:
+                        reg.counter(obs_names.KMR_STEP1_SKIPPED).inc(
+                            skipped
+                        )
+                    reg.histogram(
+                        obs_names.KMR_DIRTY_SET_SIZE
+                    ).observe(len(todo))
+            with span(step_span):
+                requests.update(
+                    knapsack_step(
+                        problem,
+                        feasible=feasible,
+                        granularity=cfg.granularity_kbps,
+                        exhaustive=cfg.exhaustive_step1,
+                        incumbent=inc_map,
+                        stickiness=stickiness,
+                        subscribers=todo,
+                        cache=cache,
+                        stats=stats.engine,
+                        groups=groups,
+                    )
+                )
+            if step is not None and not problem.aliases:
+                # A mover is compared with where the record has it
+                # *now*, not with what either side answered this
+                # iteration: one that diverged earlier still differs.
+                # (Virtual publishers are merged whole: which of a
+                # publisher's ids keys its policies is Step 2's to say.)
+                since = (
+                    step.policies,
+                    [
+                        (sub, then[sub])
+                        for sub in movers
+                        if groups[sub] != then[sub]
+                    ],
+                )
+            with span(obs_names.SPAN_KMR_MERGE):
+                policies = merge_step(problem, requests, groups, since)
+            if (
+                step is not None
+                and policies is step.policies
+                and not uplink_moved
+            ):
+                outcome = step.outcome
+            else:
+                with span(obs_names.SPAN_KMR_REDUCTION):
+                    outcome = reduction_step(
+                        problem,
+                        policies,
+                        feasible,
+                        granularity=cfg.granularity_kbps,
+                    )
+            if record is not None:
+                record.append(
+                    _Step(
+                        {sub: groups[sub] for sub in asked},
+                        policies,
+                        outcome,
+                    )
+                )
+            if outcome.solved:
+                stats.reductions = reduced
+                stats.wall_time_s = time.perf_counter() - start
+                solution = _build_solution(
+                    problem, requests, outcome.policies, iteration, reduced
+                )
+                if warm is not None:
+                    warm.problem = problem
+                    warm.config = cfg
+                    warm.streak = streak
+                    warm.steps = tuple(record or ())
+                self._record_convergence(reg, stats, "solved")
+                return solution, stats
+            pub, res = outcome.reduce
+            if step is not None and outcome.reduce != step.outcome.reduce:
+                # Another deletion than the recorded one: from here on
+                # the record describes feasible sets this solve does
+                # not have.  The loop goes on from its current state.
+                recorded = None
+            feasible[pub] = [s for s in feasible[pub] if s.resolution != res]
+            reduced.append((pub, res))
+            if not cfg.exhaustive_step1:
+                # The reduction removed only ``pub``'s streams at
+                # ``res``.  A subscriber that held none of them keeps
+                # its answer (docs/SOLVER.md, the deletion lemma), so
+                # the next Step 1 re-solves exactly the deleted
+                # entry's audience.  (The brute-force Step 1 of
+                # Fig. 6 has no dirty set: it enumerates every
+                # subscriber on every iteration.)
+                dirty = sorted(policies[pub][res].audience)
+            if reg.enabled:
+                reg.counter(obs_names.KMR_REDUCTIONS).inc()
         stats.wall_time_s = time.perf_counter() - start
         self._record_convergence(reg, stats, "iteration_cap")
         raise RuntimeError(

@@ -35,8 +35,6 @@ from ..core.constraints import Bandwidth, Problem, Subscription
 from ..core.ladder import make_ladder
 from ..core.solver import GsoSolver, SolverConfig
 from ..core.types import ClientId, Resolution
-from ..obs import names as obs_names
-from ..obs.registry import get_registry
 
 #: Audio wire rate reserved per participant (kbps).
 AUDIO_KBPS = 45
@@ -255,7 +253,6 @@ class ConferenceScorer:
         for sub, per_pub in solution.assignments.items():
             for stream in per_pub.values():
                 loads[sub] += stream.bitrate_kbps * WIRE_OVERHEAD
-        self._record_satisfaction("gso", coverage)
         return self._aggregate(conf, loads, coverage)
 
     def _gso_problem(self, conf: SampledConference) -> Problem:
@@ -316,23 +313,11 @@ class ConferenceScorer:
                     delivered += 1
             loads[sub.client_id] = total
             coverage[sub.client_id] = delivered / max(1, len(watched))
-        self._record_satisfaction("nongso", coverage)
         return self._aggregate(conf, loads, coverage)
 
     # ------------------------------------------------------------------ #
     # Shared aggregation
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _record_satisfaction(scheme: str, coverage: Dict[ClientId, float]) -> None:
-        """Record the conference's stream-satisfaction ratio (Fig. 11)."""
-        reg = get_registry()
-        if not reg.enabled or not coverage:
-            return
-        ratio = sum(coverage.values()) / len(coverage)
-        reg.counter(obs_names.FLEET_CONFERENCES, scheme=scheme).inc()
-        reg.histogram(obs_names.FLEET_SATISFACTION, scheme=scheme).observe(ratio)
-        reg.gauge(obs_names.FLEET_LAST_SATISFACTION, scheme=scheme).set(ratio)
 
     def _aggregate(
         self,

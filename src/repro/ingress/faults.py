@@ -76,12 +76,11 @@ class StreamFault:
 
 
 class StreamFaultInjector:
-    """Decides each event's disposition against a set of fault windows."""
+    """Decides each event's disposition against a set of fault windows
+    (the plane counts what it decided, in ``PlaneStats``)."""
 
     def __init__(self, faults: Sequence[StreamFault] = ()) -> None:
         self.faults = list(faults)
-        self.dropped = 0
-        self.delayed = 0
 
     def disposition(self, event: StreamEvent) -> Tuple[str, float]:
         """``(DELIVER|DROP|DELAY, extra_delay_s)`` for one event.
@@ -94,11 +93,9 @@ class StreamFaultInjector:
             if not fault.matches(event):
                 continue
             if fault.kind == DROP_SEMB:
-                self.dropped += 1
                 return DROP, 0.0
             delayed = True
             delay += fault.delay_s
         if delayed:
-            self.delayed += 1
             return DELAY, delay
         return DELIVER, 0.0

@@ -34,8 +34,8 @@ same seed, same stream, same interleaving — byte-identical event logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..cluster.scheduler import backpressure_window_s
 from ..core.solution import solution_digest
@@ -133,7 +133,8 @@ class Decision:
 
 @dataclass
 class PlaneStats:
-    """Dispatcher/worker accounting of one plane run."""
+    """Dispatcher/worker accounting of one plane run; the metrics
+    registry reads it at snapshot."""
 
     offered: int = 0
     #: Malformed events refused at the offer (``offered == enqueued +
@@ -141,7 +142,8 @@ class PlaneStats:
     rejected: int = 0
     enqueued: int = 0
     evicted: int = 0
-    dropped: int = 0
+    #: Events a ``drop_semb`` fault window consumed, per meeting.
+    dropped_by_meeting: Dict[str, int] = field(default_factory=dict)
     delayed: int = 0
     decisions: int = 0
     coalesced: int = 0
@@ -151,8 +153,21 @@ class PlaneStats:
     max_mailbox_depth: int = 0
 
     @property
+    def dropped(self) -> int:
+        return sum(self.dropped_by_meeting.values())
+
+    @property
     def shed(self) -> int:
         return self.shed_overflow + self.shed_admission
+
+    def samples(self) -> Iterator[tuple]:
+        """The registry's view (``MetricsRegistry.watch``)."""
+        yield obs_names.INGRESS_EVENTS, {}, self.offered
+        yield obs_names.INGRESS_COALESCED, {}, self.coalesced
+        yield obs_names.INGRESS_SHED, {"reason": SHED_OVERFLOW}, self.shed_overflow
+        yield obs_names.INGRESS_SHED, {"reason": SHED_ADMISSION}, self.shed_admission
+        yield obs_names.INGRESS_DROPPED_EVENTS, {}, self.dropped
+        yield obs_names.INGRESS_DELAYED_EVENTS, {}, self.delayed
 
 
 class IngressBackend:
@@ -313,6 +328,7 @@ class IngressPlane:
         self.backend = backend
         self.config = config or IngressConfig()
         self.stats = PlaneStats()
+        get_registry().watch(self.stats.samples)
         self.decisions: List[Decision] = []
         self.injector: Optional[StreamFaultInjector] = None
         self._mailboxes: Dict[str, Mailbox] = {}
@@ -334,9 +350,6 @@ class IngressPlane:
         """
         now = self.runtime.now
         self.stats.offered += 1
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(obs_names.INGRESS_EVENTS, kind=event.kind).inc()
         log = obs_events.active_event_log()
         try:
             self.backend.apply_event(event)
@@ -361,6 +374,7 @@ class IngressPlane:
             self.stats.evicted += 1
         depth = box.depth
         self.stats.max_mailbox_depth = max(self.stats.max_mailbox_depth, depth)
+        reg = get_registry()
         if reg.enabled:
             reg.histogram(obs_names.INGRESS_MAILBOX_DEPTH).observe(depth)
         if log is not None:
@@ -383,12 +397,10 @@ class IngressPlane:
             if self.injector is not None
             else ("deliver", 0.0)
         )
-        reg = get_registry()
         log = obs_events.active_event_log()
         if disposition == DROP:
-            self.stats.dropped += 1
-            if reg.enabled:
-                reg.counter(obs_names.INGRESS_DROPPED_EVENTS).inc()
+            drops = self.stats.dropped_by_meeting
+            drops[event.meeting] = drops.get(event.meeting, 0) + 1
             if log is not None:
                 log.emit(
                     obs_events.FAULT_INJECTED,
@@ -400,8 +412,6 @@ class IngressPlane:
             return
         if disposition == DELAY:
             self.stats.delayed += 1
-            if reg.enabled:
-                reg.counter(obs_names.INGRESS_DELAYED_EVENTS).inc()
             if log is not None:
                 log.emit(
                     obs_events.FAULT_INJECTED,
@@ -497,7 +507,6 @@ class IngressPlane:
     ) -> None:
         runtime = self.runtime
         backend = self.backend
-        reg = get_registry()
         log = obs_events.active_event_log()
         now = runtime.now
         if batch:
@@ -519,10 +528,7 @@ class IngressPlane:
                     **attrs,
                 )
         coalesced = max(0, len(batch) - 1)
-        if coalesced:
-            self.stats.coalesced += coalesced
-            if reg.enabled:
-                reg.counter(obs_names.INGRESS_COALESCED).inc(coalesced)
+        self.stats.coalesced += coalesced
         if log is not None and batch:
             log.emit(
                 obs_events.INGRESS_DEQUEUED,
@@ -549,8 +555,6 @@ class IngressPlane:
                 self.stats.shed_overflow += 1
             else:
                 self.stats.shed_admission += 1
-            if reg.enabled:
-                reg.counter(obs_names.INGRESS_SHED, reason=shed_reason).inc()
             if log is not None:
                 log.emit(
                     obs_events.INGRESS_SHED,
@@ -587,6 +591,7 @@ class IngressPlane:
         self.decisions.append(decision)
         self.stats.decisions += 1
         self._last_decision_s[meeting] = decided_at
+        reg = get_registry()
         if reg.enabled:
             reg.histogram(obs_names.INGRESS_DECISION_SECONDS).observe(
                 decision.latency_s

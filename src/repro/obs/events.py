@@ -19,7 +19,9 @@ Design constraints mirror the registry's:
    counters — two runs of the same seeded scenario produce byte-identical
    JSONL (the chaos subsystem enforces this).
 3. **Bounded.**  The log is a ring buffer; overflow evicts the oldest
-   events and counts them in ``dropped``.
+   events and counts them in ``dropped``.  Those counts live on the
+   log's small :class:`LogStats`, which the metrics registry reads at
+   snapshot (a log built while a registry is installed registers it).
 
 The JSONL schema (``repro.events/v1``) is one object per line: a
 ``{"record": "meta", ...}`` header, then one ``{"record": "event", ...}``
@@ -143,6 +145,19 @@ class Event:
         )
 
 
+@dataclass
+class LogStats:
+    """What one log emitted and what its ring evicted."""
+
+    emitted: int = 0
+    dropped: int = 0
+
+    def samples(self) -> Iterator[tuple]:
+        """The registry's view (``MetricsRegistry.watch``)."""
+        yield obs_names.EVENTS_EMITTED, {}, self.emitted
+        yield obs_names.EVENTS_DROPPED, {}, self.dropped
+
+
 class EventLog:
     """A bounded, deterministic, in-memory event log.
 
@@ -157,9 +172,17 @@ class EventLog:
         self._events: Deque[Event] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._seq = 0
-        self.emitted = 0
-        self.dropped = 0
+        self.stats = LogStats()
         self._cid_counters: Dict[str, int] = {}
+        get_registry().watch(self.stats.samples)
+
+    @property
+    def emitted(self) -> int:
+        return self.stats.emitted
+
+    @property
+    def dropped(self) -> int:
+        return self.stats.dropped
 
     # -- emission -------------------------------------------------------- #
 
@@ -208,16 +231,10 @@ class EventLog:
                 shard=shard,
                 attrs=attrs,
             )
-            evicted = len(self._events) >= self.capacity
-            if evicted:
-                self.dropped += 1
+            if len(self._events) >= self.capacity:
+                self.stats.dropped += 1
             self._events.append(event)
-            self.emitted += 1
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(obs_names.EVENTS_EMITTED, kind=kind).inc()
-            if evicted:
-                reg.counter(obs_names.EVENTS_DROPPED).inc()
+            self.stats.emitted += 1
         return event
 
     # -- access ---------------------------------------------------------- #
@@ -296,8 +313,8 @@ class EventLog:
         for event in events:
             log._events.append(event)
         log._seq = (events[-1].seq + 1) if events else 0
-        log.emitted = int(header.get("emitted", len(events))) if header else len(events)
-        log.dropped = int(header.get("dropped", 0)) if header else 0
+        log.stats.emitted = int(header.get("emitted", len(events))) if header else len(events)
+        log.stats.dropped = int(header.get("dropped", 0)) if header else 0
         return log
 
     @classmethod

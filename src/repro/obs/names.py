@@ -2,9 +2,12 @@
 
 Every instrumented call site imports its metric name from here, and
 ``docs/OBSERVABILITY.md`` documents exactly these names — a unit test
-(``tests/obs/test_docs_match.py``) fails if the two drift apart.  Add a
-new metric by (1) defining the constant here, (2) recording through it,
-and (3) documenting it in the operator guide.
+(``tests/obs/test_docs_match.py``) fails if the two drift apart.  Each
+name is recorded at exactly one site (``tests/obs/test_one_owner.py``):
+either pushed, or yielded by the stats object that keeps the number and
+is read at snapshot (``MetricsRegistry.watch``).  Add a new metric by
+(1) defining the constant here, (2) recording it at its one site, and
+(3) documenting it, with its owner and its reader, in the operator guide.
 
 Naming follows the Prometheus conventions: ``repro_`` namespace prefix,
 ``_total`` suffix for counters, base units in the name (``_seconds``,
@@ -51,9 +54,6 @@ KMR_DIRTY_SET_SIZE = "repro_kmr_dirty_set_size"
 MCKP_SOLVES = "repro_mckp_dp_solves_total"
 #: Histogram — DP table size in cells (classes x capacity slots).
 MCKP_TABLE_CELLS = "repro_mckp_dp_table_cells"
-#: Histogram — per-solve capacity lost to grid rounding, in kbps
-#: (the granularity-induced conservatism of rounding weights up).
-MCKP_GRID_SLACK_KBPS = "repro_mckp_grid_slack_kbps"
 
 # --------------------------------------------------------------------- #
 # Incremental solve engine (repro.core.engine)
@@ -79,7 +79,6 @@ SPAN_SECONDS = "repro_span_seconds"
 
 #: Span names used by the built-in instrumentation (label values of
 #: :data:`SPAN_SECONDS`).
-SPAN_KMR_SOLVE = "kmr.solve"
 SPAN_KMR_KNAPSACK = "kmr.knapsack"
 SPAN_KMR_KNAPSACK_DIRTY = "kmr.knapsack_dirty"
 SPAN_KMR_MERGE = "kmr.merge"
@@ -118,16 +117,6 @@ FEEDBACK_FORWARDING_UPDATES = "repro_feedback_forwarding_updates_total"
 FEEDBACK_FANOUT = "repro_feedback_fanout"
 
 # --------------------------------------------------------------------- #
-# RTP control-message codecs (repro.rtp)
-# --------------------------------------------------------------------- #
-
-#: Counter, label ``direction`` in {"encoded", "parsed"} — SEMB reports.
-RTP_SEMB_MESSAGES = "repro_rtp_semb_messages_total"
-#: Counter, labels ``kind`` in {"tmmbr", "tmmbn"} and ``direction`` in
-#: {"encoded", "parsed"} — GSO TMMBR/TMMBN messages.
-RTP_TMMBR_MESSAGES = "repro_rtp_tmmbr_messages_total"
-
-# --------------------------------------------------------------------- #
 # Meeting runner (repro.conference.runner)
 # --------------------------------------------------------------------- #
 
@@ -136,24 +125,10 @@ RTP_TMMBR_MESSAGES = "repro_rtp_tmmbr_messages_total"
 RUNNER_RTCP_APP = "repro_runner_rtcp_app_total"
 
 # --------------------------------------------------------------------- #
-# Fleet simulation (repro.deploy.fleet)
-# --------------------------------------------------------------------- #
-
-#: Counter, label ``scheme`` in {"gso", "nongso"} — conferences scored.
-FLEET_CONFERENCES = "repro_fleet_conferences_total"
-#: Histogram, label ``scheme`` — per-conference mean stream-satisfaction
-#: ratio (views delivered / views subscribed, the Fig. 11 quantity).
-FLEET_SATISFACTION = "repro_fleet_satisfaction_ratio"
-#: Gauge, label ``scheme`` — satisfaction ratio of the most recently
-#: scored conference.
-FLEET_LAST_SATISFACTION = "repro_fleet_last_satisfaction_ratio"
-
-# --------------------------------------------------------------------- #
 # Controller cluster (repro.cluster)
 # --------------------------------------------------------------------- #
 
-#: Counter, label ``trigger`` in {"event", "time", "sync"} — solve
-#: requests entering the solve service.
+#: Counter — solve requests entering the solve service.
 CLUSTER_SOLVE_REQUESTS = "repro_cluster_solve_requests_total"
 #: Counter — solve requests shed by admission control (served fallback).
 CLUSTER_SHED = "repro_cluster_shed_total"
@@ -171,9 +146,6 @@ CLUSTER_FALLBACKS = "repro_cluster_fallbacks_total"
 #: Histogram — wall-clock seconds per solve-service request (cache hits
 #: and misses alike).
 CLUSTER_SOLVE_SECONDS = "repro_cluster_solve_seconds"
-
-#: Cluster span names.
-SPAN_CLUSTER_SOLVE = "cluster.solve"
 
 # --------------------------------------------------------------------- #
 # Chaos & invariant checking (repro.chaos)
@@ -202,9 +174,7 @@ SPAN_CHAOS_RUN = "chaos.run"
 # Event-driven ingress plane (repro.ingress)
 # --------------------------------------------------------------------- #
 
-#: Counter, label ``kind`` in {"semb", "link_estimate", "subscription",
-#: "publisher_join", "publisher_leave"} — stream events offered to the
-#: ingress dispatcher, by event kind.
+#: Counter — stream events offered to the ingress dispatcher.
 INGRESS_EVENTS = "repro_ingress_events_total"
 #: Counter — events folded into an already-open decision window (the
 #: mailbox coalesce).
@@ -230,8 +200,7 @@ SPAN_INGRESS_DECIDE = "ingress.decide"
 # Telemetry pipeline (repro.obs.events / slo)
 # --------------------------------------------------------------------- #
 
-#: Counter, label ``kind`` — structured events appended to the active
-#: event log, by event kind (``ingress_enqueued``, ``solve_served``, ...).
+#: Counter — structured events appended to an event log.
 EVENTS_EMITTED = "repro_events_emitted_total"
 #: Counter — events evicted from the bounded event-log ring on overflow.
 EVENTS_DROPPED = "repro_events_dropped_total"
@@ -281,7 +250,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     KMR_DIRTY_SET_SIZE: ("histogram", ()),
     MCKP_SOLVES: ("counter", ()),
     MCKP_TABLE_CELLS: ("histogram", ()),
-    MCKP_GRID_SLACK_KBPS: ("histogram", ()),
     MCKP_CACHE: ("counter", ("result",)),
     MCKP_CACHE_EVICTIONS: ("counter", ()),
     MCKP_CACHE_ENTRIES: ("gauge", ()),
@@ -297,13 +265,8 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     FEEDBACK_TMMBR_SENT: ("counter", ()),
     FEEDBACK_FORWARDING_UPDATES: ("counter", ()),
     FEEDBACK_FANOUT: ("histogram", ()),
-    RTP_SEMB_MESSAGES: ("counter", ("direction",)),
-    RTP_TMMBR_MESSAGES: ("counter", ("kind", "direction")),
     RUNNER_RTCP_APP: ("counter", ("kind",)),
-    FLEET_CONFERENCES: ("counter", ("scheme",)),
-    FLEET_SATISFACTION: ("histogram", ("scheme",)),
-    FLEET_LAST_SATISFACTION: ("gauge", ("scheme",)),
-    CLUSTER_SOLVE_REQUESTS: ("counter", ("trigger",)),
+    CLUSTER_SOLVE_REQUESTS: ("counter", ()),
     CLUSTER_SHED: ("counter", ()),
     CLUSTER_MEETINGS: ("gauge", ("shard",)),
     CLUSTER_REHOMED: ("counter", ("reason",)),
@@ -315,14 +278,14 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     CHAOS_VIOLATIONS: ("counter", ("invariant",)),
     CHAOS_RUNS: ("counter", ("verdict",)),
     CHAOS_RECOVERY_SECONDS: ("histogram", ()),
-    INGRESS_EVENTS: ("counter", ("kind",)),
+    INGRESS_EVENTS: ("counter", ()),
     INGRESS_COALESCED: ("counter", ()),
     INGRESS_SHED: ("counter", ("reason",)),
     INGRESS_DROPPED_EVENTS: ("counter", ()),
     INGRESS_DELAYED_EVENTS: ("counter", ()),
     INGRESS_MAILBOX_DEPTH: ("histogram", ()),
     INGRESS_DECISION_SECONDS: ("histogram", ()),
-    EVENTS_EMITTED: ("counter", ("kind",)),
+    EVENTS_EMITTED: ("counter", ()),
     EVENTS_DROPPED: ("counter", ()),
     SLO_EVALUATIONS: ("counter", ("slo",)),
     SLO_BREACHES: ("counter", ("slo",)),
@@ -335,13 +298,11 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
 
 #: Every built-in span name — label values of :data:`SPAN_SECONDS`.
 ALL_SPANS: Tuple[str, ...] = (
-    SPAN_KMR_SOLVE,
     SPAN_KMR_KNAPSACK,
     SPAN_KMR_KNAPSACK_DIRTY,
     SPAN_KMR_MERGE,
     SPAN_KMR_REDUCTION,
     SPAN_CONTROLLER_TICK,
-    SPAN_CLUSTER_SOLVE,
     SPAN_CHAOS_RUN,
     SPAN_INGRESS_RUN,
     SPAN_INGRESS_DECIDE,

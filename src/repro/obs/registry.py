@@ -25,6 +25,12 @@ label values yields distinct time series.  Metric names must match
 ``[a-zA-Z_:][a-zA-Z0-9_:]*``; the canonical names used by the repro
 instrumentation live in :mod:`repro.obs.names` and are documented in
 ``docs/OBSERVABILITY.md``.
+
+A number some stats object already keeps is not pushed a second time:
+the object registers a *source* with :meth:`MetricsRegistry.watch`,
+and every export reads it.  Only what no object keeps — histograms,
+and the per-solve KMR counts — is pushed (:func:`instruments` reads
+those alone).
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ import json
 import re
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+from .names import ALL_METRICS
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -41,8 +49,27 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 #: Instrument identity: (metric name, sorted (label, value) pairs).
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
+#: A watched source: called at every export, it yields one
+#: ``(name, labels, value)`` per series; the kind comes from
+#: :data:`repro.obs.names.ALL_METRICS`.
+Source = Callable[[], Iterator[Tuple[str, Mapping[str, str], float]]]
+
 #: Default bounded-reservoir size for histograms.
 DEFAULT_RESERVOIR = 512
+
+
+def quantile(ordered: Sequence[float], q: float) -> Optional[float]:
+    """Linear-interpolated quantile ``q`` in [0, 1] of pre-sorted values
+    (``None`` when empty) — the one percentile rule of :mod:`repro.obs`."""
+    if not ordered:
+        return None
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = q * (len(ordered) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def _make_key(name: str, labels: Mapping[str, str]) -> MetricKey:
@@ -176,14 +203,7 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self._reservoir:
             return float("nan")
-        ordered = sorted(self._reservoir)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return quantile(sorted(self._reservoir), p / 100.0)
 
     @property
     def mean(self) -> float:
@@ -212,6 +232,8 @@ class MetricsRegistry:
         self._counters: Dict[MetricKey, Counter] = {}
         self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
+        #: Watched source -> its counters' values when it was watched.
+        self._sources: Dict[Source, Dict[MetricKey, float]] = {}
 
     # ------------------------------------------------------------------ #
     # Instrument accessors
@@ -262,6 +284,24 @@ class MetricsRegistry:
                 )
         return inst
 
+    def watch(self, source: Source) -> None:
+        """Read ``source`` at every export instead of being pushed to.
+
+        Idempotent per source.  A watched counter reports its value minus
+        its value now, so it counts only what happens while this registry
+        looks, and it is listed once that is non-zero (as a pushed counter
+        is listed once incremented); counters of several sources with the
+        same series add up.  A watched gauge reports its value, the source
+        watched last winning a shared series.  Hold the source by a small
+        stats object, not by the component that owns it: the registry
+        keeps every source it was given.
+        """
+        if source in self._sources:
+            return
+        baseline = {key: value for kind, key, value in _read(source) if kind == "counter"}
+        with self._lock:
+            self._sources.setdefault(source, baseline)
+
     # ------------------------------------------------------------------ #
     # Snapshot / export
     # ------------------------------------------------------------------ #
@@ -273,20 +313,13 @@ class MetricsRegistry:
         histograms expand to count/sum/min/max/mean and the p50/p90/p99
         percentile estimates.
         """
+        series = _collect(self)
         out: Dict[str, Dict[str, object]] = {
-            "counters": {},
-            "gauges": {},
+            "counters": {_render_key(k): v for k, v in series.counters.items()},
+            "gauges": {_render_key(k): v for k, v in series.gauges.items()},
             "histograms": {},
         }
-        with self._lock:
-            counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
-            histograms = list(self._histograms.values())
-        for c in counters:
-            out["counters"][_render_key(c.key)] = c.value
-        for g in gauges:
-            out["gauges"][_render_key(g.key)] = g.value
-        for h in histograms:
+        for h in series.histograms.values():
             out["histograms"][_render_key(h.key)] = {
                 "count": h.count,
                 "sum": h.sum,
@@ -301,18 +334,15 @@ class MetricsRegistry:
 
     def metric_names(self) -> List[str]:
         """Sorted, deduplicated bare metric names currently registered."""
-        with self._lock:
-            names = {key[0] for key in self._counters}
-            names |= {key[0] for key in self._gauges}
-            names |= {key[0] for key in self._histograms}
-        return sorted(names)
+        return sorted({key[0] for part in _collect(self) for key in part})
 
     def reset(self) -> None:
-        """Drop every instrument (tests and between-run isolation)."""
+        """Drop every instrument and source (tests, between-run isolation)."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._sources.clear()
 
     def to_prometheus_text(self) -> str:
         """Render the registry in the Prometheus text exposition format.
@@ -323,24 +353,16 @@ class MetricsRegistry:
         reservoir-percentile model better than fixed buckets.
         """
         lines: List[str] = []
-        with self._lock:
-            counters = sorted(self._counters.values(), key=lambda i: i.key)
-            gauges = sorted(self._gauges.values(), key=lambda i: i.key)
-            histograms = sorted(self._histograms.values(), key=lambda i: i.key)
+        series = _collect(self)
         seen_types: set = set()
-        for c in counters:
-            name, labels = c.key
-            if name not in seen_types:
-                lines.append(f"# TYPE {name} counter")
-                seen_types.add(name)
-            lines.append(f"{name}{_format_labels(labels)} {_num(c.value)}")
-        for g in gauges:
-            name, labels = g.key
-            if name not in seen_types:
-                lines.append(f"# TYPE {name} gauge")
-                seen_types.add(name)
-            lines.append(f"{name}{_format_labels(labels)} {_num(g.value)}")
-        for h in histograms:
+        for kind, values in (("counter", series.counters), ("gauge", series.gauges)):
+            for key in sorted(values):
+                name, labels = key
+                if name not in seen_types:
+                    lines.append(f"# TYPE {name} {kind}")
+                    seen_types.add(name)
+                lines.append(f"{name}{_format_labels(labels)} {_num(values[key])}")
+        for h in sorted(series.histograms.values(), key=lambda i: i.key):
             name, labels = h.key
             if name not in seen_types:
                 lines.append(f"# TYPE {name} summary")
@@ -356,6 +378,50 @@ class MetricsRegistry:
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Render :meth:`snapshot` as JSON."""
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+
+
+class Series(NamedTuple):
+    """Series of a registry at one instant."""
+
+    counters: Dict[MetricKey, float]
+    gauges: Dict[MetricKey, float]
+    histograms: Dict[MetricKey, Histogram]
+
+
+def instruments(registry: MetricsRegistry) -> Series:
+    """The pushed instruments of ``registry``, without its watched
+    sources: what the SLO engine's histogram measures read, and what
+    every export starts from."""
+    with registry._lock:
+        return Series(
+            {k: c.value for k, c in registry._counters.items()},
+            {k: g.value for k, g in registry._gauges.items()},
+            dict(registry._histograms),
+        )
+
+
+def _collect(registry: MetricsRegistry) -> Series:
+    """Every series of ``registry``: its instruments merged with what its
+    watched sources report now."""
+    series = instruments(registry)
+    with registry._lock:
+        sources = list(registry._sources.items())
+    for source, baseline in sources:
+        for kind, key, value in _read(source):
+            if kind == "gauge":
+                series.gauges[key] = value
+                continue
+            value -= baseline.get(key, 0.0)
+            if value:
+                series.counters[key] = series.counters.get(key, 0.0) + value
+    return series
+
+
+def _read(source: Source) -> Iterator[Tuple[str, MetricKey, float]]:
+    """``(kind, key, value)`` per series a source yields."""
+    for name, labels, value in source():
+        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+        yield ALL_METRICS[name][0], key, float(value)
 
 
 def _render_key(key: MetricKey) -> str:
@@ -423,6 +489,9 @@ class NullRegistry(MetricsRegistry):
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         return self._null_histogram
+
+    def watch(self, source: Source) -> None:
+        pass
 
 
 #: The process-wide registry slot.  Starts disabled.

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import names as obs_names
-from .registry import MetricsRegistry
+from .registry import MetricsRegistry, instruments, quantile
 from .spans import span
 
 #: Comparators an :class:`Slo` may use.
@@ -345,19 +345,6 @@ class SloEngine:
         raise ValueError(f"unknown SLO measure {measure!r}")
 
 
-def quantile(ordered: List[float], q: float) -> Optional[float]:
-    """Linear-interpolated quantile of pre-sorted values (None if empty)."""
-    if not ordered:
-        return None
-    if len(ordered) == 1:
-        return ordered[0]
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 def _degraded_fraction(
     serves: Sequence[Mapping[str, object]], t0: float
 ) -> Optional[float]:
@@ -408,13 +395,9 @@ def _histogram_measure(
     if t0 > float("-inf"):
         return None
     kind, name = measure.split(":", 1)
-    with registry._lock:
-        histograms = [
-            h for h in registry._histograms.values() if h.key[0] == name
-        ]
     values: List[float] = []
-    for h in histograms:
-        if not h.count:
+    for key, h in instruments(registry).histograms.items():
+        if key[0] != name or not h.count:
             continue
         values.append(h.max if kind == "histogram_max" else h.percentile(95))
     if not values:

@@ -31,14 +31,17 @@ reservoirs dropped, and ``live`` counts roots currently retained.  The
 invariant is enforced by test (satellite: bounded assembler memory).
 
 Assembly is pure and deterministic: identical logs produce identical
-trees, counters and digests, regardless of wall clock.
+trees, counters and digests, regardless of wall clock.  The counters
+live on a small :class:`TraceStats`, which the metrics registry reads at
+snapshot (an assembler built while a registry is installed registers it).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .. import names as obs_names
 from .. import spans
@@ -74,6 +77,23 @@ ROOT_KINDS = frozenset({
 })
 
 
+@dataclass
+class TraceStats:
+    """The assembler's conservation counters, less ``live`` and ``open``."""
+
+    assembled: int = 0
+    exported: int = 0
+    evicted: int = 0
+    orphan_events: int = 0
+
+    def samples(self) -> Iterator[tuple]:
+        """The registry's view (``MetricsRegistry.watch``)."""
+        yield obs_names.TRACE_TREES_ASSEMBLED, {}, self.assembled
+        yield obs_names.TRACE_TREES_EXPORTED, {}, self.exported
+        yield obs_names.TRACE_TREES_EVICTED, {}, self.evicted
+        yield obs_names.TRACE_ORPHAN_EVENTS, {}, self.orphan_events
+
+
 class _TraceReservoir:
     """Bounded keep-every-Nth reservoir of finalized trees.
 
@@ -91,22 +111,22 @@ class _TraceReservoir:
         self._stride = 1
         self._index = 0
         self._next_sample = 0
-        self.evicted = 0
 
-    def add(self, tree: TraceTree) -> None:
+    def add(self, tree: TraceTree) -> int:
+        """Offer one tree; returns how many trees this evicted."""
         index = self._index
         self._index += 1
         if index != self._next_sample:
-            self.evicted += 1
-            return
+            return 1
         self._next_sample = index + self._stride
+        evicted = 0
         if len(self.trees) >= self.capacity:
-            dropped = self.trees[1::2]
-            self.evicted += len(dropped)
+            evicted = len(self.trees) // 2
             self.trees = self.trees[::2]
             self._stride *= 2
             self._next_sample = index + self._stride
         self.trees.append(tree)
+        return evicted
 
 
 class TraceAssembler:
@@ -129,9 +149,8 @@ class TraceAssembler:
         self._pending_enqueues: Dict[str, List[TraceTree]] = {}
         #: meeting -> reservoir of finalized root trees.
         self._done: Dict[str, _TraceReservoir] = {}
-        self.assembled = 0
-        self.exported = 0
-        self.orphan_events = 0
+        self.stats = TraceStats()
+        get_registry().watch(self.stats.samples)
 
     # -- feeding ----------------------------------------------------------- #
 
@@ -142,8 +161,7 @@ class TraceAssembler:
             # Ambient cluster-wide event (faults, shard churn): count it
             # and retain it as a single-event context tree so nothing in
             # the log silently disappears.
-            self.orphan_events += 1
-            self._count(obs_names.TRACE_ORPHAN_EVENTS)
+            self.stats.orphan_events += 1
             tree = TraceTree(
                 cid="", meeting=event.meeting, events=[event], complete=True
             )
@@ -244,8 +262,7 @@ class TraceAssembler:
             pending.remove(anchor)
 
     def _finalize(self, tree: TraceTree, meeting: str) -> None:
-        self.assembled += 1
-        self._count(obs_names.TRACE_TREES_ASSEMBLED)
+        self.stats.assembled += 1
         reg = get_registry()
         if reg.enabled:
             for node in tree.walk():
@@ -257,22 +274,9 @@ class TraceAssembler:
         reservoir = self._done.setdefault(
             meeting, _TraceReservoir(self.retention)
         )
-        before = reservoir.evicted
-        reservoir.add(tree)
-        newly_evicted = reservoir.evicted - before
-        if newly_evicted:
-            self._count(obs_names.TRACE_TREES_EVICTED, newly_evicted)
-
-    def _count(self, name: str, by: int = 1) -> None:
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(name).inc(by)
+        self.stats.evicted += reservoir.add(tree)
 
     # -- accounting --------------------------------------------------------- #
-
-    @property
-    def evicted(self) -> int:
-        return sum(r.evicted for r in self._done.values())
 
     @property
     def live(self) -> int:
@@ -285,12 +289,12 @@ class TraceAssembler:
     def counters(self) -> Dict[str, int]:
         """Conservation ledger: ``assembled == exported + evicted + live``."""
         return {
-            "assembled": self.assembled,
-            "exported": self.exported,
-            "evicted": self.evicted,
+            "assembled": self.stats.assembled,
+            "exported": self.stats.exported,
+            "evicted": self.stats.evicted,
             "live": self.live,
             "open": self.open_count(),
-            "orphan_events": self.orphan_events,
+            "orphan_events": self.stats.orphan_events,
         }
 
     # -- reading results ------------------------------------------------------ #
@@ -312,8 +316,7 @@ class TraceAssembler:
         drained = self.trees()
         for name in list(self._done):
             self._done[name].trees = []
-        self.exported += len(drained)
-        self._count(obs_names.TRACE_TREES_EXPORTED, len(drained) or 0)
+        self.stats.exported += len(drained)
         return drained
 
     def stage_latencies(
@@ -337,9 +340,9 @@ class TraceAssembler:
     def to_dict(self) -> Dict[str, object]:
         return {
             "schema": TRACE_SCHEMA,
-            "assembled": self.assembled,
-            "evicted": self.evicted,
-            "orphan_events": self.orphan_events,
+            "assembled": self.stats.assembled,
+            "evicted": self.stats.evicted,
+            "orphan_events": self.stats.orphan_events,
             "trees": [tree.to_dict() for tree in self.trees()],
         }
 

@@ -32,9 +32,8 @@ Wire layout of the APP data field (after the 4-byte name ``"SEMB"``)::
 
 The conference node consumes reports via
 ``ConferenceNode.on_semb_report`` (uplink half of the global picture);
-the downlink half arrives server-side from the accessing nodes.  Encoded
-and parsed message counts are observable as the
-``repro_rtp_semb_messages_total`` counter (see ``docs/OBSERVABILITY.md``).
+the downlink half arrives server-side from the accessing nodes.  The
+codec is a pure function of its input.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ import struct
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..obs import names as obs_names
-from ..obs.registry import get_registry
 from .rtcp import AppPacket
 
 #: 4-byte APP name identifying SEMB packets.
@@ -115,9 +112,6 @@ class SembReport:
         data = struct.pack("!I", word)
         for ssrc in self.media_ssrcs:
             data += struct.pack("!I", ssrc)
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(obs_names.RTP_SEMB_MESSAGES, direction="encoded").inc()
         return AppPacket(
             subtype=0, ssrc=self.sender_ssrc, name=SEMB_NAME, data=data
         )
@@ -140,9 +134,6 @@ class SembReport:
         if len(packet.data) < 4 + 4 * num_ssrc:
             raise ValueError("SEMB SSRC list truncated")
         ssrcs = struct.unpack(f"!{num_ssrc}I", packet.data[4 : 4 + 4 * num_ssrc])
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(obs_names.RTP_SEMB_MESSAGES, direction="parsed").inc()
         return cls(
             sender_ssrc=packet.ssrc,
             bitrate_bps=decode_exp_mantissa(exp, mantissa),

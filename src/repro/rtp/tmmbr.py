@@ -27,19 +27,8 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..obs import names as obs_names
-from ..obs.registry import get_registry
 from .rtcp import AppPacket
 from .semb import decode_exp_mantissa, encode_exp_mantissa
-
-
-def _count_message(kind: str, direction: str) -> None:
-    """Bump the GSO TMMBR/TMMBN codec counter (no-op while obs is off)."""
-    reg = get_registry()
-    if reg.enabled:
-        reg.counter(
-            obs_names.RTP_TMMBR_MESSAGES, kind=kind, direction=direction
-        ).inc()
 
 #: APP names for wrapped TMMBR (request) and TMMBN (notification).
 GSO_TMMBR_NAME = b"GTBR"
@@ -125,7 +114,6 @@ class GsoTmmbr:
         data = struct.pack("!I", self.request_id)
         for entry in self.entries:
             data += entry.serialize()
-        _count_message("tmmbr", "encoded")
         return AppPacket(
             subtype=1, ssrc=self.sender_ssrc, name=GSO_TMMBR_NAME, data=data
         )
@@ -136,7 +124,6 @@ class GsoTmmbr:
         if packet.name != GSO_TMMBR_NAME:
             raise ValueError(f"not a GSO TMMBR packet: {packet.name!r}")
         request_id, entries = _unpack_payload(packet.data)
-        _count_message("tmmbr", "parsed")
         return cls(
             sender_ssrc=packet.ssrc, request_id=request_id, entries=entries
         )
@@ -155,7 +142,6 @@ class GsoTmmbn:
         data = struct.pack("!I", self.request_id)
         for entry in self.entries:
             data += entry.serialize()
-        _count_message("tmmbn", "encoded")
         return AppPacket(
             subtype=2, ssrc=self.sender_ssrc, name=GSO_TMMBN_NAME, data=data
         )
@@ -166,7 +152,6 @@ class GsoTmmbn:
         if packet.name != GSO_TMMBN_NAME:
             raise ValueError(f"not a GSO TMMBN packet: {packet.name!r}")
         request_id, entries = _unpack_payload(packet.data)
-        _count_message("tmmbn", "parsed")
         return cls(
             sender_ssrc=packet.ssrc, request_id=request_id, entries=entries
         )

@@ -166,6 +166,24 @@ class TestFeedbackFaults:
         assert report.ok
         assert report.meetings["chaos-0"]["reports_dropped"] == 2
 
+    def test_dropped_reports_survive_event_log_overflow(self, monkeypatch):
+        # The count is taken where the drop is decided, not re-derived
+        # from the events the ring still holds.
+        import repro.chaos.runner as runner_module
+        from repro.obs.events import EventLog
+
+        monkeypatch.setattr(
+            runner_module, "EventLog", lambda: EventLog(capacity=16)
+        )
+        schedule = FaultSchedule().add(
+            Fault(1.0, F.DROP_REPORT, target="chaos-0", factor=2)
+        )
+        runner = ChaosRunner(small_config(), schedule)
+        report = runner.run()
+        assert runner.events.dropped > 0
+        assert runner.plane.stats.dropped == 2
+        assert report.meetings["chaos-0"]["reports_dropped"] == 2
+
     def test_lose_tmmbr_skips_application_then_heals(self):
         schedule = FaultSchedule().add(
             Fault(1.0, F.LOSE_TMMBR, target="chaos-0")

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.cluster import AdmissionController
+from repro.cluster import AdmissionController, ClusterConfig, ControllerCluster
 from repro.obs import names as obs_names
 from repro.obs.registry import enabled_registry
+
+from .conftest import mesh_problem
 
 
 class TestAdmit:
@@ -28,11 +30,13 @@ class TestAdmit:
         assert ctrl.stats.total == 3
 
     def test_shed_metric(self):
+        # The cluster-wide count, not a shard's: it survives the shard.
         with enabled_registry() as reg:
-            ctrl = AdmissionController(max_solves_per_round=1)
-            ctrl.shed_one()
-            ctrl.shed_one()
-            assert reg.counter(obs_names.CLUSTER_SHED).value == 2
+            cluster = ControllerCluster(ClusterConfig(shards=1))
+            cluster.shed_request("m0", mesh_problem(), now_s=0.0)
+            cluster.shed_request("m0", mesh_problem(), now_s=1.0)
+            assert reg.snapshot()["counters"][obs_names.CLUSTER_SHED] == 2
+        assert cluster.stats()["shards"]["shard-0"]["shed"] == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

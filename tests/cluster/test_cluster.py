@@ -153,11 +153,10 @@ class TestTickLoop:
             assert [d.trigger for d in plane.decisions] == [
                 "event", TRIGGER_TIME,
             ]
-            # The refresh reached the solve service under its own trigger
-            # and was served from the meeting's memo.
-            assert reg.counter(
-                obs_names.CLUSTER_SOLVE_REQUESTS, trigger=TRIGGER_TIME
-            ).value == 1
+            # The refresh reached the solve service and was served from
+            # the meeting's memo.
+            counters = reg.snapshot()["counters"]
+            assert counters[obs_names.CLUSTER_SOLVE_REQUESTS] == 2
             assert plane.decisions[1].source == SOURCE_CACHE
 
     def test_coalesced_churn_costs_one_solve(self):
@@ -290,15 +289,12 @@ class TestShardFailover:
             with cluster:
                 victim = cluster.meeting("m0").shard
                 served = cluster.kill_shard(victim, now_s=1.0)
-                assert (
-                    reg.counter(obs_names.CLUSTER_SHARD_FAILOVERS).value == 1
-                )
+                counters = reg.snapshot()["counters"]
+                assert counters[obs_names.CLUSTER_SHARD_FAILOVERS] == 1
                 assert reg.counter(
                     obs_names.CLUSTER_REHOMED, reason="shard_killed"
                 ).value == len(served)
-                assert reg.counter(obs_names.CLUSTER_FALLBACKS).value == len(
-                    served
-                )
+                assert counters[obs_names.CLUSTER_FALLBACKS] == len(served)
 
 
 class TestRebalance:

@@ -1,4 +1,4 @@
-"""A concurrency stress test on the registry's span-recording path."""
+"""A concurrency stress test on the registry's histogram-recording path."""
 
 import threading
 
@@ -16,7 +16,7 @@ def _problems(n):
 
 
 class TestRegistryStress:
-    """Hammer the registry from concurrent solves: every span
+    """Hammer the registry from concurrent solves: every histogram
     observation must land, none may be lost to races."""
 
     THREADS = 4
@@ -47,6 +47,6 @@ class TestRegistryStress:
                 t.join()
             snap = reg.snapshot()["histograms"]
         assert not errors
-        key = f'{names.SPAN_SECONDS}{{span="{names.SPAN_KMR_SOLVE}"}}'
+        key = names.KMR_SOLVE_SECONDS
         expected = self.THREADS * self.BATCHES * self.PROBLEMS
         assert snap[key]["count"] == expected

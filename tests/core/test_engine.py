@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.constraints import Bandwidth, Problem, Subscription
-from repro.core.engine import EngineStats, MckpInstanceCache
+from repro.core.engine import EngineStats, MckpInstanceCache, default_mckp_cache
 from repro.core.knapsack import knapsack_step
 from repro.core.mckp import CapacityProfile, solve_mckp_dp
 from repro.core.types import Resolution, StreamSpec
@@ -136,16 +136,23 @@ class TestMckpInstanceCache:
         with pytest.raises(ValueError):
             MckpInstanceCache(capacity=0)
 
-    def test_metrics_emitted_when_registry_enabled(self):
-        cache = MckpInstanceCache(capacity=1)
-        keys = [(g, CLASSES[0]) for g in (1, 2)]
+    def test_metrics_emitted_when_registry_enabled(self, monkeypatch):
+        # The registry reads the process-wide cache a solver registers.
+        from repro.core.solver import GsoSolver
+
+        cache = default_mckp_cache()
+        cache.clear()
+        monkeypatch.setattr(cache, "capacity", 1)
+        keys = [(g, CLASSES[0]) for g in ("a", "b")]
         profile = CapacityProfile(CLASSES[0], 1)
         with enabled_registry() as reg:
+            GsoSolver()
             cache.get(keys[0])
             cache.put(keys[0], profile)
             cache.get(keys[0])
             cache.put(keys[1], profile)  # evicts keys[0]
             snap = reg.snapshot()
+        cache.clear()
         counters = snap["counters"]
         assert counters[obs_names.MCKP_CACHE + '{result="miss"}'] == 1
         assert counters[obs_names.MCKP_CACHE + '{result="hit"}'] == 1

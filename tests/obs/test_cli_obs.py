@@ -58,7 +58,8 @@ class TestObsSolve:
         assert "solution found" in out
         assert "repro.kmr_trace" not in out
         # Per-step wall time stays in the snapshot's span rows.
-        assert 'repro_span_seconds_count{span="kmr.solve"} 1' in out
+        assert 'repro_span_seconds_count{span="kmr.merge"} 2' in out
+        assert "repro_kmr_solve_seconds_count 1" in out
         assert "repro_kmr_solves_total 1" in out
 
     def test_narration_ends_in_the_solution_repro_solve_prints(self, capsys):

@@ -299,3 +299,31 @@ class TestNoDeletedSurface:
             if token in path.read_text()
         ]
         assert not stale, f"names of the deleted placement surface: {stale}"
+
+    #: Pushes that counted a number a stats object already keeps, or that
+    #: nobody read: the registry reads owners at snapshot instead.
+    DUPLICATES_GONE = (
+        "repro_rtp_semb_messages_total",
+        "repro_rtp_tmmbr_messages_total",
+        "_count_message",
+        "_refresh_meeting_gauges",
+        "SPAN_KMR_SOLVE",
+        "SPAN_CLUSTER_SOLVE",
+        "repro_fleet_",
+        "repro_mckp_grid_slack_kbps",
+    )
+
+    def test_no_file_names_the_deleted_duplicate_counters(self):
+        texts = [
+            *sorted((ROOT / "src").rglob("*.py")),
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / "README.md",
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ]
+        stale = [
+            (str(path.relative_to(ROOT)), token)
+            for path in texts
+            for token in self.DUPLICATES_GONE
+            if token in path.read_text()
+        ]
+        assert not stale, f"names of the deleted duplicate counters: {stale}"

@@ -142,7 +142,7 @@ class TestOrphans:
         events = decision_chain()
         events.append(ev(0.5, ek.SHARD_KILLED, meeting="", shard="s0"))
         traces = assemble_trees(events)
-        assert traces.orphan_events == 1
+        assert traces.stats.orphan_events == 1
         ambient = [t for t in traces.trees() if t.cid == ""]
         assert len(ambient) == 1
         assert ambient[0].events[0].kind == ek.SHARD_KILLED
@@ -171,7 +171,7 @@ class TestBoundedMemory:
         assert assembler.open_count() <= 4
         assembler.finish()
         assert assembler.open_count() == 0
-        assert assembler.assembled == 11
+        assert assembler.stats.assembled == 11
         assert conserved(assembler)
 
     def test_export_drains_and_counts(self):
@@ -209,14 +209,11 @@ class TestRegistryCounters:
         with enabled_registry() as reg:
             traces = assemble_trees(events, retention=2)
             traces.export()
-            assembled = reg.counter(obs_names.TRACE_TREES_ASSEMBLED).value
-            evicted = reg.counter(obs_names.TRACE_TREES_EVICTED).value
-            exported = reg.counter(obs_names.TRACE_TREES_EXPORTED).value
-            orphans = reg.counter(obs_names.TRACE_ORPHAN_EVENTS).value
-        assert assembled == traces.assembled
-        assert evicted == traces.evicted
-        assert exported == traces.exported
-        assert orphans == 1
+            counters = reg.snapshot()["counters"]
+        assert counters[obs_names.TRACE_TREES_ASSEMBLED] == traces.stats.assembled
+        assert counters[obs_names.TRACE_TREES_EVICTED] == traces.stats.evicted
+        assert counters[obs_names.TRACE_TREES_EXPORTED] == traces.stats.exported
+        assert counters[obs_names.TRACE_ORPHAN_EVENTS] == 1
 
     def test_stage_histogram_observed_per_span(self):
         with enabled_registry() as reg:
