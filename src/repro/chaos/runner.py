@@ -4,8 +4,10 @@
 :class:`~repro.ingress.plane.IngressPlane` mounted on a real
 :class:`~repro.cluster.ControllerCluster` — on one virtual clock:
 
-* every meeting's periodic SEMB report is a stream event through the
-  plane's mailboxes, decision windows and executor;
+* the seeded stream of :func:`~repro.ingress.events.generate_stream`
+  (every meeting's jittered SEMB reports plus its link, subscription
+  and churn mutations) goes through the plane's mailboxes, decision
+  windows and executor;
 * each fault enters where it would in production (``docs/RESILIENCE.md``):
   bandwidth and membership faults as stream events offered at the fault
   time, lost and delayed reports as
@@ -42,8 +44,8 @@ from ..ingress.events import (
     LinkEstimate,
     PublisherJoin,
     PublisherLeave,
-    SembReport,
-    StreamEvent,
+    StreamConfig,
+    generate_stream,
 )
 from ..ingress.faults import (
     DELAY_SEMB,
@@ -65,9 +67,6 @@ from .faults import Fault, FaultSchedule
 from .invariants import InvariantChecker, kmr_iteration_bound
 from .report import RunReport
 from .world import ChaosWorld
-
-#: Each meeting's first report lands a quarter-interval into the run.
-REPORT_PHASE = 0.25
 
 
 class InjectedSolverFault(RuntimeError):
@@ -160,14 +159,25 @@ class ChaosConfig:
     shards: int = 2
     max_solves_per_round: int = 64
     mean_size: float = 4.0
+    #: Expected world mutations (link, subscription, churn events) per
+    #: meeting in the generated stream, on top of the faults.
+    mutations_per_meeting: float = 2.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "duration_s", "report_interval_s", "mean_size",
+            "mutations_per_meeting",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.report_interval_s <= 0:
             raise ValueError("report_interval_s must be positive")
         if self.meetings < 1:
             raise ValueError("need at least one meeting")
+        if self.mutations_per_meeting < 0:
+            raise ValueError("mutations_per_meeting must be >= 0")
 
     def to_dict(self) -> dict:
         """JSON-friendly encoding (embedded in run reports)."""
@@ -269,7 +279,15 @@ class ChaosRunner:
             faults = self.schedule.until(cfg.duration_s)
             self._bootstrap(faults)
             self.plane.run_stream(
-                self._report_stream(),
+                generate_stream(
+                    cfg.seed,
+                    self.world,
+                    StreamConfig(
+                        duration_s=cfg.duration_s,
+                        report_interval_s=cfg.report_interval_s,
+                        mutations_per_meeting=cfg.mutations_per_meeting,
+                    ),
+                ),
                 StreamFaultInjector(
                     stream_faults(
                         faults,
@@ -307,22 +325,6 @@ class ChaosRunner:
             self._housekeep,
             start_offset=cfg.report_interval_s,
         )
-
-    def _report_stream(self) -> List[StreamEvent]:
-        """Every meeting's periodic SEMB reports over the run, in
-        ``(time, meeting)`` order."""
-        cfg = self.config
-        first = REPORT_PHASE * cfg.report_interval_s
-        rounds = math.ceil((cfg.duration_s - first) / cfg.report_interval_s)
-        return [
-            SembReport(
-                at_s=first + k * cfg.report_interval_s,
-                meeting=meeting_id,
-                seq=k * len(self.world.meeting_ids) + i,
-            )
-            for k in range(rounds)
-            for i, meeting_id in enumerate(self.world.meeting_ids)
-        ]
 
     def _finalize(self) -> None:
         """Closing availability check + per-meeting summaries."""

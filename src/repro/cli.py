@@ -12,11 +12,12 @@ The subcommands cover the library's main entry points:
   "Controller cluster"): ``cluster run`` pushes a fleet workload through
   the cluster's solve service (sharding + per-meeting memo) and
   reports daily metrics plus cluster counters (the event-driven loop
-  itself is ``ingress run``);
+  itself is ``chaos run``);
 * ``chaos`` — deterministic fault injection + invariant checking (see
-  ``docs/RESILIENCE.md``): ``chaos run`` replays one scenario at one
-  seed, ``chaos soak`` sweeps scenarios x seeds (running each twice and
-  demanding byte-identical reports) and exits non-zero on any invariant
+  ``docs/RESILIENCE.md``): ``chaos run`` drives one seeded event stream
+  through the ingress plane under one scenario's faults, ``chaos soak``
+  sweeps scenarios x seeds (running each twice and demanding
+  byte-identical reports) and exits non-zero on any invariant
   violation, ``chaos scenarios`` lists the registry;
 * ``obs`` — the observability surface (see ``docs/OBSERVABILITY.md``):
   run a solve or an example with instrumentation enabled and dump the
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import json
 import math
 import runpy
 import sys
@@ -262,6 +262,7 @@ def _chaos_config(args: argparse.Namespace, seed: int) -> "object":
             shards=args.shards,
             report_interval_s=args.report_interval,
             mean_size=args.mean_size,
+            mutations_per_meeting=args.mutations,
         )
     except ValueError as exc:
         raise SystemExit(f"repro chaos: {exc}")
@@ -329,156 +330,11 @@ def _add_chaos_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--report-interval", type=float, default=1.0)
     parser.add_argument("--mean-size", type=float, default=4.0)
-
-
-# --------------------------------------------------------------------- #
-# Ingress commands (the event-driven control plane)
-# --------------------------------------------------------------------- #
-
-
-def _ingress_config(args: argparse.Namespace) -> "object":
-    from .ingress import IngressRunConfig
-
-    try:
-        return IngressRunConfig(
-            seed=args.seed,
-            meetings=args.meetings,
-            mean_size=args.mean_size,
-            duration_s=args.duration,
-            report_interval_s=args.report_interval,
-            mutations_per_meeting=args.mutations,
-            shards=args.shards,
-            mailbox_capacity=args.mailbox_capacity,
-            solve_slots=args.solve_slots,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro ingress: {exc}")
-
-
-def _parse_stream_fault(spec: str) -> "object":
-    """``drop:MEETING:START:END`` or ``delay:MEETING:START:END:DELAY``.
-
-    An empty or ``*`` meeting field targets every meeting.
-    """
-    from .ingress import DELAY_SEMB, DROP_SEMB, StreamFault
-
-    parts = spec.split(":")
-    try:
-        kind = parts[0]
-        meeting = "" if parts[1] in ("", "*") else parts[1]
-        if kind == "drop" and len(parts) == 4:
-            return StreamFault(
-                DROP_SEMB,
-                meeting=meeting,
-                start_s=float(parts[2]),
-                end_s=float(parts[3]),
-            )
-        if kind == "delay" and len(parts) == 5:
-            return StreamFault(
-                DELAY_SEMB,
-                meeting=meeting,
-                start_s=float(parts[2]),
-                end_s=float(parts[3]),
-                delay_s=float(parts[4]),
-            )
-    except (IndexError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"bad fault spec {spec!r}: {exc}")
-    raise argparse.ArgumentTypeError(
-        f"bad fault spec {spec!r}; want drop:MEETING:START:END or "
-        "delay:MEETING:START:END:DELAY"
-    )
-
-
-def _run_ingress_cli(args: argparse.Namespace):
-    from .ingress import run_ingress
-
-    config = _ingress_config(args)
-    try:
-        return run_ingress(config, faults=args.fault)
-    except ValueError as exc:
-        raise SystemExit(f"repro ingress: {exc}")
-
-
-def _cmd_ingress_run(args: argparse.Namespace) -> int:
-    report = _run_ingress_cli(args)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
-
-
-def _cmd_ingress_stats(args: argparse.Namespace) -> int:
-    report = _run_ingress_cli(args)
-    payload = {
-        "seed": report.seed,
-        "totals": dict(sorted(report.totals.items())),
-        "decisions_by_source": report.decisions_by_source,
-        "latency": report.latency,
-        "meetings": report.meetings,
-        "event_digest": report.event_digest,
-        "report_digest": report.digest(),
-        "ok": report.ok,
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        totals = payload["totals"]
-        print(
-            f"ingress stats: seed={report.seed} "
-            f"events={totals.get('offered', 0)} "
-            f"decisions={totals.get('decisions', 0)} "
-            f"{report.decisions_by_source}"
-        )
-        print(
-            f"  coalesced={totals.get('coalesced', 0)} "
-            f"shed={totals.get('shed', 0)} "
-            f"dropped={totals.get('dropped', 0)} "
-            f"delayed={totals.get('delayed', 0)} "
-            f"idle_refreshes={totals.get('idle_refreshes', 0)}"
-        )
-        print(
-            f"  latency p50={report.latency.get('p50_s', 0.0):.3f}s "
-            f"p95={report.latency.get('p95_s', 0.0):.3f}s "
-            f"max={report.latency.get('max_s', 0.0):.3f}s"
-        )
-        for meeting, row in sorted(report.meetings.items()):
-            box = row.get("mailbox", {})
-            print(
-                f"  {meeting}: decisions={row.get('decisions', 0)} "
-                f"enqueued={box.get('enqueued', 0)} "
-                f"evicted={box.get('evicted', 0)} "
-                f"max_depth={box.get('max_depth', 0)}"
-            )
-        print(f"  event digest {report.event_digest[:16]}…")
-    return 0 if report.ok else 1
-
-
-def _add_ingress_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--meetings", type=int, default=4)
-    parser.add_argument(
-        "--duration", type=float, default=10.0, help="virtual seconds"
-    )
-    parser.add_argument("--report-interval", type=float, default=1.0)
     parser.add_argument(
         "--mutations",
         type=float,
         default=2.0,
-        help="mean membership/link mutations per meeting over the run",
-    )
-    parser.add_argument("--mean-size", type=float, default=5.0)
-    parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--mailbox-capacity", type=int, default=8)
-    parser.add_argument("--solve-slots", type=int, default=4)
-    parser.add_argument(
-        "--fault",
-        action="append",
-        type=_parse_stream_fault,
-        default=[],
-        metavar="SPEC",
-        help="stream fault window: drop:MEETING:START:END or "
-        "delay:MEETING:START:END:DELAY ('' or * meeting = all; repeatable)",
+        help="mean link/subscription/churn events per meeting in the stream",
     )
 
 
@@ -677,13 +533,11 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         return 2
     path = runner.events.write_jsonl(args.out)
     traces = assemble_trees(runner.events.events)
-    counters = traces.counters()
     print(f"[trace] scenario={args.scenario} seed={args.seed}")
     print(f"[trace] wrote {len(runner.events)} event(s) to {path}")
     print(
-        f"[trace] trees: {counters['assembled']} assembled "
-        f"({counters['evicted']} evicted, "
-        f"{counters['orphan_events']} ambient)"
+        f"[trace] trees: {traces.stats.assembled} assembled "
+        f"({traces.stats.orphan_events} ambient)"
     )
     print(f"[trace] trace digest: {traces.digest()}")
     print(f"[trace] report trace digest: {report.trace_digest}")
@@ -741,9 +595,7 @@ def _trace_show_decision(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    events = runner.events.events
-    # Retain every tree: the one asked for must not be a reservoir victim.
-    trees = assemble_trees(events, retention=len(events)).trees()
+    trees = assemble_trees(runner.events.events).trees()
     node = next(
         n for tree in trees for n in tree.walk() if n.cid == decision.cid
     )
@@ -958,39 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios", help="list the registered chaos scenarios"
     )
     chaos_scenarios.set_defaults(func=_cmd_chaos_scenarios)
-
-    ingress = sub.add_parser(
-        "ingress",
-        help="event-driven ingress: the continuous SEMB/TMMBR control "
-        "plane (docs/INGRESS.md)",
-    )
-    ingress_sub = ingress.add_subparsers(
-        dest="ingress_command", required=True
-    )
-
-    ingress_run = ingress_sub.add_parser(
-        "run",
-        help="drive a seeded event stream through the plane and print "
-        "its canonical report; exit 1 on invariant violations",
-    )
-    _add_ingress_config_args(ingress_run)
-    ingress_run.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full canonical JSON report instead of the summary",
-    )
-    ingress_run.set_defaults(func=_cmd_ingress_run)
-
-    ingress_stats = ingress_sub.add_parser(
-        "stats",
-        help="run a seeded stream and print mailbox/backpressure/latency "
-        "accounting",
-    )
-    _add_ingress_config_args(ingress_stats)
-    ingress_stats.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    ingress_stats.set_defaults(func=_cmd_ingress_stats)
 
     obs_parser = sub.add_parser(
         "obs",

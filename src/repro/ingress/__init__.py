@@ -12,8 +12,9 @@ Public surface of the subsystem (see ``docs/INGRESS.md``):
   event stream itself.
 - :mod:`repro.ingress.plane` — dispatcher, per-meeting workers,
   backpressure ladder and the bounded solve executor.
-- :mod:`repro.ingress.run` — seeded end-to-end runs with invariant
-  checks and a canonical byte-deterministic report.
+
+Seeded end-to-end runs of the plane, with invariant checks and a
+canonical report, are :class:`repro.chaos.ChaosRunner`'s job.
 """
 
 from .aio import SimFuture, SimRuntime, SimTask, VirtualSemaphore
@@ -46,8 +47,6 @@ from .plane import (
     IngressPlane,
     PlaneStats,
 )
-from .report import IngressReport
-from .run import IngressRunConfig, run_ingress
 
 __all__ = [
     "ALL_STREAM_KINDS",
@@ -60,8 +59,6 @@ __all__ = [
     "IngressBackend",
     "IngressConfig",
     "IngressPlane",
-    "IngressReport",
-    "IngressRunConfig",
     "LinkEstimate",
     "Mailbox",
     "MailboxStats",
@@ -80,6 +77,5 @@ __all__ = [
     "SubscriptionChange",
     "VirtualSemaphore",
     "generate_stream",
-    "run_ingress",
     "sort_stream",
 ]

@@ -192,8 +192,7 @@ INGRESS_MAILBOX_DEPTH = "repro_ingress_mailbox_depth"
 #: window to its TMMBR completion (the bounded p95 the benchmark gates).
 INGRESS_DECISION_SECONDS = "repro_ingress_decision_latency_seconds"
 
-#: Ingress span names.
-SPAN_INGRESS_RUN = "ingress.run"
+#: Ingress span name.
 SPAN_INGRESS_DECIDE = "ingress.decide"
 
 # --------------------------------------------------------------------- #
@@ -220,11 +219,6 @@ SPAN_SLO_EVALUATE = "slo.evaluate"
 #: Counter — decision trace trees assembled from the event log (a tree
 #: is counted when it is finalized: terminal event seen, or flushed).
 TRACE_TREES_ASSEMBLED = "repro_trace_trees_assembled_total"
-#: Counter — assembled trees evicted by the bounded per-meeting
-#: retention reservoir (never retained, or dropped on a stride double).
-TRACE_TREES_EVICTED = "repro_trace_trees_evicted_total"
-#: Counter — retained trees drained by :meth:`TraceAssembler.export`.
-TRACE_TREES_EXPORTED = "repro_trace_trees_exported_total"
 #: Counter — events without a correlation id folded into ambient
 #: singleton trees (faults, shard lifecycle).
 TRACE_ORPHAN_EVENTS = "repro_trace_orphan_events_total"
@@ -290,8 +284,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     SLO_EVALUATIONS: ("counter", ("slo",)),
     SLO_BREACHES: ("counter", ("slo",)),
     TRACE_TREES_ASSEMBLED: ("counter", ()),
-    TRACE_TREES_EVICTED: ("counter", ()),
-    TRACE_TREES_EXPORTED: ("counter", ()),
     TRACE_ORPHAN_EVENTS: ("counter", ()),
     TRACE_STAGE_SECONDS: ("histogram", ("stage",)),
 }
@@ -304,7 +296,6 @@ ALL_SPANS: Tuple[str, ...] = (
     SPAN_KMR_REDUCTION,
     SPAN_CONTROLLER_TICK,
     SPAN_CHAOS_RUN,
-    SPAN_INGRESS_RUN,
     SPAN_INGRESS_DECIDE,
     SPAN_SLO_EVALUATE,
     SPAN_TRACE_ASSEMBLE,

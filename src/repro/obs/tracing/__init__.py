@@ -5,12 +5,7 @@ Perfetto/waterfall exports.
 See ``docs/TRACING.md`` for the trace model and stage vocabulary.
 """
 
-from .assembler import (
-    DEFAULT_MAX_OPEN,
-    DEFAULT_RETENTION,
-    TraceAssembler,
-    assemble_trees,
-)
+from .assembler import TraceAssembler, assemble_trees
 from .export import (
     chrome_trace,
     format_waterfall,
@@ -32,8 +27,6 @@ from .tree import (
 
 __all__ = [
     "ALL_STAGES",
-    "DEFAULT_MAX_OPEN",
-    "DEFAULT_RETENTION",
     "LINK_COALESCED",
     "LINK_LINEAGE",
     "STAGE_DELIVERY",

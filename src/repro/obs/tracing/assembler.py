@@ -1,8 +1,9 @@
-"""Streaming trace assembly: event log -> bounded per-meeting trace trees.
+"""Batch trace assembly: event log -> per-meeting trace trees.
 
-The assembler consumes ``repro.events/v1`` events (live, or replayed
-from JSONL) and groups them into :class:`~.tree.TraceTree` instances by
-correlation id.  Three linking rules build the tree structure:
+The assembler consumes a ``repro.events/v1`` log (a run's, or one
+replayed from JSONL) and groups its events into
+:class:`~.tree.TraceTree` instances by correlation id.  Three linking
+rules build the tree structure:
 
 1. **Chain grouping** — every event carrying cid ``C`` lands on the
    (single) open tree for ``C``; a terminal delivery event marks it
@@ -14,26 +15,21 @@ correlation id.  Three linking rules build the tree structure:
    (``link="coalesced"``).
 3. **Lineage** — a chain whose root event carries a ``parent_cid``
    attribute (time-trigger refreshes, re-home degradations) attaches
-   under the named predecessor when that tree is still held
+   under the named predecessor when that tree is known
    (``link="lineage"``); otherwise it stands alone as a root.
 
-Memory is bounded the same way the registry bounds histogram samples:
-finalized trees enter a per-meeting **stride-doubling reservoir**
-(capacity halves the kept set and doubles the stride when full), and the
-set of *open* trees per meeting is capped (oldest force-finalized).
-Every tree is conserved:
+Every finalized root tree is kept, so the ledger is
 
-    ``assembled == exported + evicted + live``
+    ``assembled == len(trees())``
 
-where ``assembled`` counts finalized roots, ``exported`` counts roots
-drained via :meth:`TraceAssembler.export`, ``evicted`` counts roots the
-reservoirs dropped, and ``live`` counts roots currently retained.  The
-invariant is enforced by test (satellite: bounded assembler memory).
+where ``assembled`` counts finalized roots.  The log is already bounded
+(the event-log ring), so the assembler adds no bound of its own.
 
 Assembly is pure and deterministic: identical logs produce identical
-trees, counters and digests, regardless of wall clock.  The counters
-live on a small :class:`TraceStats`, which the metrics registry reads at
-snapshot (an assembler built while a registry is installed registers it).
+trees, counters and digests, regardless of wall clock or feed order.
+The counters live on a small :class:`TraceStats`, which the metrics
+registry reads at snapshot (an assembler built while a registry is
+installed registers it).
 """
 
 from __future__ import annotations
@@ -61,14 +57,6 @@ from .tree import (
     TraceTree,
 )
 
-#: Finalized trees retained per meeting before reservoir thinning.
-DEFAULT_RETENTION = 64
-
-#: Open (un-terminated) trees allowed per meeting before the oldest is
-#: force-finalized (guards against logs whose delivery events were
-#: dropped by the ring buffer).
-DEFAULT_MAX_OPEN = 256
-
 #: Kinds that may *open* a chain (mint its cid).
 ROOT_KINDS = frozenset({
     INGRESS_ENQUEUED,
@@ -79,84 +67,50 @@ ROOT_KINDS = frozenset({
 
 @dataclass
 class TraceStats:
-    """The assembler's conservation counters, less ``live`` and ``open``."""
+    """The assembler's counters."""
 
     assembled: int = 0
-    exported: int = 0
-    evicted: int = 0
     orphan_events: int = 0
 
     def samples(self) -> Iterator[tuple]:
         """The registry's view (``MetricsRegistry.watch``)."""
         yield obs_names.TRACE_TREES_ASSEMBLED, {}, self.assembled
-        yield obs_names.TRACE_TREES_EXPORTED, {}, self.exported
-        yield obs_names.TRACE_TREES_EVICTED, {}, self.evicted
         yield obs_names.TRACE_ORPHAN_EVENTS, {}, self.orphan_events
 
 
-class _TraceReservoir:
-    """Bounded keep-every-Nth reservoir of finalized trees.
-
-    Mirrors the stride-doubling scheme of ``registry.Histogram``: when
-    the reservoir fills, every other kept tree is dropped and the
-    sampling stride doubles, so retention degrades gracefully from
-    "keep all" to "keep a uniform subsample" while memory stays
-    ``O(capacity)``.  Both skipped-by-stride and dropped-on-halving
-    trees count as evictions.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = max(1, capacity)
-        self.trees: List[TraceTree] = []
-        self._stride = 1
-        self._index = 0
-        self._next_sample = 0
-
-    def add(self, tree: TraceTree) -> int:
-        """Offer one tree; returns how many trees this evicted."""
-        index = self._index
-        self._index += 1
-        if index != self._next_sample:
-            return 1
-        self._next_sample = index + self._stride
-        evicted = 0
-        if len(self.trees) >= self.capacity:
-            evicted = len(self.trees) // 2
-            self.trees = self.trees[::2]
-            self._stride *= 2
-            self._next_sample = index + self._stride
-        self.trees.append(tree)
-        return evicted
-
-
 class TraceAssembler:
-    """Assemble cid-threaded events into bounded per-meeting trace trees."""
+    """Assemble cid-threaded events into per-meeting trace trees."""
 
-    def __init__(
-        self,
-        retention: int = DEFAULT_RETENTION,
-        max_open: int = DEFAULT_MAX_OPEN,
-    ) -> None:
-        self.retention = retention
-        self.max_open = max_open
-        #: cid -> tree, for every tree still reachable (open or retained
-        #: or attached as a child) — lets lineage/fan-in find targets.
+    def __init__(self) -> None:
+        #: cid -> tree, for every tree seen (open, finalized or attached
+        #: as a child) — lets lineage/fan-in find targets.
         self._by_cid: Dict[str, TraceTree] = {}
         #: meeting -> open (un-finalized) root trees, oldest first.
         self._open: Dict[str, List[TraceTree]] = {}
         #: meeting -> open ingress_enqueued trees awaiting their
         #: decision window, oldest first (fan-in claiming pool).
         self._pending_enqueues: Dict[str, List[TraceTree]] = {}
-        #: meeting -> reservoir of finalized root trees.
-        self._done: Dict[str, _TraceReservoir] = {}
+        #: meeting -> finalized root trees.
+        self._done: Dict[str, List[TraceTree]] = {}
         self.stats = TraceStats()
         get_registry().watch(self.stats.samples)
 
     # -- feeding ----------------------------------------------------------- #
 
-    def feed(self, event: Event) -> None:
-        """Consume one event (events may arrive in any order; replayed
-        logs are sorted by :meth:`assemble` first)."""
+    def assemble(self, events: Iterable[Event]) -> None:
+        """Feed a log in canonical ``(t, seq)`` order."""
+        for event in sorted(events, key=lambda e: (e.t, e.seq)):
+            self._feed(event)
+
+    def finish(self) -> None:
+        """Finalize every still-open tree."""
+        for meeting in sorted(self._open):
+            for tree in self._open[meeting]:
+                self._finalize(tree, meeting)
+        self._open.clear()
+        self._pending_enqueues.clear()
+
+    def _feed(self, event: Event) -> None:
         if not event.cid:
             # Ambient cluster-wide event (faults, shard churn): count it
             # and retain it as a single-event context tree so nothing in
@@ -178,25 +132,10 @@ class TraceAssembler:
         ):
             tree.complete = True
             self._open[tree.meeting].remove(tree)
-            self._pending_enqueues.get(tree.meeting, [])[:] = [
-                p
-                for p in self._pending_enqueues.get(tree.meeting, [])
-                if p is not tree
-            ]
+            pending = self._pending_enqueues.get(tree.meeting)
+            if pending and tree in pending:
+                pending.remove(tree)
             self._finalize(tree, tree.meeting)
-
-    def assemble(self, events: Iterable[Event]) -> None:
-        """Feed a replayed log in canonical ``(t, seq)`` order."""
-        for event in sorted(events, key=lambda e: (e.t, e.seq)):
-            self.feed(event)
-
-    def finish(self) -> None:
-        """Flush every still-open tree into the finalized reservoirs."""
-        for meeting in sorted(self._open):
-            for tree in list(self._open[meeting]):
-                self._open[meeting].remove(tree)
-                self._finalize(tree, meeting)
-        self._pending_enqueues.clear()
 
     # -- linking internals -------------------------------------------------- #
 
@@ -216,18 +155,9 @@ class TraceAssembler:
             tree.link = LINK_LINEAGE
             parent.children.append(tree)
             return tree
-        opened = self._open.setdefault(event.meeting, [])
-        opened.append(tree)
+        self._open.setdefault(event.meeting, []).append(tree)
         if event.kind == INGRESS_ENQUEUED:
             self._pending_enqueues.setdefault(event.meeting, []).append(tree)
-        while len(opened) > self.max_open:
-            oldest = opened.pop(0)
-            self._pending_enqueues.get(event.meeting, [])[:] = [
-                p
-                for p in self._pending_enqueues.get(event.meeting, [])
-                if p is not oldest
-            ]
-            self._finalize(oldest, event.meeting)
         return tree
 
     def _claim_coalesced(self, anchor: TraceTree, event: Event) -> None:
@@ -271,59 +201,25 @@ class TraceAssembler:
                         obs_names.TRACE_STAGE_SECONDS,
                         stage=stage_span.stage,
                     ).observe(stage_span.duration_s)
-        reservoir = self._done.setdefault(
-            meeting, _TraceReservoir(self.retention)
-        )
-        self.stats.evicted += reservoir.add(tree)
-
-    # -- accounting --------------------------------------------------------- #
-
-    @property
-    def live(self) -> int:
-        """Finalized root trees currently retained in the reservoirs."""
-        return sum(len(r.trees) for r in self._done.values())
-
-    def open_count(self) -> int:
-        return sum(len(v) for v in self._open.values())
-
-    def counters(self) -> Dict[str, int]:
-        """Conservation ledger: ``assembled == exported + evicted + live``."""
-        return {
-            "assembled": self.stats.assembled,
-            "exported": self.stats.exported,
-            "evicted": self.stats.evicted,
-            "live": self.live,
-            "open": self.open_count(),
-            "orphan_events": self.stats.orphan_events,
-        }
+        self._done.setdefault(meeting, []).append(tree)
 
     # -- reading results ------------------------------------------------------ #
 
     def trees(self, meeting: Optional[str] = None) -> List[TraceTree]:
-        """Retained finalized root trees, in deterministic order
-        (meeting, then open time, then root seq)."""
+        """Finalized root trees, in deterministic order (meeting, then
+        open time, then root seq)."""
         meetings = [meeting] if meeting is not None else sorted(self._done)
         out: List[TraceTree] = []
         for name in meetings:
-            reservoir = self._done.get(name)
-            if reservoir is not None:
-                out.extend(reservoir.trees)
+            out.extend(self._done.get(name, ()))
         out.sort(key=lambda tr: (tr.meeting, tr.opened_at_s, tr.root.seq))
         return out
-
-    def export(self) -> List[TraceTree]:
-        """Drain the retained trees (counted into ``exported``)."""
-        drained = self.trees()
-        for name in list(self._done):
-            self._done[name].trees = []
-        self.stats.exported += len(drained)
-        return drained
 
     def stage_latencies(
         self,
     ) -> Dict[str, List[Tuple[float, float]]]:
         """Per-stage ``(start_s, duration_s)`` samples across every
-        retained decision tree (for SLO stage-budget objectives)."""
+        decision tree (for SLO stage-budget objectives)."""
         out: Dict[str, List[Tuple[float, float]]] = {}
         for tree in self.trees():
             for node in tree.walk():
@@ -341,7 +237,6 @@ class TraceAssembler:
         return {
             "schema": TRACE_SCHEMA,
             "assembled": self.stats.assembled,
-            "evicted": self.stats.evicted,
             "orphan_events": self.stats.orphan_events,
             "trees": [tree.to_dict() for tree in self.trees()],
         }
@@ -356,13 +251,9 @@ class TraceAssembler:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
 
-def assemble_trees(
-    events: Iterable[Event],
-    retention: int = DEFAULT_RETENTION,
-    max_open: int = DEFAULT_MAX_OPEN,
-) -> TraceAssembler:
-    """One-shot convenience: sort, feed, flush, return the assembler."""
-    assembler = TraceAssembler(retention=retention, max_open=max_open)
+def assemble_trees(events: Iterable[Event]) -> TraceAssembler:
+    """Sort, feed, flush: the assembled trace plane of one log."""
+    assembler = TraceAssembler()
     with spans.span(obs_names.SPAN_TRACE_ASSEMBLE):
         assembler.assemble(events)
         assembler.finish()

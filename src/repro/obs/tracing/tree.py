@@ -45,7 +45,8 @@ from ..events import (
 )
 
 #: Schema identifier stamped into canonical trace encodings.
-TRACE_SCHEMA = "repro.trace/v1"
+#: v2: every finalized tree is kept, so the encoding has no ``evicted``.
+TRACE_SCHEMA = "repro.trace/v2"
 
 # --------------------------------------------------------------------- #
 # Stage vocabulary (the named rungs of the latency attribution)

@@ -323,9 +323,10 @@ class TestObsIntegration:
             ChaosRunner(small_config(), schedule).run()
             snap = reg.snapshot()["histograms"]
         (key,) = [k for k in snap if obs_names.CHAOS_RECOVERY_SECONDS in k]
-        # Degraded at the 3.25 s decision, healed at the 5.25 s one.
+        # Degraded at the 3.232370 s decision, healed at the 4.393408 s
+        # one (the seed-1 stream's first chaos-0 report after the clear).
         assert snap[key]["count"] == 1
-        assert abs(snap[key]["sum"] - 2.0) < 1e-6
+        assert abs(snap[key]["sum"] - (4.393408 - 3.23237)) < 1e-6
 
 
 class TestConfigValidation:
@@ -337,9 +338,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ChaosConfig(meetings=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("duration_s", float("nan")),
+            ("duration_s", float("inf")),
+            ("report_interval_s", float("nan")),
+            ("report_interval_s", float("inf")),
+            ("mean_size", float("nan")),
+            ("mean_size", float("inf")),
+            ("mutations_per_meeting", float("nan")),
+            ("mutations_per_meeting", float("inf")),
+            ("mutations_per_meeting", -0.5),
+        ],
+    )
+    def test_rejects_non_finite_sizing(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChaosConfig(**{field: value})
+
     def test_config_has_sizing_knobs_only(self):
-        # No placement policy and no cost budget: the ring homes meetings.
+        # No placement policy, no cost budget and no plane tuning: the
+        # ring homes meetings and the plane runs on its defaults.
         assert [f.name for f in dataclasses.fields(ChaosConfig)] == [
             "seed", "meetings", "duration_s", "report_interval_s", "shards",
-            "max_solves_per_round", "mean_size",
+            "max_solves_per_round", "mean_size", "mutations_per_meeting",
         ]

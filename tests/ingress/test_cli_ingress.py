@@ -1,102 +1,50 @@
-"""Tests for the ``repro ingress {run,stats}`` CLI subcommands."""
+"""The plane's seeded-run CLI: ``repro chaos run`` drives the generated
+stream through the ingress plane (there is no ``repro ingress``)."""
 
-import argparse
 import json
 
 import pytest
 
-from repro.cli import _parse_stream_fault, build_parser, main
-from repro.ingress.faults import DELAY_SEMB, DROP_SEMB
-from repro.ingress.report import REPORT_SCHEMA
+from repro.chaos import REPORT_SCHEMA
+from repro.cli import build_parser, main
 
 ARGS = ["--seed", "7", "--meetings", "2", "--duration", "4"]
 
 
-class TestFaultSpecParsing:
-    def test_drop_spec(self):
-        fault = _parse_stream_fault("drop:chaos-0:2:5")
-        assert fault.kind == DROP_SEMB
-        assert fault.meeting == "chaos-0"
-        assert (fault.start_s, fault.end_s) == (2.0, 5.0)
-
-    def test_delay_spec_with_wildcard_meeting(self):
-        fault = _parse_stream_fault("delay:*:1:3:1.5")
-        assert fault.kind == DELAY_SEMB
-        assert fault.meeting == ""  # wildcard -> every meeting
-        assert fault.delay_s == 1.5
-
-    def test_rejects_malformed_specs(self):
-        for spec in (
-            "drop",
-            "drop:m",
-            "drop:m:1",
-            "delay:m:1:3",  # delay needs a delay_s operand
-            "explode:m:1:3",
-            "drop:m:late:5",
-        ):
-            with pytest.raises(argparse.ArgumentTypeError):
-                _parse_stream_fault(spec)
-
-
 class TestParserWiring:
     def test_requires_a_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["ingress"])
+        for argv in (["ingress"], ["ingress", "run"], ["chaos"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_run_defaults(self):
-        args = build_parser().parse_args(["ingress", "run"])
-        assert args.seed == 0
-        assert args.fault == []
+        args = build_parser().parse_args(["chaos", "run"])
+        assert args.mutations == 2.0
         assert args.json is False
-
-    def test_fault_flag_repeats(self):
-        args = build_parser().parse_args(
-            ["ingress", "run", "--fault", "drop:a:0:1",
-             "--fault", "delay:b:1:2:0.5"]
-        )
-        assert len(args.fault) == 2
 
 
 class TestIngressRunCommand:
     def test_run_prints_summary(self, capsys):
-        rc = main(["ingress", "run", *ARGS])
+        rc = main(["chaos", "run", "--scenario", "healthy", *ARGS])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "ingress run: seed=7" in out
-        assert "decisions:" in out
+        assert "chaos run: scenario=healthy seed=7" in out
+        assert "configurations served:" in out
 
     def test_run_json_is_canonical_report(self, capsys):
-        rc = main(["ingress", "run", *ARGS, "--json"])
+        rc = main(["chaos", "run", "--scenario", "healthy", *ARGS, "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == REPORT_SCHEMA
         assert payload["ok"] is True
-        assert payload["totals"]["decisions"] > 0
+        assert payload["config"]["mutations_per_meeting"] == 2.0
+        assert payload["serves"]
         assert payload["event_digest"]
 
     def test_run_with_fault_counts_drops(self, capsys):
         rc = main(
-            ["ingress", "run", *ARGS, "--fault", "drop:*:0:10", "--json"]
+            ["chaos", "run", "--scenario", "feedback_loss", *ARGS, "--json"]
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["totals"]["dropped"] > 0
-
-
-class TestIngressStatsCommand:
-    def test_stats_prints_per_meeting_lines(self, capsys):
-        rc = main(["ingress", "stats", *ARGS])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "chaos-0" in out
-        assert "event digest" in out
-
-    def test_stats_json_payload(self, capsys):
-        rc = main(["ingress", "stats", *ARGS, "--json"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["seed"] == 7
-        assert payload["report_digest"]
-        assert payload["event_digest"]
-        assert "chaos-0" in payload["meetings"]
+        assert payload["meetings"]["chaos-0"]["reports_dropped"] > 0

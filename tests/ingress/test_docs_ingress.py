@@ -13,7 +13,7 @@ from pathlib import Path
 from repro.ingress.events import ALL_STREAM_KINDS
 from repro.ingress.faults import STREAM_FAULT_KINDS
 from repro.ingress.plane import SHED_ADMISSION, SHED_OVERFLOW
-from repro.ingress.report import REPORT_SCHEMA
+from repro.chaos import REPORT_SCHEMA
 from repro.obs import events as obs_events
 from repro.obs import names as obs_names
 
@@ -48,12 +48,9 @@ class TestIngressDocPins:
 
     def test_spans_are_documented_and_canonical(self):
         text = _doc()
-        for span_name in (
-            obs_names.SPAN_INGRESS_RUN,
-            obs_names.SPAN_INGRESS_DECIDE,
-        ):
-            assert span_name in obs_names.ALL_SPANS
-            assert span_name in text
+        span_name = obs_names.SPAN_INGRESS_DECIDE
+        assert span_name in obs_names.ALL_SPANS
+        assert span_name in text
 
     def test_event_kinds_are_documented_and_canonical(self):
         text = _doc()
@@ -109,10 +106,9 @@ class TestCrossLinks:
         from repro.cli import build_parser
 
         text = _doc()
-        assert "ingress run" in text
-        assert "ingress stats" in text
-        parser = build_parser()
-        args = parser.parse_args(["ingress", "run", "--seed", "7"])
-        assert args.ingress_command == "run"
-        args = parser.parse_args(["ingress", "stats", "--json"])
-        assert args.ingress_command == "stats"
+        assert "repro chaos run --scenario healthy" in text
+        assert "--mutations" in text
+        args = build_parser().parse_args(
+            ["chaos", "run", "--scenario", "healthy", "--mutations", "0"]
+        )
+        assert args.chaos_command == "run" and args.mutations == 0.0

@@ -1,6 +1,7 @@
 """Parity: the event-driven plane reproduces the synchronous decisions.
 
-On a fault-free stream the ingress plane must agree with the cluster
+On a fault-free stream (the ``healthy`` scenario) the ingress plane
+driven by :class:`~repro.chaos.ChaosRunner` must agree with the cluster
 solve path it fronts:
 
 * with a frozen world (SEMB only), every decision serves exactly the
@@ -11,6 +12,7 @@ solve path it fronts:
   one), and both end on the same final configuration.
 """
 
+from repro.chaos import ChaosConfig, ChaosRunner
 from repro.chaos.report import solution_digest
 from repro.chaos.world import ChaosWorld
 from repro.cluster import ClusterConfig, ControllerCluster
@@ -18,12 +20,28 @@ from repro.core.engine import default_mckp_cache
 from repro.core.solver import SolverConfig
 from repro.ingress.events import StreamConfig, generate_stream
 from repro.ingress.plane import ClusterBackend
-from repro.ingress.run import IngressRunConfig, run_ingress
 
-CFG = IngressRunConfig(seed=11, meetings=3, mean_size=4.0, duration_s=6.0)
+CFG = ChaosConfig(seed=11, meetings=3, mean_size=4.0, duration_s=6.0)
+FROZEN = ChaosConfig(
+    seed=11, meetings=3, mean_size=4.0, duration_s=6.0,
+    mutations_per_meeting=0.0,
+)
 
 
-def _snapshot_trajectory(cfg: IngressRunConfig) -> dict:
+def _healthy_run(cfg: ChaosConfig):
+    """A fault-free run, and each meeting's distinct delivered digests
+    in order."""
+    runner = ChaosRunner(cfg, scenario="healthy")
+    report = runner.run()
+    digests: dict = {m: [] for m in report.meetings}
+    for serve in report.serves:
+        seen = digests[serve["meeting"]]
+        if not seen or seen[-1] != serve["solution"]:
+            seen.append(serve["solution"])
+    return runner, digests
+
+
+def _snapshot_trajectory(cfg: ChaosConfig) -> dict:
     """Distinct solution digests per meeting, solving after every event.
 
     Replays the identical seeded stream synchronously: apply each event
@@ -77,32 +95,29 @@ def _is_subsequence(needle, haystack) -> bool:
 
 class TestFrozenWorldParity:
     def test_event_path_equals_sync_path_exactly(self):
-        cfg = IngressRunConfig(
-            seed=11, meetings=3, mean_size=4.0, duration_s=6.0,
-            mutations_per_meeting=0.0,
-        )
-        report = run_ingress(cfg)
-        trajectory = _snapshot_trajectory(cfg)
-        assert report.totals["shed"] == 0
-        assert set(report.meetings) == set(trajectory)
+        runner, digests = _healthy_run(FROZEN)
+        trajectory = _snapshot_trajectory(FROZEN)
+        assert runner.report.ok
+        assert runner.plane.stats.shed == 0
+        assert set(digests) == set(trajectory)
         for meeting, expected in trajectory.items():
             # A frozen world has exactly one configuration per meeting;
             # the plane must serve it and nothing else.
             assert len(expected) == 1
-            assert report.meetings[meeting]["digests"] == expected
+            assert digests[meeting] == expected
 
 
 class TestMutatingWorldParity:
     def test_distinct_digests_are_a_snapshot_subsequence(self):
-        report = run_ingress(CFG)
+        runner, digests = _healthy_run(CFG)
         trajectory = _snapshot_trajectory(CFG)
-        assert report.totals["shed"] == 0, (
+        assert runner.plane.stats.shed == 0, (
             "parity sizing must not shed (sheds serve the fallback, "
             "which is outside the snapshot trajectory)"
         )
-        assert report.totals["decisions"] > 0
+        assert runner.plane.stats.decisions > 0
         for meeting, expected in trajectory.items():
-            got = report.meetings[meeting]["digests"]
+            got = digests[meeting]
             assert got, f"{meeting} committed no configuration"
             assert _is_subsequence(got, expected), (
                 f"{meeting}: ingress digests {got} are not a "
@@ -113,27 +128,27 @@ class TestMutatingWorldParity:
             )
 
     def test_sources_are_solver_sources(self):
-        report = run_ingress(CFG)
-        assert set(report.decisions_by_source) <= {"solve", "cache"}
+        runner, _ = _healthy_run(CFG)
+        assert set(runner.report.served_by_source) <= {"solve", "cache"}
 
 
 class TestChaosParity:
     def test_healthy_scenario_serves_the_direct_solve_digests(self):
-        """The chaos runner drives the same plane: with no faults every
-        meeting is delivered exactly the configuration a direct
-        ``solve_request`` of its snapshot serves."""
-        from repro.chaos import ChaosConfig, run_scenario
+        """``run_scenario`` drives the same plane: with no faults and no
+        mutations every meeting is delivered exactly the configuration a
+        direct ``solve_request`` of its snapshot serves."""
+        from repro.chaos import run_scenario
 
-        cfg = ChaosConfig(seed=11, meetings=3, duration_s=6.0)
-        report = run_scenario("healthy", 11, cfg)
+        report = run_scenario("healthy", FROZEN.seed, FROZEN)
         assert report.ok and report.serves
         world = ChaosWorld(
-            seed=cfg.seed, meetings=cfg.meetings, mean_size=cfg.mean_size
+            seed=FROZEN.seed, meetings=FROZEN.meetings,
+            mean_size=FROZEN.mean_size,
         )
         default_mckp_cache().clear()
         with ControllerCluster(
             ClusterConfig(
-                shards=cfg.shards,
+                shards=FROZEN.shards,
                 solver=SolverConfig(granularity_kbps=25),
             )
         ) as cluster:

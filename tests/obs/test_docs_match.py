@@ -327,3 +327,33 @@ class TestNoDeletedSurface:
             if token in path.read_text()
         ]
         assert not stale, f"names of the deleted duplicate counters: {stale}"
+
+    #: The second seeded run driver (``ChaosRunner`` is the one left), its
+    #: report type and CLI group, and the streaming half of trace
+    #: assembly (assembly is batch only).
+    SECOND_DRIVER_GONE = (
+        "run_ingress",
+        "IngressRunConfig",
+        "IngressReport",
+        "repro.ingress_report",
+        "ingress run",
+        "SPAN_INGRESS_RUN",
+        "_TraceReservoir",
+        "repro_trace_trees_exported_total",
+        "repro_trace_trees_evicted_total",
+    )
+
+    def test_no_file_names_the_second_run_driver(self):
+        texts = [
+            *sorted((ROOT / "src").rglob("*.py")),
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / "README.md",
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ]
+        stale = [
+            (str(path.relative_to(ROOT)), token)
+            for path in texts
+            for token in self.SECOND_DRIVER_GONE
+            if token in path.read_text()
+        ]
+        assert not stale, f"names of the deleted run driver: {stale}"

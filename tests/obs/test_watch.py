@@ -160,7 +160,6 @@ class TestWatchedSeriesEqualTheirOwners:
             (names.EVENTS_EMITTED, ()): log.emitted,
             (names.EVENTS_DROPPED, ()): log.dropped,
             (names.TRACE_TREES_ASSEMBLED, ()): traces.assembled,
-            (names.TRACE_TREES_EVICTED, ()): traces.evicted,
             (names.TRACE_ORPHAN_EVENTS, ()): traces.orphan_events,
             (names.MCKP_CACHE, (("result", "hit"),)): cache.hits - before[0],
             (names.MCKP_CACHE, (("result", "miss"),)): cache.misses - before[1],

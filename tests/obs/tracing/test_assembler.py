@@ -1,4 +1,4 @@
-"""Trace assembly: linking rules, bounded memory, the conservation ledger."""
+"""Trace assembly: linking rules and the ledger."""
 
 import random
 
@@ -8,7 +8,6 @@ from repro.obs.registry import enabled_registry
 from repro.obs.tracing import (
     LINK_COALESCED,
     LINK_LINEAGE,
-    TraceAssembler,
     assemble_trees,
 )
 
@@ -16,8 +15,7 @@ from .conftest import decision_chain, ev
 
 
 def conserved(assembler):
-    c = assembler.counters()
-    return c["assembled"] == c["exported"] + c["evicted"] + c["live"]
+    return assembler.stats.assembled == len(assembler.trees())
 
 
 class TestChainGrouping:
@@ -150,54 +148,19 @@ class TestOrphans:
 
 
 class TestBoundedMemory:
-    def test_reservoir_eviction_under_small_retention(self):
-        events = []
-        for n in range(1, 33):
-            events += decision_chain(cid=f"m0#{n}", t0=float(n))
-        traces = assemble_trees(events, retention=4)
-        c = traces.counters()
-        assert c["assembled"] == 32
-        assert c["live"] <= 4
-        assert c["evicted"] == 32 - c["live"]
-        assert conserved(traces)
-
-    def test_max_open_force_finalizes_oldest(self):
-        events = [
-            ev(float(n), ek.INGRESS_ENQUEUED, cid=f"m0#{n}")
-            for n in range(1, 12)
-        ]
-        assembler = TraceAssembler(max_open=4)
-        assembler.assemble(events)
-        assert assembler.open_count() <= 4
-        assembler.finish()
-        assert assembler.open_count() == 0
-        assert assembler.stats.assembled == 11
-        assert conserved(assembler)
-
-    def test_export_drains_and_counts(self):
-        traces = assemble_trees(decision_chain())
-        drained = traces.export()
-        assert [t.cid for t in drained] == ["m0#1"]
-        c = traces.counters()
-        assert c["exported"] == 1 and c["live"] == 0
-        assert conserved(traces)
-        assert traces.trees() == []
+    """The assembler holds what the (bounded) event log holds: every
+    finalized tree is kept and accounted for."""
 
     def test_conservation_across_mixed_churn(self):
         events = []
         for n in range(1, 25):
             events += decision_chain(cid=f"m0#{n}", t0=float(n))
             events.append(ev(float(n) + 0.5, ek.FAULT_INJECTED, meeting=""))
-        traces = assemble_trees(events, retention=3)
-        traces.export()
-        # Feed a second wave after the export to keep churning.
-        assembler_total = traces.counters()
-        assert (
-            assembler_total["assembled"]
-            == assembler_total["exported"]
-            + assembler_total["evicted"]
-            + assembler_total["live"]
-        )
+        # An unterminated envelope is flushed by finish(), not dropped.
+        events.append(ev(30.0, ek.INGRESS_ENQUEUED, cid="m0#99"))
+        traces = assemble_trees(events)
+        assert traces.stats.assembled == 24 + 24 + 1
+        assert conserved(traces)
 
 
 class TestRegistryCounters:
@@ -207,12 +170,9 @@ class TestRegistryCounters:
             events += decision_chain(cid=f"m0#{n}", t0=float(n))
         events.append(ev(0.5, ek.FAULT_INJECTED, meeting=""))
         with enabled_registry() as reg:
-            traces = assemble_trees(events, retention=2)
-            traces.export()
+            traces = assemble_trees(events)
             counters = reg.snapshot()["counters"]
-        assert counters[obs_names.TRACE_TREES_ASSEMBLED] == traces.stats.assembled
-        assert counters[obs_names.TRACE_TREES_EVICTED] == traces.stats.evicted
-        assert counters[obs_names.TRACE_TREES_EXPORTED] == traces.stats.exported
+        assert counters[obs_names.TRACE_TREES_ASSEMBLED] == traces.stats.assembled == 10
         assert counters[obs_names.TRACE_ORPHAN_EVENTS] == 1
 
     def test_stage_histogram_observed_per_span(self):

@@ -54,7 +54,7 @@ class TestTracingDocPins:
     def test_span_and_conservation_ledger_documented(self):
         text = _doc()
         assert obs_names.SPAN_TRACE_ASSEMBLE in text
-        assert "assembled == exported + evicted + live" in text
+        assert "assembled == len(trees())" in text
 
     def test_cli_commands_documented(self):
         text = _doc()

@@ -8,9 +8,9 @@ chain's root event carries the predecessor's cid, and the assembled tree
 hangs under it.
 """
 
+from repro.chaos import faults as F
+from repro.chaos import ChaosConfig, ChaosRunner, Fault, FaultSchedule
 from repro.cluster import ClusterConfig, ControllerCluster
-from repro.ingress.faults import DROP_SEMB, StreamFault
-from repro.ingress.run import IngressRunConfig, run_ingress
 from repro.obs import events as ek
 from repro.obs.events import EventLog, record_events
 from repro.obs.tracing import LINK_LINEAGE, assemble_trees
@@ -25,15 +25,14 @@ def make_cluster(**overrides):
 
 
 def refresh_log():
-    """An ingress run whose reports all drop mid-run, so idle meetings
-    refresh from their last snapshot once ``max_interval_s`` passes."""
-    log = EventLog(capacity=65536)
-    run_ingress(
-        IngressRunConfig(seed=3, meetings=4, duration_s=20.0),
-        faults=[StreamFault(DROP_SEMB, start_s=4.0, end_s=16.0)],
-        events_out=log,
+    """A run whose reports drop mid-run, so the idle meeting refreshes
+    from its last snapshot once ``max_interval_s`` passes."""
+    runner = ChaosRunner(
+        ChaosConfig(seed=3, meetings=4, duration_s=20.0),
+        FaultSchedule([Fault(4.0, F.DROP_REPORT, factor=12)]),
     )
-    return log
+    runner.run()
+    return runner.events
 
 
 class TestTimeTriggerLineage:

@@ -8,8 +8,7 @@ the invariants the rest of the plane relies on:
 1. **Acyclicity** — every assembled forest is finite: each node is
    visited exactly once by ``walk()``.
 2. **Single ownership** — every fed event lands in exactly one tree
-   (with eviction disabled, total events across the forest equals the
-   number fed).
+   (total events across the forest equals the number fed).
 3. **Attribution exactness** — per tree, critical-path stage durations
    sum to the chain's end-to-end latency.
 """
@@ -71,7 +70,7 @@ event_logs = st.lists(events(), min_size=0, max_size=60)
 @settings(max_examples=200, deadline=None)
 @given(event_logs)
 def test_forest_is_acyclic_and_every_node_unique(rows):
-    traces = assemble_trees(materialize(rows), retention=10_000)
+    traces = assemble_trees(materialize(rows))
     seen = set()
     for tree in traces.trees():
         for node in tree.walk():  # would not terminate on a cycle
@@ -83,7 +82,7 @@ def test_forest_is_acyclic_and_every_node_unique(rows):
 @given(event_logs)
 def test_every_event_lands_in_exactly_one_tree(rows):
     fed = materialize(rows)
-    traces = assemble_trees(fed, retention=10_000, max_open=10_000)
+    traces = assemble_trees(fed)
     held = [
         event
         for tree in traces.trees()
@@ -97,7 +96,7 @@ def test_every_event_lands_in_exactly_one_tree(rows):
 @settings(max_examples=200, deadline=None)
 @given(event_logs)
 def test_stage_durations_sum_to_chain_latency(rows):
-    traces = assemble_trees(materialize(rows), retention=10_000)
+    traces = assemble_trees(materialize(rows))
     for tree in traces.trees():
         for node in tree.walk():
             total = sum(s.duration_s for s in node.critical_path())
@@ -111,17 +110,13 @@ def test_digest_invariant_under_feed_order(rows, rng):
     shuffled = list(fed)
     rng.shuffle(shuffled)
     assert (
-        assemble_trees(fed, retention=10_000).digest()
-        == assemble_trees(shuffled, retention=10_000).digest()
+        assemble_trees(fed).digest()
+        == assemble_trees(shuffled).digest()
     )
 
 
 @settings(max_examples=100, deadline=None)
 @given(event_logs)
 def test_conservation_ledger_holds(rows):
-    traces = assemble_trees(materialize(rows), retention=2)
-    c = traces.counters()
-    assert c["assembled"] == c["exported"] + c["evicted"] + c["live"]
-    traces.export()
-    c = traces.counters()
-    assert c["assembled"] == c["exported"] + c["evicted"] + c["live"]
+    traces = assemble_trees(materialize(rows))
+    assert traces.stats.assembled == len(traces.trees())

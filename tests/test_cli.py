@@ -124,16 +124,21 @@ class TestSolveReporting:
         assert len(err.splitlines()) == 1
 
 
-class TestIngressFaultSpec:
+class TestChaosSizing:
     @pytest.mark.parametrize(
-        "spec",
-        ["delay:*:0:5:nan", "delay:*:nan:5:1", "drop:*:0:nan", "drop:*:-inf:5"],
+        "flag,value,field",
+        [
+            ("--duration", "nan", "duration_s"),
+            ("--duration", "inf", "duration_s"),
+            ("--report-interval", "inf", "report_interval_s"),
+            ("--mean-size", "nan", "mean_size"),
+            ("--mutations", "nan", "mutations_per_meeting"),
+            ("--mutations", "-1", "mutations_per_meeting"),
+        ],
     )
-    def test_non_finite_fault_time_is_one_line_error(self, spec, capsys):
+    def test_bad_sizing_is_a_one_line_error(self, flag, value, field):
         with pytest.raises(SystemExit) as exit_info:
-            main(["ingress", "run", "--fault", spec])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith("repro ingress run: error: ")
-        assert "finite" in err or "NaN" in err
-        assert "Traceback" not in err
+            main(["chaos", "run", flag, value])
+        message = str(exit_info.value.code)
+        assert message.startswith(f"repro chaos: {field} must be ")
+        assert len(message.splitlines()) == 1
