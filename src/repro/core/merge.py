@@ -47,8 +47,7 @@ from .types import ClientId, Resolution, StreamSpec
 Policies = Dict[ClientId, Dict[Resolution, PolicyEntry]]
 
 #: One publisher's ``U_i``: (subscribers, stream) pairs.  The subscribers
-#: of a pair all asked for that stream; they are sorted, and the pairs
-#: are ordered by their first subscriber.
+#: of a pair all asked for that stream.
 Asked = List[Tuple[Sequence[ClientId], StreamSpec]]
 
 
@@ -62,7 +61,10 @@ def invert_requests(
     Virtual publishers are folded back into their canonical targets here —
     this is exactly the Sec. 4.4 prescription: "at the beginning of Step 2,
     we merge X' with X, so that we treat them again as the same publisher".
-    Iteration order is made deterministic by sorting subscribers.
+    The pairs come in request order; nothing downstream depends on it
+    (within one publisher bitrates are unique, so the floor of a group is
+    one stream whichever order it is met in, and Step 3 rebuilds the
+    policy map in sorted order).
 
     ``groups`` is Step 1's answer sharing (see
     :func:`~repro.core.knapsack.knapsack_step`): subscribers mapped to the
@@ -72,9 +74,9 @@ def invert_requests(
     """
     if groups is None:
         groups = requests
-    #: id(shared request map) -> (the map, its subscribers in sorted order).
+    #: id(shared request map) -> (the map, its subscribers).
     grouped: Dict[int, Tuple[Dict[ClientId, StreamSpec], List[ClientId]]] = {}
-    for sub in sorted(requests):
+    for sub in requests:
         per_pub = groups[sub]
         group = grouped.get(id(per_pub))
         if group is None:
@@ -84,7 +86,7 @@ def invert_requests(
     served: Dict[ClientId, Asked] = {}
     aliases = problem.aliases
     for per_pub, subs in grouped.values():
-        for pub, stream in sorted(per_pub.items()):
+        for pub, stream in per_pub.items():
             served.setdefault(aliases.get(pub, pub), []).append((subs, stream))
     return served
 
@@ -107,13 +109,11 @@ def merge_publisher(asked: Asked) -> Dict[Resolution, PolicyEntry]:
             if stream.bitrate_kbps < entry[0].bitrate_kbps:
                 entry[0] = stream
             entry[1].append(subs)
-    # Audiences are sorted before freezing: a set's iteration (and pickle)
-    # order depends on its insertion order, which must not depend on how
-    # Step 1 happened to group the subscribers.
+    # An audience is frozen in whatever order its members came: every
+    # reader whose output depends on order sorts it (pickle, digest,
+    # narration, summary, the solver's dirty set).
     return {
-        res: PolicyEntry(
-            stream=floor, audience=frozenset(sorted(chain.from_iterable(parts)))
-        )
+        res: PolicyEntry(stream=floor, audience=frozenset(chain.from_iterable(parts)))
         for res, (floor, parts) in by_res.items()
     }
 
@@ -187,13 +187,13 @@ def _merge_since(problem: Problem, current: Requests, since: Since) -> Policies:
                     incremental = False
             if not incremental:
                 break
-            audience = set(entry.audience) if entry is not None else set()
-            audience.difference_update(leavers)
-            audience.update(joiners)
+            audience = (
+                entry.audience.difference(leavers).union(joiners)
+                if entry is not None
+                else frozenset(joiners)
+            )
             if audience:
-                entries[res] = PolicyEntry(
-                    stream=floor, audience=frozenset(sorted(audience))
-                )
+                entries[res] = PolicyEntry(stream=floor, audience=audience)
         if not incremental:
             entries = merge_publisher(
                 [

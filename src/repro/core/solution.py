@@ -70,11 +70,15 @@ class Solution:
             reductions, in order — diagnostics for tests and benchmarks.
 
     A solution is built from plain dicts and a list and is its builder's
-    to edit.  :meth:`freeze` makes it read-only in place, which is what
-    lets the controller cluster hand one object to every meeting that
-    hits the same cache entry and lets :func:`solution_digest` keep its
-    answer.  Frozen or not, equal content compares ``==`` and pickles to
-    identical bytes.
+    to edit.  Subscribers may share one inner assignment map (the solver
+    hands every subscriber with the same final assignment the same one),
+    and a shared map is read-only: whoever edits one subscriber's
+    assignment replaces its map.  :meth:`freeze` makes the whole solution
+    read-only in place, which is what lets the controller cluster serve
+    one object to every request over a meeting's unchanged picture (its
+    last-solve memo) and lets :func:`solution_digest` keep its answer.
+    Frozen or not, shared or not, equal content compares ``==`` and
+    pickles to identical bytes.
     """
 
     policies: Mapping[ClientId, Mapping[Resolution, PolicyEntry]]
@@ -100,17 +104,21 @@ class Solution:
         """Make this solution read-only, in place; returns ``self``.
 
         Both dict levels become ``MappingProxyType`` views (no dict is
-        copied) and ``reduced`` a tuple; from then on item assignment
-        raises ``TypeError`` and attribute assignment ``AttributeError``.
-        There is no way back: whoever needs to edit unpickles or
-        rebuilds a copy.
+        copied, and an inner map that already is one, like the solver's
+        shared assignment maps, is kept) and ``reduced`` a tuple; from
+        then on item assignment raises ``TypeError`` and attribute
+        assignment ``AttributeError``.  There is no way back: whoever
+        needs to edit unpickles or rebuilds a copy.
         """
         if not self._frozen:
             self.policies = MappingProxyType(
                 {pub: MappingProxyType(e) for pub, e in self.policies.items()}
             )
             self.assignments = MappingProxyType(
-                {sub: MappingProxyType(p) for sub, p in self.assignments.items()}
+                {
+                    sub: p if type(p) is MappingProxyType else MappingProxyType(p)
+                    for sub, p in self.assignments.items()
+                }
             )
             self.reduced = tuple(self.reduced)
             self._frozen = True
@@ -138,7 +146,9 @@ class Solution:
 
     def __reduce__(self):
         # Mapping views do not pickle; plain dicts and a list do, and to
-        # the same bytes whether or not the solution was frozen.
+        # the same bytes whether or not the solution was frozen.  Each
+        # subscriber gets a dict of its own, so a shared map pickles as
+        # unshared copies do.
         return (
             self.__class__,
             (
@@ -309,18 +319,26 @@ def solution_digest(solution: Solution) -> str:
                 f"P[{pub}@{res.value}]={entry.bitrate_kbps}->"
                 f"{','.join(sorted(entry.audience))}"
             )
-    # A publisher's stream reaches most of its audience as one object:
-    # the text after the subscriber is built once per (publisher, stream).
-    # The solution holds every stream for the call, so ids are not reused.
+    # Subscribers with equal assignments mostly hold one map object: the
+    # text after the subscriber id of each of its lines is built once per
+    # map (and once per (publisher, stream)), and a holder's lines are
+    # one join.  The solution holds every map and stream for the call,
+    # so ids are not reused.
+    tails_of: Dict[int, List[str]] = {}
     tails: Dict[Tuple[ClientId, int], str] = {}
     for sub, per_pub in sorted(solution.assignments.items()):
-        for pub, stream in sorted(per_pub.items()):
-            tail = tails.get((pub, id(stream)))
-            if tail is None:
-                tail = tails[pub, id(stream)] = (
-                    f"<-{pub}]={stream.bitrate_kbps}@{stream.resolution.value}"
-                )
-            parts.append(f"A[{sub}{tail}")
+        held = tails_of.get(id(per_pub))
+        if held is None:
+            held = tails_of[id(per_pub)] = []
+            for pub, stream in sorted(per_pub.items()):
+                tail = tails.get((pub, id(stream)))
+                if tail is None:
+                    tail = tails[pub, id(stream)] = (
+                        f"<-{pub}]={stream.bitrate_kbps}@{stream.resolution.value}"
+                    )
+                held.append(tail)
+        if held:
+            parts.append(f"A[{sub}" + f"\nA[{sub}".join(held))
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
     if solution.is_frozen:
         object.__setattr__(solution, "_digest", digest)

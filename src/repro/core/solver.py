@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from ..obs import names as obs_names
@@ -142,6 +144,13 @@ def _iteration_bound(problem: Problem) -> int:
     return max(1, total + 1)
 
 
+_resolution = attrgetter("resolution")
+
+#: Which assignment a subscriber receives: the literal publishers it
+#: asked, in order, and the resolution it asked of each.
+_AssignmentKey = Tuple[Tuple[ClientId, ...], Tuple[Resolution, ...]]
+
+
 def _build_solution(
     problem: Problem,
     requests: Requests,
@@ -156,17 +165,50 @@ def _build_solution(
     but the *bitrates* come from the final policies: merging and fixing may
     have lowered bitrates below what subscribers originally asked for, and
     the lowered stream is what they receive.
+
+    A request's entry is the final policy of its (canonical publisher,
+    resolution), so subscribers that asked the same publishers at the
+    same resolutions, in the same order, receive the same assignment:
+    they hold one read-only map, built once (a webinar's 118 viewers
+    hold a couple of dozen).  Its first holder is checked against each
+    entry's audience as the map is built, the later ones once per
+    publisher, all at once.
     """
-    assignments: Dict[ClientId, Dict[ClientId, StreamSpec]] = {}
+    #: The final policies under every id a subscriber may follow.
+    by_literal = dict(policies)
+    for virtual, target in problem.aliases.items():
+        if target in policies:
+            by_literal[virtual] = policies[target]
+    nothing: Mapping[Resolution, PolicyEntry] = {}
+    assignments: Dict[ClientId, Mapping[ClientId, StreamSpec]] = {}
+    shared: Dict[_AssignmentKey, Mapping[ClientId, StreamSpec]] = {}
+    #: The holders of each shared map after the first.
+    later: Dict[_AssignmentKey, List[ClientId]] = {}
     for sub, per_pub in requests.items():
-        for literal_pub, requested in per_pub.items():
-            canonical = problem.canonical(literal_pub)
-            entry = policies.get(canonical, {}).get(requested.resolution)
-            assert entry is not None and sub in entry.audience, (
-                f"request {sub!r}<-{literal_pub!r}@{requested.resolution} "
-                f"not covered by final policies"
+        if not per_pub:
+            continue
+        key = (tuple(per_pub), tuple(map(_resolution, per_pub.values())))
+        held = shared.get(key)
+        if held is None:
+            assigned: Dict[ClientId, StreamSpec] = {}
+            for literal_pub, requested in per_pub.items():
+                entry = by_literal.get(literal_pub, nothing).get(requested.resolution)
+                assert entry is not None and sub in entry.audience, (
+                    f"request {sub!r}<-{literal_pub!r}@{requested.resolution} "
+                    f"not covered by final policies"
+                )
+                assigned[literal_pub] = entry.stream
+            held = shared[key] = MappingProxyType(assigned)
+        else:
+            later.setdefault(key, []).append(sub)
+        assignments[sub] = held
+    for key, holders in later.items():
+        for literal_pub, stream in shared[key].items():
+            audience = by_literal[literal_pub][stream.resolution].audience
+            assert audience.issuperset(holders), (
+                f"requests {sorted(set(holders) - audience)!r}<-{literal_pub!r}"
+                f"@{stream.resolution} not covered by final policies"
             )
-            assignments.setdefault(sub, {})[literal_pub] = entry.stream
     final_policies: Dict[ClientId, Dict[Resolution, PolicyEntry]] = {
         pub: dict(entries) for pub, entries in policies.items()
     }

@@ -56,15 +56,20 @@ class TestCheckSolution:
         p = mesh()
         s = GsoSolver().solve(p)
         # Sabotage: a subscriber receives a stream nobody publishes at
-        # that bitrate -> Solution.validate must fail.
+        # that bitrate -> Solution.validate must fail.  (A solver's
+        # assignment maps are read-only and may be shared: an edit
+        # replaces the subscriber's map.)
         sub = next(iter(s.assignments))
         pub = next(iter(s.assignments[sub]))
         stream = s.assignments[sub][pub]
-        s.assignments[sub][pub] = type(stream)(
-            bitrate_kbps=stream.bitrate_kbps + 1,
-            resolution=stream.resolution,
-            qoe=stream.qoe,
-        )
+        s.assignments[sub] = {
+            **s.assignments[sub],
+            pub: type(stream)(
+                bitrate_kbps=stream.bitrate_kbps + 1,
+                resolution=stream.resolution,
+                qoe=stream.qoe,
+            ),
+        }
         checker = InvariantChecker()
         assert not checker.check_solution("m", p, s, at_s=2.0)
         assert [v.invariant for v in checker.violations] == [INV_CONSTRAINTS]

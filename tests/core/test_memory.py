@@ -9,18 +9,21 @@ per edge and not one index list per client; and nothing on the decision path mak
 collection the interpreter runs there is overhead.  A hosted meeting also
 keeps the run of its last solve (``KmrRun``) for the next one to replay:
 what that costs is bounded by the meeting, not by how long it has been
-re-decided, and it goes with the meeting's record.  All of these are
-counts, not timings: they repeat exactly.
+re-decided, and it goes with the meeting's record.  The frozen
+``Solution`` it keeps holds one read-only map per distinct assignment,
+not one per subscriber.  All of these are counts, not timings: they
+repeat exactly.
 """
 
 import gc
+import types
 import weakref
 
 from repro.chaos.world import ChaosWorld
 from repro.cluster import ClusterConfig, ControllerCluster
 from repro.core.constraints import Bandwidth, Problem, Subscription
 from repro.core.ladder import paper_ladder
-from repro.core.solver import KmrRun, SolverConfig
+from repro.core.solver import GsoSolver, KmrRun, SolverConfig
 from repro.core.types import Resolution
 from repro.ingress.aio import SimRuntime
 from repro.ingress.events import StreamConfig, generate_stream
@@ -163,6 +166,46 @@ def _tracked_by_the_run_alone(record):
     before = len(gc.get_objects())
     record.run = KmrRun()
     return before - len(gc.get_objects())
+
+
+def _reachable(root):
+    """The GC-tracked objects reachable from ``root``, by id; classes and
+    modules are not followed."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if (
+            id(obj) in seen
+            or isinstance(obj, (type, types.ModuleType))
+            or not gc.is_tracked(obj)
+        ):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
+class TestFrozenSolution:
+    def test_a_frozen_webinar_solution_owns_what_its_assignments_share(self):
+        # The controller keeps a meeting's last frozen Solution; what it
+        # owns beyond its picture is the policies and one read-only map
+        # per distinct assignment, not one per subscriber.
+        problem = tight_webinar(3, 5)
+        solution = GsoSolver(SolverConfig(granularity_kbps=25)).solve(problem)
+        solution.freeze()
+        assert solution.iterations == 11 and len(solution.assignments) == 118
+        owned = set(_reachable(solution)) - set(_reachable(problem))
+        # 94: the Solution, its two maps of maps with their views, 14
+        # policy entries with their audiences, the reductions, and 17
+        # assignment maps with their views.  It was 296 with one inner
+        # dict and one view per subscriber.
+        assert len(owned) <= 150
+        maps = {id(p): p for p in solution.assignments.values()}
+        assert len(maps) < 30
+        equal = {}
+        for sub, assigned in solution.assignments.items():
+            assert equal.setdefault(tuple(assigned.items()), assigned) is assigned
 
 
 class TestMeetingRun:

@@ -1,16 +1,19 @@
 """Tests for the Solution model and its constraint validation."""
 
 import pickle
+from types import MappingProxyType
 
 import pytest
 
+from repro.control.failover import single_stream_fallback
 from repro.core import Bandwidth, PolicyEntry, Resolution, Solution, StreamSpec
 from repro.core.constraints import Problem, Subscription
 from repro.core.solution import solution_digest
-from repro.core.solver import GsoSolver, SolverConfig
+from repro.core.solver import GsoSolver, KmrRun, SolverConfig
 
 from .reference import reference_solution_digest
 from .test_incremental import GENERATORS
+from .test_memory import tight_webinar, webinar_picture
 
 
 def spec(rate, res, qoe=None):
@@ -224,23 +227,136 @@ class TestFreeze:
         assert solution_digest(s) != before
 
 
+def assert_digest_is_the_reference(solution):
+    """``solution_digest`` of ``solution`` mutable, frozen and unpickled
+    prints the line-per-edge reference's bytes."""
+    want = reference_solution_digest(solution)
+    assert solution_digest(solution) == want
+    # An unpickled copy holds one plain dict per subscriber, and equal
+    # streams that are other objects.
+    copy = pickle.loads(pickle.dumps(solution))
+    assert solution_digest(copy) == want
+    assert solution_digest(copy.freeze()) == want
+    assert solution_digest(solution.freeze()) == want
+
+
 class TestDigestAgainstReference:
-    """The digest that builds each (publisher, stream) tail once prints
-    what the line-per-edge one printed."""
+    """The digest that builds each assignment's lines once, and each
+    (publisher, stream) tail once, prints what the line-per-edge one
+    printed."""
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_every_generator_frozen_and_mutable(self, name):
         solver = GsoSolver(SolverConfig(granularity_kbps=25))
-        mutable = solver.solve(GENERATORS[name]())
-        want = reference_solution_digest(mutable)
-        assert solution_digest(mutable) == want
-        frozen = solver.solve(GENERATORS[name]()).freeze()
-        assert solution_digest(frozen) == want
-        # An unpickled copy holds equal streams that are other objects.
-        assert solution_digest(pickle.loads(pickle.dumps(frozen))) == want
+        assert_digest_is_the_reference(solver.solve(GENERATORS[name]()))
 
     def test_equal_streams_that_are_distinct_objects(self):
         s = good_solution()
         s.assignments["T"] = {"P": spec(1000, Resolution.P720)}
         s.assignments["U"] = {"P": spec(300, Resolution.P180)}
         assert solution_digest(s) == reference_solution_digest(s)
+
+    def test_shared_unshared_and_empty_maps(self):
+        hi, lo = spec(1000, Resolution.P720), spec(300, Resolution.P180)
+        shared = {"P": hi, "Q": lo}
+        s = Solution(
+            policies={
+                "P": {Resolution.P720: PolicyEntry(hi, frozenset("STU"))},
+                "Q": {Resolution.P180: PolicyEntry(lo, frozenset("STUV"))},
+            },
+            # S and T share one map object, U holds an equal copy, V a
+            # map of its own and W an empty one.
+            assignments={
+                "T": shared,
+                "S": shared,
+                "U": dict(shared),
+                "V": {"Q": lo},
+                "W": {},
+            },
+        )
+        assert_digest_is_the_reference(s)
+
+    def test_a_fallback_that_leaves_a_subscriber_nothing(self):
+        # S's downlink fits no stream: the fallback maps it to {}.
+        ladder = [spec(1000, Resolution.P720), spec(300, Resolution.P180)]
+        problem = Problem(
+            {"P": ladder},
+            {
+                "P": Bandwidth(5000, 100),
+                "S": Bandwidth(100, 200),
+                "T": Bandwidth(100, 5000),
+            },
+            [
+                Subscription("S", "P", Resolution.P720),
+                Subscription("T", "P", Resolution.P720),
+            ],
+        )
+        fallback = single_stream_fallback(problem)
+        assert fallback.assignments["S"] == {}
+        assert fallback.assignments["T"] == {"P": ladder[1]}
+        assert_digest_is_the_reference(fallback)
+
+    def test_every_solve_of_a_replayed_webinar(self):
+        # One webinar re-decided on a sequence of link reports, as the
+        # controller does: the later solves replay the earlier ones.
+        solver = GsoSolver(SolverConfig(granularity_kbps=25))
+        run = KmrRun()
+        for report in range(8):
+            solution = solver.solve(tight_webinar(report, 3), warm=run)
+            assert len(solution.assignments) == 118
+            assert_digest_is_the_reference(solution)
+        assert run.steps
+
+
+class TestSharedAssignments:
+    """Subscribers with the same final assignment hold one read-only map;
+    the solution stays its caller's to edit, one subscriber at a time."""
+
+    @staticmethod
+    def solve():
+        return GsoSolver(SolverConfig(granularity_kbps=25)).solve(
+            webinar_picture({})
+        )
+
+    def test_equal_assignments_share_one_read_only_map(self):
+        s = self.solve()
+        maps = {}
+        for sub, assigned in s.assignments.items():
+            assert type(assigned) is MappingProxyType
+            maps.setdefault(id(assigned), []).append(sub)
+        # 118 subscribers, a handful of distinct assignments.
+        assert len(maps) < 30
+        distinct = {
+            tuple(s.assignments[subs[0]].items()) for subs in maps.values()
+        }
+        assert len(distinct) == len(maps)
+        frozen = s.freeze()
+        assert len({id(p) for p in frozen.assignments.values()}) == len(maps)
+
+    def test_editing_one_subscriber_cannot_change_another(self):
+        s = self.solve()
+        first, second = next(
+            (a, b)
+            for a in s.assignments
+            for b in s.assignments
+            if a != b and s.assignments[a] is s.assignments[b]
+        )
+        before = dict(s.assignments[second])
+        pub, stream = next(iter(s.assignments[first].items()))
+        with pytest.raises(TypeError):
+            s.assignments[first][pub] = spec(1, stream.resolution)
+        s.assignments[first] = {**s.assignments[first], pub: spec(1, stream.resolution)}
+        assert s.assignments[second] == before
+        assert s.assignments[first][pub].bitrate_kbps == 1
+
+    def test_sharing_is_invisible_to_equality_and_pickle(self):
+        s = self.solve()
+        unshared = Solution(
+            policies={pub: dict(e) for pub, e in s.policies.items()},
+            assignments={sub: dict(p) for sub, p in s.assignments.items()},
+            iterations=s.iterations,
+            reduced=list(s.reduced),
+        )
+        assert s == unshared and unshared == s
+        assert pickle.dumps(s) == pickle.dumps(unshared)
+        assert pickle.dumps(s.freeze()) == pickle.dumps(unshared)
