@@ -67,12 +67,14 @@ _Instance = Tuple[
     List[ClientId],
 ]
 
-#: Per-step memo of edge classes: (canonical publisher, resolution cap) ->
-#: (items, streams).  Within one knapsack step the feasible sets are fixed,
-#: so every shape sharing an edge shares the built class.
-_EdgeClasses = Dict[
-    Tuple[ClientId, Resolution],
-    Tuple[Tuple[Item, ...], Tuple[StreamSpec, ...]],
+#: Memo of edge classes: canonical publisher -> resolution cap ->
+#: (items, streams).  A class reads only its publisher's feasible set, so
+#: every shape sharing an edge shares the built class for as long as that
+#: set is unchanged: the solver keeps one memo per solve and drops a
+#: publisher's entries when a reduction shrinks its set.
+EdgeClasses = Dict[
+    ClientId,
+    Dict[Resolution, Tuple[Tuple[Item, ...], Tuple[StreamSpec, ...]]],
 ]
 
 
@@ -80,24 +82,25 @@ def _edge_class(
     problem: Problem,
     edge: Subscription,
     feasible: Optional[Mapping[ClientId, Sequence[StreamSpec]]],
-    edge_cache: Optional[_EdgeClasses],
+    edge_cache: Optional[EdgeClasses],
 ) -> Tuple[Tuple[Item, ...], Tuple[StreamSpec, ...]]:
     """The (items, streams) class of one edge, shared across subscribers.
 
     The edge-feasible set ``S_ii'`` depends only on the canonical
     publisher's current feasible streams and the edge's resolution cap, so
-    within one step every edge with the same (publisher, cap) pair yields
-    the same class — gallery-view meetings build each class once instead
-    of once per subscriber.
+    every edge with the same (publisher, cap) pair yields the same class
+    while that publisher's set is unchanged — gallery-view meetings build
+    each class once instead of once per subscriber, and a KMR iteration
+    rebuilds only the reduced publisher's.
     """
-    key = (problem.canonical(edge.publisher), edge.max_resolution)
-    cached = edge_cache.get(key) if edge_cache is not None else None
+    per_cap = (edge_cache if edge_cache is not None else {}).setdefault(
+        problem.canonical(edge.publisher), {}
+    )
+    cached = per_cap.get(edge.max_resolution)
     if cached is None:
         streams = tuple(problem.feasible_for_edge(edge, restricted=feasible))
         items = tuple((s.bitrate_kbps, s.qoe) for s in streams)
-        cached = (items, streams)
-        if edge_cache is not None:
-            edge_cache[key] = cached
+        cached = per_cap[edge.max_resolution] = (items, streams)
     return cached
 
 
@@ -116,7 +119,7 @@ def _instance(
     held: _Held,
     feasible: Optional[Mapping[ClientId, Sequence[StreamSpec]]],
     stickiness: float,
-    edge_cache: Optional[_EdgeClasses] = None,
+    edge_cache: Optional[EdgeClasses] = None,
 ) -> Optional[_Instance]:
     """Build the MCKP classes (Eq. 1-4) of subscribers following ``edges``
     and holding ``held``, or ``None`` when no class is fulfillable."""
@@ -218,6 +221,7 @@ def knapsack_step(
     cache: Optional[MckpInstanceCache] = None,
     stats: Optional[EngineStats] = None,
     groups: Optional[Requests] = None,
+    edge_classes: Optional[EdgeClasses] = None,
 ) -> Requests:
     """Run Step 1 for every subscriber (the |I| independent knapsacks).
 
@@ -234,6 +238,10 @@ def knapsack_step(
             maps to a request map *object* shared by every subscriber the
             same answer served.  The shared maps equal the returned ones
             and must not be mutated.
+        edge_classes: optional memo of edge classes built over these
+            ``feasible`` sets, read and filled by the step; its owner
+            drops a publisher's entries whenever that publisher's set
+            changes.  ``None`` builds a memo for this step alone.
 
     Returns the request map ``{subscriber: D_i'}`` for the selected
     subscribers.  Subscribers with no fulfillable request map to an empty
@@ -272,12 +280,13 @@ def knapsack_step(
     # contract: seed it in subscriber order, fill it group by group.
     requests: Requests = dict.fromkeys(subs)
     shared: Requests = groups if groups is not None else {}
-    edge_cache: _EdgeClasses = {}
+    if edge_classes is None:
+        edge_classes = {}
     nothing: Dict[ClientId, StreamSpec] = {}
     answered = answers = hits = misses = 0
     for (shape, held), group in members.items():
         edges = () if shape is None else edges_of[shape]
-        instance = _instance(problem, edges, held, feasible, stickiness, edge_cache)
+        instance = _instance(problem, edges, held, feasible, stickiness, edge_classes)
         if instance is None:
             for sub in group:
                 requests[sub] = {}

@@ -18,6 +18,7 @@ Two ladders matter for reproduction:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .types import PAPER_RESOLUTIONS, Resolution, StreamSpec, validate_feasible_set
@@ -158,8 +159,8 @@ def scale_qoe(streams: Sequence[StreamSpec], factor: float) -> List[StreamSpec]:
     This is the priority-weighting primitive of Sec. 4.4: "we can give the
     host's or speaker's streams higher QoE weights".
     """
-    if factor <= 0:
-        raise ValueError(f"priority factor must be positive, got {factor}")
+    if not 0 < factor < math.inf:
+        raise ValueError(f"priority factor must be positive and finite, got {factor}")
     return [
         StreamSpec(s.bitrate_kbps, s.resolution, s.qoe * factor) for s in streams
     ]

@@ -6,10 +6,11 @@ downlink to an MCKP instance: the downlink is a knapsack with capacity
 edge-feasible streams ``S_ii'``); an item's weight is the stream bitrate and
 its value the QoE utility; at most one item may be taken per class.
 
-The dynamic programs are array-based: one stacked candidate matrix per
-class (one row per item plus the skip row), reduced with a single
-``max``/``argmax`` over the shared capacity grid, with no per-capacity
-Python loop.  Their pure-Python originals
+The dynamic programs are array-based: one sweep per class gathers every
+candidate row (the skip row plus one shifted row per item) at once
+through a zero-copy window over the ``-inf``-padded value row, and
+reduces them with one ``max``/``argmax`` over the shared capacity grid,
+with no per-item or per-capacity Python loop.  Their pure-Python originals
 (:func:`_solve_mckp_dp_python` / :func:`_solve_mckp_dp_mandatory_python`)
 are kept as **reference oracles**: no production code calls them, and the
 tests require byte-identical results (``docs/SOLVER.md``).
@@ -42,7 +43,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +61,8 @@ NO_PICK: Optional[int] = None
 _NO_CHOICE = -1
 
 _NEG_INF = float("-inf")
+
+_chain = itertools.chain.from_iterable
 
 
 class KernelStats:
@@ -124,6 +127,11 @@ def _validate(classes: Sequence[Sequence[Item]], capacity: int) -> None:
     _check_capacity(capacity)
     for ci, cls in enumerate(classes):
         for wi, (weight, value) in enumerate(cls):
+            if not (math.isfinite(weight) and math.isfinite(value)):
+                raise ValueError(
+                    f"item {wi} of class {ci} is not finite: "
+                    f"weight {weight}, value {value}"
+                )
             if weight <= 0:
                 raise ValueError(
                     f"item {wi} of class {ci} has non-positive weight {weight}"
@@ -147,11 +155,8 @@ def _grid_weight(weight: int, granularity: int) -> int:
 def _class_grid_weights(
     cls: Sequence[Item], granularity: int
 ) -> List[int]:
-    """Grid weights of one class's items, computed once per (class, solve).
-
-    Both the DP sweep and the backtracking consult grid weights; hoisting
-    them per class avoids recomputing the ceil-division per (item, pass).
-    """
+    """Grid weights of one class's items, for the python oracles (the
+    array DPs compute them in :func:`_flatten`)."""
     return [_grid_weight(w, granularity) for w, _ in cls]
 
 
@@ -166,20 +171,133 @@ def _max_slots(grid_weights: Sequence[Sequence[int]]) -> int:
     return sum(max(gws, default=0) for gws in grid_weights)
 
 
-def _dp_arrays(
-    n_classes: int, max_items: int, slots: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fresh ``(value, stack, choices)`` buffers for one table: the value
-    row, the stacked candidate matrix (one row per item plus the skip
-    row) and the choice table, pre-filled with the no-choice sentinel.
-    Tables are clamped to a few hundred columns, so allocating them per
-    table costs less than keeping a per-thread pool."""
-    width = slots + 1
+class _Flat(NamedTuple):
+    """One class structure as flat arrays, every class led by its *skip
+    row*: class ``ci`` spans ``bounds[ci]:bounds[ci + 1]``, skip first,
+    then its items in order, so a row's offset in its class is the
+    item index plus one."""
+
+    bounds: List[int]
+    #: Grid weights, ``int64``; 0 on the skip rows.
+    grid: np.ndarray
+    #: Values, ``float64``; the skip rows hold ``skip``.
+    values: np.ndarray
+    #: The worth of skipping a class: ``0.0``, or ``-inf`` where a pick
+    #: is mandatory.
+    skip: float
+
+
+def _flatten(
+    classes: Sequence[Sequence[Item]], granularity: int, skip: float
+) -> _Flat:
+    """Validate ``classes`` and lay them out as a :class:`_Flat`, with
+    ``skip`` the worth of skipping a class (``0.0``, or ``-inf`` where a
+    pick is mandatory).
+
+    The optional pick's checks are array ops, and :func:`_validate` runs
+    only once they fail, so it raises its own messages in its own order.
+    A mandatory pick's skip rows hold ``-inf``, which those checks
+    refuse: its tables (Step 3's fix) are a few items, checked by
+    :func:`_validate` directly.
+    """
+    bounds = [0]
+    for cls in classes:
+        bounds.append(bounds[-1] + len(cls) + 1)
+    rows = bounds[-1]
+    items = np.fromiter(
+        _chain(_chain(((0, skip), *cls) for cls in classes)),
+        np.float64,
+        2 * rows,
+    ).reshape(rows, 2)
+    weights = items[:, 0]
+    if skip or (rows and not _plausible(items, rows - len(classes))):
+        _validate(classes, 0)
+    _check_granularity(granularity)
+    # Positive weights round up to at least one slot; the skips stay 0.
+    grid = (-(weights // -granularity)).astype(np.int64)
+    return _Flat(bounds, grid, items[:, 1], skip)
+
+
+def _plausible(items: np.ndarray, weighed: int) -> bool:
+    """Whether the ``(weight, value)`` rows of an optional-pick layout
+    are valid: all finite and non-negative, and all but the skip rows
+    weigh something (``weighed`` of them).  nan fails every comparison,
+    and min/max propagate it."""
+    weight, value = np.minimum.reduce(items, axis=0).tolist()
     return (
-        np.empty(width, dtype=np.float64),
-        np.empty((max_items + 1, width), dtype=np.float64),
-        np.full((n_classes, width), _NO_CHOICE, dtype=np.int32),
+        weight >= 0
+        and value >= 0
+        and np.count_nonzero(items[:, 0]) == weighed
+        and np.maximum.reduce(items, axis=None) < math.inf
     )
+
+
+def _heaviest(flat: _Flat) -> int:
+    """The array form of :func:`_max_slots`: the sum of the per-class
+    maximum grid weights (a class of no items weighs 0)."""
+    if len(flat.bounds) == 1:
+        return 0
+    return int(np.add.reduce(np.maximum.reduceat(flat.grid, flat.bounds[:-1])))
+
+
+def _sweep(flat: _Flat, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The DP over ``width`` grid columns: the final value row and the
+    choice table (per class and column, the winning row's offset in its
+    class; 0 = skipped).
+
+    Before the first class only the empty combination exists: the value
+    row starts at 0 in every column where it fits, i.e. everywhere for the
+    optional pick (``skip = 0``) and in column 0 alone for the mandatory
+    pick, whose columns are exact weights (``skip = -inf``).
+
+    Per class, **one** gather reads every candidate row at once: item
+    ``k``'s row is the value row shifted right by its grid weight, i.e.
+    row ``width - gw`` of a zero-copy window over the value row padded
+    with ``width`` ``-inf`` columns (a weight beyond the table clamps to
+    an all ``-inf`` row); the skip row is the unshifted one.  ``argmax``
+    takes the *first* maximizing row, which is the reference tie-break:
+    an item is taken only where it is strictly better than skipping, and
+    the lowest item index wins among equals.  Where a pick is mandatory
+    a column no item reaches is all ``-inf`` and so answers the skip
+    row, the "no choice" of the reference.
+
+    The table is reusable across capacities: column ``c`` only ever
+    reads columns ``<= c``, so for any ``s < width`` the prefix
+    ``[0..s]`` is exactly the table the DP would have built on an
+    ``s``-slot grid.  :class:`CapacityProfile` answers every capacity
+    of a class structure from one table this way.
+    """
+    grid, bounds = flat.grid, flat.bounds
+    padded = np.empty(2 * width)
+    padded[:width] = _NEG_INF
+    value = padded[width:]
+    value.fill(flat.skip)
+    value[0] = 0.0
+    window = np.ndarray((width + 1, width), np.float64, padded, 0, (8, 8))
+    rows = width - np.minimum(grid, width)
+    column = flat.values[:, None]
+    choices = np.empty((len(bounds) - 1, width), dtype=np.intp)
+    for ci in range(len(bounds) - 1):
+        lo, hi = bounds[ci], bounds[ci + 1]
+        # The gather copies, so reducing into `value` (a view of
+        # `padded`) cannot corrupt the candidates being reduced.
+        candidates = window[rows[lo:hi]]
+        candidates += column[lo:hi]
+        candidates.argmax(axis=0, out=choices[ci])
+        np.maximum.reduce(candidates, axis=0, out=value)
+    return value, choices
+
+
+def _backtrack(flat: _Flat, choices: np.ndarray, col: int) -> List[int]:
+    """Backtrack one start column: per class, the winning row's offset
+    (0 = skipped)."""
+    grid, bounds = flat.grid, flat.bounds
+    rows = [0] * (len(bounds) - 1)
+    for ci in range(len(rows) - 1, -1, -1):
+        row = int(choices[ci, col])
+        rows[ci] = row
+        col -= int(grid[bounds[ci] + row])
+    return rows
 
 
 def _empty_solution(n_classes: int) -> MckpSolution:
@@ -235,87 +353,42 @@ def solve_mckp_dp(
     Returns:
         The optimal (for the discretized instance) :class:`MckpSolution`.
     """
-    _validate(classes, capacity)
-    _check_granularity(granularity)
+    _check_capacity(capacity)
+    flat = _flatten(classes, granularity, 0.0)
     slots = capacity // granularity
     n = len(classes)
-    grid_weights = [_class_grid_weights(cls, granularity) for cls in classes]
-    width = min(slots, _max_slots(grid_weights))
+    width = min(slots, _heaviest(flat))
     _emit_solve_obs(get_registry(), n, width)
     if n == 0 or slots == 0:
         return _empty_solution(n)
-    value, choices = _dp_optional_table(classes, grid_weights, width)
+    value, choices = _sweep(flat, width + 1)
     col = int(np.argmax(value))  # argmax returns the smallest maximizing col
-    picks = _pick_list(_backtrack_columns(grid_weights, choices, [col])[0])
+    picks = [row - 1 if row else NO_PICK for row in _backtrack(flat, choices, col)]
     return _finish(classes, picks, capacity)
 
 
-def _dp_optional_table(
-    classes: Sequence[Sequence[Item]],
-    grid_weights: Sequence[Sequence[int]],
-    slots: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The array sweep of the optional-pick DP: per class, one stacked
-    candidate matrix (skip row + one shifted-add row per item) reduced by
-    ``max``/``argmax`` down the item axis.  Returns the final value row
-    and the full choice table.
-
-    ``argmax`` returns the *first* maximizing row, which reproduces the
-    reference tie-break exactly: skipping beats any equal-valued item, and
-    a lower item index beats a higher one (Table 1's deterministic picks).
-
-    The table is reusable across capacities: column ``c`` only ever reads
-    columns ``<= c``, so for any ``s <= slots`` the prefix ``[0..s]`` is
-    exactly the table the DP would have built on an ``s``-slot grid.
-    :class:`CapacityProfile` exploits this to answer every capacity of a
-    class structure from one table.
-    """
-    n = len(classes)
-    width = slots + 1
-    max_items = max(len(cls) for cls in classes)
-    value, stack, choices = _dp_arrays(n, max_items, slots)
-    value.fill(0.0)
-    for ci, cls in enumerate(classes):
-        rows = stack[: len(cls) + 1]
-        rows[0] = value  # skipping this class is always allowed
-        gws = grid_weights[ci]
-        for idx in range(len(cls)):
-            gw = gws[idx]
-            row = rows[idx + 1]
-            row.fill(_NEG_INF)
-            if gw <= slots:
-                np.add(value[: width - gw], cls[idx][1], out=row[gw:])
-        # rows are materialized copies, so reducing straight into `value`
-        # cannot corrupt the candidates being reduced.
-        choices[ci] = rows.argmax(axis=0) - 1  # row 0 (skip) -> _NO_CHOICE
-        rows.max(axis=0, out=value)
-    return value, choices
-
-
 def _backtrack_columns(
-    grid_weights: Sequence[Sequence[int]], choices, cols: Sequence[int]
+    flat: _Flat, choices: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Backtrack many start columns of one DP table in one pass.
 
     The class loop runs once for all columns, gathering each column's
     choice for class ``ci`` with a fancy index and stepping all columns
-    together.  Returns a ``(len(cols), n)`` array using :data:`_NO_CHOICE`
-    for skipped classes (``int8`` when every class has fewer than 128
-    items) — decision-for-decision identical to the oracle's scalar walk.
+    together.  Returns a ``(len(cols), n)`` array of item indices using
+    :data:`_NO_CHOICE` for skipped classes (``int8`` when every class has
+    fewer than 128 items) — decision-for-decision identical to the
+    oracle's scalar walk.
     """
-    n = len(grid_weights)
-    small = all(len(gws) < 128 for gws in grid_weights)
+    grid, bounds = flat.grid, flat.bounds
+    n = len(bounds) - 1
+    small = all(hi - lo <= 128 for lo, hi in zip(bounds, bounds[1:]))
     cols = np.array(cols, dtype=np.int64)
-    picks = np.full(
-        (cols.shape[0], n), _NO_CHOICE, dtype=np.int8 if small else np.int32
-    )
+    picks = np.empty((cols.shape[0], n), dtype=np.int8 if small else np.int32)
     for ci in range(n - 1, -1, -1):
-        idx = choices[ci][cols]
-        picks[:, ci] = idx
-        gws = np.asarray(grid_weights[ci], dtype=np.int64)
-        if gws.size:
-            # idx == -1 (skip) legally gathers gws[-1]; the where masks it.
-            cols -= np.where(idx != _NO_CHOICE, gws[idx], 0)
+        rows = choices[ci][cols]
+        picks[:, ci] = rows
+        cols -= grid[bounds[ci] :][rows]
+    picks -= 1  # row offset -> item index; the skip row -> _NO_CHOICE
     return picks
 
 
@@ -407,25 +480,23 @@ class CapacityProfile:
     def __init__(
         self, classes: Sequence[Sequence[Item]], granularity: int = 1
     ) -> None:
-        _validate(classes, 0)
-        _check_granularity(granularity)
+        flat = _flatten(classes, granularity, 0.0)
         self.classes = classes
         self.granularity = granularity
-        grid_weights = [_class_grid_weights(cls, granularity) for cls in classes]
-        #: Grid slots per table column: the GCD of all grid weights.
-        self.unit = math.gcd(*(gw for gws in grid_weights for gw in gws)) or 1
+        #: Grid slots per table column: the GCD of all grid weights (the
+        #: skip rows' zeros leave it alone).
+        self.unit = int(np.gcd.reduce(flat.grid)) or 1
         if self.unit > 1:
-            grid_weights = [[gw // self.unit for gw in gws] for gws in grid_weights]
-        columns = _max_slots(grid_weights)
+            np.floor_divide(flat.grid, self.unit, out=flat.grid)
+        columns = _heaviest(flat)
         _emit_solve_obs(get_registry(), len(classes), columns)
-        choices, rises = None, ()
-        if classes:
-            value, choices = _dp_optional_table(classes, grid_weights, columns)
-            rises = np.flatnonzero(value[1:] > value[:-1]) + 1
+        value, choices = _sweep(flat, columns + 1)
+        rises = np.flatnonzero(value[1:] > value[:-1]) + 1
+        breaks = np.concatenate(([0], rises))
         #: Ascending table columns where the value row rises; 0 first.
-        self.breaks = array("i", [0, *rises])
+        self.breaks = array("i", breaks.astype(np.intc).tobytes())
         #: ``(len(breaks), n)`` item index per class, ``-1`` = skipped.
-        self.picks = _backtrack_columns(grid_weights, choices, self.breaks)
+        self.picks = _backtrack_columns(flat, choices, breaks)
         #: breakpoint index -> materialized solution; -1 = the empty grid.
         self._solutions: Dict[int, MckpSolution] = {}
 
@@ -476,46 +547,23 @@ def solve_mckp_dp_mandatory(
         The optimal solution, or ``None`` when no feasible combination
         exists (the Eq. 17 test failed).
     """
-    _validate(classes, capacity)
-    _check_granularity(granularity)
+    _check_capacity(capacity)
+    # Skipping is worth -inf: a column no item reaches stays unreachable.
+    flat = _flatten(classes, granularity, _NEG_INF)
     _KERNEL_STATS.solves["mandatory"] += 1
     if any(len(cls) == 0 for cls in classes):
         return None
     n = len(classes)
     if n == 0:
         return MckpSolution((), 0.0, 0)
-    grid_weights = [_class_grid_weights(cls, granularity) for cls in classes]
-    slots = min(capacity // granularity, _max_slots(grid_weights))
-
-    width = slots + 1
-    max_items = max(len(cls) for cls in classes)
-    value, stack, choices = _dp_arrays(n, max_items, slots)
-    value.fill(_NEG_INF)
-    value[0] = 0.0
-    for ci, cls in enumerate(classes):
-        rows = stack[: len(cls)]  # no skip row: a pick is mandatory
-        gws = grid_weights[ci]
-        for idx in range(len(cls)):
-            gw = gws[idx]
-            row = rows[idx]
-            row.fill(_NEG_INF)
-            if gw <= slots:
-                np.add(value[: width - gw], cls[idx][1], out=row[gw:])
-        am = rows.argmax(axis=0)
-        rows.max(axis=0, out=value)
-        # Columns no item can reach keep the no-choice sentinel, exactly
-        # like the oracle's rows (argmax alone would report item 0 there).
-        choices[ci] = np.where(np.isfinite(value), am, _NO_CHOICE)
-
-    if not np.isfinite(value).any():
+    slots = min(capacity // granularity, _heaviest(flat))
+    value, choices = _sweep(flat, slots + 1)
+    col = int(value.argmax())
+    if value[col] == _NEG_INF:
         return None
-    col = int(np.argmax(value))
-    picks: List[int] = [0] * n
-    for ci in range(n - 1, -1, -1):
-        idx = int(choices[ci][col])
-        assert idx != _NO_CHOICE, "mandatory DP lost a pick during backtracking"
-        picks[ci] = idx
-        col -= grid_weights[ci][idx]
+    rows = _backtrack(flat, choices, col)
+    assert all(rows), "mandatory DP lost a pick during backtracking"
+    picks = [row - 1 for row in rows]
     total_weight = sum(classes[ci][idx][0] for ci, idx in enumerate(picks))
     total_value = sum(classes[ci][idx][1] for ci, idx in enumerate(picks))
     if total_weight > capacity:

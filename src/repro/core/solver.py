@@ -29,7 +29,7 @@ from ..obs.registry import get_registry
 from ..obs.spans import span
 from .constraints import Problem
 from .engine import EngineStats, default_mckp_cache
-from .knapsack import Requests, knapsack_step
+from .knapsack import EdgeClasses, Requests, knapsack_step
 from .mckp import kernel_stats
 from .merge import Policies, merge_step
 from .reduction import ReductionOutcome, reduction_step
@@ -309,6 +309,8 @@ class GsoSolver:
         #: The subscribers whose held stream the last reduction deleted;
         #: ``None`` before the first one.
         dirty: Optional[List[ClientId]] = None
+        #: Step 1's edge classes over ``feasible``, kept across iterations.
+        edge_classes: EdgeClasses = {}
 
         #: The steps of ``warm`` while this solve follows them, else ``None``.
         recorded: Optional[Tuple[_Step, ...]] = None
@@ -397,6 +399,7 @@ class GsoSolver:
                         cache=cache,
                         stats=stats.engine,
                         groups=groups,
+                        edge_classes=edge_classes,
                     )
                 )
             if step is not None and not problem.aliases:
@@ -457,6 +460,9 @@ class GsoSolver:
                 # not have.  The loop goes on from its current state.
                 recorded = None
             feasible[pub] = [s for s in feasible[pub] if s.resolution != res]
+            # Only ``pub``'s feasible set changed, so only its edge
+            # classes are stale.
+            edge_classes.pop(pub, None)
             reduced.append((pub, res))
             if not cfg.exhaustive_step1:
                 # The reduction removed only ``pub``'s streams at

@@ -14,6 +14,7 @@ bitrates in Kbps/Mbps; integer kbps keeps the knapsack arithmetic exact.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
@@ -81,10 +82,14 @@ class StreamSpec:
     qoe: float = field(compare=False)
 
     def __post_init__(self) -> None:
-        if self.bitrate_kbps <= 0:
-            raise ValueError(f"bitrate must be positive, got {self.bitrate_kbps}")
-        if self.qoe < 0:
-            raise ValueError(f"QoE weight must be non-negative, got {self.qoe}")
+        if not 0 < self.bitrate_kbps < math.inf:
+            raise ValueError(
+                f"bitrate must be positive and finite, got {self.bitrate_kbps}"
+            )
+        if not 0 <= self.qoe < math.inf:
+            raise ValueError(
+                f"QoE weight must be non-negative and finite, got {self.qoe}"
+            )
 
     @property
     def qoe_per_kbps(self) -> float:

@@ -266,6 +266,39 @@ class TestIterationCost:
         # webinar), not everyone held the deleted stream.
         assert stats.engine.step1_skipped > 0
 
+    @pytest.mark.parametrize("name", sorted(MEETINGS))
+    def test_a_reduction_rebuilds_only_its_publishers_edge_classes(
+        self, name, monkeypatch
+    ):
+        # Step 1's edge classes live for the whole solve: after deleting
+        # (pub, res) the next iteration builds classes of ``pub`` alone,
+        # each (publisher, resolution cap) at most once.
+        problem = self.MEETINGS[name]()
+        built = []  # per iteration: the (publisher, cap) classes built
+        step1 = solver.knapsack_step
+        feasible_for_edge = Problem.feasible_for_edge
+
+        def spy_knapsack(*args, **kwargs):
+            built.append([])
+            return step1(*args, **kwargs)
+
+        def spy_feasible(self, edge, restricted=None):
+            built[-1].append((self.canonical(edge.publisher), edge.max_resolution))
+            return feasible_for_edge(self, edge, restricted)
+
+        monkeypatch.setattr(solver, "knapsack_step", spy_knapsack)
+        monkeypatch.setattr(Problem, "feasible_for_edge", spy_feasible)
+        _, stats = GsoSolver(_config(25)).solve_with_stats(problem)
+
+        assert stats.iterations > 1
+        assert len(built) == stats.iterations
+        for keys in built:
+            assert len(keys) == len(set(keys))
+        for keys, (pub, _) in zip(built[1:], stats.reductions):
+            assert {key[0] for key in keys} <= {pub}
+        # Somebody held the deleted stream, so its classes were rebuilt.
+        assert any(built[1:])
+
     def test_fix_dp_runs_only_in_the_terminating_iteration(self, monkeypatch):
         calls = []  # fix_owner calls of the Step 3 in progress
         seen = []  # per iteration: (ended in a reduction, fix_owner calls)

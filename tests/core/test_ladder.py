@@ -123,3 +123,9 @@ class TestScaleQoe:
     def test_rejects_non_positive_factor(self):
         with pytest.raises(ValueError):
             scale_qoe(paper_ladder(), 0.0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_rejects_non_finite_factor(self, factor):
+        # nan slipped past `factor <= 0` and came back as nan weights.
+        with pytest.raises(ValueError, match="priority factor"):
+            scale_qoe(paper_ladder(), factor)

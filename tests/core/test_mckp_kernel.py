@@ -30,6 +30,7 @@ from repro.core.mckp import (
     kernel_stats,
     solve_mckp_dp,
     solve_mckp_dp_mandatory,
+    solve_mckp_exhaustive,
 )
 from repro.core.solver import GsoSolver, SolverConfig
 from repro.obs import enabled_registry
@@ -492,3 +493,119 @@ class TestGccOverestimate:
             tracemalloc.stop()
         # No table grew towards 10^9 columns (8 GB per float row).
         assert peak < 16 * 2**20
+
+
+class TestWindowSweep:
+    """The one-gather-per-class sweep against the oracles on the shapes
+    it could get wrong: weights past the clamped table (the window's
+    all ``-inf`` row), wide classes (``int32`` picks), integer ties in
+    the mandatory DP, and a build that must not touch its input."""
+
+    def test_items_heavier_than_the_clamped_table(self):
+        # Capacities far below some items: those rows clamp to the
+        # window's all -inf row and must never be picked.
+        rng = random.Random(41)
+        for _ in range(300):
+            classes = [
+                [
+                    (rng.choice([rng.randint(1, 30), rng.randint(200, 900)]),
+                     rng.choice([0.0, 1.0, rng.random() * 50]))
+                    for _ in range(rng.randint(1, 5))
+                ]
+                for _ in range(rng.randint(1, 4))
+            ]
+            cap = rng.randint(0, 120)
+            g = rng.choice([1, 7, 25])
+            both_optional(classes, cap, g)
+            both_mandatory(classes, cap, g)
+
+    def test_every_item_past_the_budget(self):
+        classes = [[(50, 1.0), (60, 2.0)], [(3, 1.0)]]
+        for cap in range(0, 50):
+            sol = both_optional(classes, cap)
+            assert sol.picks[0] is None
+            assert both_mandatory(classes, cap) is None
+
+    @pytest.mark.parametrize("size", [127, 128, 200])
+    def test_wide_classes_at_every_capacity(self, size):
+        rng = random.Random(size)
+        classes = tuple(
+            tuple(
+                (rng.randint(1, 40), float(rng.randint(0, 6)))
+                for _ in range(size)
+            )
+            for _ in range(2)
+        ) + (((3, 1.0), (5, 2.0)),)
+        profile = CapacityProfile(classes, 1)
+        assert profile.picks.dtype.itemsize == (1 if size < 128 else 4)
+        top = sum(max(w for w, _ in cls) for cls in classes) + 2
+        for cap in range(top + 1):
+            got = profile.solution(cap)
+            want = _solve_mckp_dp_python(classes, cap)
+            assert pickle.dumps(got) == pickle.dumps(want), cap
+        for cap in range(0, top + 1, 7):
+            both_optional(classes, cap)
+            both_mandatory(classes, cap)
+
+    def test_mandatory_integer_ties(self):
+        # Small-integer values and weights: many combinations tie on
+        # total value, so the answer rests on the tie-break alone.
+        rng = random.Random(43)
+        for _ in range(400):
+            classes = [
+                [
+                    (rng.randint(1, 6) * rng.choice([1, 40]),
+                     float(rng.randint(0, 3)))
+                    for _ in range(rng.randint(1, 5))
+                ]
+                for _ in range(rng.randint(1, 4))
+            ]
+            both_mandatory(classes, rng.randint(0, 60), rng.choice([1, 2, 5]))
+
+    def test_profile_build_is_repeatable_and_leaves_input_alone(self):
+        rng = random.Random(47)
+        classes = tuple(
+            tuple(
+                (rng.randint(1, 12) * 50, rng.random() * 30)
+                for _ in range(rng.randint(1, 6))
+            )
+            for _ in range(5)
+        )
+        before = pickle.dumps(classes)
+        first, second = CapacityProfile(classes, 1), CapacityProfile(classes, 1)
+        assert pickle.dumps(classes) == before
+        assert first.unit == second.unit == 50
+        assert first.breaks == second.breaks
+        assert first.picks.dtype == second.picks.dtype
+        assert (first.picks == second.picks).all()
+
+
+class TestNonFiniteValues:
+    """A nan or inf QoE is refused at every entry point, with one message:
+    the kernels used to disagree on it (``solve_mckp_dp`` picked the nan
+    item, the python oracle the other one, a profile neither)."""
+
+    CLASSES = (((100, float("nan")), (200, 1.0)), ((50, 2.0),))
+
+    ENTRY_POINTS = {
+        "array": lambda c: solve_mckp_dp(c, 300),
+        "oracle": lambda c: _solve_mckp_dp_python(c, 300),
+        "profile": lambda c: CapacityProfile(c, 1),
+        "mandatory": lambda c: solve_mckp_dp_mandatory(c, 300),
+        "mandatory_oracle": lambda c: _solve_mckp_dp_mandatory_python(c, 300),
+        "exhaustive": lambda c: solve_mckp_exhaustive(c, 300),
+    }
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejected_everywhere(self, entry, bad):
+        solve = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match="item 0 of class 1 is not finite"):
+            solve((((100, 1.0),), ((50, bad), (200, 1.0))))
+        with pytest.raises(ValueError, match="item 1 of class 0 is not finite"):
+            solve((((100, 1.0), (bad, 1.0)), ((50, 2.0),)))
+
+    def test_the_disagreeing_instance(self):
+        for name, entry in self.ENTRY_POINTS.items():
+            with pytest.raises(ValueError, match="not finite"):
+                entry(self.CLASSES)

@@ -42,6 +42,18 @@ class TestStreamSpec:
         with pytest.raises(ValueError, match="QoE"):
             StreamSpec(100, Resolution.P180, -1.0)
 
+    # A non-finite QoE or bitrate used to be accepted, and the DP paths
+    # then disagreed on what to pick.
+    @pytest.mark.parametrize("qoe", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_qoe(self, qoe):
+        with pytest.raises(ValueError, match="QoE"):
+            StreamSpec(300, Resolution.P90, qoe)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_non_finite_bitrate(self, rate):
+        with pytest.raises(ValueError, match="bitrate"):
+            StreamSpec(rate, Resolution.P90, 1.0)
+
     def test_qoe_per_kbps(self):
         s = StreamSpec(300, Resolution.P180, 300.0)
         assert s.qoe_per_kbps == pytest.approx(1.0)
