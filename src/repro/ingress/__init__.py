@@ -2,22 +2,22 @@
 
 Public surface of the subsystem (see ``docs/INGRESS.md``):
 
-- :mod:`repro.ingress.aio` — deterministic coroutine runtime on the
-  discrete-event simulator (:class:`SimRuntime`, :class:`SimFuture`,
-  :class:`VirtualSemaphore`).
+- :mod:`repro.ingress.aio` — the plane's clock, a thin facade over the
+  discrete-event simulator (:class:`SimRuntime`).
 - :mod:`repro.ingress.events` — the typed stream vocabulary and the
   seeded stream generator.
 - :mod:`repro.ingress.mailbox` — per-meeting bounded mailboxes.
 - :mod:`repro.ingress.faults` — delayed/dropped SEMB injected into the
   event stream itself.
 - :mod:`repro.ingress.plane` — dispatcher, per-meeting workers,
-  backpressure ladder and the bounded solve executor.
+  backpressure ladder and the bounded solve executor, as plain
+  simulator callbacks (one timer per stage).
 
 Seeded end-to-end runs of the plane, with invariant checks and a
 canonical report, are :class:`repro.chaos.ChaosRunner`'s job.
 """
 
-from .aio import SimFuture, SimRuntime, SimTask, VirtualSemaphore
+from .aio import SimRuntime
 from .events import (
     ALL_STREAM_KINDS,
     LinkEstimate,
@@ -37,7 +37,7 @@ from .faults import (
     StreamFault,
     StreamFaultInjector,
 )
-from .mailbox import Envelope, Mailbox, MailboxStats
+from .mailbox import Envelope, Mailbox
 from .plane import (
     BackendDecision,
     ClusterBackend,
@@ -61,21 +61,17 @@ __all__ = [
     "IngressPlane",
     "LinkEstimate",
     "Mailbox",
-    "MailboxStats",
     "PlaneStats",
     "PublisherJoin",
     "PublisherLeave",
     "RejectedEvent",
     "SembReport",
-    "SimFuture",
     "SimRuntime",
-    "SimTask",
     "StreamConfig",
     "StreamEvent",
     "StreamFault",
     "StreamFaultInjector",
     "SubscriptionChange",
-    "VirtualSemaphore",
     "generate_stream",
     "sort_stream",
 ]

@@ -24,6 +24,7 @@ simulator heap and :class:`~repro.net.link.FaultyLink` delay buffer use.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Sequence, Tuple
@@ -122,6 +123,11 @@ class StreamConfig:
     mutations_per_meeting: float = 2.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "duration_s", "report_interval_s", "mutations_per_meeting",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.report_interval_s <= 0:

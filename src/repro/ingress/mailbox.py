@@ -1,12 +1,12 @@
 """Per-meeting bounded mailboxes: the ingress demand buffer.
 
-One mailbox per meeting, one consumer coroutine per mailbox.  The box is
-FIFO within its meeting (ingress replays stay causal) and **bounded**:
-when a put would exceed capacity, the *oldest* entry is evicted —
-newest-snapshot-wins, the same coalescing discipline the shard
-scheduler applies to its pending slot — and the overflow is flagged so
-the consumer can shed its next decision instead of pretending it kept
-up.
+One mailbox per meeting.  The box is FIFO within its meeting (ingress
+replays stay causal) and **bounded**: when a put would exceed capacity,
+the *oldest* entry is evicted — newest-snapshot-wins, the same
+coalescing discipline the shard scheduler applies to its pending slot —
+and the overflow is flagged so the plane can shed the meeting's next
+decision instead of pretending it kept up.  The plane owns the
+accounting (:class:`~repro.ingress.plane.PlaneStats`).
 """
 
 from __future__ import annotations
@@ -15,21 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
 
-from .aio import SimFuture, SimRuntime
 from .events import StreamEvent
-
-#: Sentinel a timed-out ``get`` resolves to internally.
-_TIMEOUT = object()
-
-
-@dataclass
-class MailboxStats:
-    """Lifetime accounting of one mailbox."""
-
-    enqueued: int = 0
-    dequeued: int = 0
-    evicted: int = 0
-    max_depth: int = 0
 
 
 @dataclass
@@ -41,18 +27,15 @@ class Envelope:
 
 
 class Mailbox:
-    """A bounded FIFO of :class:`Envelope` with one awaiting consumer."""
+    """A bounded FIFO of :class:`Envelope`."""
 
-    def __init__(self, runtime: SimRuntime, capacity: int = 16) -> None:
+    def __init__(self, capacity: int = 16) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._runtime = runtime
         self.capacity = capacity
         self._items: Deque[Envelope] = deque()
-        self._waiter: Optional[SimFuture] = None
-        #: Set when an eviction happened since the consumer last drained.
+        #: Set when an eviction happened since the plane last decided.
         self.overflowed = False
-        self.stats = MailboxStats()
 
     @property
     def depth(self) -> int:
@@ -64,50 +47,18 @@ class Mailbox:
         evicted: Optional[Envelope] = None
         if len(self._items) >= self.capacity:
             evicted = self._items.popleft()
-            self.stats.evicted += 1
             self.overflowed = True
         self._items.append(envelope)
-        self.stats.enqueued += 1
-        self.stats.max_depth = max(self.stats.max_depth, len(self._items))
-        if self._waiter is not None:
-            waiter, self._waiter = self._waiter, None
-            waiter.set_result(None)
         return evicted
 
-    async def get(self, timeout_s: Optional[float] = None) -> Optional[Envelope]:
-        """Dequeue the oldest envelope; ``None`` on timeout.
-
-        At most one consumer may wait at a time (each meeting has exactly
-        one worker coroutine).
-        """
-        while True:
-            if self._items:
-                envelope = self._items.popleft()
-                self.stats.dequeued += 1
-                return envelope
-            if self._waiter is not None:
-                raise RuntimeError("mailbox already has a waiting consumer")
-            fut = self._runtime.future()
-            self._waiter = fut
-            handle = None
-            if timeout_s is not None:
-                handle = self._runtime.sim.schedule(
-                    timeout_s, lambda: fut.set_result(_TIMEOUT)
-                )
-            value = await fut
-            if self._waiter is fut:
-                self._waiter = None
-            if value is _TIMEOUT:
-                return None
-            if handle is not None:
-                self._runtime.sim.cancel(handle)
-            # a put arrived; loop back and pop it
+    def pop(self) -> Envelope:
+        """Dequeue the oldest envelope (the box must not be empty)."""
+        return self._items.popleft()
 
     def drain(self) -> List[Envelope]:
         """Pop everything queued right now (the coalesce window closes)."""
         out = list(self._items)
         self._items.clear()
-        self.stats.dequeued += len(out)
         return out
 
     def take_overflow(self) -> bool:

@@ -9,42 +9,50 @@ out, and every failure degrades to the single-stream fallback (Sec. 7):
    stream faults (:mod:`repro.ingress.faults`) drop or re-schedule the
    offer before it reaches a mailbox, and an event the backend rejects
    as malformed is counted, logged and goes no further.
-2. **Coalesce + backpressure.**  A per-meeting worker coroutine opens a
-   decision window on the first event and sleeps
-   :func:`~repro.cluster.scheduler.backpressure_window_s`
-   — the Fig. 12 envelope as the backpressure ladder.  The deeper
-   the mailbox, the wider the window, the more events one solve absorbs.
+2. **Coalesce + backpressure.**  The meeting's worker opens a decision
+   window on the first event and holds it
+   :func:`~repro.cluster.scheduler.backpressure_window_s` long — the
+   Fig. 12 envelope as the backpressure ladder.  The deeper the
+   mailbox, the wider the window, the more events one solve absorbs.
 3. **Shed.**  The ladder's last rung: a mailbox that overflowed, or an
    executor already at the admission budget, degrades the decision to
    the Sec. 7 ``single_stream_fallback`` via the backend's shed path.
-4. **Execute.**  Admitted decisions acquire an executor slot
-   (:class:`~repro.ingress.aio.VirtualSemaphore` around the cluster's
-   solve pool), spend a deterministic virtual service time, and commit.
-   In-flight solves overlap with ingestion — the dispatcher never
-   blocks on a solve.
+4. **Execute.**  Admitted decisions take an executor slot (or queue
+   FIFO for one), spend a deterministic virtual service time, and
+   commit.  In-flight solves overlap with ingestion — the dispatcher
+   never blocks on a solve.
 5. **Complete.**  The commit emits a ``tmmbr_push`` completion event
    (``tmmbr_lost`` when the backend reports the push undelivered)
    carrying the decision's correlation id (the id minted for the oldest
    event in the drained batch), closing the causal chain end-to-end.
 
-Everything runs on the deterministic :class:`~repro.ingress.aio.SimRuntime`:
-same seed, same stream, same interleaving — byte-identical event logs.
+Every stage is one plain callback on the plane's
+:class:`~repro.ingress.aio.SimRuntime` simulator: an idle meeting waits
+for a put with its Fig. 12 ceiling timer armed, then one timer each for
+its window and its service.  The one zero-delay hop is put -> window
+open, so that a window opens after every offer of its instant and its
+width reads the whole burst's depth.  Same seed, same stream, same
+interleaving — byte-identical event logs.  A backend exception is not
+caught: it propagates out of :meth:`IngressPlane.run_stream` at the
+virtual instant it happened.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..cluster.scheduler import backpressure_window_s
 from ..core.solution import solution_digest
+from ..net.simulator import EventHandle
 from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from ..obs.spans import span
 from ..placement.loadmodel import meeting_cost
-from .aio import SimRuntime, VirtualSemaphore
+from .aio import SimRuntime
 from .events import (
     KIND_JOIN,
     KIND_LEAVE,
@@ -66,9 +74,8 @@ SHED_OVERFLOW = "overflow"
 SHED_ADMISSION = "admission"
 
 #: Virtual executor pacing, not a latency prediction: how long a decision
-#: occupies a :class:`VirtualSemaphore` slot in *virtual* time, which
-#: fixes decision order, ``decisions_digest`` and
-#: ``ingress.virtual_latency_p95``.  The measured wall-clock slope is
+#: holds an executor slot in *virtual* time, which fixes decision order,
+#: ``decisions_digest`` and ``ingress.virtual_latency_p95``.  The measured wall-clock slope is
 #: ``placement.sec_per_cost_fit`` in ``bench/`` (2.2e-5 - 8.1e-5 s/cost);
 #: refitting or deleting these re-baselines every digest.
 PACING_S_PER_COST = 1e-6
@@ -86,8 +93,6 @@ class IngressConfig:
     mailbox_capacity: int = 16
     #: Concurrent executor slots (solves in flight at once).
     solve_slots: int = 4
-    #: Keep idle meetings refreshed on the Fig. 12 max-interval ceiling.
-    idle_refresh: bool = True
     #: Extra virtual time after the last stream event for in-flight
     #: decisions (and one trailing refresh window) to drain.
     drain_s: float = 4.0
@@ -97,8 +102,10 @@ class IngressConfig:
             raise ValueError("mailbox_capacity must be >= 1")
         if self.solve_slots < 1:
             raise ValueError("solve_slots must be >= 1")
-        if self.drain_s < 0:
-            raise ValueError("drain_s must be non-negative")
+        if not (math.isfinite(self.drain_s) and self.drain_s >= 0):
+            raise ValueError(
+                f"drain_s must be finite and >= 0, got {self.drain_s}"
+            )
 
 
 @dataclass
@@ -141,6 +148,9 @@ class PlaneStats:
     #: rejected``).
     rejected: int = 0
     enqueued: int = 0
+    #: Envelopes taken out of a mailbox (``enqueued == dequeued +
+    #: evicted + still queued``).
+    dequeued: int = 0
     evicted: int = 0
     #: Events a ``drop_semb`` fault window consumed, per meeting.
     dropped_by_meeting: Dict[str, int] = field(default_factory=dict)
@@ -315,6 +325,37 @@ class ClusterBackend(IngressBackend):
         )
 
 
+class _Worker:
+    """One meeting's place in the loop.
+
+    A worker is *idle* (waiting for a put, with its Fig. 12 ceiling armed
+    once it has decided) or busy: in a decision window, queued for an
+    executor slot, or in service.  Each timed stage is one simulator
+    timer; the queue is a FIFO on the plane.
+    """
+
+    __slots__ = ("meeting", "box", "idle", "ceiling", "last_decision_s")
+
+    def __init__(self, meeting: str, box: Mailbox) -> None:
+        self.meeting = meeting
+        self.box = box
+        self.idle = True
+        self.ceiling: Optional[EventHandle] = None
+        self.last_decision_s: Optional[float] = None
+
+
+class _Job(NamedTuple):
+    """One decision, from its window's close (or its ceiling) to its
+    commit."""
+
+    worker: _Worker
+    batch: List[Envelope]
+    opened_at_s: float
+    trigger: str
+    cid: str
+    payload: object
+
+
 class IngressPlane:
     """Dispatcher + per-meeting workers + bounded executor, on virtual time."""
 
@@ -331,10 +372,11 @@ class IngressPlane:
         get_registry().watch(self.stats.samples)
         self.decisions: List[Decision] = []
         self.injector: Optional[StreamFaultInjector] = None
-        self._mailboxes: Dict[str, Mailbox] = {}
-        self._executor = VirtualSemaphore(runtime, self.config.solve_slots)
-        self._last_decision_s: Dict[str, float] = {}
-        self._seen_payload: Dict[str, bool] = {}
+        self._workers: Dict[str, _Worker] = {}
+        #: Executor slots held, and the admitted jobs waiting for one
+        #: (FIFO: a released slot goes to the oldest).
+        self._in_use = 0
+        self._queue: Deque[_Job] = deque()
         self._stop_at_s = float("inf")
 
     # ------------------------------------------------------------------ #
@@ -366,9 +408,21 @@ class IngressPlane:
                     seq=event.seq,
                 )
             return False
-        box = self._mailbox(event.meeting)
+        worker = self._workers.get(event.meeting)
+        if worker is None:
+            box = Mailbox(capacity=self.config.mailbox_capacity)
+            worker = self._workers[event.meeting] = _Worker(event.meeting, box)
+        box = worker.box
         cid = log.mint(event.meeting) if log is not None else ""
         evicted = box.put(Envelope(event=event, cid=cid))
+        if worker.idle:
+            # The one zero-delay hop: the window opens after every offer
+            # of this instant, so its width reads the whole burst's depth.
+            worker.idle = False
+            if worker.ceiling is not None:
+                self.runtime.sim.cancel(worker.ceiling)
+                worker.ceiling = None
+            self.runtime.sim.schedule(0.0, lambda: self._next(worker))
         self.stats.enqueued += 1
         if evicted is not None:
             self.stats.evicted += 1
@@ -435,7 +489,8 @@ class IngressPlane:
 
         Equal-time offers keep stream order: they are scheduled in stream
         order up front and the simulator breaks time ties by insertion
-        sequence.
+        sequence.  An exception a backend raises propagates from here
+        at the virtual instant it happened.
         """
         self.injector = faults
         horizon = 0.0
@@ -448,67 +503,68 @@ class IngressPlane:
             horizon = max(horizon, duration_s)
         self._stop_at_s = horizon
         self.runtime.run_until(horizon + self.config.drain_s)
-        self.runtime.raise_task_errors()
 
     # ------------------------------------------------------------------ #
     # Per-meeting decision workers
     # ------------------------------------------------------------------ #
 
-    def _mailbox(self, meeting: str) -> Mailbox:
-        box = self._mailboxes.get(meeting)
-        if box is None:
-            box = Mailbox(self.runtime, capacity=self.config.mailbox_capacity)
-            self._mailboxes[meeting] = box
-            self.runtime.spawn(
-                self._worker(meeting, box), name=f"worker:{meeting}"
-            )
-        return box
-
-    async def _worker(self, meeting: str, box: Mailbox) -> None:
-        backend = self.backend
-        while True:
-            timeout = (
-                backend.max_interval_s if self.config.idle_refresh else None
-            )
-            env = await box.get(timeout_s=timeout)
-            now = self.runtime.now
-            if env is None:
-                # Fig. 12 ceiling: idle refresh from the last snapshot.
-                if now > self._stop_at_s:
-                    return
-                if not self._seen_payload.get(meeting):
-                    continue
-                self.stats.idle_refreshes += 1
-                await self._decide(meeting, box, batch=[], opened_at_s=now)
-                continue
-            if now > self._stop_at_s and env.event.kind == KIND_SEMB:
+    def _next(self, worker: _Worker) -> None:
+        """The worker is free: open a window on its oldest queued event,
+        or go idle with the Fig. 12 ceiling armed."""
+        box = worker.box
+        while box.depth:
+            env = box.pop()
+            self.stats.dequeued += 1
+            if (
+                self.runtime.now > self._stop_at_s
+                and env.event.kind == KIND_SEMB
+            ):
                 # Past the stream horizon only mutations still commit.
                 continue
-            # Open a decision window: widen with depth (the envelope as a
-            # backpressure ladder), floored at the Fig. 12 min interval.
-            window = backend.backpressure_window_s(
-                meeting, box.depth + 1, self.config.mailbox_capacity
-            )
-            last = self._last_decision_s.get(meeting)
-            if last is not None:
-                window = max(window, last + backend.min_interval_s - now)
-            await self.runtime.sleep(window)
-            batch = [env] + box.drain()
-            await self._decide(
-                meeting, box, batch=batch, opened_at_s=env.event.at_s
-            )
+            self._open(worker, env)
+            return
+        worker.idle = True
+        worker.ceiling = self.runtime.sim.schedule(
+            self.backend.max_interval_s, lambda: self._ceiling(worker)
+        )
 
-    async def _decide(
-        self,
-        meeting: str,
-        box: Mailbox,
-        batch: List[Envelope],
-        opened_at_s: float,
-    ) -> None:
-        runtime = self.runtime
+    def _open(self, worker: _Worker, env: Envelope) -> None:
+        """Open a decision window: widen with depth (the envelope as a
+        backpressure ladder), floored at the Fig. 12 min interval."""
         backend = self.backend
+        window = backend.backpressure_window_s(
+            worker.meeting, worker.box.depth + 1, self.config.mailbox_capacity
+        )
+        last = worker.last_decision_s
+        if last is not None:
+            window = max(
+                window, last + backend.min_interval_s - self.runtime.now
+            )
+        self.runtime.sim.schedule(window, lambda: self._close(worker, env))
+
+    def _close(self, worker: _Worker, env: Envelope) -> None:
+        """The window closes: its whole batch goes into one decision."""
+        drained = worker.box.drain()
+        self.stats.dequeued += len(drained)
+        self._decide(worker, [env] + drained, opened_at_s=env.event.at_s)
+
+    def _ceiling(self, worker: _Worker) -> None:
+        """Fig. 12 ceiling: an idle meeting re-decides its last snapshot."""
+        worker.idle = False
+        worker.ceiling = None
+        now = self.runtime.now
+        if now > self._stop_at_s:
+            return  # the run is draining; the worker retires
+        self.stats.idle_refreshes += 1
+        self._decide(worker, [], opened_at_s=now)
+
+    def _decide(
+        self, worker: _Worker, batch: List[Envelope], opened_at_s: float
+    ) -> None:
+        backend = self.backend
+        meeting = worker.meeting
         log = obs_events.active_event_log()
-        now = runtime.now
+        now = self.runtime.now
         if batch:
             trigger = "event"
             cid = batch[0].cid
@@ -539,74 +595,93 @@ class IngressPlane:
                 coalesced=coalesced,
             )
         payload = backend.payload(meeting)
-        self._seen_payload[meeting] = True
-        overflowed = box.take_overflow()
+        job = _Job(worker, batch, opened_at_s, trigger, cid, payload)
         shed_reason = ""
-        if overflowed:
+        if worker.box.take_overflow():
             shed_reason = SHED_OVERFLOW
-        elif backend.over_budget(
-            meeting, self._executor.in_use + self._executor.waiting
-        ):
+        elif backend.over_budget(meeting, self._in_use + len(self._queue)):
             shed_reason = SHED_ADMISSION
-        # The span times the synchronous backend call only: a span held
-        # across an ``await`` would also time every other meeting's work.
-        if shed_reason:
-            if shed_reason == SHED_OVERFLOW:
-                self.stats.shed_overflow += 1
+        if not shed_reason:
+            if self._in_use < self.config.solve_slots:
+                self._in_use += 1
+                self._start_service(job)
             else:
-                self.stats.shed_admission += 1
-            if log is not None:
-                log.emit(
-                    obs_events.INGRESS_SHED,
-                    t=now,
-                    meeting=meeting,
-                    cid=cid,
-                    reason=shed_reason,
-                )
-            with span(obs_names.SPAN_INGRESS_DECIDE):
-                result = backend.shed(meeting, payload, now, trigger, cid)
+                self._queue.append(job)
+            return
+        if shed_reason == SHED_OVERFLOW:
+            self.stats.shed_overflow += 1
         else:
-            await self._executor.acquire()
-            try:
-                await runtime.sleep(backend.service_s(meeting, payload))
-                with span(obs_names.SPAN_INGRESS_DECIDE):
-                    result = backend.decide(
-                        meeting, payload, runtime.now, trigger, cid
-                    )
-            finally:
-                self._executor.release()
-        decided_at = runtime.now
+            self.stats.shed_admission += 1
+        if log is not None:
+            log.emit(
+                obs_events.INGRESS_SHED,
+                t=now,
+                meeting=meeting,
+                cid=cid,
+                reason=shed_reason,
+            )
+        with span(obs_names.SPAN_INGRESS_DECIDE):
+            result = backend.shed(meeting, payload, now, trigger, cid)
+        self._commit(job, result)
+
+    def _start_service(self, job: _Job) -> None:
+        """Hold the job's executor slot for its virtual service time."""
+        self.runtime.sim.schedule(
+            self.backend.service_s(job.worker.meeting, job.payload),
+            lambda: self._serve(job),
+        )
+
+    def _serve(self, job: _Job) -> None:
+        """Service ends: solve, hand the slot on, commit."""
+        # The span times the synchronous backend call only.
+        with span(obs_names.SPAN_INGRESS_DECIDE):
+            result = self.backend.decide(
+                job.worker.meeting, job.payload, self.runtime.now,
+                job.trigger, job.cid,
+            )
+        if self._queue:
+            self._start_service(self._queue.popleft())
+        else:
+            self._in_use -= 1
+        self._commit(job, result)
+
+    def _commit(self, job: _Job, result: BackendDecision) -> None:
+        """Record the decision, push its TMMBR, free the worker."""
+        worker = job.worker
+        decided_at = self.runtime.now
         decision = Decision(
-            meeting=meeting,
-            cid=cid,
-            opened_at_s=opened_at_s,
+            meeting=worker.meeting,
+            cid=job.cid,
+            opened_at_s=job.opened_at_s,
             decided_at_s=decided_at,
-            batch=len(batch),
-            trigger=trigger,
+            batch=len(job.batch),
+            trigger=job.trigger,
             source=result.source,
             digest=result.digest,
-            payload=payload,
+            payload=job.payload,
             solution=result.solution,
         )
         self.decisions.append(decision)
         self.stats.decisions += 1
-        self._last_decision_s[meeting] = decided_at
+        worker.last_decision_s = decided_at
         reg = get_registry()
         if reg.enabled:
             reg.histogram(obs_names.INGRESS_DECISION_SECONDS).observe(
                 decision.latency_s
             )
+        log = obs_events.active_event_log()
         if log is not None:
             log.emit(
                 obs_events.TMMBR_PUSH
                 if result.delivered
                 else obs_events.TMMBR_LOST,
                 t=decided_at,
-                meeting=meeting,
-                cid=cid,
+                meeting=worker.meeting,
+                cid=job.cid,
                 source=result.source,
                 latency_s=round(decision.latency_s, 6),
             )
+        self._next(worker)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -615,19 +690,7 @@ class IngressPlane:
     @property
     def meetings(self) -> List[str]:
         """Meetings with a live mailbox, sorted."""
-        return sorted(self._mailboxes)
-
-    def mailbox_stats(self) -> Dict[str, object]:
-        """Aggregate mailbox accounting across meetings."""
-        return {
-            meeting: {
-                "enqueued": box.stats.enqueued,
-                "dequeued": box.stats.dequeued,
-                "evicted": box.stats.evicted,
-                "max_depth": box.stats.max_depth,
-            }
-            for meeting, box in sorted(self._mailboxes.items())
-        }
+        return sorted(self._workers)
 
     def latency_percentile_s(self, q: float) -> float:
         """Nearest-rank percentile of virtual decision latency."""

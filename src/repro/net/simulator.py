@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -111,8 +112,12 @@ class Simulator:
         """Process events in order until the clock reaches ``t_end``.
 
         The clock is left exactly at ``t_end`` (events scheduled at
-        precisely ``t_end`` are executed).
+        precisely ``t_end`` are executed).  A NaN ``t_end`` is refused:
+        it compares false against every event time, so the loop would
+        return without firing anything that is due.
         """
+        if math.isnan(t_end):
+            raise ValueError("cannot run until NaN")
         while self._heap and self._heap[0][0] <= t_end:
             when, seq, callback = heapq.heappop(self._heap)
             if seq in self._cancelled:

@@ -3,8 +3,9 @@
 A span observes the wall-clock duration of one synchronous scope into
 the registry histogram :data:`repro.obs.names.SPAN_SECONDS` under its
 own name (label ``span``).  It keeps no other state, so spans opened by
-different threads or coroutines cannot disturb each other; keep
-``await`` outside a span, or it also times whatever ran meanwhile.
+different threads cannot disturb each other.  A span must close before
+the callback that opened it returns, or it also times whatever the
+simulator ran meanwhile.
 
 When the registry is disabled (the default), :func:`span` returns one
 shared no-op context manager: entering and exiting costs two empty

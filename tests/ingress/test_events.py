@@ -25,6 +25,18 @@ class TestStreamConfig:
         with pytest.raises(ValueError):
             StreamConfig(mutations_per_meeting=-1)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["duration_s", "report_interval_s", "mutations_per_meeting"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_refuses_non_finite_sizing(self, field, value):
+        # inf duration used to hang generate_stream; nan duration or
+        # interval yielded a 4-event stream; nan mutations died converting
+        # NaN to an integer.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            StreamConfig(**{field: value})
+
 
 class TestGenerateStream:
     def _stream(self, seed=3, **kw):

@@ -6,7 +6,6 @@ oldest-evicted overflow under arbitrary put sequences.
 
 import pytest
 
-from repro.ingress.aio import SimRuntime
 from repro.ingress.events import SembReport
 from repro.ingress.mailbox import Envelope, Mailbox
 
@@ -20,75 +19,40 @@ def _env(i, meeting="m"):
 
 class TestMailboxBasics:
     def test_put_then_drain_is_fifo(self):
-        box = Mailbox(SimRuntime(), capacity=8)
+        box = Mailbox(capacity=8)
         for i in range(5):
             assert box.put(_env(i)) is None
+            assert box.depth == i + 1
         assert [e.event.seq for e in box.drain()] == [0, 1, 2, 3, 4]
         assert box.depth == 0
-        assert box.stats.enqueued == 5
-        assert box.stats.dequeued == 5
-        assert box.stats.max_depth == 5
+
+    def test_pop_takes_the_oldest(self):
+        box = Mailbox(capacity=4)
+        for i in range(3):
+            box.put(_env(i))
+        assert box.pop().event.seq == 0
+        assert box.depth == 2
+        assert [e.event.seq for e in box.drain()] == [1, 2]
 
     def test_overflow_evicts_oldest(self):
-        box = Mailbox(SimRuntime(), capacity=2)
+        box = Mailbox(capacity=2)
         assert box.put(_env(0)) is None
         assert box.put(_env(1)) is None
         evicted = box.put(_env(2))
         assert evicted is not None and evicted.event.seq == 0
+        assert box.depth == 2
         assert [e.event.seq for e in box.drain()] == [1, 2]
-        assert box.stats.evicted == 1
 
     def test_overflow_flag_is_read_and_clear(self):
-        box = Mailbox(SimRuntime(), capacity=1)
+        box = Mailbox(capacity=1)
         box.put(_env(0))
         box.put(_env(1))
         assert box.take_overflow() is True
         assert box.take_overflow() is False
 
-    def test_get_wakes_on_put(self):
-        runtime = SimRuntime()
-        box = Mailbox(runtime, capacity=4)
-        got = []
-
-        async def consumer():
-            got.append(await box.get())
-
-        runtime.spawn(consumer())
-        runtime.call_at(1.0, lambda: box.put(_env(7)))
-        runtime.run_until(5.0)
-        runtime.raise_task_errors()
-        assert [e.event.seq for e in got] == [7]
-
-    def test_get_times_out_to_none(self):
-        runtime = SimRuntime()
-        box = Mailbox(runtime, capacity=4)
-        got = []
-
-        async def consumer():
-            got.append(await box.get(timeout_s=2.0))
-            got.append(runtime.now)
-
-        runtime.spawn(consumer())
-        runtime.run_until(5.0)
-        runtime.raise_task_errors()
-        assert got == [None, 2.0]
-
-    def test_second_waiter_rejected(self):
-        runtime = SimRuntime()
-        box = Mailbox(runtime, capacity=4)
-
-        async def consumer():
-            await box.get()
-
-        runtime.spawn(consumer())
-        runtime.spawn(consumer())
-        runtime.run_until(1.0)
-        with pytest.raises(RuntimeError, match="waiting consumer"):
-            runtime.raise_task_errors()
-
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            Mailbox(SimRuntime(), capacity=0)
+            Mailbox(capacity=0)
 
 
 class TestMailboxFifoProperty:
@@ -105,20 +69,20 @@ class TestMailboxFifoProperty:
             capacity=st.integers(min_value=1, max_value=8),
         )
         def run(n, capacity):
-            box = Mailbox(SimRuntime(), capacity=capacity)
+            box = Mailbox(capacity=capacity)
             evicted = []
+            max_depth = 0
             for i in range(n):
                 out = box.put(_env(i))
                 if out is not None:
                     evicted.append(out.event.seq)
-            survivors = [e.event.seq for e in box.drain()]
+                max_depth = max(max_depth, box.depth)
             keep = min(n, capacity)
+            assert box.depth == keep
+            survivors = [e.event.seq for e in box.drain()]
             assert survivors == list(range(n - keep, n))
             assert evicted == list(range(n - keep))
-            assert box.stats.evicted == n - keep
-            assert box.stats.enqueued == n
-            assert box.stats.dequeued == keep
-            assert box.stats.max_depth == keep
+            assert max_depth == keep
             assert box.take_overflow() is (n > capacity)
             assert box.take_overflow() is False
 

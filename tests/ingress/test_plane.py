@@ -85,9 +85,7 @@ class FakeBackend(IngressBackend):
 def _plane(backend=None, **cfg):
     runtime = SimRuntime()
     backend = backend or FakeBackend()
-    defaults = dict(
-        mailbox_capacity=4, solve_slots=2, idle_refresh=False, drain_s=3.0
-    )
+    defaults = dict(mailbox_capacity=4, solve_slots=2, drain_s=3.0)
     defaults.update(cfg)
     plane = IngressPlane(runtime, backend, IngressConfig(**defaults))
     return plane, backend
@@ -102,7 +100,7 @@ class TestPlaneBasics:
         # The virtual service time is a module constant of the plane; a
         # new field here is a new configuration the benchmark must cover.
         assert [f.name for f in dataclasses.fields(IngressConfig)] == [
-            "mailbox_capacity", "solve_slots", "idle_refresh", "drain_s",
+            "mailbox_capacity", "solve_slots", "drain_s",
         ]
 
     def test_single_event_decides_after_min_interval(self):
@@ -163,6 +161,163 @@ class TestPlaneBasics:
         assert plane.meetings == ["a", "b"]
         assert len(plane.decisions) == 2
         assert {d.meeting for d in plane.decisions} == {"a", "b"}
+
+    def test_refuses_non_finite_drain(self):
+        # A nan drain used to be accepted: run_stream then offered no
+        # event and decided nothing.
+        for value in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="drain_s"):
+                IngressConfig(drain_s=value)
+
+
+def _count_timers(plane):
+    """Count ``sim.schedule`` calls the way ``bench/``'s
+    ``net.sim_scheduled`` counter does: an instance attribute wrapping
+    the bound method, so ``schedule_at`` is counted too."""
+    sim = plane.runtime.sim
+    original = sim.schedule
+    counted = [0]
+
+    def schedule(delay, callback):
+        counted[0] += 1
+        return original(delay, callback)
+
+    sim.schedule = schedule
+    return counted
+
+
+class TestTimerBudget:
+    """One timer per stage: an offer, then per event-triggered decision
+    the put -> window hop, the window, the service and the ceiling the
+    idle worker re-arms; a time-triggered decision costs its service
+    and its ceiling."""
+
+    def test_one_meeting_costs_four_timers_per_event_decision(self):
+        plane, _ = _plane()
+        counted = _count_timers(plane)
+        stream = [_semb(0.0), _semb(0.2, seq=1), _semb(5.0, seq=2)]
+        plane.run_stream(stream, duration_s=6.0)
+        triggers = [d.trigger for d in plane.decisions]
+        # Refreshes at 2.01 and 3.52; the ceiling after the 5.0 report's
+        # decision lands past the horizon (6.0) and retires the worker.
+        assert triggers == ["event", "time", "time", "event"]
+        assert counted[0] == (
+            len(stream)
+            + 4 * triggers.count("event")
+            + 2 * triggers.count("time")
+        )
+
+    def test_a_burst_costs_one_hop(self):
+        plane, _ = _plane(drain_s=2.0)
+        counted = _count_timers(plane)
+        plane.run_stream([_semb(0.0, seq=i) for i in range(3)])
+        assert [d.batch for d in plane.decisions] == [3]
+        assert counted[0] == 3 + 4
+
+    def test_queued_admission_adds_no_hop(self):
+        plane, _ = _plane(solve_slots=1, drain_s=0.6)
+        counted = _count_timers(plane)
+        plane.run_stream(
+            [_semb(0.0, meeting="a"), _semb(0.0, meeting="b", seq=1)]
+        )
+        # b's window closes with a's solve in the one slot: b queues and
+        # starts its service the instant a's ends.
+        decided = [(d.meeting, d.decided_at_s) for d in plane.decisions]
+        assert decided == [("a", pytest.approx(0.51)),
+                           ("b", pytest.approx(0.52))]
+        assert counted[0] == 2 + 4 * 2
+
+
+class TestWorkerStages:
+    def test_put_wakes_an_idle_worker(self):
+        backend = FakeBackend()
+        backend.max_interval_s = 10.0  # no ceiling inside the run
+        plane, _ = _plane(backend)
+        plane.run_stream([_semb(0.0), _semb(5.0, seq=1)], duration_s=6.0)
+        assert [
+            (d.trigger, d.opened_at_s, d.decided_at_s)
+            for d in plane.decisions
+        ] == [
+            ("event", 0.0, pytest.approx(0.51)),
+            ("event", 5.0, pytest.approx(5.51)),
+        ]
+
+    def test_idle_worker_refreshes_on_the_ceiling(self):
+        plane, _ = _plane()
+        plane.run_stream([_semb(0.0)], duration_s=2.5)
+        # 0.51 + max_interval (1.5) = 2.01 refreshes; the next ceiling
+        # (3.52) is past the stream horizon, so the worker retires.
+        assert [
+            (d.trigger, d.opened_at_s, d.decided_at_s)
+            for d in plane.decisions
+        ] == [
+            ("event", 0.0, pytest.approx(0.51)),
+            ("time", pytest.approx(2.01), pytest.approx(2.02)),
+        ]
+
+    def test_equal_time_windows_close_in_offer_order(self):
+        def one_run(order):
+            plane, _ = _plane(solve_slots=3)
+            plane.run_stream(
+                [_semb(0.0, meeting=m, seq=i) for i, m in enumerate(order)]
+            )
+            return [d.meeting for d in plane.decisions]
+
+        assert one_run("cab") == ["c", "a", "b"]
+        assert one_run("bca") == ["b", "c", "a"]
+        assert all(one_run("cab") == ["c", "a", "b"] for _ in range(3))
+
+
+class TestExecutor:
+    def _stream(self, meetings):
+        return [_semb(0.0, meeting=f"m{k}", seq=k) for k in range(meetings)]
+
+    def test_bounds_concurrency(self):
+        backend = FakeBackend(service_s=1.0)
+        backend.max_interval_s = 10.0
+        plane, _ = _plane(backend, solve_slots=2, drain_s=4.0)
+        plane.run_stream(self._stream(5))
+        # Every window closes at 0.5; two solves are in service at once.
+        assert [d.decided_at_s for d in plane.decisions] == [
+            1.5, 1.5, 2.5, 2.5, 3.5
+        ]
+
+    def test_queued_admissions_resume_fifo(self):
+        plane, _ = _plane(FakeBackend(service_s=0.5), solve_slots=1)
+        plane.run_stream(self._stream(4))
+        assert [(d.meeting, d.decided_at_s) for d in plane.decisions] == [
+            ("m0", 1.0), ("m1", 1.5), ("m2", 2.0), ("m3", 2.5)
+        ]
+
+    def test_rejects_zero_slots(self):
+        with pytest.raises(ValueError, match="solve_slots"):
+            IngressConfig(solve_slots=0)
+
+
+class TestFailFast:
+    def test_backend_error_propagates_at_its_instant(self):
+        class ExplodingBackend(FakeBackend):
+            def decide(self, meeting, payload, now_s, trigger, cid):
+                if self.decided:
+                    raise RuntimeError("solver died")
+                return super().decide(meeting, payload, now_s, trigger, cid)
+
+        plane, _ = _plane(ExplodingBackend())
+        with pytest.raises(RuntimeError, match="solver died"):
+            plane.run_stream([_semb(0.0), _semb(2.0, seq=1)],
+                             duration_s=4.0)
+        # The second decision's window closed at 2.5 and its service
+        # ended at 2.51: the run stops there, not after the drain.
+        assert plane.runtime.now == pytest.approx(2.51)
+        assert len(plane.decisions) == 1
+
+    def test_call_at_runs_at_absolute_time(self):
+        runtime = SimRuntime()
+        seen = []
+        runtime.call_at(2.0, lambda: seen.append(runtime.now))
+        runtime.call_at(1.0, lambda: seen.append(runtime.now))
+        runtime.run_until(5.0)
+        assert seen == [1.0, 2.0]
 
 
 class TestShedding:
@@ -240,7 +395,7 @@ class TestCorrelationIds:
     def test_tmmbr_push_closes_the_cid_chain(self):
         log = EventLog()
         with obs_events.record_events(log):
-            plane, _ = _plane(idle_refresh=True)
+            plane, _ = _plane()
             events = [_semb(round(0.4 * i, 3), seq=i) for i in range(8)]
             plane.run_stream(events, duration_s=3.0)
         minted = {
@@ -267,7 +422,7 @@ class TestCorrelationIds:
     def test_idle_refresh_mints_time_trigger_cids(self):
         log = EventLog()
         with obs_events.record_events(log):
-            plane, _ = _plane(idle_refresh=True)
+            plane, _ = _plane()
             # One event, then a long silent horizon: the Fig. 12 ceiling
             # keeps re-deciding from the last snapshot.
             plane.run_stream([_semb(0.0)], duration_s=6.0)
@@ -412,15 +567,14 @@ class TestCoalescingProperty:
             for a, b in zip(decided, decided[1:]):
                 assert b - a >= FakeBackend.min_interval_s - 1e-9
             # Envelope conservation.
-            stats = plane.mailbox_stats()["m"]
-            left_over = plane._mailboxes["m"].depth
-            assert stats["enqueued"] == (
-                stats["dequeued"] + stats["evicted"] + left_over
+            stats = plane.stats
+            left_over = plane._workers["m"].box.depth
+            assert stats.enqueued == (
+                stats.dequeued + stats.evicted + left_over
             )
-            assert plane.stats.enqueued == stats["enqueued"]
             # Every committed batch is accounted once.
             batched = sum(d.batch for d in plane.decisions)
-            assert batched <= stats["dequeued"]
+            assert batched <= stats.dequeued
             # Double-run byte determinism.
             replay = one_run()
             key = lambda p: [  # noqa: E731

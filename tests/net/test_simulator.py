@@ -90,6 +90,17 @@ class TestSimulator:
             sim.schedule_at(float("nan"), lambda: None)
         assert sim.pending_events == 0
 
+    def test_run_until_refuses_nan(self):
+        # NaN compares false against every event time: the loop used to
+        # return without firing an event that was due.
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.0, lambda: fired.append(sim.now))
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run_until(float("nan"))
+        sim.run_until(0.0)
+        assert fired == [0.0]
+
     def test_run_drains_everything(self):
         sim = Simulator()
         fired = []
