@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
 from ..core.solution import solution_digest  # noqa: F401 - part of this module's API
+from ..obs.slo import verdict_word
 
 #: Report schema tag; bump on any encoding change.
 #: v2: serves carry correlation ids, and the report embeds deterministic
@@ -141,11 +142,7 @@ class RunReport:
         for verdict in self.slo + self.slo_informational:
             value = verdict.get("value")
             shown = "n/a" if value is None else f"{value:.3f}"
-            word = "PASS" if verdict.get("ok") else (
-                "BURN" if verdict.get("fast_burn") else "FAIL"
-            )
-            if value is None:
-                word = "SKIP"
+            word = verdict_word(verdict)
             det = "" if verdict.get("deterministic", True) else " (wall-clock)"
             lines.append(
                 f"  SLO {word} {verdict['name']}: {shown} "

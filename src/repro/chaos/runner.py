@@ -59,7 +59,7 @@ from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.events import EventLog
 from ..obs.registry import get_registry
-from ..obs.slo import SloContext, SloEngine, SloVerdict, stage_budget_slos
+from ..obs.slo import SloVerdict, evaluate_slos
 from ..obs.spans import span
 from ..obs.tracing import assemble_trees
 from . import faults as F
@@ -211,12 +211,10 @@ class ChaosRunner:
         config: ChaosConfig,
         schedule: Optional[FaultSchedule] = None,
         scenario: str = "custom",
-        slo_engine: Optional[SloEngine] = None,
     ) -> None:
         self.config = config
         self.schedule = schedule or FaultSchedule()
         self.scenario = scenario
-        self.slo_engine = slo_engine or SloEngine()
         #: The run's structured event log (populated by :meth:`run`; kept
         #: on the runner so CLIs can render timelines afterwards).
         self.events: EventLog = EventLog()
@@ -365,16 +363,12 @@ class ChaosRunner:
     def _evaluate_slos(self) -> None:
         """Attach SLO verdicts: deterministic ones enter the digested
         report; wall-clock ones (solve latency) stay informational."""
-        ctx = SloContext(
+        self.slo_verdicts = evaluate_slos(
             serves=self.report.serves,
             duration_s=self.config.duration_s,
-            stats={"kmr_iteration_ratio_max": self._max_iteration_ratio},
-            registry=get_registry(),
+            iteration_ratio_max=self._max_iteration_ratio,
             stage_latencies=self.traces.stage_latencies(),
-        )
-        self.slo_verdicts = list(self.slo_engine.evaluate(ctx))
-        self.slo_verdicts.extend(
-            SloEngine(stage_budget_slos()).evaluate(ctx)
+            registry=get_registry(),
         )
         for verdict in self.slo_verdicts:
             row = verdict.to_dict()

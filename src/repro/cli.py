@@ -34,7 +34,9 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import math
+import os
 import runpy
+import signal
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -447,34 +449,40 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
             f"[obs] wrote {len(runner.events)} event(s) to {path}",
             file=sys.stderr,
         )
+    log = runner.events
+    verdicts = [v.to_dict() for v in runner.slo_verdicts]
+    slo_ok = all(v["ok"] for v in verdicts)
     if args.json:
-        payload = obs.report_dict(
-            runner.scenario,
-            args.seed,
-            runner.slo_verdicts,
-            log=runner.events,
-            extra={
-                "chaos": {
-                    "ok": report.ok,
-                    "serves": len(report.serves),
-                    "faults": len(report.faults),
-                    "violations": len(report.violations),
-                    "digest": report.digest(),
-                },
+        payload = {
+            "scenario": report.scenario,
+            "seed": report.seed,
+            "slo": verdicts,
+            "slo_ok": slo_ok,
+            "events": {
+                "schema": obs.events.EVENTS_SCHEMA,
+                "emitted": log.emitted,
+                "retained": len(log),
+                "dropped": log.dropped,
+                "kinds": log.kinds(),
+                "digest": report.event_digest,
             },
-        )
+            "chaos": {
+                "ok": report.ok,
+                "serves": len(report.serves),
+                "faults": len(report.faults),
+                "violations": len(report.violations),
+                "digest": report.digest(),
+            },
+        }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
+        kinds = "  ".join(f"{k}={n}" for k, n in log.kinds().items())
         print(
-            obs.format_report(
-                runner.scenario,
-                args.seed,
-                runner.slo_verdicts,
-                log=runner.events,
-                summary=report.summary(),
-            )
+            f"{report.summary()}\n\n"
+            f"events: emitted={log.emitted} retained={len(log)} "
+            f"dropped={log.dropped}\n  {kinds}"
         )
-    return 0 if report.ok and all(v.ok for v in runner.slo_verdicts) else 1
+    return 0 if report.ok and slo_ok else 1
 
 
 def _cmd_obs_timeline(args: argparse.Namespace) -> int:
@@ -974,7 +982,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # /dev/null so the interpreter's exit flush stays quiet, and exit
+        # as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,8 +5,10 @@ computation on demand.  It has three mechanisms, all zero-dependency
 and all off-by-default-cheap (a disabled run records nothing and pays
 only no-op calls on instrumented paths):
 
-* :mod:`repro.obs.registry` — counters, gauges and bounded-reservoir
-  histograms with labels; snapshot, Prometheus-text and JSON export.
+* :mod:`repro.obs.registry` — counters and bounded-reservoir
+  histograms with labels, plus watched sources (counters and gauges a
+  stats object already keeps); snapshot, Prometheus-text and JSON
+  export.
   Enable with :func:`enable` / :func:`enabled_registry`.
   :mod:`repro.obs.spans` adds ``with span("kmr.knapsack"):``, a
   wall-clock timer that observes into one of its histograms.
@@ -15,9 +17,9 @@ only no-op calls on instrumented paths):
   ingress reconstruct causal per-meeting timelines.  Install with
   :func:`record_events`.  :mod:`repro.obs.tracing` assembles the log
   into per-decision trace trees.
-* :mod:`repro.obs.slo` — declarative paper-pinned SLOs (Fig. 12 solve
+* :mod:`repro.obs.slo` — the table of paper-pinned SLOs (Fig. 12 solve
   latency, KMR iteration bound, fallback rate, Sec. 7 interruption
-  duration) with burn-rate style verdicts.
+  duration, per-stage latency budgets) with burn-rate style verdicts.
 
 What the solver did inside one decision is not recorded: the solver is
 deterministic, so ``repro trace show --cid`` and ``repro obs solve``
@@ -49,7 +51,6 @@ from .events import (
 )
 from .registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
@@ -61,27 +62,16 @@ from .registry import (
 )
 from .report import (
     correlation_chains,
-    format_report,
-    format_slo_verdicts,
     format_timeline,
     meeting_timeline,
-    report_dict,
     timeline_dict,
 )
-from .slo import (
-    DEFAULT_SLOS,
-    Slo,
-    SloContext,
-    SloEngine,
-    SloVerdict,
-    default_slos,
-)
+from .slo import SLOS, Slo, SloVerdict, evaluate_slos
 from .spans import span
 
 __all__ = [
     "names",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
@@ -97,16 +87,11 @@ __all__ = [
     "record_events",
     "set_event_log",
     "Slo",
-    "SloContext",
-    "SloEngine",
     "SloVerdict",
-    "DEFAULT_SLOS",
-    "default_slos",
+    "SLOS",
+    "evaluate_slos",
     "correlation_chains",
-    "format_report",
-    "format_slo_verdicts",
     "format_timeline",
     "meeting_timeline",
-    "report_dict",
     "timeline_dict",
 ]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -134,14 +135,26 @@ class Event:
 
     @classmethod
     def from_dict(cls, row: Dict[str, object]) -> "Event":
+        """Decode one event row; ``ValueError`` names a missing or
+        mistyped field."""
+        t, seq, kind = row.get("t"), row.get("seq"), row.get("kind")
+        attrs = row.get("attrs", {})
+        if type(t) not in (int, float) or not math.isfinite(t):
+            raise ValueError(f"event 't' must be a finite number, got {t!r}")
+        if type(seq) is not int:
+            raise ValueError(f"event 'seq' must be an integer, got {seq!r}")
+        if not isinstance(kind, str):
+            raise ValueError(f"event 'kind' must be a string, got {kind!r}")
+        if not isinstance(attrs, dict):
+            raise ValueError(f"event 'attrs' must be an object, got {attrs!r}")
         return cls(
-            t=float(row["t"]),
-            seq=int(row["seq"]),
-            kind=str(row["kind"]),
+            t=float(t),
+            seq=seq,
+            kind=kind,
             meeting=str(row.get("meeting", "")),
             cid=str(row.get("cid", "")),
             shard=str(row.get("shard", "")),
-            attrs=dict(row.get("attrs", {})),
+            attrs=dict(attrs),
         )
 
 
@@ -293,28 +306,45 @@ class EventLog:
 
     @classmethod
     def from_jsonl_lines(cls, lines: Iterable[str]) -> "EventLog":
-        """Reconstruct a log from its JSONL encoding (round-trips)."""
-        header: Optional[Dict[str, object]] = None
+        """Reconstruct a log from its JSONL encoding (round-trips).
+
+        Raises ``ValueError`` (naming the line) for a line that is not a
+        JSON object, a header of another schema or with non-integer
+        counts, and an event row :meth:`Event.from_dict` refuses.
+        """
+        header: Dict[str, object] = {}
         events: List[Event] = []
-        for line in lines:
+        for number, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            if row.get("record") == "meta":
-                if row.get("schema") != EVENTS_SCHEMA:
-                    raise ValueError(
-                        f"unsupported event schema {row.get('schema')!r}"
-                    )
-                header = row
-            elif row.get("record") == "event":
-                events.append(Event.from_dict(row))
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError("not a JSON object")
+                if row.get("record") == "meta":
+                    if row.get("schema") != EVENTS_SCHEMA:
+                        raise ValueError(
+                            f"unsupported event schema {row.get('schema')!r}"
+                        )
+                    for key in ("emitted", "dropped"):
+                        value = row.get(key, 0)
+                        if type(value) is not int:
+                            raise ValueError(
+                                f"header {key!r} must be an integer, "
+                                f"got {value!r}"
+                            )
+                    header = row
+                elif row.get("record") == "event":
+                    events.append(Event.from_dict(row))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
         log = cls(capacity=max(DEFAULT_CAPACITY, len(events) or 1))
         for event in events:
             log._events.append(event)
         log._seq = (events[-1].seq + 1) if events else 0
-        log.stats.emitted = int(header.get("emitted", len(events))) if header else len(events)
-        log.stats.dropped = int(header.get("dropped", 0)) if header else 0
+        log.stats.emitted = header.get("emitted", len(events))
+        log.stats.dropped = header.get("dropped", 0)
         return log
 
     @classmethod

@@ -1,10 +1,11 @@
-"""Zero-dependency metrics registry: counters, gauges, histograms.
+"""Zero-dependency metrics registry: counters, histograms, watched sources.
 
 The registry is the shared substrate of the observability layer
 (``repro.obs``): every instrumented hot path — the KMR solver, the MCKP
 DP, the controller runtime, the feedback executor, the RTP message codecs,
-the fleet simulation, the benchmarks — records through one of the three
-instrument kinds defined here.
+the fleet simulation, the benchmarks — records through one of the two
+instrument kinds defined here (counters and histograms), or is read from
+a watched source.
 
 Design constraints, in priority order:
 
@@ -114,29 +115,6 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """A value that can go up and down (current satisfaction, queue depth)."""
-
-    __slots__ = ("key", "_value")
-
-    def __init__(self, key: MetricKey) -> None:
-        self.key = key
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
 class Histogram:
     """A distribution with exact count/sum/min/max and a bounded reservoir.
 
@@ -230,7 +208,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._reservoir_size = reservoir_size
         self._counters: Dict[MetricKey, Counter] = {}
-        self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
         #: Watched source -> its counters' values when it was watched.
         self._sources: Dict[Source, Dict[MetricKey, float]] = {}
@@ -254,19 +231,6 @@ class MetricsRegistry:
             inst = self._counters.get(key)
             if inst is None:
                 inst = self._counters[key] = Counter(key)
-        return inst
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        """Get or create the gauge ``name{labels}``."""
-        key = (name, tuple(sorted(labels.items()))) if labels else (name, ())
-        inst = self._gauges.get(key)
-        if inst is not None:
-            return inst
-        key = _make_key(name, labels)
-        with self._lock:
-            inst = self._gauges.get(key)
-            if inst is None:
-                inst = self._gauges[key] = Gauge(key)
         return inst
 
     def histogram(self, name: str, **labels: str) -> Histogram:
@@ -340,7 +304,6 @@ class MetricsRegistry:
         """Drop every instrument and source (tests, between-run isolation)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
             self._sources.clear()
 
@@ -390,12 +353,12 @@ class Series(NamedTuple):
 
 def instruments(registry: MetricsRegistry) -> Series:
     """The pushed instruments of ``registry``, without its watched
-    sources: what the SLO engine's histogram measures read, and what
+    sources (so no gauges): what the solve-latency SLO reads, and what
     every export starts from."""
     with registry._lock:
         return Series(
             {k: c.value for k, c in registry._counters.items()},
-            {k: g.value for k, g in registry._gauges.items()},
+            {},
             dict(registry._histograms),
         )
 
@@ -444,19 +407,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -478,14 +428,10 @@ class NullRegistry(MetricsRegistry):
         super().__init__()
         null_key = _make_key("null", {})
         self._null_counter = _NullCounter(null_key)
-        self._null_gauge = _NullGauge(null_key)
         self._null_histogram = _NullHistogram(null_key)
 
     def counter(self, name: str, **labels: str) -> Counter:
         return self._null_counter
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._null_gauge
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         return self._null_histogram

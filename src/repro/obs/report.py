@@ -1,17 +1,10 @@
-"""Timeline reconstruction and run-report rendering.
+"""Timeline reconstruction: the view behind ``repro obs timeline``.
 
-Turns the raw telemetry of one run — the event log, the SLO verdicts,
-the registry — into the operator-facing views
-behind ``repro obs report`` and ``repro obs timeline <meeting>``:
-
-* :func:`meeting_timeline` / :func:`format_timeline` reconstruct the
-  causal per-meeting timeline (SEMB report → re-solve → TMMBR push →
-  subscription change), grouping events by correlation id so one chain
-  reads top-to-bottom even when it crossed shards;
-* :func:`format_slo_verdicts` renders the SLO engine's burn-rate
-  verdicts as a PASS/FAIL/BURN table;
-* :func:`report_dict` / :func:`format_report` assemble the full report
-  (text and JSON) for a run.
+:func:`meeting_timeline` / :func:`format_timeline` reconstruct the
+causal per-meeting timeline (SEMB report → re-solve → TMMBR push →
+subscription change), grouping events by correlation id so one chain
+reads top-to-bottom even when it crossed shards.  The run report itself
+is the chaos :class:`~repro.chaos.report.RunReport`.
 
 Pure functions over already-collected data — nothing here records.
 """
@@ -20,8 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .events import Event, EventLog
-from .slo import SloVerdict
+from .events import Event
 
 #: Attribute keys surfaced inline in timeline rows, in render order.
 _TIMELINE_ATTRS = (
@@ -116,75 +108,3 @@ def timeline_dict(events: Sequence[Event], meeting: str) -> Dict[str, object]:
             if cid
         ],
     }
-
-
-def format_slo_verdicts(verdicts: Sequence[SloVerdict]) -> str:
-    """Render SLO verdicts as a PASS/FAIL/BURN table::
-
-        PASS kmr_iteration_bound      0.600 <= 1.000 ratio   (Sec. 5 / Fig. 6)
-        FAIL stream_interruption_s    8.000 <= 6.000 s       (Sec. 7)
-    """
-    if not verdicts:
-        return "no SLOs evaluated"
-    lines = []
-    for v in verdicts:
-        word = v.verdict_word()
-        if v.value is None:
-            body = f"{v.name:<24s} no data ({v.measure})"
-        else:
-            body = (
-                f"{v.name:<24s} {v.value:.3f} {v.comparator} "
-                f"{v.threshold:.3f} {v.unit}"
-            )
-        ref = f"  ({v.paper_ref})" if v.paper_ref else ""
-        lines.append(f"{word:<5s}{body}{ref}".rstrip())
-    return "\n".join(lines)
-
-
-def report_dict(
-    scenario: str,
-    seed: int,
-    verdicts: Sequence[SloVerdict],
-    log: Optional[EventLog] = None,
-    extra: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Assemble the machine-readable ``repro obs report`` payload."""
-    out: Dict[str, object] = {
-        "scenario": scenario,
-        "seed": seed,
-        "slo": [v.to_dict() for v in verdicts],
-        "slo_ok": all(v.ok for v in verdicts),
-    }
-    if log is not None:
-        out["events"] = {
-            "schema": log.header_dict()["schema"],
-            "emitted": log.emitted,
-            "retained": len(log),
-            "dropped": log.dropped,
-            "kinds": log.kinds(),
-            "digest": log.digest(),
-        }
-    if extra:
-        out.update(extra)
-    return out
-
-
-def format_report(
-    scenario: str,
-    seed: int,
-    verdicts: Sequence[SloVerdict],
-    log: Optional[EventLog] = None,
-    summary: str = "",
-) -> str:
-    """Assemble the human-readable ``repro obs report`` text."""
-    sections: List[str] = []
-    if summary:
-        sections.append(summary.rstrip())
-    sections.append("slo verdicts:\n" + format_slo_verdicts(verdicts))
-    if log is not None:
-        kinds = "  ".join(f"{k}={n}" for k, n in log.kinds().items())
-        sections.append(
-            f"events: emitted={log.emitted} retained={len(log)} "
-            f"dropped={log.dropped}\n  {kinds}"
-        )
-    return "\n\n".join(sections)

@@ -1,8 +1,8 @@
-"""Declarative SLO engine: paper-pinned objectives with burn-rate verdicts.
+"""The SLO table: eight paper-pinned objectives with burn-rate verdicts.
 
-Each :class:`Slo` binds one *measure* (computed from a run's serves,
-events, derived stats, or the live registry) to a threshold taken from
-the paper's operational evaluation:
+Each :class:`Slo` row binds one measure of a run (its serves, its
+iteration ratio, its trace-plane stage latencies, or the live registry)
+to a threshold taken from the paper's operational evaluation:
 
 * **solve latency** must sit well inside the Fig. 12 control-latency
   envelope (the ingress plane already debounces to the 1–3 s window, so
@@ -13,28 +13,40 @@ the paper's operational evaluation:
 * **fallback/shed rate** bounds how often the cluster degrades to the
   Sec. 7 single-stream fallback instead of serving a KMR solution;
 * **stream-interruption duration** bounds how long any one meeting stays
-  degraded before re-converging (Sec. 7's recovery story).
+  degraded before re-converging (Sec. 7's recovery story);
+* **per-stage budgets** bound each critical-path stage's p95 latency
+  (:data:`STAGE_BUDGETS_S`).
 
 Verdicts are **burn-rate style**: every measure is evaluated over the
-full run window *and* over the trailing fraction of it (default the last
-25%).  ``ok`` reflects the full window; a breach that also burns in the
-recent window (``fast_burn``) means the violation is ongoing rather than
-a transient from early in the run.
+full run window *and* over its last :data:`RECENT_FRACTION`.  ``ok``
+reflects the full window; a breach that also burns in the recent window
+(``fast_burn``) means the violation is ongoing rather than a transient
+from early in the run.
 
-Determinism: measures over serves/events/stats derive from simulated
-time only and are exactly reproducible for a seeded run — those verdicts
-are embedded in the chaos :class:`~repro.chaos.report.RunReport` (and
-hence its digest).  Wall-clock measures (registry latency histograms)
-are marked ``deterministic=False`` and are *reported but never digested*.
+Determinism: measures over serves/stats/stage latencies derive from
+simulated time only and are exactly reproducible for a seeded run —
+those verdicts are embedded in the chaos
+:class:`~repro.chaos.report.RunReport` (and hence its digest).  The
+wall-clock measure (the registry's solve-latency histogram) is marked
+``deterministic=False`` and is *reported but never digested*.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from . import names as obs_names
-from .registry import MetricsRegistry, instruments, quantile
+from .registry import MetricsRegistry, get_registry, instruments, quantile
 from .spans import span
 
 #: Comparators an :class:`Slo` may use.
@@ -46,19 +58,38 @@ _COMPARATORS: Dict[str, Callable[[float, float], bool]] = {
 #: Serve sources that count as degraded service (Sec. 7).
 DEGRADED_SOURCES = ("fallback", "shed")
 
+#: The trailing window every verdict is also judged over: the last 25 %
+#: of the run.
+RECENT_FRACTION = 0.25
+
+#: The window start of a full-run measure.
+_WHOLE_RUN = float("-inf")
+
+
+class _Run(NamedTuple):
+    """What the measures read; see :func:`evaluate_slos`."""
+
+    serves: Sequence[Mapping[str, object]]
+    duration_s: float
+    iteration_ratio_max: Optional[float]
+    stage_latencies: Mapping[str, Sequence[Tuple[float, float]]]
+    registry: Optional[MetricsRegistry]
+
+
+#: A measure: the run and the window start -> value (None = no data).
+Measure = Callable[[_Run, float], Optional[float]]
+
 
 @dataclass(frozen=True)
 class Slo:
-    """One declarative objective.
+    """One row of the SLO table.
 
     Attributes:
         name: short stable identifier (``solve_latency_p95``).
         description: one-line operator-facing objective statement.
-        measure: measure key dispatched by the engine — one of
-            ``serves_degraded_fraction``, ``serves_max_interruption_s``,
-            ``stat:<key>``, ``histogram_p95:<metric>`` or
-            ``histogram_max:<metric>``.
+        measure: the label reports print and digest for the measure.
         threshold: the objective's bound.
+        value_of: computes the measure over the run from a window start.
         comparator: ``"<="`` (value must stay under) or ``">="``.
         unit: unit string for rendering ("s", "ratio", ...).
         deterministic: True when the measure derives only from simulated
@@ -70,6 +101,7 @@ class Slo:
     description: str
     measure: str
     threshold: float
+    value_of: Measure = field(repr=False, compare=False)
     comparator: str = "<="
     unit: str = ""
     deterministic: bool = True
@@ -101,7 +133,6 @@ class SloVerdict:
     ok: bool
     #: True when BOTH windows breach — the violation is ongoing.
     fast_burn: bool
-    windows: Dict[str, Optional[float]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -120,249 +151,55 @@ class SloVerdict:
             "fast_burn": self.fast_burn,
         }
 
-    def verdict_word(self) -> str:
-        if self.value is None:
-            return "SKIP"
-        if self.ok:
-            return "PASS"
-        return "BURN" if self.fast_burn else "FAIL"
+
+def verdict_word(row: Mapping[str, object]) -> str:
+    """SKIP / PASS / BURN / FAIL for one verdict in its dict encoding."""
+    if row.get("value") is None:
+        return "SKIP"
+    if row.get("ok"):
+        return "PASS"
+    return "BURN" if row.get("fast_burn") else "FAIL"
 
 
-@dataclass
-class SloContext:
-    """Inputs a measure may draw from.  All optional; a measure whose
-    input is missing yields a SKIP verdict rather than an error.
-
-    Attributes:
-        serves: chaos-report serve rows (dicts with ``t``/``meeting``/
-            ``source``/``delivered``), ordered by time.
-        duration_s: run length in simulated seconds.
-        stats: pre-computed scalar measures (``stat:<key>`` lookups),
-            e.g. ``kmr_iteration_ratio_max``.
-        registry: live registry for wall-clock latency measures.
-        stage_latencies: per-stage ``(start_s, duration_s)`` samples from
-            the trace plane (``TraceAssembler.stage_latencies``), for
-            ``stage_p95:<stage>`` budget objectives.
-    """
-
-    serves: Sequence[Mapping[str, object]] = ()
-    duration_s: float = 0.0
-    stats: Mapping[str, float] = field(default_factory=dict)
-    registry: Optional[MetricsRegistry] = None
-    stage_latencies: Mapping[str, Sequence[Tuple[float, float]]] = field(
-        default_factory=dict
-    )
+# --------------------------------------------------------------------- #
+# Measures
+# --------------------------------------------------------------------- #
 
 
-#: The default catalog, pinned to the paper.
-DEFAULT_SLOS: Tuple[Slo, ...] = (
-    Slo(
-        name="solve_latency_p95",
-        description="p95 solve-service latency stays well inside the "
-                    "Fig. 12 control envelope",
-        measure=f"histogram_p95:{obs_names.CLUSTER_SOLVE_SECONDS}",
-        threshold=0.25,
-        comparator="<=",
-        unit="s",
-        deterministic=False,
-        paper_ref="Fig. 12",
-    ),
-    Slo(
-        name="kmr_iteration_bound",
-        description="every solve converges within the "
-                    "|publishers| x |resolutions| + 1 iteration bound",
-        measure="stat:kmr_iteration_ratio_max",
-        threshold=1.0,
-        comparator="<=",
-        unit="ratio",
-        deterministic=True,
-        paper_ref="Sec. 5 / Fig. 6",
-    ),
-    Slo(
-        name="degraded_serve_rate",
-        description="fraction of serves degraded to the single-stream "
-                    "fallback (or shed) stays bounded",
-        measure="serves_degraded_fraction",
-        threshold=0.5,
-        comparator="<=",
-        unit="ratio",
-        deterministic=True,
-        paper_ref="Sec. 7",
-    ),
-    Slo(
-        name="stream_interruption_s",
-        description="no meeting stays degraded longer than the recovery "
-                    "budget before re-converging",
-        measure="serves_max_interruption_s",
-        threshold=6.0,
-        comparator="<=",
-        unit="s",
-        deterministic=True,
-        paper_ref="Sec. 7",
-    ),
-)
+def _solve_latency_p95(run: _Run, t0: float) -> Optional[float]:
+    registry = run.registry
+    # Registry histograms pool the whole run; no trailing-window view.
+    if t0 > _WHOLE_RUN or registry is None or not registry.enabled:
+        return None
+    values = [
+        h.percentile(95)
+        for key, h in instruments(registry).histograms.items()
+        if key[0] == obs_names.CLUSTER_SOLVE_SECONDS and h.count
+    ]
+    return max(values) if values else None
 
 
-#: Per-stage p95 latency budgets (virtual seconds) for the trace plane's
-#: critical-path stages.  Budgets bound each stage's share of the Fig. 12
-#: control envelope: mailbox dwell may consume the debounce window (the
-#: paper's 1-3 s coalescing ceiling), while solve and delivery must stay
-#: small.  A
-#: BURN on one of these names the offending stage directly.
-STAGE_BUDGETS_S: Dict[str, float] = {
-    "mailbox_dwell": 3.0,
-    "solve": 1.0,
-    "delivery": 1.0,
-    "shed": 1.0,
-}
+def _iteration_ratio_max(run: _Run, t0: float) -> Optional[float]:
+    # A whole-run scalar; no trailing-window view.
+    return run.iteration_ratio_max if t0 == _WHOLE_RUN else None
 
 
-def stage_budget_slos(**overrides: float) -> List[Slo]:
-    """Per-stage latency-budget objectives over trace-plane attribution.
-
-    One ``stage_<stage>_p95`` objective per critical-path stage, measured
-    from :attr:`SloContext.stage_latencies` (virtual clock — verdicts are
-    deterministic and digest-safe).  Per-stage threshold overrides:
-    ``stage_budget_slos(solve=0.5)``.
-    """
-    unknown = set(overrides) - set(STAGE_BUDGETS_S)
-    if unknown:
-        raise ValueError(f"unknown stage name(s): {sorted(unknown)}")
-    out: List[Slo] = []
-    for stage in sorted(STAGE_BUDGETS_S):
-        threshold = float(overrides.get(stage, STAGE_BUDGETS_S[stage]))
-        out.append(Slo(
-            name=f"stage_{stage}_p95",
-            description=f"p95 {stage} stage latency stays within its "
-                        "share of the control-latency envelope",
-            measure=f"stage_p95:{stage}",
-            threshold=threshold,
-            comparator="<=",
-            unit="s",
-            deterministic=True,
-            paper_ref="Fig. 12",
-        ))
-    return out
-
-
-def default_slos(**overrides: float) -> List[Slo]:
-    """The default catalog, with per-name threshold overrides applied:
-    ``default_slos(stream_interruption_s=10.0)``."""
-    out: List[Slo] = []
-    unknown = set(overrides)
-    for slo in DEFAULT_SLOS:
-        if slo.name in overrides:
-            slo = replace(slo, threshold=float(overrides[slo.name]))
-            unknown.discard(slo.name)
-        out.append(slo)
-    if unknown:
-        raise ValueError(f"unknown SLO name(s): {sorted(unknown)}")
-    return out
-
-
-class SloEngine:
-    """Evaluates a catalog of objectives against one run's context."""
-
-    def __init__(
-        self,
-        objectives: Optional[Sequence[Slo]] = None,
-        recent_fraction: float = 0.25,
-    ) -> None:
-        if not 0.0 < recent_fraction <= 1.0:
-            raise ValueError("recent_fraction must be in (0, 1]")
-        self.objectives: List[Slo] = list(
-            objectives if objectives is not None else DEFAULT_SLOS
-        )
-        self.recent_fraction = recent_fraction
-
-    def evaluate(self, ctx: SloContext) -> List[SloVerdict]:
-        """One verdict per objective, in catalog order."""
-        from .registry import get_registry
-
-        verdicts: List[SloVerdict] = []
-        with span(obs_names.SPAN_SLO_EVALUATE):
-            recent_t0 = ctx.duration_s * (1.0 - self.recent_fraction)
-            for slo in self.objectives:
-                full = self._measure(slo.measure, ctx, t0=float("-inf"))
-                recent = self._measure(slo.measure, ctx, t0=recent_t0)
-                compare = _COMPARATORS[slo.comparator]
-                ok = full is None or compare(full, slo.threshold)
-                recent_breach = (
-                    recent is not None and not compare(recent, slo.threshold)
-                )
-                verdicts.append(SloVerdict(
-                    name=slo.name,
-                    description=slo.description,
-                    measure=slo.measure,
-                    threshold=slo.threshold,
-                    comparator=slo.comparator,
-                    unit=slo.unit,
-                    deterministic=slo.deterministic,
-                    paper_ref=slo.paper_ref,
-                    value=full,
-                    recent_value=recent,
-                    ok=ok,
-                    fast_burn=(not ok) and recent_breach,
-                    windows={"full": full, "recent": recent},
-                ))
-            reg = get_registry()
-            if reg.enabled:
-                for verdict in verdicts:
-                    reg.counter(
-                        obs_names.SLO_EVALUATIONS, slo=verdict.name
-                    ).inc()
-                    if not verdict.ok:
-                        reg.counter(
-                            obs_names.SLO_BREACHES, slo=verdict.name
-                        ).inc()
-        return verdicts
-
-    # -- measures ---------------------------------------------------------- #
-
-    def _measure(
-        self, measure: str, ctx: SloContext, t0: float
-    ) -> Optional[float]:
-        if measure == "serves_degraded_fraction":
-            return _degraded_fraction(ctx.serves, t0)
-        if measure == "serves_max_interruption_s":
-            return _max_interruption_s(ctx, t0)
-        if measure.startswith("stat:"):
-            # Scalars are whole-run quantities; no trailing-window view.
-            if t0 > float("-inf"):
-                return None
-            key = measure.split(":", 1)[1]
-            value = ctx.stats.get(key)
-            return None if value is None else float(value)
-        if measure.startswith("histogram_p95:") or measure.startswith(
-            "histogram_max:"
-        ):
-            return _histogram_measure(measure, ctx.registry, t0)
-        if measure.startswith("stage_p95:"):
-            stage = measure.split(":", 1)[1]
-            samples = ctx.stage_latencies.get(stage, ())
-            values = sorted(d for (t, d) in samples if t >= t0)
-            return quantile(values, 0.95)
-        raise ValueError(f"unknown SLO measure {measure!r}")
-
-
-def _degraded_fraction(
-    serves: Sequence[Mapping[str, object]], t0: float
-) -> Optional[float]:
-    rows = [s for s in serves if float(s.get("t", 0.0)) >= t0]
+def _degraded_fraction(run: _Run, t0: float) -> Optional[float]:
+    rows = [s for s in run.serves if float(s.get("t", 0.0)) >= t0]
     if not rows:
         return None
     degraded = sum(1 for s in rows if s.get("source") in DEGRADED_SOURCES)
     return degraded / len(rows)
 
 
-def _max_interruption_s(ctx: SloContext, t0: float) -> Optional[float]:
+def _max_interruption_s(run: _Run, t0: float) -> Optional[float]:
     """Longest span any single meeting spent continuously degraded.
 
     A meeting's interruption starts at its first degraded serve and ends
     at its next full-solution serve; a meeting still degraded when the
     run ends is charged through ``duration_s`` (it never recovered).
     """
-    rows = [s for s in ctx.serves if float(s.get("t", 0.0)) >= t0]
+    rows = [s for s in run.serves if float(s.get("t", 0.0)) >= t0]
     if not rows:
         return None
     per_meeting: Dict[str, List[Tuple[float, bool]]] = {}
@@ -382,24 +219,151 @@ def _max_interruption_s(ctx: SloContext, t0: float) -> Optional[float]:
                 worst = max(worst, t - start)
                 start = None
         if start is not None:
-            worst = max(worst, ctx.duration_s - start)
+            worst = max(worst, run.duration_s - start)
     return worst
 
 
-def _histogram_measure(
-    measure: str, registry: Optional[MetricsRegistry], t0: float
-) -> Optional[float]:
-    if registry is None or not registry.enabled:
-        return None
-    # Registry histograms pool the whole run; no trailing-window view.
-    if t0 > float("-inf"):
-        return None
-    kind, name = measure.split(":", 1)
-    values: List[float] = []
-    for key, h in instruments(registry).histograms.items():
-        if key[0] != name or not h.count:
-            continue
-        values.append(h.max if kind == "histogram_max" else h.percentile(95))
-    if not values:
-        return None
-    return max(values)
+def _stage_p95(stage: str) -> Measure:
+    def measure(run: _Run, t0: float) -> Optional[float]:
+        samples = run.stage_latencies.get(stage, ())
+        return quantile(sorted(d for (t, d) in samples if t >= t0), 0.95)
+
+    return measure
+
+
+# --------------------------------------------------------------------- #
+# The table
+# --------------------------------------------------------------------- #
+
+#: Per-stage p95 latency budgets (virtual seconds) for the trace plane's
+#: critical-path stages.  Budgets bound each stage's share of the Fig. 12
+#: control envelope: mailbox dwell may consume the debounce window (the
+#: paper's 1-3 s coalescing ceiling), while solve and delivery must stay
+#: small.  A BURN on one of these names the offending stage directly.
+STAGE_BUDGETS_S: Dict[str, float] = {
+    "mailbox_dwell": 3.0,
+    "solve": 1.0,
+    "delivery": 1.0,
+    "shed": 1.0,
+}
+
+#: The SLO table, in report order: four run-level objectives, then one
+#: ``stage_<stage>_p95`` budget per critical-path stage, sorted by stage.
+SLOS: Tuple[Slo, ...] = (
+    Slo(
+        name="solve_latency_p95",
+        description="p95 solve-service latency stays well inside the "
+                    "Fig. 12 control envelope",
+        measure=f"histogram_p95:{obs_names.CLUSTER_SOLVE_SECONDS}",
+        threshold=0.25,
+        value_of=_solve_latency_p95,
+        unit="s",
+        deterministic=False,
+        paper_ref="Fig. 12",
+    ),
+    Slo(
+        name="kmr_iteration_bound",
+        description="every solve converges within the "
+                    "|publishers| x |resolutions| + 1 iteration bound",
+        measure="stat:kmr_iteration_ratio_max",
+        threshold=1.0,
+        value_of=_iteration_ratio_max,
+        unit="ratio",
+        paper_ref="Sec. 5 / Fig. 6",
+    ),
+    Slo(
+        name="degraded_serve_rate",
+        description="fraction of serves degraded to the single-stream "
+                    "fallback (or shed) stays bounded",
+        measure="serves_degraded_fraction",
+        threshold=0.5,
+        value_of=_degraded_fraction,
+        unit="ratio",
+        paper_ref="Sec. 7",
+    ),
+    Slo(
+        name="stream_interruption_s",
+        description="no meeting stays degraded longer than the recovery "
+                    "budget before re-converging",
+        measure="serves_max_interruption_s",
+        threshold=6.0,
+        value_of=_max_interruption_s,
+        unit="s",
+        paper_ref="Sec. 7",
+    ),
+) + tuple(
+    Slo(
+        name=f"stage_{stage}_p95",
+        description=f"p95 {stage} stage latency stays within its "
+                    "share of the control-latency envelope",
+        measure=f"stage_p95:{stage}",
+        threshold=STAGE_BUDGETS_S[stage],
+        value_of=_stage_p95(stage),
+        unit="s",
+        paper_ref="Fig. 12",
+    )
+    for stage in sorted(STAGE_BUDGETS_S)
+)
+
+
+def evaluate_slos(
+    serves: Sequence[Mapping[str, object]] = (),
+    duration_s: float = 0.0,
+    iteration_ratio_max: Optional[float] = None,
+    stage_latencies: Optional[
+        Mapping[str, Sequence[Tuple[float, float]]]
+    ] = None,
+    registry: Optional[MetricsRegistry] = None,
+) -> List[SloVerdict]:
+    """One verdict per :data:`SLOS` row, in table order.
+
+    Args:
+        serves: chaos-report serve rows (dicts with ``t``/``meeting``/
+            ``source``/``delivered``), ordered by time.
+        duration_s: run length in simulated seconds.
+        iteration_ratio_max: the run's largest KMR iterations-to-bound
+            ratio.
+        stage_latencies: per-stage ``(start_s, duration_s)`` samples from
+            the trace plane (``TraceAssembler.stage_latencies``).
+        registry: live registry for the wall-clock latency measure.
+
+    A row whose input is missing gets a SKIP verdict.  Each verdict
+    counts once in ``repro_slo_evaluations_total`` (and a breach in
+    ``repro_slo_breaches_total``) on the installed registry.
+    """
+    run = _Run(
+        serves, duration_s, iteration_ratio_max, stage_latencies or {},
+        registry,
+    )
+    recent_t0 = duration_s * (1.0 - RECENT_FRACTION)
+    verdicts: List[SloVerdict] = []
+    with span(obs_names.SPAN_SLO_EVALUATE):
+        for slo in SLOS:
+            full = slo.value_of(run, _WHOLE_RUN)
+            recent = slo.value_of(run, recent_t0)
+            compare = _COMPARATORS[slo.comparator]
+            ok = full is None or compare(full, slo.threshold)
+            recent_breach = (
+                recent is not None and not compare(recent, slo.threshold)
+            )
+            verdicts.append(SloVerdict(
+                name=slo.name,
+                description=slo.description,
+                measure=slo.measure,
+                threshold=slo.threshold,
+                comparator=slo.comparator,
+                unit=slo.unit,
+                deterministic=slo.deterministic,
+                paper_ref=slo.paper_ref,
+                value=full,
+                recent_value=recent,
+                ok=ok,
+                fast_burn=(not ok) and recent_breach,
+            ))
+        reg = get_registry()
+        if reg.enabled:
+            for verdict in verdicts:
+                reg.counter(obs_names.SLO_EVALUATIONS, slo=verdict.name).inc()
+                if not verdict.ok:
+                    reg.counter(obs_names.SLO_BREACHES, slo=verdict.name).inc()
+    return verdicts

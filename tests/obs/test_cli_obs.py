@@ -1,6 +1,11 @@
 """Tests for the ``repro obs`` CLI subcommands."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from repro.cli import build_parser, main
 from repro.obs import names
 from repro.obs.events import active_event_log
 from repro.obs.registry import get_registry
+from repro.obs.slo import SLOS
 
 
 class TestParser:
@@ -144,9 +150,16 @@ class TestObsReport:
         rc = main(["obs", "report", "--seed", "1"] + CHAOS_ARGS)
         assert rc == 0
         out = capsys.readouterr().out
-        assert "slo verdicts:" in out
-        assert "kmr_iteration_bound" in out
+        assert out.startswith("chaos run: scenario=bandwidth_collapse")
+        assert "SLO PASS kmr_iteration_bound" in out
         assert "events: emitted=" in out
+
+    def test_text_report_prints_each_slo_once(self, capsys):
+        rc = main(["obs", "report", "--seed", "1"] + CHAOS_ARGS)
+        assert rc == 0
+        out = capsys.readouterr().out
+        for slo in SLOS:
+            assert len(re.findall(rf"\b{slo.name}\b", out)) == 1, slo.name
 
     def test_json_report_payload(self, capsys):
         rc = main(["obs", "report", "--json", "--seed", "1"] + CHAOS_ARGS)
@@ -233,3 +246,67 @@ class TestObsTimeline:
         rc = main(["obs", "timeline", "m", "--events", str(bad)])
         assert rc == 2
         assert "unsupported event schema" in capsys.readouterr().err
+
+
+#: Event files every ``--events`` command must refuse with exit 2.
+MALFORMED_EVENTS = {
+    "missing_t": '{"record":"event","kind":"x"}\n',
+    "not_an_object": "[1,2]\n",
+    "string_seq": '{"record":"event","t":1.0,"seq":"1","kind":"x"}\n',
+    "list_attrs": '{"record":"event","t":1.0,"seq":0,"kind":"x","attrs":[]}\n',
+    "not_json": "{oops\n",
+}
+
+
+class TestMalformedEventFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_EVENTS))
+    @pytest.mark.parametrize(
+        "command, prefix",
+        [
+            (["obs", "timeline", "m"], "repro obs: "),
+            (["trace", "show"], "repro trace: "),
+            (["trace", "export", "--out", "unused.json"], "repro trace: "),
+            (["trace", "profile"], "repro trace: "),
+        ],
+    )
+    def test_exits_2_with_one_line_error(
+        self, tmp_path, capsys, case, command, prefix
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(MALFORMED_EVENTS[case])
+        rc = main(command + ["--events", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1
+        assert "line 1" in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "report", "--json", "--seed", "1"] + CHAOS_ARGS,
+            ["obs", "timeline", "chaos-0", "--seed", "1"] + CHAOS_ARGS,
+        ],
+    )
+    def test_reader_closing_early_gives_no_traceback(self, argv):
+        # The reader end is closed before the command starts, so its
+        # first write to stdout fails whatever the buffering.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[2] / "src"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro"] + argv,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+        assert proc.returncode == 141

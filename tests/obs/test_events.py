@@ -122,6 +122,42 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError):
             EventLog.from_jsonl_lines([line])
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1, 2],
+            "text",
+            7,
+            None,
+            {"record": "event", "kind": "x"},
+            {"record": "event", "t": 1.0, "kind": "x"},
+            {"record": "event", "t": 1.0, "seq": 0},
+            {"record": "event", "t": "1.0", "seq": 0, "kind": "x"},
+            {"record": "event", "t": True, "seq": 0, "kind": "x"},
+            {"record": "event", "t": 1.0, "seq": 1.5, "kind": "x"},
+            {"record": "event", "t": 1.0, "seq": "0", "kind": "x"},
+            {"record": "event", "t": 1.0, "seq": 0, "kind": 3},
+            {"record": "event", "t": 1.0, "seq": 0, "kind": "x",
+             "attrs": [1]},
+            {"record": "event", "t": 1.0, "seq": 0, "kind": "x",
+             "attrs": "a=1"},
+            {"record": "meta", "schema": EVENTS_SCHEMA, "emitted": [1]},
+        ],
+    )
+    def test_rejects_malformed_rows_naming_the_line(self, row):
+        good = self._sample().to_jsonl_lines()
+        with pytest.raises(ValueError, match=rf"^line {len(good) + 1}: "):
+            EventLog.from_jsonl_lines(good + [json.dumps(row)])
+
+    def test_rejects_a_line_that_is_not_json(self):
+        with pytest.raises(ValueError, match="^line 1: "):
+            EventLog.from_jsonl_lines(["{oops"])
+
+    def test_rejects_non_finite_time(self):
+        row = {"record": "event", "t": float("nan"), "seq": 0, "kind": "x"}
+        with pytest.raises(ValueError, match="finite"):
+            EventLog.from_jsonl_lines([json.dumps(row)])
+
     def test_digest_changes_with_content(self):
         log = self._sample()
         other = self._sample()

@@ -1,7 +1,7 @@
 """One owner per number: each canonical metric is recorded at one site.
 
 A site is the one function in ``src/`` that either pushes the name into
-the registry (``reg.counter(NAME)``, ``.gauge``, ``.histogram``) or
+the registry (``reg.counter(NAME)``, ``.histogram``) or
 yields it from a stats object the registry watches
 (``yield NAME, labels, value``).  A second site would count the same
 thing twice, paid twice on the control path.
@@ -14,7 +14,7 @@ from pathlib import Path
 from repro.obs import names
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-INSTRUMENTS = {"counter", "gauge", "histogram"}
+INSTRUMENTS = {"counter", "histogram"}
 
 
 def _metric(node):

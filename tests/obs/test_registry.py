@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.obs import names
 from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
@@ -56,15 +57,6 @@ class TestCounter:
     def test_rejects_bad_label_name(self):
         with pytest.raises(ValueError):
             MetricsRegistry().counter("repro_ok_total", **{"bad-label": "x"})
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = MetricsRegistry().gauge("repro_g")
-        g.set(10)
-        g.inc(2.5)
-        g.dec()
-        assert g.value == pytest.approx(11.5)
 
 
 class TestHistogram:
@@ -134,11 +126,16 @@ class TestHistogram:
         assert h.percentile(99) == pytest.approx(9900, rel=0.1)
 
 
+def _level():
+    """A watched source: the registry's only way to report a gauge."""
+    yield names.MCKP_CACHE_ENTRIES, {}, 1.5
+
+
 class TestSnapshotAndExport:
     def _populated(self):
         reg = MetricsRegistry()
         reg.counter("repro_events_total", kind="a").inc(3)
-        reg.gauge("repro_level").set(1.5)
+        reg.watch(_level)
         h = reg.histogram("repro_latency_seconds")
         h.observe(0.1)
         h.observe(0.3)
@@ -147,7 +144,7 @@ class TestSnapshotAndExport:
     def test_snapshot_shape(self):
         snap = self._populated().snapshot()
         assert snap["counters"]['repro_events_total{kind="a"}'] == 3
-        assert snap["gauges"]["repro_level"] == 1.5
+        assert snap["gauges"][names.MCKP_CACHE_ENTRIES] == 1.5
         hist = snap["histograms"]["repro_latency_seconds"]
         assert hist["count"] == 2
         assert hist["sum"] == pytest.approx(0.4)
@@ -157,14 +154,14 @@ class TestSnapshotAndExport:
         assert self._populated().metric_names() == [
             "repro_events_total",
             "repro_latency_seconds",
-            "repro_level",
+            names.MCKP_CACHE_ENTRIES,
         ]
 
     def test_prometheus_text(self):
         text = self._populated().to_prometheus_text()
         assert "# TYPE repro_events_total counter" in text
         assert 'repro_events_total{kind="a"} 3' in text
-        assert "# TYPE repro_level gauge" in text
+        assert f"# TYPE {names.MCKP_CACHE_ENTRIES} gauge" in text
         assert "# TYPE repro_latency_seconds summary" in text
         assert "repro_latency_seconds_count 2" in text
         assert 'quantile="0.5"' in text
@@ -172,7 +169,7 @@ class TestSnapshotAndExport:
 
     def test_json_round_trips(self):
         parsed = json.loads(self._populated().to_json())
-        assert parsed["gauges"]["repro_level"] == 1.5
+        assert parsed["gauges"][names.MCKP_CACHE_ENTRIES] == 1.5
 
     def test_reset(self):
         reg = self._populated()
@@ -187,7 +184,7 @@ class TestNullRegistryAndGlobalState:
     def test_null_registry_records_nothing(self):
         reg = NullRegistry()
         reg.counter("repro_c_total").inc()
-        reg.gauge("repro_g").set(5)
+        reg.watch(_level)
         reg.histogram("repro_h").observe(1.0)
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
         assert not reg.enabled
@@ -222,16 +219,14 @@ class TestNullRegistryAndGlobalState:
         assert get_registry() is previous
 
     def test_noop_mode_overhead_smoke(self):
-        """Disabled instruments must be no-op cheap: 100k counter incs,
-        histogram observes and gauge sets in well under a second."""
+        """Disabled instruments must be no-op cheap: 100k counter incs
+        and histogram observes in well under a second."""
         reg = NullRegistry()
         counter = reg.counter("repro_smoke_total")
         hist = reg.histogram("repro_smoke")
-        gauge = reg.gauge("repro_smoke_g")
         start = time.perf_counter()
         for _ in range(100_000):
             counter.inc()
             hist.observe(1.0)
-            gauge.set(1.0)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"no-op instruments too slow: {elapsed:.3f}s"

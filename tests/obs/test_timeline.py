@@ -3,6 +3,8 @@ the end-to-end acceptance path: a bandwidth-collapse chaos run whose
 per-meeting timeline reads SEMB report -> solve -> TMMBR push ->
 subscription change under one correlation id."""
 
+import json
+
 import pytest
 
 from repro.obs.events import (
@@ -13,25 +15,31 @@ from repro.obs.events import (
     Event,
     EventLog,
 )
+from repro.chaos.report import RunReport
+from repro.cli import main
 from repro.obs.report import (
     correlation_chains,
-    format_report,
-    format_slo_verdicts,
     format_timeline,
     meeting_timeline,
-    report_dict,
     timeline_dict,
 )
-from repro.obs.slo import SloVerdict
+from repro.obs.slo import SLOS, SloVerdict
 
 
-def _verdict(name="kmr_iteration_bound", value=0.4, ok=True):
+def _verdict(name="kmr_iteration_bound", value=0.4, ok=True,
+             fast_burn=False):
     return SloVerdict(
         name=name, description="", measure="stat:k", threshold=1.0,
         comparator="<=", unit="ratio", deterministic=True,
         paper_ref="Sec. 5", value=value, recent_value=value, ok=ok,
-        fast_burn=False,
-    )
+        fast_burn=fast_burn,
+    ).to_dict()
+
+
+def _summary(*verdicts):
+    report = RunReport(scenario="s", seed=1, duration_s=1.0,
+                       slo=list(verdicts))
+    return report.summary()
 
 
 def _chain(log: EventLog, meeting: str, t: float):
@@ -101,48 +109,69 @@ class TestTimeline:
 
 
 class TestSloRendering:
+    """Verdicts render in :meth:`RunReport.summary`, one line each."""
+
     def test_format_verdicts_table(self):
-        text = format_slo_verdicts([
+        text = _summary(
             _verdict(),
             _verdict(name="degraded_serve_rate", value=0.9, ok=False),
-        ])
-        assert "PASS" in text
-        assert "FAIL" in text
-        assert "(Sec. 5)" in text
+            _verdict(name="stream_interruption_s", value=9.0, ok=False,
+                     fast_burn=True),
+        )
+        assert "SLO PASS kmr_iteration_bound: 0.400 <= 1.0" in text
+        assert "SLO FAIL degraded_serve_rate: 0.900 <= 1.0" in text
+        assert "SLO BURN stream_interruption_s: 9.000 <= 1.0" in text
 
     def test_format_verdicts_empty(self):
-        assert format_slo_verdicts([]) == "no SLOs evaluated"
+        assert "SLO " not in _summary()
 
     def test_skip_rendered_for_missing_data(self):
-        verdict = _verdict()
-        verdict.value = None
-        text = format_slo_verdicts([verdict])
-        assert "SKIP" in text
-        assert "no data" in text
+        text = _summary(_verdict(value=None))
+        assert "SLO SKIP kmr_iteration_bound: n/a" in text
+
+
+#: A small run for the ``obs report`` tests.
+SMALL = ["--seed", "1", "--meetings", "2", "--duration", "6"]
 
 
 class TestReport:
-    def test_report_dict_includes_event_stats(self):
-        log = EventLog()
-        _chain(log, "m", 1.0)
-        out = report_dict("healthy", 3, [_verdict()], log=log)
+    """``repro obs report``: the run report plus the event log."""
+
+    def test_report_dict_includes_event_stats(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        rc = main(["obs", "report", "--json", "--scenario", "healthy",
+                   "--events-out", str(events)] + SMALL)
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        log = EventLog.read_jsonl(events)
         assert out["scenario"] == "healthy"
+        assert out["seed"] == 1
         assert out["slo_ok"] is True
-        assert out["events"]["emitted"] == 4
+        assert [v["name"] for v in out["slo"]] == [s.name for s in SLOS]
+        assert out["events"]["emitted"] == log.emitted
+        assert out["events"]["retained"] == len(log)
+        assert out["events"]["kinds"] == log.kinds()
         assert out["events"]["digest"] == log.digest()
+        assert out["chaos"]["ok"] is True
 
-    def test_report_dict_flags_failures(self):
-        out = report_dict("s", 1, [_verdict(ok=False)])
+    def test_report_dict_flags_failures(self, capsys):
+        # One poisoned meeting of one: most serves are fallbacks.
+        rc = main(["obs", "report", "--json", "--scenario", "unfixable",
+                   "--seed", "1", "--meetings", "1", "--duration", "6"])
+        assert rc == 1
+        out = json.loads(capsys.readouterr().out)
         assert out["slo_ok"] is False
+        assert out["chaos"]["ok"] is True
 
-    def test_format_report_sections(self):
-        log = EventLog()
-        _chain(log, "m", 1.0)
-        text = format_report("s", 1, [_verdict()], log=log,
-                             summary="run summary line")
-        assert "run summary line" in text
-        assert "slo verdicts:" in text
-        assert "events: emitted=4" in text
+    def test_format_report_sections(self, capsys):
+        rc = main(["obs", "report", "--scenario", "healthy"] + SMALL)
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert text.startswith("chaos run: scenario=healthy seed=1")
+        assert "  SLO PASS kmr_iteration_bound:" in text
+        assert "report digest:" in text
+        assert "events: emitted=" in text
+        assert "slo verdicts:" not in text
 
 
 class TestEndToEndTimeline:
