@@ -14,7 +14,10 @@ what carries that across steps without changing a single byte of any
   keyed by ``(granularity, classes)``: profiles survive across KMR
   iterations, solver instances, controller rounds and meetings, so a
   bandwidth delta that changes the ``Problem`` builds no table for a
-  class structure seen before.  Profiles are shared without copying;
+  class structure seen before.  Profiles are shared without copying.
+  A miss builds its table on the cache's DP prefix store
+  (:class:`~repro.core.mckp.PrefixStore`), folding only the classes
+  after the longest class prefix any earlier table swept;
 * **per-solve accounting** — :class:`EngineStats` counts what each layer
   saved; :class:`~repro.core.solver.SolveStats` carries it per solve.
   The process-wide cache keeps its own hit, miss and eviction counts,
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional
 
 from ..obs import names as obs_names
-from .mckp import CapacityProfile
+from .mckp import CapacityProfile, PrefixStore
 
 
 @dataclass
@@ -105,11 +108,13 @@ class MckpInstanceCache:
     downlink — across KMR iterations, across controller rounds, and
     across entirely different meetings that share ladder shapes.  Values
     are :class:`~repro.core.mckp.CapacityProfile` objects, shared without
-    copying.
+    copying.  The cache also owns the :class:`~repro.core.mckp.PrefixStore`
+    its misses are built on.
 
     Args:
         capacity: maximum retained entries; least-recently-used entries
-            are evicted beyond it.
+            are evicted beyond it.  It also bounds the prefix store's
+            states.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -118,6 +123,8 @@ class MckpInstanceCache:
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, CapacityProfile]" = OrderedDict()
         self.stats = InstanceCacheStats()
+        #: The DP prefix states the profiles of this cache are built on.
+        self.prefixes = PrefixStore(capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -144,11 +151,14 @@ class MckpInstanceCache:
             self.stats.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (stats are kept)."""
+        """Drop every entry and every prefix state (stats are kept)."""
         self._entries.clear()
+        self.prefixes.clear()
 
     def snapshot(self) -> dict:
-        """JSON-friendly stats view (mirrors the cluster cache's shape)."""
+        """JSON-friendly stats view: the profile LRU's counts, then the
+        prefix store's ``states`` and the ``retained_bytes`` of their
+        value and choice rows."""
         return {
             "entries": len(self._entries),
             "capacity": self.capacity,
@@ -156,6 +166,8 @@ class MckpInstanceCache:
             "misses": self.stats.misses,
             "evictions": self.stats.evictions,
             "hit_rate": self.stats.hit_rate,
+            "states": len(self.prefixes),
+            "retained_bytes": self.prefixes.retained_bytes,
         }
 
     def samples(self) -> Iterator[tuple]:

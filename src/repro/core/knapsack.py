@@ -15,8 +15,9 @@ subscriber.  Subscribers are grouped by their ``Problem.shape_index``
 shape (same ordered ``(publisher, max_resolution)`` edges, plus the same
 held resolutions when an incumbent is passed); a group builds its classes
 once, fetches **one** :class:`~repro.core.mckp.CapacityProfile` (from the
-process-wide :class:`~repro.core.engine.MckpInstanceCache` or one bounded
-DP table) and answers every member with a bisect on its downlink budget.
+process-wide :class:`~repro.core.engine.MckpInstanceCache`, or folded on
+the cache's DP prefix store from the classes no known prefix covers) and
+answers every member with a bisect on its downlink budget.
 A webinar's viewers, or Fig. 6c's gallery view, cost one table however
 many they are.  :func:`solve_subscriber` (one DP per subscriber) is the
 reference the differential tests compare this against, and the
@@ -231,7 +232,8 @@ def knapsack_step(
         exhaustive: solve every subscriber by exact enumeration instead
             (the Fig. 6 brute-force baseline; no profile, cache or stats).
         cache: optional process-wide profile cache consulted before
-            building a table.
+            building a table; a table it misses is built on its DP
+            prefix store.
         stats: optional per-solve accounting filled by the DP path.
         groups: optional map the step records its answer sharing in, for
             :func:`~repro.core.merge.merge_step`: each solved subscriber
@@ -297,7 +299,8 @@ def knapsack_step(
         profile = cache.get(key) if cache is not None else None
         if profile is None:
             misses += 1
-            profile = CapacityProfile(classes, granularity)
+            prefixes = None if cache is None else cache.prefixes
+            profile = CapacityProfile(classes, granularity, prefixes)
             if cache is not None:
                 cache.put(key, profile)
         else:

@@ -28,9 +28,12 @@ Public solvers:
 * :class:`CapacityProfile` — every capacity's answer to one class
   structure: **one** DP table, no wider than the sum of the per-class
   maximum grid weights divided by their GCD, whose final value row is a
-  step function of capacity.  The profile keeps the steps' breakpoints
-  and picks; a lookup is a bisect.  ``repro.core.knapsack`` answers all
-  subscribers that share a class structure from one profile.
+  step function of capacity.  The table is a left fold of one
+  :class:`PrefixState` per class, which a :class:`PrefixStore` shares
+  between every structure with the same leading classes.  The profile
+  keeps the steps' breakpoints; a lookup is a bisect.
+  ``repro.core.knapsack`` answers all subscribers that share a class
+  structure from one profile.
 * :func:`solve_mckp_exhaustive` — exact enumeration of the
   ``prod(|class|+1)`` combinations.  Exponential; this is the brute-force
   comparator of Fig. 6 and the test oracle.
@@ -68,9 +71,11 @@ _chain = itertools.chain.from_iterable
 class KernelStats:
     """Process-wide DP usage counters (always on): DP tables built, by
     kind (``optional``-pick for Step 1, ``mandatory``-pick for Step 3's
-    fix), plus the subscriber instances answered out of a shared
-    :class:`CapacityProfile`.  ``ControllerCluster.stats()`` reports this
-    snapshot; the metrics registry reads the optional-pick count."""
+    fix), the class sweeps the capacity profiles ran (one per
+    :class:`PrefixState` built), plus the subscriber instances answered
+    out of a shared :class:`CapacityProfile`.
+    ``ControllerCluster.stats()`` reports this snapshot; the metrics
+    registry reads the optional-pick count and the class sweeps."""
 
     def __init__(self) -> None:
         self.reset()
@@ -87,11 +92,13 @@ class KernelStats:
         #: ``bench/`` sums the snapshot's ``solves`` values.
         self.solves: Dict[str, int] = {"optional": 0, "mandatory": 0}
         self.batched_instances = 0
+        self.class_sweeps = 0
 
     def samples(self) -> Iterator[tuple]:
         """The registry's view (``MetricsRegistry.watch``; a solver
         registers it when it is built)."""
         yield obs_names.MCKP_SOLVES, {}, self.solves["optional"]
+        yield obs_names.MCKP_CLASS_SWEEPS, {}, self.class_sweeps
 
 
 _KERNEL_STATS = KernelStats()
@@ -264,8 +271,8 @@ def _sweep(flat: _Flat, width: int) -> Tuple[np.ndarray, np.ndarray]:
     The table is reusable across capacities: column ``c`` only ever
     reads columns ``<= c``, so for any ``s < width`` the prefix
     ``[0..s]`` is exactly the table the DP would have built on an
-    ``s``-slot grid.  :class:`CapacityProfile` answers every capacity
-    of a class structure from one table this way.
+    ``s``-slot grid.  :class:`CapacityProfile` folds the same
+    per-class step one class at a time (:func:`_fold`).
     """
     grid, bounds = flat.grid, flat.bounds
     padded = np.empty(2 * width)
@@ -367,35 +374,6 @@ def solve_mckp_dp(
     return _finish(classes, picks, capacity)
 
 
-def _backtrack_columns(
-    flat: _Flat, choices: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Backtrack many start columns of one DP table in one pass.
-
-    The class loop runs once for all columns, gathering each column's
-    choice for class ``ci`` with a fancy index and stepping all columns
-    together.  Returns a ``(len(cols), n)`` array of item indices using
-    :data:`_NO_CHOICE` for skipped classes (``int8`` when every class has
-    fewer than 128 items) — decision-for-decision identical to the
-    oracle's scalar walk.
-    """
-    grid, bounds = flat.grid, flat.bounds
-    n = len(bounds) - 1
-    small = all(hi - lo <= 128 for lo, hi in zip(bounds, bounds[1:]))
-    cols = np.array(cols, dtype=np.int64)
-    picks = np.empty((cols.shape[0], n), dtype=np.int8 if small else np.int32)
-    for ci in range(n - 1, -1, -1):
-        rows = choices[ci][cols]
-        picks[:, ci] = rows
-        cols -= grid[bounds[ci] :][rows]
-    picks -= 1  # row offset -> item index; the skip row -> _NO_CHOICE
-    return picks
-
-
-def _pick_list(row: np.ndarray) -> List[Optional[int]]:
-    return [NO_PICK if p == _NO_CHOICE else p for p in row.tolist()]
-
-
 def _solve_mckp_dp_python(
     classes: Sequence[Sequence[Item]],
     capacity: int,
@@ -450,11 +428,146 @@ def _solve_mckp_dp_python(
 # --------------------------------------------------------------------- #
 
 
+class PrefixState:
+    """The optional-pick DP after a class prefix ``c1..ck``: its value row
+    and the choice row of its last class ``ck``.
+
+    Both rows span the prefix's own heaviest combination plus one column.
+    By the clamp argument every wider column repeats the last one, so one
+    state serves a table of any width (``docs/SOLVER.md``).
+    """
+
+    __slots__ = ("value", "choice", "steps")
+
+    def __init__(self, value: np.ndarray, choice: np.ndarray, steps: List[int]) -> None:
+        #: ``float64`` value row.
+        self.value = value
+        #: Per column, the winning row's offset in ``ck`` (0 = skipped):
+        #: ``int8`` for a class of fewer than 128 items, else ``int32``.
+        self.choice = choice
+        #: The table columns each row of ``ck`` weighs, the skip row's 0 first.
+        self.steps = steps
+
+
+#: The value row before the first class: the empty combination, column 0.
+_ORIGIN = np.zeros(1)
+
+
+def _fold(prev: np.ndarray, steps: List[int], values: np.ndarray) -> PrefixState:
+    """One class of :func:`_sweep` on top of the value row ``prev``, on a
+    row widened to the new prefix's heaviest combination by repeating
+    ``prev``'s last column (the clamp): one gather of every candidate row
+    through the ``-inf``-padded window, ``argmax`` first-max as the tie
+    rule.  ``steps`` and ``values`` lead with the skip row's 0."""
+    rows = np.array(steps)
+    width = len(prev) + max(steps)
+    padded = np.empty(2 * width)
+    padded[:width] = _NEG_INF
+    padded[width : width + len(prev)] = prev
+    padded[width + len(prev) :] = prev[-1]
+    window = np.ndarray((width + 1, width), np.float64, padded, 0, (8, 8))
+    candidates = window[width - rows]
+    candidates += values[:, None]
+    choice = np.empty(width, np.int8 if len(steps) <= 128 else np.int32)
+    candidates.argmax(axis=0, out=choice)
+    return PrefixState(np.maximum.reduce(candidates, axis=0), choice, steps)
+
+
+class PrefixStore:
+    """Step 1's shared DP prefixes: a trie of :class:`PrefixState`, one
+    root per ``(granularity, unit)`` and one child per class tuple.
+
+    The trie is one dict keyed by ``(parent, class)``, where a first
+    class's parent is the ``(granularity, unit)`` pair itself.  The state
+    after ``c1..ck`` depends only on those classes, the granularity and
+    the GCD unit, so every structure that starts with them reuses it.  A
+    build whose classes could take the store past ``capacity`` states
+    drops the whole trie first; states already in a profile's chain stay
+    valid.
+    """
+
+    __slots__ = ("capacity", "states", "retained_bytes")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.states: Dict[tuple, PrefixState] = {}
+        #: Bytes of the value and choice rows the store holds.
+        self.retained_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def clear(self) -> None:
+        """Drop every state."""
+        self.states.clear()
+        self.retained_bytes = 0
+
+
+def _profile_unit(
+    classes: Sequence[Sequence[Item]], keys: List[tuple], granularity: int
+) -> int:
+    """Validate an optional-pick structure as :func:`_flatten` does, and
+    return the GCD of its grid weights (1 when it has none).
+
+    Only the distinct classes (``keys``, the classes as tuples) are read:
+    a mesh's structure repeats one ladder per publisher.  nan fails every
+    comparison but poisons a sum; :func:`_validate` runs only once these
+    checks fail, so it raises its own messages in its own order.
+    """
+    items = list(_chain(dict.fromkeys(keys)))
+    weights: Sequence[int] = ()
+    if items:
+        weights, values = zip(*items)
+        if not (
+            min(weights) > 0
+            and min(values) >= 0
+            and math.isfinite(sum(weights))
+            and math.isfinite(sum(values))
+        ):
+            _validate(classes, 0)
+    _check_granularity(granularity)
+    return math.gcd(*[int(-(-w // granularity)) for w in weights]) or 1
+
+
+def _prefix_chain(
+    keys: List[tuple],
+    granularity: int,
+    unit: int,
+    store: Optional[PrefixStore],
+) -> List[PrefixState]:
+    """The state of every prefix of the classes ``keys``: the longest
+    prefix ``store`` knows is reused, and each class after it is folded
+    once and added to the store."""
+    n = len(keys)
+    chain: List[PrefixState] = []
+    parent: object = (granularity, unit)
+    if store is not None:
+        if len(store) + n > store.capacity:
+            store.clear()
+        for key in keys:
+            state = store.states.get((parent, key))
+            if state is None:
+                break
+            chain.append(state)
+            parent = state
+    prev = chain[-1].value if chain else _ORIGIN
+    _KERNEL_STATS.class_sweeps += n - len(chain)
+    for key in keys[len(chain) :]:
+        steps = [0] + [int(-(-w // granularity)) // unit for w, _ in key]
+        state = _fold(prev, steps, np.array([0.0] + [v for _, v in key]))
+        if store is not None and len(store) < store.capacity:
+            store.states[(parent, key)] = state
+            store.retained_bytes += state.value.nbytes + state.choice.nbytes
+        chain.append(state)
+        parent, prev = state, state.value
+    return chain
+
+
 class CapacityProfile:
     """Every capacity's optional-pick answer for one class structure.
 
     Byte-identical to ``solve_mckp_dp(classes, capacity, granularity)``
-    for every ``capacity >= 0``, from **one** DP table, by three exactness
+    for every ``capacity >= 0``, from **one** DP table, by four exactness
     arguments (``docs/SOLVER.md``):
 
     * *prefix* — DP column ``c`` only reads columns ``<= c``, so the
@@ -462,41 +575,46 @@ class CapacityProfile:
     * *clamp* — no combination outweighs the sum of the per-class maximum
       grid weights, so wider grids repeat that last column;
     * *GCD* — every reachable column is a multiple of the grid weights'
-      GCD, so the table is built on weights divided by it.
+      GCD, so the table is built on weights divided by it;
+    * *shared prefixes* — the table is a left fold over the classes, and
+      the state after ``c1..ck`` depends only on those classes, the
+      granularity and the unit: with a :class:`PrefixStore` the profile
+      folds only the classes after the longest prefix the store knows.
 
     The final value row is non-decreasing in capacity, and the DP answers
     with its *smallest* maximizing column: the answer is a step function
     of capacity.  The profile keeps the columns where the value rises
-    (``int32``) and the picks backtracked from each (``int8`` for classes
-    of fewer than 128 items); solutions are materialized on first use.
+    (``int32``) and the chain of prefix states; a breakpoint's picks are
+    backtracked, and its solution materialized, on first use.
 
     Args:
         classes: item classes; at most one item is chosen from each.
         granularity: capacity grid step in kbps.
+        prefixes: the store to reuse prefix states from and add new ones
+            to; ``None`` folds every class.
     """
 
-    __slots__ = ("classes", "granularity", "unit", "breaks", "picks", "_solutions")
+    __slots__ = ("classes", "granularity", "unit", "breaks", "chain", "_solutions")
 
     def __init__(
-        self, classes: Sequence[Sequence[Item]], granularity: int = 1
+        self,
+        classes: Sequence[Sequence[Item]],
+        granularity: int = 1,
+        prefixes: Optional[PrefixStore] = None,
     ) -> None:
-        flat = _flatten(classes, granularity, 0.0)
         self.classes = classes
         self.granularity = granularity
-        #: Grid slots per table column: the GCD of all grid weights (the
-        #: skip rows' zeros leave it alone).
-        self.unit = int(np.gcd.reduce(flat.grid)) or 1
-        if self.unit > 1:
-            np.floor_divide(flat.grid, self.unit, out=flat.grid)
-        columns = _heaviest(flat)
-        _emit_solve_obs(get_registry(), len(classes), columns)
-        value, choices = _sweep(flat, columns + 1)
+        keys = [c if type(c) is tuple else tuple(map(tuple, c)) for c in classes]
+        #: Grid slots per table column: the GCD of all grid weights.
+        self.unit = _profile_unit(classes, keys, granularity)
+        #: Per class, the DP state after the classes up to it.
+        self.chain = _prefix_chain(keys, granularity, self.unit, prefixes)
+        value = self.chain[-1].value if self.chain else _ORIGIN
+        _emit_solve_obs(get_registry(), len(classes), len(value) - 1)
         rises = np.flatnonzero(value[1:] > value[:-1]) + 1
         breaks = np.concatenate(([0], rises))
         #: Ascending table columns where the value row rises; 0 first.
         self.breaks = array("i", breaks.astype(np.intc).tobytes())
-        #: ``(len(breaks), n)`` item index per class, ``-1`` = skipped.
-        self.picks = _backtrack_columns(flat, choices, breaks)
         #: breakpoint index -> materialized solution; -1 = the empty grid.
         self._solutions: Dict[int, MckpSolution] = {}
 
@@ -520,11 +638,24 @@ class CapacityProfile:
             if index < 0:
                 solution = _empty_solution(len(self.classes))
             else:
-                picks = _pick_list(self.picks[index])
+                picks = self._backtrack(self.breaks[index])
                 solution = _finish(self.classes, picks, capacity)
             self._solutions[index] = solution
         assert solution.total_weight <= capacity
         return solution
+
+    def _backtrack(self, col: int) -> List[Optional[int]]:
+        """Per class, the item the table picks from column ``col`` on
+        (``None`` = skipped).  A column past a state's rows reads its
+        last one (the clamp)."""
+        picks: List[Optional[int]] = [NO_PICK] * len(self.chain)
+        for ci in range(len(self.chain) - 1, -1, -1):
+            state = self.chain[ci]
+            row = int(state.choice[min(col, len(state.choice) - 1)])
+            if row:
+                picks[ci] = row - 1
+            col -= state.steps[row]
+        return picks
 
 
 # --------------------------------------------------------------------- #

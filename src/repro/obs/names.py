@@ -52,6 +52,10 @@ KMR_DIRTY_SET_SIZE = "repro_kmr_dirty_set_size"
 #: (a distinct Step-1 class structure missing the profile cache) plus one
 #: per scalar ``solve_mckp_dp`` call.
 MCKP_SOLVES = "repro_mckp_dp_solves_total"
+#: Counter — classes the capacity profiles swept: one per DP prefix state
+#: built, so a profile that reuses a known class prefix sweeps only the
+#: classes after it.
+MCKP_CLASS_SWEEPS = "repro_mckp_class_sweeps_total"
 #: Histogram — DP table size in cells (classes x capacity slots).
 MCKP_TABLE_CELLS = "repro_mckp_dp_table_cells"
 
@@ -243,6 +247,7 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     KMR_STEP1_SKIPPED: ("counter", ()),
     KMR_DIRTY_SET_SIZE: ("histogram", ()),
     MCKP_SOLVES: ("counter", ()),
+    MCKP_CLASS_SWEEPS: ("counter", ()),
     MCKP_TABLE_CELLS: ("histogram", ()),
     MCKP_CACHE: ("counter", ("result",)),
     MCKP_CACHE_EVICTIONS: ("counter", ()),

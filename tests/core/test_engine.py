@@ -130,6 +130,8 @@ class TestMckpInstanceCache:
             "misses": 0,
             "evictions": 0,
             "hit_rate": 0.0,
+            "states": 0,
+            "retained_bytes": 0,
         }
 
     def test_rejects_bad_capacity(self):

@@ -373,7 +373,8 @@ class TestCapacityProfile:
         profile = CapacityProfile(classes, 1)
         assert profile.unit == 100
         assert profile.breaks[-1] <= 8 * 1500 // 100
-        assert profile.picks.dtype.itemsize == 1
+        assert len(profile.chain[-1].value) == 8 * 1500 // 100 + 1
+        assert all(state.choice.dtype.itemsize == 1 for state in profile.chain)
         assert profile.solution(10**9).total_weight == 8 * 1500
 
     def test_negative_capacity_rejected_at_lookup(self):
@@ -537,7 +538,8 @@ class TestWindowSweep:
             for _ in range(2)
         ) + (((3, 1.0), (5, 2.0)),)
         profile = CapacityProfile(classes, 1)
-        assert profile.picks.dtype.itemsize == (1 if size < 128 else 4)
+        wide = 1 if size < 128 else 4
+        assert [s.choice.dtype.itemsize for s in profile.chain] == [wide, wide, 1]
         top = sum(max(w for w, _ in cls) for cls in classes) + 2
         for cap in range(top + 1):
             got = profile.solution(cap)
@@ -576,8 +578,11 @@ class TestWindowSweep:
         assert pickle.dumps(classes) == before
         assert first.unit == second.unit == 50
         assert first.breaks == second.breaks
-        assert first.picks.dtype == second.picks.dtype
-        assert (first.picks == second.picks).all()
+        assert len(first.chain) == len(second.chain) == 5
+        for one, two in zip(first.chain, second.chain):
+            assert one.choice.dtype == two.choice.dtype
+            assert (one.choice == two.choice).all()
+            assert (one.value == two.value).all()
 
 
 class TestNonFiniteValues:

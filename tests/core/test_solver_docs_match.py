@@ -115,6 +115,8 @@ class TestCodeReferencesExist:
         (mckp, "solve_mckp_dp"),
         (mckp, "solve_mckp_dp_mandatory"),
         (mckp, "CapacityProfile"),
+        (mckp, "PrefixStore"),
+        (mckp, "PrefixState"),
         (mckp, "_max_slots"),
         (mckp, "_grid_weight"),
         (mckp, "MckpSolution"),
@@ -139,6 +141,7 @@ class TestCodeReferencesExist:
             "tests/core/test_mckp_kernel.py",
             "tests/core/test_incremental.py",
             "tests/core/test_replay.py",
+            "tests/core/test_prefix_store.py",
             "tests/core/test_solver_docs_match.py",
             "tests/core/reference.py",
             "bench/README.md",
@@ -161,6 +164,7 @@ class TestMetricClaims:
 
     def test_kernel_metrics_documented(self, guide_text):
         assert names.MCKP_SOLVES in guide_text
+        assert names.MCKP_CLASS_SWEEPS in guide_text
 
 
 class TestBenchmarkClaims:

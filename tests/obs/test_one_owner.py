@@ -62,3 +62,4 @@ def test_the_guard_sees_both_kinds_of_site():
     sites = _recording_sites()
     assert sites[names.KMR_SOLVES] == {"core/solver.py::solve_with_stats"}
     assert sites[names.INGRESS_EVENTS] == {"ingress/plane.py::samples"}
+    assert sites[names.MCKP_CLASS_SWEEPS] == {"core/mckp.py::samples"}

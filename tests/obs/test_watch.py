@@ -131,6 +131,7 @@ def _run_kitchen_sink():
 class TestWatchedSeriesEqualTheirOwners:
     def test_kitchen_sink(self):
         cache, kernel = default_mckp_cache().stats, kernel_stats().solves
+        sweeps = kernel_stats().class_sweeps
         with enabled_registry() as reg:
             before = (cache.hits, cache.misses, cache.evictions, kernel["optional"])
             runner = _run_kitchen_sink()
@@ -165,6 +166,7 @@ class TestWatchedSeriesEqualTheirOwners:
             (names.MCKP_CACHE, (("result", "miss"),)): cache.misses - before[1],
             (names.MCKP_CACHE_EVICTIONS, ()): cache.evictions - before[2],
             (names.MCKP_SOLVES, ()): kernel["optional"] - before[3],
+            (names.MCKP_CLASS_SWEEPS, ()): kernel_stats().class_sweeps - sweeps,
             (names.MCKP_CACHE_ENTRIES, ()): len(default_mckp_cache()),
         }
         for shard, count in cluster.meetings.items():
