@@ -8,8 +8,8 @@ Two injected faults, one meeting each:
    The control plane's liveness watchdog detects the configured-but-silent
    stream and re-plans subscribers onto live streams.
 2. **Controller crash** — the GSO controller instance is killed
-   mid-meeting and a fresh (stateless) one takes over, rebuilding its
-   picture from the conference node.
+   mid-meeting and a fresh (stateless) one takes over the meeting's
+   ingress plane, rebuilding its picture from the conference node.
 
 Run it with::
 
@@ -18,7 +18,7 @@ Run it with::
 
 from repro.conference import ClientSpec, MeetingSpec
 from repro.conference.runner import MeetingRunner
-from repro.control.gso_controller import GsoControllerRuntime
+from repro.control.gso_controller import ConferenceBackend
 from repro.core.types import Resolution
 
 
@@ -42,9 +42,9 @@ def broken_encoder_demo():
     view = report.view("viewer", "presenter")
     print(
         f"  downgrades applied by the controller: "
-        f"{runner.controller.downgrades_applied}"
+        f"{runner.plane.backend.guards.downgrades}"
     )
-    final = runner.controller.last_solution.policies.get("presenter", {})
+    final = runner.plane.backend.last_solution.policies.get("presenter", {})
     print(
         "  final plan for the presenter:",
         {str(res): e.bitrate_kbps for res, e in final.items()},
@@ -69,16 +69,15 @@ def controller_crash_demo():
     )
     runner = MeetingRunner(spec)
     runner.sim.run_until(10.0)
-    old_solves = len(runner.controller.solutions)
-    runner.controller.stop()
+    old_solves = len(runner.plane.decisions)
     print(f"  controller crashed at t=10s after {old_solves} solves")
-    runner.controller = GsoControllerRuntime(
+    runner.plane.backend = ConferenceBackend(
         runner.sim, runner.conference, runner.executor
     )
     report = runner.run()
     print(
         f"  replacement controller performed "
-        f"{len(runner.controller.solutions)} solves"
+        f"{len(runner.plane.decisions) - old_solves} solves"
     )
     print(
         f"  meeting after recovery: {report.mean_framerate():.1f} fps, "

@@ -59,9 +59,9 @@ def main():
             f"{view.playback.rendered_kbps:6.0f}kbps @ {view.top_resolution}"
         )
     print(
-        f"\ncontroller: {len(report.call_intervals) + 1} solves, "
-        f"{runner.controller.upgrades_suppressed} upgrades damped, "
-        f"{runner.controller.downgrades_applied} failure downgrades"
+        f"\ncontroller: {len(runner.plane.decisions)} solves, "
+        f"{runner.plane.backend.guards.upgrades_suppressed} upgrades damped, "
+        f"{runner.plane.backend.guards.downgrades} failure downgrades"
     )
     print("final roster:", ", ".join(runner.conference.participants()))
 

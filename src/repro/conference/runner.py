@@ -6,9 +6,12 @@ The runner assembles the full three-plane stack:
   participant, publishing simulcast video + audio through a pacer;
 * **media plane** — one accessing node switching RTP by SSRC, estimating
   downlinks sender-side, shuttling RTCP;
-* **control plane** — in "gso" mode, the conference node + GSO controller
-  runtime + reliable feedback executor; in baseline modes, the
-  corresponding uncoordinated orchestrator from :mod:`repro.baselines`.
+* **control plane** — in "gso" mode, the conference node + reliable
+  feedback executor, decided as one meeting of an
+  :class:`~repro.ingress.plane.IngressPlane` on the runner's simulator
+  (:class:`~repro.control.gso_controller.ConferenceBackend`); in baseline
+  modes, the corresponding uncoordinated orchestrator from
+  :mod:`repro.baselines`.
 
 All four schemes share every other component, so measured differences are
 attributable to orchestration alone.
@@ -27,9 +30,10 @@ from ..baselines.nongso import NonGsoOrchestrator
 from ..client.client import ClientConfig, ConferenceClient
 from ..control.conference_node import ConferenceNode, ConferenceNodeConfig
 from ..control.feedback import FeedbackExecutor
-from ..control.gso_controller import GsoControllerRuntime
+from ..control.gso_controller import conference_plane
 from ..core.ladder import DEFAULT_BITRATE_RANGES
 from ..core.types import ClientId, Resolution
+from ..ingress.plane import IngressPlane
 from ..media.jitter_buffer import compute_playback_metrics
 from ..media.sfu import AccessingNode
 from ..net.link import Link
@@ -90,7 +94,7 @@ class MeetingRunner:
         self.uplinks: Dict[ClientId, Link] = {}
         self.downlinks: Dict[ClientId, Link] = {}
         self.executor: Optional[FeedbackExecutor] = None
-        self.controller: Optional[GsoControllerRuntime] = None
+        self.plane: Optional[IngressPlane] = None
         self._orchestrator = None
         self._receive_samples: Dict[ClientId, List[Tuple[float, float]]] = {}
         self._last_rx_bytes: Dict[ClientId, int] = {}
@@ -122,7 +126,7 @@ class MeetingRunner:
             self.executor = FeedbackExecutor(
                 self.sim, self.conference, dict(self.nodes)
             )
-            self.controller = GsoControllerRuntime(
+            self.plane = conference_plane(
                 self.sim, self.conference, self.executor
             )
         elif len(spec.regions) > 1:
@@ -359,8 +363,9 @@ class MeetingRunner:
                 encoded * 8.0 / spec.duration_s / 1000.0
             )
             report.receive_series[cid] = self._receive_samples[cid]
-        if self.controller is not None:
-            report.call_intervals = list(self.controller.call_intervals)
+        if self.plane is not None:
+            decided = [d.decided_at_s for d in self.plane.decisions]
+            report.call_intervals = [b - a for a, b in zip(decided, decided[1:])]
         return report
 
     def _view_report(

@@ -1,4 +1,5 @@
-"""Control plane: conference node, GSO controller runtime, feedback, failover."""
+"""Control plane: conference node, feedback, failover (the controller
+backend is imported from :mod:`repro.control.gso_controller`)."""
 
 from .conference_node import (
     ConferenceNode,
@@ -11,15 +12,12 @@ from .failover import (
     single_stream_fallback,
 )
 from .feedback import FeedbackExecutor, FeedbackStats
-from .gso_controller import ControllerConfig, GsoControllerRuntime
 
 __all__ = [
     "ConferenceNode",
     "ConferenceNodeConfig",
-    "ControllerConfig",
     "FeedbackExecutor",
     "FeedbackStats",
-    "GsoControllerRuntime",
     "ParticipantState",
     "StreamLiveness",
     "SubscriptionWatchdog",

@@ -19,7 +19,7 @@ upgrade-hysteresis damper (Sec. 7) at the measurement boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.constraints import Bandwidth, Problem, Subscription
 from ..core.hysteresis import UpgradeDamper
@@ -65,7 +65,7 @@ class ConferenceNodeConfig:
     #: Hysteresis margin for upgrade damping (Sec. 7).
     upgrade_margin: float = 0.15
     #: Relative bandwidth change that counts as a control *event* (smaller
-    #: changes are stored for the next periodic solve but do not trigger
+    #: changes are stored for the next decision but do not trigger
     #: one early) — keeps the Fig. 12 call-interval distribution sane.
     significant_change: float = 0.15
     #: Snapshot budgets are floored to this grid so estimator wiggle does
@@ -108,9 +108,17 @@ class ConferenceNode:
         self._owners: Dict[ClientId, ClientId] = {}
         self._damper = UpgradeDamper(upgrade_margin=self.config.upgrade_margin)
         self.priority = PriorityPolicy()
-        #: Monotone counter bumped on every state change (controller's
-        #: event trigger reads it).
+        #: Monotone counter bumped on every state change.
         self.version = 0
+        #: Called after every bump of :attr:`version`
+        #: (:func:`repro.control.gso_controller.conference_plane` offers
+        #: the change to an ingress plane).
+        self.on_change: Optional[Callable[[], None]] = None
+
+    def _changed(self) -> None:
+        self.version += 1
+        if self.on_change is not None:
+            self.on_change()
 
     # ------------------------------------------------------------------ #
     # Signaling
@@ -140,7 +148,7 @@ class ConferenceNode:
             ssrc_by_resolution=info.ssrc_by_resolution(),
         )
         self._participants[info.client] = state
-        self.version += 1
+        self._changed()
         return state
 
     def join_with_offer(
@@ -186,7 +194,7 @@ class ConferenceNode:
             )
         state = self.join(info, node_name)
         self._owners[info.client] = owner
-        self.version += 1
+        self._changed()
         return state
 
     def leave(self, client: ClientId) -> None:
@@ -201,7 +209,7 @@ class ConferenceNode:
         for alias in [a for a, t in self._aliases.items() if t == client]:
             del self._aliases[alias]
         self._damper.reset(client)
-        self.version += 1
+        self._changed()
 
     def canonical(self, publisher: ClientId) -> ClientId:
         """Resolve a possibly-virtual publisher id to its target."""
@@ -229,7 +237,7 @@ class ConferenceNode:
         edge = Subscription(subscriber, publisher, max_resolution)
         if self._subscriptions.get((subscriber, publisher)) != edge:
             self._subscriptions[subscriber, publisher] = edge
-            self.version += 1
+            self._changed()
 
     def subscribe_dual(
         self,
@@ -256,7 +264,7 @@ class ConferenceNode:
             raise ValueError(f"unknown speaker {client!r}")
         if self.priority.speaker != speaker:
             self.priority.speaker = speaker
-            self.version += 1
+            self._changed()
 
     def set_host(self, client: Optional[ClientId]) -> None:
         """Mark the meeting host (elevated QoE weight)."""
@@ -265,12 +273,12 @@ class ConferenceNode:
             raise ValueError(f"unknown host {client!r}")
         if self.priority.host != host:
             self.priority.host = host
-            self.version += 1
+            self._changed()
 
     def unsubscribe(self, subscriber: ClientId, publisher: ClientId) -> None:
         """Remove one subscription edge (no-op if absent)."""
         if self._subscriptions.pop((subscriber, publisher), None) is not None:
-            self.version += 1
+            self._changed()
 
     # ------------------------------------------------------------------ #
     # Bandwidth collection
@@ -287,15 +295,15 @@ class ConferenceNode:
     ) -> None:
         """Ingest an uplink bandwidth report (client-side, via RTCP APP).
 
-        The value is always stored (the next periodic solve sees it), but
-        the controller's event trigger only fires on significant changes.
+        The value is always stored (the next decision sees it), but only
+        a significant change counts as a change of the picture.
         """
         state = self._participants.get(client)
         if state is None:
             return
         damped = self._damper.filter(client, "uplink", report.bitrate_kbps)
         if self._is_significant(state.uplink_kbps, damped):
-            self.version += 1
+            self._changed()
         state.uplink_kbps = damped
         state.last_uplink_report_s = now_s
 
@@ -306,7 +314,7 @@ class ConferenceNode:
             return
         damped = self._damper.filter(client, "downlink", int(estimate_kbps))
         if self._is_significant(state.downlink_kbps, damped):
-            self.version += 1
+            self._changed()
         state.downlink_kbps = damped
 
     # ------------------------------------------------------------------ #

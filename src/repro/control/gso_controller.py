@@ -1,91 +1,112 @@
-"""The GSO controller runtime: when and how the solver runs in a meeting.
+"""The GSO controller of one simulated conference, as an ingress backend.
 
-Sec. 6 / Fig. 12: "A proper control frequency is key ... In our deployment,
-GSO-Simulcast orchestrates streams every 1.8 s on average.  The maximum
-call interval is 3 s ... The minimum call interval is 1 s."
+Sec. 6 / Fig. 12: "A proper control frequency is key ... The maximum call
+interval is 3 s ... The minimum call interval is 1 s."  That trigger
+policy is the :class:`~repro.ingress.plane.IngressPlane`'s: a
+packet-level meeting runs as one meeting of a plane on its own
+simulator (:func:`conference_plane`).  :class:`ConferenceBackend`
+decides: it snapshots the conference node's global picture, runs the
+KMR algorithm and hands the solution to the
+:class:`~repro.control.feedback.FeedbackExecutor`, with two Sec. 7
+guards the fleet path does not have (the upgrade cooldown and the
+dead-stream caps) and the single-stream fallback when the solver raises.
 
-:class:`GsoControllerRuntime` implements that trigger policy:
-
-* a **time trigger** guarantees a solve at least every ``max_interval_s``;
-* an **event trigger** (the conference node's version counter — bumped by
-  membership, subscription, or significant bandwidth changes) can pull a
-  solve in earlier, but never closer than ``min_interval_s`` after the
-  previous one.
-
-Each solve snapshots the global picture, runs the KMR algorithm, and hands
-the solution to the :class:`~repro.control.feedback.FeedbackExecutor`.  If
-the solver raises, the runtime engages the Sec. 7 "design for failure"
-fallback instead of taking the meeting down.
+:mod:`repro.control` does not re-export this module: it imports the
+ingress plane, which imports the cluster, which imports
+:mod:`repro.control.failover`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
+from ..core.constraints import Problem
+from ..core.solution import Solution, solution_digest
+from ..core.solver import GsoSolver, SolverConfig
+from ..ingress.aio import SimRuntime
+from ..ingress.events import StreamEvent
+from ..ingress.plane import BackendDecision, IngressBackend, IngressPlane
+from ..net.simulator import Simulator
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
-from ..obs.spans import span
-from ..core.solution import Solution
-from ..core.solver import GsoSolver, SolverConfig
-from ..net.simulator import PeriodicTask, Simulator
 from .conference_node import ConferenceNode
 from .failover import single_stream_fallback
 from .feedback import FeedbackExecutor
 
+#: The meeting id of a conference on its ingress plane.
+MEETING_ID = "meeting"
+#: Granularity of the solver's knapsack grid (kbps).
+GRANULARITY_KBPS = 10
+#: Minimum time between two *resolution-set upgrades* of one publisher.
+#: Downgrades always apply immediately; upgrades within the cooldown are
+#: suppressed by re-solving with the publisher's ladder capped at its
+#: current top resolution.  This is the orchestration-level half of the
+#: Sec. 7 quality-oscillation fix: resolution switches restart encoders
+#: (keyframe bursts) and reshuffle subscriptions, so they must not flap
+#: with estimator noise.
+UPGRADE_COOLDOWN_S = 6.0
+#: How long a stream detected as dead (configured but not flowing, a
+#: sibling alive — Sec. 7's client-failure case) stays excluded from the
+#: publisher's feasible set before it may be retried.
+DEAD_STREAM_PENALTY_S = 10.0
+
 
 @dataclass
-class ControllerConfig:
-    """Trigger policy knobs (the Fig. 12 envelope)."""
+class GuardStats:
+    """The Sec. 7 guards' counts; the metrics registry reads them at
+    snapshot."""
 
-    min_interval_s: float = 1.0
-    max_interval_s: float = 3.0
-    #: Granularity of the solver's knapsack grid.
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(granularity_kbps=10))
-    #: Minimum time between two *resolution-set upgrades* of one publisher.
-    #: Downgrades always apply immediately; upgrades within the cooldown
-    #: are suppressed by re-solving with the publisher's ladder capped at
-    #: its current top resolution.  This is the orchestration-level half of
-    #: the Sec. 7 quality-oscillation fix: resolution switches restart
-    #: encoders (keyframe bursts) and reshuffle subscriptions, so they must
-    #: not flap with estimator noise.
-    upgrade_cooldown_s: float = 6.0
-    #: How long a stream detected as dead (configured but not flowing, a
-    #: sibling alive — Sec. 7's client-failure case) stays excluded from
-    #: the publisher's feasible set before it may be retried.
-    dead_stream_penalty_s: float = 10.0
+    fallbacks: int = 0
+    upgrades_suppressed: int = 0
+    downgrades: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0 < self.min_interval_s <= self.max_interval_s:
-            raise ValueError("need 0 < min_interval <= max_interval")
-        if self.upgrade_cooldown_s < 0:
-            raise ValueError("upgrade_cooldown_s must be non-negative")
+    def samples(self) -> Iterator[tuple]:
+        """The registry's view (``MetricsRegistry.watch``)."""
+        yield obs_names.CONTROLLER_FALLBACKS, {}, self.fallbacks
+        yield obs_names.CONTROLLER_UPGRADES_SUPPRESSED, {}, self.upgrades_suppressed
+        yield obs_names.CONTROLLER_DOWNGRADES, {}, self.downgrades
 
 
-class GsoControllerRuntime:
-    """Periodic + event-triggered orchestration of one meeting."""
+def _restricted(problem: Problem, keep) -> Problem:
+    """``problem`` with each publisher's ladder filtered by ``keep``."""
+    return Problem(
+        feasible_streams={
+            pub: [s for s in streams if keep(pub, s)]
+            for pub, streams in problem.feasible_streams.items()
+        },
+        bandwidth=problem.bandwidth,
+        subscriptions=problem.subscriptions,
+        aliases=problem.aliases,
+        owners=problem.owners,
+    )
+
+
+class ConferenceBackend(IngressBackend):
+    """One conference node's decisions, for a plane on its simulator.
+
+    The plane paces it with the base class's Fig. 12 envelope (1 s, 3 s).
+    A decision holds no executor slot in virtual time and is never shed:
+    the mailbox of a conference counts picture changes, not load, and
+    :func:`conference_plane` offers at most one change per snapshot
+    (:attr:`dirty`), so it never holds more than one.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         conference: ConferenceNode,
         executor: FeedbackExecutor,
-        config: Optional[ControllerConfig] = None,
     ) -> None:
         self._sim = sim
         self._conference = conference
         self._executor = executor
-        self.config = config or ControllerConfig()
-        self._solver = GsoSolver(self.config.solver)
-        self._last_solve_time: Optional[float] = None
-        self._last_seen_version = -1
-        #: Fig. 12 data: gaps between consecutive control events.
-        self.call_intervals: List[float] = []
-        self.solutions: List[Solution] = []
-        self.fallbacks_engaged = 0
+        self._solver = GsoSolver(SolverConfig(granularity_kbps=GRANULARITY_KBPS))
+        #: True from a change's offer until the next :meth:`payload`.
+        self.dirty = False
         self.last_solution: Optional[Solution] = None
-        self.upgrades_suppressed = 0
+        self.guards = GuardStats()
+        get_registry().watch(self.guards.samples)
         #: Per publisher: top resolution last executed, and when the
         #: resolution set last changed.
         self._last_top_res: dict = {}
@@ -93,121 +114,72 @@ class GsoControllerRuntime:
         #: (publisher, resolution) -> exclusion expiry time (client-failure
         #: downgrades).
         self._dead_caps: dict = {}
-        self.downgrades_applied = 0
-        self._task = PeriodicTask(
-            sim,
-            interval=self.config.min_interval_s,
-            callback=self._tick,
-            start_offset=self.config.min_interval_s,
+
+    # ------------------------------------------------------------------ #
+    # The plane's side
+    # ------------------------------------------------------------------ #
+
+    def apply_event(self, event: StreamEvent) -> None:
+        """The conference node already holds the change."""
+
+    def payload(self, meeting: str) -> Problem:
+        self.dirty = False
+        now = self._sim.now
+        return self._apply_dead_stream_caps(
+            self._conference.snapshot(now_s=now), now
         )
 
-    def stop(self) -> None:
-        """Stop the periodic activity (idempotent)."""
-        self._task.stop()
+    def service_s(self, meeting: str, payload: object) -> float:
+        return 0.0
 
-    # ------------------------------------------------------------------ #
-    # Trigger policy
-    # ------------------------------------------------------------------ #
+    def backpressure_window_s(
+        self, meeting: str, depth: int, capacity: int
+    ) -> float:
+        return self.min_interval_s
 
-    def _tick(self) -> None:
-        now = self._sim.now
-        if self._last_solve_time is None:
-            self._solve(now)
-            return
-        elapsed = now - self._last_solve_time
-        if elapsed + 1e-9 < self.config.min_interval_s:
-            return
-        version = self._conference.version
-        time_triggered = elapsed + 1e-9 >= self.config.max_interval_s
-        event_triggered = version != self._last_seen_version
-        if time_triggered or event_triggered:
-            self._solve(now)
+    def over_budget(self, meeting: str, in_flight: int) -> bool:
+        return False
 
-    def force_solve(self) -> Optional[Solution]:
-        """Immediate out-of-band solve (used by tests and failover)."""
-        return self._solve(self._sim.now)
-
-    def _solve(self, now: float) -> Optional[Solution]:
-        reg = get_registry()
-        if self._last_solve_time is not None:
-            interval = now - self._last_solve_time
-            self.call_intervals.append(interval)
-            if reg.enabled:
-                reg.histogram(
-                    obs_names.CONTROLLER_CALL_INTERVAL_SECONDS
-                ).observe(interval)
-        self._last_solve_time = now
-        self._last_seen_version = self._conference.version
-        tick_start = time.perf_counter()
-        with span(obs_names.SPAN_CONTROLLER_TICK):
-            problem = self._conference.snapshot(now_s=now)
-            problem = self._apply_dead_stream_caps(problem, now)
-            incumbent = self._incumbent_assignments()
-            try:
-                solution = self._solver.solve(problem, incumbent=incumbent)
-                solution = self._apply_upgrade_cooldown(
-                    problem, solution, now, incumbent
-                )
-            except Exception:
-                # Design for failure (Sec. 7): never take the meeting down —
-                # drop every publisher to a single safe stream and continue.
-                self.fallbacks_engaged += 1
-                if reg.enabled:
-                    reg.counter(obs_names.CONTROLLER_FALLBACKS).inc()
-                solution = single_stream_fallback(problem)
-            self._record_resolution_sets(solution, now)
-            self.solutions.append(solution)
-            self.last_solution = solution
-            self._executor.execute(solution)
-        if reg.enabled:
-            reg.counter(obs_names.CONTROLLER_SOLVES).inc()
-            reg.histogram(obs_names.CONTROLLER_TICK_SECONDS).observe(
-                time.perf_counter() - tick_start
+    def decide(self, meeting, payload, now_s, trigger, cid) -> BackendDecision:
+        incumbent = self._incumbent_assignments()
+        try:
+            solution = self._solver.solve(payload, incumbent=incumbent)
+            solution = self._apply_upgrade_cooldown(
+                payload, solution, now_s, incumbent
             )
-        return solution
+            source = "solve"
+        except Exception:
+            # Design for failure (Sec. 7): never take the meeting down —
+            # drop every publisher to a single safe stream and continue.
+            self.guards.fallbacks += 1
+            solution = single_stream_fallback(payload)
+            source = "fallback"
+        self._record_resolution_sets(solution, now_s)
+        self.last_solution = solution
+        self._executor.execute(solution)
+        return BackendDecision(
+            source=source, digest=solution_digest(solution), solution=solution
+        )
 
     # ------------------------------------------------------------------ #
-    # Upgrade cooldown (resolution-switch hysteresis)
+    # Sec. 7 guards
     # ------------------------------------------------------------------ #
 
-    def _apply_dead_stream_caps(self, problem, now: float):
+    def _apply_dead_stream_caps(self, problem: Problem, now: float) -> Problem:
         """Exclude configured-but-silent streams (Sec. 7 downgrade logic)."""
-        detector = getattr(self._executor, "dead_configured_streams", None)
-        if detector is not None:
-            for pub, res in detector(now):
-                key = (pub, res)
-                if key not in self._dead_caps or self._dead_caps[key] <= now:
-                    self.downgrades_applied += 1
-                    get_registry().counter(
-                        obs_names.CONTROLLER_DOWNGRADES
-                    ).inc()
-                self._dead_caps[key] = now + self.config.dead_stream_penalty_s
-        active = {
-            key for key, expiry in self._dead_caps.items() if expiry > now
-        }
+        for key in self._executor.dead_configured_streams(now):
+            if key not in self._dead_caps or self._dead_caps[key] <= now:
+                self.guards.downgrades += 1
+            self._dead_caps[key] = now + DEAD_STREAM_PENALTY_S
         self._dead_caps = {
             key: expiry
             for key, expiry in self._dead_caps.items()
             if expiry > now
         }
-        if not active:
+        if not self._dead_caps:
             return problem
-        from ..core.constraints import Problem
-
-        restricted = {
-            pub: [
-                s
-                for s in streams
-                if (pub, s.resolution) not in active
-            ]
-            for pub, streams in problem.feasible_streams.items()
-        }
-        return Problem(
-            feasible_streams=restricted,
-            bandwidth=problem.bandwidth,
-            subscriptions=problem.subscriptions,
-            aliases=problem.aliases,
-            owners=problem.owners,
+        return _restricted(
+            problem, lambda pub, s: (pub, s.resolution) not in self._dead_caps
         )
 
     def _incumbent_assignments(self):
@@ -221,12 +193,9 @@ class GsoControllerRuntime:
         }
 
     def _apply_upgrade_cooldown(
-        self, problem, solution: Solution, now: float, incumbent=None
+        self, problem: Problem, solution: Solution, now: float, incumbent
     ) -> Solution:
         """Suppress too-soon resolution upgrades and re-solve once."""
-        cooldown = self.config.upgrade_cooldown_s
-        if cooldown <= 0:
-            return solution
         caps = {}
         for pub in problem.publishers:
             entries = solution.policies.get(pub, {})
@@ -235,32 +204,16 @@ class GsoControllerRuntime:
             if new_top is None or old_top is None or new_top <= old_top:
                 continue
             since = now - self._last_res_change_s.get(pub, float("-inf"))
-            if since < cooldown:
+            if since < UPGRADE_COOLDOWN_S:
                 caps[pub] = old_top
         if not caps:
             return solution
-        self.upgrades_suppressed += len(caps)
-        get_registry().counter(obs_names.CONTROLLER_UPGRADES_SUPPRESSED).inc(
-            len(caps)
+        self.guards.upgrades_suppressed += len(caps)
+        capped = _restricted(
+            problem,
+            lambda pub, s: pub not in caps or s.resolution <= caps[pub],
         )
-        restricted = {
-            pub: [
-                s
-                for s in streams
-                if pub not in caps or s.resolution <= caps[pub]
-            ]
-            for pub, streams in problem.feasible_streams.items()
-        }
-        from ..core.constraints import Problem
-
-        capped_problem = Problem(
-            feasible_streams=restricted,
-            bandwidth=problem.bandwidth,
-            subscriptions=problem.subscriptions,
-            aliases=problem.aliases,
-            owners=problem.owners,
-        )
-        return self._solver.solve(capped_problem, incumbent=incumbent)
+        return self._solver.solve(capped, incumbent=incumbent)
 
     def _record_resolution_sets(self, solution: Solution, now: float) -> None:
         for pub, entries in solution.policies.items():
@@ -269,13 +222,29 @@ class GsoControllerRuntime:
                 self._last_top_res[pub] = new_top
                 self._last_res_change_s[pub] = now
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
 
-    @property
-    def mean_call_interval_s(self) -> float:
-        """Mean gap between control events so far."""
-        if not self.call_intervals:
-            return 0.0
-        return sum(self.call_intervals) / len(self.call_intervals)
+def conference_plane(
+    sim: Simulator, conference: ConferenceNode, executor: FeedbackExecutor
+) -> IngressPlane:
+    """Decide ``conference`` as one meeting of an ingress plane on ``sim``.
+
+    Every change of the conference node's picture is offered to the
+    plane as a stream event at its virtual instant, unless a change
+    offered before is still waiting for its snapshot; a picture the
+    conference already holds is offered at once.  Replacing
+    ``plane.backend`` (a controller restart) keeps the hook working.
+    """
+    plane = IngressPlane(
+        SimRuntime(sim), ConferenceBackend(sim, conference, executor)
+    )
+
+    def changed() -> None:
+        backend = plane.backend
+        if not backend.dirty:
+            backend.dirty = True
+            plane.offer(StreamEvent(at_s=sim.now, meeting=MEETING_ID))
+
+    conference.on_change = changed
+    if conference.version:
+        changed()
+    return plane

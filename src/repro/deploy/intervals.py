@@ -2,9 +2,10 @@
 
 Fig. 12 plots the CDF of the gap between consecutive control-algorithm
 invocations across the production fleet: minimum 1 s, maximum 3 s, mean
-about 1.8 s.  The gap distribution follows from the trigger policy
-(:class:`~repro.control.gso_controller.GsoControllerRuntime`) applied to
-the network-change event process of a meeting:
+about 1.8 s.  This module models the paper's trigger policy, the
+``clamp(E, 1, 3)`` envelope, applied to the network-change event process
+of a meeting (the ingress plane's decision window, which a live meeting
+runs, adds its own debounce on top):
 
 * significant bandwidth-change events arrive randomly (Poisson with a
   per-meeting rate that depends on how volatile its links are);

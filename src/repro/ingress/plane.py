@@ -530,15 +530,19 @@ class IngressPlane:
 
     def _open(self, worker: _Worker, env: Envelope) -> None:
         """Open a decision window: widen with depth (the envelope as a
-        backpressure ladder), floored at the Fig. 12 min interval."""
+        backpressure ladder), floored at the Fig. 12 min interval and
+        closing no later than the ceiling the event cancelled would
+        have fired."""
         backend = self.backend
         window = backend.backpressure_window_s(
             worker.meeting, worker.box.depth + 1, self.config.mailbox_capacity
         )
         last = worker.last_decision_s
         if last is not None:
-            window = max(
-                window, last + backend.min_interval_s - self.runtime.now
+            now = self.runtime.now
+            window = min(
+                max(window, last + backend.min_interval_s - now),
+                last + backend.max_interval_s - now,
             )
         self.runtime.sim.schedule(window, lambda: self._close(worker, env))
 

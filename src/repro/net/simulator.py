@@ -148,7 +148,7 @@ class Simulator:
 class PeriodicTask:
     """A repeating simulator task with drift-free scheduling.
 
-    Used for frame generation, RTCP report timers, controller ticks, etc.
+    Used for frame generation, RTCP report timers, receive-rate sampling, etc.
     The callback may call :meth:`stop` to cease rescheduling.
     """
 

@@ -87,19 +87,12 @@ SPAN_KMR_KNAPSACK = "kmr.knapsack"
 SPAN_KMR_KNAPSACK_DIRTY = "kmr.knapsack_dirty"
 SPAN_KMR_MERGE = "kmr.merge"
 SPAN_KMR_REDUCTION = "kmr.reduction"
-SPAN_CONTROLLER_TICK = "controller.tick"
 
 # --------------------------------------------------------------------- #
-# Controller runtime (repro.control.gso_controller)
+# Sec. 7 guards of a conference's controller
+# (repro.control.gso_controller.GuardStats)
 # --------------------------------------------------------------------- #
 
-#: Counter — control-loop solves triggered (time- or event-triggered).
-CONTROLLER_SOLVES = "repro_controller_solves_total"
-#: Histogram — end-to-end control-tick latency in seconds (snapshot +
-#: solve + cooldown + feedback execution).
-CONTROLLER_TICK_SECONDS = "repro_controller_tick_seconds"
-#: Histogram — seconds between consecutive control events (Fig. 12).
-CONTROLLER_CALL_INTERVAL_SECONDS = "repro_controller_call_interval_seconds"
 #: Counter — Sec. 7 single-stream fallbacks engaged.
 CONTROLLER_FALLBACKS = "repro_controller_fallbacks_total"
 #: Counter — resolution upgrades suppressed by the cooldown.
@@ -254,9 +247,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     MCKP_CACHE_ENTRIES: ("gauge", ()),
     MCKP_INSTANCES_DEDUPED: ("counter", ()),
     SPAN_SECONDS: ("histogram", ("span",)),
-    CONTROLLER_SOLVES: ("counter", ()),
-    CONTROLLER_TICK_SECONDS: ("histogram", ()),
-    CONTROLLER_CALL_INTERVAL_SECONDS: ("histogram", ()),
     CONTROLLER_FALLBACKS: ("counter", ()),
     CONTROLLER_UPGRADES_SUPPRESSED: ("counter", ()),
     CONTROLLER_DOWNGRADES: ("counter", ()),
@@ -299,7 +289,6 @@ ALL_SPANS: Tuple[str, ...] = (
     SPAN_KMR_KNAPSACK_DIRTY,
     SPAN_KMR_MERGE,
     SPAN_KMR_REDUCTION,
-    SPAN_CONTROLLER_TICK,
     SPAN_CHAOS_RUN,
     SPAN_INGRESS_DECIDE,
     SPAN_SLO_EVALUATE,

@@ -98,6 +98,30 @@ class TestGsoMeeting:
         for gap in report.call_intervals:
             assert 1.0 - 1e-6 <= gap <= 3.0 + 1e-6
 
+    def test_one_trace_tree_per_decision(self):
+        """A figure run and a fleet run share one data model: under an
+        event log, each decision of the meeting's plane is one assembled
+        cid chain closed by its TMMBR push."""
+        from repro.obs.events import TMMBR_PUSH, EventLog, record_events
+        from repro.obs.tracing import assemble_trees
+
+        log = EventLog()
+        with record_events(log):
+            runner = MeetingRunner(short_spec())
+            runner.run()
+        traces = assemble_trees(log.events)
+        chains = [
+            node
+            for tree in traces.trees()
+            for node in tree.walk()
+            if any(e.kind == TMMBR_PUSH for e in node.events)
+        ]
+        assert len(runner.plane.decisions) >= 5
+        assert sorted(node.cid for node in chains) == sorted(
+            d.cid for d in runner.plane.decisions
+        )
+        assert traces.stats.orphan_events == 0
+
 
 class TestBaselineMeetings:
     @pytest.mark.parametrize("mode", ["nongso", "competitor1", "competitor2"])

@@ -1,11 +1,12 @@
-"""Tests for the GSO controller runtime and the feedback executor,
-exercised over a real (simulated) media plane."""
+"""Tests for the GSO controller (a conference decided on the ingress
+plane) and the feedback executor, exercised over a real (simulated)
+media plane."""
 
 import pytest
 
 from repro.control.conference_node import ConferenceNode
 from repro.control.feedback import FeedbackExecutor
-from repro.control.gso_controller import ControllerConfig, GsoControllerRuntime
+from repro.control.gso_controller import conference_plane
 from repro.core.types import Resolution
 from repro.media.sfu import AccessingNode
 from repro.net.link import Link
@@ -29,11 +30,16 @@ def info_for(client, base):
     )
 
 
+def call_intervals(plane):
+    decided = [d.decided_at_s for d in plane.decisions]
+    return [b - a for a, b in zip(decided, decided[1:])]
+
+
 class Harness:
     """Control plane + accessing node with scripted 'clients' that record
     the TMMBR they receive and ack on request."""
 
-    def __init__(self, controller_config=None):
+    def __init__(self):
         self.sim = Simulator()
         self.conference = ConferenceNode()
         self.node = AccessingNode(self.sim, "n0")
@@ -41,9 +47,7 @@ class Harness:
         self.executor = FeedbackExecutor(
             self.sim, self.conference, {"n0": self.node}
         )
-        self.runtime = GsoControllerRuntime(
-            self.sim, self.conference, self.executor, controller_config
-        )
+        self.plane = conference_plane(self.sim, self.conference, self.executor)
 
     def add_client(self, name, base_ssrc):
         downlink = Link(self.sim, bandwidth_kbps=10_000, propagation_ms=5)
@@ -67,43 +71,48 @@ class Harness:
 
 
 class TestControllerTriggers:
-    def test_first_solve_happens_at_min_interval(self):
+    """The Fig. 12 envelope of a conference decided on the ingress plane."""
+
+    def build(self):
         h = Harness()
         h.add_client("A", 0x100)
         h.add_client("B", 0x200)
         h.conference.subscribe("B", "A")
+        return h
+
+    def test_first_solve_happens_at_min_interval(self):
+        h = self.build()
         h.sim.run_until(1.1)
-        assert len(h.runtime.solutions) == 1
+        assert [d.decided_at_s for d in h.plane.decisions] == [1.0]
+        assert h.plane.decisions[0].source == "solve"
 
     def test_max_interval_time_trigger(self):
-        h = Harness(ControllerConfig(min_interval_s=1.0, max_interval_s=3.0))
-        h.add_client("A", 0x100)
-        h.add_client("B", 0x200)
-        h.conference.subscribe("B", "A")
+        h = self.build()
         h.sim.run_until(1.1)
         base_version = h.conference.version
         h.sim.run_until(10.0)
         # No events after the first solve: solves every max_interval.
         assert h.conference.version == base_version
-        intervals = h.runtime.call_intervals
+        later = h.plane.decisions[1:]
+        assert [d.trigger for d in later] == ["time"] * 3
+        intervals = call_intervals(h.plane)
         assert intervals and all(i == pytest.approx(3.0) for i in intervals)
 
     def test_event_trigger_pulls_solve_earlier(self):
-        h = Harness()
-        h.add_client("A", 0x100)
-        h.add_client("B", 0x200)
-        h.conference.subscribe("B", "A")
+        h = self.build()
         h.sim.run_until(1.1)
-        # A significant change right after the solve...
+        # A significant change right after the solve is decided 1 s
+        # after it, long before the 3 s ceiling.
         h.conference.update_downlink("B", 5000)
-        h.sim.run_until(2.1)
-        assert h.runtime.call_intervals[-1] == pytest.approx(1.0)
+        h.sim.run_until(2.5)
+        last = h.plane.decisions[-1]
+        assert last.trigger == "event"
+        assert last.opened_at_s == pytest.approx(1.1)
+        assert last.decided_at_s == pytest.approx(2.1)
+        assert call_intervals(h.plane) == [pytest.approx(1.1)]
 
     def test_intervals_respect_min_and_max(self):
-        h = Harness()
-        h.add_client("A", 0x100)
-        h.add_client("B", 0x200)
-        h.conference.subscribe("B", "A")
+        h = self.build()
         # Constant churn.
         import itertools
 
@@ -114,17 +123,33 @@ class TestControllerTriggers:
             h.sim, 0.2, lambda: h.conference.update_downlink("B", next(values))
         )
         h.sim.run_until(20.0)
-        assert h.runtime.call_intervals
-        for gap in h.runtime.call_intervals:
+        assert call_intervals(h.plane)
+        for gap in call_intervals(h.plane):
             assert 1.0 - 1e-6 <= gap <= 3.0 + 1e-6
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(min_interval_s=0)
-        with pytest.raises(ValueError):
-            ControllerConfig(min_interval_s=4.0, max_interval_s=3.0)
-        with pytest.raises(ValueError):
-            ControllerConfig(upgrade_cooldown_s=-1)
+    def test_fast_changes_never_shed(self):
+        """60 significant changes a second for 10 s: the conference's
+        mailbox holds one change at most, every window is the 1 s floor,
+        and nothing is shed to the fallback."""
+        h = self.build()
+        from repro.net.simulator import PeriodicTask
+
+        values = iter([1000, 4000] * 300)
+        PeriodicTask(
+            h.sim,
+            1 / 60,
+            lambda: h.conference.update_downlink("B", next(values, 1000)),
+        )
+        version = h.conference.version
+        h.sim.run_until(10.0)
+        assert h.conference.version - version >= 500
+        stats = h.plane.stats
+        assert stats.shed == 0
+        assert stats.max_mailbox_depth == 1
+        assert {d.source for d in h.plane.decisions} == {"solve"}
+        assert all(d.trigger == "event" for d in h.plane.decisions)
+        for d in h.plane.decisions:
+            assert d.latency_s == pytest.approx(1.0)
 
 
 class TestFeedbackExecution:

@@ -129,7 +129,7 @@ class TestControllerFallbackIntegration:
         """A poisoned solver must not take the meeting down."""
         from repro.control.conference_node import ConferenceNode
         from repro.control.feedback import FeedbackExecutor
-        from repro.control.gso_controller import GsoControllerRuntime
+        from repro.control.gso_controller import conference_plane
         from repro.media.sfu import AccessingNode
         from repro.net.simulator import Simulator
         from repro.sdp.simulcast_info import (
@@ -154,13 +154,16 @@ class TestControllerFallbackIntegration:
             )
         conference.subscribe("B", "A")
         executor = FeedbackExecutor(sim, conference, {"n0": node})
-        runtime = GsoControllerRuntime(sim, conference, executor)
+        plane = conference_plane(sim, conference, executor)
 
         class Boom:
             def solve(self, problem, incumbent=None):
                 raise RuntimeError("poisoned")
 
-        runtime._solver = Boom()
+        plane.backend._solver = Boom()
         sim.run_until(1.5)
-        assert runtime.fallbacks_engaged >= 1
-        assert runtime.last_solution is not None  # the fallback solution
+        assert [d.source for d in plane.decisions] == ["fallback"]
+        assert plane.backend.guards.fallbacks == 1
+        # The fallback solution is served and executed.
+        assert plane.backend.last_solution is plane.decisions[0].solution
+        assert executor.stats.executions == 1

@@ -255,6 +255,19 @@ class TestWorkerStages:
             ("time", pytest.approx(2.01), pytest.approx(2.02)),
         ]
 
+    def test_an_event_cannot_push_a_decision_past_the_ceiling(self):
+        # The ceiling after the 0.5 decision is due at 2.0.  A report at
+        # 1.95 cancels it; its window closes at 2.0, not at 2.45.
+        plane, _ = _plane(FakeBackend(service_s=0.0))
+        plane.run_stream([_semb(0.0), _semb(1.95, seq=1)], duration_s=2.5)
+        assert [
+            (d.trigger, d.opened_at_s, d.decided_at_s)
+            for d in plane.decisions
+        ] == [
+            ("event", 0.0, pytest.approx(0.5)),
+            ("event", 1.95, pytest.approx(2.0)),
+        ]
+
     def test_equal_time_windows_close_in_offer_order(self):
         def one_run(order):
             plane, _ = _plane(solve_slots=3)
@@ -306,9 +319,10 @@ class TestFailFast:
         with pytest.raises(RuntimeError, match="solver died"):
             plane.run_stream([_semb(0.0), _semb(2.0, seq=1)],
                              duration_s=4.0)
-        # The second decision's window closed at 2.5 and its service
-        # ended at 2.51: the run stops there, not after the drain.
-        assert plane.runtime.now == pytest.approx(2.51)
+        # The second decision's window closed at 2.01, the ceiling the
+        # 2.0 report cancelled, and its service ended at 2.02: the run
+        # stops there, not after the drain.
+        assert plane.runtime.now == pytest.approx(2.02)
         assert len(plane.decisions) == 1
 
     def test_call_at_runs_at_absolute_time(self):

@@ -323,9 +323,9 @@ class TestClientFailureDowngrade:
         broken = runner.clients["broken"]
         broken._video_ssrcs.pop(Resolution.P720)
         runner.sim.run_until(30.0)
-        assert runner.controller.downgrades_applied >= 1
+        assert runner.plane.backend.guards.downgrades >= 1
         # The final plan avoids the dead 720p stream entirely.
-        policies = runner.controller.last_solution.policies.get("broken", {})
+        policies = runner.plane.decisions[-1].solution.policies.get("broken", {})
         assert Resolution.P720 not in policies
         # ...and the viewer actually renders a lower, live stream.
         viewer = runner.clients["viewer"]
@@ -346,7 +346,7 @@ class TestClientFailureDowngrade:
         )
         runner = MeetingRunner(spec)
         runner.run()
-        assert runner.controller.downgrades_applied == 0
+        assert runner.plane.backend.guards.downgrades == 0
 
 
 class TestSpeakerPriority:
@@ -371,7 +371,7 @@ class TestSpeakerPriority:
         runner = MeetingRunner(spec)
 
         def viewer_rates():
-            sol = runner.controller.last_solution
+            sol = runner.plane.decisions[-1].solution
             got = sol.assignments.get("viewer", {})
             return {
                 pub: stream.bitrate_kbps for pub, stream in got.items()
@@ -458,7 +458,7 @@ class TestControllerRestart:
         """Losing the controller and starting a fresh one (stateless
         recovery) must not break the meeting — the new instance rebuilds
         its picture from the conference node and continues."""
-        from repro.control.gso_controller import GsoControllerRuntime
+        from repro.control.gso_controller import ConferenceBackend
 
         spec = MeetingSpec(
             clients=[ClientSpec("A", 3000, 3000), ClientSpec("B", 3000, 3000)],
@@ -468,10 +468,17 @@ class TestControllerRestart:
         )
         runner = MeetingRunner(spec)
         runner.sim.run_until(8.0)
-        runner.controller.stop()  # the old controller "crashes"
-        runner.controller = GsoControllerRuntime(
+        # The old controller "crashes": a fresh backend, with no last
+        # solution and no guard history, takes its place on the plane.
+        crashed = runner.plane.backend
+        decided = len(runner.plane.decisions)
+        fresh = runner.plane.backend = ConferenceBackend(
             runner.sim, runner.conference, runner.executor
         )
         report = runner.run()
+        assert crashed.last_solution is not None
+        assert len(runner.plane.decisions) > decided + 3
+        assert fresh.last_solution is runner.plane.decisions[-1].solution
+        assert {d.source for d in runner.plane.decisions} == {"solve"}
         assert report.view("A", "B").framerate > 20
         assert report.view("B", "A").stall_rate < 0.2
