@@ -6,11 +6,15 @@ downlink to an MCKP instance: the downlink is a knapsack with capacity
 edge-feasible streams ``S_ii'``); an item's weight is the stream bitrate and
 its value the QoE utility; at most one item may be taken per class.
 
-The dynamic programs are array-based: one sweep per class gathers every
-candidate row (the skip row plus one shifted row per item) at once
-through a zero-copy window over the ``-inf``-padded value row, and
-reduces them with one ``max``/``argmax`` over the shared capacity grid,
-with no per-item or per-capacity Python loop.  Their pure-Python originals
+Each dynamic program is sized to its instances.  Step 1's optional-pick
+DP is array-based: one sweep per class gathers every candidate row (the
+skip row plus one shifted row per item) at once through a zero-copy
+window over the ``-inf``-padded value row, and reduces them with one
+``max``/``argmax`` over the shared capacity grid, with no per-item or
+per-capacity Python loop.  Step 3's mandatory-pick fix has a handful of
+combinations, so its DP is a sparse one over the grid columns some
+combination reaches, with the dense table's arithmetic and tie rule
+cell for cell.  Their pure-Python originals
 (:func:`_solve_mckp_dp_python` / :func:`_solve_mckp_dp_mandatory_python`)
 are kept as **reference oracles**: no production code calls them, and the
 tests require byte-identical results (``docs/SOLVER.md``).
@@ -24,7 +28,9 @@ Public solvers:
   optimality loss for speed.
 * :func:`solve_mckp_dp_mandatory` — the variant where exactly one item must
   be taken per class; used by Step 3's uplink fix (Eq. 16), where policy
-  entries may be lowered but not dropped.
+  entries may be lowered but not dropped.  ``O(total_items * reached)``,
+  where no more columns are reached than there are combinations or
+  grid slots.
 * :class:`CapacityProfile` — every capacity's answer to one class
   structure: **one** DP table, no wider than the sum of the per-class
   maximum grid weights divided by their GCD, whose final value row is a
@@ -163,7 +169,7 @@ def _class_grid_weights(
     cls: Sequence[Item], granularity: int
 ) -> List[int]:
     """Grid weights of one class's items, for the python oracles (the
-    array DPs compute them in :func:`_flatten`)."""
+    array DP computes them in :func:`_flatten`)."""
     return [_grid_weight(w, granularity) for w, _ in cls]
 
 
@@ -187,42 +193,32 @@ class _Flat(NamedTuple):
     bounds: List[int]
     #: Grid weights, ``int64``; 0 on the skip rows.
     grid: np.ndarray
-    #: Values, ``float64``; the skip rows hold ``skip``.
+    #: Values, ``float64``; 0 on the skip rows.
     values: np.ndarray
-    #: The worth of skipping a class: ``0.0``, or ``-inf`` where a pick
-    #: is mandatory.
-    skip: float
 
 
-def _flatten(
-    classes: Sequence[Sequence[Item]], granularity: int, skip: float
-) -> _Flat:
-    """Validate ``classes`` and lay them out as a :class:`_Flat`, with
-    ``skip`` the worth of skipping a class (``0.0``, or ``-inf`` where a
-    pick is mandatory).
+def _flatten(classes: Sequence[Sequence[Item]], granularity: int) -> _Flat:
+    """Validate ``classes`` and lay them out as a :class:`_Flat`.
 
-    The optional pick's checks are array ops, and :func:`_validate` runs
-    only once they fail, so it raises its own messages in its own order.
-    A mandatory pick's skip rows hold ``-inf``, which those checks
-    refuse: its tables (Step 3's fix) are a few items, checked by
-    :func:`_validate` directly.
+    The checks are array ops, and :func:`_validate` runs only once they
+    fail, so it raises its own messages in its own order.
     """
     bounds = [0]
     for cls in classes:
         bounds.append(bounds[-1] + len(cls) + 1)
     rows = bounds[-1]
     items = np.fromiter(
-        _chain(_chain(((0, skip), *cls) for cls in classes)),
+        _chain(_chain(((0, 0.0), *cls) for cls in classes)),
         np.float64,
         2 * rows,
     ).reshape(rows, 2)
     weights = items[:, 0]
-    if skip or (rows and not _plausible(items, rows - len(classes))):
+    if rows and not _plausible(items, rows - len(classes)):
         _validate(classes, 0)
     _check_granularity(granularity)
     # Positive weights round up to at least one slot; the skips stay 0.
     grid = (-(weights // -granularity)).astype(np.int64)
-    return _Flat(bounds, grid, items[:, 1], skip)
+    return _Flat(bounds, grid, items[:, 1])
 
 
 def _plausible(items: np.ndarray, weighed: int) -> bool:
@@ -248,14 +244,12 @@ def _heaviest(flat: _Flat) -> int:
 
 
 def _sweep(flat: _Flat, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The DP over ``width`` grid columns: the final value row and the
-    choice table (per class and column, the winning row's offset in its
-    class; 0 = skipped).
+    """The optional-pick DP over ``width`` grid columns: the final value
+    row and the choice table (per class and column, the winning row's
+    offset in its class; 0 = skipped).
 
-    Before the first class only the empty combination exists: the value
-    row starts at 0 in every column where it fits, i.e. everywhere for the
-    optional pick (``skip = 0``) and in column 0 alone for the mandatory
-    pick, whose columns are exact weights (``skip = -inf``).
+    Before the first class only the empty combination exists, and it fits
+    every column: the value row starts at 0 everywhere.
 
     Per class, **one** gather reads every candidate row at once: item
     ``k``'s row is the value row shifted right by its grid weight, i.e.
@@ -264,9 +258,7 @@ def _sweep(flat: _Flat, width: int) -> Tuple[np.ndarray, np.ndarray]:
     an all ``-inf`` row); the skip row is the unshifted one.  ``argmax``
     takes the *first* maximizing row, which is the reference tie-break:
     an item is taken only where it is strictly better than skipping, and
-    the lowest item index wins among equals.  Where a pick is mandatory
-    a column no item reaches is all ``-inf`` and so answers the skip
-    row, the "no choice" of the reference.
+    the lowest item index wins among equals.
 
     The table is reusable across capacities: column ``c`` only ever
     reads columns ``<= c``, so for any ``s < width`` the prefix
@@ -278,8 +270,7 @@ def _sweep(flat: _Flat, width: int) -> Tuple[np.ndarray, np.ndarray]:
     padded = np.empty(2 * width)
     padded[:width] = _NEG_INF
     value = padded[width:]
-    value.fill(flat.skip)
-    value[0] = 0.0
+    value.fill(0.0)
     window = np.ndarray((width + 1, width), np.float64, padded, 0, (8, 8))
     rows = width - np.minimum(grid, width)
     column = flat.values[:, None]
@@ -361,7 +352,7 @@ def solve_mckp_dp(
         The optimal (for the discretized instance) :class:`MckpSolution`.
     """
     _check_capacity(capacity)
-    flat = _flatten(classes, granularity, 0.0)
+    flat = _flatten(classes, granularity)
     slots = capacity // granularity
     n = len(classes)
     width = min(slots, _heaviest(flat))
@@ -674,27 +665,52 @@ def solve_mckp_dp_mandatory(
     the same resolution — entries cannot be dropped during the fix, so the
     knapsack there is the mandatory-pick variant.
 
+    The DP runs over the *reachable* grid columns only: after each class
+    one dict maps every column some combination reaches to its best value
+    and the first item reaching it.  Items are the outer loop and reached
+    columns the inner one, with a strict ``>`` update, so each cell sees
+    the float additions of the dense table in its item order and keeps
+    its lowest-index maximizer; the answer is the smallest column holding
+    the maximum (``docs/SOLVER.md``, "The fix DP").  A fix has few
+    combinations, so this touches at most ``min(prod |class|, slots + 1)``
+    columns per item.
+
     Returns:
         The optimal solution, or ``None`` when no feasible combination
         exists (the Eq. 17 test failed).
     """
     _check_capacity(capacity)
-    # Skipping is worth -inf: a column no item reaches stays unreachable.
-    flat = _flatten(classes, granularity, _NEG_INF)
+    _validate(classes, 0)
+    _check_granularity(granularity)
     _KERNEL_STATS.solves["mandatory"] += 1
-    if any(len(cls) == 0 for cls in classes):
+    if not all(classes):
         return None
-    n = len(classes)
-    if n == 0:
+    if not classes:
         return MckpSolution((), 0.0, 0)
-    slots = min(capacity // granularity, _heaviest(flat))
-    value, choices = _sweep(flat, slots + 1)
-    col = int(value.argmax())
-    if value[col] == _NEG_INF:
-        return None
-    rows = _backtrack(flat, choices, col)
-    assert all(rows), "mandatory DP lost a pick during backtracking"
-    picks = [row - 1 for row in rows]
+    slots = capacity // granularity
+    reached: Dict[int, Tuple[float, int]] = {0: (0.0, _NO_CHOICE)}
+    tables: List[Dict[int, Tuple[float, int]]] = []
+    for cls in classes:
+        prev = [(col, value) for col, (value, _) in reached.items()]
+        reached = {}
+        for idx, (weight, value) in enumerate(cls):
+            gw = _grid_weight(weight, granularity)
+            for col, best in prev:
+                col += gw
+                if col <= slots:
+                    cand = best + value
+                    cell = reached.get(col)
+                    if cell is None or cand > cell[0]:
+                        reached[col] = (cand, idx)
+        if not reached:
+            return None
+        tables.append(reached)
+    top = max(value for value, _ in reached.values())
+    col = min(c for c, (value, _) in reached.items() if value == top)
+    picks = [0] * len(classes)
+    for ci in range(len(classes) - 1, -1, -1):
+        idx = picks[ci] = tables[ci][col][1]
+        col -= _grid_weight(classes[ci][idx][0], granularity)
     total_weight = sum(classes[ci][idx][0] for ci, idx in enumerate(picks))
     total_value = sum(classes[ci][idx][1] for ci, idx in enumerate(picks))
     if total_weight > capacity:

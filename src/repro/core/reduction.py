@@ -25,6 +25,12 @@ first walks the owners with the two sums alone (Eq. 14, Eq. 17) and runs
 the fix DP only once no owner is unfixable, i.e. only in the iteration
 that terminates the solve.
 
+Both read an entity's rungs from one :data:`Rungs` index: per publisher
+entity, its feasible streams by resolution in ascending bitrate, each
+resolution's built on its first lookup.  ``GsoSolver`` holds one across
+a solve's iterations and drops a publisher's entry when it reduces that
+publisher; a call handed none builds its own.
+
 The fixability test (Eq. 17, :func:`is_fixable`) is concretely: for each
 policy resolution, substitute the *cheapest* same-resolution rung from the
 feasible set; if even that floor assignment exceeds the uplink budget, no
@@ -51,6 +57,7 @@ convergence argument.  Deletions are observable three ways: the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .constraints import Problem
@@ -89,22 +96,35 @@ _OwnerEntries = List[Tuple[ClientId, Resolution, PolicyEntry]]
 
 def check_uplink(entries: _OwnerEntries, budget_kbps: int) -> bool:
     """Eq. 14: does the owner's combined potential policy fit its uplink?"""
-    return sum(e.bitrate_kbps for _, _, e in entries) <= budget_kbps
+    return sum([e.stream.bitrate_kbps for _, _, e in entries]) <= budget_kbps
 
 
-def _fix_candidates(
+#: Step 3's rung index: per publisher entity, its feasible streams of
+#: each resolution asked about, in ascending bitrate (a stable sort:
+#: equal bitrates keep their feasible-set order).
+Rungs = Dict[ClientId, Dict[Resolution, List[StreamSpec]]]
+
+
+_bitrate = attrgetter("bitrate_kbps")
+
+
+def _rungs_at(
     entity: ClientId,
     res: Resolution,
-    entry: PolicyEntry,
     feasible: Mapping[ClientId, Sequence[StreamSpec]],
+    rungs: Rungs,
 ) -> List[StreamSpec]:
-    """The streams Eq. 16 may replace ``entry`` with: the entity's feasible
-    streams of the entry's resolution, not above its bitrate."""
-    return [
-        s
-        for s in streams_at_resolution(feasible.get(entity, []), res)
-        if s.bitrate_kbps <= entry.bitrate_kbps
-    ]
+    """``entity``'s feasible streams at ``res`` in ascending bitrate, read
+    from ``rungs`` and built from ``feasible`` on first use."""
+    ladder = rungs.get(entity)
+    if ladder is None:
+        ladder = rungs[entity] = {}
+    ascending = ladder.get(res)
+    if ascending is None:
+        ascending = ladder[res] = sorted(
+            streams_at_resolution(feasible.get(entity, ()), res), key=_bitrate
+        )
+    return ascending
 
 
 def is_fixable(
@@ -112,6 +132,7 @@ def is_fixable(
     feasible: Mapping[ClientId, Sequence[StreamSpec]],
     budget_kbps: int,
     granularity: int = 1,
+    rungs: Optional[Rungs] = None,
 ) -> bool:
     """Eq. 17: can lowering bitrates (same resolutions kept) fit the uplink?
 
@@ -119,15 +140,17 @@ def is_fixable(
     candidates together fit, counted as :func:`fix_owner`'s DP counts
     them: on the ``granularity`` grid, weights rounded up, budget rounded
     down.  Hence ``is_fixable(...) == (fix_owner(...) is not None)``.
+    ``rungs`` is the :data:`Rungs` index over ``feasible`` to read, if
+    the caller holds one.
     """
+    if rungs is None:
+        rungs = {}
     floor_slots = 0
     for entity, res, entry in entries:
-        candidates = _fix_candidates(entity, res, entry, feasible)
-        if not candidates:
+        ascending = _rungs_at(entity, res, feasible, rungs)
+        if not ascending or ascending[0].bitrate_kbps > entry.stream.bitrate_kbps:
             return False
-        floor_slots += _grid_weight(
-            min(s.bitrate_kbps for s in candidates), granularity
-        )
+        floor_slots += _grid_weight(ascending[0].bitrate_kbps, granularity)
     return floor_slots <= budget_kbps // granularity
 
 
@@ -136,25 +159,32 @@ def fix_owner(
     feasible: Mapping[ClientId, Sequence[StreamSpec]],
     budget_kbps: int,
     granularity: int = 1,
+    rungs: Optional[Rungs] = None,
 ) -> Optional[List[Tuple[ClientId, Resolution, PolicyEntry]]]:
     """Apply the Eq. 16 fix: lower entry bitrates until the uplink fits.
 
     Every entry keeps its entity, resolution and audience; only the stream
     bitrate may be replaced by a lower feasible bitrate at the same
     resolution.  Among feasible replacements the QoE-maximal combination is
-    chosen.
+    chosen.  An entry's candidates are its entity's rungs of its
+    resolution up to its bitrate, read from ``rungs`` (see
+    :func:`is_fixable`) in ascending bitrate.
 
     Returns:
         The fixed entries, or ``None`` if no feasible replacement exists
         (Eq. 17 violated) — the caller must then reduce.
     """
+    if rungs is None:
+        rungs = {}
     classes: List[List[Item]] = []
     class_candidates: List[List[StreamSpec]] = []
     for entity, res, entry in entries:
-        candidates = _fix_candidates(entity, res, entry, feasible)
+        top = entry.stream.bitrate_kbps
+        candidates = [
+            s for s in _rungs_at(entity, res, feasible, rungs) if s.bitrate_kbps <= top
+        ]
         if not candidates:
             return None
-        candidates.sort(key=lambda s: s.bitrate_kbps)
         classes.append([(s.bitrate_kbps, s.qoe) for s in candidates])
         class_candidates.append(candidates)
     result = solve_mckp_dp_mandatory(classes, budget_kbps, granularity=granularity)
@@ -181,6 +211,7 @@ def reduction_step(
     policies: Policies,
     feasible: Mapping[ClientId, Sequence[StreamSpec]],
     granularity: int = 1,
+    rungs: Optional[Rungs] = None,
 ) -> ReductionOutcome:
     """Run Step 3 over all publishing owners.
 
@@ -189,14 +220,18 @@ def reduction_step(
     iteration), decided from the Eq. 14 and Eq. 17 sums alone.  Only when
     there is none are the over-budget owners fixed (:func:`fix_owner`)
     and the outcome carries the final policy map (keyed by publisher
-    entity).
+    entity).  ``rungs`` is the caller's :data:`Rungs` index over
+    ``feasible``, kept across calls; without one the call builds its own.
     """
+    if rungs is None:
+        rungs = {}
     # Group policy entries by owning client.
     per_owner: Dict[ClientId, _OwnerEntries] = {}
     for pub in sorted(policies):
         owner = problem.owner(pub)
-        for res in sorted(policies[pub], reverse=True):
-            per_owner.setdefault(owner, []).append((pub, res, policies[pub][res]))
+        held = policies[pub]
+        for res in sorted(held, reverse=True):
+            per_owner.setdefault(owner, []).append((pub, res, held[res]))
 
     owners = sorted(per_owner)
     #: Over-budget (but fixable) owners -> their uplink budget.
@@ -206,7 +241,7 @@ def reduction_step(
         budget = problem.uplink_budget(owner)
         if check_uplink(entries, budget):
             continue
-        if not is_fixable(entries, feasible, budget, granularity):
+        if not is_fixable(entries, feasible, budget, granularity, rungs):
             return ReductionOutcome(reduce=highest_policy_resolution(entries))
         to_fix[owner] = budget
 
@@ -214,7 +249,9 @@ def reduction_step(
     for owner in owners:
         accepted = per_owner[owner]
         if owner in to_fix:
-            accepted = fix_owner(accepted, feasible, to_fix[owner], granularity)
+            accepted = fix_owner(
+                accepted, feasible, to_fix[owner], granularity, rungs
+            )
             assert accepted is not None, "Eq. 17 held but the fix DP found no fit"
         for entity, res, entry in accepted:
             final.setdefault(entity, {})[res] = entry

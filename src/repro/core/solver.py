@@ -32,7 +32,7 @@ from .engine import EngineStats, default_mckp_cache
 from .knapsack import EdgeClasses, Requests, knapsack_step
 from .mckp import kernel_stats
 from .merge import Policies, merge_step
-from .reduction import ReductionOutcome, reduction_step
+from .reduction import ReductionOutcome, Rungs, reduction_step
 from .solution import PolicyEntry, Solution
 from .types import ClientId, Resolution, StreamSpec
 
@@ -311,6 +311,8 @@ class GsoSolver:
         dirty: Optional[List[ClientId]] = None
         #: Step 1's edge classes over ``feasible``, kept across iterations.
         edge_classes: EdgeClasses = {}
+        #: Step 3's rung index over ``feasible``, kept the same way.
+        rungs: Rungs = {}
 
         #: The steps of ``warm`` while this solve follows them, else ``None``.
         recorded: Optional[Tuple[_Step, ...]] = None
@@ -431,6 +433,7 @@ class GsoSolver:
                         policies,
                         feasible,
                         granularity=cfg.granularity_kbps,
+                        rungs=rungs,
                     )
             if record is not None:
                 record.append(
@@ -461,8 +464,9 @@ class GsoSolver:
                 recorded = None
             feasible[pub] = [s for s in feasible[pub] if s.resolution != res]
             # Only ``pub``'s feasible set changed, so only its edge
-            # classes are stale.
+            # classes and rungs are stale.
             edge_classes.pop(pub, None)
+            rungs.pop(pub, None)
             reduced.append((pub, res))
             if not cfg.exhaustive_step1:
                 # The reduction removed only ``pub``'s streams at

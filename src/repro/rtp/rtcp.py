@@ -35,6 +35,10 @@ PT_APP = 204
 PT_RTPFB = 205
 PT_PSFB = 206
 
+#: The common header's three fields, read in place by
+#: :func:`parse_common_header`.
+_HEADER = struct.Struct("!BBH")
+
 
 def _common_header(count_or_fmt: int, packet_type: int, body_len: int) -> bytes:
     """The 4-byte RTCP common header for a body of ``body_len`` bytes."""
@@ -45,15 +49,16 @@ def _common_header(count_or_fmt: int, packet_type: int, body_len: int) -> bytes:
     return struct.pack("!BBH", byte0, packet_type, length_words)
 
 
-def parse_common_header(data: bytes) -> Tuple[int, int, int]:
-    """Parse an RTCP common header.
+def parse_common_header(data: bytes, offset: int = 0) -> Tuple[int, int, int]:
+    """Parse the RTCP common header at ``offset`` of ``data``, without
+    copying the bytes after it.
 
     Returns:
         (count_or_fmt, packet_type, total_packet_len_bytes).
     """
-    if len(data) < 4:
+    if len(data) - offset < 4:
         raise ValueError("RTCP packet too short")
-    byte0, packet_type, length_words = struct.unpack("!BBH", data[:4])
+    byte0, packet_type, length_words = _HEADER.unpack_from(data, offset)
     if byte0 >> 6 != RTCP_VERSION:
         raise ValueError(f"unsupported RTCP version {byte0 >> 6}")
     return byte0 & 0x1F, packet_type, 4 * (length_words + 1)
@@ -70,16 +75,18 @@ class ReportBlock:
     jitter: int
 
     def serialize(self) -> bytes:
-        """Encode to wire bytes."""
+        """Encode to the 24-byte RFC 3550 layout that :meth:`parse` reads
+        (LSR and DLSR are zero: the simulation sends no sender reports)."""
         lost24 = self.cumulative_lost & 0xFFFFFF
         return struct.pack(
-            "!IIIII",
+            "!IIIIII",
             self.ssrc,
             ((self.fraction_lost & 0xFF) << 24) | lost24,
             self.highest_seq,
             self.jitter,
-            0,  # LSR/DLSR unused by the simulation
-        ) [:20]
+            0,
+            0,
+        )
 
     @classmethod
     def parse(cls, data: bytes) -> "ReportBlock":
@@ -107,19 +114,9 @@ class ReceiverReport:
 
     def serialize(self) -> bytes:
         """Encode to wire bytes."""
-        body = struct.pack("!I", self.sender_ssrc)
-        for block in self.blocks:
-            # Re-serialize to the full 24-byte RFC layout.
-            lost24 = block.cumulative_lost & 0xFFFFFF
-            body += struct.pack(
-                "!IIIIII",
-                block.ssrc,
-                ((block.fraction_lost & 0xFF) << 24) | lost24,
-                block.highest_seq,
-                block.jitter,
-                0,
-                0,
-            )
+        body = struct.pack("!I", self.sender_ssrc) + b"".join(
+            block.serialize() for block in self.blocks
+        )
         return _common_header(len(self.blocks), PT_RR, len(body)) + body
 
     @classmethod
@@ -236,7 +233,7 @@ def parse_compound(data: bytes) -> List[bytes]:
     packets: List[bytes] = []
     offset = 0
     while offset < len(data):
-        _, _, total = parse_common_header(data[offset:])
+        _, _, total = parse_common_header(data, offset)
         if offset + total > len(data):
             raise ValueError("compound RTCP truncated")
         packets.append(data[offset : offset + total])

@@ -299,6 +299,35 @@ class TestIterationCost:
         # Somebody held the deleted stream, so its classes were rebuilt.
         assert any(built[1:])
 
+    @pytest.mark.parametrize("name", sorted(MEETINGS))
+    def test_held_rungs_equal_a_fresh_index_at_every_step3(self, name, monkeypatch):
+        # The solver keeps Step 3's rung index across iterations.  At
+        # every Step 3 each entry it holds must be the one a fresh build
+        # over today's feasible sets gives, and the outcome must be the
+        # one a call without a held index decides.  A reduction that
+        # left the reduced publisher's entry behind fails the first.
+        step3 = solver.reduction_step
+        reduced_held = []  # per reduction: was the publisher indexed?
+
+        def spy_step3(problem, policies, feasible, granularity=1, rungs=None):
+            assert rungs is not None, "the solver holds no rung index"
+            for pub, ladder in rungs.items():
+                for res, ascending in ladder.items():
+                    fresh = reduction._rungs_at(pub, res, feasible, {})
+                    assert ascending == fresh, (pub, res)
+            fresh = step3(problem, policies, feasible, granularity)
+            held = step3(problem, policies, feasible, granularity, rungs)
+            assert pickle.dumps(held) == pickle.dumps(fresh)
+            if not held.solved:
+                reduced_held.append(held.reduce[0] in rungs)
+            return held
+
+        monkeypatch.setattr(solver, "reduction_step", spy_step3)
+        _, stats = GsoSolver(_config(25)).solve_with_stats(self.MEETINGS[name]())
+        assert stats.iterations > 1
+        assert len(reduced_held) == stats.iterations - 1
+        assert any(reduced_held), "no reduced publisher was ever indexed"
+
     def test_fix_dp_runs_only_in_the_terminating_iteration(self, monkeypatch):
         calls = []  # fix_owner calls of the Step 3 in progress
         seen = []  # per iteration: (ended in a reduction, fix_owner calls)

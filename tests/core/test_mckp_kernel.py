@@ -1,6 +1,7 @@
-"""Edge cases of the array MCKP kernel against the pure-Python oracles.
+"""Edge cases of the MCKP kernels against the pure-Python oracles.
 
-The array DPs (``solve_mckp_dp``, ``solve_mckp_dp_mandatory``) must match
+The DPs (the array ``solve_mckp_dp``, the sparse
+``solve_mckp_dp_mandatory``) must match
 the pure-Python reference oracles kept beside them *bit-for-bit* —
 compared by pickle bytes, not objective values — on exactly the shapes
 where vectorized DP sweeps classically go wrong: empty classes, grids

@@ -1,12 +1,14 @@
 """Property-based tests of the Merge and Reduction steps in isolation."""
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.merge import merge_publisher
 from repro.core.reduction import fix_owner, is_fixable
 from repro.core.solution import PolicyEntry
-from repro.core.types import Resolution, StreamSpec
+from repro.core.types import Resolution, StreamSpec, streams_at_resolution
 
 RESOLUTIONS = [Resolution.P180, Resolution.P360, Resolution.P720]
 
@@ -101,3 +103,24 @@ def test_fix_owner_invariants(data):
         assert new.resolution == old.resolution
         total += new.bitrate_kbps
     assert total <= budget
+
+
+@given(owner_entries())
+@settings(deadline=None)
+def test_fixable_iff_fixed_with_a_held_rung_index(data):
+    # One index shared by Eq. 17 and the fix, as reduction_step shares
+    # it: the same verdicts and fixes as calls that build their own.
+    # The example budget is the Hypothesis profile's.
+    entries, feasible, budget, granularity = data
+    rungs = {}
+    fixable = is_fixable(entries, feasible, budget, granularity, rungs)
+    fixed = fix_owner(entries, feasible, budget, granularity, rungs)
+    assert (fixed is not None) == fixable
+    assert pickle.dumps(fixed) == pickle.dumps(
+        fix_owner(entries, feasible, budget, granularity)
+    )
+    for res, ascending in rungs["pub"].items():
+        assert ascending == sorted(
+            streams_at_resolution(feasible["pub"], res),
+            key=lambda s: s.bitrate_kbps,
+        )

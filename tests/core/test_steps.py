@@ -217,6 +217,18 @@ class TestReductionStep:
         e = self.entries(spec(1500, Resolution.P720))
         assert not is_fixable(e, {"pub": []}, 10_000)
 
+    def test_equal_bitrate_rungs_keep_their_feasible_order(self):
+        # Two equal 720p rungs: the fix reads them in the order of the
+        # feasible set, so the first listed wins the tie, with or without
+        # a held index.
+        first = StreamSpec(1200, Resolution.P720, 6.0)
+        second = StreamSpec(1200, Resolution.P720, 6.0)
+        feasible = {"pub": [spec(1500, Resolution.P720), first, second]}
+        e = self.entries(spec(1500, Resolution.P720))
+        for rungs in (None, {}):
+            fixed = fix_owner(e, feasible, 1300, rungs=rungs)
+            assert fixed[0][2].stream is first
+
     def test_fix_lowers_bitrates_keeping_audience(self):
         e = self.entries(spec(1500, Resolution.P720), spec(800, Resolution.P360))
         fixed = fix_owner(e, {"pub": paper_ladder()}, 1500)

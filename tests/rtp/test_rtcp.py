@@ -60,6 +60,31 @@ class TestReceiverReport:
         parsed = ReceiverReport.parse(rr.serialize())
         assert parsed == rr
 
+    def test_report_block_round_trips_alone(self):
+        # The block encodes the RFC 3550 24-byte layout its parser reads,
+        # LSR and DLSR zero.
+        block = ReportBlock(1, 2, 3, 4, 5)
+        wire = block.serialize()
+        assert len(wire) == 24
+        assert wire[16:] == bytes(8)
+        assert ReportBlock.parse(wire) == block
+
+    def test_wire_bytes_are_pinned(self):
+        # The RR is its header, the sender SSRC and each block's own
+        # encoding; a 25-bit cumulative loss keeps its low 24 bits.
+        rr = ReceiverReport(
+            7,
+            (
+                ReportBlock(1, 128, 1000, 55_555, 90),
+                ReportBlock(2, 0, 0x1234567, 1, 0xFFFFFFFF),
+            ),
+        )
+        assert rr.serialize().hex() == (
+            "82c9000d00000007"
+            "00000001800003e80000d9030000005a0000000000000000"
+            "000000020023456700000001ffffffff0000000000000000"
+        )
+
     def test_parse_rejects_wrong_type(self):
         app = AppPacket(subtype=0, ssrc=1, name=b"ABCD").serialize()
         with pytest.raises(ValueError, match="not an RR"):
@@ -119,6 +144,21 @@ class TestCompound:
         rr = ReceiverReport(sender_ssrc=1).serialize()
         with pytest.raises(ValueError, match="truncated"):
             parse_compound(rr[:-2])
+
+    def test_truncated_last_packet(self):
+        # Whole packets ahead of it split fine; the short tail is refused.
+        rr = ReceiverReport(sender_ssrc=1).serialize()
+        app = AppPacket(subtype=0, ssrc=2, name=b"SEMB", data=b"\x00" * 4).serialize()
+        assert parse_compound(rr + rr + app) == [rr, rr, app]
+        with pytest.raises(ValueError, match="compound RTCP truncated"):
+            parse_compound(rr + rr + app[:-4])
+
+    def test_header_read_at_an_offset(self):
+        rr = ReceiverReport(sender_ssrc=1).serialize()
+        app = AppPacket(subtype=3, ssrc=2, name=b"SEMB").serialize()
+        assert parse_common_header(rr + app, len(rr)) == parse_common_header(app)
+        with pytest.raises(ValueError, match="too short"):
+            parse_common_header(rr + app[:3], len(rr))
 
 
 @given(
