@@ -82,10 +82,13 @@ def _solve_inputs(args: argparse.Namespace):
     """The full-mesh ``(problem, config)`` that ``solve``'s arguments name.
 
     Raises:
-        ValueError: fewer than two clients, or a bad ``--granularity``.
+        ValueError: a duplicated client id, fewer than two clients, or a
+            bad ``--granularity``.
     """
     ladder = make_ladder(levels_per_resolution=args.levels)
     clients = {c.client_id: c for c in args.clients}
+    if len(clients) < len(args.clients):
+        raise ValueError("duplicate client ids")
     if len(clients) < 2:
         raise ValueError("need at least two clients")
     subscriptions = [

@@ -1,34 +1,95 @@
 """Human-readable traces of the KMR algorithm's decisions.
 
-``explain_solve`` runs the same Knapsack-Merge-Reduction loop as
-:class:`~repro.core.solver.GsoSolver` but narrates every decision — which
+``explain_solve`` runs :class:`~repro.core.solver.GsoSolver` and narrates
+what its Knapsack-Merge-Reduction loop decided on every iteration — which
 streams each subscriber's knapsack picked, which requests merged down to
 which bitrate, which uplinks needed fixing or reduction.  Fig. 5 of the
 paper is exactly this trace drawn as a diagram; in production such traces
 are the first tool for "why did client X get 360p?" questions.
 
 It takes the solver's whole input (problem, :class:`SolverConfig`,
-incumbent) and its ``solution`` is byte-identical to the solver's.  It
-re-solves every subscriber on every iteration: a narration shows each
-subscriber's fill each time, and that makes it a second from-scratch
-witness of the solver's dirty set.
+incumbent), and its ``solution`` is the solver's own: a private subclass
+overrides :meth:`GsoSolver._on_iteration`, which the loop calls once per
+iteration after Step 3.  Each iteration lists every subscriber's current
+Step-1 answer, whether that iteration re-solved it or the dirty set kept
+it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .constraints import Problem
-from .knapsack import Incumbent, knapsack_step
-from .merge import merge_step
-from .reduction import reduction_step
+from .knapsack import Incumbent
 from .solution import Solution
-from .solver import SolverConfig, _build_solution, _iteration_bound
-from .types import ClientId, StreamSpec
+from .solver import GsoSolver, SolverConfig
+from .types import StreamSpec
 
 
 def _fmt_stream(stream: StreamSpec) -> str:
     return f"{stream.bitrate_kbps}kbps@{stream.resolution}"
+
+
+class _Narrator(GsoSolver):
+    """A :class:`GsoSolver` that narrates each iteration into ``lines``."""
+
+    def __init__(self, config: Optional[SolverConfig]) -> None:
+        super().__init__(config)
+        self.lines: List[str] = []
+
+    def _on_iteration(self, problem, iteration, requests, policies, outcome) -> None:
+        lines = self.lines
+        lines.append(f"iteration {iteration}")
+
+        lines.append("  step 1 (knapsack): per-subscriber downlink fills")
+        for sub in problem.subscribers:
+            picks = requests.get(sub, {})
+            detail = ", ".join(f"{pub}:{_fmt_stream(s)}" for pub, s in sorted(picks.items()))
+            used = sum(s.bitrate_kbps for s in picks.values())
+            lines.append(
+                f"    {sub} (budget {problem.downlink_budget(sub)}kbps, used {used}kbps): "
+                f"{detail or 'nothing fits'}"
+            )
+
+        lines.append("  step 2 (merge): per-publisher codec consolidation")
+        for pub in sorted(policies):
+            for res in sorted(policies[pub], reverse=True):
+                entry = policies[pub][res]
+                requested = sorted(
+                    s.bitrate_kbps
+                    for per in requests.values()
+                    for literal, s in per.items()
+                    if problem.canonical(literal) == pub and s.resolution == res
+                )
+                note = f" (merged from {requested})" if len(set(requested)) > 1 else ""
+                lines.append(
+                    f"    {pub}@{res}: {entry.bitrate_kbps}kbps to "
+                    f"{{{', '.join(sorted(entry.audience))}}}{note}"
+                )
+
+        lines.append("  step 3 (reduction): uplink checks")
+        for owner in sorted({problem.owner(pub) for pub in policies}):
+            asked = sum(
+                e.bitrate_kbps
+                for pub in policies
+                if problem.owner(pub) == owner
+                for e in policies[pub].values()
+            )
+            budget = problem.uplink_budget(owner)
+            verdict = "ok" if asked <= budget else "over budget"
+            lines.append(f"    {owner}: asked {asked}kbps of {budget}kbps -> {verdict}")
+        if not outcome.solved:
+            pub, res = outcome.reduce
+            lines.append(f"    unfixable: removing {res} from {pub}'s feasible set")
+            return
+        # Report any bitrate fixes applied relative to the merge output.
+        for pub in sorted(outcome.policies):
+            for res, entry in outcome.policies[pub].items():
+                merged = policies.get(pub, {}).get(res)
+                if merged is not None and merged.stream != entry.stream:
+                    lines.append(
+                        f"    fixed {pub}@{res}: {merged.bitrate_kbps} -> {entry.bitrate_kbps}kbps"
+                    )
 
 
 def explain_solve(
@@ -50,107 +111,10 @@ def explain_solve(
     Raises:
         RuntimeError: if the iteration cap is hit, as the solver does.
     """
-    cfg = config or SolverConfig()
-    lines: List[str] = []
-    feasible: Dict[ClientId, List[StreamSpec]] = {
-        pub: list(streams) for pub, streams in problem.feasible_streams.items()
-    }
-    reduced = []
-    cap = cfg.max_iterations or _iteration_bound(problem)
-    for iteration in range(1, cap + 1):
-        lines.append(f"iteration {iteration}")
-
-        requests = knapsack_step(
-            problem,
-            feasible=feasible,
-            granularity=cfg.granularity_kbps,
-            exhaustive=cfg.exhaustive_step1,
-            incumbent=incumbent or None,
-            stickiness=cfg.stickiness if incumbent else 0.0,
-        )
-        lines.append("  step 1 (knapsack): per-subscriber downlink fills")
-        for sub in problem.subscribers:
-            budget = problem.downlink_budget(sub)
-            picks = requests.get(sub, {})
-            if picks:
-                detail = ", ".join(
-                    f"{pub}:{_fmt_stream(s)}"
-                    for pub, s in sorted(picks.items())
-                )
-            else:
-                detail = "nothing fits"
-            used = sum(s.bitrate_kbps for s in picks.values())
-            lines.append(
-                f"    {sub} (budget {budget}kbps, used {used}kbps): {detail}"
-            )
-
-        policies = merge_step(problem, requests)
-        lines.append("  step 2 (merge): per-publisher codec consolidation")
-        for pub in sorted(policies):
-            for res in sorted(policies[pub], reverse=True):
-                entry = policies[pub][res]
-                requested = sorted(
-                    s.bitrate_kbps
-                    for per in requests.values()
-                    for literal, s in per.items()
-                    if problem.canonical(literal) == pub
-                    and s.resolution == res
-                )
-                merged_note = (
-                    f" (merged from {requested})"
-                    if len(set(requested)) > 1
-                    else ""
-                )
-                lines.append(
-                    f"    {pub}@{res}: {entry.bitrate_kbps}kbps to "
-                    f"{{{', '.join(sorted(entry.audience))}}}{merged_note}"
-                )
-
-        outcome = reduction_step(
-            problem, policies, feasible, granularity=cfg.granularity_kbps
-        )
-        lines.append("  step 3 (reduction): uplink checks")
-        owners = sorted(
-            {problem.owner(pub) for pub in policies}
-        )
-        for owner in owners:
-            asked = sum(
-                e.bitrate_kbps
-                for pub in policies
-                if problem.owner(pub) == owner
-                for e in policies[pub].values()
-            )
-            budget = problem.uplink_budget(owner)
-            verdict = "ok" if asked <= budget else "over budget"
-            lines.append(
-                f"    {owner}: asked {asked}kbps of {budget}kbps -> {verdict}"
-            )
-        if outcome.solved:
-            # Report any bitrate fixes applied relative to the merge output.
-            for pub in sorted(outcome.policies):
-                for res, entry in outcome.policies[pub].items():
-                    merged = policies.get(pub, {}).get(res)
-                    if merged is not None and merged.stream != entry.stream:
-                        lines.append(
-                            f"    fixed {pub}@{res}: "
-                            f"{merged.bitrate_kbps} -> {entry.bitrate_kbps}kbps"
-                        )
-            solution = _build_solution(
-                problem, requests, outcome.policies, iteration, reduced
-            )
-            lines.append("  solution found")
-            lines.append(solution.summary())
-            return ExplainedSolve(solution=solution, lines=lines)
-        pub, res = outcome.reduce
-        lines.append(
-            f"    unfixable: removing {res} from {pub}'s feasible set"
-        )
-        feasible[pub] = [s for s in feasible[pub] if s.resolution != res]
-        reduced.append((pub, res))
-    raise RuntimeError(
-        f"KMR loop failed to converge within {cap} iterations; "
-        f"reductions so far: {reduced}"
-    )
+    narrator = _Narrator(config)
+    solution = narrator.solve(problem, incumbent)
+    narrator.lines += ["  solution found", solution.summary()]
+    return ExplainedSolve(solution=solution, lines=narrator.lines)
 
 
 class ExplainedSolve:

@@ -7,10 +7,11 @@ edge-feasible streams ``S_ii'``); an item's weight is the stream bitrate and
 its value the QoE utility; at most one item may be taken per class.
 
 Each dynamic program is sized to its instances.  Step 1's optional-pick
-DP is array-based: one sweep per class gathers every candidate row (the
-skip row plus one shifted row per item) at once through a zero-copy
-window over the ``-inf``-padded value row, and reduces them with one
-``max``/``argmax`` over the shared capacity grid, with no per-item or
+DP has one implementation, :class:`CapacityProfile`: a left fold over the
+classes, one array step per class (:func:`_fold`) that gathers every
+candidate row (the skip row plus one shifted row per item) at once
+through a zero-copy window over the ``-inf``-padded value row and
+reduces them with one ``max``/``argmax``, with no per-item or
 per-capacity Python loop.  Step 3's mandatory-pick fix has a handful of
 combinations, so its DP is a sparse one over the grid columns some
 combination reaches, with the dense table's arithmetic and tie rule
@@ -21,11 +22,11 @@ tests require byte-identical results (``docs/SOLVER.md``).
 
 Public solvers:
 
-* :func:`solve_mckp_dp` — one instance at one capacity: dynamic
-  programming over a discretized capacity grid, pseudo-polynomial
-  ``O(C/g * total_items)`` where ``g`` is the grid granularity.  With
-  ``g = 1`` (kbps) the solution is exact; coarser grids trade a bounded
-  optimality loss for speed.
+* :func:`solve_mckp_dp` — one instance at one capacity, answered by a
+  :class:`CapacityProfile`: pseudo-polynomial ``O(C/g * total_items)``
+  where ``g`` is the grid granularity.  With ``g = 1`` (kbps) the
+  solution is exact; coarser grids trade a bounded optimality loss for
+  speed.
 * :func:`solve_mckp_dp_mandatory` — the variant where exactly one item must
   be taken per class; used by Step 3's uplink fix (Eq. 16), where policy
   entries may be lowered but not dropped.  ``O(total_items * reached)``,
@@ -52,7 +53,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,15 +166,7 @@ def _grid_weight(weight: int, granularity: int) -> int:
     return max(1, -(-weight // granularity))
 
 
-def _class_grid_weights(
-    cls: Sequence[Item], granularity: int
-) -> List[int]:
-    """Grid weights of one class's items, for the python oracles (the
-    array DP computes them in :func:`_flatten`)."""
-    return [_grid_weight(w, granularity) for w, _ in cls]
-
-
-def _max_slots(grid_weights: Sequence[Sequence[int]]) -> int:
+def _max_slots(classes: Sequence[Sequence[Item]], granularity: int) -> int:
     """Grid slots of the heaviest combination on offer.
 
     No combination weighs more than the sum of the per-class maximum grid
@@ -181,121 +174,9 @@ def _max_slots(grid_weights: Sequence[Sequence[int]]) -> int:
     a budget larger than everything on offer needs no bigger table (and a
     10^9 kbps bandwidth report cannot ask for one).
     """
-    return sum(max(gws, default=0) for gws in grid_weights)
-
-
-class _Flat(NamedTuple):
-    """One class structure as flat arrays, every class led by its *skip
-    row*: class ``ci`` spans ``bounds[ci]:bounds[ci + 1]``, skip first,
-    then its items in order, so a row's offset in its class is the
-    item index plus one."""
-
-    bounds: List[int]
-    #: Grid weights, ``int64``; 0 on the skip rows.
-    grid: np.ndarray
-    #: Values, ``float64``; 0 on the skip rows.
-    values: np.ndarray
-
-
-def _flatten(classes: Sequence[Sequence[Item]], granularity: int) -> _Flat:
-    """Validate ``classes`` and lay them out as a :class:`_Flat`.
-
-    The checks are array ops, and :func:`_validate` runs only once they
-    fail, so it raises its own messages in its own order.
-    """
-    bounds = [0]
-    for cls in classes:
-        bounds.append(bounds[-1] + len(cls) + 1)
-    rows = bounds[-1]
-    items = np.fromiter(
-        _chain(_chain(((0, 0.0), *cls) for cls in classes)),
-        np.float64,
-        2 * rows,
-    ).reshape(rows, 2)
-    weights = items[:, 0]
-    if rows and not _plausible(items, rows - len(classes)):
-        _validate(classes, 0)
-    _check_granularity(granularity)
-    # Positive weights round up to at least one slot; the skips stay 0.
-    grid = (-(weights // -granularity)).astype(np.int64)
-    return _Flat(bounds, grid, items[:, 1])
-
-
-def _plausible(items: np.ndarray, weighed: int) -> bool:
-    """Whether the ``(weight, value)`` rows of an optional-pick layout
-    are valid: all finite and non-negative, and all but the skip rows
-    weigh something (``weighed`` of them).  nan fails every comparison,
-    and min/max propagate it."""
-    weight, value = np.minimum.reduce(items, axis=0).tolist()
-    return (
-        weight >= 0
-        and value >= 0
-        and np.count_nonzero(items[:, 0]) == weighed
-        and np.maximum.reduce(items, axis=None) < math.inf
+    return sum(
+        max((_grid_weight(w, granularity) for w, _ in cls), default=0) for cls in classes
     )
-
-
-def _heaviest(flat: _Flat) -> int:
-    """The array form of :func:`_max_slots`: the sum of the per-class
-    maximum grid weights (a class of no items weighs 0)."""
-    if len(flat.bounds) == 1:
-        return 0
-    return int(np.add.reduce(np.maximum.reduceat(flat.grid, flat.bounds[:-1])))
-
-
-def _sweep(flat: _Flat, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The optional-pick DP over ``width`` grid columns: the final value
-    row and the choice table (per class and column, the winning row's
-    offset in its class; 0 = skipped).
-
-    Before the first class only the empty combination exists, and it fits
-    every column: the value row starts at 0 everywhere.
-
-    Per class, **one** gather reads every candidate row at once: item
-    ``k``'s row is the value row shifted right by its grid weight, i.e.
-    row ``width - gw`` of a zero-copy window over the value row padded
-    with ``width`` ``-inf`` columns (a weight beyond the table clamps to
-    an all ``-inf`` row); the skip row is the unshifted one.  ``argmax``
-    takes the *first* maximizing row, which is the reference tie-break:
-    an item is taken only where it is strictly better than skipping, and
-    the lowest item index wins among equals.
-
-    The table is reusable across capacities: column ``c`` only ever
-    reads columns ``<= c``, so for any ``s < width`` the prefix
-    ``[0..s]`` is exactly the table the DP would have built on an
-    ``s``-slot grid.  :class:`CapacityProfile` folds the same
-    per-class step one class at a time (:func:`_fold`).
-    """
-    grid, bounds = flat.grid, flat.bounds
-    padded = np.empty(2 * width)
-    padded[:width] = _NEG_INF
-    value = padded[width:]
-    value.fill(0.0)
-    window = np.ndarray((width + 1, width), np.float64, padded, 0, (8, 8))
-    rows = width - np.minimum(grid, width)
-    column = flat.values[:, None]
-    choices = np.empty((len(bounds) - 1, width), dtype=np.intp)
-    for ci in range(len(bounds) - 1):
-        lo, hi = bounds[ci], bounds[ci + 1]
-        # The gather copies, so reducing into `value` (a view of
-        # `padded`) cannot corrupt the candidates being reduced.
-        candidates = window[rows[lo:hi]]
-        candidates += column[lo:hi]
-        candidates.argmax(axis=0, out=choices[ci])
-        np.maximum.reduce(candidates, axis=0, out=value)
-    return value, choices
-
-
-def _backtrack(flat: _Flat, choices: np.ndarray, col: int) -> List[int]:
-    """Backtrack one start column: per class, the winning row's offset
-    (0 = skipped)."""
-    grid, bounds = flat.grid, flat.bounds
-    rows = [0] * (len(bounds) - 1)
-    for ci in range(len(rows) - 1, -1, -1):
-        row = int(choices[ci, col])
-        rows[ci] = row
-        col -= int(grid[bounds[ci] + row])
-    return rows
 
 
 def _empty_solution(n_classes: int) -> MckpSolution:
@@ -317,15 +198,6 @@ def _finish(
     return MckpSolution(tuple(picks), total_value, total_weight)
 
 
-def _emit_solve_obs(reg, n_classes: int, slots: int) -> None:
-    """Per-table metrics shared by the scalar solves and profile builds."""
-    _KERNEL_STATS.solves["optional"] += 1
-    if reg.enabled:
-        reg.histogram(obs_names.MCKP_TABLE_CELLS).observe(
-            n_classes * (slots + 1)
-        )
-
-
 # --------------------------------------------------------------------- #
 # Optional-pick DP (Step 1's per-subscriber knapsack)
 # --------------------------------------------------------------------- #
@@ -343,6 +215,10 @@ def solve_mckp_dp(
     returned solution never violates the true capacity; it may be slightly
     conservative (skip a barely-fitting item) when ``granularity > 1``.
 
+    It is a :class:`CapacityProfile` asked one capacity, built with no
+    :class:`PrefixStore`: it touches no process-wide state but
+    :func:`kernel_stats`.
+
     Args:
         classes: item classes; at most one item is chosen from each.
         capacity: knapsack capacity in the same (kbps) unit as weights.
@@ -352,17 +228,7 @@ def solve_mckp_dp(
         The optimal (for the discretized instance) :class:`MckpSolution`.
     """
     _check_capacity(capacity)
-    flat = _flatten(classes, granularity)
-    slots = capacity // granularity
-    n = len(classes)
-    width = min(slots, _heaviest(flat))
-    _emit_solve_obs(get_registry(), n, width)
-    if n == 0 or slots == 0:
-        return _empty_solution(n)
-    value, choices = _sweep(flat, width + 1)
-    col = int(np.argmax(value))  # argmax returns the smallest maximizing col
-    picks = [row - 1 if row else NO_PICK for row in _backtrack(flat, choices, col)]
-    return _finish(classes, picks, capacity)
+    return CapacityProfile(classes, granularity).solution(capacity)
 
 
 def _solve_mckp_dp_python(
@@ -372,8 +238,8 @@ def _solve_mckp_dp_python(
 ) -> MckpSolution:
     """Pure-Python reference implementation of :func:`solve_mckp_dp`.
 
-    The reference oracle the tests compare the array DP and
-    :class:`CapacityProfile` against; functionally identical, only slower.
+    The reference oracle the tests compare :class:`CapacityProfile` (and
+    so :func:`solve_mckp_dp`) against; functionally identical, only slower.
     """
     _validate(classes, capacity)
     _check_granularity(granularity)
@@ -381,9 +247,7 @@ def _solve_mckp_dp_python(
     n = len(classes)
     if n == 0 or slots == 0:
         return _empty_solution(n)
-    slots = min(
-        slots, _max_slots([_class_grid_weights(c, granularity) for c in classes])
-    )
+    slots = min(slots, _max_slots(classes, granularity))
 
     best = [0.0] * (slots + 1)
     choices: List[List[int]] = []
@@ -445,11 +309,16 @@ _ORIGIN = np.zeros(1)
 
 
 def _fold(prev: np.ndarray, steps: List[int], values: np.ndarray) -> PrefixState:
-    """One class of :func:`_sweep` on top of the value row ``prev``, on a
-    row widened to the new prefix's heaviest combination by repeating
-    ``prev``'s last column (the clamp): one gather of every candidate row
-    through the ``-inf``-padded window, ``argmax`` first-max as the tie
-    rule.  ``steps`` and ``values`` lead with the skip row's 0."""
+    """The optional-pick DP's step for one class on top of the value row
+    ``prev``, widened to the new prefix's heaviest combination by
+    repeating its last column (the clamp).  **One** gather reads every
+    candidate row: an item weighing ``gw`` columns reads row
+    ``width - gw`` of a zero-copy window over the row padded with
+    ``width`` ``-inf`` columns; the skip row is the unshifted one.
+    ``argmax`` takes the *first* maximizing row, the reference tie rule:
+    an item is taken only where it is strictly better than skipping, and
+    the lowest item index wins among equals.  ``steps`` and ``values``
+    lead with the skip row's 0."""
     rows = np.array(steps)
     width = len(prev) + max(steps)
     padded = np.empty(2 * width)
@@ -497,8 +366,9 @@ class PrefixStore:
 def _profile_unit(
     classes: Sequence[Sequence[Item]], keys: List[tuple], granularity: int
 ) -> int:
-    """Validate an optional-pick structure as :func:`_flatten` does, and
-    return the GCD of its grid weights (1 when it has none).
+    """Validate an optional-pick structure (every weight positive, every
+    value non-negative, all finite; then the granularity) and return the
+    GCD of its grid weights (1 when it has none).
 
     Only the distinct classes (``keys``, the classes as tuples) are read:
     a mesh's structure repeats one ladder per publisher.  nan fails every
@@ -557,9 +427,10 @@ def _prefix_chain(
 class CapacityProfile:
     """Every capacity's optional-pick answer for one class structure.
 
-    Byte-identical to ``solve_mckp_dp(classes, capacity, granularity)``
-    for every ``capacity >= 0``, from **one** DP table, by four exactness
-    arguments (``docs/SOLVER.md``):
+    Byte-identical to the reference oracle
+    ``_solve_mckp_dp_python(classes, capacity, granularity)`` for every
+    ``capacity >= 0``, from **one** DP table, by four exactness arguments
+    (``docs/SOLVER.md``):
 
     * *prefix* — DP column ``c`` only reads columns ``<= c``, so the
       table built for the widest grid contains every narrower one;
@@ -601,7 +472,12 @@ class CapacityProfile:
         #: Per class, the DP state after the classes up to it.
         self.chain = _prefix_chain(keys, granularity, self.unit, prefixes)
         value = self.chain[-1].value if self.chain else _ORIGIN
-        _emit_solve_obs(get_registry(), len(classes), len(value) - 1)
+        _KERNEL_STATS.solves["optional"] += 1
+        reg = get_registry()
+        if reg.enabled:
+            reg.histogram(obs_names.MCKP_TABLE_CELLS).observe(
+                len(classes) * len(value)
+            )
         rises = np.flatnonzero(value[1:] > value[:-1]) + 1
         breaks = np.concatenate(([0], rises))
         #: Ascending table columns where the value row rises; 0 first.
@@ -620,8 +496,8 @@ class CapacityProfile:
         return bisect_right(self.breaks, slots // self.unit) - 1
 
     def solution(self, capacity: int, index: Optional[int] = None) -> MckpSolution:
-        """The :class:`MckpSolution` ``solve_mckp_dp`` returns at
-        ``capacity``; pass ``index(capacity)`` when already computed."""
+        """The DP's :class:`MckpSolution` at ``capacity``; pass
+        ``index(capacity)`` when already computed."""
         if index is None:
             index = self.index(capacity)
         solution = self._solutions.get(index)
@@ -725,10 +601,10 @@ def _solve_mckp_dp_mandatory_python(
 ) -> Optional[MckpSolution]:
     """Pure-Python reference implementation of :func:`solve_mckp_dp_mandatory`.
 
-    The reference oracle for the array DP, mirroring it
-    decision-for-decision: the same ``-inf`` infeasibility propagation,
-    the same first-smallest-column argmax tie rule, and the same post-hoc
-    exact-capacity rejection.
+    The reference oracle for the sparse DP: the dense table whose reached
+    columns that DP walks, with the same ``-inf`` infeasibility
+    propagation, the same first-smallest-column tie rule, and the same
+    post-hoc exact-capacity rejection.
     """
     _validate(classes, capacity)
     _check_granularity(granularity)
@@ -737,10 +613,7 @@ def _solve_mckp_dp_mandatory_python(
     n = len(classes)
     if n == 0:
         return MckpSolution((), 0.0, 0)
-    slots = min(
-        capacity // granularity,
-        _max_slots([_class_grid_weights(c, granularity) for c in classes]),
-    )
+    slots = min(capacity // granularity, _max_slots(classes, granularity))
 
     neg = float("-inf")
     best = [neg] * (slots + 1)

@@ -234,8 +234,7 @@ class GsoSolver:
     solve of a meeting to the next it owns and passes in: a
     :class:`KmrRun` as ``warm=``, created empty by whoever re-decides the
     meeting and dropped with it.  Without one (``warm=None``: every direct
-    caller, ``core/explain.py``, the reference loop of the tests) each
-    solve starts from nothing.
+    caller and ``core/explain.py``) each solve starts from nothing.
 
     A solver built while a metrics registry is installed registers the
     process-wide DP counters it drives (the profile cache and
@@ -443,6 +442,7 @@ class GsoSolver:
                         outcome,
                     )
                 )
+            self._on_iteration(problem, iteration, requests, policies, outcome)
             if outcome.solved:
                 stats.reductions = reduced
                 stats.wall_time_s = time.perf_counter() - start
@@ -485,6 +485,14 @@ class GsoSolver:
             f"KMR loop failed to converge within {cap} iterations; "
             f"reductions so far: {reduced}"
         )
+
+    def _on_iteration(
+        self, problem: Problem, iteration: int, requests: Requests,
+        policies: Policies, outcome: ReductionOutcome,
+    ) -> None:
+        """Called once per KMR iteration, after Step 3, with what the
+        steps produced (``requests``: every subscriber's current Step-1
+        answer).  ``core/explain.py`` overrides it to narrate the loop."""
 
     @staticmethod
     def _record_convergence(reg, stats: SolveStats, reason: str) -> None:

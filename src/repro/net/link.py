@@ -17,6 +17,7 @@ reorder packets — exactly why receivers need a jitter buffer.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -54,7 +55,8 @@ class Link:
         bandwidth_kbps: initial serialization rate.
         propagation_ms: constant one-way delay.
         jitter_ms: mean of the exponentially-distributed per-packet extra
-            delay (0 disables jitter).
+            delay (0 disables jitter).  Every delay, and the bandwidth,
+            must be finite and non-negative (the bandwidth positive).
         loss_rate: i.i.d. drop probability in [0, 1).
         queue_ms: queue capacity expressed as milliseconds of buffering at
             the current bandwidth (a common router sizing rule).
@@ -74,8 +76,15 @@ class Link:
         rng: Optional[random.Random] = None,
         name: str = "link",
     ) -> None:
-        if bandwidth_kbps <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < bandwidth_kbps < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
+        for field, ms in (
+            ("propagation_ms", propagation_ms),
+            ("jitter_ms", jitter_ms),
+            ("queue_ms", queue_ms),
+        ):
+            if not 0 <= ms < math.inf:
+                raise ValueError(f"{field} must be finite and non-negative, got {ms}")
         if not 0 <= loss_rate < 1:
             raise ValueError("loss_rate must be in [0, 1)")
         if (jitter_ms > 0 or loss_rate > 0) and rng is None:
@@ -103,8 +112,8 @@ class Link:
 
     def set_bandwidth_kbps(self, value: float) -> None:
         """Change the link rate (Fig. 7's abrupt bandwidth steps)."""
-        if value <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < value < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
         self._bandwidth_kbps = value
 
     def connect(self, receiver: DeliveryCallback) -> None:

@@ -49,14 +49,15 @@ KMR_DIRTY_SET_SIZE = "repro_kmr_dirty_set_size"
 # --------------------------------------------------------------------- #
 
 #: Counter — optional-pick DP tables built: one per capacity profile
-#: (a distinct Step-1 class structure missing the profile cache) plus one
-#: per scalar ``solve_mckp_dp`` call.
+#: (a distinct Step-1 class structure missing the profile cache, or one
+#: scalar ``solve_mckp_dp`` call, which is a one-capacity profile).
 MCKP_SOLVES = "repro_mckp_dp_solves_total"
 #: Counter — classes the capacity profiles swept: one per DP prefix state
 #: built, so a profile that reuses a known class prefix sweeps only the
 #: classes after it.
 MCKP_CLASS_SWEEPS = "repro_mckp_class_sweeps_total"
-#: Histogram — DP table size in cells (classes x capacity slots).
+#: Histogram — DP table size in cells: classes x table columns (one per
+#: grid-weight GCD up to the heaviest combination on offer, plus one).
 MCKP_TABLE_CELLS = "repro_mckp_dp_table_cells"
 
 # --------------------------------------------------------------------- #

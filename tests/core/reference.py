@@ -178,9 +178,11 @@ def reference_solve(
     reductions)``, the three things ``GsoSolver.solve_with_stats`` must
     reproduce byte for byte.
 
-    ``python_dp=False`` keeps the array DPs under the from-scratch loop:
-    the exact grid (granularity 1) on large meetings is out of the
-    pure-Python oracle's reach.
+    ``python_dp=False`` keeps the production kernels under the
+    from-scratch loop: Step 1 then builds one ``CapacityProfile`` per
+    subscriber (``solve_mckp_dp``), and Step 3 runs the sparse fix DP.
+    The exact grid (granularity 1) on large meetings is out of the
+    pure-Python oracles' reach.
     """
     cfg = config or SolverConfig()
     stickiness = cfg.stickiness if incumbent else 0.0

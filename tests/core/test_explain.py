@@ -32,6 +32,96 @@ def table1_case(bandwidths):
     return builder.build()
 
 
+#: ``str(explain_solve(...))`` of the three Table 1 cases, character for
+#: character: operators read the narration, and CI compares it between
+#: the base and head commits, so no refactoring of the loop may move it.
+TABLE1_NARRATIONS = {
+    "case1_downlink_limited": (
+        {"A": (5000, 1400), "B": (5000, 3000), "C": (5000, 500)},
+        """\
+iteration 1
+  step 1 (knapsack): per-subscriber downlink fills
+    A (budget 1400kbps, used 1100kbps): B:800kbps@360p, C:300kbps@180p
+    B (budget 3000kbps, used 2300kbps): A:1500kbps@720p, C:800kbps@360p
+    C (budget 500kbps, used 500kbps): A:400kbps@360p, B:100kbps@180p
+  step 2 (merge): per-publisher codec consolidation
+    A@720p: 1500kbps to {B}
+    A@360p: 400kbps to {C}
+    B@360p: 800kbps to {A}
+    B@180p: 100kbps to {C}
+    C@360p: 800kbps to {B}
+    C@180p: 300kbps to {A}
+  step 3 (reduction): uplink checks
+    A: asked 1900kbps of 5000kbps -> ok
+    B: asked 900kbps of 5000kbps -> ok
+    C: asked 1100kbps of 5000kbps -> ok
+  solution found
+Solution after 1 iteration(s)
+  A publishes 1500kbps@720p->{B}, 400kbps@360p->{C}
+  B publishes 800kbps@360p->{A}, 100kbps@180p->{C}
+  C publishes 800kbps@360p->{B}, 300kbps@180p->{A}
+  total QoE: 3360.0""",
+    ),
+    "case2_uplink_limited": (
+        {"A": (5000, 5000), "B": (600, 5000), "C": (5000, 5000)},
+        """\
+iteration 1
+  step 1 (knapsack): per-subscriber downlink fills
+    A (budget 5000kbps, used 1100kbps): B:800kbps@360p, C:300kbps@180p
+    B (budget 5000kbps, used 2300kbps): A:1500kbps@720p, C:800kbps@360p
+    C (budget 5000kbps, used 2300kbps): A:1500kbps@720p, B:800kbps@360p
+  step 2 (merge): per-publisher codec consolidation
+    A@720p: 1500kbps to {B, C}
+    B@360p: 800kbps to {A, C}
+    C@360p: 800kbps to {B}
+    C@180p: 300kbps to {A}
+  step 3 (reduction): uplink checks
+    A: asked 1500kbps of 5000kbps -> ok
+    B: asked 800kbps of 600kbps -> over budget
+    C: asked 1100kbps of 5000kbps -> ok
+    fixed B@360p: 800 -> 600kbps
+  solution found
+Solution after 1 iteration(s)
+  A publishes 1500kbps@720p->{B,C}
+  B publishes 600kbps@360p->{A,C}
+  C publishes 800kbps@360p->{B}, 300kbps@180p->{A}
+  total QoE: 4460.0""",
+    ),
+    "case3_uplink_and_downlink_limited": (
+        {"A": (5000, 5000), "B": (600, 700), "C": (5000, 5000)},
+        """\
+iteration 1
+  step 1 (knapsack): per-subscriber downlink fills
+    A (budget 5000kbps, used 1100kbps): B:800kbps@360p, C:300kbps@180p
+    B (budget 700kbps, used 700kbps): A:400kbps@360p, C:300kbps@180p
+    C (budget 5000kbps, used 2300kbps): A:1500kbps@720p, B:800kbps@360p
+  step 2 (merge): per-publisher codec consolidation
+    A@720p: 1500kbps to {C}
+    A@360p: 400kbps to {B}
+    B@360p: 800kbps to {A, C}
+    C@180p: 300kbps to {A, B}
+  step 3 (reduction): uplink checks
+    A: asked 1900kbps of 5000kbps -> ok
+    B: asked 800kbps of 600kbps -> over budget
+    C: asked 300kbps of 5000kbps -> ok
+    fixed B@360p: 800 -> 600kbps
+  solution found
+Solution after 1 iteration(s)
+  A publishes 1500kbps@720p->{C}, 400kbps@360p->{B}
+  B publishes 600kbps@360p->{A,C}
+  C publishes 300kbps@180p->{A,B}
+  total QoE: 3220.0""",
+    ),
+}
+
+
+class TestGoldenNarration:
+    @pytest.mark.parametrize("case", sorted(TABLE1_NARRATIONS))
+    def test_table1_narration_is_the_recorded_text(self, case):
+        bandwidths, text = TABLE1_NARRATIONS[case]
+        assert str(explain_solve(table1_case(bandwidths))) == text
+
+
 class TestExplain:
     def test_trace_matches_plain_solve(self):
         p = table1_case({"A": (5000, 1400), "B": (5000, 3000), "C": (5000, 500)})

@@ -1,7 +1,7 @@
 """Edge cases of the MCKP kernels against the pure-Python oracles.
 
-The DPs (the array ``solve_mckp_dp``, the sparse
-``solve_mckp_dp_mandatory``) must match
+The DPs (``solve_mckp_dp``, a one-capacity ``CapacityProfile``, and the
+sparse ``solve_mckp_dp_mandatory``) must match
 the pure-Python reference oracles kept beside them *bit-for-bit* —
 compared by pickle bytes, not objective values — on exactly the shapes
 where vectorized DP sweeps classically go wrong: empty classes, grids
@@ -65,6 +65,17 @@ class TestKernelStats:
         )
         assert stats.solves["optional"] == tables + 1
         assert stats.batched_instances == insts + 3
+
+    def test_scalar_solve_builds_one_table_and_no_shared_state(self):
+        # A scalar call is a one-capacity profile built without a prefix
+        # store: one table counted, the process-wide cache untouched.
+        stats, cache = kernel_stats(), default_mckp_cache()
+        tables, seen, states = stats.solves["optional"], cache.snapshot(), dict(cache.prefixes.states)
+        sol = solve_mckp_dp([[(300, 1.0)], [(900, 2.0), (5000, 3.0)]], 1500, 25)
+        assert sol.picks == (0, 0)
+        assert stats.solves["optional"] == tables + 1
+        assert cache.snapshot() == seen
+        assert cache.prefixes.states == states
 
     def test_kernel_stats_snapshot_shape(self):
         # The shape bench/harness.py reads: it sums the ``solves`` values.

@@ -1,5 +1,6 @@
 """Unit tests for the link model."""
 
+import math
 import random
 
 import pytest
@@ -108,6 +109,18 @@ class TestLinkBasics:
         with pytest.raises(ValueError):
             Link(sim, 100, loss_rate=1.0, rng=random.Random(0))
 
+    @pytest.mark.parametrize("field", ["propagation_ms", "jitter_ms", "queue_ms"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -50.0])
+    def test_rejects_bad_delays(self, field, value):
+        # inf jitter would reach random.expovariate(0); nan and negative
+        # jitter would run silently as no jitter.
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+            Link(Simulator(), 100, rng=random.Random(0), **{field: value})
+
+    def test_zero_delays_are_valid(self):
+        link = Link(Simulator(), 100, propagation_ms=0, jitter_ms=0, queue_ms=0)
+        assert link.queue_ms == 0
+
 
 class TestBandwidthChange:
     def test_set_bandwidth_affects_subsequent_packets(self):
@@ -126,6 +139,16 @@ class TestBandwidthChange:
         link = Link(sim, 100)
         with pytest.raises(ValueError):
             link.set_bandwidth_kbps(0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, value):
+        sim = Simulator()
+        link = Link(sim, 100)
+        with pytest.raises(ValueError, match="positive and finite"):
+            link.set_bandwidth_kbps(value)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Link(sim, value)
+        assert link.bandwidth_kbps == 100
 
 
 class TestStatsAndHelpers:

@@ -123,6 +123,27 @@ class TestSolveReporting:
         assert err.startswith("repro solve: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["solve"], ["obs", "solve"]])
+    def test_duplicate_client_id_is_one_line_error(self, command, capsys):
+        # Keyed by id, the second A would silently replace the first.
+        rc = main(command + ["A:500:500", "B:3000:3000", "A:9000:9000"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert err == "repro solve: duplicate client ids\n"
+        assert "publishes" not in out
+
+
+class TestMeetingLinkErrors:
+    @pytest.mark.parametrize("jitter", ["inf", "nan", "-50"])
+    def test_bad_jitter_is_one_line_error(self, jitter, capsys):
+        # inf would raise ZeroDivisionError deep in the simulation; nan and
+        # -50 would run as no jitter.
+        rc = main(["meeting", f"A:3000:3000:0:{jitter}", "B:3000:3000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro meeting: jitter_ms must be finite and non-negative")
+        assert len(err.splitlines()) == 1
+
 
 class TestChaosSizing:
     @pytest.mark.parametrize(
