@@ -108,11 +108,6 @@ class Pacer:
         else:
             self._draining = False
 
-    @property
-    def queue_len(self) -> int:
-        """Packets currently waiting in the pacer queue."""
-        return len(self._queue)
-
     # ------------------------------------------------------------------ #
     # Probing
     # ------------------------------------------------------------------ #

@@ -23,7 +23,8 @@ from ..obs.slo import verdict_word
 #: SLO verdicts plus the event-log digest.
 #: v3: the report embeds the assembled trace-plane digest, and the SLO
 #: block includes per-stage latency-budget verdicts.
-REPORT_SCHEMA = "repro.chaos_report/v3"
+#: v4: no trace-plane digest (a run assembles no trees).
+REPORT_SCHEMA = "repro.chaos_report/v4"
 
 
 @dataclass
@@ -50,9 +51,6 @@ class RunReport:
         events_total: structured events emitted during the run.
         event_digest: SHA-256 of the run's canonical event-log JSONL
             (two same-seed runs must match byte-for-byte).
-        trace_digest: SHA-256 of the trace plane assembled from the
-            event log (``repro.obs.tracing``) — same determinism
-            contract as ``event_digest``.
     """
 
     scenario: str
@@ -68,7 +66,6 @@ class RunReport:
     slo_informational: List[dict] = field(default_factory=list)
     events_total: int = 0
     event_digest: str = ""
-    trace_digest: str = ""
 
     @property
     def ok(self) -> bool:
@@ -106,7 +103,6 @@ class RunReport:
             "slo_ok": self.slo_ok,
             "events_total": self.events_total,
             "event_digest": self.event_digest,
-            "trace_digest": self.trace_digest,
             "ok": self.ok,
         }
 
@@ -137,8 +133,6 @@ class RunReport:
                 f"  events: {self.events_total} "
                 f"(digest {self.event_digest[:16]})"
             )
-        if self.trace_digest:
-            lines.append(f"  traces: digest {self.trace_digest[:16]}")
         for verdict in self.slo + self.slo_informational:
             value = verdict.get("value")
             shown = "n/a" if value is None else f"{value:.3f}"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..cluster import ClusterConfig, ControllerCluster
 from ..cluster.cluster import (
@@ -61,7 +61,6 @@ from ..obs.events import EventLog
 from ..obs.registry import get_registry
 from ..obs.slo import SloVerdict, evaluate_slos
 from ..obs.spans import span
-from ..obs.tracing import assemble_trees
 from . import faults as F
 from .faults import Fault, FaultSchedule
 from .invariants import InvariantChecker, kmr_iteration_bound
@@ -221,9 +220,6 @@ class ChaosRunner:
         #: The full SLO verdict objects from the last run (the report only
         #: keeps their dict encodings, split deterministic/informational).
         self.slo_verdicts: List[SloVerdict] = []
-        #: The trace plane assembled from the last run's event log
-        #: (populated by :meth:`run`; kept for waterfalls and profiles).
-        self.traces = assemble_trees(())
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -269,7 +265,6 @@ class ChaosRunner:
         self._max_iteration_ratio = 0.0
         self.events = EventLog()
         self.slo_verdicts = []
-        self.traces = assemble_trees(())
 
         self.cluster.solve_interceptor = self._intercept
         with span(obs_names.SPAN_CHAOS_RUN), \
@@ -352,22 +347,26 @@ class ChaosRunner:
         if reg.enabled:
             verdict = "pass" if self.report.ok else "fail"
             reg.counter(obs_names.CHAOS_RUNS, verdict=verdict).inc()
-        # Assemble the trace plane before SLO evaluation so stage-budget
-        # objectives can draw on the critical-path attribution.
-        self.traces = assemble_trees(self.events.events)
         self._evaluate_slos()
         self.report.events_total = self.events.emitted
         self.report.event_digest = self.events.digest()
-        self.report.trace_digest = self.traces.digest()
 
     def _evaluate_slos(self) -> None:
         """Attach SLO verdicts: deterministic ones enter the digested
-        report; wall-clock ones (solve latency) stay informational."""
+        report; wall-clock ones (solve latency) stay informational.  The
+        stage budgets judge every plane decision's attributed stages,
+        however much of the run the event log still holds."""
+        stage_latencies: Dict[str, List[Tuple[float, float]]] = {}
+        for decision in self.plane.decisions:
+            for stage_span in decision.stages():
+                stage_latencies.setdefault(stage_span.stage, []).append(
+                    (stage_span.start_s, stage_span.duration_s)
+                )
         self.slo_verdicts = evaluate_slos(
             serves=self.report.serves,
             duration_s=self.config.duration_s,
             iteration_ratio_max=self._max_iteration_ratio,
-            stage_latencies=self.traces.stage_latencies(),
+            stage_latencies=stage_latencies,
             registry=get_registry(),
         )
         for verdict in self.slo_verdicts:

@@ -152,6 +152,14 @@ def _cmd_meeting(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"repro meeting: {exc}", file=sys.stderr)
             return 2
+        if not report.views:
+            print(
+                f"repro meeting: no view was measured in {mode} mode "
+                f"(--duration {args.duration:g} s, --warmup {args.warmup:g} s); "
+                "lengthen the run",
+                file=sys.stderr,
+            )
+            return 2
         print(f"\n=== {mode} ===")
         print(
             f"framerate={report.mean_framerate():.1f}fps  "
@@ -551,7 +559,6 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         f"({traces.stats.orphan_events} ambient)"
     )
     print(f"[trace] trace digest: {traces.digest()}")
-    print(f"[trace] report trace digest: {report.trace_digest}")
     return 0 if report.ok else 1
 
 
@@ -661,7 +668,8 @@ def _cmd_trace_profile(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    # The same samples, and the same p95, the stage-budget SLOs judge.
+    # The stage-budget SLOs' samples and p95 while the log holds the
+    # whole run; a log whose ring dropped events profiles its tail only.
     table = {}
     for stage, samples in assemble_trees(events).stage_latencies().items():
         durations = sorted(d for (_, d) in samples)

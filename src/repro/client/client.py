@@ -469,24 +469,3 @@ class ConferenceClient:
                 feedback.serialize(), src=self.client_id, dst="node"
             )
         )
-
-    # ------------------------------------------------------------------ #
-    # Introspection for metrics
-    # ------------------------------------------------------------------ #
-
-    def render_times_all(self) -> List[float]:
-        """Merged render times across all received video streams of one
-        publisher view (callers usually track per-SSRC instead)."""
-        times: List[float] = []
-        for buffer in self.jitter_buffers.values():
-            times.extend(buffer.render_times)
-        return sorted(times)
-
-    def render_times_for(self, ssrcs: List[int]) -> List[float]:
-        """Render times across a set of SSRCs (one publisher's simulcast)."""
-        times: List[float] = []
-        for ssrc in ssrcs:
-            buffer = self.jitter_buffers.get(ssrc)
-            if buffer is not None:
-                times.extend(buffer.render_times)
-        return sorted(times)

@@ -266,15 +266,6 @@ class ConferenceNode:
             self.priority.speaker = speaker
             self._changed()
 
-    def set_host(self, client: Optional[ClientId]) -> None:
-        """Mark the meeting host (elevated QoE weight)."""
-        host = client or ""
-        if host and host not in self._participants:
-            raise ValueError(f"unknown host {client!r}")
-        if self.priority.host != host:
-            self.priority.host = host
-            self._changed()
-
     def unsubscribe(self, subscriber: ClientId, publisher: ClientId) -> None:
         """Remove one subscription edge (no-op if absent)."""
         if self._subscriptions.pop((subscriber, publisher), None) is not None:

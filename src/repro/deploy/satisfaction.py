@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from .rollout import DailyPoint
 
@@ -41,13 +41,6 @@ class SatisfactionModel:
             - self.framerate_weight * max(0.0, 1.0 - framerate / self.nominal_fps)
         )
         return 1.0 / (1.0 + math.exp(-x))
-
-    def daily_scores(self, points: Sequence[DailyPoint]) -> List[float]:
-        """Satisfaction score per daily point."""
-        return [
-            self.score(p.video_stall, p.voice_stall, p.framerate)
-            for p in points
-        ]
 
 
 def satisfaction_improvement(

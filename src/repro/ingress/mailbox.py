@@ -24,6 +24,9 @@ class Envelope:
 
     event: StreamEvent
     cid: str = ""
+    #: Virtual instant of the offer (a delayed report's is later than
+    #: its ``event.at_s``).
+    offered_at_s: float = 0.0
 
 
 class Mailbox:

@@ -51,6 +51,13 @@ from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
 from ..obs.spans import span
+from ..obs.tracing.tree import (
+    STAGE_DELIVERY,
+    STAGE_MAILBOX_DWELL,
+    STAGE_SHED,
+    STAGE_SOLVE,
+    StageSpan,
+)
 from ..placement.loadmodel import meeting_cost
 from .aio import SimRuntime
 from .events import (
@@ -120,6 +127,11 @@ class Decision:
     opened_at_s: float
     #: Virtual time the configuration committed (TMMBR push).
     decided_at_s: float
+    #: Virtual time the anchor event reached its mailbox (the window
+    #: close, for a time-triggered decision).
+    enqueued_at_s: float
+    #: Virtual time the window closed, or the Fig. 12 ceiling fired.
+    closed_at_s: float
     #: Events folded into this decision.
     batch: int
     trigger: str
@@ -136,6 +148,26 @@ class Decision:
     def latency_s(self) -> float:
         """Virtual seconds from window open to committed configuration."""
         return self.decided_at_s - self.opened_at_s
+
+    def stages(self) -> List[StageSpan]:
+        """The decision's critical path, stage by stage: mailbox dwell
+        from the anchor's enqueue to the window close (event-triggered
+        only), a zero-length shed when shed, solve from the close to the
+        commit, and a zero-length delivery.  These are the spans
+        ``TraceTree.critical_path()`` reads off its cid's event chain
+        when the backend logs ``solve_served`` at the serve, as the
+        cluster does."""
+        closed, decided = self.closed_at_s, self.decided_at_s
+        spans = []
+        if self.trigger == "event":
+            spans.append(
+                StageSpan(STAGE_MAILBOX_DWELL, self.enqueued_at_s, closed)
+            )
+        if self.source == OUTCOME_SHED:
+            spans.append(StageSpan(STAGE_SHED, closed, closed))
+        spans.append(StageSpan(STAGE_SOLVE, closed, decided))
+        spans.append(StageSpan(STAGE_DELIVERY, decided, decided))
+        return spans
 
 
 @dataclass
@@ -354,6 +386,7 @@ class _Job(NamedTuple):
     trigger: str
     cid: str
     payload: object
+    closed_at_s: float
 
 
 class IngressPlane:
@@ -414,7 +447,7 @@ class IngressPlane:
             worker = self._workers[event.meeting] = _Worker(event.meeting, box)
         box = worker.box
         cid = log.mint(event.meeting) if log is not None else ""
-        evicted = box.put(Envelope(event=event, cid=cid))
+        evicted = box.put(Envelope(event=event, cid=cid, offered_at_s=now))
         if worker.idle:
             # The one zero-delay hop: the window opens after every offer
             # of this instant, so its width reads the whole burst's depth.
@@ -599,7 +632,7 @@ class IngressPlane:
                 coalesced=coalesced,
             )
         payload = backend.payload(meeting)
-        job = _Job(worker, batch, opened_at_s, trigger, cid, payload)
+        job = _Job(worker, batch, opened_at_s, trigger, cid, payload, now)
         shed_reason = ""
         if worker.box.take_overflow():
             shed_reason = SHED_OVERFLOW
@@ -658,6 +691,10 @@ class IngressPlane:
             cid=job.cid,
             opened_at_s=job.opened_at_s,
             decided_at_s=decided_at,
+            enqueued_at_s=(
+                job.batch[0].offered_at_s if job.batch else job.closed_at_s
+            ),
+            closed_at_s=job.closed_at_s,
             batch=len(job.batch),
             trigger=job.trigger,
             source=result.source,
@@ -673,6 +710,10 @@ class IngressPlane:
             reg.histogram(obs_names.INGRESS_DECISION_SECONDS).observe(
                 decision.latency_s
             )
+            for stage_span in decision.stages():
+                reg.histogram(
+                    obs_names.TRACE_STAGE_SECONDS, stage=stage_span.stage
+                ).observe(stage_span.duration_s)
         log = obs_events.active_event_log()
         if log is not None:
             log.emit(

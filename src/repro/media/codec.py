@@ -253,18 +253,3 @@ class CpuModel:
             for res, kbps in encodings.items()
         )
         return per_second / self.device_mcycles_per_s
-
-    def decode_utilization(
-        self, streams: Mapping[Resolution, int], fps: float
-    ) -> float:
-        """Fraction of the device budget spent decoding received streams.
-
-        ``streams`` may repeat resolutions across publishers — pass one
-        entry per received stream (see callers) or aggregate costs
-        externally; this helper treats the mapping as one stream per key.
-        """
-        per_second = sum(
-            self.decode_frame_mcycles(res, kbps) * fps
-            for res, kbps in streams.items()
-        )
-        return per_second / self.device_mcycles_per_s

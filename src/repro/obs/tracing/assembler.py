@@ -193,14 +193,6 @@ class TraceAssembler:
 
     def _finalize(self, tree: TraceTree, meeting: str) -> None:
         self.stats.assembled += 1
-        reg = get_registry()
-        if reg.enabled:
-            for node in tree.walk():
-                for stage_span in node.critical_path():
-                    reg.histogram(
-                        obs_names.TRACE_STAGE_SECONDS,
-                        stage=stage_span.stage,
-                    ).observe(stage_span.duration_s)
         self._done.setdefault(meeting, []).append(tree)
 
     # -- reading results ------------------------------------------------------ #

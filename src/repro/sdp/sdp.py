@@ -138,7 +138,3 @@ class SessionDescription:
     def video_sections(self) -> List[MediaSection]:
         """The m=video sections."""
         return [m for m in self.media if m.media == "video"]
-
-    def audio_sections(self) -> List[MediaSection]:
-        """The m=audio sections."""
-        return [m for m in self.media if m.media == "audio"]

@@ -36,6 +36,7 @@ from repro.obs import events as obs_events
 from repro.obs import names as obs_names
 from repro.obs.events import EventLog
 from repro.obs.registry import enabled_registry
+from repro.obs.tracing import assemble_trees
 
 
 class FakeBackend(IngressBackend):
@@ -363,6 +364,103 @@ class TestShedding:
         assert len(sheds) == 1
         assert sheds[0].attrs["reason"] == SHED_ADMISSION
         assert SHED_OVERFLOW != SHED_ADMISSION
+
+
+class ServingBackend(FakeBackend):
+    """A fake that logs ``solve_served`` at each serve, as the cluster
+    does: the event a trace tree ends its solve stage on."""
+
+    def _served(self, meeting, now_s, cid, result):
+        obs_events.active_event_log().emit(
+            obs_events.SOLVE_SERVED, t=now_s, meeting=meeting, cid=cid
+        )
+        return result
+
+    def decide(self, meeting, payload, now_s, trigger, cid):
+        result = super().decide(meeting, payload, now_s, trigger, cid)
+        return self._served(meeting, now_s, cid, result)
+
+    def shed(self, meeting, payload, now_s, trigger, cid):
+        result = super().shed(meeting, payload, now_s, trigger, cid)
+        return self._served(meeting, now_s, cid, result)
+
+
+class TestStageAttribution:
+    """The plane names each decision's critical-path stages at commit:
+    the same spans its cid's trace tree reads off the event log."""
+
+    def _run(self, budget=None, stream=None, injector=None, duration_s=1.0):
+        log = EventLog()
+        with obs_events.record_events(log):
+            plane, _ = _plane(backend=ServingBackend(budget=budget))
+            plane.run_stream(stream or [_semb(0.0)], injector, duration_s)
+        nodes = {
+            node.cid: node
+            for tree in assemble_trees(log.events).trees()
+            for node in tree.walk()
+        }
+        for d in plane.decisions:
+            assert d.stages() == nodes[d.cid].critical_path()
+        return [d.stages() for d in plane.decisions]
+
+    @staticmethod
+    def _assert(spans, want):
+        assert [s.stage for s in spans] == [w[0] for w in want]
+        assert [t for s in spans for t in (s.start_s, s.end_s)] == (
+            pytest.approx([t for w in want for t in w[1:]])
+        )
+
+    def test_event_decision_dwells_until_the_window_closes(self):
+        (spans,) = self._run()
+        self._assert(spans, [
+            ("mailbox_dwell", 0.0, 0.5),
+            ("solve", 0.5, 0.51),
+            ("delivery", 0.51, 0.51),
+        ])
+
+    def test_time_trigger_solves_from_its_ceiling(self):
+        _, spans = self._run(duration_s=3.0)
+        # Idle after 0.51 s, the 1.5 s ceiling fires at 2.01 s.
+        self._assert(spans, [
+            ("solve", 2.01, 2.02),
+            ("delivery", 2.02, 2.02),
+        ])
+
+    def test_shed_is_a_zero_length_stage(self):
+        (spans,) = self._run(budget=0)
+        self._assert(spans, [
+            ("mailbox_dwell", 0.0, 0.5),
+            ("shed", 0.5, 0.5),
+            ("solve", 0.5, 0.5),
+            ("delivery", 0.5, 0.5),
+        ])
+
+    def test_delayed_anchor_dwells_from_its_offer(self):
+        injector = StreamFaultInjector(
+            [StreamFault(DELAY_SEMB, start_s=0.0, end_s=1.0, delay_s=2.0)]
+        )
+        (spans,) = self._run(
+            stream=[_semb(0.5)], injector=injector, duration_s=4.0
+        )
+        self._assert(spans[:1], [("mailbox_dwell", 2.5, 3.0)])
+
+    def test_commit_observes_each_stage_once(self):
+        plane, _ = _plane()
+        events = [_semb(round(0.4 * i, 3), seq=i) for i in range(8)]
+        with enabled_registry() as reg:
+            plane.run_stream(events, duration_s=3.0)
+            observed = {
+                stage: reg.histogram(
+                    obs_names.TRACE_STAGE_SECONDS, stage=stage
+                ).count
+                for stage in ("mailbox_dwell", "solve", "delivery", "shed")
+            }
+        want = dict.fromkeys(observed, 0)
+        for d in plane.decisions:
+            for span in d.stages():
+                want[span.stage] += 1
+        assert observed == want
+        assert want["solve"] == len(plane.decisions) > 1
 
 
 class TestDecideSpan:

@@ -22,6 +22,7 @@ from repro.ingress.plane import IngressPlane, PlaneStats
 from repro.obs import names
 from repro.obs.events import EventLog
 from repro.obs.registry import MetricsRegistry, NullRegistry, enabled_registry
+from repro.obs.tracing import assemble_trees
 
 
 class Owner:
@@ -135,6 +136,9 @@ class TestWatchedSeriesEqualTheirOwners:
         with enabled_registry() as reg:
             before = (cache.hits, cache.misses, cache.evictions, kernel["optional"])
             runner = _run_kitchen_sink()
+            # A run keeps no forest: assemble its log at query time, as
+            # `repro trace` does, so the assembler's counters register.
+            traces = assemble_trees(runner.events.events).stats
             snap = reg.snapshot()
         counters, gauges = snap["counters"], snap["gauges"]
 
@@ -145,7 +149,7 @@ class TestWatchedSeriesEqualTheirOwners:
             return counters.get(key, gauges.get(key, 0))
 
         plane, cluster = runner.plane.stats, runner.cluster.counters
-        log, traces = runner.events.stats, runner.traces.stats
+        log = runner.events.stats
         assert plane.offered and cluster.solve_requests and log.emitted
         want = {
             (names.INGRESS_EVENTS, ()): plane.offered,

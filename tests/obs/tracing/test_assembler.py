@@ -175,21 +175,22 @@ class TestRegistryCounters:
         assert counters[obs_names.TRACE_TREES_ASSEMBLED] == traces.stats.assembled == 10
         assert counters[obs_names.TRACE_ORPHAN_EVENTS] == 1
 
-    def test_stage_histogram_observed_per_span(self):
+    def test_assembly_observes_no_stage_histogram(self):
+        # The plane attributes each decision's stages once, at commit;
+        # assembling a log at query time must not count them again.
         with enabled_registry() as reg:
             traces = assemble_trees(decision_chain())
-            span_count = sum(
+            assert sum(
                 len(node.critical_path())
                 for tree in traces.trees()
                 for node in tree.walk()
-            )
-            observed = sum(
+            ) == 3
+            assert all(
                 reg.histogram(
                     obs_names.TRACE_STAGE_SECONDS, stage=stage
-                ).count
+                ).count == 0
                 for stage in ("mailbox_dwell", "solve", "delivery")
             )
-            assert observed == span_count == 3
 
     def test_assembly_span_recorded(self):
         with enabled_registry() as reg:

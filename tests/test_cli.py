@@ -145,6 +145,21 @@ class TestMeetingLinkErrors:
         assert len(err.splitlines()) == 1
 
 
+class TestMeetingNothingMeasured:
+    def test_no_measured_view_is_one_line_error(self, capsys):
+        # A window with no view used to print all-zero means (0.0 fps,
+        # quality 0.0) and exit 0, as if the meeting had stalled.
+        rc = main([
+            "meeting", "A:3000:3000", "B:3000:3000", "--modes", "gso",
+            "--duration", "6", "--warmup", "1",
+        ])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "framerate=" not in out
+        assert err.startswith("repro meeting: no view was measured")
+        assert len(err.splitlines()) == 1
+
+
 class TestChaosSizing:
     @pytest.mark.parametrize(
         "flag,value,field",
