@@ -175,6 +175,10 @@ class ChaosConfig:
             raise ValueError("report_interval_s must be positive")
         if self.meetings < 1:
             raise ValueError("need at least one meeting")
+        if self.shards < 1:
+            raise ValueError("need at least one shard")
+        if self.max_solves_per_round < 1:
+            raise ValueError("max_solves_per_round must be >= 1")
         if self.mutations_per_meeting < 0:
             raise ValueError("mutations_per_meeting must be >= 0")
 

@@ -8,11 +8,6 @@ The subcommands cover the library's main entry points:
   report (optionally comparing two schemes);
 * ``rollout`` — run the fleet/deployment simulation for a date range and
   print daily metrics;
-* ``cluster`` — the sharded controller cluster (``docs/ARCHITECTURE.md``,
-  "Controller cluster"): ``cluster run`` pushes a fleet workload through
-  the cluster's solve service (sharding + per-meeting memo) and
-  reports daily metrics plus cluster counters (the event-driven loop
-  itself is ``chaos run``);
 * ``chaos`` — deterministic fault injection + invariant checking (see
   ``docs/RESILIENCE.md``): ``chaos run`` drives one seeded event stream
   through the ingress plane under one scenario's faults, ``chaos soak``
@@ -201,65 +196,6 @@ def _cmd_rollout(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Cluster commands
-# --------------------------------------------------------------------- #
-
-
-def _make_cluster(args: argparse.Namespace) -> "object":
-    from .cluster import ClusterConfig, ControllerCluster
-
-    try:
-        config = ClusterConfig(
-            shards=args.shards,
-            max_solves_per_round=args.max_solves_per_round,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro cluster: {exc}")
-    return ControllerCluster(config)
-
-
-def _print_cluster_stats(cluster: "object") -> None:
-    import json
-
-    print("\n=== cluster stats ===")
-    print(json.dumps(cluster.stats(), indent=2))
-
-
-def _cmd_cluster_run(args: argparse.Namespace) -> int:
-    from .deploy import DeploymentSimulation
-
-    day = dt.date.fromisoformat(args.start)
-    end = dt.date.fromisoformat(args.end)
-    if end < day:
-        print("end date precedes start date", file=sys.stderr)
-        return 2
-    cluster = _make_cluster(args)
-    sim = DeploymentSimulation(
-        conferences_per_day=args.conferences, cluster=cluster
-    )
-    print("date        coverage  video-stall  voice-stall  framerate")
-    while day <= end:
-        p = sim.run_day(day)
-        print(
-            f"{p.day}  {p.coverage:8.2f}  {p.video_stall:11.3f}  "
-            f"{p.voice_stall:11.3f}  {p.framerate:9.1f}"
-        )
-        day += dt.timedelta(days=args.stride)
-    _print_cluster_stats(cluster)
-    return 0
-
-
-def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument(
-        "--max-solves-per-round",
-        type=int,
-        default=64,
-        help="solves one shard may have in flight; the rest shed to fallback",
-    )
-
-
-# --------------------------------------------------------------------- #
 # Chaos commands
 # --------------------------------------------------------------------- #
 
@@ -278,7 +214,9 @@ def _chaos_config(args: argparse.Namespace, seed: int) -> "object":
             mutations_per_meeting=args.mutations,
         )
     except ValueError as exc:
-        raise SystemExit(f"repro chaos: {exc}")
+        # A usage error: one line and exit 2 (1 means an invariant failed).
+        print(f"repro chaos: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
@@ -770,22 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     rollout.add_argument("--stride", type=int, default=7)
     rollout.add_argument("--conferences", type=int, default=100)
     rollout.set_defaults(func=_cmd_rollout)
-
-    cluster = sub.add_parser(
-        "cluster", help="run workloads on the sharded controller cluster"
-    )
-    cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-
-    cluster_run = cluster_sub.add_parser(
-        "run",
-        help="run the fleet simulation through the cluster solve service",
-    )
-    cluster_run.add_argument("--start", default="2021-12-20")
-    cluster_run.add_argument("--end", default="2021-12-27")
-    cluster_run.add_argument("--stride", type=int, default=1)
-    cluster_run.add_argument("--conferences", type=int, default=100)
-    _add_cluster_args(cluster_run)
-    cluster_run.set_defaults(func=_cmd_cluster_run)
 
     chaos = sub.add_parser(
         "chaos",

@@ -1,9 +1,8 @@
 """Sharded controller cluster: hosting many meetings behind one solve
 service (consistent-hash sharding, the Fig. 12 pacing envelope,
-per-meeting last-solve memo, admission control).
+per-meeting last-solve memo, plane-wide admission budget).
 """
 
-from .admission import AdmissionController, AdmissionStats
 from .cluster import (
     ClusterConfig,
     ControllerCluster,
@@ -26,8 +25,6 @@ from .scheduler import (
 )
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionStats",
     "ClusterConfig",
     "ConsistentHashRing",
     "ControllerCluster",

@@ -17,9 +17,9 @@ control-plane host:
   :class:`~repro.core.solver.GsoSolver` (``cluster.pool``), each handed
   its meeting's :class:`~repro.core.solver.KmrRun` so a re-decided
   meeting replays its last solve;
-* **admission** — a per-shard bound on solves in flight; the plane sheds
-  what exceeds it to the Sec. 7 single-stream fallback
-  (:mod:`.admission`).
+* **admission** — one bound on the ingress plane's solves in flight
+  (running plus queued, across every shard); the plane sheds what
+  exceeds it to the Sec. 7 single-stream fallback (:meth:`over_budget`).
 
 Failure discipline is inherited from Sec. 7 end to end: a dead shard, a
 shed request and a crashing solver all degrade the affected meeting to
@@ -43,7 +43,6 @@ from ..core.solver import GsoSolver, KmrRun, SolverConfig
 from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
-from .admission import AdmissionController
 from .hashring import ConsistentHashRing
 from .scheduler import TRIGGER_REHOME, TRIGGER_SYNC
 
@@ -65,8 +64,9 @@ class ClusterConfig:
     #: Fig. 12 envelope the ingress plane paces every meeting with.
     min_interval_s: float = 1.0
     max_interval_s: float = 3.0
-    #: Solves one shard may have in flight at once; the ingress plane
-    #: sheds decisions beyond it to the fallback.
+    #: Solves the ingress plane may have in flight at once (running plus
+    #: queued, whatever shard homes the meeting); it sheds decisions
+    #: beyond it to the fallback.
     max_solves_per_round: int = 64
     #: Solver tuning shared by every shard.
     solver: SolverConfig = field(
@@ -185,16 +185,14 @@ class ClusterCounters:
 
 
 class ShardWorker:
-    """One controller shard: an admission budget and serve counters."""
+    """One controller shard: its serve counters."""
 
-    def __init__(self, name: str, config: ClusterConfig) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.alive = True
-        self.admission = AdmissionController(
-            max_solves_per_round=config.max_solves_per_round
-        )
         self.solves = 0
         self.fallbacks = 0
+        self.shed = 0
 
 
 class ControllerCluster:
@@ -212,7 +210,7 @@ class ControllerCluster:
         names = [f"shard-{i}" for i in range(self.config.shards)]
         self._ring = ConsistentHashRing(names, vnodes=self.config.vnodes)
         self._shards: Dict[str, ShardWorker] = {
-            name: ShardWorker(name, self.config) for name in names
+            name: ShardWorker(name) for name in names
         }
         self.cache = LastSolveMemo()
         self.pool = GsoSolver(self.config.solver)
@@ -365,9 +363,6 @@ class ControllerCluster:
         failures degrade to the Sec. 7 single-stream fallback.
         """
         record = self._record(meeting_id)
-        worker = self._shards.get(record.shard)
-        if worker is not None:
-            worker.admission.admit_one()
         self.counters.solve_requests += 1
         try:
             if self.solve_interceptor is not None:
@@ -387,10 +382,10 @@ class ControllerCluster:
         )
 
     def over_budget(self, meeting_id: str, in_flight: int) -> bool:
-        """Whether one more solve in flight would exceed the budget of
-        the meeting's shard (the plane's admission check)."""
-        worker = self._shards[self.register(meeting_id)]
-        return worker.admission.over_budget(in_flight)
+        """Whether one more solve would exceed the budget, given the
+        plane's ``in_flight`` solves (the plane's admission check; the
+        budget is the same whatever shard homes ``meeting_id``)."""
+        return in_flight >= self.config.max_solves_per_round
 
     def shed_request(
         self,
@@ -408,7 +403,7 @@ class ControllerCluster:
         record = self._record(meeting_id)
         worker = self._shards.get(record.shard)
         if worker is not None:
-            worker.admission.shed_one()
+            worker.shed += 1
         self.counters.shed += 1
         solution = self._fallback(record, problem)
         return self._serve(
@@ -569,7 +564,7 @@ class ControllerCluster:
         if name in self._shards and self._shards[name].alive:
             raise ValueError(f"shard {name!r} already live")
         self._ring.add_node(name)
-        self._shards[name] = ShardWorker(name, self.config)
+        self._shards[name] = ShardWorker(name)
         self.counters.meetings.setdefault(name, 0)
         log = obs_events.active_event_log()
         if log is not None:
@@ -600,7 +595,7 @@ class ControllerCluster:
                 "meetings": counters.meetings[name],
                 "solves": worker.solves,
                 "fallbacks": worker.fallbacks,
-                "shed": worker.admission.stats.shed,
+                "shed": worker.shed,
             }
         return {
             "meetings": len(self._meetings),

@@ -6,11 +6,7 @@ from .conference_node import (
     ConferenceNodeConfig,
     ParticipantState,
 )
-from .failover import (
-    StreamLiveness,
-    SubscriptionWatchdog,
-    single_stream_fallback,
-)
+from .failover import single_stream_fallback
 from .feedback import FeedbackExecutor, FeedbackStats
 
 __all__ = [
@@ -19,7 +15,5 @@ __all__ = [
     "FeedbackExecutor",
     "FeedbackStats",
     "ParticipantState",
-    "StreamLiveness",
-    "SubscriptionWatchdog",
     "single_stream_fallback",
 ]

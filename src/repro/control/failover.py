@@ -12,15 +12,17 @@ Two mechanisms keep a meeting alive when things break:
   multiple streams, however, only a low bitrate stream is received.  In
   such a scenario, GSO-Simulcast implements a downgrade logic that
   automatically switches the high-bitrate subscription to a low-bitrate
-  subscription."  :class:`SubscriptionWatchdog` tracks per-stream packet
-  liveness at a subscriber and reports which subscriptions should be
-  switched down.
+  subscription."  The detector is
+  :meth:`~repro.control.feedback.FeedbackExecutor.dead_configured_streams`
+  (a configured stream that is silent while its client is demonstrably
+  up); ``ConferenceBackend`` turns each one it reports into a dead-stream
+  cap that excludes that stream from the next solves, so the subscription
+  moves to a lower stream that still flows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from ..core.constraints import Problem
 from ..core.solution import PolicyEntry, Solution
@@ -100,83 +102,3 @@ def single_stream_fallback(problem: Problem) -> Solution:
             del policies[pub]
     return Solution(policies=policies, assignments=assignments, iterations=0)
 
-
-@dataclass
-class StreamLiveness:
-    """Packet-liveness record of one received stream."""
-
-    last_packet_s: float = -1.0
-    packets: int = 0
-
-
-class SubscriptionWatchdog:
-    """Client-side downgrade detector.
-
-    Args:
-        stale_after_s: a subscribed stream with no packets for this long,
-            while another (lower) stream of the same publisher IS flowing,
-            triggers a downgrade recommendation.
-    """
-
-    def __init__(self, stale_after_s: float = 2.0) -> None:
-        if stale_after_s <= 0:
-            raise ValueError("stale_after_s must be positive")
-        self.stale_after_s = stale_after_s
-        #: (publisher, resolution) -> liveness.
-        self._streams: Dict[Tuple[ClientId, Resolution], StreamLiveness] = {}
-
-    def on_packet(
-        self, publisher: ClientId, resolution: Resolution, now_s: float
-    ) -> None:
-        """Record one arriving packet."""
-        record = self._streams.setdefault(
-            (publisher, resolution), StreamLiveness()
-        )
-        record.last_packet_s = now_s
-        record.packets += 1
-
-    def stale_subscriptions(
-        self, expected: Mapping[Tuple[ClientId, Resolution], bool], now_s: float
-    ) -> List[Tuple[ClientId, Resolution]]:
-        """Which expected (publisher, resolution) streams have gone stale.
-
-        Args:
-            expected: the streams this subscriber should currently receive.
-            now_s: current time.
-
-        Returns:
-            Stale keys: streams expected but silent for ``stale_after_s``
-            while at least one other stream of the same publisher flows.
-        """
-        stale: List[Tuple[ClientId, Resolution]] = []
-        for key in expected:
-            publisher, resolution = key
-            record = self._streams.get(key)
-            silent = (
-                record is None
-                or now_s - record.last_packet_s > self.stale_after_s
-            )
-            if not silent:
-                continue
-            sibling_alive = any(
-                other_pub == publisher
-                and other_res != resolution
-                and now_s - other.last_packet_s <= self.stale_after_s
-                for (other_pub, other_res), other in self._streams.items()
-            )
-            if sibling_alive:
-                stale.append(key)
-        return stale
-
-    def downgrade_target(
-        self, publisher: ClientId, below: Resolution, now_s: float
-    ) -> Optional[Resolution]:
-        """The best live lower-resolution stream of a publisher, if any."""
-        candidates = [
-            res
-            for (pub, res), record in self._streams.items()
-            if pub == publisher
-            and res < below
-            and now_s - record.last_packet_s <= self.stale_after_s
-        ]
-        return max(candidates) if candidates else None

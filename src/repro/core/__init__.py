@@ -40,13 +40,12 @@ from .types import (
     StreamKey,
     StreamSpec,
 )
-from .virtual import DualSubscription, ProblemBuilder, screen_id, virtual_id
+from .virtual import ProblemBuilder, screen_id, virtual_id
 
 __all__ = [
     "Bandwidth",
     "CapacityProfile",
     "ClientId",
-    "DualSubscription",
     "EngineStats",
     "GsoSolver",
     "MckpInstanceCache",

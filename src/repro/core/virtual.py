@@ -17,7 +17,6 @@ a plain problem description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .constraints import Bandwidth, Problem, Subscription
@@ -36,23 +35,6 @@ def virtual_id(publisher: ClientId, tag: str = "") -> ClientId:
 def screen_id(client: ClientId) -> ClientId:
     """The id of a client's screen-share publisher entity."""
     return f"{client}{SCREEN_SUFFIX}"
-
-
-@dataclass(frozen=True)
-class DualSubscription:
-    """A speaker-first request: two streams from one publisher.
-
-    Attributes:
-        subscriber: the receiving client.
-        publisher: the source both streams come from.
-        primary_max: resolution cap of the main (close-up) stream.
-        secondary_max: resolution cap of the extra (thumbnail) stream.
-    """
-
-    subscriber: ClientId
-    publisher: ClientId
-    primary_max: Resolution = Resolution.P720
-    secondary_max: Resolution = Resolution.P180
 
 
 class ProblemBuilder:

@@ -22,7 +22,7 @@ from .rollout import (
     improvement,
     normalize,
 )
-from .satisfaction import SatisfactionModel, satisfaction_improvement
+from .satisfaction import SatisfactionModel
 
 __all__ = [
     "ConferenceMetrics",
@@ -44,6 +44,5 @@ __all__ = [
     "empirical_cdf",
     "improvement",
     "normalize",
-    "satisfaction_improvement",
     "score_subscriber",
 ]

@@ -25,10 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # deploy -> cluster is a soft, runtime-optional edge
-    from ..cluster import ControllerCluster
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..client.policies import LocalDownlinkSwitcher, TemplateUplinkPolicy
 from ..core.constraints import Bandwidth, Problem, Subscription
@@ -136,10 +133,9 @@ class FleetSampler:
                 (models weekday load, seasonal effects; 1.0 = baseline).
             rng: per-conference randomness source overriding the sampler's
                 own stream.  Passing one seeded ``random.Random`` per
-                conference makes each draw independent of every other —
-                the property cluster-parallel fleet runs rely on (the same
-                conference id samples the same conference no matter which
-                shard draws it, or in what order).
+                conference makes each draw independent of every other (the
+                same conference samples the same clients no matter in what
+                order the day's conferences are drawn).
         """
         rng = rng if rng is not None else self._rng
         # mean_size == 2 means no geometric tail at all: every meeting is
@@ -199,52 +195,21 @@ class ConferenceScorer:
 
     Args:
         levels_per_resolution: GSO ladder depth.
-        cluster: optional :class:`~repro.cluster.ControllerCluster`; when
-            set, GSO solves route through the cluster's solve service
-            (sharding + per-meeting memo + pool) instead of a private
-            solver.  Every sampled conference is a new meeting solved
-            once, so none is served from a memo.  The cluster must be
-            configured with the same solver granularity (25 kbps) for
-            solutions to match the direct path.
     """
 
-    def __init__(
-        self,
-        levels_per_resolution: int = 5,
-        cluster: Optional["ControllerCluster"] = None,
-    ) -> None:
+    def __init__(self, levels_per_resolution: int = 5) -> None:
         self._gso_ladder = make_ladder(levels_per_resolution=levels_per_resolution)
         self._solver = GsoSolver(SolverConfig(granularity_kbps=25))
         self._template = TemplateUplinkPolicy()
         self._switcher = LocalDownlinkSwitcher()
-        self._cluster = cluster
-        self._conference_seq = 0
 
     # ------------------------------------------------------------------ #
     # GSO path: the real solver decides who gets what
     # ------------------------------------------------------------------ #
 
-    def score_gso(
-        self, conf: SampledConference, conference_id: Optional[str] = None
-    ) -> ConferenceMetrics:
-        """Score the conference under GSO orchestration (real solver).
-
-        Args:
-            conf: the sampled conference.
-            conference_id: stable meeting id for cluster routing (shard
-                placement and cache accounting); auto-generated when
-                omitted.
-        """
-        problem = self._gso_problem(conf)
-        if self._cluster is not None:
-            if conference_id is None:
-                conference_id = f"fleet-conf-{self._conference_seq}"
-                self._conference_seq += 1
-            solution = self._cluster.solve_request(
-                conference_id, problem, now_s=0.0, trigger="sync"
-            ).solution
-        else:
-            solution = self._solver.solve(problem)
+    def score_gso(self, conf: SampledConference) -> ConferenceMetrics:
+        """Score the conference under GSO orchestration (real solver)."""
+        solution = self._solver.solve(self._gso_problem(conf))
         loads: Dict[ClientId, float] = {c.client_id: 0.0 for c in conf.clients}
         coverage: Dict[ClientId, float] = {}
         for c in conf.clients:

@@ -13,12 +13,9 @@ from __future__ import annotations
 import datetime as dt
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .fleet import ConferenceScorer, FleetSampler
-
-if TYPE_CHECKING:  # deploy -> cluster is a soft, runtime-optional edge
-    from ..cluster import ControllerCluster
 
 #: The paper's dates.
 OBSERVATION_START = dt.date(2021, 10, 1)
@@ -90,9 +87,6 @@ class DeploymentSimulation:
             1M/day; a few hundred give stable daily means here).
         schedule: the coverage ramp.
         levels_per_resolution: GSO ladder depth.
-        cluster: optional :class:`~repro.cluster.ControllerCluster` to run
-            every GSO solve through (the sharded solve service); ``None``
-            solves in-process.
     """
 
     def __init__(
@@ -101,25 +95,22 @@ class DeploymentSimulation:
         conferences_per_day: int = 300,
         schedule: Optional[RolloutSchedule] = None,
         levels_per_resolution: int = 5,
-        cluster: Optional["ControllerCluster"] = None,
     ) -> None:
         if conferences_per_day < 1:
             raise ValueError("need at least one conference per day")
         self._seed = seed
         self._per_day = conferences_per_day
         self.schedule = schedule or RolloutSchedule()
-        self._scorer = ConferenceScorer(
-            levels_per_resolution=levels_per_resolution, cluster=cluster
-        )
+        self._scorer = ConferenceScorer(levels_per_resolution=levels_per_resolution)
 
     def _conference_rng(self, day: dt.date, index: int) -> random.Random:
         """Derive one conference's private RNG.
 
         Seeded by name — ``(master seed, day, index)`` — so every
-        conference's draw is independent of every other: re-ordering,
-        skipping, or sharding the day's conferences across cluster workers
-        reproduces byte-identical samples.  (String seeding is stable
-        across processes, unlike ``hash()``-derived seeds.)
+        conference's draw is independent of every other: re-ordering or
+        skipping the day's conferences reproduces byte-identical samples.
+        (String seeding is stable across processes, unlike
+        ``hash()``-derived seeds.)
         """
         return random.Random(f"fleet:{self._seed}:{day.toordinal()}:{index}")
 
@@ -155,9 +146,7 @@ class DeploymentSimulation:
             conf_rng = self._conference_rng(day, i)
             conf = sampler.sample_conference(day_quality=quality, rng=conf_rng)
             if conf_rng.random() < coverage:
-                metrics = self._scorer.score_gso(
-                    conf, conference_id=f"{day.isoformat()}:{i}"
-                )
+                metrics = self._scorer.score_gso(conf)
             else:
                 metrics = self._scorer.score_nongso(conf)
             stalls.append(metrics.video_stall)

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-from .rollout import DailyPoint
 
 
 @dataclass(frozen=True)
@@ -42,21 +39,3 @@ class SatisfactionModel:
         )
         return 1.0 / (1.0 + math.exp(-x))
 
-
-def satisfaction_improvement(
-    points: Sequence[DailyPoint], model: SatisfactionModel = SatisfactionModel()
-) -> float:
-    """Relative satisfaction gain from pre-deployment to full coverage."""
-    before = [
-        model.score(p.video_stall, p.voice_stall, p.framerate)
-        for p in points
-        if p.coverage == 0.0
-    ]
-    after = [
-        model.score(p.video_stall, p.voice_stall, p.framerate)
-        for p in points
-        if p.coverage >= 1.0
-    ]
-    if not before or not after:
-        raise ValueError("need both pre-deployment and full-coverage days")
-    return (sum(after) / len(after)) / (sum(before) / len(before)) - 1.0

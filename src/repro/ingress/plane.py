@@ -14,9 +14,10 @@ out, and every failure degrades to the single-stream fallback (Sec. 7):
    :func:`~repro.cluster.scheduler.backpressure_window_s` long — the
    Fig. 12 envelope as the backpressure ladder.  The deeper the
    mailbox, the wider the window, the more events one solve absorbs.
-3. **Shed.**  The ladder's last rung: a mailbox that overflowed, or an
-   executor already at the admission budget, degrades the decision to
-   the Sec. 7 ``single_stream_fallback`` via the backend's shed path.
+3. **Shed.**  The ladder's last rung: a mailbox that overflowed, or a
+   plane whose solves in flight (running plus queued, every meeting's)
+   are already at the backend's admission budget, degrades the decision
+   to the Sec. 7 ``single_stream_fallback`` via the backend's shed path.
 4. **Execute.**  Admitted decisions take an executor slot (or queue
    FIFO for one), spend a deterministic virtual service time, and
    commit.  In-flight solves overlap with ingestion — the dispatcher

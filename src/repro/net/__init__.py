@@ -1,6 +1,6 @@
 """Discrete-event network substrate: simulator clock, links, traces."""
 
-from .link import DuplexLink, Link, LinkStats, make_duplex
+from .link import Link, LinkStats
 from .packet import IP_UDP_OVERHEAD_BYTES, Packet, packet_for_bytes
 from .simulator import EventHandle, PeriodicTask, Simulator
 from .trace import BandwidthStep, BandwidthTrace
@@ -8,7 +8,6 @@ from .trace import BandwidthStep, BandwidthTrace
 __all__ = [
     "BandwidthStep",
     "BandwidthTrace",
-    "DuplexLink",
     "EventHandle",
     "IP_UDP_OVERHEAD_BYTES",
     "Link",
@@ -16,6 +15,5 @@ __all__ = [
     "Packet",
     "PeriodicTask",
     "Simulator",
-    "make_duplex",
     "packet_for_bytes",
 ]

@@ -293,52 +293,3 @@ class FaultyLink:
             self._sim.schedule(delay_s, self._release_due)
             return True  # accepted, held in the fault buffer
         return self.link.send(packet)
-
-
-@dataclass
-class DuplexLink:
-    """A bidirectional path as a pair of independent directional links.
-
-    ``forward`` carries data from the nominal A side to the B side,
-    ``backward`` the reverse (e.g. RTCP feedback).
-    """
-
-    forward: Link
-    backward: Link
-
-
-def make_duplex(
-    sim: Simulator,
-    up_kbps: float,
-    down_kbps: float,
-    propagation_ms: float = 20.0,
-    jitter_ms: float = 0.0,
-    loss_rate: float = 0.0,
-    queue_ms: float = 300.0,
-    rng: Optional[random.Random] = None,
-    name: str = "path",
-) -> DuplexLink:
-    """Convenience constructor for a client's up/down path pair."""
-    shared_rng = rng or random.Random(0)
-    return DuplexLink(
-        forward=Link(
-            sim,
-            up_kbps,
-            propagation_ms,
-            jitter_ms,
-            loss_rate,
-            queue_ms,
-            shared_rng,
-            name=f"{name}:up",
-        ),
-        backward=Link(
-            sim,
-            down_kbps,
-            propagation_ms,
-            jitter_ms,
-            loss_rate,
-            queue_ms,
-            shared_rng,
-            name=f"{name}:down",
-        ),
-    )

@@ -83,31 +83,6 @@ class Simulator:
         """Cancel a scheduled event (no-op if it already fired)."""
         self._cancelled.add(handle.seq)
 
-    def schedule_window(
-        self,
-        start_s: float,
-        duration_s: float,
-        on_start: EventCallback,
-        on_end: EventCallback,
-    ) -> Tuple[EventHandle, EventHandle]:
-        """Schedule a bounded condition: ``on_start`` at ``start_s``,
-        ``on_end`` at ``start_s + duration_s`` (absolute times).
-
-        The canonical shape of a transient fault — a link blackout, a
-        bandwidth collapse, a feedback outage — is "something breaks, then
-        recovers".  This helper keeps the two edges paired so fault
-        injectors cannot forget the recovery edge.
-
-        Returns:
-            The (start, end) event handles, both cancellable.
-        """
-        if duration_s < 0:
-            raise ValueError("window duration must be non-negative")
-        return (
-            self.schedule_at(start_s, on_start),
-            self.schedule_at(start_s + duration_s, on_end),
-        )
-
     def run_until(self, t_end: float) -> None:
         """Process events in order until the clock reaches ``t_end``.
 

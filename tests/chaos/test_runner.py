@@ -356,6 +356,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ChaosConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            ("shards", "need at least one shard"),
+            ("max_solves_per_round", "max_solves_per_round must be >= 1"),
+        ],
+    )
+    def test_rejects_an_empty_cluster(self, field, message):
+        # Refused at construction, not when the runner builds its cluster.
+        with pytest.raises(ValueError, match=message):
+            ChaosConfig(**{field: 0})
+
     def test_config_has_sizing_knobs_only(self):
         # No placement policy, no cost budget and no plane tuning: the
         # ring homes meetings and the plane runs on its defaults.

@@ -57,7 +57,7 @@ def test_time_triggered_decisions_match_their_trees():
 
 
 def test_shed_decisions_match_their_trees():
-    # One solve in flight per shard: concurrent windows are shed.
+    # One solve in flight across the plane: concurrent windows are shed.
     runner = _run(
         "healthy", seed=1, meetings=12, duration_s=10.0,
         max_solves_per_round=1,

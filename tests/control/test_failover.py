@@ -1,11 +1,6 @@
 """Unit tests for the design-for-failure mechanisms (Sec. 7)."""
 
-import pytest
-
-from repro.control.failover import (
-    SubscriptionWatchdog,
-    single_stream_fallback,
-)
+from repro.control.failover import single_stream_fallback
 from repro.core import Bandwidth, Resolution, StreamSpec, paper_ladder
 from repro.core.constraints import Problem, Subscription
 
@@ -79,49 +74,6 @@ class TestSingleStreamFallback:
     def test_empty_problem(self):
         s = single_stream_fallback(Problem({}, {}, []))
         assert s.policies == {}
-
-
-class TestSubscriptionWatchdog:
-    def test_no_staleness_when_stream_flows(self):
-        dog = SubscriptionWatchdog(stale_after_s=2.0)
-        dog.on_packet("A", Resolution.P720, 10.0)
-        stale = dog.stale_subscriptions({("A", Resolution.P720): True}, 11.0)
-        assert stale == []
-
-    def test_silent_stream_with_live_sibling_is_stale(self):
-        dog = SubscriptionWatchdog(stale_after_s=2.0)
-        dog.on_packet("A", Resolution.P720, 5.0)
-        dog.on_packet("A", Resolution.P180, 9.5)
-        stale = dog.stale_subscriptions(
-            {("A", Resolution.P720): True}, now_s=10.0
-        )
-        assert stale == [("A", Resolution.P720)]
-
-    def test_totally_silent_publisher_is_not_flagged(self):
-        """If nothing flows at all it is a network outage, not a stream
-        failure — downgrading would not help."""
-        dog = SubscriptionWatchdog(stale_after_s=2.0)
-        dog.on_packet("A", Resolution.P720, 1.0)
-        stale = dog.stale_subscriptions(
-            {("A", Resolution.P720): True}, now_s=10.0
-        )
-        assert stale == []
-
-    def test_downgrade_target_prefers_highest_live_lower_stream(self):
-        dog = SubscriptionWatchdog(stale_after_s=2.0)
-        dog.on_packet("A", Resolution.P360, 9.8)
-        dog.on_packet("A", Resolution.P180, 9.9)
-        target = dog.downgrade_target("A", below=Resolution.P720, now_s=10.0)
-        assert target == Resolution.P360
-
-    def test_downgrade_target_none_when_nothing_lower_lives(self):
-        dog = SubscriptionWatchdog(stale_after_s=2.0)
-        dog.on_packet("A", Resolution.P720, 9.9)
-        assert dog.downgrade_target("A", Resolution.P720, 10.0) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SubscriptionWatchdog(stale_after_s=0)
 
 
 class TestControllerFallbackIntegration:

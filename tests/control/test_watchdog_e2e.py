@@ -1,93 +1,93 @@
-"""End-to-end test: the subscription watchdog against a net/ loss burst.
+"""End-to-end test: the dead-stream detector against a net/ loss burst.
 
-Publisher "A" simulcasts two streams (P720 + P180) to one subscriber
-over two simulated links.  Mid-run the P720 link suffers a blackout (a
-:class:`~repro.net.link.FaultyLink` loss burst) while P180 keeps
+Publisher "pub" simulcasts two streams (P720 + P180) into its accessing
+node over two simulated links.  Mid-run the P720 link suffers a blackout
+(a :class:`~repro.net.link.FaultyLink` loss burst) while P180 keeps
 flowing — exactly the Sec. 7 condition: "a server instructs a client to
 send multiple streams, however, only a low bitrate stream is received".
-The watchdog must fire the downgrade while the burst lasts and un-fire
-once the high stream recovers.
+:meth:`~repro.control.feedback.FeedbackExecutor.dead_configured_streams`
+must flag the high stream while the burst lasts and clear it once the
+stream recovers.
 """
 
-from repro.control.failover import SubscriptionWatchdog
-from repro.core import Resolution
+from repro.core.types import Resolution
 from repro.net.link import FaultyLink, Link
-from repro.net.packet import Packet
-from repro.net.simulator import PeriodicTask, Simulator
+from repro.net.packet import packet_for_bytes
+from repro.net.simulator import PeriodicTask
+from repro.rtp.packet import RtpPacket
+
+from .test_watchdog_executor import build, install_config
 
 BLACKOUT = (4.0, 8.0)
 DURATION = 12.0
-EXPECTED = {("A", Resolution.P720): True, ("A", Resolution.P180): True}
+HIGH_SSRC = 0x70
+LOW_SSRC = 0x18
 
 
-def run_meeting():
-    """Returns (watchdog-probe observations, faulty link)."""
-    sim = Simulator()
-    dog = SubscriptionWatchdog(stale_after_s=2.0)
+def run_meeting(dark_links=("high",), probes=(3.5, 6.8, 10.8)):
+    """Returns the detector's answer at each probe time."""
+    sim, _, node, executor = build()
+    install_config(executor, {Resolution.P720: 1200, Resolution.P180: 200})
 
-    def receiver(resolution):
-        def on_delivery(packet, now_s):
-            dog.on_packet("A", resolution, now_s)
+    def deliver(packet, now_s):
+        node.on_packet_from_client("pub", packet, now_s)
 
-        return on_delivery
+    links = {}
+    for label, ssrc, size in (
+        ("high", HIGH_SSRC, 1200),
+        ("low", LOW_SSRC, 300),
+    ):
+        link = FaultyLink(sim, Link(sim, 5000.0, name=f"pub-{label}"))
+        if label in dark_links:
+            link.add_blackout(*BLACKOUT)
+        link.connect(deliver)
+        links[label] = link
+        seq = iter(range(1_000_000))
 
-    high = FaultyLink(sim, Link(sim, 5000.0, name="A-high"))
-    high.add_blackout(*BLACKOUT)
-    high.connect(receiver(Resolution.P720))
-    low = Link(sim, 5000.0, name="A-low")
-    low.connect(receiver(Resolution.P180))
+        def send(link=link, ssrc=ssrc, size=size, seq=seq):
+            n = next(seq)
+            rtp = RtpPacket(
+                ssrc=ssrc,
+                seq=n,
+                timestamp=n * 3000,
+                marker=True,
+                payload=bytes(size),
+            )
+            link.send(packet_for_bytes(rtp.serialize(), src="pub"))
 
-    PeriodicTask(
-        sim,
-        0.1,
-        lambda: high.send(Packet(payload=b"hi", size_bytes=1200, src="A")),
-        start_offset=0.05,
-    )
-    PeriodicTask(
-        sim,
-        0.1,
-        lambda: low.send(Packet(payload=b"lo", size_bytes=300, src="A")),
-        start_offset=0.05,
-    )
+        PeriodicTask(sim, 0.1, send, start_offset=0.05)
 
     observations = {}
-
-    def probe(label):
-        def run_probe():
-            now = sim.now
-            observations[label] = {
-                "stale": dog.stale_subscriptions(EXPECTED, now),
-                "target": dog.downgrade_target("A", Resolution.P720, now),
-            }
-
-        return run_probe
-
-    sim.schedule_at(3.5, probe("before"))
-    sim.schedule_at(6.8, probe("during"))
-    sim.schedule_at(10.8, probe("after"))
+    for at in probes:
+        sim.schedule_at(
+            at,
+            lambda at=at: observations.__setitem__(
+                at, executor.dead_configured_streams(sim.now)
+            ),
+        )
     sim.run_until(DURATION)
-    return observations, high
+    return observations, links
 
 
 class TestWatchdogEndToEnd:
     def test_downgrade_fires_during_burst_and_unfires_after(self):
-        obs, _ = run_meeting()
-        assert obs["before"]["stale"] == []
-        assert obs["during"]["stale"] == [("A", Resolution.P720)]
-        assert obs["during"]["target"] == Resolution.P180
-        assert obs["after"]["stale"] == []
-
-    def test_burst_dropped_only_the_high_stream(self):
-        _, high = run_meeting()
-        # ~40 packets offered during the 4 s blackout at 10 Hz.
-        assert 35 <= high.injected_drops <= 45
-        assert high.stats.lost_packets == 0  # drops were injected, not organic
+        obs, links = run_meeting()
+        assert obs[3.5] == []
+        assert obs[6.8] == [("pub", Resolution.P720)]
+        assert obs[10.8] == []
+        # The blackout hit the high link only.
+        assert links["high"].injected_drops > 0
+        assert links["low"].injected_drops == 0
 
     def test_no_downgrade_when_low_stream_also_dark(self):
-        """A publisher gone entirely silent is not a downgrade case."""
-        dog = SubscriptionWatchdog(stale_after_s=2.0)
-        dog.on_packet("A", Resolution.P720, 1.0)
-        dog.on_packet("A", Resolution.P180, 1.0)
-        # Both streams silent for 5 s: no sibling alive, so no downgrade.
-        assert dog.stale_subscriptions(EXPECTED, 6.0) == []
-        assert dog.downgrade_target("A", Resolution.P720, 6.0) is None
+        """A publisher gone entirely silent is an outage, not a downgrade
+        case: no sibling is alive to carry the subscribers."""
+        obs, _ = run_meeting(dark_links=("high", "low"))
+        assert obs == {3.5: [], 6.8: [], 10.8: []}
+
+    def test_a_fresh_burst_waits_out_the_stale_window(self):
+        # 0.5 s into the burst the last high packet is younger than the
+        # detector's 0.8 s staleness bound; 1.5 s in, it is not.
+        obs, _ = run_meeting(probes=(4.5, 5.5))
+        assert obs[4.5] == []
+        assert obs[5.5] == [("pub", Resolution.P720)]

@@ -1,10 +1,9 @@
-"""Seeded fleet randomness: order-independent, cluster-parallel safe."""
+"""Seeded fleet randomness: order-independent and reproducible."""
 
 import datetime as dt
 import pickle
 import random
 
-from repro.cluster import ClusterConfig, ControllerCluster
 from repro.deploy import DeploymentSimulation, FleetSampler
 
 DAY = dt.date(2021, 12, 25)
@@ -55,25 +54,3 @@ class TestPerConferenceRng:
         a = DeploymentSimulation(conferences_per_day=30).run_day(DAY)
         b = DeploymentSimulation(conferences_per_day=30).run_day(DAY)
         assert pickle.dumps(a) == pickle.dumps(b)
-
-
-class TestClusterEquivalence:
-    def test_fleet_through_cluster_is_byte_identical(self):
-        direct = DeploymentSimulation(conferences_per_day=40).run_day(DAY)
-        with ControllerCluster(ClusterConfig(shards=4)) as cluster:
-            clustered = DeploymentSimulation(
-                conferences_per_day=40, cluster=cluster
-            ).run_day(DAY)
-            assert cluster.stats()["meetings"] > 0  # solves really routed
-        assert pickle.dumps(direct) == pickle.dumps(clustered)
-
-    def test_cluster_without_cache_also_identical(self):
-        direct = DeploymentSimulation(conferences_per_day=20).run_day(DAY)
-        with ControllerCluster(ClusterConfig(shards=2)) as cluster:
-            clustered = DeploymentSimulation(
-                conferences_per_day=20, cluster=cluster
-            ).run_day(DAY)
-            # Every sampled conference is a new meeting, so no decision is
-            # served from a meeting's memo: each one is a real solve.
-            assert cluster.stats()["cache"]["hits"] == 0
-        assert pickle.dumps(direct) == pickle.dumps(clustered)

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from repro.net.link import FaultyLink, Link, make_duplex
+from repro.net.link import FaultyLink, Link
 from repro.net.packet import Packet
-from repro.net.simulator import Simulator
+from repro.net.simulator import PeriodicTask, Simulator
 
 
 def collect(link):
@@ -169,13 +169,6 @@ class TestStatsAndHelpers:
         link.send(pkt(1000))
         assert link.queue_delay_s() == pytest.approx(0.080)
 
-    def test_make_duplex_names_directions(self):
-        sim = Simulator()
-        duplex = make_duplex(sim, up_kbps=500, down_kbps=2000, name="cli")
-        assert duplex.forward.bandwidth_kbps == 500
-        assert duplex.backward.bandwidth_kbps == 2000
-        assert duplex.forward.name == "cli:up"
-
 
 class TestFaultyLink:
     def test_delegates_when_no_fault_active(self):
@@ -206,6 +199,28 @@ class TestFaultyLink:
         assert faulty.in_blackout(1.0)
         assert faulty.in_blackout(1.999)
         assert not faulty.in_blackout(2.0)
+
+    def test_burst_dropped_only_the_high_stream(self):
+        # Sec. 7's failure shape: a publisher's high stream goes dark for
+        # 4 s while its low stream, on its own path, keeps flowing.
+        sim = Simulator()
+        high = FaultyLink(sim, Link(sim, 5000.0, name="A-high"))
+        high.add_blackout(4.0, 8.0)
+        high_received = collect(high)
+        low = Link(sim, 5000.0, name="A-low")
+        low_received = collect(low)
+        for link, size in ((high, 1200), (low, 300)):
+            PeriodicTask(
+                sim,
+                0.1,
+                lambda link=link, size=size: link.send(pkt(size)),
+                start_offset=0.05,
+            )
+        sim.run_until(12.0)
+        # ~40 packets offered during the 4 s blackout at 10 Hz.
+        assert 35 <= high.injected_drops <= 45
+        assert high.stats.lost_packets == 0  # drops were injected, not organic
+        assert len(high_received) + high.injected_drops == len(low_received)
 
     def test_multiple_blackouts(self):
         sim = Simulator()

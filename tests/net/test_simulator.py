@@ -145,40 +145,3 @@ class TestPeriodicTask:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             PeriodicTask(Simulator(), 0.0, lambda: None)
-
-
-class TestScheduleWindow:
-    def test_fires_start_then_end(self):
-        sim = Simulator()
-        events = []
-        sim.schedule_window(
-            1.0, 2.0, lambda: events.append(("start", sim.now)),
-            lambda: events.append(("end", sim.now)),
-        )
-        sim.run_until(5.0)
-        assert events == [("start", 1.0), ("end", 3.0)]
-
-    def test_zero_duration_is_instantaneous(self):
-        sim = Simulator()
-        events = []
-        sim.schedule_window(
-            2.0, 0.0, lambda: events.append("start"),
-            lambda: events.append("end"),
-        )
-        sim.run_until(3.0)
-        assert events == ["start", "end"]
-
-    def test_handles_are_cancellable(self):
-        sim = Simulator()
-        events = []
-        start, end = sim.schedule_window(
-            1.0, 2.0, lambda: events.append("start"),
-            lambda: events.append("end"),
-        )
-        sim.cancel(end)
-        sim.run_until(5.0)
-        assert events == ["start"]
-
-    def test_rejects_negative_duration(self):
-        with pytest.raises(ValueError):
-            Simulator().schedule_window(1.0, -1.0, lambda: None, lambda: None)

@@ -364,3 +364,39 @@ class TestNoDeletedSurface:
             if token in path.read_text()
         ]
         assert not stale, f"names of the deleted run driver: {stale}"
+
+    #: Second paths no traffic took: the fleet's route through the cluster
+    #: (``repro rollout`` solves directly), a dead-stream watchdog only
+    #: tests ran (``FeedbackExecutor.dead_configured_streams`` is the
+    #: detector), a per-shard admission object (the budget is the plane's
+    #: in-flight count), and helpers nothing called.
+    SECOND_PATHS_GONE = (
+        "SubscriptionWatchdog",
+        "StreamLiveness",
+        "AdmissionController",
+        "AdmissionStats",
+        "schedule_window",
+        "make_duplex",
+        "DuplexLink",
+        "DualSubscription",
+        "satisfaction_improvement",
+        "repro cluster run",
+    )
+
+    def test_no_file_names_the_deleted_second_paths(self):
+        texts = [
+            *sorted((ROOT / "src").rglob("*.py")),
+            *sorted(p for p in (ROOT / "tests").rglob("*.py") if p != Path(__file__)),
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / "README.md",
+            ROOT / "DESIGN.md",
+            ROOT / "EXPERIMENTS.md",
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ]
+        stale = [
+            (str(path.relative_to(ROOT)), token)
+            for path in texts
+            for token in self.SECOND_PATHS_GONE
+            if token in path.read_text()
+        ]
+        assert not stale, f"names of the deleted second paths: {stale}"

@@ -37,6 +37,13 @@ class TestParser:
         assert args.levels == 5
         assert args.granularity == 10
 
+    def test_cluster_command_is_gone(self, capsys):
+        # The fleet solves each conference directly (``repro rollout``).
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["cluster", "run"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err
+
     def test_meeting_mode_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -172,9 +179,34 @@ class TestChaosSizing:
             ("--mutations", "-1", "mutations_per_meeting"),
         ],
     )
-    def test_bad_sizing_is_a_one_line_error(self, flag, value, field):
+    def test_bad_sizing_is_a_one_line_error(self, flag, value, field, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["chaos", "run", flag, value])
-        message = str(exit_info.value.code)
+        # Exit 2 is a usage error; 1 would claim a violated invariant.
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err
         assert message.startswith(f"repro chaos: {field} must be ")
         assert len(message.splitlines()) == 1
+
+    def test_zero_shards_is_a_one_line_error(self, capsys):
+        # Refused with the other sizing errors, before a cluster is built.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "run", "--shards", "0"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro chaos: need at least one shard\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command", [["chaos", "soak", "--seeds", "1"], ["obs", "report"],
+                    ["trace", "record"]],
+    )
+    def test_zero_shards_is_one_line_on_every_chaos_command(
+        self, command, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--shards", "0"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro chaos: need at least one shard\n"
+        )
