@@ -1,4 +1,13 @@
-"""RTP/RTCP wire formats: RFC 3550 headers, SEMB and GSO TMMBR extensions."""
+"""RTP/RTCP wire formats: RFC 3550 headers, SEMB and GSO TMMBR extensions.
+
+Every codec here follows one idiom (:mod:`repro.rtp.rtcp` spells it
+out): precompiled ``struct.Struct`` layouts read in place, one ``pack``
+or ``join`` per encoded packet, fields validated when a value object is
+built, and decoded objects built without re-running that validation on
+what the parser has already proved.  SEMB decode and GSO TMMBR encode
+run once per publisher per report and once per changed configuration,
+so their cost per packet is control-plane server capacity.
+"""
 
 from .packet import (
     AUDIO_CLOCK_HZ,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .packet import RtpPacket, seq_distance
-from .rtcp import PT_RTPFB, _common_header, parse_common_header
+from .rtcp import PT_RTPFB, RTCP_VERSION, _decoded, _require_u32, parse_common_header
 
 #: RTPFB format number of the Generic NACK.
 NACK_FMT = 1
@@ -29,9 +29,15 @@ NACK_FMT = 1
 _SEQ_MOD = 2**16
 
 
-def _pack_fci(seqs: Sequence[int]) -> bytes:
-    """Group sorted sequence numbers into (PID, BLP) FCI entries."""
-    out = b""
+#: One FCI entry: PID, then the bitmask of the 16 seqs after it.
+_FCI = struct.Struct("!HH")
+#: A Generic NACK up to its FCI: common header, sender SSRC, media SSRC.
+_HEAD = struct.Struct("!BBHII")
+
+
+def _pack_fci(seqs: Sequence[int]) -> List[bytes]:
+    """Group sorted sequence numbers into packed (PID, BLP) FCI entries."""
+    entries: List[bytes] = []
     ordered = sorted(set(s % _SEQ_MOD for s in seqs))
     index = 0
     while index < len(ordered):
@@ -44,14 +50,13 @@ def _pack_fci(seqs: Sequence[int]) -> bytes:
                 break
             blp |= 1 << (offset - 1)
             index += 1
-        out += struct.pack("!HH", pid, blp)
-    return out
+        entries.append(_FCI.pack(pid, blp))
+    return entries
 
 
-def _unpack_fci(data: bytes) -> List[int]:
+def _unpack_fci(fci) -> List[int]:
     seqs: List[int] = []
-    for off in range(0, len(data), 4):
-        pid, blp = struct.unpack("!HH", data[off : off + 4])
+    for pid, blp in _FCI.iter_unpack(fci):
         seqs.append(pid)
         for bit in range(16):
             if blp & (1 << bit):
@@ -67,11 +72,21 @@ class GenericNack:
     media_ssrc: int
     seqs: Tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        _require_u32(self.sender_ssrc, "sender ssrc")
+        _require_u32(self.media_ssrc, "media ssrc")
+
     def serialize(self) -> bytes:
         """Encode to wire bytes."""
-        body = struct.pack("!II", self.sender_ssrc, self.media_ssrc)
-        body += _pack_fci(self.seqs)
-        return _common_header(NACK_FMT, PT_RTPFB, len(body)) + body
+        fci = _pack_fci(self.seqs)
+        head = _HEAD.pack(
+            (RTCP_VERSION << 6) | NACK_FMT,
+            PT_RTPFB,
+            2 + len(fci),
+            self.sender_ssrc,
+            self.media_ssrc,
+        )
+        return b"".join([head, *fci])
 
     @classmethod
     def parse(cls, data: bytes) -> "GenericNack":
@@ -81,11 +96,12 @@ class GenericNack:
             raise ValueError("not a Generic NACK packet")
         if len(data) < total or total < 12:
             raise ValueError("Generic NACK truncated")
-        sender_ssrc, media_ssrc = struct.unpack("!II", data[4:12])
-        return cls(
+        _, _, _, sender_ssrc, media_ssrc = _HEAD.unpack_from(data)
+        return _decoded(
+            cls,
             sender_ssrc=sender_ssrc,
             media_ssrc=media_ssrc,
-            seqs=tuple(_unpack_fci(data[12:total])),
+            seqs=tuple(_unpack_fci(memoryview(data)[12:total])),
         )
 
 

@@ -20,6 +20,8 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from .rtcp import _decoded
+
 #: RTP version used by everything since RFC 3550.
 RTP_VERSION = 2
 
@@ -43,6 +45,14 @@ _ONE_BYTE_PROFILE = 0xBEDE
 
 #: Extension element id carrying the TWCC sequence number.
 _TWCC_EXT_ID = 1
+
+#: The fixed header: V/P/X/CC, M/PT, seq, timestamp, SSRC.
+_HEADER = struct.Struct("!BBHII")
+#: The fixed header plus the one-word TWCC extension block
+#: (profile, length 1, element [id=1|len=1][seq][pad]).
+_HEADER_TWCC = struct.Struct("!BBHIIHHBHB")
+_EXT_HEADER = struct.Struct("!HH")
+_U16 = struct.Struct("!H")
 
 
 @dataclass(frozen=True)
@@ -82,18 +92,24 @@ class RtpPacket:
 
     def serialize(self) -> bytes:
         """Encode to wire bytes (fixed header [+ extension] + payload)."""
-        has_ext = self.twcc_seq is not None
-        byte0 = (RTP_VERSION << 6) | (int(has_ext) << 4)  # P=0, CC=0
-        byte1 = (int(self.marker) << 7) | self.payload_type
-        header = struct.pack(
-            "!BBHII", byte0, byte1, self.seq, self.timestamp, self.ssrc
-        )
-        if has_ext:
-            # One 32-bit extension word: [id=1|len=1][seq hi][seq lo][pad].
-            element = struct.pack(
-                "!BHB", (_TWCC_EXT_ID << 4) | 0x01, self.twcc_seq, 0
+        byte1 = (0x80 if self.marker else 0) | self.payload_type
+        if self.twcc_seq is None:
+            header = _HEADER.pack(
+                RTP_VERSION << 6, byte1, self.seq, self.timestamp, self.ssrc
             )
-            header += struct.pack("!HH", _ONE_BYTE_PROFILE, 1) + element
+        else:
+            header = _HEADER_TWCC.pack(
+                (RTP_VERSION << 6) | 0x10,  # P=0, X=1, CC=0
+                byte1,
+                self.seq,
+                self.timestamp,
+                self.ssrc,
+                _ONE_BYTE_PROFILE,
+                1,
+                (_TWCC_EXT_ID << 4) | 0x01,
+                self.twcc_seq,
+                0,
+            )
         return header + self.payload
 
     @property
@@ -123,9 +139,7 @@ class RtpPacket:
         """
         if len(data) < RTP_HEADER_LEN:
             raise ValueError(f"RTP packet too short: {len(data)} bytes")
-        byte0, byte1, seq, timestamp, ssrc = struct.unpack(
-            "!BBHII", data[:RTP_HEADER_LEN]
-        )
+        byte0, byte1, seq, timestamp, ssrc = _HEADER.unpack_from(data)
         version = byte0 >> 6
         if version != RTP_VERSION:
             raise ValueError(f"unsupported RTP version {version}")
@@ -136,9 +150,7 @@ class RtpPacket:
         if has_ext:
             if len(data) < offset + 4:
                 raise ValueError("RTP packet truncated in extension header")
-            profile, length_words = struct.unpack(
-                "!HH", data[offset : offset + 4]
-            )
+            profile, length_words = _EXT_HEADER.unpack_from(data, offset)
             ext_start = offset + 4
             ext_end = ext_start + 4 * length_words
             if len(data) < ext_end:
@@ -155,14 +167,13 @@ class RtpPacket:
                     if pos + 1 + ext_len > ext_end:
                         raise ValueError("RTP extension element overruns its block")
                     if ext_id == _TWCC_EXT_ID and ext_len == 2:
-                        twcc_seq = struct.unpack(
-                            "!H", data[pos + 1 : pos + 3]
-                        )[0]
+                        twcc_seq = _U16.unpack_from(data, pos + 1)[0]
                     pos += 1 + ext_len
             offset = ext_end
         if len(data) < offset:
             raise ValueError("RTP packet truncated")
-        return cls(
+        return _decoded(
+            cls,
             ssrc=ssrc,
             seq=seq,
             timestamp=timestamp,

@@ -24,8 +24,17 @@ import struct
 from dataclasses import dataclass
 from typing import Tuple
 
-from .rtcp import PT_PSFB, _common_header, parse_common_header
-from .semb import decode_exp_mantissa, encode_exp_mantissa
+from .rtcp import (
+    _U32_RUNS,
+    PT_PSFB,
+    RTCP_VERSION,
+    _decoded,
+    _read_u32,
+    _require_ssrc_list,
+    _require_u32,
+    parse_common_header,
+)
+from .semb import encode_exp_mantissa
 
 #: PSFB format number used by REMB ("application layer feedback").
 REMB_FMT = 15
@@ -33,6 +42,9 @@ REMB_FMT = 15
 _REMB_ID = b"REMB"
 _EXP_BITS = 6
 _MANTISSA_BITS = 18
+#: Everything in front of the SSRC list: common header, sender SSRC,
+#: media SSRC (zero), the 'REMB' tag, then the count/exp/mantissa word.
+_HEAD = struct.Struct("!BBHII4sI")
 
 
 @dataclass(frozen=True)
@@ -43,20 +55,29 @@ class RembPacket:
     bitrate_bps: int
     media_ssrcs: Tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        _require_u32(self.sender_ssrc, "sender ssrc")
+        if self.bitrate_bps < 0:
+            raise ValueError("bitrate must be non-negative")
+        _require_ssrc_list(self.media_ssrcs, "REMB")
+
     def serialize(self) -> bytes:
         """Encode to wire bytes."""
         exp, mantissa = encode_exp_mantissa(
             self.bitrate_bps, mantissa_bits=_MANTISSA_BITS
         )
-        body = struct.pack("!II", self.sender_ssrc, 0)
-        body += _REMB_ID
-        body += struct.pack(
-            "!I",
-            (len(self.media_ssrcs) << 24) | (exp << _MANTISSA_BITS) | mantissa,
+        ssrcs = self.media_ssrcs
+        n = len(ssrcs)
+        head = _HEAD.pack(
+            (RTCP_VERSION << 6) | REMB_FMT,
+            PT_PSFB,
+            4 + n,
+            self.sender_ssrc,
+            0,
+            _REMB_ID,
+            (n << 24) | (exp << _MANTISSA_BITS) | mantissa,
         )
-        for ssrc in self.media_ssrcs:
-            body += struct.pack("!I", ssrc)
-        return _common_header(REMB_FMT, PT_PSFB, len(body)) + body
+        return head + _U32_RUNS[n].pack(*ssrcs)
 
     @classmethod
     def parse(cls, data: bytes) -> "RembPacket":
@@ -68,18 +89,16 @@ class RembPacket:
             raise ValueError("REMB packet truncated")
         if total < 20 or data[12:16] != _REMB_ID:
             raise ValueError("missing REMB identifier")
-        sender_ssrc = struct.unpack("!I", data[4:8])[0]
-        word = struct.unpack("!I", data[16:20])[0]
+        word = _read_u32(data, 16)[0]
         num = word >> 24
-        exp = (word >> _MANTISSA_BITS) & ((1 << _EXP_BITS) - 1)
-        mantissa = word & ((1 << _MANTISSA_BITS) - 1)
         if total < 20 + 4 * num:
             raise ValueError("REMB SSRC list truncated")
-        ssrcs = struct.unpack(f"!{num}I", data[20 : 20 + 4 * num])
-        return cls(
-            sender_ssrc=sender_ssrc,
-            bitrate_bps=decode_exp_mantissa(exp, mantissa),
-            media_ssrcs=tuple(ssrcs),
+        return _decoded(
+            cls,
+            sender_ssrc=_read_u32(data, 4)[0],
+            bitrate_bps=(word & ((1 << _MANTISSA_BITS) - 1))
+            << ((word >> _MANTISSA_BITS) & ((1 << _EXP_BITS) - 1)),
+            media_ssrcs=_U32_RUNS[num].unpack_from(data, 20),
         )
 
     @property

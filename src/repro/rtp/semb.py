@@ -38,18 +38,23 @@ codec is a pure function of its input.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Tuple
 
-from .rtcp import AppPacket
+from .rtcp import (
+    _U32_RUNS,
+    AppPacket,
+    _decoded,
+    _read_u32,
+    _require_ssrc_list,
+    _require_u32,
+)
 
 #: 4-byte APP name identifying SEMB packets.
 SEMB_NAME = b"SEMB"
 
 _EXP_BITS = 6
 _MANTISSA_BITS = 18
-_MAX_MANTISSA = (1 << _MANTISSA_BITS) - 1
 _MAX_EXP = (1 << _EXP_BITS) - 1
 
 
@@ -59,6 +64,10 @@ def encode_exp_mantissa(
     """Encode a bitrate as (exp, mantissa) with ``mantissa * 2^exp >= value``
     minimal — the REMB/TMMBR rounding convention (round up, never report
     less than measured).
+
+    Closed form: the exponent is the number of bits beyond the mantissa
+    width, the mantissa the quotient rounded up; when rounding up carries
+    into one more bit, the exponent grows by one.
 
     Args:
         bitrate_bps: the value to encode, in bits per second.
@@ -72,16 +81,16 @@ def encode_exp_mantissa(
     """
     if bitrate_bps < 0:
         raise ValueError("bitrate must be non-negative")
-    max_mantissa = (1 << mantissa_bits) - 1
-    exp = 0
-    value = bitrate_bps
-    while value > max_mantissa:
-        # Round up when truncating so the decoded value never understates.
-        value = (value + 1) // 2
+    exp = bitrate_bps.bit_length() - mantissa_bits
+    if exp <= 0:
+        return 0, bitrate_bps
+    mantissa = -(-bitrate_bps >> exp)  # rounded up, so never understated
+    if mantissa >> mantissa_bits:  # the round-up carried: 2^mantissa_bits
+        mantissa >>= 1
         exp += 1
-        if exp > _MAX_EXP:
-            raise ValueError(f"bitrate {bitrate_bps} too large to encode")
-    return exp, value
+    if exp > _MAX_EXP:
+        raise ValueError(f"bitrate {bitrate_bps} too large to encode")
+    return exp, mantissa
 
 
 def decode_exp_mantissa(exp: int, mantissa: int) -> int:
@@ -105,15 +114,22 @@ class SembReport:
     bitrate_bps: int
     media_ssrcs: Tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        _require_u32(self.sender_ssrc, "sender ssrc")
+        if self.bitrate_bps < 0:
+            raise ValueError("bitrate must be non-negative")
+        _require_ssrc_list(self.media_ssrcs, "SEMB report")
+
     def to_app_packet(self) -> AppPacket:
         """Wrap into the PT=204 APP packet the paper prescribes."""
         exp, mantissa = encode_exp_mantissa(self.bitrate_bps)
-        word = (len(self.media_ssrcs) << 24) | (exp << _MANTISSA_BITS) | mantissa
-        data = struct.pack("!I", word)
-        for ssrc in self.media_ssrcs:
-            data += struct.pack("!I", ssrc)
-        return AppPacket(
-            subtype=0, ssrc=self.sender_ssrc, name=SEMB_NAME, data=data
+        ssrcs = self.media_ssrcs
+        n = len(ssrcs)
+        data = _U32_RUNS[n + 1].pack(
+            (n << 24) | (exp << _MANTISSA_BITS) | mantissa, *ssrcs
+        )
+        return _decoded(
+            AppPacket, subtype=0, ssrc=self.sender_ssrc, name=SEMB_NAME, data=data
         )
 
     @classmethod
@@ -125,19 +141,23 @@ class SembReport:
         """
         if packet.name != SEMB_NAME:
             raise ValueError(f"not a SEMB packet: name={packet.name!r}")
-        if len(packet.data) < 4:
+        data = packet.data
+        if len(data) < 4:
             raise ValueError("SEMB payload too short")
-        word = struct.unpack("!I", packet.data[:4])[0]
+        word = _read_u32(data)[0]
         num_ssrc = word >> 24
-        exp = (word >> _MANTISSA_BITS) & _MAX_EXP
-        mantissa = word & _MAX_MANTISSA
-        if len(packet.data) < 4 + 4 * num_ssrc:
-            raise ValueError("SEMB SSRC list truncated")
-        ssrcs = struct.unpack(f"!{num_ssrc}I", packet.data[4 : 4 + 4 * num_ssrc])
-        return cls(
+        if num_ssrc:
+            if len(data) < 4 + 4 * num_ssrc:
+                raise ValueError("SEMB SSRC list truncated")
+            ssrcs = _U32_RUNS[num_ssrc].unpack_from(data, 4)
+        else:
+            ssrcs = ()
+        return _decoded(
+            cls,
             sender_ssrc=packet.ssrc,
-            bitrate_bps=decode_exp_mantissa(exp, mantissa),
-            media_ssrcs=tuple(ssrcs),
+            # 18-bit mantissa shifted left by the 6-bit exponent above it.
+            bitrate_bps=(word & 0x3FFFF) << ((word >> 18) & 0x3F),
+            media_ssrcs=ssrcs,
         )
 
     @property

@@ -12,7 +12,7 @@ where ``kind`` is a resolution, "audio", or "rtcp".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..core.types import ClientId, Resolution
 
@@ -33,46 +33,47 @@ class SsrcAllocator:
 
     SSRCs are allocated sequentially from a base offset; determinism keeps
     simulation traces reproducible and makes debugging readable (SSRCs
-    allocate in join order).
+    allocate in join order).  Both maps hold the same plain ``(client,
+    kind)`` tuple, so a repeated :meth:`allocate` hashes no dataclass;
+    :meth:`lookup` builds the :class:`SsrcKey` it returns.
     """
 
     _BASE = 0x10_000
 
     def __init__(self) -> None:
         self._next = self._BASE
-        self._by_key: Dict[SsrcKey, int] = {}
-        self._by_ssrc: Dict[int, SsrcKey] = {}
+        self._by_key: Dict[Tuple[ClientId, StreamKind], int] = {}
+        self._by_ssrc: Dict[int, Tuple[ClientId, StreamKind]] = {}
 
     def allocate(self, client: ClientId, kind: StreamKind) -> int:
         """Allocate (or return the existing) SSRC for a stream."""
-        key = SsrcKey(client, kind)
-        existing = self._by_key.get(key)
-        if existing is not None:
-            return existing
-        ssrc = self._next
-        self._next += 1
-        self._by_key[key] = ssrc
-        self._by_ssrc[ssrc] = key
+        key = (client, kind)
+        ssrc = self._by_key.get(key)
+        if ssrc is None:
+            ssrc = self._next
+            self._next += 1
+            self._by_key[key] = ssrc
+            self._by_ssrc[ssrc] = key
         return ssrc
 
     def lookup(self, ssrc: int) -> Optional[SsrcKey]:
         """Reverse-map an SSRC to its (client, kind) identity."""
-        return self._by_ssrc.get(ssrc)
+        key = self._by_ssrc.get(ssrc)
+        return None if key is None else SsrcKey(*key)
 
     def ssrc_of(self, client: ClientId, kind: StreamKind) -> Optional[int]:
         """Forward lookup without allocating."""
-        return self._by_key.get(SsrcKey(client, kind))
+        return self._by_key.get((client, kind))
 
     def streams_of(self, client: ClientId) -> Dict[StreamKind, int]:
         """All SSRCs currently allocated to one client."""
         return {
-            key.kind: ssrc
-            for key, ssrc in self._by_key.items()
-            if key.client == client
+            kind: ssrc
+            for (owner, kind), ssrc in self._by_key.items()
+            if owner == client
         }
 
     def release_client(self, client: ClientId) -> None:
         """Free every SSRC of a departing client."""
-        for key in [k for k in self._by_key if k.client == client]:
-            ssrc = self._by_key.pop(key)
-            del self._by_ssrc[ssrc]
+        for key in [k for k in self._by_key if k[0] == client]:
+            del self._by_ssrc[self._by_key.pop(key)]

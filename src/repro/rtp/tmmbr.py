@@ -25,16 +25,21 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Sequence, Tuple
 
-from .rtcp import AppPacket
-from .semb import decode_exp_mantissa, encode_exp_mantissa
+from .rtcp import _MAX_BODY_BYTES, _U32, AppPacket, _decoded, _read_u32, _require_u32
+from .semb import encode_exp_mantissa
 
 #: APP names for wrapped TMMBR (request) and TMMBN (notification).
 GSO_TMMBR_NAME = b"GTBR"
 GSO_TMMBN_NAME = b"GTBN"
 
 _TMMBR_MANTISSA_BITS = 17
+_MANTISSA_MASK = (1 << _TMMBR_MANTISSA_BITS) - 1
+#: One FCI entry: SSRC, then the exp/mantissa/overhead word.
+_ENTRY = struct.Struct("!II")
+#: Entries one APP packet can frame after its name and request id.
+_MAX_ENTRIES = (_MAX_BODY_BYTES - 12) // 8
 
 
 @dataclass(frozen=True)
@@ -60,25 +65,17 @@ class TmmbrEntry:
 
     def serialize(self) -> bytes:
         """Encode to wire bytes."""
-        exp, mantissa = encode_exp_mantissa(
-            self.bitrate_bps, mantissa_bits=_TMMBR_MANTISSA_BITS
+        exp, mantissa = encode_exp_mantissa(self.bitrate_bps, _TMMBR_MANTISSA_BITS)
+        return _ENTRY.pack(
+            self.ssrc, (exp << 26) | (mantissa << 9) | self.overhead_bytes
         )
-        word = (exp << 26) | (mantissa << 9) | self.overhead_bytes
-        return struct.pack("!II", self.ssrc, word)
 
     @classmethod
     def parse(cls, data: bytes) -> "TmmbrEntry":
         """Decode from wire bytes (raises ValueError on malformed input)."""
         if len(data) < 8:
             raise ValueError("TMMBR FCI entry too short")
-        ssrc, word = struct.unpack("!II", data[:8])
-        exp = word >> 26
-        mantissa = (word >> 9) & ((1 << _TMMBR_MANTISSA_BITS) - 1)
-        return cls(
-            ssrc=ssrc,
-            bitrate_bps=decode_exp_mantissa(exp, mantissa),
-            overhead_bytes=word & 0x1FF,
-        )
+        return _entry(*_ENTRY.unpack_from(data))
 
     @property
     def disables_stream(self) -> bool:
@@ -86,75 +83,84 @@ class TmmbrEntry:
         return self.bitrate_bps == 0
 
 
-def _unpack_payload(data: bytes) -> Tuple[int, Tuple[TmmbrEntry, ...]]:
-    """``(request_id, entries)`` of a GSO TMMBR or TMMBN APP payload."""
-    if len(data) < 4 or (len(data) - 4) % 8 != 0:
-        raise ValueError("malformed GSO TMMBR/TMMBN payload")
-    request_id = struct.unpack("!I", data[:4])[0]
-    entries = tuple(
-        TmmbrEntry.parse(data[off : off + 8]) for off in range(4, len(data), 8)
+def _entry(ssrc: int, word: int) -> TmmbrEntry:
+    """The entry one decoded ``(ssrc, word)`` pair describes."""
+    return _decoded(
+        TmmbrEntry,
+        ssrc=ssrc,
+        bitrate_bps=((word >> 9) & _MANTISSA_MASK) << (word >> 26),
+        overhead_bytes=word & 0x1FF,
     )
-    return request_id, entries
 
 
 @dataclass(frozen=True)
-class GsoTmmbr:
+class _GsoFeedback:
+    """The shared body of a GSO TMMBR and its TMMBN: a request id and one
+    FCI entry per stream, in an APP packet named by the subclass."""
+
+    sender_ssrc: int
+    request_id: int
+    entries: Tuple[TmmbrEntry, ...]
+
+    _SUBTYPE: ClassVar[int]
+    _NAME: ClassVar[bytes]
+    _KIND: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        _require_u32(self.sender_ssrc, "sender ssrc")
+        _require_u32(self.request_id, "request id")
+        if len(self.entries) > _MAX_ENTRIES:
+            raise ValueError(f"too many GSO {self._KIND} entries: {len(self.entries)}")
+
+    def to_app_packet(self) -> AppPacket:
+        """Wrap into the application-defined RTCP carrier packet."""
+        data = b"".join(
+            [_U32.pack(self.request_id), *[entry.serialize() for entry in self.entries]]
+        )
+        return _decoded(
+            AppPacket,
+            subtype=self._SUBTYPE,
+            ssrc=self.sender_ssrc,
+            name=self._NAME,
+            data=data,
+        )
+
+    @classmethod
+    def from_app_packet(cls, packet: AppPacket) -> "_GsoFeedback":
+        """Extract from the carrying APP packet."""
+        if packet.name != cls._NAME:
+            raise ValueError(f"not a GSO {cls._KIND} packet: {packet.name!r}")
+        data = packet.data
+        if len(data) < 4 or (len(data) - 4) % 8 != 0:
+            raise ValueError("malformed GSO TMMBR/TMMBN payload")
+        return _decoded(
+            cls,
+            sender_ssrc=packet.ssrc,
+            request_id=_read_u32(data)[0],
+            entries=tuple(
+                [_entry(ssrc, word) for ssrc, word in _ENTRY.iter_unpack(memoryview(data)[4:])]
+            ),
+        )
+
+
+class GsoTmmbr(_GsoFeedback):
     """A GSO stream-configuration request: one TMMBR FCI entry per stream.
 
     ``request_id`` makes retransmissions idempotent: the TMMBN echoes it so
     the reliability layer can match notifications to requests.
     """
 
-    sender_ssrc: int
-    request_id: int
-    entries: Tuple[TmmbrEntry, ...]
-
-    def to_app_packet(self) -> AppPacket:
-        """Wrap into the application-defined RTCP carrier packet."""
-        data = struct.pack("!I", self.request_id)
-        for entry in self.entries:
-            data += entry.serialize()
-        return AppPacket(
-            subtype=1, ssrc=self.sender_ssrc, name=GSO_TMMBR_NAME, data=data
-        )
-
-    @classmethod
-    def from_app_packet(cls, packet: AppPacket) -> "GsoTmmbr":
-        """Extract from the carrying APP packet."""
-        if packet.name != GSO_TMMBR_NAME:
-            raise ValueError(f"not a GSO TMMBR packet: {packet.name!r}")
-        request_id, entries = _unpack_payload(packet.data)
-        return cls(
-            sender_ssrc=packet.ssrc, request_id=request_id, entries=entries
-        )
+    _SUBTYPE = 1
+    _NAME = GSO_TMMBR_NAME
+    _KIND = "TMMBR"
 
 
-@dataclass(frozen=True)
-class GsoTmmbn:
+class GsoTmmbn(_GsoFeedback):
     """The notification a client sends back after applying a GSO TMMBR."""
 
-    sender_ssrc: int
-    request_id: int
-    entries: Tuple[TmmbrEntry, ...]
-
-    def to_app_packet(self) -> AppPacket:
-        """Wrap into the application-defined RTCP carrier packet."""
-        data = struct.pack("!I", self.request_id)
-        for entry in self.entries:
-            data += entry.serialize()
-        return AppPacket(
-            subtype=2, ssrc=self.sender_ssrc, name=GSO_TMMBN_NAME, data=data
-        )
-
-    @classmethod
-    def from_app_packet(cls, packet: AppPacket) -> "GsoTmmbn":
-        """Extract from the carrying APP packet."""
-        if packet.name != GSO_TMMBN_NAME:
-            raise ValueError(f"not a GSO TMMBN packet: {packet.name!r}")
-        request_id, entries = _unpack_payload(packet.data)
-        return cls(
-            sender_ssrc=packet.ssrc, request_id=request_id, entries=entries
-        )
+    _SUBTYPE = 2
+    _NAME = GSO_TMMBN_NAME
+    _KIND = "TMMBN"
 
     @classmethod
     def acknowledge(cls, request: GsoTmmbr, sender_ssrc: int) -> "GsoTmmbn":

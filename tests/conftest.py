@@ -1,7 +1,8 @@
 """Hypothesis profiles for the suite.
 
 Tier-1 runs Hypothesis's default profile.  ``deep`` is the long run of
-the DP differentials: ``pytest --hypothesis-profile=deep <files>``.
+the DP differentials and of the ``rtp/`` codec properties:
+``pytest --hypothesis-profile=deep <files>``.
 A test that should scale with it takes its example budget from the
 profile rather than from ``@settings(max_examples=...)``.
 """

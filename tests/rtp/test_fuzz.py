@@ -7,9 +7,18 @@ The inputs are raw ``binary()`` plus valid packets of every kind that
 were bit-flipped, cut, extended and, so that damage gets past the
 framing check into the body decoders, re-framed: the header's length
 field rewritten to match what is left.
+
+Decoders build their objects without re-running the dataclass
+constructor (``rtcp._decoded``).  So every object a decoder returns is
+rebuilt here through ``dataclasses.replace``, which does run it: the
+rebuilt object must be accepted and equal the decoded one, hash for
+hash, and the decoded one must stay frozen.
 """
 
+import dataclasses
 import struct
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -97,6 +106,24 @@ def pinned(test):
     return test
 
 
+def assert_constructible(obj):
+    """``obj`` and every dataclass inside it pass their own constructor,
+    compare and hash equal to the rebuilt copy, and refuse assignment."""
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            assert_constructible(item)
+        return
+    if not dataclasses.is_dataclass(obj):
+        return
+    rebuilt = dataclasses.replace(obj)
+    assert rebuilt == obj
+    assert hash(rebuilt) == hash(obj)
+    for field in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field.name, getattr(obj, field.name))
+        assert_constructible(getattr(obj, field.name))
+
+
 @given(
     raw=st.binary(max_size=64),
     packet=st.sampled_from(VALID),
@@ -111,6 +138,7 @@ def test_decoders_return_or_raise_value_error(raw, packet, flips, keep, tail, re
     for data in (raw, damaged(packet, flips, keep, tail, reframe)):
         for decode in DECODERS:
             try:
-                decode(data)
+                decoded = decode(data)
             except ValueError:
-                pass
+                continue
+            assert_constructible(decoded)
