@@ -17,6 +17,9 @@ from ..rtp.rtcp import TwccFeedback
 from .gcc import FeedbackSample
 
 _SEQ_MOD = 2**16
+#: Arrival times travel as microseconds modulo 2**31 (the feedback's
+#: signed 32-bit field wraps every 35.8 minutes); -1 still means lost.
+_ARRIVAL_MOD = 2**31
 
 
 @dataclass
@@ -53,8 +56,9 @@ class TwccSender:
         """Match a feedback packet to the send log.
 
         Returns:
-            Samples for acknowledged packets, in send order.  Packets
-            reported lost (arrival time -1) increment ``lost_reported``.
+            Samples for acknowledged packets, in send order, with arrival
+            times unwrapped past the 2**31 µs wrap.  Packets reported
+            lost (arrival time -1) increment ``lost_reported``.
         """
         samples: List[Tuple[int, FeedbackSample]] = []
         batch_acked = 0
@@ -69,6 +73,12 @@ class TwccSender:
                 continue
             self.acked_reported += 1
             batch_acked += 1
+            # Unwrap to the period nearest the send time: an arrival
+            # trails its send by far less than half a period.
+            send_us = int(record.send_time_s * 1e6)
+            arrival_us += (
+                (send_us - arrival_us + _ARRIVAL_MOD // 2) // _ARRIVAL_MOD
+            ) * _ARRIVAL_MOD
             samples.append(
                 (
                     seq,
@@ -119,7 +129,7 @@ class TwccReceiver:
 
     def on_packet(self, twcc_seq: int, now_s: float) -> None:
         """Record one arriving packet."""
-        arrival_us = int(now_s * 1e6)
+        arrival_us = int(now_s * 1e6) % _ARRIVAL_MOD
         if self._expected_next is not None:
             gap = (twcc_seq - self._expected_next) % _SEQ_MOD
             if 0 < gap < 100:

@@ -355,22 +355,28 @@ class ChaosRunner:
         self.report.events_total = self.events.emitted
         self.report.event_digest = self.events.digest()
 
-    def _evaluate_slos(self) -> None:
-        """Attach SLO verdicts: deterministic ones enter the digested
-        report; wall-clock ones (solve latency) stay informational.  The
-        stage budgets judge every plane decision's attributed stages,
-        however much of the run the event log still holds."""
-        stage_latencies: Dict[str, List[Tuple[float, float]]] = {}
+    def stage_latencies(self) -> Dict[str, List[Tuple[float, float]]]:
+        """Per-stage ``(start_s, duration_s)`` samples of every plane
+        decision's attributed stages (``Decision.stages()``), keyed by
+        stage in sorted order, however much of the run the event log
+        still holds: what the stage budgets judge and ``repro trace
+        profile`` tabulates."""
+        out: Dict[str, List[Tuple[float, float]]] = {}
         for decision in self.plane.decisions:
             for stage_span in decision.stages():
-                stage_latencies.setdefault(stage_span.stage, []).append(
+                out.setdefault(stage_span.stage, []).append(
                     (stage_span.start_s, stage_span.duration_s)
                 )
+        return dict(sorted(out.items()))
+
+    def _evaluate_slos(self) -> None:
+        """Attach SLO verdicts: deterministic ones enter the digested
+        report; wall-clock ones (solve latency) stay informational."""
         self.slo_verdicts = evaluate_slos(
             serves=self.report.serves,
             duration_s=self.config.duration_s,
             iteration_ratio_max=self._max_iteration_ratio,
-            stage_latencies=stage_latencies,
+            stage_latencies=self.stage_latencies(),
             registry=get_registry(),
         )
         for verdict in self.slo_verdicts:

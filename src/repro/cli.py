@@ -363,42 +363,40 @@ def _cmd_obs_example(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_obs_scenario(args: argparse.Namespace):
-    """Run one chaos scenario with the full telemetry pipeline enabled.
+def _replay(args: argparse.Namespace, prog: str):
+    """Replay the seeded chaos run that ``--scenario``, ``--seed`` and the
+    sizing flags name, with the full telemetry pipeline enabled.
 
-    Returns ``(runner, report)`` — the runner keeps the event log, the
-    SLO verdict objects and the plane's decisions.  Raises
-    :class:`KeyError` for unknown scenario names.
+    Returns the runner (its event log, report, SLO verdicts and the
+    plane's decisions), or ``None`` after a one-line ``repro <prog>:``
+    error for an unknown scenario or a refused value.
     """
     from .chaos import ChaosRunner, get_scenario
 
     config = _chaos_config(args, args.seed)
-    scenario = get_scenario(args.scenario)
-    schedule = scenario.build(args.seed, config)
-    with obs.enabled_registry():
-        runner = ChaosRunner(config, schedule, scenario=scenario.name)
-        report = runner.run()
-    return runner, report
+    try:
+        scenario = get_scenario(args.scenario)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None
+    try:
+        schedule = scenario.build(args.seed, config)
+        with obs.enabled_registry():
+            runner = ChaosRunner(config, schedule, scenario=scenario.name)
+            runner.run()
+    except ValueError as exc:
+        print(f"repro {prog}: {exc}", file=sys.stderr)
+        return None
+    return runner
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     import json
 
-    try:
-        runner, report = _run_obs_scenario(args)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+    runner = _replay(args, "obs")
+    if runner is None:
         return 2
-    except ValueError as exc:
-        print(f"repro obs: {exc}", file=sys.stderr)
-        return 2
-    if args.events_out:
-        path = runner.events.write_jsonl(args.events_out)
-        print(
-            f"[obs] wrote {len(runner.events)} event(s) to {path}",
-            file=sys.stderr,
-        )
-    log = runner.events
+    report, log = runner.report, runner.events
     verdicts = [v.to_dict() for v in runner.slo_verdicts]
     slo_ok = all(v["ok"] for v in verdicts)
     if args.json:
@@ -437,56 +435,26 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 def _cmd_obs_timeline(args: argparse.Namespace) -> int:
     import json
 
-    if args.events:
-        try:
-            log = obs.EventLog.read_jsonl(args.events)
-        except (OSError, ValueError) as exc:
-            print(f"repro obs: cannot read {args.events}: {exc}",
-                  file=sys.stderr)
-            return 2
-        events = log.events
-        title = f"{args.events} — timeline for {args.meeting}"
+    runner = _replay(args, "obs")
+    if runner is None:
+        return 2
+    events = runner.events.events
+    if args.json:
+        print(json.dumps(obs.timeline_dict(events, args.meeting), indent=2))
     else:
-        try:
-            runner, _ = _run_obs_scenario(args)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"repro obs: {exc}", file=sys.stderr)
-            return 2
-        events = runner.events.events
         title = (
             f"{runner.scenario} seed={args.seed} — "
             f"timeline for {args.meeting}"
         )
-    if args.json:
-        print(json.dumps(obs.timeline_dict(events, args.meeting), indent=2))
-    else:
         print(obs.format_timeline(events, args.meeting, title=title))
     return 0
-
-
-def _trace_events(args: argparse.Namespace):
-    """Events for the trace commands: a JSONL file (``--events``) or a
-    fresh scenario run.  Returns ``(events, title)``."""
-    if getattr(args, "events", None):
-        log = obs.EventLog.read_jsonl(args.events)
-        return log.events, str(args.events)
-    runner, _ = _run_obs_scenario(args)
-    return runner.events.events, f"{args.scenario} seed={args.seed}"
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from .obs.tracing import assemble_trees
 
-    try:
-        runner, report = _run_obs_scenario(args)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
+    runner = _replay(args, "trace")
+    if runner is None:
         return 2
     path = runner.events.write_jsonl(args.out)
     traces = assemble_trees(runner.events.events)
@@ -497,51 +465,31 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         f"({traces.stats.orphan_events} ambient)"
     )
     print(f"[trace] trace digest: {traces.digest()}")
-    return 0 if report.ok else 1
+    return 0 if runner.report.ok else 1
 
 
 def _cmd_trace_show(args: argparse.Namespace) -> int:
     from .obs.tracing import assemble_trees, format_waterfall
 
+    runner = _replay(args, "trace")
+    if runner is None:
+        return 2
+    title = f"{args.scenario} seed={args.seed}"
     if args.cid:
-        return _trace_show_decision(args)
-    try:
-        events, title = _trace_events(args)
-    except (OSError, ValueError) as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    traces = assemble_trees(events)
+        return _trace_show_decision(args, runner, title)
+    traces = assemble_trees(runner.events.events)
     trees = traces.trees(args.meeting) if args.meeting else traces.trees()
     print(f"trace waterfall — {title}")
     print(format_waterfall(trees, limit=args.limit))
     return 0
 
 
-def _trace_show_decision(args: argparse.Namespace) -> int:
+def _trace_show_decision(args: argparse.Namespace, runner, title: str) -> int:
     """``trace show --cid``: one decision's waterfall, its source, and
     its KMR iterations replayed from the ``Problem`` it solved."""
     from .cluster import SOURCE_CACHE, SOURCE_SOLVE
     from .obs.tracing import assemble_trees, waterfall
 
-    if args.events:
-        print(
-            "repro trace: --cid replays the decision's Problem, which an "
-            "--events log does not hold; name --scenario and --seed",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        runner, _ = _run_obs_scenario(args)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
-        return 2
-    title = f"{args.scenario} seed={args.seed}"
     decision = next(
         (d for d in runner.plane.decisions if d.cid == args.cid), None
     )
@@ -551,10 +499,22 @@ def _trace_show_decision(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    trees = assemble_trees(runner.events.events).trees()
+    # Trees never cross meetings: the decision's meeting is enough.
+    log = runner.events
+    trees = assemble_trees(log.for_meeting(decision.meeting)).trees()
     node = next(
-        n for tree in trees for n in tree.walk() if n.cid == decision.cid
+        (n for tree in trees for n in tree.walk() if n.cid == decision.cid),
+        None,
     )
+    if node is None or node.critical_path() != decision.stages():
+        print(
+            f"repro trace: the event log's {log.capacity}-event ring "
+            f"evicted the chain of {decision.cid!r} in {title} "
+            f"({log.dropped} of {log.emitted} events dropped); "
+            "replay fewer --meetings or a shorter --duration",
+            file=sys.stderr,
+        )
+        return 2
     print(f"trace waterfall — {title} cid={decision.cid}")
     print("\n".join(waterfall(node)))
     print(
@@ -575,19 +535,15 @@ def _trace_show_decision(args: argparse.Namespace) -> int:
 def _cmd_trace_export(args: argparse.Namespace) -> int:
     from .obs.tracing import assemble_trees, write_chrome_trace
 
-    try:
-        events, title = _trace_events(args)
-    except (OSError, ValueError) as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
+    runner = _replay(args, "trace")
+    if runner is None:
         return 2
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    traces = assemble_trees(events)
-    path = write_chrome_trace(traces.trees(), args.out)
+    path = write_chrome_trace(
+        assemble_trees(runner.events.events).trees(), args.out
+    )
     print(
-        f"[trace] wrote Chrome trace for {title} to {path} "
-        "(open at https://ui.perfetto.dev)"
+        f"[trace] wrote Chrome trace for {args.scenario} seed={args.seed} "
+        f"to {path} (open at https://ui.perfetto.dev)"
     )
     return 0
 
@@ -596,20 +552,13 @@ def _cmd_trace_profile(args: argparse.Namespace) -> int:
     import json
 
     from .obs.registry import quantile
-    from .obs.tracing import assemble_trees
 
-    try:
-        events, title = _trace_events(args)
-    except (OSError, ValueError) as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
+    runner = _replay(args, "trace")
+    if runner is None:
         return 2
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    # The stage-budget SLOs' samples and p95 while the log holds the
-    # whole run; a log whose ring dropped events profiles its tail only.
+    # Every decision's attributed stages: the stage-budget SLOs' samples.
     table = {}
-    for stage, samples in assemble_trees(events).stage_latencies().items():
+    for stage, samples in runner.stage_latencies().items():
         durations = sorted(d for (_, d) in samples)
         table[stage] = {
             "count": len(durations),
@@ -621,7 +570,7 @@ def _cmd_trace_profile(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(table, indent=2, sort_keys=True))
         return 0
-    print(f"stage latencies — {title}")
+    print(f"stage latencies — {args.scenario} seed={args.seed}")
     print(f"{'stage':<16} {'count':>7} {'mean':>10} {'p50':>10} "
           f"{'p95':>10} {'max':>10}")
     for stage, row in table.items():
@@ -797,9 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the machine-readable report payload",
     )
-    obs_report.add_argument(
-        "--events-out", help="write the run's event log (JSONL) here"
-    )
     _add_chaos_config_args(obs_report)
     obs_report.set_defaults(func=_cmd_obs_report)
 
@@ -813,10 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_timeline.add_argument("--scenario", default="bandwidth_collapse")
     obs_timeline.add_argument("--seed", type=int, default=1)
-    obs_timeline.add_argument(
-        "--events",
-        help="load an event-log JSONL file instead of running a scenario",
-    )
     obs_timeline.add_argument(
         "--json", action="store_true", help="print the timeline as JSON"
     )
@@ -854,10 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
         "show",
         help="render per-decision trace trees as a text waterfall",
     )
-    trace_show.add_argument(
-        "--events",
-        help="load an event-log JSONL file instead of running a scenario",
-    )
     trace_show.add_argument("--scenario", default="bandwidth_collapse")
     trace_show.add_argument("--seed", type=int, default=1)
     trace_show.add_argument(
@@ -866,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_show.add_argument(
         "--cid",
         help="show one decision: its waterfall, its source and its KMR "
-        "iterations replayed from the Problem it solved (needs --scenario)",
+        "iterations replayed from the Problem it solved",
     )
     trace_show.add_argument(
         "--limit", type=int, default=10,
@@ -878,10 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_export = trace_sub.add_parser(
         "export",
         help="export trace trees as Chrome trace-event JSON (Perfetto)",
-    )
-    trace_export.add_argument(
-        "--events",
-        help="load an event-log JSONL file instead of running a scenario",
     )
     trace_export.add_argument("--scenario", default="bandwidth_collapse")
     trace_export.add_argument("--seed", type=int, default=1)
@@ -895,10 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_profile = trace_sub.add_parser(
         "profile",
         help="print the per-stage latency table of the trace trees",
-    )
-    trace_profile.add_argument(
-        "--events",
-        help="load an event-log JSONL file instead of running a scenario",
     )
     trace_profile.add_argument("--scenario", default="bandwidth_collapse")
     trace_profile.add_argument("--seed", type=int, default=1)

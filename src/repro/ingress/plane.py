@@ -59,7 +59,6 @@ from ..obs.tracing.tree import (
     STAGE_SOLVE,
     StageSpan,
 )
-from ..placement.loadmodel import meeting_cost
 from .aio import SimRuntime
 from .events import (
     KIND_JOIN,
@@ -81,15 +80,12 @@ OUTCOME_SHED = "shed"
 SHED_OVERFLOW = "overflow"
 SHED_ADMISSION = "admission"
 
-#: Virtual executor pacing, not a latency prediction: how long a decision
-#: holds an executor slot in *virtual* time, which fixes decision order,
-#: ``decisions_digest`` and ``ingress.virtual_latency_p95``.  The measured wall-clock slope is
-#: ``placement.sec_per_cost_fit`` in ``bench/`` (2.2e-5 - 8.1e-5 s/cost);
-#: refitting or deleting these re-baselines every digest.
-PACING_S_PER_COST = 1e-6
-#: Floor on the virtual service time (every solve takes > 0 time, so
-#: in-flight solves genuinely overlap with ingestion).
-PACING_FLOOR_S = 0.002
+#: Virtual executor pacing, not a latency prediction: how long a cluster
+#: decision holds an executor slot in *virtual* time, which fixes decision
+#: order, ``decisions_digest`` and ``ingress.virtual_latency_p95``.  Every
+#: solve takes > 0 time, so in-flight solves genuinely overlap with
+#: ingestion; changing it re-baselines every digest.
+SERVICE_S = 0.002
 
 
 @dataclass
@@ -324,7 +320,7 @@ class ClusterBackend(IngressBackend):
         return self.world.current_problem(meeting)
 
     def service_s(self, meeting: str, payload: object) -> float:
-        return max(PACING_FLOOR_S, meeting_cost(payload) * PACING_S_PER_COST)
+        return SERVICE_S
 
     def backpressure_window_s(
         self, meeting: str, depth: int, capacity: int

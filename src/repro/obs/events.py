@@ -25,21 +25,22 @@ Design constraints mirror the registry's:
 
 The JSONL schema (``repro.events/v1``) is one object per line: a
 ``{"record": "meta", ...}`` header, then one ``{"record": "event", ...}``
-object per retained event.  ``docs/OBSERVABILITY.md`` documents the
-schema and every built-in event kind.
+object per retained event (``repro trace record --out``).  It is an
+export, never read back: every query replays the seeded run it names.
+``docs/OBSERVABILITY.md`` documents the schema and every built-in event
+kind.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Deque, Dict, Iterator, List, Optional, Union
 
 from . import names as obs_names
 from .registry import get_registry
@@ -47,7 +48,10 @@ from .registry import get_registry
 #: Schema identifier stamped into every event-log header.
 EVENTS_SCHEMA = "repro.events/v1"
 
-#: Default ring-buffer capacity.
+#: Default ring-buffer capacity.  It holds every CI chaos run whole and
+#: bounds the traced ``fleet_mix_obs`` bench round, whose throughput and
+#: peak RSS an unbounded ring costs (``docs/OBSERVABILITY.md``, "Sizing
+#: the ring").
 DEFAULT_CAPACITY = 8192
 
 # --------------------------------------------------------------------- #
@@ -132,30 +136,6 @@ class Event:
             "shard": self.shard,
             "attrs": {k: self.attrs[k] for k in sorted(self.attrs)},
         }
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, object]) -> "Event":
-        """Decode one event row; ``ValueError`` names a missing or
-        mistyped field."""
-        t, seq, kind = row.get("t"), row.get("seq"), row.get("kind")
-        attrs = row.get("attrs", {})
-        if type(t) not in (int, float) or not math.isfinite(t):
-            raise ValueError(f"event 't' must be a finite number, got {t!r}")
-        if type(seq) is not int:
-            raise ValueError(f"event 'seq' must be an integer, got {seq!r}")
-        if not isinstance(kind, str):
-            raise ValueError(f"event 'kind' must be a string, got {kind!r}")
-        if not isinstance(attrs, dict):
-            raise ValueError(f"event 'attrs' must be an object, got {attrs!r}")
-        return cls(
-            t=float(t),
-            seq=seq,
-            kind=kind,
-            meeting=str(row.get("meeting", "")),
-            cid=str(row.get("cid", "")),
-            shard=str(row.get("shard", "")),
-            attrs=dict(attrs),
-        )
 
 
 @dataclass
@@ -303,53 +283,6 @@ class EventLog:
     def digest(self) -> str:
         """SHA-256 over the canonical JSONL encoding (determinism checks)."""
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_jsonl_lines(cls, lines: Iterable[str]) -> "EventLog":
-        """Reconstruct a log from its JSONL encoding (round-trips).
-
-        Raises ``ValueError`` (naming the line) for a line that is not a
-        JSON object, a header of another schema or with non-integer
-        counts, and an event row :meth:`Event.from_dict` refuses.
-        """
-        header: Dict[str, object] = {}
-        events: List[Event] = []
-        for number, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ValueError("not a JSON object")
-                if row.get("record") == "meta":
-                    if row.get("schema") != EVENTS_SCHEMA:
-                        raise ValueError(
-                            f"unsupported event schema {row.get('schema')!r}"
-                        )
-                    for key in ("emitted", "dropped"):
-                        value = row.get(key, 0)
-                        if type(value) is not int:
-                            raise ValueError(
-                                f"header {key!r} must be an integer, "
-                                f"got {value!r}"
-                            )
-                    header = row
-                elif row.get("record") == "event":
-                    events.append(Event.from_dict(row))
-            except ValueError as exc:
-                raise ValueError(f"line {number}: {exc}") from None
-        log = cls(capacity=max(DEFAULT_CAPACITY, len(events) or 1))
-        for event in events:
-            log._events.append(event)
-        log._seq = (events[-1].seq + 1) if events else 0
-        log.stats.emitted = header.get("emitted", len(events))
-        log.stats.dropped = header.get("dropped", 0)
-        return log
-
-    @classmethod
-    def read_jsonl(cls, path: Union[str, Path]) -> "EventLog":
-        return cls.from_jsonl_lines(Path(path).read_text().splitlines())
 
 
 # --------------------------------------------------------------------- #

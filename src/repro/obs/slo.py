@@ -323,8 +323,8 @@ def evaluate_slos(
         duration_s: run length in simulated seconds.
         iteration_ratio_max: the run's largest KMR iterations-to-bound
             ratio.
-        stage_latencies: per-stage ``(start_s, duration_s)`` samples from
-            the trace plane (``TraceAssembler.stage_latencies``).
+        stage_latencies: per-stage ``(start_s, duration_s)`` samples of
+            the plane's decisions (``ChaosRunner.stage_latencies``).
         registry: live registry for the wall-clock latency measure.
 
     A row whose input is missing gets a SKIP verdict.  Each verdict

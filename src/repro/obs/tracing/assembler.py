@@ -1,7 +1,7 @@
 """Batch trace assembly: event log -> per-meeting trace trees.
 
-The assembler consumes a ``repro.events/v1`` log (a run's, or one
-replayed from JSONL) and groups its events into
+The assembler consumes a run's ``repro.events/v1`` log (or one
+meeting's share of it) and groups its events into
 :class:`~.tree.TraceTree` instances by correlation id.  Three linking
 rules build the tree structure:
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from .. import names as obs_names
 from .. import spans
@@ -206,22 +206,6 @@ class TraceAssembler:
             out.extend(self._done.get(name, ()))
         out.sort(key=lambda tr: (tr.meeting, tr.opened_at_s, tr.root.seq))
         return out
-
-    def stage_latencies(
-        self,
-    ) -> Dict[str, List[Tuple[float, float]]]:
-        """Per-stage ``(start_s, duration_s)`` samples across every
-        decision tree (for SLO stage-budget objectives)."""
-        out: Dict[str, List[Tuple[float, float]]] = {}
-        for tree in self.trees():
-            for node in tree.walk():
-                for span in node.critical_path():
-                    out.setdefault(span.stage, []).append(
-                        (span.start_s, span.duration_s)
-                    )
-        for samples in out.values():
-            samples.sort()
-        return dict(sorted(out.items()))
 
     # -- canonical encoding ---------------------------------------------------- #
 

@@ -1,5 +1,5 @@
-"""The deterministic per-meeting solve-cost estimate the ingress plane
-paces decisions on (:func:`~repro.placement.loadmodel.meeting_cost`)."""
+"""The structural per-meeting cost ``bench/`` fits measured solve time
+against (:func:`~repro.placement.loadmodel.meeting_cost`)."""
 
 from .loadmodel import meeting_cost
 

@@ -76,6 +76,35 @@ class TestTwccReceiver:
         assert seqs[1] == -1 and seqs[2] == -1
         assert seqs[3] == 20_000
 
+    def test_arrivals_past_the_32_bit_wrap(self):
+        # int(t * 1e6) leaves the signed 32-bit field at t = 2,147.48 s.
+        tx, rx = TwccSender(), TwccReceiver()
+        arrivals = []
+        for k in range(41):
+            now = 2147.0 + 0.05 * k  # 2,147 s -> 2,149 s
+            seq = tx.register_send(1200, now - 0.03)
+            rx.on_packet(seq, now)
+            if k % 10 == 9:
+                fb = TwccFeedback.parse(rx.build_feedback().serialize())
+                arrivals += [s.arrival_time_s for s in tx.on_feedback(fb)]
+        assert len(arrivals) == 40
+        assert arrivals == sorted(set(arrivals))
+        assert arrivals[-1] == pytest.approx(2147.0 + 0.05 * 39)
+
+    def test_a_lost_packet_past_the_wrap_stays_lost(self):
+        tx, rx = TwccSender(), TwccReceiver()
+        for now in (2148.0, 2148.1, 2148.2):
+            tx.register_send(1200, now - 0.03)
+        rx.on_packet(0, 2148.0)
+        rx.on_packet(2, 2148.2)  # seq 1 never arrived
+        fb = rx.build_feedback()
+        assert fb.arrivals[1] == (1, -1)
+        samples = tx.on_feedback(fb)
+        assert [s.arrival_time_s for s in samples] == [
+            pytest.approx(2148.0), pytest.approx(2148.2)
+        ]
+        assert tx.lost_reported == 1
+
 
 class TestPacer:
     def make(self, target=1000, **cfg):

@@ -7,7 +7,13 @@ The plane attributes each decision's critical-path stages at commit
   query-time view assembled from the event log, on every scenario;
 * it covers the whole run, where the event-log ring keeps only the tail
   of a long one.
+
+``repro trace show --cid`` assembles only its decision's meeting: trees
+never cross meetings, so that meeting's events alone assemble the same
+trees.
 """
+
+import functools
 
 import pytest
 
@@ -23,6 +29,11 @@ def _run(scenario, **config):
     )
     runner.run()
     return runner
+
+
+@functools.lru_cache(maxsize=None)
+def _default_run(scenario, seed):
+    return _run(scenario, seed=seed)
 
 
 def _assert_plane_matches_trees(runner):
@@ -44,7 +55,23 @@ def _assert_plane_matches_trees(runner):
     "scenario", [s.name for s in list_scenarios()]
 )
 def test_plane_attribution_equals_the_trees(scenario, seed):
-    _assert_plane_matches_trees(_run(scenario, seed=seed))
+    _assert_plane_matches_trees(_default_run(scenario, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "scenario", [s.name for s in list_scenarios()]
+)
+def test_one_meeting_assembles_its_own_trees(scenario, seed):
+    log = _default_run(scenario, seed).events
+    whole = assemble_trees(log.events)
+    meetings = sorted({e.meeting for e in log.events} - {""})
+    assert meetings
+    for meeting in meetings:
+        alone = assemble_trees(log.for_meeting(meeting)).trees()
+        assert [t.to_dict() for t in alone] == [
+            t.to_dict() for t in whole.trees(meeting)
+        ], meeting
 
 
 def test_time_triggered_decisions_match_their_trees():

@@ -170,17 +170,22 @@ class TestObsReport:
         assert payload["events"]["emitted"] > 0
         assert payload["chaos"]["ok"] is True
 
-    def test_events_out_writes_jsonl(self, tmp_path, capsys):
+    def test_trace_record_writes_the_reported_log(self, tmp_path, capsys):
+        # ``trace record --out`` is the one JSONL export of a run.
+        rc = main(["obs", "report", "--json", "--seed", "2"] + CHAOS_ARGS)
+        assert rc == 0
+        events = json.loads(capsys.readouterr().out)["events"]
         target = tmp_path / "events.jsonl"
         rc = main(
-            ["obs", "report", "--events-out", str(target), "--seed", "2"]
+            ["trace", "record", "--out", str(target), "--seed", "2"]
             + CHAOS_ARGS
         )
         assert rc == 0
-        from repro.obs import EventLog
-
-        log = EventLog.read_jsonl(target)
-        assert len(log) > 0
+        rows = [json.loads(line) for line in target.read_text().splitlines()]
+        assert rows[0]["record"] == "meta"
+        assert rows[0]["schema"] == events["schema"]
+        assert rows[0]["emitted"] == events["emitted"]
+        assert len(rows) - 1 == events["retained"] > 0
 
     def test_unknown_scenario_errors(self, capsys):
         rc = main(["obs", "report", "--scenario", "bogus"])
@@ -213,73 +218,10 @@ class TestObsTimeline:
         assert payload["chains"]
         assert payload["chains"][0]["kinds"][0] == "ingress_enqueued"
 
-    def test_timeline_from_events_file(self, tmp_path, capsys):
-        target = tmp_path / "events.jsonl"
-        main(
-            ["obs", "report", "--events-out", str(target), "--seed", "1"]
-            + CHAOS_ARGS
-        )
-        capsys.readouterr()
-        rc = main(
-            ["obs", "timeline", "chaos-1", "--events", str(target)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "chaos-1" in out
-        assert "ingress_enqueued" in out
-
     def test_unknown_meeting_prints_no_events(self, capsys):
         rc = main(["obs", "timeline", "ghost", "--seed", "1"] + CHAOS_ARGS)
         assert rc == 0
         assert "no events" in capsys.readouterr().out
-
-    def test_unreadable_events_file_errors_cleanly(self, tmp_path, capsys):
-        rc = main(
-            ["obs", "timeline", "m", "--events", str(tmp_path / "nope")]
-        )
-        assert rc == 2
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_bad_schema_events_file_errors_cleanly(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"record":"meta","schema":"bogus/v9"}\n')
-        rc = main(["obs", "timeline", "m", "--events", str(bad)])
-        assert rc == 2
-        assert "unsupported event schema" in capsys.readouterr().err
-
-
-#: Event files every ``--events`` command must refuse with exit 2.
-MALFORMED_EVENTS = {
-    "missing_t": '{"record":"event","kind":"x"}\n',
-    "not_an_object": "[1,2]\n",
-    "string_seq": '{"record":"event","t":1.0,"seq":"1","kind":"x"}\n',
-    "list_attrs": '{"record":"event","t":1.0,"seq":0,"kind":"x","attrs":[]}\n',
-    "not_json": "{oops\n",
-}
-
-
-class TestMalformedEventFiles:
-    @pytest.mark.parametrize("case", sorted(MALFORMED_EVENTS))
-    @pytest.mark.parametrize(
-        "command, prefix",
-        [
-            (["obs", "timeline", "m"], "repro obs: "),
-            (["trace", "show"], "repro trace: "),
-            (["trace", "export", "--out", "unused.json"], "repro trace: "),
-            (["trace", "profile"], "repro trace: "),
-        ],
-    )
-    def test_exits_2_with_one_line_error(
-        self, tmp_path, capsys, case, command, prefix
-    ):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(MALFORMED_EVENTS[case])
-        rc = main(command + ["--events", str(bad)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(prefix)
-        assert err.count("\n") == 1
-        assert "line 1" in err
 
 
 class TestClosedStdout:

@@ -400,3 +400,34 @@ class TestNoDeletedSurface:
             if token in path.read_text()
         ]
         assert not stale, f"names of the deleted second paths: {stale}"
+
+    #: Queries replay the seeded run they name: the event-file reader, its
+    #: second writer, the second stage attribution, and the cost-paced
+    #: service time (every decision holds one constant ``SERVICE_S``).
+    RETENTION_GONE = (
+        "read_jsonl",
+        "from_jsonl_lines",
+        "Event.from_dict",
+        "--events-out",
+        "--events FILE",
+        "TraceAssembler.stage_latencies",
+        "PACING_S_PER_COST",
+        "PACING_FLOOR_S",
+    )
+
+    def test_no_file_names_the_event_file_reader(self):
+        texts = [
+            *sorted((ROOT / "src").rglob("*.py")),
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / "README.md",
+            ROOT / "DESIGN.md",
+            ROOT / "EXPERIMENTS.md",
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ]
+        stale = [
+            (str(path.relative_to(ROOT)), token)
+            for path in texts
+            for token in self.RETENTION_GONE
+            if token in path.read_text()
+        ]
+        assert not stale, f"names of the deleted event-file reader: {stale}"

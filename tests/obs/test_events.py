@@ -1,5 +1,5 @@
 """Tests for the structured event log: emission, correlation ids, ring
-eviction, JSONL round-trips, and byte-identical seeded chaos runs."""
+eviction, the JSONL export, and byte-identical seeded chaos runs."""
 
 import json
 
@@ -32,14 +32,6 @@ class TestEventEncoding:
         assert row["record"] == "event"
         assert row["t"] == 1.234568
         assert list(row["attrs"]) == ["alpha", "zeta"]
-
-    def test_round_trip(self):
-        event = Event(
-            t=2.5, seq=0, kind=TMMBR_PUSH, meeting="m", cid="m#2",
-            shard="s1", attrs={"publishers": 4},
-        )
-        again = Event.from_dict(json.loads(json.dumps(event.to_dict())))
-        assert again == event
 
 
 class TestEventLog:
@@ -87,7 +79,7 @@ class TestEventLog:
         assert snap[names.EVENTS_DROPPED] == 1
 
 
-class TestJsonlRoundTrip:
+class TestJsonlExport:
     def _sample(self) -> EventLog:
         log = EventLog()
         cid = log.mint("m")
@@ -104,59 +96,13 @@ class TestJsonlRoundTrip:
         assert header["schema"] == EVENTS_SCHEMA
         assert header["events"] == 3
 
-    def test_round_trip_is_byte_identical(self):
-        log = self._sample()
-        again = EventLog.from_jsonl_lines(log.to_jsonl_lines())
-        assert again.to_jsonl() == log.to_jsonl()
-        assert again.digest() == log.digest()
-        assert again.emitted == log.emitted
-
-    def test_read_write_file(self, tmp_path):
+    def test_write_file(self, tmp_path):
         log = self._sample()
         path = log.write_jsonl(tmp_path / "events.jsonl")
-        again = EventLog.read_jsonl(path)
-        assert again.to_jsonl() == log.to_jsonl()
-
-    def test_rejects_unknown_schema(self):
-        line = json.dumps({"record": "meta", "schema": "bogus/v9"})
-        with pytest.raises(ValueError):
-            EventLog.from_jsonl_lines([line])
-
-    @pytest.mark.parametrize(
-        "row",
-        [
-            [1, 2],
-            "text",
-            7,
-            None,
-            {"record": "event", "kind": "x"},
-            {"record": "event", "t": 1.0, "kind": "x"},
-            {"record": "event", "t": 1.0, "seq": 0},
-            {"record": "event", "t": "1.0", "seq": 0, "kind": "x"},
-            {"record": "event", "t": True, "seq": 0, "kind": "x"},
-            {"record": "event", "t": 1.0, "seq": 1.5, "kind": "x"},
-            {"record": "event", "t": 1.0, "seq": "0", "kind": "x"},
-            {"record": "event", "t": 1.0, "seq": 0, "kind": 3},
-            {"record": "event", "t": 1.0, "seq": 0, "kind": "x",
-             "attrs": [1]},
-            {"record": "event", "t": 1.0, "seq": 0, "kind": "x",
-             "attrs": "a=1"},
-            {"record": "meta", "schema": EVENTS_SCHEMA, "emitted": [1]},
-        ],
-    )
-    def test_rejects_malformed_rows_naming_the_line(self, row):
-        good = self._sample().to_jsonl_lines()
-        with pytest.raises(ValueError, match=rf"^line {len(good) + 1}: "):
-            EventLog.from_jsonl_lines(good + [json.dumps(row)])
-
-    def test_rejects_a_line_that_is_not_json(self):
-        with pytest.raises(ValueError, match="^line 1: "):
-            EventLog.from_jsonl_lines(["{oops"])
-
-    def test_rejects_non_finite_time(self):
-        row = {"record": "event", "t": float("nan"), "seq": 0, "kind": "x"}
-        with pytest.raises(ValueError, match="finite"):
-            EventLog.from_jsonl_lines([json.dumps(row)])
+        assert path.read_text() == log.to_jsonl()
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows[0] == log.header_dict()
+        assert rows[1:] == [e.to_dict() for e in log.events]
 
     def test_digest_changes_with_content(self):
         log = self._sample()

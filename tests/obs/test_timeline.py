@@ -3,7 +3,9 @@ the end-to-end acceptance path: a bandwidth-collapse chaos run whose
 per-meeting timeline reads SEMB report -> solve -> TMMBR push ->
 subscription change under one correlation id."""
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -138,20 +140,30 @@ class TestReport:
     """``repro obs report``: the run report plus the event log."""
 
     def test_report_dict_includes_event_stats(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        rc = main(["obs", "report", "--json", "--scenario", "healthy",
-                   "--events-out", str(events)] + SMALL)
+        rc = main(["obs", "report", "--json", "--scenario", "healthy"]
+                  + SMALL)
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        log = EventLog.read_jsonl(events)
+        events = tmp_path / "events.jsonl"
+        rc = main(["trace", "record", "--scenario", "healthy",
+                   "--out", str(events)] + SMALL)
+        assert rc == 0
+        capsys.readouterr()
+        header, *rows = [
+            json.loads(line) for line in events.read_text().splitlines()
+        ]
         assert out["scenario"] == "healthy"
         assert out["seed"] == 1
         assert out["slo_ok"] is True
         assert [v["name"] for v in out["slo"]] == [s.name for s in SLOS]
-        assert out["events"]["emitted"] == log.emitted
-        assert out["events"]["retained"] == len(log)
-        assert out["events"]["kinds"] == log.kinds()
-        assert out["events"]["digest"] == log.digest()
+        assert out["events"]["emitted"] == header["emitted"]
+        assert out["events"]["retained"] == len(rows)
+        assert out["events"]["kinds"] == dict(
+            sorted(Counter(row["kind"] for row in rows).items())
+        )
+        assert out["events"]["digest"] == hashlib.sha256(
+            events.read_bytes()
+        ).hexdigest()
         assert out["chaos"]["ok"] is True
 
     def test_report_dict_flags_failures(self, capsys):

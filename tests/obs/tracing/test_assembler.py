@@ -199,22 +199,3 @@ class TestRegistryCounters:
                 obs_names.SPAN_SECONDS, span=obs_names.SPAN_TRACE_ASSEMBLE
             )
             assert hist.count == 1
-
-
-class TestStageLatencies:
-    def test_samples_cover_every_walked_span(self):
-        events = decision_chain()
-        events += [
-            ev(5.0, ek.TIME_TRIGGER, cid="m0#2", parent_cid="m0#1"),
-            ev(5.2, ek.TMMBR_PUSH, cid="m0#2"),
-        ]
-        traces = assemble_trees(events)
-        samples = traces.stage_latencies()
-        span_count = sum(
-            len(node.critical_path())
-            for tree in traces.trees()
-            for node in tree.walk()
-        )
-        assert sum(len(v) for v in samples.values()) == span_count
-        for stage_samples in samples.values():
-            assert stage_samples == sorted(stage_samples)

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.events import EventLog
+from repro.obs.events import Event
 from repro.obs.tracing import ALL_STAGES, assemble_trees
 
 SMALL = ["--meetings", "2", "--duration", "6", "--seed", "3"]
@@ -28,8 +28,23 @@ class TestParser:
         args = build_parser().parse_args(["trace", "show"])
         assert args.limit == 10
         assert args.meeting is None
-        assert args.events is None
         assert args.cid is None
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["obs", "timeline", "m", "--events", "e.jsonl"],
+            ["obs", "report", "--events-out", "e.jsonl"],
+            ["trace", "show", "--events", "e.jsonl"],
+            ["trace", "export", "--events", "e.jsonl"],
+            ["trace", "profile", "--events", "e.jsonl"],
+        ],
+    )
+    def test_no_command_reads_or_saves_a_second_event_file(self, command):
+        # Queries replay the seeded run; ``trace record --out`` is the
+        # one export.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command)
 
 
 class TestRecord:
@@ -66,21 +81,12 @@ class TestRecord:
 
 
 class TestShow:
-    def test_waterfall_from_recorded_events(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        main(["trace", "record", "--out", str(events)] + SMALL)
-        capsys.readouterr()
-        rc = main(["trace", "show", "--events", str(events), "--limit", "3"])
+    def test_waterfall_of_the_replayed_run(self, capsys):
+        rc = main(["trace", "show", "--limit", "3"] + SMALL)
         assert rc == 0
         out = capsys.readouterr().out
         assert "trace waterfall" in out
         assert "#" in out
-
-    def test_missing_events_file_fails_cleanly(self, tmp_path, capsys):
-        rc = main(
-            ["trace", "show", "--events", str(tmp_path / "missing.jsonl")]
-        )
-        assert rc == 2
 
 
 class TestShowDecision:
@@ -127,18 +133,46 @@ class TestShowDecision:
         assert captured.err.count("\n") == 1
         assert "chaos-0#9999" in captured.err
 
-    def test_cid_with_an_events_file_exits_2(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        main(["trace", "record", "--out", str(events)] + SMALL)
-        capsys.readouterr()
-        rc = main(
-            ["trace", "show", "--cid", "chaos-0#1", "--events", str(events)]
+
+class TestLongRun:
+    """32 meetings for 120 s emit more events than the ring holds."""
+
+    RUN = [
+        "--scenario", "healthy", "--seed", "1",
+        "--meetings", "32", "--duration", "120",
+    ]
+
+    def test_profile_counts_every_decision(self, capsys):
+        from repro.chaos import ChaosConfig, ChaosRunner, get_scenario
+
+        config = ChaosConfig(seed=1, meetings=32, duration_s=120.0)
+        runner = ChaosRunner(
+            config, get_scenario("healthy").build(1, config),
+            scenario="healthy",
         )
+        runner.run()
+        assert runner.events.dropped > 0
+        decisions = runner.plane.decisions
+        assert main(["trace", "profile", "--json"] + self.RUN) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert {s: row["count"] for s, row in table.items()} == {
+            "delivery": len(decisions),
+            "mailbox_dwell": sum(d.trigger == "event" for d in decisions),
+            "solve": len(decisions),
+        }
+
+    # chaos-0#1's chain is gone whole; chaos-28#36 lost its enqueue, so
+    # its tree would draw a truncated waterfall.
+    @pytest.mark.parametrize("cid", ["chaos-0#1", "chaos-28#36"])
+    def test_an_evicted_chain_exits_2_naming_the_ring(self, capsys, cid):
+        rc = main(["trace", "show", "--cid", cid] + self.RUN)
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "--events" in captured.err
+        assert captured.err.startswith("repro trace: ")
+        assert "8192-event ring" in captured.err
+        assert repr(cid) in captured.err
 
 
 class TestExport:
@@ -163,10 +197,17 @@ class TestProfile:
         log = tmp_path / "events.jsonl"
         assert main(["trace", "record", "--out", str(log)] + SMALL) == 0
         capsys.readouterr()
-        rc = main(["trace", "profile", "--json", "--events", str(log)])
+        rc = main(["trace", "profile", "--json"] + SMALL)
         assert rc == 0
         table = json.loads(capsys.readouterr().out)
-        trees = assemble_trees(EventLog.read_jsonl(log).events).trees()
+        # The recorded log holds the whole run: its trees' critical
+        # paths are the decisions the profile tabulates.
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        assert rows[0]["dropped"] == 0
+        trees = assemble_trees(
+            Event(**{k: v for k, v in row.items() if k != "record"})
+            for row in rows[1:]
+        ).trees()
         spans = Counter(
             span.stage
             for tree in trees
