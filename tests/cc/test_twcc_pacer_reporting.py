@@ -105,6 +105,29 @@ class TestTwccReceiver:
         ]
         assert tx.lost_reported == 1
 
+    @pytest.mark.parametrize(
+        "start", [0.0, 2147.45, 3000.0, 4294.95, 10_000.0]
+    )
+    def test_a_sender_unwraps_arrivals_in_every_period(self, start):
+        # A sender that starts past a wrap places its first arrival too.
+        tx, rx = TwccSender(), TwccReceiver()
+        times = [start + 0.02 * k for k in range(6)]
+        for now in times:
+            rx.on_packet(tx.register_send(1200, now - 0.03), now)
+        fb = TwccFeedback.parse(rx.build_feedback().serialize())
+        samples = tx.on_feedback(fb)
+        assert [s.arrival_time_s for s in samples] == [
+            pytest.approx(now, abs=1e-6) for now in times
+        ]
+
+    def test_below_the_wrap_the_wire_carries_absolute_microseconds(self):
+        rx = TwccReceiver()
+        times = [0.0, 1.5, 2147.0, 2147.483647]
+        for seq, now in enumerate(times):
+            rx.on_packet(seq, now)
+        fb = rx.build_feedback()
+        assert [us for _, us in fb.arrivals] == [int(t * 1e6) for t in times]
+
 
 class TestPacer:
     def make(self, target=1000, **cfg):

@@ -74,6 +74,26 @@ def test_one_meeting_assembles_its_own_trees(scenario, seed):
         ], meeting
 
 
+@pytest.mark.parametrize(
+    "scenario", [s.name for s in list_scenarios()]
+)
+def test_stage_latencies_are_every_decisions_stages(scenario):
+    # What the stage budgets judge and ``repro trace profile`` tabulates.
+    runner = _default_run(scenario, 1)
+    samples = runner.stage_latencies()
+    assert list(samples) == sorted(samples)
+    expected = {}
+    for decision in runner.plane.decisions:
+        for stage_span in decision.stages():
+            expected.setdefault(stage_span.stage, []).append(
+                (stage_span.start_s, stage_span.duration_s)
+            )
+    assert samples == expected
+    assert sum(map(len, samples.values())) == sum(
+        len(d.stages()) for d in runner.plane.decisions
+    ) > 0
+
+
 def test_time_triggered_decisions_match_their_trees():
     runner = _run(
         "kitchen_sink", seed=1, meetings=12, duration_s=40.0,
