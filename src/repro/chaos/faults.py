@@ -28,11 +28,12 @@ KILL_SHARD = "kill_shard"
 RESTART_SHARD = "restart_shard"
 #: Grow the ring by a brand-new shard.
 ADD_SHARD = "add_shard"
-#: Lose a meeting's SEMB (RTCP APP-204) report: the pending solve demand
-#: evaporates; ``factor`` further reports are suppressed at the source.
+#: Lose a meeting's SEMB (RTCP APP-204) reports on the wire for ``factor``
+#: report intervals (at least one): the pending solve demand evaporates.
 DROP_REPORT = "drop_report"
-#: Delay a meeting's SEMB report by ``factor`` seconds (control-channel
-#: congestion): pending demand is deferred, the next report arrives late.
+#: Delay the meeting's SEMB reports of the next report interval by
+#: ``factor`` intervals (at least one; control-channel congestion):
+#: pending demand is deferred, the reports arrive late.
 DELAY_REPORT = "delay_report"
 #: Lose the TMMBR configuration push to a meeting's clients: the solved
 #: configuration is computed but never applied; the next delivery heals.
@@ -96,8 +97,8 @@ class Fault:
             meeting; ``""`` picks deterministically (lexicographically
             first for collapses, last joiner for leaves).
         factor: kind-dependent magnitude — bandwidth scale for collapses,
-            delay seconds for :data:`DELAY_REPORT`, suppressed-report
-            count for :data:`DROP_REPORT`, version age for
+            report intervals of hold for :data:`DELAY_REPORT` and of
+            loss for :data:`DROP_REPORT`, version age for
             :data:`STALE_SNAPSHOT`.
     """
 

@@ -8,10 +8,12 @@
   (every meeting's jittered SEMB reports plus its link, subscription
   and churn mutations) goes through the plane's mailboxes, decision
   windows and executor;
+* the runner is the network between the clients and the plane: it
+  schedules each stream event's arrival and offers it to the plane then;
 * each fault enters where it would in production (``docs/RESILIENCE.md``):
   bandwidth and membership faults as stream events offered at the fault
-  time, lost and delayed reports as
-  :class:`~repro.ingress.faults.StreamFault` windows, lost TMMBR pushes,
+  time, lost and delayed reports at that arrival (a :class:`ReportWindow`
+  drops or holds them before the plane sees them), lost TMMBR pushes,
   stale snapshots and solver crashes through :class:`ChaosBackend` and
   ``solve_interceptor``, shard death and growth as simulator actions;
 * the :class:`~repro.chaos.world.ChaosWorld` supplies the meeting
@@ -26,8 +28,8 @@ digest is byte-identical across runs of the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..cluster import ClusterConfig, ControllerCluster
 from ..cluster.cluster import (
@@ -41,17 +43,13 @@ from ..core.solution import Solution, solution_digest
 from ..core.solver import SolverConfig
 from ..ingress.aio import SimRuntime
 from ..ingress.events import (
+    KIND_SEMB,
     LinkEstimate,
     PublisherJoin,
     PublisherLeave,
     StreamConfig,
+    StreamEvent,
     generate_stream,
-)
-from ..ingress.faults import (
-    DELAY_SEMB,
-    DROP_SEMB,
-    StreamFault,
-    StreamFaultInjector,
 )
 from ..ingress.plane import BackendDecision, ClusterBackend, IngressPlane
 from ..net.simulator import PeriodicTask
@@ -72,42 +70,65 @@ class InjectedSolverFault(RuntimeError):
     """Raised by the solve interceptor for a poisoned meeting."""
 
 
-def stream_faults(
-    schedule: FaultSchedule,
-    report_interval_s: float = 1.0,
-    default_meeting: str = "",
-) -> List[StreamFault]:
-    """The feedback-path faults of a timeline, as stream fault windows.
+#: ``fault`` values of the ``fault_injected`` event a report window
+#: logs for each report it drops or holds.
+DROP_SEMB = "drop_semb"
+DELAY_SEMB = "delay_semb"
 
-    ``drop_report`` becomes a :data:`DROP_SEMB` window of ``factor``
-    report intervals, ``delay_report`` a :data:`DELAY_SEMB` hold of
-    ``factor`` intervals on the next report; every other kind enters the
-    loop elsewhere.  A fault without a target hits ``default_meeting``
-    ("" = every meeting).
+
+class ReportWindow(NamedTuple):
+    """One feedback fault on the wire: ``meeting``'s SEMB reports stamped
+    in ``[start_s, end_s)`` are dropped (``delay_s == 0``) or held
+    ``delay_s`` seconds."""
+
+    meeting: str
+    start_s: float
+    end_s: float
+    delay_s: float = 0.0
+
+
+def report_windows(
+    schedule: FaultSchedule, report_interval_s: float, default_meeting: str
+) -> List[ReportWindow]:
+    """The feedback-path faults of a timeline, as report windows.
+
+    ``drop_report`` drops ``factor`` report intervals of reports,
+    ``delay_report`` holds the next interval's reports ``factor``
+    intervals; every other kind enters the loop elsewhere.  A fault
+    without a target hits ``default_meeting``.
     """
-    out: List[StreamFault] = []
+    out: List[ReportWindow] = []
     for fault in schedule.faults:
         factor = max(1.0, fault.factor or 1.0)
+        meeting = fault.target or default_meeting
         if fault.kind == F.DROP_REPORT:
-            out.append(
-                StreamFault(
-                    DROP_SEMB,
-                    meeting=fault.target or default_meeting,
-                    start_s=fault.at_s,
-                    end_s=fault.at_s + factor * report_interval_s,
-                )
-            )
+            out.append(ReportWindow(
+                meeting, fault.at_s, fault.at_s + factor * report_interval_s
+            ))
         elif fault.kind == F.DELAY_REPORT:
-            out.append(
-                StreamFault(
-                    DELAY_SEMB,
-                    meeting=fault.target or default_meeting,
-                    start_s=fault.at_s,
-                    end_s=fault.at_s + report_interval_s,
-                    delay_s=factor * report_interval_s,
-                )
-            )
+            out.append(ReportWindow(
+                meeting, fault.at_s, fault.at_s + report_interval_s,
+                factor * report_interval_s,
+            ))
     return out
+
+
+@dataclass
+class FeedbackStats:
+    """The reports the report windows dropped (per meeting) and held; the
+    metrics registry reads it at snapshot."""
+
+    dropped_by_meeting: Dict[str, int] = field(default_factory=dict)
+    delayed: int = 0
+
+    @property
+    def dropped(self) -> int:
+        return sum(self.dropped_by_meeting.values())
+
+    def samples(self) -> Iterator[tuple]:
+        """The registry's view (``MetricsRegistry.watch``)."""
+        yield obs_names.INGRESS_DROPPED_EVENTS, {}, self.dropped
+        yield obs_names.INGRESS_DELAYED_EVENTS, {}, self.delayed
 
 
 def _assignment_changes(
@@ -252,6 +273,8 @@ class ChaosRunner:
         self.plane = IngressPlane(SimRuntime(), self.backend)
         self.sim = self.plane.runtime.sim
         self.checker = InvariantChecker()
+        self.feedback = FeedbackStats()
+        get_registry().watch(self.feedback.samples)
         self.report = RunReport(
             scenario=self.scenario,
             seed=cfg.seed,
@@ -275,25 +298,24 @@ class ChaosRunner:
                 obs_events.record_events(self.events):
             faults = self.schedule.until(cfg.duration_s)
             self._bootstrap(faults)
-            self.plane.run_stream(
-                generate_stream(
-                    cfg.seed,
-                    self.world,
-                    StreamConfig(
-                        duration_s=cfg.duration_s,
-                        report_interval_s=cfg.report_interval_s,
-                        mutations_per_meeting=cfg.mutations_per_meeting,
-                    ),
-                ),
-                StreamFaultInjector(
-                    stream_faults(
-                        faults,
-                        cfg.report_interval_s,
-                        default_meeting=self.world.meeting_ids[0],
-                    )
-                ),
-                duration_s=cfg.duration_s,
+            self._windows = report_windows(
+                faults, cfg.report_interval_s, self.world.meeting_ids[0]
             )
+            # Arrivals are scheduled in stream order, so equal-time
+            # events reach the plane in stream order.
+            for event in generate_stream(
+                cfg.seed,
+                self.world,
+                StreamConfig(
+                    duration_s=cfg.duration_s,
+                    report_interval_s=cfg.report_interval_s,
+                    mutations_per_meeting=cfg.mutations_per_meeting,
+                ),
+            ):
+                self.sim.schedule_at(
+                    event.at_s, lambda e=event: self._arrive(e)
+                )
+            self.plane.run_stream((), duration_s=cfg.duration_s)
             self._finalize()
         return self.report
 
@@ -326,7 +348,7 @@ class ChaosRunner:
     def _finalize(self) -> None:
         """Closing availability check + per-meeting summaries."""
         self._check_availability()
-        dropped = self.plane.stats.dropped_by_meeting
+        dropped = self.feedback.dropped_by_meeting
         for meeting_id in self.world.meeting_ids:
             record = self.cluster.meeting(meeting_id)
             state = self.world.meeting(meeting_id)
@@ -396,6 +418,37 @@ class ChaosRunner:
             raise InjectedSolverFault(
                 f"injected solver fault for {meeting_id}"
             )
+
+    def _arrive(self, event: StreamEvent) -> None:
+        """One stream event reaches the plane, unless the report windows
+        covering it drop it or hold it for their summed delay (a drop
+        beats every hold)."""
+        holds = [
+            window.delay_s
+            for window in self._windows
+            if event.kind == KIND_SEMB
+            and window.meeting == event.meeting
+            and window.start_s <= event.at_s < window.end_s
+        ]
+        if not holds:
+            self.plane.offer(event)
+            return
+        if 0.0 in holds:
+            drops = self.feedback.dropped_by_meeting
+            drops[event.meeting] = drops.get(event.meeting, 0) + 1
+            attrs = {"fault": DROP_SEMB}
+        else:
+            delay = sum(holds)
+            self.feedback.delayed += 1
+            attrs = {"fault": DELAY_SEMB, "delay_s": round(delay, 6)}
+            self.sim.schedule(delay, lambda: self.plane.offer(event))
+        self.events.emit(
+            obs_events.FAULT_INJECTED,
+            t=self.sim.now,
+            meeting=event.meeting,
+            **attrs,
+            seq=event.seq,
+        )
 
     def _housekeep(self) -> None:
         """Once per report interval: check that every served meeting
@@ -631,5 +684,5 @@ class ChaosRunner:
                 return None
             self._poisoned.discard(meeting_id)
         # DROP_REPORT / DELAY_REPORT windows were armed up front
-        # (``stream_faults``); the fault time only marks the timeline.
+        # (``report_windows``); the fault time only marks the timeline.
         return {"meeting": meeting_id}

@@ -446,7 +446,9 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
             f"{runner.scenario} seed={args.seed} — "
             f"timeline for {args.meeting}"
         )
-        print(obs.format_timeline(events, args.meeting, title=title))
+        print(obs.format_timeline(
+            events, args.meeting, title=title, dropped=runner.events.dropped
+        ))
     return 0
 
 

@@ -7,14 +7,14 @@ Public surface of the subsystem (see ``docs/INGRESS.md``):
 - :mod:`repro.ingress.events` — the typed stream vocabulary and the
   seeded stream generator.
 - :mod:`repro.ingress.mailbox` — per-meeting bounded mailboxes.
-- :mod:`repro.ingress.faults` — delayed/dropped SEMB injected into the
-  event stream itself.
 - :mod:`repro.ingress.plane` — dispatcher, per-meeting workers,
   backpressure ladder and the bounded solve executor, as plain
   simulator callbacks (one timer per stage).
 
 Seeded end-to-end runs of the plane, with invariant checks and a
-canonical report, are :class:`repro.chaos.ChaosRunner`'s job.
+canonical report, are :class:`repro.chaos.ChaosRunner`'s job.  The
+runner also delivers the stream, so a report lost or delayed on the
+wire is its fault to inject: the plane only sees what arrives.
 """
 
 from .aio import SimRuntime
@@ -30,12 +30,6 @@ from .events import (
     SubscriptionChange,
     generate_stream,
     sort_stream,
-)
-from .faults import (
-    DELAY_SEMB,
-    DROP_SEMB,
-    StreamFault,
-    StreamFaultInjector,
 )
 from .mailbox import Envelope, Mailbox
 from .plane import (
@@ -53,8 +47,6 @@ __all__ = [
     "BackendDecision",
     "ClusterBackend",
     "Decision",
-    "DELAY_SEMB",
-    "DROP_SEMB",
     "Envelope",
     "IngressBackend",
     "IngressConfig",
@@ -69,8 +61,6 @@ __all__ = [
     "SimRuntime",
     "StreamConfig",
     "StreamEvent",
-    "StreamFault",
-    "StreamFaultInjector",
     "SubscriptionChange",
     "generate_stream",
     "sort_stream",

@@ -16,7 +16,9 @@ types that stream for the event-driven plane:
 Every event carries ``at_s`` (virtual seconds) and a stream-wide ``seq``
 assigned by the generator, so a stream has one total order even when
 timestamps collide — the same ``(time, sequence)`` discipline the
-simulator heap and :class:`~repro.net.link.FaultyLink` delay buffer use.
+simulator heap uses.  ``at_s`` is when the client sent the event; the
+chaos runner, which delivers the stream, may drop a report or offer it
+to the plane later (``docs/INGRESS.md``, "Stream faults").
 
 :func:`generate_stream` builds a seeded stream against a
 :class:`~repro.chaos.world.ChaosWorld` population.

@@ -6,9 +6,10 @@ out, and every failure degrades to the single-stream fallback (Sec. 7):
 1. **Dispatch.**  Every :class:`~repro.ingress.events.StreamEvent` is
    offered to a per-meeting bounded :class:`~repro.ingress.mailbox.Mailbox`.
    The offer mints a PR 4 correlation id and emits ``ingress_enqueued``;
-   stream faults (:mod:`repro.ingress.faults`) drop or re-schedule the
-   offer before it reaches a mailbox, and an event the backend rejects
-   as malformed is counted, logged and goes no further.
+   an event the backend rejects as malformed is counted, logged and goes
+   no further.  A report lost or held on the wire never reaches the
+   plane, or reaches it late: the chaos runner, which delivers the
+   stream, decides that before it offers.
 2. **Coalesce + backpressure.**  The meeting's worker opens a decision
    window on the first event and holds it
    :func:`~repro.cluster.scheduler.backpressure_window_s` long — the
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..cluster.scheduler import backpressure_window_s
@@ -69,7 +70,6 @@ from .events import (
     RejectedEvent,
     StreamEvent,
 )
-from .faults import DELAY, DROP, StreamFaultInjector
 from .mailbox import Envelope, Mailbox
 
 #: Decision outcomes (the ``source`` values a backend may report, matching
@@ -181,19 +181,12 @@ class PlaneStats:
     #: evicted + still queued``).
     dequeued: int = 0
     evicted: int = 0
-    #: Events a ``drop_semb`` fault window consumed, per meeting.
-    dropped_by_meeting: Dict[str, int] = field(default_factory=dict)
-    delayed: int = 0
     decisions: int = 0
     coalesced: int = 0
     shed_overflow: int = 0
     shed_admission: int = 0
     idle_refreshes: int = 0
     max_mailbox_depth: int = 0
-
-    @property
-    def dropped(self) -> int:
-        return sum(self.dropped_by_meeting.values())
 
     @property
     def shed(self) -> int:
@@ -205,8 +198,6 @@ class PlaneStats:
         yield obs_names.INGRESS_COALESCED, {}, self.coalesced
         yield obs_names.INGRESS_SHED, {"reason": SHED_OVERFLOW}, self.shed_overflow
         yield obs_names.INGRESS_SHED, {"reason": SHED_ADMISSION}, self.shed_admission
-        yield obs_names.INGRESS_DROPPED_EVENTS, {}, self.dropped
-        yield obs_names.INGRESS_DELAYED_EVENTS, {}, self.delayed
 
 
 class IngressBackend:
@@ -401,7 +392,6 @@ class IngressPlane:
         self.stats = PlaneStats()
         get_registry().watch(self.stats.samples)
         self.decisions: List[Decision] = []
-        self.injector: Optional[StreamFaultInjector] = None
         self._workers: Dict[str, _Worker] = {}
         #: Executor slots held, and the admitted jobs waiting for one
         #: (FIFO: a released slot goes to the oldest).
@@ -473,46 +463,9 @@ class IngressPlane:
             )
         return True
 
-    def _offer_faulted(self, event: StreamEvent) -> None:
-        """Dispatcher entry for scheduled stream events (fault-aware)."""
-        now = self.runtime.now
-        disposition, extra = (
-            self.injector.disposition(event)
-            if self.injector is not None
-            else ("deliver", 0.0)
-        )
-        log = obs_events.active_event_log()
-        if disposition == DROP:
-            drops = self.stats.dropped_by_meeting
-            drops[event.meeting] = drops.get(event.meeting, 0) + 1
-            if log is not None:
-                log.emit(
-                    obs_events.FAULT_INJECTED,
-                    t=now,
-                    meeting=event.meeting,
-                    fault="drop_semb",
-                    seq=event.seq,
-                )
-            return
-        if disposition == DELAY:
-            self.stats.delayed += 1
-            if log is not None:
-                log.emit(
-                    obs_events.FAULT_INJECTED,
-                    t=now,
-                    meeting=event.meeting,
-                    fault="delay_semb",
-                    delay_s=round(extra, 6),
-                    seq=event.seq,
-                )
-            self.runtime.sim.schedule(extra, lambda e=event: self.offer(e))
-            return
-        self.offer(event)
-
     def run_stream(
         self,
         events: Sequence[StreamEvent],
-        faults: Optional[StreamFaultInjector] = None,
         duration_s: Optional[float] = None,
     ) -> None:
         """Schedule a whole stream and run it (plus drain) to completion.
@@ -522,13 +475,10 @@ class IngressPlane:
         sequence.  An exception a backend raises propagates from here
         at the virtual instant it happened.
         """
-        self.injector = faults
         horizon = 0.0
         for event in events:
             horizon = max(horizon, event.at_s)
-            self.runtime.call_at(
-                event.at_s, lambda e=event: self._offer_faulted(e)
-            )
+            self.runtime.call_at(event.at_s, lambda e=event: self.offer(e))
         if duration_s is not None:
             horizon = max(horizon, duration_s)
         self._stop_at_s = horizon

@@ -16,11 +16,10 @@ reorder packets — exactly why receivers need a jitter buffer.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from .packet import Packet
 from .simulator import Simulator
@@ -163,133 +162,3 @@ class Link:
         self.stats.delivered_bytes += packet.size_bytes
         assert self._receiver is not None
         self._receiver(packet, self._sim.now)
-
-
-class FaultyLink:
-    """A fault-aware decorator around a :class:`Link` (chaos injection).
-
-    Presents the same data-path surface as a link (``send`` / ``connect``
-    / ``stats``) while injecting deterministic faults the wrapped link
-    does not model on its own:
-
-    * **blackouts** — scheduled windows during which every offered packet
-      is dropped before it reaches the link (a loss *burst*, as opposed to
-      the link's i.i.d. random loss);
-    * **selective drops** — an optional predicate that silently discards
-      matching packets (e.g. only one simulcast stream's SSRC), which is
-      exactly the condition Sec. 7's client-side downgrade watchdog
-      exists to detect;
-    * **delay windows** — scheduled windows during which offered packets
-      are held and re-offered to the link ``delay_s`` later (a control
-      channel stall, as opposed to in-flight jitter).  Held packets are
-      released in ``(release_time, offer_sequence)`` order, so two
-      deliveries sharing a timestamp always replay in the order they were
-      offered — seeded ingress replays depend on this.
-
-    Injected drops are accounted separately (:attr:`injected_drops`) so a
-    test can distinguish chaos from organic queue/loss behaviour;
-    :attr:`injected_delays` counts packets held by a delay window.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        link: Link,
-        drop_predicate: Optional[Callable[[Packet], bool]] = None,
-    ) -> None:
-        self._sim = sim
-        self.link = link
-        self.drop_predicate = drop_predicate
-        self.injected_drops = 0
-        self.injected_delays = 0
-        self._blackouts: List[Tuple[float, float]] = []
-        self._delays: List[Tuple[float, float, float]] = []
-        #: held packets, keyed by (release_time, offer_sequence) so that
-        #: same-timestamp releases stay in offer order.
-        self._held: List[Tuple[float, int, Packet]] = []
-        self._hold_seq = 0
-
-    def add_blackout(self, start_s: float, end_s: float) -> None:
-        """Drop every packet offered in ``[start_s, end_s)``."""
-        if end_s < start_s:
-            raise ValueError("blackout must end at or after it starts")
-        self._blackouts.append((start_s, end_s))
-
-    def in_blackout(self, now_s: float) -> bool:
-        """Whether ``now_s`` falls inside any scheduled blackout window."""
-        return any(start <= now_s < end for start, end in self._blackouts)
-
-    def add_delay_window(
-        self, start_s: float, end_s: float, delay_s: float
-    ) -> None:
-        """Hold packets offered in ``[start_s, end_s)``; release after
-        ``delay_s``."""
-        if end_s < start_s:
-            raise ValueError("delay window must end at or after it starts")
-        if delay_s < 0:
-            raise ValueError("delay must be non-negative")
-        self._delays.append((start_s, end_s, delay_s))
-
-    def delay_at(self, now_s: float) -> Optional[float]:
-        """The injected hold time at ``now_s``, or None outside windows.
-
-        Overlapping windows compound: a packet caught by several windows
-        is held for their summed delay.
-        """
-        total = 0.0
-        hit = False
-        for start, end, delay_s in self._delays:
-            if start <= now_s < end:
-                total += delay_s
-                hit = True
-        return total if hit else None
-
-    def _release_due(self) -> None:
-        """Re-offer every held packet whose release time has arrived.
-
-        The hold buffer is a heap keyed by ``(release_time, sequence)``:
-        ties on release time break by the order packets were offered,
-        keeping replays byte-deterministic.
-        """
-        now = self._sim.now
-        while self._held and self._held[0][0] <= now + 1e-12:
-            _, _, packet = heapq.heappop(self._held)
-            self.link.send(packet)
-
-    # -- Link surface ---------------------------------------------------- #
-
-    @property
-    def name(self) -> str:
-        """The wrapped link's diagnostic label."""
-        return self.link.name
-
-    @property
-    def stats(self) -> LinkStats:
-        """The wrapped link's counters (injected drops never reach it)."""
-        return self.link.stats
-
-    def connect(self, receiver: DeliveryCallback) -> None:
-        """Attach the delivery callback on the wrapped link."""
-        self.link.connect(receiver)
-
-    def send(self, packet: Packet) -> bool:
-        """Offer a packet; chaos drops short-circuit the real link.
-
-        Returns:
-            False when the packet was dropped by an injected fault or the
-            link's queue; True when the link accepted it.
-        """
-        if self.in_blackout(self._sim.now) or (
-            self.drop_predicate is not None and self.drop_predicate(packet)
-        ):
-            self.injected_drops += 1
-            return False
-        delay_s = self.delay_at(self._sim.now)
-        if delay_s is not None:
-            self.injected_delays += 1
-            self._hold_seq += 1
-            release = self._sim.now + delay_s
-            heapq.heappush(self._held, (release, self._hold_seq, packet))
-            self._sim.schedule(delay_s, self._release_due)
-            return True  # accepted, held in the fault buffer
-        return self.link.send(packet)

@@ -180,9 +180,11 @@ INGRESS_COALESCED = "repro_ingress_coalesced_total"
 #: Counter, label ``reason`` in {"overflow", "admission"} — decisions
 #: shed to the Sec. 7 single-stream fallback by the backpressure ladder.
 INGRESS_SHED = "repro_ingress_shed_total"
-#: Counter — stream events dropped by an injected SEMB-loss fault.
+#: Counter — SEMB reports the chaos runner's delivery dropped before the
+#: plane (a ``drop_report`` window).
 INGRESS_DROPPED_EVENTS = "repro_ingress_dropped_events_total"
-#: Counter — stream events held back by an injected SEMB-delay fault.
+#: Counter — SEMB reports the chaos runner's delivery held before
+#: offering them (a ``delay_report`` window).
 INGRESS_DELAYED_EVENTS = "repro_ingress_delayed_events_total"
 #: Histogram — mailbox depth observed at each decision.
 INGRESS_MAILBOX_DEPTH = "repro_ingress_mailbox_depth"

@@ -55,7 +55,7 @@ def _attr_text(event: Event) -> str:
 
 
 def format_timeline(
-    events: Sequence[Event], meeting: str, title: str = ""
+    events: Sequence[Event], meeting: str, title: str = "", dropped: int = 0
 ) -> str:
     """Render one meeting's causal timeline as aligned text.
 
@@ -68,12 +68,20 @@ def format_timeline(
         t=3.252s  [chaos-0#3] solve_served         shard=s0 source=solve
         t=3.252s  [chaos-0#3] subscription_change  changed=2
         t=3.252s  [chaos-0#3] tmmbr_push           source=solve
+
+    ``dropped`` is how many events the log's ring evicted; when any were,
+    a line says so, since the first chain shown may have lost its head.
     """
     rows = meeting_timeline(events, meeting)
     header = title or f"timeline for {meeting}"
     if not rows:
         return f"{header}: no events"
     lines = [f"{header} — {len(rows)} events"]
+    if dropped:
+        lines.append(
+            f"(the event ring dropped the run's {dropped} oldest events, "
+            "so the first chain may be cut)"
+        )
     cid_width = max(len(e.cid) for e in rows)
     previous_cid: Optional[str] = None
     for event in rows:

@@ -44,25 +44,17 @@ from .. import spans
 from ..events import (
     INGRESS_DEQUEUED,
     INGRESS_ENQUEUED,
-    MEETING_REHOMED,
-    TIME_TRIGGER,
     Event,
 )
 from ..registry import get_registry
 from .tree import (
     LINK_COALESCED,
     LINK_LINEAGE,
+    ROOT_KINDS,
     TERMINAL_KINDS,
     TRACE_SCHEMA,
     TraceTree,
 )
-
-#: Kinds that may *open* a chain (mint its cid).
-ROOT_KINDS = frozenset({
-    INGRESS_ENQUEUED,
-    TIME_TRIGGER,
-    MEETING_REHOMED,
-})
 
 
 @dataclass

@@ -124,7 +124,7 @@ def waterfall(tree: TraceTree, indent: int = 0) -> List[str]:
     """Render one tree as indented waterfall lines."""
     pad = "  " * indent
     head = tree.cid or f"{tree.meeting}/ambient"
-    status = "complete" if tree.complete else "open"
+    status = "cut" if tree.cut else "complete" if tree.complete else "open"
     link = f" [{tree.link}]" if tree.link else ""
     lines = [
         f"{pad}{head}{link} ({status})  "

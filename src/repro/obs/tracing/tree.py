@@ -73,6 +73,13 @@ ALL_STAGES = (
     STAGE_SHED,
 )
 
+#: Kinds that may *open* a chain (mint its cid).
+ROOT_KINDS = frozenset({
+    INGRESS_ENQUEUED,
+    TIME_TRIGGER,
+    MEETING_REHOMED,
+})
+
 #: Event kinds that terminate a primary chain.
 TERMINAL_KINDS = frozenset({TMMBR_PUSH, TMMBR_LOST})
 
@@ -155,6 +162,15 @@ class TraceTree:
         if chain:
             return chain[0]
         return min(self.events, key=lambda e: (e.t, e.seq))
+
+    @property
+    def cut(self) -> bool:
+        """True for a root tree whose chain opens past its first events
+        (the event ring evicted them).  Not part of :meth:`to_dict`."""
+        return bool(
+            self.cid and not self.parent_cid
+            and self.root.kind not in ROOT_KINDS
+        )
 
     @property
     def opened_at_s(self) -> float:

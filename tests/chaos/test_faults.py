@@ -15,17 +15,23 @@ class TestFault:
         with pytest.raises(ValueError):
             Fault(1.0, "meteor_strike")
 
-    def test_rejects_negative_factor(self):
+    # A report fault's factor sizes its window or its hold, so it never
+    # runs backwards and never holds forever.
+    @pytest.mark.parametrize("kind", [F.DELAY_REPORT, F.DROP_REPORT])
+    def test_rejects_negative_factor(self, kind):
         with pytest.raises(ValueError):
-            Fault(1.0, F.DELAY_REPORT, factor=-0.5)
+            Fault(1.0, kind, factor=-0.5)
 
+    @pytest.mark.parametrize(
+        "kind", [F.DOWNLINK_COLLAPSE, F.DROP_REPORT, F.DELAY_REPORT]
+    )
     @pytest.mark.parametrize(
         "at_s, factor",
         [(float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")), (1.0, float("inf"))],
     )
-    def test_rejects_non_finite_time_or_factor(self, at_s, factor):
+    def test_rejects_non_finite_time_or_factor(self, at_s, factor, kind):
         with pytest.raises(ValueError, match="finite"):
-            Fault(at_s, F.DOWNLINK_COLLAPSE, factor=factor)
+            Fault(at_s, kind, factor=factor)
 
     def test_shifted_moves_time_only(self):
         f = Fault(2.0, F.LOSE_TMMBR, target="m1")

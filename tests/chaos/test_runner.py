@@ -7,12 +7,19 @@ import pytest
 
 from repro.chaos import faults as F
 from repro.chaos.faults import Fault, FaultSchedule
-from repro.chaos.runner import ChaosConfig, ChaosRunner
+from repro.chaos.runner import (
+    DELAY_SEMB,
+    DROP_SEMB,
+    ChaosConfig,
+    ChaosRunner,
+)
+from repro.chaos.world import ChaosWorld
 from repro.cluster.cluster import (
     SOURCE_CACHE,
     SOURCE_FALLBACK,
     SOURCE_SOLVE,
 )
+from repro.ingress.events import KIND_SEMB, StreamConfig, generate_stream
 from repro.obs import names as obs_names
 from repro.obs.registry import enabled_registry
 
@@ -157,32 +164,211 @@ class TestShardFaults:
         assert report.faults[0]["outcome"] == "skipped"
 
 
-class TestFeedbackFaults:
-    def test_drop_report_suppresses_submissions(self):
-        schedule = FaultSchedule().add(
-            Fault(1.0, F.DROP_REPORT, target="chaos-0", factor=2)
-        )
-        report = run(schedule)
-        assert report.ok
-        assert report.meetings["chaos-0"]["reports_dropped"] == 2
+def stream_of(config):
+    """The stream a runner with ``config`` delivers (SEMB reports of the
+    seed-1 two-meeting stream: chaos-0 at 0.36, 1.14, 2.23, 3.39, 4.63,
+    5.83 s and chaos-1 at 0.48, 1.65, 2.79, 3.73, 4.73, 5.59 s; at a 2 s
+    report interval chaos-0 at 0.71, 2.29, 4.46 s and chaos-1 at 0.96,
+    3.30, 5.59 s)."""
+    return generate_stream(
+        config.seed,
+        ChaosWorld(
+            seed=config.seed, meetings=config.meetings,
+            mean_size=config.mean_size,
+        ),
+        StreamConfig(
+            duration_s=config.duration_s,
+            report_interval_s=config.report_interval_s,
+            mutations_per_meeting=config.mutations_per_meeting,
+        ),
+    )
 
-    def test_dropped_reports_survive_event_log_overflow(self, monkeypatch):
-        # The count is taken where the drop is decided, not re-derived
-        # from the events the ring still holds.
+
+def drop(at_s, target="chaos-0", factor=1.0):
+    return Fault(at_s, F.DROP_REPORT, target=target, factor=factor)
+
+
+def delay(at_s, target="chaos-0", factor=1.0):
+    return Fault(at_s, F.DELAY_REPORT, target=target, factor=factor)
+
+
+#: (faults, the reports they hit as (meeting, from_s, to_s, hold_s or None
+#: for a drop), reports dropped per meeting, reports held).  A report is
+#: hit when stamped in the half-open [from_s, to_s).
+REPORT_WINDOW_CASES = {
+    "drop_targets_its_meeting": (
+        [drop(1.0, "chaos-1", 2)], [("chaos-1", 1.0, 3.0, None)],
+        {"chaos-1": 2}, 0,
+    ),
+    "untargeted_drop_hits_the_first_meeting": (
+        [drop(1.0, "", 2)], [("chaos-0", 1.0, 3.0, None)], {"chaos-0": 2}, 0,
+    ),
+    "drop_floors_at_one_interval": (
+        [drop(2.0, factor=0.25)], [("chaos-0", 2.0, 3.0, None)],
+        {"chaos-0": 1}, 0,
+    ),
+    # Both edges are chaos-0 report stamps (2.23037 + 1.161038 is exactly
+    # 3.391408): the first report is dropped, the second is not.
+    "window_is_half_open": (
+        [drop(2.23037, factor=3.391408 - 2.23037)],
+        [("chaos-0", 2.23037, 3.391408, None)], {"chaos-0": 1}, 0,
+    ),
+    "delay_holds_one_interval_of_reports": (
+        [delay(1.0, "chaos-1", 1.5)], [("chaos-1", 1.0, 2.0, 1.5)], {}, 1,
+    ),
+    "delay_floors_at_one_interval": (
+        [delay(2.0, factor=0.5)], [("chaos-0", 2.0, 3.0, 1.0)], {}, 1,
+    ),
+    "overlapping_holds_sum": (
+        [delay(2.0, factor=1.5), delay(2.0, factor=2.0)],
+        [("chaos-0", 2.0, 3.0, 3.5)], {}, 1,
+    ),
+    "partly_overlapping_holds_sum_where_they_overlap": (
+        [delay(0.3), delay(1.0, factor=2.0)],
+        [("chaos-0", 0.3, 1.0, 1.0), ("chaos-0", 1.0, 1.3, 3.0),
+         ("chaos-0", 1.3, 2.0, 2.0)],
+        {}, 2,
+    ),
+    "drop_beats_a_hold_scheduled_first": (
+        [delay(1.0, factor=2.0), drop(1.0)], [("chaos-0", 1.0, 2.0, None)],
+        {"chaos-0": 1}, 0,
+    ),
+    "drop_beats_a_hold_where_they_overlap": (
+        [delay(0.3), drop(1.0)],
+        [("chaos-0", 0.3, 1.0, 1.0), ("chaos-0", 1.0, 2.0, None)],
+        {"chaos-0": 1}, 1,
+    ),
+    "each_meeting_gets_its_own_window": (
+        [drop(1.0, "chaos-0", 2), delay(1.0, "chaos-1", 1.5)],
+        [("chaos-0", 1.0, 3.0, None), ("chaos-1", 1.0, 2.0, 1.5)],
+        {"chaos-0": 2}, 1,
+    ),
+    # Two drop windows over one report count it once.
+    "overlapping_drops_count_each_report_once": (
+        [drop(1.0, factor=2), drop(2.0, factor=2)],
+        [("chaos-0", 1.0, 4.0, None)], {"chaos-0": 3}, 0,
+    ),
+    "a_meeting_blacked_out_for_the_run": (
+        [drop(0.0, "chaos-1", 6)], [("chaos-1", 0.0, 6.0, None)],
+        {"chaos-1": 6}, 0,
+    ),
+    # Held past the 6 s stream horizon, still offered while the plane drains.
+    "hold_past_the_horizon": (
+        [delay(5.0, factor=3)], [("chaos-0", 5.0, 6.0, 3.0)], {}, 1,
+    ),
+    "unknown_meeting_hits_nothing": ([drop(1.0, "ghost", 5)], [], {}, 0),
+    "other_kinds_open_no_window": (
+        [
+            Fault(1.0, F.DOWNLINK_COLLAPSE, target="chaos-0", factor=0.2),
+            Fault(1.0, F.LOSE_TMMBR, target="chaos-0"),
+            Fault(1.0, F.STALE_SNAPSHOT, target="chaos-0", factor=1),
+        ],
+        [], {}, 0,
+    ),
+}
+
+#: Cases at a 2 s report interval: a window and a hold are ``factor``
+#: report intervals, so each of these hits other reports, or holds them
+#: longer, than the same faults at 1 s.
+TWO_SECOND_INTERVAL_CASES = {
+    "drop_floors_at_one_interval": (
+        [drop(1.0, factor=0.25)], [("chaos-0", 1.0, 3.0, None)],
+        {"chaos-0": 1}, 0,
+    ),
+    "drop_window_scales_with_the_interval": (
+        [drop(2.0, factor=1.25)], [("chaos-0", 2.0, 4.5, None)],
+        {"chaos-0": 2}, 0,
+    ),
+    "delay_holds_one_interval_of_reports": (
+        [delay(2.0, "chaos-1", 1.2)], [("chaos-1", 2.0, 4.0, 2.4)], {}, 1,
+    ),
+    "delay_hold_scales_with_the_interval": (
+        [delay(2.0, factor=1.2)], [("chaos-0", 2.0, 4.0, 2.4)], {}, 1,
+    ),
+}
+
+
+class TestFeedbackFaults:
+    @pytest.mark.parametrize(
+        "interval_s, faults, hits, dropped, delayed",
+        [(1.0, *case) for case in REPORT_WINDOW_CASES.values()]
+        + [(2.0, *case) for case in TWO_SECOND_INTERVAL_CASES.values()],
+        ids=list(REPORT_WINDOW_CASES)
+        + [f"interval_2s-{name}" for name in TWO_SECOND_INTERVAL_CASES],
+    )
+    def test_report_windows_drop_or_hold_each_report(
+        self, interval_s, faults, hits, dropped, delayed
+    ):
+        runner = ChaosRunner(
+            small_config(report_interval_s=interval_s),
+            FaultSchedule(list(faults)),
+        )
+        report = runner.run()
+        assert report.ok, report.summary()
+        faulted = {
+            e.attrs["seq"]: (e.attrs["fault"], e.attrs.get("delay_s"), e.t)
+            for e in runner.events.events
+            if e.kind == "fault_injected"
+            and e.attrs["fault"] in (DROP_SEMB, DELAY_SEMB)
+        }
+        # A fault's own link or churn event is offered with seq 0 too.
+        offered = {
+            (e.attrs["seq"], e.attrs["event_kind"]): e.t
+            for e in runner.events.events
+            if e.kind == "ingress_enqueued"
+        }
+        for event in stream_of(runner.config):
+            (hold,) = [
+                hold
+                for meeting, lo, hi, hold in hits
+                if event.kind == KIND_SEMB and event.meeting == meeting
+                and lo <= event.at_s < hi
+            ] or [0.0]
+            if hold is None:  # dropped on the wire: never offered
+                assert faulted.pop(event.seq) == (
+                    DROP_SEMB, None, event.at_s
+                )
+                assert (event.seq, event.kind) not in offered
+            elif hold:  # held, then offered late
+                assert faulted.pop(event.seq) == (
+                    DELAY_SEMB, hold, event.at_s
+                )
+                assert offered[event.seq, event.kind] == pytest.approx(
+                    event.at_s + hold
+                )
+            else:
+                assert offered[event.seq, event.kind] == event.at_s
+        assert faulted == {}
+        assert {
+            meeting: row["reports_dropped"]
+            for meeting, row in report.meetings.items()
+            if row["reports_dropped"]
+        } == dropped
+        assert runner.feedback.dropped_by_meeting == dropped
+        assert runner.feedback.delayed == delayed
+
+    @pytest.mark.parametrize(
+        "fault, dropped, delayed",
+        [(drop(1.0, factor=2), 2, 0), (delay(1.0, factor=1.5), 0, 1)],
+        ids=["drop", "delay"],
+    )
+    def test_dropped_reports_survive_event_log_overflow(
+        self, monkeypatch, fault, dropped, delayed
+    ):
+        # The counts are taken where the report is dropped or held, not
+        # re-derived from the events the ring still holds.
         import repro.chaos.runner as runner_module
         from repro.obs.events import EventLog
 
         monkeypatch.setattr(
             runner_module, "EventLog", lambda: EventLog(capacity=16)
         )
-        schedule = FaultSchedule().add(
-            Fault(1.0, F.DROP_REPORT, target="chaos-0", factor=2)
-        )
-        runner = ChaosRunner(small_config(), schedule)
+        runner = ChaosRunner(small_config(), FaultSchedule([fault]))
         report = runner.run()
         assert runner.events.dropped > 0
-        assert runner.plane.stats.dropped == 2
-        assert report.meetings["chaos-0"]["reports_dropped"] == 2
+        assert runner.feedback.dropped == dropped
+        assert runner.feedback.delayed == delayed
+        assert report.meetings["chaos-0"]["reports_dropped"] == dropped
 
     def test_lose_tmmbr_skips_application_then_heals(self):
         schedule = FaultSchedule().add(
@@ -201,13 +387,17 @@ class TestFeedbackFaults:
         ]
         assert any(s["delivered"] for s in later)
 
-    def test_delay_report_defers_but_recovers(self):
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 4.0])
+    def test_delay_report_defers_but_recovers(self, factor):
         schedule = FaultSchedule().add(
-            Fault(1.0, F.DELAY_REPORT, target="chaos-0", factor=1.5)
+            Fault(1.0, F.DELAY_REPORT, target="chaos-0", factor=factor)
         )
         report = run(schedule)
         assert report.ok
         assert report.faults[0]["outcome"] == "applied"
+        assert report.meetings["chaos-0"]["applied_source"] in (
+            SOURCE_SOLVE, SOURCE_CACHE,
+        )
 
 
 class TestWorldFaults:

@@ -435,7 +435,6 @@ class TestReportStormEquivalence:
         from repro.cluster import ClusterConfig, ControllerCluster
         from repro.ingress.aio import SimRuntime
         from repro.ingress.events import LinkEstimate, SembReport, sort_stream
-        from repro.ingress.faults import StreamFaultInjector
         from repro.ingress.plane import ClusterBackend, IngressPlane
 
         world = ChaosWorld(seed=5, meetings=3, mean_size=6.0)
@@ -475,9 +474,7 @@ class TestReportStormEquivalence:
         with monkeypatch.context() as patch:
             patch.setattr(GsoSolver, "solve_with_stats", logged)
             plane = IngressPlane(SimRuntime(), ClusterBackend(cluster, world))
-            plane.run_stream(
-                stream, StreamFaultInjector(()), duration_s=self.DURATION_S
-            )
+            plane.run_stream(stream, duration_s=self.DURATION_S)
         assert {d.source for d in plane.decisions} <= {"solve", "cache"}
         return log, sum(replayable), [d.digest for d in plane.decisions]
 

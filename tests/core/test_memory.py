@@ -27,7 +27,6 @@ from repro.core.solver import GsoSolver, KmrRun, SolverConfig
 from repro.core.types import Resolution
 from repro.ingress.aio import SimRuntime
 from repro.ingress.events import StreamConfig, generate_stream
-from repro.ingress.faults import StreamFaultInjector
 from repro.ingress.plane import ClusterBackend, IngressPlane
 
 PUBLISHERS = [f"P{k}" for k in range(8)]
@@ -118,12 +117,12 @@ class TestDecisionPathMakesNoCycles:
         # each collection during a replay is pure overhead; what it costs
         # is then a matter of how many tracked objects the path keeps.
         warm, stream = _plane_and_stream(seed=3)
-        warm.run_stream(stream, StreamFaultInjector(()), duration_s=6.0)
+        warm.run_stream(stream, duration_s=6.0)
         plane, stream = _plane_and_stream(seed=3)
         gc.collect()
         gc.disable()
         try:
-            plane.run_stream(stream, StreamFaultInjector(()), duration_s=6.0)
+            plane.run_stream(stream, duration_s=6.0)
             assert {d.source for d in plane.decisions} >= {"solve", "cache"}
             # The plane and its runtime are still held: only garbage counts.
             assert gc.collect() == 0

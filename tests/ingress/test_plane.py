@@ -17,12 +17,6 @@ from repro.cluster import ClusterConfig, ControllerCluster
 from repro.cluster.scheduler import backpressure_window_s
 from repro.ingress.aio import SimRuntime
 from repro.ingress.events import LinkEstimate, SembReport, SubscriptionChange
-from repro.ingress.faults import (
-    DELAY_SEMB,
-    DROP_SEMB,
-    StreamFault,
-    StreamFaultInjector,
-)
 from repro.ingress.plane import (
     BackendDecision,
     ClusterBackend,
@@ -389,11 +383,15 @@ class TestStageAttribution:
     """The plane names each decision's critical-path stages at commit:
     the same spans its cid's trace tree reads off the event log."""
 
-    def _run(self, budget=None, stream=None, injector=None, duration_s=1.0):
+    def _run(self, budget=None, stream=None, duration_s=1.0, late=()):
         log = EventLog()
         with obs_events.record_events(log):
             plane, _ = _plane(backend=ServingBackend(budget=budget))
-            plane.run_stream(stream or [_semb(0.0)], injector, duration_s)
+            for offer_at, event in late:
+                plane.runtime.call_at(offer_at, lambda e=event: plane.offer(e))
+            plane.run_stream(
+                [_semb(0.0)] if stream is None else stream, duration_s
+            )
         nodes = {
             node.cid: node
             for tree in assemble_trees(log.events).trees()
@@ -436,11 +434,9 @@ class TestStageAttribution:
         ])
 
     def test_delayed_anchor_dwells_from_its_offer(self):
-        injector = StreamFaultInjector(
-            [StreamFault(DELAY_SEMB, start_s=0.0, end_s=1.0, delay_s=2.0)]
-        )
+        # A report stamped 0.5 s that the network held until 2.5 s.
         (spans,) = self._run(
-            stream=[_semb(0.5)], injector=injector, duration_s=4.0
+            stream=[], duration_s=4.0, late=[(2.5, _semb(0.5))]
         )
         self._assert(spans[:1], [("mailbox_dwell", 2.5, 3.0)])
 
@@ -546,25 +542,12 @@ class TestCorrelationIds:
         assert {e.cid for e in time_triggers} == {d.cid for d in refreshes}
 
 
-class TestStreamFaultsInThePlane:
-    def test_dropped_semb_never_reaches_a_mailbox(self):
-        plane, backend = _plane()
-        injector = StreamFaultInjector(
-            [StreamFault(DROP_SEMB, start_s=0.0, end_s=10.0)]
-        )
-        plane.run_stream([_semb(0.5), _semb(1.0, seq=1)], injector,
-                         duration_s=2.0)
-        assert plane.stats.dropped == 2
-        assert plane.stats.enqueued == 0
-        assert not plane.decisions
-
-    def test_delayed_semb_is_offered_late(self):
+class TestLateOffers:
+    def test_an_event_offered_late_opens_at_its_timestamp(self):
+        # The chaos runner offers a held report after its timestamp.
         plane, _ = _plane()
-        injector = StreamFaultInjector(
-            [StreamFault(DELAY_SEMB, start_s=0.0, end_s=1.0, delay_s=2.0)]
-        )
-        plane.run_stream([_semb(0.5)], injector, duration_s=4.0)
-        assert plane.stats.delayed == 1
+        plane.runtime.call_at(2.5, lambda: plane.offer(_semb(0.5)))
+        plane.run_stream([], duration_s=4.0)
         assert len(plane.decisions) == 1
         # Offered at 2.5 (0.5 + 2.0 hold): the commit lands after that,
         # and the reported latency charges the fault's hold time.

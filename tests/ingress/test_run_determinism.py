@@ -3,10 +3,13 @@
 A seeded run of the plane is a :class:`~repro.chaos.ChaosRunner` run
 over the generated stream.  Same seed => byte-identical report digest
 *and* event-log digest; dropped/delayed SEMB (``drop_report`` /
-``delay_report`` faults, which enter as stream fault windows) run with
+``delay_report`` faults, which the runner applies as it delivers the
+stream) run with
 zero invariant violations; the correlation id minted at enqueue reaches
 the ``tmmbr_push`` completion event.
 """
+
+import pytest
 
 from repro.chaos import faults as F
 from repro.chaos.faults import Fault, FaultSchedule
@@ -50,25 +53,40 @@ class TestByteDeterminism:
                 mutations_per_meeting=CFG.mutations_per_meeting,
             ),
         )
-        assert stats.offered == len(stream) - stats.dropped
+        assert stats.offered == len(stream) - runner.feedback.dropped
         assert stats.decisions == len(report.serves)
         assert stats.decisions == sum(report.served_by_source.values())
         assert sum(report.checks.values()) >= stats.decisions
 
 
 class TestChaosThroughTheStream:
-    def test_dropped_semb_zero_violations(self):
-        faults = [Fault(1.0, F.DROP_REPORT, target="chaos-0", factor=3)]
+    @pytest.mark.parametrize(
+        "target, factor", [("chaos-0", 3), ("chaos-2", 1), ("", 6)]
+    )
+    def test_dropped_semb_zero_violations(self, target, factor):
+        faults = [Fault(1.0, F.DROP_REPORT, target=target, factor=factor)]
         first, second = run(faults=faults), run(faults=faults)
-        assert first.plane.stats.dropped > 0
+        assert first.feedback.dropped > 0
         assert first.report.ok, first.report.violations
         assert first.report.digest() == second.report.digest()
         assert first.report.event_digest == second.report.event_digest
 
-    def test_delayed_semb_zero_violations(self):
-        faults = [Fault(1.0, F.DELAY_REPORT, target="chaos-1", factor=1.5)]
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            [Fault(1.0, F.DELAY_REPORT, target="chaos-1", factor=1.5)],
+            [Fault(0.5, F.DELAY_REPORT, target="chaos-0", factor=4)],
+            # Summed holds, and a drop overlapping a hold.
+            [
+                Fault(1.5, F.DELAY_REPORT, target="chaos-2", factor=2),
+                Fault(1.5, F.DELAY_REPORT, target="chaos-2", factor=1),
+                Fault(2.0, F.DROP_REPORT, target="chaos-2", factor=1),
+            ],
+        ],
+    )
+    def test_delayed_semb_zero_violations(self, faults):
         first, second = run(faults=faults), run(faults=faults)
-        assert first.plane.stats.delayed > 0
+        assert first.feedback.delayed > 0
         assert first.report.ok, first.report.violations
         assert first.report.digest() == second.report.digest()
 
@@ -88,7 +106,7 @@ class TestChaosThroughTheStream:
             for meeting in ("chaos-0", "chaos-1")
         ]
         runner = run(cfg, faults)
-        assert runner.plane.stats.dropped > 0
+        assert runner.feedback.dropped > 0
         time_triggered = [
             d for d in runner.plane.decisions if d.trigger == "time"
         ]

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from repro.net.link import FaultyLink, Link
+from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.net.simulator import PeriodicTask, Simulator
+from repro.net.simulator import Simulator
 
 
 def collect(link):
@@ -168,180 +168,3 @@ class TestStatsAndHelpers:
         assert link.queue_delay_s() == 0.0
         link.send(pkt(1000))
         assert link.queue_delay_s() == pytest.approx(0.080)
-
-
-class TestFaultyLink:
-    def test_delegates_when_no_fault_active(self):
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=1000))
-        received = collect(faulty)
-        assert faulty.send(pkt()) is True
-        sim.run_until(1.0)
-        assert len(received) == 1
-        assert faulty.injected_drops == 0
-
-    def test_blackout_drops_everything_in_window(self):
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=1000))
-        faulty.add_blackout(1.0, 2.0)
-        received = collect(faulty)
-        for when in (0.5, 1.5, 2.5):
-            sim.schedule_at(when, lambda: faulty.send(pkt()))
-        sim.run_until(5.0)
-        assert len(received) == 2  # the 1.5 s packet was injected away
-        assert faulty.injected_drops == 1
-
-    def test_blackout_window_is_half_open(self):
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=1000))
-        faulty.add_blackout(1.0, 2.0)
-        assert not faulty.in_blackout(0.999)
-        assert faulty.in_blackout(1.0)
-        assert faulty.in_blackout(1.999)
-        assert not faulty.in_blackout(2.0)
-
-    def test_burst_dropped_only_the_high_stream(self):
-        # Sec. 7's failure shape: a publisher's high stream goes dark for
-        # 4 s while its low stream, on its own path, keeps flowing.
-        sim = Simulator()
-        high = FaultyLink(sim, Link(sim, 5000.0, name="A-high"))
-        high.add_blackout(4.0, 8.0)
-        high_received = collect(high)
-        low = Link(sim, 5000.0, name="A-low")
-        low_received = collect(low)
-        for link, size in ((high, 1200), (low, 300)):
-            PeriodicTask(
-                sim,
-                0.1,
-                lambda link=link, size=size: link.send(pkt(size)),
-                start_offset=0.05,
-            )
-        sim.run_until(12.0)
-        # ~40 packets offered during the 4 s blackout at 10 Hz.
-        assert 35 <= high.injected_drops <= 45
-        assert high.stats.lost_packets == 0  # drops were injected, not organic
-        assert len(high_received) + high.injected_drops == len(low_received)
-
-    def test_multiple_blackouts(self):
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=1000))
-        faulty.add_blackout(1.0, 2.0)
-        faulty.add_blackout(3.0, 4.0)
-        assert faulty.in_blackout(1.5)
-        assert not faulty.in_blackout(2.5)
-        assert faulty.in_blackout(3.5)
-
-    def test_rejects_inverted_blackout(self):
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=1000))
-        with pytest.raises(ValueError):
-            faulty.add_blackout(2.0, 1.0)
-
-    def test_drop_predicate_is_selective(self):
-        sim = Simulator()
-        faulty = FaultyLink(
-            sim,
-            Link(sim, bandwidth_kbps=1000),
-            drop_predicate=lambda p: p.src == "high",
-        )
-        received = collect(faulty)
-        assert faulty.send(Packet(payload=b"", size_bytes=100, src="high")) is False
-        assert faulty.send(Packet(payload=b"", size_bytes=100, src="low")) is True
-        sim.run_until(1.0)
-        assert [p.src for p, _ in received] == ["low"]
-        assert faulty.injected_drops == 1
-
-    def test_injected_drops_bypass_link_stats(self):
-        sim = Simulator()
-        inner = Link(sim, bandwidth_kbps=1000)
-        faulty = FaultyLink(sim, inner, drop_predicate=lambda p: True)
-        collect(faulty)
-        faulty.send(pkt())
-        assert faulty.injected_drops == 1
-        assert inner.stats.sent_packets == 0
-        assert faulty.stats is inner.stats
-
-    def test_presents_link_surface(self):
-        sim = Simulator()
-        inner = Link(sim, bandwidth_kbps=1000, name="inner")
-        faulty = FaultyLink(sim, inner)
-        assert faulty.name == "inner"
-
-
-class TestFaultyLinkDelay:
-    def test_delay_window_holds_and_releases(self):
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=10_000, propagation_ms=0))
-        faulty.add_delay_window(0.0, 1.0, 0.5)
-        received = collect(faulty)
-        assert faulty.send(pkt(100)) is True
-        sim.run_until(0.4)
-        assert received == []  # still held
-        sim.run_until(2.0)
-        assert len(received) == 1
-        assert received[0][1] >= 0.5
-        assert faulty.injected_delays == 1
-
-    def test_outside_window_passes_through(self):
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=10_000, propagation_ms=0))
-        faulty.add_delay_window(1.0, 2.0, 0.5)
-        received = collect(faulty)
-        faulty.send(pkt(100))
-        sim.run_until(0.5)
-        assert len(received) == 1
-        assert faulty.injected_delays == 0
-
-    def test_equal_release_times_keep_offer_order(self):
-        """Regression: two deliveries sharing a release timestamp must
-        replay in (time, sequence) order — the order they were offered."""
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=10_000, propagation_ms=0))
-        # Packet A offered at t=0.1 held 0.4 s, packet B offered at
-        # t=0.3 held 0.2 s: both release at exactly t=0.5.
-        faulty.add_delay_window(0.0, 0.2, 0.4)
-        faulty.add_delay_window(0.2, 0.4, 0.2)
-        received = collect(faulty)
-        sim.schedule_at(0.1, lambda: faulty.send(Packet(payload="A", size_bytes=100)))
-        sim.schedule_at(0.3, lambda: faulty.send(Packet(payload="B", size_bytes=100)))
-        sim.run_until(2.0)
-        assert [p.payload for p, _ in received] == ["A", "B"]
-
-    def test_equal_release_order_is_replay_stable(self):
-        def run_once():
-            sim = Simulator()
-            faulty = FaultyLink(
-                sim, Link(sim, bandwidth_kbps=10_000, propagation_ms=0)
-            )
-            faulty.add_delay_window(0.0, 1.0, 0.25)
-            received = collect(faulty)
-            for k in range(8):
-                payload = k
-                sim.schedule_at(
-                    0.5,
-                    lambda p=payload: faulty.send(
-                        Packet(payload=p, size_bytes=100)
-                    ),
-                )
-            sim.run_until(5.0)
-            return [p.payload for p, _ in received]
-
-        first, second = run_once(), run_once()
-        assert first == list(range(8))
-        assert first == second
-
-    def test_overlapping_windows_compound(self):
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=10_000, propagation_ms=0))
-        faulty.add_delay_window(0.0, 1.0, 0.3)
-        faulty.add_delay_window(0.0, 1.0, 0.2)
-        assert faulty.delay_at(0.5) == pytest.approx(0.5)
-        assert faulty.delay_at(1.5) is None
-
-    def test_rejects_bad_delay_window(self):
-        sim = Simulator()
-        faulty = FaultyLink(sim, Link(sim, bandwidth_kbps=1000))
-        with pytest.raises(ValueError):
-            faulty.add_delay_window(2.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            faulty.add_delay_window(1.0, 2.0, -0.1)

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from repro.chaos import ChaosConfig, get_scenario
-from repro.chaos.runner import ChaosRunner
+from repro.chaos.runner import ChaosRunner, FeedbackStats
 from repro.chaos.soak import soak
 from repro.cluster import ClusterConfig, ControllerCluster
 from repro.core.engine import default_mckp_cache
@@ -100,10 +100,8 @@ class TestOwnersRegister:
         with enabled_registry() as reg:
             plane = IngressPlane(SimRuntime(), backend=None)
             plane.stats.offered = 3
-            plane.stats.dropped_by_meeting["m"] = 2
             counters = reg.snapshot()["counters"]
         assert counters[names.INGRESS_EVENTS] == 3
-        assert counters[names.INGRESS_DROPPED_EVENTS] == 2
 
     def test_the_registry_keeps_stats_objects_not_components(self):
         with enabled_registry() as reg:
@@ -118,6 +116,7 @@ class TestOwnersRegister:
             assert reg.snapshot()["counters"][names.EVENTS_EMITTED] > 0
         owners = {type(source.__self__) for source in reg._sources}
         assert IngressPlane not in owners and PlaneStats in owners
+        assert ChaosRunner not in owners and FeedbackStats in owners
 
 
 def _run_kitchen_sink():
@@ -149,6 +148,7 @@ class TestWatchedSeriesEqualTheirOwners:
             return counters.get(key, gauges.get(key, 0))
 
         plane, cluster = runner.plane.stats, runner.cluster.counters
+        feedback = runner.feedback
         log = runner.events.stats
         assert plane.offered and cluster.solve_requests and log.emitted
         want = {
@@ -156,8 +156,8 @@ class TestWatchedSeriesEqualTheirOwners:
             (names.INGRESS_COALESCED, ()): plane.coalesced,
             (names.INGRESS_SHED, (("reason", "overflow"),)): plane.shed_overflow,
             (names.INGRESS_SHED, (("reason", "admission"),)): plane.shed_admission,
-            (names.INGRESS_DROPPED_EVENTS, ()): plane.dropped,
-            (names.INGRESS_DELAYED_EVENTS, ()): plane.delayed,
+            (names.INGRESS_DROPPED_EVENTS, ()): feedback.dropped,
+            (names.INGRESS_DELAYED_EVENTS, ()): feedback.delayed,
             (names.CLUSTER_SOLVE_REQUESTS, ()): cluster.solve_requests,
             (names.CLUSTER_SHED, ()): cluster.shed,
             (names.CLUSTER_FALLBACKS, ()): cluster.fallbacks,
@@ -203,7 +203,7 @@ class TestTotalsAcrossRuns:
             r.cluster.counters.solve_requests for r in runners
         )
         assert counters[names.INGRESS_DROPPED_EVENTS] == sum(
-            r.plane.stats.dropped for r in runners
+            r.feedback.dropped for r in runners
         )
 
 

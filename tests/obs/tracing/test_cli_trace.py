@@ -161,6 +161,43 @@ class TestLongRun:
             "solve": len(decisions),
         }
 
+    def test_show_draws_a_tree_whose_head_was_evicted_as_cut(self, capsys):
+        rc = main(
+            ["trace", "show", "--meeting", "chaos-0", "--limit", "2"]
+            + self.RUN
+        )
+        assert rc == 0
+        heads = [
+            line.split("  t=")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("chaos-0#")
+        ]
+        # chaos-0#36's enqueue went with the ring's 3511 oldest events.
+        assert heads == ["chaos-0#36 (cut)", "chaos-0#38 (complete)"]
+
+    @pytest.mark.parametrize(
+        "sizing, note",
+        [
+            (["--meetings", "32", "--duration", "120"],
+             "(the event ring dropped the run's 3511 oldest events, "
+             "so the first chain may be cut)"),
+            (["--meetings", "2", "--duration", "6"], None),
+        ],
+    )
+    def test_timeline_names_the_events_the_ring_dropped(
+        self, capsys, sizing, note
+    ):
+        rc = main(
+            ["obs", "timeline", "chaos-0", "--scenario", "healthy",
+             "--seed", "1"] + sizing
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        notes = [line for line in lines if "ring dropped" in line]
+        assert notes == ([note] if note else [])
+        if note:
+            assert lines[1] == note
+
     # chaos-0#1's chain is gone whole; chaos-28#36 lost its enqueue, so
     # its tree would draw a truncated waterfall.
     @pytest.mark.parametrize("cid", ["chaos-0#1", "chaos-28#36"])
