@@ -239,9 +239,6 @@ class ChaosRunner:
         self.config = config
         self.schedule = schedule or FaultSchedule()
         self.scenario = scenario
-        #: The run's structured event log (populated by :meth:`run`; kept
-        #: on the runner so CLIs can render timelines afterwards).
-        self.events: EventLog = EventLog()
         #: The full SLO verdict objects from the last run (the report only
         #: keeps their dict encodings, split deterministic/informational).
         self.slo_verdicts: List[SloVerdict] = []
@@ -290,6 +287,8 @@ class ChaosRunner:
         self._fallback_since: Dict[str, float] = {}
         self._meeting_counters: Dict[str, Dict[str, int]] = {}
         self._max_iteration_ratio = 0.0
+        #: The run's structured event log, one per run (kept on the
+        #: runner so CLIs can render timelines afterwards).
         self.events = EventLog()
         self.slo_verdicts = []
 

@@ -438,16 +438,18 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
     runner = _replay(args, "obs")
     if runner is None:
         return 2
-    events = runner.events.events
+    log = runner.events
     if args.json:
-        print(json.dumps(obs.timeline_dict(events, args.meeting), indent=2))
+        print(json.dumps(obs.timeline_dict(
+            log.events, args.meeting, emitted=log.emitted, dropped=log.dropped
+        ), indent=2))
     else:
         title = (
             f"{runner.scenario} seed={args.seed} — "
             f"timeline for {args.meeting}"
         )
         print(obs.format_timeline(
-            events, args.meeting, title=title, dropped=runner.events.dropped
+            log.events, args.meeting, title=title, dropped=log.dropped
         ))
     return 0
 
@@ -471,7 +473,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_show(args: argparse.Namespace) -> int:
-    from .obs.tracing import assemble_trees, format_waterfall
+    from .obs.tracing import format_waterfall
 
     runner = _replay(args, "trace")
     if runner is None:
@@ -479,18 +481,21 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
     title = f"{args.scenario} seed={args.seed}"
     if args.cid:
         return _trace_show_decision(args, runner, title)
-    traces = assemble_trees(runner.events.events)
-    trees = traces.trees(args.meeting) if args.meeting else traces.trees()
+    decisions = [
+        d for d in runner.plane.decisions
+        if args.meeting is None or d.meeting == args.meeting
+    ]
     print(f"trace waterfall — {title}")
-    print(format_waterfall(trees, limit=args.limit))
+    print(format_waterfall(decisions, limit=args.limit))
     return 0
 
 
 def _trace_show_decision(args: argparse.Namespace, runner, title: str) -> int:
-    """``trace show --cid``: one decision's waterfall, its source, and
-    its KMR iterations replayed from the ``Problem`` it solved."""
+    """``trace show --cid``: one decision's waterfall (its row names its
+    source), its solution digest, and its KMR iterations replayed from
+    the ``Problem`` it solved."""
     from .cluster import SOURCE_CACHE, SOURCE_SOLVE
-    from .obs.tracing import assemble_trees, waterfall
+    from .obs.tracing import waterfall
 
     decision = next(
         (d for d in runner.plane.decisions if d.cid == args.cid), None
@@ -501,28 +506,9 @@ def _trace_show_decision(args: argparse.Namespace, runner, title: str) -> int:
             file=sys.stderr,
         )
         return 2
-    # Trees never cross meetings: the decision's meeting is enough.
-    log = runner.events
-    trees = assemble_trees(log.for_meeting(decision.meeting)).trees()
-    node = next(
-        (n for tree in trees for n in tree.walk() if n.cid == decision.cid),
-        None,
-    )
-    if node is None or node.critical_path() != decision.stages():
-        print(
-            f"repro trace: the event log's {log.capacity}-event ring "
-            f"evicted the chain of {decision.cid!r} in {title} "
-            f"({log.dropped} of {log.emitted} events dropped); "
-            "replay fewer --meetings or a shorter --duration",
-            file=sys.stderr,
-        )
-        return 2
     print(f"trace waterfall — {title} cid={decision.cid}")
-    print("\n".join(waterfall(node)))
-    print(
-        f"\nsource: {decision.source}  trigger: {decision.trigger}  "
-        f"batch: {decision.batch}  digest: {decision.digest}"
-    )
+    print("\n".join(waterfall(decision)))
+    print(f"\nsolution digest: {decision.digest}")
     if decision.source not in (SOURCE_SOLVE, SOURCE_CACHE):
         print(
             f"served the Sec. 7 fallback ({decision.source}): "
@@ -535,14 +521,12 @@ def _trace_show_decision(args: argparse.Namespace, runner, title: str) -> int:
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:
-    from .obs.tracing import assemble_trees, write_chrome_trace
+    from .obs.tracing import write_chrome_trace
 
     runner = _replay(args, "trace")
     if runner is None:
         return 2
-    path = write_chrome_trace(
-        assemble_trees(runner.events.events).trees(), args.out
-    )
+    path = write_chrome_trace(runner.plane.decisions, args.out)
     print(
         f"[trace] wrote Chrome trace for {args.scenario} seed={args.seed} "
         f"to {path} (open at https://ui.perfetto.dev)"
@@ -774,8 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = sub.add_parser(
         "trace",
-        help="causal trace plane: record, inspect and export "
-        "per-decision trace trees (docs/TRACING.md)",
+        help="causal trace plane: record the event log, inspect and "
+        "export the plane's decisions (docs/TRACING.md)",
     )
     trace_sub = trace_parser.add_subparsers(
         dest="trace_command", required=True
@@ -796,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_show = trace_sub.add_parser(
         "show",
-        help="render per-decision trace trees as a text waterfall",
+        help="render the plane's decisions as a text waterfall",
     )
     trace_show.add_argument("--scenario", default="bandwidth_collapse")
     trace_show.add_argument("--seed", type=int, default=1)
@@ -810,14 +794,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_show.add_argument(
         "--limit", type=int, default=10,
-        help="max trees to render (default 10; 0 = all)",
+        help="max decisions to render (default 10; 0 = all)",
     )
     _add_chaos_config_args(trace_show)
     trace_show.set_defaults(func=_cmd_trace_show)
 
     trace_export = trace_sub.add_parser(
         "export",
-        help="export trace trees as Chrome trace-event JSON (Perfetto)",
+        help="export the plane's decisions as Chrome trace-event JSON "
+        "(Perfetto)",
     )
     trace_export.add_argument("--scenario", default="bandwidth_collapse")
     trace_export.add_argument("--seed", type=int, default=1)
@@ -830,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_profile = trace_sub.add_parser(
         "profile",
-        help="print the per-stage latency table of the trace trees",
+        help="print the per-stage latency table of the plane's decisions",
     )
     trace_profile.add_argument("--scenario", default="bandwidth_collapse")
     trace_profile.add_argument("--seed", type=int, default=1)

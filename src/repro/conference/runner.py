@@ -262,16 +262,15 @@ class MeetingRunner:
         )
         downlink.connect(client.on_downlink_packet)
         home.attach_client(cs.client_id, downlink)
-        if cs.publishes or True:
-            # Every participant joins signaling; non-publishers negotiate
-            # an empty capability set.
-            info = SimulcastInfo(
-                client=cs.client_id,
-                codec="H264",
-                max_streams=max(1, len(caps)),
-                resolutions=tuple(caps),
-            )
-            self.conference.join(info, node_name=cs.region)
+        # Every participant joins signaling; non-publishers negotiate an
+        # empty capability set.
+        info = SimulcastInfo(
+            client=cs.client_id,
+            codec="H264",
+            max_streams=max(1, len(caps)),
+            resolutions=tuple(caps),
+        )
+        self.conference.join(info, node_name=cs.region)
         client.start_media()
         self.clients[cs.client_id] = client
         self.uplinks[cs.client_id] = uplink

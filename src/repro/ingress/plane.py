@@ -150,10 +150,9 @@ class Decision:
         """The decision's critical path, stage by stage: mailbox dwell
         from the anchor's enqueue to the window close (event-triggered
         only), a zero-length shed when shed, solve from the close to the
-        commit, and a zero-length delivery.  These are the spans
-        ``TraceTree.critical_path()`` reads off its cid's event chain
-        when the backend logs ``solve_served`` at the serve, as the
-        cluster does."""
+        commit, and a zero-length delivery.  This is the run's one stage
+        attribution: the stage SLOs, ``repro trace profile`` and the
+        ``repro trace show``/``export`` renderings all read it."""
         closed, decided = self.closed_at_s, self.decided_at_s
         spans = []
         if self.trigger == "event":

@@ -241,10 +241,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self._events)
 
-    def for_meeting(self, meeting: str) -> List[Event]:
-        """Retained events concerning one meeting, in order."""
-        return [e for e in self.events if e.meeting == meeting]
-
     def kinds(self) -> Dict[str, int]:
         """Event counts per kind (sorted)."""
         out: Dict[str, int] = {}

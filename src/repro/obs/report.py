@@ -98,12 +98,21 @@ def format_timeline(
     return "\n".join(lines)
 
 
-def timeline_dict(events: Sequence[Event], meeting: str) -> Dict[str, object]:
-    """JSON form of one meeting's timeline, chains included."""
+def timeline_dict(
+    events: Sequence[Event], meeting: str, emitted: int = 0, dropped: int = 0
+) -> Dict[str, object]:
+    """JSON form of one meeting's timeline, chains included.
+
+    ``emitted`` and ``dropped`` are the log's counts (all meetings): a
+    non-zero ``dropped`` means the first chain shown may be cut, as the
+    text form's second line says.
+    """
     rows = meeting_timeline(events, meeting)
     chains = correlation_chains(rows)
     return {
         "meeting": meeting,
+        "emitted": emitted,
+        "dropped": dropped,
         "events": [e.to_dict() for e in rows],
         "chains": [
             {

@@ -1,6 +1,6 @@
 """Causal trace plane: per-decision trace trees assembled from the
-cid-threaded event log, critical-path latency attribution, and
-Perfetto/waterfall exports.
+cid-threaded event log, the stage vocabulary, and Perfetto/waterfall
+exports of the plane's decisions.
 
 See ``docs/TRACING.md`` for the trace model and stage vocabulary.
 """

@@ -1,114 +1,101 @@
-"""Trace exports: Chrome trace-event JSON (Perfetto) and text waterfalls.
+"""Decision exports: text waterfalls and Chrome trace-event JSON (Perfetto).
 
-``chrome_trace`` renders assembled trace trees into the Chrome
-trace-event format — open the file at https://ui.perfetto.dev (or
-``chrome://tracing``) to see per-meeting swim-lanes of decision
-pipelines, one complete "X" slice per critical-path stage.  Process ids
-map to meetings and thread ids to decisions, assigned in sorted order so
-the export is byte-deterministic.
+Both render the ingress plane's committed decisions
+(``IngressPlane.decisions``) with the stages the plane attributed at
+commit (``Decision.stages()``), so they list every decision of a run
+whatever the event-log ring still holds.
 
-``format_waterfall`` renders the same trees as a terminal-friendly
-waterfall: one bar per stage scaled to the tree's end-to-end latency,
-with coalesced fan-in and lineage children indented under their parent.
+``format_waterfall`` prints one row per decision (cid, trigger, source,
+``batch=k``, open time, latency) and one bar per stage, scaled to the
+decision's latency.  ``chrome_trace`` renders the same decisions in the
+Chrome trace-event format — open the file at https://ui.perfetto.dev
+(or ``chrome://tracing``): one process per meeting, one thread per
+decision, one complete "X" slice for the decision and one per stage.
+Meetings get process ids in sorted order and decisions thread ids in
+commit order, so the export is byte-deterministic.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Union
 
-from .tree import TraceTree
+if TYPE_CHECKING:  # the plane imports the stage vocabulary from here
+    from ...ingress.plane import Decision
 
 #: Bar width of the waterfall renderer.
 _BAR_WIDTH = 40
 
 
-def chrome_trace(trees: Iterable[TraceTree]) -> Dict[str, object]:
-    """Encode trees as a Chrome trace-event JSON object.
+def _by_meeting(decisions: Sequence["Decision"]) -> List["Decision"]:
+    """Decisions grouped by meeting (sorted), each in commit order."""
+    return sorted(decisions, key=lambda d: d.meeting)
+
+
+def chrome_trace(decisions: Sequence["Decision"]) -> Dict[str, object]:
+    """Encode decisions as a Chrome trace-event JSON object.
 
     Timestamps are virtual seconds scaled to microseconds (the format's
-    native unit); deterministic pid/tid assignment follows sorted
-    meeting order then tree order.
+    native unit).  A decision's slice spans its stages, which partition
+    it; its args carry the decision's own latency, which also counts
+    any hold before the anchor event reached its mailbox.
     """
-    roots = sorted(
-        trees, key=lambda tr: (tr.meeting, tr.opened_at_s, tr.root.seq)
-    )
-    pids: Dict[str, int] = {}
-    for tree in roots:
-        pids.setdefault(tree.meeting or "(cluster)", len(pids) + 1)
     events: List[Dict[str, object]] = []
-    for name, pid in pids.items():
-        events.append(
-            {
+    pids: Dict[str, int] = {}
+    tids: Dict[str, int] = {}
+    for decision in _by_meeting(decisions):
+        meeting = decision.meeting
+        if meeting not in pids:
+            pids[meeting] = len(pids) + 1
+            events.append({
                 "ph": "M",
                 "name": "process_name",
-                "pid": pid,
+                "pid": pids[meeting],
                 "tid": 0,
-                "args": {"name": f"meeting {name}"},
-            }
-        )
-    tid_by_pid: Dict[int, int] = {}
-    for tree in roots:
-        pid = pids[tree.meeting or "(cluster)"]
-        tid = tid_by_pid.get(pid, 0) + 1
-        tid_by_pid[pid] = tid
-        _emit_tree(events, tree, pid, tid)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def _emit_tree(
-    events: List[Dict[str, object]],
-    tree: TraceTree,
-    pid: int,
-    tid: int,
-) -> None:
-    label = tree.cid or f"{tree.meeting}/ambient"
-    if tree.latency_s > 0 or tree.critical_path():
-        events.append(
-            {
-                "ph": "X",
-                "name": f"decision {label}",
-                "cat": "decision",
-                "pid": pid,
-                "tid": tid,
-                "ts": round(tree.opened_at_s * 1e6, 3),
-                "dur": round(tree.latency_s * 1e6, 3),
-                "args": {
-                    "cid": tree.cid,
-                    "complete": tree.complete,
-                    "link": tree.link,
-                },
-            }
-        )
-    for span in tree.critical_path():
-        events.append(
-            {
+                "args": {"name": f"meeting {meeting}"},
+            })
+        tids[meeting] = tids.get(meeting, 0) + 1
+        lane = {"pid": pids[meeting], "tid": tids[meeting]}
+        stages = decision.stages()
+        start, end = stages[0].start_s, stages[-1].end_s
+        events.append({
+            "ph": "X",
+            "name": f"decision {decision.cid}",
+            "cat": "decision",
+            **lane,
+            "ts": round(start * 1e6, 3),
+            "dur": round((end - start) * 1e6, 3),
+            "args": {
+                "cid": decision.cid,
+                "trigger": decision.trigger,
+                "source": decision.source,
+                "batch": decision.batch,
+                "latency_s": round(decision.latency_s, 9),
+            },
+        })
+        for span in stages:
+            events.append({
                 "ph": "X",
                 "name": span.stage,
                 "cat": "stage",
-                "pid": pid,
-                "tid": tid,
+                **lane,
                 "ts": round(span.start_s * 1e6, 3),
                 "dur": round(span.duration_s * 1e6, 3),
-                "args": {"cid": tree.cid},
-            }
-        )
-    for child in sorted(
-        tree.children, key=lambda c: (c.opened_at_s, c.root.seq, c.cid)
-    ):
-        _emit_tree(events, child, pid, tid)
+                "args": {"cid": decision.cid},
+            })
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(
-    trees: Iterable[TraceTree], path: Union[str, Path]
+    decisions: Sequence["Decision"], path: Union[str, Path]
 ) -> Path:
-    """Write the Chrome trace JSON for ``trees`` to ``path``."""
+    """Write the Chrome trace JSON for ``decisions`` to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(
-            chrome_trace(trees), sort_keys=True, separators=(",", ":")
+            chrome_trace(decisions), sort_keys=True, separators=(",", ":")
         )
         + "\n"
     )
@@ -120,22 +107,19 @@ def write_chrome_trace(
 # --------------------------------------------------------------------- #
 
 
-def waterfall(tree: TraceTree, indent: int = 0) -> List[str]:
-    """Render one tree as indented waterfall lines."""
-    pad = "  " * indent
-    head = tree.cid or f"{tree.meeting}/ambient"
-    status = "cut" if tree.cut else "complete" if tree.complete else "open"
-    link = f" [{tree.link}]" if tree.link else ""
+def waterfall(decision: "Decision") -> List[str]:
+    """Render one decision: its row, then one bar per stage."""
+    total = decision.latency_s
     lines = [
-        f"{pad}{head}{link} ({status})  "
-        f"t={tree.opened_at_s:.3f}s  latency={tree.latency_s * 1e3:.2f}ms"
+        f"{decision.cid}  trigger={decision.trigger} "
+        f"source={decision.source} batch={decision.batch}  "
+        f"t={decision.opened_at_s:.3f}s  latency={total * 1e3:.2f}ms"
     ]
-    total = tree.latency_s
-    for span in tree.critical_path():
+    for span in decision.stages():
         if total > 0:
-            offset = int(
-                round((span.start_s - tree.opened_at_s) / total * _BAR_WIDTH)
-            )
+            offset = int(round(
+                (span.start_s - decision.opened_at_s) / total * _BAR_WIDTH
+            ))
             width = max(
                 1, int(round(span.duration_s / total * _BAR_WIDTH))
             )
@@ -145,27 +129,23 @@ def waterfall(tree: TraceTree, indent: int = 0) -> List[str]:
         width = min(width, _BAR_WIDTH - offset)
         bar = " " * offset + "#" * width
         lines.append(
-            f"{pad}  {span.stage:<14} |{bar:<{_BAR_WIDTH}}| "
+            f"  {span.stage:<14} |{bar:<{_BAR_WIDTH}}| "
             f"{span.duration_s * 1e3:8.2f}ms"
         )
-    for child in sorted(
-        tree.children, key=lambda c: (c.opened_at_s, c.root.seq, c.cid)
-    ):
-        lines.extend(waterfall(child, indent + 1))
     return lines
 
 
-def format_waterfall(trees: Sequence[TraceTree], limit: int = 0) -> str:
-    """Render trees (optionally only the first ``limit``) as one text
-    waterfall block."""
-    roots = sorted(
-        trees, key=lambda tr: (tr.meeting, tr.opened_at_s, tr.root.seq)
-    )
-    shown = roots[:limit] if limit else roots
+def format_waterfall(
+    decisions: Sequence["Decision"], limit: int = 0
+) -> str:
+    """Render decisions (optionally only the first ``limit``) as one
+    text waterfall block."""
+    ordered = _by_meeting(decisions)
+    shown = ordered[:limit] if limit else ordered
     lines: List[str] = []
-    for tree in shown:
-        lines.extend(waterfall(tree))
+    for decision in shown:
+        lines.extend(waterfall(decision))
         lines.append("")
-    if limit and len(roots) > limit:
-        lines.append(f"... {len(roots) - limit} more trees not shown")
+    if limit and len(ordered) > limit:
+        lines.append(f"... {len(ordered) - limit} more decisions not shown")
     return "\n".join(lines).rstrip() + "\n"

@@ -58,9 +58,11 @@ def _unpack_fci(fci) -> List[int]:
     seqs: List[int] = []
     for pid, blp in _FCI.iter_unpack(fci):
         seqs.append(pid)
-        for bit in range(16):
-            if blp & (1 << bit):
-                seqs.append((pid + bit + 1) % _SEQ_MOD)
+        # Set bits only, lowest first: bit b (low == 1 << b) is pid + b + 1.
+        while blp:
+            low = blp & -blp
+            seqs.append((pid + low.bit_length()) % _SEQ_MOD)
+            blp ^= low
     return seqs
 
 

@@ -21,6 +21,7 @@ from repro.cluster.cluster import (
 )
 from repro.ingress.events import KIND_SEMB, StreamConfig, generate_stream
 from repro.obs import names as obs_names
+from repro.obs.events import LogStats
 from repro.obs.registry import enabled_registry
 
 
@@ -517,6 +518,21 @@ class TestObsIntegration:
         # one (the seed-1 stream's first chaos-0 report after the clear).
         assert snap[key]["count"] == 1
         assert abs(snap[key]["sum"] - (4.393408 - 3.23237)) < 1e-6
+
+    def test_each_run_registers_one_event_log(self):
+        # The registry keeps every source it is given: a log built and
+        # then replaced would stay registered beside the run's own.
+        with enabled_registry() as reg:
+            runner = ChaosRunner(small_config())
+            runner.run()
+            first = runner.events
+            runner.run()
+            logs = [
+                source.__self__ for source in reg._sources
+                if isinstance(getattr(source, "__self__", None), LogStats)
+            ]
+        assert runner.events is not first
+        assert logs == [first.stats, runner.events.stats]
 
 
 class TestConfigValidation:

@@ -30,7 +30,6 @@ from repro.obs import events as obs_events
 from repro.obs import names as obs_names
 from repro.obs.events import EventLog
 from repro.obs.registry import enabled_registry
-from repro.obs.tracing import assemble_trees
 
 
 class FakeBackend(IngressBackend):
@@ -360,45 +359,17 @@ class TestShedding:
         assert SHED_OVERFLOW != SHED_ADMISSION
 
 
-class ServingBackend(FakeBackend):
-    """A fake that logs ``solve_served`` at each serve, as the cluster
-    does: the event a trace tree ends its solve stage on."""
-
-    def _served(self, meeting, now_s, cid, result):
-        obs_events.active_event_log().emit(
-            obs_events.SOLVE_SERVED, t=now_s, meeting=meeting, cid=cid
-        )
-        return result
-
-    def decide(self, meeting, payload, now_s, trigger, cid):
-        result = super().decide(meeting, payload, now_s, trigger, cid)
-        return self._served(meeting, now_s, cid, result)
-
-    def shed(self, meeting, payload, now_s, trigger, cid):
-        result = super().shed(meeting, payload, now_s, trigger, cid)
-        return self._served(meeting, now_s, cid, result)
-
-
 class TestStageAttribution:
-    """The plane names each decision's critical-path stages at commit:
-    the same spans its cid's trace tree reads off the event log."""
+    """The plane names each decision's critical-path stages at commit,
+    from the instants it holds: no event log is needed."""
 
     def _run(self, budget=None, stream=None, duration_s=1.0, late=()):
-        log = EventLog()
-        with obs_events.record_events(log):
-            plane, _ = _plane(backend=ServingBackend(budget=budget))
-            for offer_at, event in late:
-                plane.runtime.call_at(offer_at, lambda e=event: plane.offer(e))
-            plane.run_stream(
-                [_semb(0.0)] if stream is None else stream, duration_s
-            )
-        nodes = {
-            node.cid: node
-            for tree in assemble_trees(log.events).trees()
-            for node in tree.walk()
-        }
-        for d in plane.decisions:
-            assert d.stages() == nodes[d.cid].critical_path()
+        plane, _ = _plane(backend=FakeBackend(budget=budget))
+        for offer_at, event in late:
+            plane.runtime.call_at(offer_at, lambda e=event: plane.offer(e))
+        plane.run_stream(
+            [_semb(0.0)] if stream is None else stream, duration_s
+        )
         return [d.stages() for d in plane.decisions]
 
     @staticmethod

@@ -102,6 +102,7 @@ class TestTimeline:
         cid = _chain(log, "m", 1.0)
         out = timeline_dict(log.events, "m")
         assert out["meeting"] == "m"
+        assert (out["emitted"], out["dropped"]) == (0, 0)
         assert len(out["events"]) == 4
         (chain,) = out["chains"]
         assert chain["cid"] == cid
@@ -202,7 +203,9 @@ class TestEndToEndTimeline:
         return runner
 
     def test_causal_chain_reconstructed(self, runner):
-        chains = correlation_chains(runner.events.for_meeting("chaos-0"))
+        chains = correlation_chains(
+            meeting_timeline(runner.events.events, "chaos-0")
+        )
         full = [
             kinds for kinds in (
                 [e.kind for e in chain] for chain in chains.values()
@@ -215,7 +218,7 @@ class TestEndToEndTimeline:
         assert full, "no complete report->solve->push->change chain"
 
     def test_cids_intact_across_chain(self, runner):
-        for event in runner.events.for_meeting("chaos-0"):
+        for event in meeting_timeline(runner.events.events, "chaos-0"):
             if event.kind in (INGRESS_ENQUEUED, SOLVE_SERVED, TMMBR_PUSH,
                               SUBSCRIPTION_CHANGE):
                 assert event.cid.startswith("chaos-0#"), event

@@ -7,10 +7,22 @@ from collections import Counter
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.events import Event
-from repro.obs.tracing import ALL_STAGES, assemble_trees
+from repro.obs.tracing import ALL_STAGES
 
 SMALL = ["--meetings", "2", "--duration", "6", "--seed", "3"]
+
+
+def _small_run():
+    """The run ``SMALL`` names (the commands' default scenario)."""
+    from repro.chaos import ChaosConfig, ChaosRunner, get_scenario
+
+    config = ChaosConfig(seed=3, meetings=2, duration_s=6.0)
+    runner = ChaosRunner(
+        config, get_scenario("bandwidth_collapse").build(3, config),
+        scenario="bandwidth_collapse",
+    )
+    runner.run()
+    return runner
 
 
 class TestParser:
@@ -86,6 +98,7 @@ class TestShow:
         assert rc == 0
         out = capsys.readouterr().out
         assert "trace waterfall" in out
+        assert out.count("  t=") == 3
         assert "#" in out
 
 
@@ -113,9 +126,11 @@ class TestShowDecision:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("trace waterfall") == 1
-        assert f"{decision.cid} (complete)" in out
-        assert f"source: {decision.source}" in out
-        assert decision.digest in out
+        assert out.splitlines()[1].startswith(
+            f"{decision.cid}  trigger={decision.trigger} "
+            f"source={decision.source} batch={decision.batch}  t="
+        )
+        assert f"solution digest: {decision.digest}" in out
         narration = out[out.index("kmr narration"):]
         removed = re.findall(
             r"removing (\S+) from (\S+)'s feasible set", narration
@@ -142,7 +157,8 @@ class TestLongRun:
         "--meetings", "32", "--duration", "120",
     ]
 
-    def test_profile_counts_every_decision(self, capsys):
+    @pytest.fixture(scope="class")
+    def runner(self):
         from repro.chaos import ChaosConfig, ChaosRunner, get_scenario
 
         config = ChaosConfig(seed=1, meetings=32, duration_s=120.0)
@@ -152,6 +168,9 @@ class TestLongRun:
         )
         runner.run()
         assert runner.events.dropped > 0
+        return runner
+
+    def test_profile_counts_every_decision(self, runner, capsys):
         decisions = runner.plane.decisions
         assert main(["trace", "profile", "--json"] + self.RUN) == 0
         table = json.loads(capsys.readouterr().out)
@@ -161,19 +180,24 @@ class TestLongRun:
             "solve": len(decisions),
         }
 
-    def test_show_draws_a_tree_whose_head_was_evicted_as_cut(self, capsys):
+    def test_show_lists_a_meetings_decisions_from_its_first(
+        self, runner, capsys
+    ):
         rc = main(
             ["trace", "show", "--meeting", "chaos-0", "--limit", "2"]
             + self.RUN
         )
         assert rc == 0
+        out = capsys.readouterr().out
         heads = [
-            line.split("  t=")[0]
-            for line in capsys.readouterr().out.splitlines()
+            line.split()[0] for line in out.splitlines()
             if line.startswith("chaos-0#")
         ]
-        # chaos-0#36's enqueue went with the ring's 3511 oldest events.
-        assert heads == ["chaos-0#36 (cut)", "chaos-0#38 (complete)"]
+        # The ring evicted chaos-0#1's whole chain; its decision stays.
+        first = [d.cid for d in runner.plane.decisions
+                 if d.meeting == "chaos-0"]
+        assert heads == first[:2] and heads[0] == "chaos-0#1"
+        assert f"... {len(first) - 2} more decisions not shown" in out
 
     @pytest.mark.parametrize(
         "sizing, note",
@@ -198,18 +222,39 @@ class TestLongRun:
         if note:
             assert lines[1] == note
 
-    # chaos-0#1's chain is gone whole; chaos-28#36 lost its enqueue, so
-    # its tree would draw a truncated waterfall.
+    def test_timeline_json_counts_the_events_the_ring_dropped(
+        self, runner, capsys
+    ):
+        rc = main(
+            ["obs", "timeline", "chaos-0", "--json"] + self.RUN
+        )
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["emitted"] == runner.events.emitted
+        assert out["dropped"] == runner.events.dropped == 3511
+
+    # chaos-0#1's chain is gone whole; chaos-28#36 lost its enqueue.
+    # Neither matters: the decision is the plane's, not the ring's.
     @pytest.mark.parametrize("cid", ["chaos-0#1", "chaos-28#36"])
-    def test_an_evicted_chain_exits_2_naming_the_ring(self, capsys, cid):
+    def test_a_cid_the_ring_evicted_shows_its_decision(
+        self, runner, capsys, cid
+    ):
+        (decision,) = [d for d in runner.plane.decisions if d.cid == cid]
         rc = main(["trace", "show", "--cid", cid] + self.RUN)
-        assert rc == 2
+        assert rc == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("repro trace: ")
-        assert "8192-event ring" in captured.err
-        assert repr(cid) in captured.err
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[1].startswith(f"{cid}  trigger=")
+        stage_lines = lines[2:2 + len(decision.stages())]
+        assert [
+            (line.split()[0], line.split()[-1]) for line in stage_lines
+        ] == [
+            (s.stage, f"{s.duration_s * 1e3:.2f}ms")
+            for s in decision.stages()
+        ]
+        assert lines[2 + len(decision.stages())] == ""
+        assert "=== kmr narration (replayed) ===" in lines
 
 
 class TestExport:
@@ -219,7 +264,13 @@ class TestExport:
         assert rc == 0
         assert "perfetto" in capsys.readouterr().out.lower()
         payload = json.loads(out.read_text())
-        assert payload["traceEvents"]
+        heads = [
+            e["args"]["cid"] for e in payload["traceEvents"]
+            if e.get("cat") == "decision"
+        ]
+        assert sorted(heads) == sorted(
+            d.cid for d in _small_run().plane.decisions
+        )
 
 
 class TestProfile:
@@ -230,29 +281,17 @@ class TestProfile:
         assert "stage latencies" in out
         assert "solve" in out
 
-    def test_json_summarises_the_critical_paths(self, tmp_path, capsys):
-        log = tmp_path / "events.jsonl"
-        assert main(["trace", "record", "--out", str(log)] + SMALL) == 0
-        capsys.readouterr()
+    def test_json_summarises_every_decisions_stages(self, capsys):
         rc = main(["trace", "profile", "--json"] + SMALL)
         assert rc == 0
         table = json.loads(capsys.readouterr().out)
-        # The recorded log holds the whole run: its trees' critical
-        # paths are the decisions the profile tabulates.
-        rows = [json.loads(line) for line in log.read_text().splitlines()]
-        assert rows[0]["dropped"] == 0
-        trees = assemble_trees(
-            Event(**{k: v for k, v in row.items() if k != "record"})
-            for row in rows[1:]
-        ).trees()
-        spans = Counter(
+        stages = Counter(
             span.stage
-            for tree in trees
-            for node in tree.walk()
-            for span in node.critical_path()
+            for d in _small_run().plane.decisions
+            for span in d.stages()
         )
         assert set(table) <= set(ALL_STAGES)
-        assert {s: row["count"] for s, row in table.items()} == spans
+        assert {s: row["count"] for s, row in table.items()} == stages
         for row in table.values():
             assert 0.0 <= row["p50_s"] <= row["p95_s"] <= row["max_s"]
             assert row["mean_s"] <= row["max_s"]

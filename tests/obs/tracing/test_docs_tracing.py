@@ -75,3 +75,19 @@ class TestStageBudgetsMatchDoc:
 
         assert set(STAGE_BUDGETS_S) == set(ALL_STAGES)
         assert "STAGE_BUDGETS_S" in _doc()
+
+
+def test_observability_worked_example_is_the_cli_output(capsys):
+    """``docs/OBSERVABILITY.md`` quotes ``trace show --cid`` up to the
+    narration; the quote must be what the command prints."""
+    from repro.cli import main
+
+    text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    head = "trace waterfall — bandwidth_collapse seed=1 cid=chaos-0#4\n"
+    quoted = text[text.index(head):]
+    quoted = quoted[:quoted.index("=== kmr narration (replayed) ===")]
+    assert main([
+        "trace", "show", "--scenario", "bandwidth_collapse", "--seed", "1",
+        "--cid", "chaos-0#4",
+    ]) == 0
+    assert capsys.readouterr().out.startswith(quoted)

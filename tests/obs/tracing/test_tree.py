@@ -1,16 +1,7 @@
-"""Trace trees: stage rules, critical-path exactness, canonical encoding."""
-
-import math
+"""Trace trees: root, canonical encoding, tree walks."""
 
 from repro.obs import events as ek
-from repro.obs.tracing import (
-    ALL_STAGES,
-    STAGE_DELIVERY,
-    STAGE_MAILBOX_DWELL,
-    STAGE_SHED,
-    STAGE_SOLVE,
-    TraceTree,
-)
+from repro.obs.tracing import TRACE_SCHEMA, TraceTree, assemble_trees
 
 from .conftest import decision_chain, ev
 
@@ -19,98 +10,17 @@ def tree_of(events, cid="m0#1", meeting="m0"):
     return TraceTree(cid=cid, meeting=meeting, events=list(events))
 
 
-class TestChain:
-    def test_chain_orders_by_time_then_seq(self):
-        events = decision_chain()
+class TestRoot:
+    def test_root_is_the_earliest_event(self):
+        events = decision_chain(t0=2.0)
         tree = tree_of(list(reversed(events)))
-        assert [e.kind for e in tree.chain()] == [
-            ek.INGRESS_ENQUEUED,
-            ek.INGRESS_DEQUEUED,
-            ek.SOLVE_SERVED,
-            ek.TMMBR_PUSH,
-        ]
+        assert tree.root is events[0]
+        assert tree.opened_at_s == 2.0
 
-    def test_chain_truncates_at_first_terminal(self):
-        events = decision_chain()
-        events.append(ev(0.9, ek.SOLVE_SERVED, cid="m0#1"))
-        tree = tree_of(events)
-        assert tree.chain()[-1].kind == ek.TMMBR_PUSH
-        assert tree.closed_at_s == 0.35
-
-    def test_non_chain_kinds_are_context_only(self):
-        events = decision_chain()
-        events.append(ev(0.31, ek.SUBSCRIPTION_CHANGE, cid="m0#1"))
-        tree = tree_of(events)
-        assert len(tree.chain()) == 4
-        assert len(tree.events) == 5
-
-    def test_latency_is_root_to_terminal(self):
-        tree = tree_of(decision_chain(t0=2.0))
-        assert math.isclose(tree.opened_at_s, 2.0)
-        assert math.isclose(tree.closed_at_s, 2.35)
-        assert math.isclose(tree.latency_s, 0.35)
-
-
-class TestStageRules:
-    def test_enqueue_to_dequeue_is_mailbox_dwell(self):
-        tree = tree_of(decision_chain())
-        stages = [s.stage for s in tree.critical_path()]
-        assert stages == [STAGE_MAILBOX_DWELL, STAGE_SOLVE, STAGE_DELIVERY]
-
-    def test_shed_chain_names_the_shed_stage(self):
-        tree = tree_of([
-            ev(0.0, ek.INGRESS_ENQUEUED, cid="m0#1"),
-            ev(0.4, ek.INGRESS_SHED, cid="m0#1"),
-            ev(0.5, ek.TMMBR_PUSH, cid="m0#1"),
-        ])
-        assert [s.stage for s in tree.critical_path()] == [
-            STAGE_SHED, STAGE_DELIVERY,
-        ]
-
-    def test_terminal_without_solve_event_is_solve_time(self):
-        # Modeled backends emit no explicit solve event: the whole gap
-        # from the root to the terminal is service time.
-        tree = tree_of([
-            ev(0.0, ek.TIME_TRIGGER, cid="m0#1"),
-            ev(0.25, ek.TMMBR_PUSH, cid="m0#1"),
-        ])
-        spans = tree.critical_path()
-        assert [s.stage for s in spans] == [STAGE_SOLVE]
-        assert math.isclose(spans[0].duration_s, 0.25)
-
-    def test_lost_delivery_still_attributes(self):
-        events = decision_chain()[:-1]
-        events.append(ev(0.35, ek.TMMBR_LOST, cid="m0#1"))
-        tree = tree_of(events)
-        assert [s.stage for s in tree.critical_path()][-1] == STAGE_DELIVERY
-
-
-class TestCriticalPathExactness:
-    def test_spans_partition_the_chain(self):
-        tree = tree_of(decision_chain())
-        spans = tree.critical_path()
-        assert len(spans) == 3
-        assert spans[0].start_s == tree.opened_at_s
-        assert spans[-1].end_s == tree.closed_at_s
-        for left, right in zip(spans, spans[1:]):
-            assert left.end_s == right.start_s
-
-    def test_durations_sum_to_latency(self):
-        tree = tree_of(decision_chain())
-        total = sum(s.duration_s for s in tree.critical_path())
-        assert abs(total - tree.latency_s) < 1e-9
-
-    def test_stage_durations_aggregates_and_sorts(self):
-        tree = tree_of(decision_chain())
-        durations = tree.stage_durations()
-        assert list(durations) == sorted(durations)
-        assert abs(sum(durations.values()) - tree.latency_s) < 1e-9
-        assert set(durations) <= set(ALL_STAGES)
-
-    def test_single_event_chain_has_no_spans(self):
-        tree = tree_of([ev(0.0, ek.INGRESS_ENQUEUED, cid="m0#1")])
-        assert tree.critical_path() == []
-        assert tree.latency_s == 0.0
+    def test_equal_times_break_on_seq(self):
+        late = ev(1.0, ek.TMMBR_PUSH, cid="m0#1", seq=7)
+        early = ev(1.0, ek.TIME_TRIGGER, cid="m0#1", seq=3)
+        assert tree_of([late, early]).root is early
 
 
 class TestCanonicalEncoding:
@@ -122,6 +32,25 @@ class TestCanonicalEncoding:
         encoded = tree.to_dict()
         assert [c["cid"] for c in encoded["children"]] == ["m0#2", "m0#3"]
 
+    def test_encoding_carries_events_and_links_only(self):
+        # Stages, latency and the close instant are the plane's
+        # (``Decision.stages()``); a tree does not attribute them again.
+        encoded = tree_of(decision_chain()).to_dict()
+        assert set(encoded) == {
+            "cid", "meeting", "parent_cid", "link", "complete",
+            "opened_at_s", "events", "children",
+        }
+        assert [e["kind"] for e in encoded["events"]] == [
+            ek.INGRESS_ENQUEUED, ek.INGRESS_DEQUEUED,
+            ek.SOLVE_SERVED, ek.TMMBR_PUSH,
+        ]
+
+    def test_schema_is_v3(self):
+        assert TRACE_SCHEMA == "repro.trace/v3"
+        assert assemble_trees(decision_chain()).to_dict()["schema"] == (
+            TRACE_SCHEMA
+        )
+
     def test_walk_visits_every_node_once(self):
         tree = tree_of(decision_chain())
         child = tree_of(decision_chain(cid="m0#2", t0=1.0), cid="m0#2")
@@ -130,4 +59,4 @@ class TestCanonicalEncoding:
         tree.children = [child]
         nodes = tree.walk()
         assert [n.cid for n in nodes] == ["m0#1", "m0#2", "m0#3"]
-        assert tree.event_count() == 12
+        assert sum(len(n.events) for n in nodes) == 12
